@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .metacontrol import AdapterConfig, AuditLog, MetaController
-from .opm import Opm
+from .opm import Opm, left_sum
 from .profiles import (
     LLM,
     SDXL,
@@ -200,7 +200,7 @@ def compute_metrics(
     meta_counts = meta_counts or {}
     oracle_ids = sorted(r.task_id for r in oracle_records)
     oracle_avg = (
-        sum(r.latency_ms for r in oracle_records) / len(oracle_records)
+        left_sum(r.latency_ms for r in oracle_records) / len(oracle_records)
         if oracle_records
         else 0.0
     )
@@ -215,7 +215,7 @@ def compute_metrics(
         if not records:
             metrics[name] = PolicyMetrics(0.0, 0.0, 0.0, 0, 0, [])
             continue
-        avg = sum(r.latency_ms for r in records) / len(records)
+        avg = left_sum(r.latency_ms for r in records) / len(records)
         if name == "oracle":
             vs = 0.0
         else:

@@ -77,6 +77,19 @@ class _ResidualPair:
     completion_time: float
 
 
+def left_sum(values) -> float:
+    """Float sum folded strictly left to right, starting from 0.0.
+
+    ``sum()`` switched to compensated float summation in Python 3.12, which
+    changes the last bits; this fold gives the same result on every
+    interpreter, so reports stay byte-identical across versions.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def solve_token_coefficients(
     samples: list[tuple[int, int, float]], damping: float = RIDGE_DAMPING
 ) -> tuple[float, float]:
@@ -107,10 +120,18 @@ def solve_token_coefficients(
 
 
 class Opm:
-    """Online performance model over a fixed device pool."""
+    """Online performance model over a fixed device pool.
+
+    Version contract: ``version`` moves whenever a prediction may change,
+    that is on :meth:`seed`, on a :meth:`refit` that returns "updated" and
+    on :meth:`apply_calibration`.  Only these methods change estimates.  The
+    fast path caches predictions of queued tasks per version, so a direct
+    write to an :class:`OpmEstimate` field bypasses that invalidation.
+    """
 
     def __init__(self, window_capacity: int = DEFAULT_WINDOW_CAPACITY) -> None:
         self.window_capacity = window_capacity
+        self.version = 0
         self.estimates: dict[tuple[int, str], OpmEstimate] = {}
         self._windows: dict[tuple[int, str], deque[_Sample]] = {}
         self._residuals: dict[tuple[int, str], deque[_ResidualPair]] = {}
@@ -133,6 +154,7 @@ class Opm:
             self.estimates[key] = est
             self._windows[key] = deque(maxlen=self.window_capacity)
             self._residuals[key] = deque(maxlen=256)
+        self.version += 1
         self.oplog.append(("seed", tuple(sorted((p.device_id, p.kind, p.alpha0, p.beta0, p.gamma0) for p in priors))))
 
     def _estimate(self, device: int, kind: str) -> OpmEstimate:
@@ -195,10 +217,11 @@ class Opm:
             est.alpha_hat = alpha
             est.beta_hat = beta
         else:
-            est.gamma_hat = sum(s.service_ms for s in samples) / len(samples)
+            est.gamma_hat = left_sum(s.service_ms for s in samples) / len(samples)
         est.calibration_factor = 1.0
         if at_task is not None:
             est.last_refit = at_task
+        self.version += 1
         return "updated"
 
     def refit_all(
@@ -248,8 +271,8 @@ class Opm:
         ]
         if not pairs:
             return 1.0, 0
-        mean_obs = sum(p.observed for p in pairs) / len(pairs)
-        mean_pred = sum(p.predicted for p in pairs) / len(pairs)
+        mean_obs = left_sum(p.observed for p in pairs) / len(pairs)
+        mean_pred = left_sum(p.predicted for p in pairs) / len(pairs)
         if mean_pred <= 0.0:
             return (1.0 if mean_obs <= 0.0 else float("inf")), len(pairs)
         return mean_obs / mean_pred, len(pairs)
@@ -268,6 +291,7 @@ class Opm:
         old = est.calibration_factor
         new = CALIBRATION_SMOOTHING * observed_ratio + (1 - CALIBRATION_SMOOTHING) * old
         est.calibration_factor = new
+        self.version += 1
         self.oplog.append(("calibrate", device, kind, observed_ratio))
         return old, new
 

@@ -10,7 +10,7 @@ O(number of devices) and scores each candidate at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .opm import Opm
@@ -107,18 +107,88 @@ class RiskOverrideTable:
 Predictor = Callable[[int, TaskSpec], float]
 
 
-def backlog_ms(snap: DeviceSnapshot, predict: Predictor, now: float) -> float:
+class BacklogMemo:
+    """Predicted cost of each task queued or in flight, per device.
+
+    One memo serves one predictor, and a task id names one task.  ``sync``
+    drops every entry when the predictor's version moves.  A device's entry
+    changes only with its snapshot: an appended task extends the queued sum
+    by one term, any other change re-sums the kept costs in queue order.
+    Either way the sum is the same left fold as pricing every task afresh,
+    and the entry holds no more than the queued tasks plus the one in flight.
+    """
+
+    def __init__(self) -> None:
+        self.version: int | None = None
+        # device -> (snapshot, queued sum, in-flight cost, task_id -> cost)
+        self._devices: dict[int, tuple[DeviceSnapshot, float, float, dict[int, float]]] = {}
+
+    def sync(self, version: int) -> None:
+        if version != self.version:
+            self.version = version
+            self._devices.clear()
+
+    def size(self, device: int) -> int:
+        """Number of task costs held for a device."""
+        entry = self._devices.get(device)
+        return 0 if entry is None else len(entry[3])
+
+    def costs(self, snap: DeviceSnapshot, predict: Predictor) -> tuple[float, float]:
+        """(queued work summed in queue order, in-flight prediction or 0.0)."""
+        device = snap.device_id
+        entry = self._devices.get(device)
+        if entry is None:
+            prev, known = None, {}
+        elif entry[0] is snap:
+            return entry[1], entry[2]
+        else:
+            prev, prev_queued, prev_in_flight, known = entry
+        if (
+            prev is not None
+            and prev.in_flight == snap.in_flight
+            and len(snap.queued) == len(prev.queued) + 1
+            and snap.queued[:-1] == prev.queued
+        ):
+            # One task was appended: extend the left fold by one term.
+            task = snap.queued[-1]
+            value = known[task.task_id] = predict(device, task)
+            queued, in_flight, kept = prev_queued + value, prev_in_flight, known
+        else:
+            kept = {}
+            queued = 0.0
+            for task in snap.queued:
+                value = known.get(task.task_id)
+                if value is None:
+                    value = predict(device, task)
+                kept[task.task_id] = value
+                queued += value
+            in_flight = 0.0
+            if snap.in_flight is not None:
+                task = snap.in_flight.task
+                in_flight = known.get(task.task_id)
+                if in_flight is None:
+                    in_flight = predict(device, task)
+                kept[task.task_id] = in_flight
+        self._devices[device] = (snap, queued, in_flight, kept)
+        return queued, in_flight
+
+
+def backlog_ms(
+    snap: DeviceSnapshot, predict: Predictor, now: float, memo: BacklogMemo | None = None
+) -> float:
     """Backlog in predicted milliseconds: queued work plus in-flight remainder.
 
-    The in-flight remainder is the prediction minus elapsed service, floored
-    at zero (the observer cannot know the task is running late).
+    Queued predictions are summed in queue order, then the in-flight
+    remainder is added: the prediction minus elapsed service, floored at
+    zero (the observer cannot know the task is running late).  A memo reuses
+    the predictions of earlier decisions.
     """
-    total = 0.0
-    for task in snap.queued:
-        total += predict(snap.device_id, task)
+    if memo is None:
+        memo = BacklogMemo()
+    total, in_flight = memo.costs(snap, predict)
     if snap.in_flight is not None:
         elapsed = now - snap.in_flight.start_time
-        total += max(0.0, predict(snap.device_id, snap.in_flight.task) - elapsed)
+        total += max(0.0, in_flight - elapsed)
     return total
 
 
@@ -130,6 +200,7 @@ class PolicyVisibleState:
     opm: Opm
     overrides: RiskOverrideTable
     config: RouterConfig
+    memo: BacklogMemo = field(default_factory=BacklogMemo)
 
     @property
     def now(self) -> float:
@@ -139,7 +210,8 @@ class PolicyVisibleState:
         return self.obs.available_devices(kind)
 
     def backlog(self, device: int) -> float:
-        return backlog_ms(self.obs.snapshot_of(device), self.opm.predict, self.now)
+        self.memo.sync(self.opm.version)
+        return backlog_ms(self.obs.snapshot_of(device), self.opm.predict, self.now, self.memo)
 
     def to_dict(self) -> dict:
         return {
@@ -205,13 +277,14 @@ def select_baseline(
     obs: ObservableState,
     priors: dict[int, DevicePrior] | None = None,
     cursors: dict[str, int] | None = None,
+    memo: BacklogMemo | None = None,
 ) -> int | None:
     """Static reference selection.
 
     ``fixed_heuristic`` ranks by prior-priced backlog plus prior prediction
-    and never updates; ``round_robin`` cycles a persistent per-kind cursor
-    over the available devices.  Neither reads learned estimates or risk
-    flags.
+    and never updates; a memo carries its backlog prices across decisions.
+    ``round_robin`` cycles a persistent per-kind cursor over the available
+    devices.  Neither reads learned estimates or risk flags.
     """
     candidates = obs.available_devices(task.kind)
     if not candidates:
@@ -221,7 +294,7 @@ def select_baseline(
             raise ValueError("fixed_heuristic needs the prior table")
         predict = prior_predictor(priors)
         scored = [
-            (backlog_ms(obs.snapshot_of(d), predict, obs.now) + predict(d, task), d)
+            (backlog_ms(obs.snapshot_of(d), predict, obs.now, memo) + predict(d, task), d)
             for d in candidates
         ]
         return min(scored)[1]
@@ -266,9 +339,10 @@ class FixedHeuristicPolicy:
 
     def __init__(self, priors: list[DevicePrior]) -> None:
         self._priors = {p.device_id: p for p in priors}
+        self.memo = BacklogMemo()
 
     def choose(self, task: TaskSpec, obs: ObservableState) -> int | None:
-        return select_baseline("fixed_heuristic", task, obs, priors=self._priors)
+        return select_baseline("fixed_heuristic", task, obs, priors=self._priors, memo=self.memo)
 
 
 class RoundRobinPolicy:
@@ -329,6 +403,7 @@ class AdaptiveAgentPolicy:
         self.meta = meta
         self.trace = trace
         self.overrides = overrides if overrides is not None else RiskOverrideTable()
+        self.memo = BacklogMemo()
         self._dispatched: set[int] = set()
 
     def attach_telemetry(self, telemetry) -> None:
@@ -336,7 +411,7 @@ class AdaptiveAgentPolicy:
             self.meta.attach_telemetry(telemetry)
 
     def visible_state(self, obs: ObservableState) -> PolicyVisibleState:
-        return PolicyVisibleState(obs, self.opm, self.overrides, self.config)
+        return PolicyVisibleState(obs, self.opm, self.overrides, self.config, self.memo)
 
     def choose(self, task: TaskSpec, obs: ObservableState) -> int | None:
         return select_e3(task, self.visible_state(obs), self.trace)

@@ -13,6 +13,8 @@ import heapq
 import logging
 from dataclasses import dataclass, field
 from collections import deque
+from itertools import islice
+from operator import attrgetter
 from typing import Protocol
 
 from ..profiles import LLM, SDXL
@@ -181,6 +183,9 @@ class _QueueEntry:
     stutter: int
 
 
+_entry_task = attrgetter("task")
+
+
 @dataclass
 class _InFlight:
     entry: _QueueEntry
@@ -195,6 +200,14 @@ class _DeviceRuntime:
     queue: deque = field(default_factory=deque)
     in_flight: _InFlight | None = None
     busy_ms: float = 0.0
+    # Last snapshot handed to the policy; None once the queue or the
+    # in-flight task changes.
+    snapshot: DeviceSnapshot | None = None
+    # true_costs[i] is the true service time of queue[i] at truth version
+    # true_costs_version.  Filled lazily by the oracle's backlog, so it may
+    # be shorter than the queue; popped and cleared together with it.
+    true_costs: deque = field(default_factory=deque)
+    true_costs_version: int = -1
 
 
 @dataclass
@@ -243,8 +256,10 @@ class Engine:
             device_id: _DeviceRuntime(device_id, truth.kind_of(device_id))
             for device_id in truth.device_ids()
         }
+        self._ordered = [self.devices[d] for d in sorted(self.devices)]
         self.records: list[ExecutionRecord] = []
         self.annotations: list[EventAnnotation] = []
+        self._annotation_view: tuple[EventAnnotation, ...] = ()
         self.event_log: list[str] = []
         self._observations: list[dict] = []
         self._pending: list[TaskSpec] = []
@@ -270,22 +285,24 @@ class Engine:
     # -- policy-visible views ------------------------------------------------
 
     def observable_state(self) -> ObservableState:
+        """Policy view; a device's snapshot is rebuilt only after it changed."""
         snaps = []
-        for device_id in sorted(self.devices):
-            dev = self.devices[device_id]
-            in_flight = None
-            if dev.in_flight is not None:
-                in_flight = InFlightView(dev.in_flight.entry.task, dev.in_flight.start_time)
-            snaps.append(
-                DeviceSnapshot(
-                    device_id=device_id,
+        for dev in self._ordered:
+            available = self.truth.is_available(dev.device_id)
+            snap = dev.snapshot
+            if snap is None or snap.available != available:
+                in_flight = None
+                if dev.in_flight is not None:
+                    in_flight = InFlightView(dev.in_flight.entry.task, dev.in_flight.start_time)
+                snap = dev.snapshot = DeviceSnapshot(
+                    device_id=dev.device_id,
                     kind=dev.kind,
-                    available=self.truth.is_available(device_id),
-                    queued=tuple(e.task for e in dev.queue),
+                    available=available,
+                    queued=tuple(map(_entry_task, dev.queue)),
                     in_flight=in_flight,
                 )
-            )
-        obs = ObservableState(self.now, tuple(snaps), tuple(self.annotations))
+            snaps.append(snap)
+        obs = ObservableState(self.now, tuple(snaps), self._annotation_view)
         if self.leak_check:
             assert_no_ground_truth(obs.to_dict())
         return obs
@@ -325,13 +342,24 @@ class Engine:
         return [dict(r) for r in rows]
 
     def true_backlog_ms(self, device: int, now: float) -> float:
-        """Oracle-only: exact remaining work queued on a device."""
+        """Oracle-only: exact remaining work queued on a device.
+
+        Sums the in-flight remainder, then each queued entry's true service
+        time in queue order.  Those times are cached per entry until ground
+        truth changes, so each is computed once per truth version.
+        """
         dev = self.devices[device]
+        costs = dev.true_costs
+        if dev.true_costs_version != self.truth.version:
+            costs.clear()
+            dev.true_costs_version = self.truth.version
+        for entry in islice(dev.queue, len(costs), None):
+            costs.append(self.truth.true_service_time(device, entry.task, now))
         backlog = 0.0
         if dev.in_flight is not None:
             backlog += dev.in_flight.completion_time - now
-        for entry in dev.queue:
-            backlog += self.truth.true_service_time(device, entry.task, now)
+        for cost in costs:
+            backlog += cost
         return backlog
 
     # -- event handlers --------------------------------------------------------
@@ -344,6 +372,7 @@ class Engine:
     def _annotate(self, at_task: int, type_name: str, device: int, label: str | None) -> None:
         ann = EventAnnotation(at_task, self.now, type_name, device, label)
         self.annotations.append(ann)
+        self._annotation_view = tuple(self.annotations)
         if hasattr(self.policy, "on_annotation"):
             self.policy.on_annotation(ann, at_task)
         if self.hooks is not None and hasattr(self.hooks, "on_event"):
@@ -375,6 +404,8 @@ class Engine:
         dev = self.devices[device]
         orphans = [entry.task for entry in dev.queue]
         dev.queue.clear()
+        dev.true_costs.clear()
+        dev.snapshot = None
         for task in orphans:
             self._route(task)
 
@@ -415,6 +446,7 @@ class Engine:
         entry = _QueueEntry(task, dispatch_time=self.now, stutter=stutter)
         dev = self.devices[device]
         dev.queue.append(entry)
+        dev.snapshot = None
         if hasattr(self.policy, "on_dispatch"):
             self.policy.on_dispatch(task, device, self.now)
         if dev.in_flight is None:
@@ -427,8 +459,11 @@ class Engine:
         if not self.truth.is_available(device):
             return
         entry = dev.queue.popleft()
+        if dev.true_costs:
+            dev.true_costs.popleft()
         service = self.truth.true_service_time(device, entry.task, self.now)
         dev.in_flight = _InFlight(entry, self.now, self.now + service)
+        dev.snapshot = None
         self._push(self.now + service, _PRIO_COMPLETION, device)
 
     def _complete(self, device: int) -> None:
@@ -437,6 +472,7 @@ class Engine:
         if fl is None:
             raise EngineError(f"completion event for idle device {device}")
         dev.in_flight = None
+        dev.snapshot = None
         dev.busy_ms += fl.completion_time - fl.start_time
         task = fl.entry.task
         record = ExecutionRecord(

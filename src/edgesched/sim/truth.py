@@ -237,6 +237,11 @@ class GroundTruthState:
     prior-error factors, so the offline profile is wrong by a known, hidden
     amount that the agent must recover online.  ``service_jitter`` adds a
     bounded deterministic per-task wobble (0 disables it exactly).
+
+    Version contract: ``version`` counts the mutations made through
+    :meth:`apply_event`, the only method that changes truth.  The engine
+    caches true service times of queued tasks until the version moves, so a
+    direct write to a device's fields bypasses that invalidation.
     """
 
     def __init__(
@@ -249,6 +254,7 @@ class GroundTruthState:
         if service_jitter < 0 or service_jitter >= 1:
             raise ValueError("service_jitter must be in [0, 1)")
         self.service_jitter = service_jitter
+        self.version = 0
         self.devices: dict[int, _DeviceTruth] = {}
         prior_error = prior_error or {}
         for prior in priors:
@@ -311,6 +317,7 @@ class GroundTruthState:
     # -- mutations driven by scenario events --------------------------------
 
     def apply_event(self, event: ScenarioEvent) -> None:
+        self.version += 1
         if isinstance(event, SemanticOnset):
             truth = self.devices[event.device]
             truth.active_factors[event.label] = event.factor
