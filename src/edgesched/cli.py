@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, help="output directory for report artifacts")
     run.add_argument("--horizon", type=int)
     run.add_argument("--lambda", dest="lam", type=float, help="arrival rate, tasks/s")
-    run.add_argument("--seed", type=int, help="reserved; the default stream is deterministic")
     run.add_argument("--jitter", type=float, help="service jitter amplitude override")
     run.add_argument(
         "--explore-weight", type=float, help="initial exploration bonus weight, ms"
@@ -113,7 +112,6 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         policies=policies,
         profiles_path=pick(args.profiles, "profiles"),
         out_dir=pick(args.out, "out"),
-        seed=int(pick(args.seed, "seed", 0)),
         prior_error=_parse_prior_error(file_cfg.get("prior_error")),
         service_jitter=pick(args.jitter, "service_jitter"),
         plan=plan,

@@ -87,7 +87,6 @@ class ExperimentConfig:
     policies: tuple[str, ...] = POLICY_NAMES
     profiles_path: str | Path | None = None
     out_dir: str | Path | None = None
-    seed: int = 0  # reserved; the default stream is deterministic
     prior_error: dict | None = None
     service_jitter: float | None = None
     plan: ScenarioPlan | None = None

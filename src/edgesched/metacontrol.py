@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 from .opm import DRIFT_WINDOW_MS, Opm
-from .profiles import LLM, SDXL
+from .profiles import LLM, SDXL, is_finite_number
 from .router import (
     DEFAULT_EXPLORE_WEIGHT_MS,
     DEFAULT_RISK_PENALTY_MS,
@@ -331,8 +331,8 @@ class ToolExecutor:
         self, device: int, model: str, ratio: float
     ) -> tuple[dict, dict]:
         kind = model_kind(model)
-        if not (ratio > 0) or ratio != ratio or ratio == float("inf"):
-            raise ValueError(f"calibration ratio must be finite and > 0, got {ratio}")
+        if not is_finite_number(ratio) or ratio <= 0:
+            raise ValueError(f"calibration ratio must be a finite number > 0, got {ratio!r}")
         old, new = self.opm.apply_calibration(device, kind, ratio)
         return {"old_factor": old, "new_factor": new}, {
             "calibration_factor": {"device": device, "old": old, "new": new}
@@ -350,23 +350,13 @@ class ToolExecutor:
         explore_weight_ms: float | None = None,
         risk_penalty_ms: float | None = None,
     ) -> tuple[dict, dict]:
+        new = {"explore_weight_ms": explore_weight_ms, "risk_penalty_ms": risk_penalty_ms}
+        new = {name: value for name, value in new.items() if value is not None}
+        RouterConfig(**{**self.config.to_dict(), **new})  # validates before any change
         delta: dict = {}
-        if explore_weight_ms is not None:
-            if explore_weight_ms < 0:
-                raise ValueError("explore_weight_ms must be >= 0")
-            delta["explore_weight_ms"] = {
-                "old": self.config.explore_weight_ms,
-                "new": explore_weight_ms,
-            }
-            self.config.explore_weight_ms = explore_weight_ms
-        if risk_penalty_ms is not None:
-            if risk_penalty_ms < 0:
-                raise ValueError("risk_penalty_ms must be >= 0")
-            delta["risk_penalty_ms"] = {
-                "old": self.config.risk_penalty_ms,
-                "new": risk_penalty_ms,
-            }
-            self.config.risk_penalty_ms = risk_penalty_ms
+        for name, value in new.items():
+            delta[name] = {"old": getattr(self.config, name), "new": value}
+            setattr(self.config, name, value)
         return self.config.to_dict(), delta
 
     def _tool_trigger_online_profile_update(
@@ -531,17 +521,18 @@ def _tool_catalog() -> list[dict]:
 
 
 def _default_transport(payload: dict, config: AdapterConfig) -> dict:
-    import requests
+    """POST the payload as JSON; a non-2xx status raises ``HTTPError``."""
+    import urllib.request  # only adapter runs pay for the import
 
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(config.api_key_env, "")
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    response = requests.post(
-        config.url, json=payload, headers=headers, timeout=config.timeout_s
+    request = urllib.request.Request(
+        config.url, data=json.dumps(payload).encode(), headers=headers, method="POST"
     )
-    response.raise_for_status()
-    return response.json()
+    with urllib.request.urlopen(request, timeout=config.timeout_s) as response:
+        return json.load(response)
 
 
 def _parse_tool_calls(response: dict) -> list[ToolCall]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -123,6 +124,11 @@ _RECORD_FIELDS = {
     "image_size",
     "steps",
 }
+
+
+def is_finite_number(value: object) -> bool:
+    """True for a finite int or float; bools and non-numbers are rejected."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _looks_like(model_id: str, hints: tuple[str, ...]) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .opm import Opm
-from .profiles import LLM, DevicePrior
+from .profiles import LLM, DevicePrior, is_finite_number
 from .sim.engine import DeviceSnapshot, ObservableState, OracleAccess
 from .sim.workload import TaskSpec
 
@@ -41,10 +41,10 @@ class RouterConfig:
     def validate(self) -> None:
         if self.policy not in ROUTER_CHOICES:
             raise ValueError(f"policy must be one of {ROUTER_CHOICES}, got {self.policy!r}")
-        if self.explore_weight_ms < 0:
-            raise ValueError("explore_weight_ms must be >= 0")
-        if self.risk_penalty_ms < 0:
-            raise ValueError("risk_penalty_ms must be >= 0")
+        for name in ("explore_weight_ms", "risk_penalty_ms"):
+            value = getattr(self, name)
+            if not is_finite_number(value) or value < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -18,17 +18,7 @@ from operator import attrgetter
 from typing import Protocol
 
 from ..profiles import LLM, SDXL
-from .truth import (
-    DeviceLeave,
-    DeviceReturn,
-    DriftRestore,
-    DriftStep,
-    GroundTruthState,
-    ScenarioEvent,
-    ScenarioPlan,
-    SemanticOffset,
-    SemanticOnset,
-)
+from .truth import GroundTruthState, PlanError, ScenarioEvent, ScenarioPlan
 from .workload import TaskSpec
 
 logger = logging.getLogger(__name__)
@@ -256,6 +246,9 @@ class Engine:
             device_id: _DeviceRuntime(device_id, truth.kind_of(device_id))
             for device_id in truth.device_ids()
         }
+        for event in plan.events:
+            if event.device not in self.devices:
+                raise PlanError(f"{event.type} at task {event.at_task}: no device {event.device}")
         self._ordered = [self.devices[d] for d in sorted(self.devices)]
         self.records: list[ExecutionRecord] = []
         self.annotations: list[EventAnnotation] = []
@@ -364,41 +357,32 @@ class Engine:
 
     # -- event handlers --------------------------------------------------------
 
-    def _log_event(self, at_task: int, type_name: str, device: int, label: str | None) -> None:
-        self.event_log.append(
-            f"{at_task} {self.now:.0f} {type_name} {device} {label if label is not None else '-'}"
-        )
-
-    def _annotate(self, at_task: int, type_name: str, device: int, label: str | None) -> None:
-        ann = EventAnnotation(at_task, self.now, type_name, device, label)
-        self.annotations.append(ann)
-        self._annotation_view = tuple(self.annotations)
-        if hasattr(self.policy, "on_annotation"):
-            self.policy.on_annotation(ann, at_task)
-        if self.hooks is not None and hasattr(self.hooks, "on_event"):
-            self.hooks.on_event(ann)
-
     def _apply_scenario(self, event: ScenarioEvent) -> None:
+        """Mutate truth, log, annotate unless hidden, then redispatch or flush.
+
+        A device that just became unavailable hands its queue back to the
+        policy; one that just became available drains the pending buffer.
+        """
+        was_available = self.truth.is_available(event.device)
         self.truth.apply_event(event)
-        if isinstance(event, SemanticOnset):
-            self._log_event(event.at_task, "semantic_onset", event.device, event.label)
-            self._annotate(event.at_task, "semantic_onset", event.device, event.label)
-        elif isinstance(event, SemanticOffset):
-            self._log_event(event.at_task, "semantic_offset", event.device, event.label)
-            self._annotate(event.at_task, "semantic_offset", event.device, event.label)
-        elif isinstance(event, DeviceLeave):
-            self._log_event(event.at_task, "device_leave", event.device, None)
-            self._annotate(event.at_task, "device_leave", event.device, None)
+        label = event.log_label
+        self.event_log.append(
+            f"{event.at_task} {self.now:.0f} {event.type} {event.device} "
+            f"{label if label is not None else '-'}"
+        )
+        if not event.hidden:
+            ann = EventAnnotation(event.at_task, self.now, event.type, event.device, label)
+            self.annotations.append(ann)
+            self._annotation_view = tuple(self.annotations)
+            if hasattr(self.policy, "on_annotation"):
+                self.policy.on_annotation(ann, event.at_task)
+            if self.hooks is not None and hasattr(self.hooks, "on_event"):
+                self.hooks.on_event(ann)
+        available = self.truth.is_available(event.device)
+        if was_available and not available:
             self._redispatch_queue(event.device)
-        elif isinstance(event, DeviceReturn):
-            self._log_event(event.at_task, "device_return", event.device, None)
-            self._annotate(event.at_task, "device_return", event.device, None)
+        elif available and not was_available:
             self._flush_pending()
-        elif isinstance(event, DriftStep):
-            # Hidden: logged in the run artifact but never annotated to policies.
-            self._log_event(event.at_task, "drift_step", event.device, event.model)
-        elif isinstance(event, DriftRestore):
-            self._log_event(event.at_task, "drift_restore", event.device, event.model)
 
     def _redispatch_queue(self, device: int) -> None:
         dev = self.devices[device]
@@ -519,20 +503,6 @@ class Engine:
                 f"run ended with {len(self._pending)} task(s) stranded in the pending buffer"
             )
         return SimulationResult(self.records, self.event_log, self.annotations)
-
-
-def run_scenario(
-    plan: ScenarioPlan,
-    workload: list[TaskSpec],
-    policy,
-    hooks: object | None = None,
-    truth: GroundTruthState | None = None,
-    leak_check: bool = False,
-) -> SimulationResult:
-    """Convenience wrapper: build an engine and run it to completion."""
-    if truth is None:
-        raise ValueError("run_scenario requires a GroundTruthState")
-    return Engine(truth, plan, workload, policy, hooks, leak_check).run()
 
 
 _FORBIDDEN_KEYS = {"alpha", "beta", "gamma", "z", "active_factors", "factor", "service_jitter"}

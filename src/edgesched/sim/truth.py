@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import ClassVar
 
-from ..profiles import LLM, SDXL, DevicePrior
+from ..profiles import LLM, SDXL, DevicePrior, is_finite_number
 from .workload import TaskSpec
 
 STABLE = "Stable"
@@ -33,56 +34,134 @@ class PlanError(ValueError):
 # before task k arrives (the engine orders same-time events ahead of arrivals).
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_NAME_RULE = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+# field -> (contract, check), shared by every event class
+_FIELD_RULES = {
+    "at_task": ("an int >= 0", lambda v: _is_int(v) and v >= 0),
+    "device": ("an int", _is_int),
+    "label": _NAME_RULE,
+    "model": _NAME_RULE,
+    "factor": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),
+}
+
+
+class ScenarioEvent:
+    """One timed ground-truth mutation; each subclass defines one event type.
+
+    A subclass is a frozen dataclass that declares its ``type`` name, the
+    pairing window family it ``opens`` or ``closes`` (windows are per
+    device, and per model for drift), whether it is ``hidden`` from
+    policies, and ``apply(device_truth)``, its mutation of one device.
+    """
+
+    type: ClassVar[str]
+    opens: ClassVar[str | None] = None
+    closes: ClassVar[str | None] = None
+    hidden: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            contract, check = _FIELD_RULES[name]
+            if not check(value):
+                raise PlanError(f"{self.type} {name} must be {contract}, got {value!r}")
+
+    @property
+    def log_label(self) -> str | None:
+        """The ``label`` or ``model`` field, whichever the class has."""
+        return getattr(self, "label", getattr(self, "model", None))
+
+
 @dataclass(frozen=True)
-class SemanticOnset:
+class SemanticOnset(ScenarioEvent):
+    type = "semantic_onset"
+    opens = "semantic"
     at_task: int
     device: int
     label: str
     factor: float = DEFAULT_DEGRADATION_FACTOR
 
+    def apply(self, truth: _DeviceTruth) -> None:
+        truth.active_factors[self.label] = self.factor
+        truth.z = DEGRADED
+
 
 @dataclass(frozen=True)
-class SemanticOffset:
+class SemanticOffset(ScenarioEvent):
+    type = "semantic_offset"
+    closes = "semantic"
     at_task: int
     device: int
     label: str
 
+    def apply(self, truth: _DeviceTruth) -> None:
+        truth.active_factors.pop(self.label, None)
+        if not any(label in SEMANTIC_LABELS for label in truth.active_factors):
+            truth.z = STABLE
+
 
 @dataclass(frozen=True)
-class DeviceLeave:
+class DeviceLeave(ScenarioEvent):
+    type = "device_leave"
+    opens = "churn"
     at_task: int
     device: int
 
+    def apply(self, truth: _DeviceTruth) -> None:
+        truth.available = False
+
 
 @dataclass(frozen=True)
-class DeviceReturn:
+class DeviceReturn(ScenarioEvent):
+    type = "device_return"
+    closes = "churn"
     at_task: int
     device: int
 
+    def apply(self, truth: _DeviceTruth) -> None:
+        truth.available = True
+
 
 @dataclass(frozen=True)
-class DriftStep:
+class DriftStep(ScenarioEvent):
+    type = "drift_step"
+    opens = "drift"
+    hidden = True
     at_task: int
     device: int
     model: str
     factor: float
 
+    def apply(self, truth: _DeviceTruth) -> None:
+        truth.active_factors[f"drift:{self.model}"] = self.factor
+
 
 @dataclass(frozen=True)
-class DriftRestore:
+class DriftRestore(ScenarioEvent):
+    type = "drift_restore"
+    closes = "drift"
+    hidden = True
     at_task: int
     device: int
     model: str
 
+    def apply(self, truth: _DeviceTruth) -> None:
+        truth.active_factors.pop(f"drift:{self.model}", None)
 
-ScenarioEvent = (
-    SemanticOnset | SemanticOffset | DeviceLeave | DeviceReturn | DriftStep | DriftRestore
-)
+
+_EVENT_TYPES = {cls.type: cls for cls in ScenarioEvent.__subclasses__()}
 
 
 @dataclass(frozen=True)
 class ScenarioPlan:
-    """Ordered, validated list of timed ground-truth mutations."""
+    """Ordered, validated list of timed ground-truth mutations.
+
+    Every window is opened, then closed by the same label (or model), and a
+    window never opens twice at once.
+    """
 
     events: tuple[ScenarioEvent, ...] = ()
 
@@ -90,54 +169,22 @@ class ScenarioPlan:
         indices = [e.at_task for e in self.events]
         if indices != sorted(indices):
             raise PlanError("plan events must be sorted by task index")
-        self._check_pairing()
-
-    def _check_pairing(self) -> None:
-        open_semantic: dict[int, str] = {}
-        departed: set[int] = set()
-        drifting: set[tuple[int, str]] = set()
+        opened: dict[tuple, ScenarioEvent] = {}
         for event in self.events:
-            if isinstance(event, SemanticOnset):
-                if event.device in open_semantic:
-                    raise PlanError(f"device {event.device} already degraded")
-                open_semantic[event.device] = event.label
-            elif isinstance(event, SemanticOffset):
-                if open_semantic.pop(event.device, None) is None:
-                    raise PlanError(f"offset without onset for device {event.device}")
-            elif isinstance(event, DeviceLeave):
-                if event.device in departed:
-                    raise PlanError(f"device {event.device} already departed")
-                departed.add(event.device)
-            elif isinstance(event, DeviceReturn):
-                if event.device not in departed:
-                    raise PlanError(f"return without leave for device {event.device}")
-                departed.remove(event.device)
-            elif isinstance(event, DriftStep):
-                key = (event.device, event.model)
-                if key in drifting:
-                    raise PlanError(f"drift already active on {key}")
-                drifting.add(key)
-            elif isinstance(event, DriftRestore):
-                key = (event.device, event.model)
-                if key not in drifting:
-                    raise PlanError(f"restore without drift step on {key}")
-                drifting.remove(key)
-        if open_semantic:
-            raise PlanError(f"unmatched semantic onsets: {sorted(open_semantic)}")
-        if departed:
-            raise PlanError(f"unmatched departures: {sorted(departed)}")
-        if drifting:
-            raise PlanError(f"unmatched drift steps: {sorted(drifting)}")
-
-
-_EVENT_TYPES = {
-    "semantic_onset": SemanticOnset,
-    "semantic_offset": SemanticOffset,
-    "device_leave": DeviceLeave,
-    "device_return": DeviceReturn,
-    "drift_step": DriftStep,
-    "drift_restore": DriftRestore,
-}
+            key = (event.opens or event.closes, event.device, getattr(event, "model", None))
+            opener = opened.pop(key, None)
+            where = f"{event.type} at task {event.at_task} on device {event.device}"
+            if event.opens:
+                if opener is not None:
+                    raise PlanError(f"{where}: window already open since task {opener.at_task}")
+                opened[key] = event
+            elif opener is None:
+                raise PlanError(f"{where} closes no open window")
+            elif event.log_label != opener.log_label:
+                raise PlanError(f"{where} closes {event.log_label!r}, opened as {opener.log_label!r}")
+        if opened:
+            unmatched = [f"{e.type} at task {e.at_task}" for e in opened.values()]
+            raise PlanError(f"unmatched opening events: {unmatched}")
 
 
 def plan_from_dicts(rows: list[dict]) -> ScenarioPlan:
@@ -318,22 +365,4 @@ class GroundTruthState:
 
     def apply_event(self, event: ScenarioEvent) -> None:
         self.version += 1
-        if isinstance(event, SemanticOnset):
-            truth = self.devices[event.device]
-            truth.active_factors[event.label] = event.factor
-            truth.z = DEGRADED
-        elif isinstance(event, SemanticOffset):
-            truth = self.devices[event.device]
-            truth.active_factors.pop(event.label, None)
-            if not any(label in SEMANTIC_LABELS for label in truth.active_factors):
-                truth.z = STABLE
-        elif isinstance(event, DeviceLeave):
-            self.devices[event.device].available = False
-        elif isinstance(event, DeviceReturn):
-            self.devices[event.device].available = True
-        elif isinstance(event, DriftStep):
-            self.devices[event.device].active_factors[f"drift:{event.model}"] = event.factor
-        elif isinstance(event, DriftRestore):
-            self.devices[event.device].active_factors.pop(f"drift:{event.model}", None)
-        else:
-            raise TypeError(f"unknown scenario event {event!r}")
+        event.apply(self.devices[event.device])

@@ -1,9 +1,11 @@
-"""Golden artifacts: pinned sha256 of report.json, audit.log and decisions.log.
+"""Golden artifacts: pinned sha256 of report.json, audit.log, decisions.log
+and events.log.
 
-Covers the six shipped presets at their defaults and three overloaded runs
+Covers the six shipped presets at their defaults, three overloaded runs
 (semantic, churn and drift at H=600, lambda=2.0), where queues grow and churn
-redispatches non-empty queues.  Any change to the simulated numbers, the
-audit trail or the fast path's scores changes a hash.
+redispatches non-empty queues, and one overloaded run of a config-file plan
+that mixes all six event types.  Any change to the simulated numbers, the
+audit trail, the fast path's scores or the event log changes a hash.
 
 The module needs only the standard library, so interpreters without pytest
 can check the same hashes::
@@ -19,8 +21,28 @@ import tempfile
 from pathlib import Path
 
 from edgesched.harness import ExperimentConfig, run_experiment
+from edgesched.sim import plan_from_dicts
 
-ARTIFACTS = ("report.json", "audit.log", "decisions.log")
+ARTIFACTS = ("report.json", "audit.log", "decisions.log", "events.log")
+
+# A config-file plan with every event type: a semantic window on an SDXL
+# device, hidden drift inside a semantic window on an LLM device, a leave
+# while the peer is degraded (its queue is redispatched) and a drifted device
+# that leaves and returns before its drift is restored.
+MIXED_PLAN_ROWS = [
+    {"type": "semantic_onset", "at_task": 60, "device": 0, "label": "game"},
+    {"type": "drift_step", "at_task": 70, "device": 0, "model": "llama3.1-8b-edge", "factor": 2.0},
+    {"type": "semantic_onset", "at_task": 80, "device": 3, "label": "video_call", "factor": 2.5},
+    {"type": "drift_restore", "at_task": 90, "device": 0, "model": "llama3.1-8b-edge"},
+    {"type": "semantic_offset", "at_task": 100, "device": 0, "label": "game"},
+    {"type": "device_leave", "at_task": 110, "device": 2},
+    {"type": "semantic_offset", "at_task": 130, "device": 3, "label": "video_call"},
+    {"type": "device_return", "at_task": 150, "device": 2},
+    {"type": "drift_step", "at_task": 170, "device": 1, "model": "llama3.1-8b-edge", "factor": 1.5},
+    {"type": "device_leave", "at_task": 190, "device": 1},
+    {"type": "device_return", "at_task": 220, "device": 1},
+    {"type": "drift_restore", "at_task": 250, "device": 1, "model": "llama3.1-8b-edge"},
+]
 
 # name -> ExperimentConfig arguments
 CONFIGS: dict[str, dict] = {
@@ -33,54 +55,75 @@ CONFIGS: dict[str, dict] = {
     "semantic_h600_lam2": {"scenario": "semantic", "horizon": 600, "lam": 2.0},
     "churn_h600_lam2": {"scenario": "churn", "horizon": 600, "lam": 2.0},
     "drift_h600_lam2": {"scenario": "drift", "horizon": 600, "lam": 2.0},
+    "mixed_plan_h400_lam2": {
+        "scenario": "semantic",
+        "horizon": 400,
+        "lam": 2.0,
+        "plan": plan_from_dicts(MIXED_PLAN_ROWS),
+    },
 }
 
-# name -> (report.json, audit.log, decisions.log)
-GOLDEN: dict[str, tuple[str, str, str]] = {
+# name -> (report.json, audit.log, decisions.log, events.log)
+GOLDEN: dict[str, tuple[str, str, str, str]] = {
     "warmup_w0": (
         "a1e29d5ecfc19dcd2a079e38c5cb75e219373acc084ad799f9b5fbd5023eadf2",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "51c4e769e17108930883d97c7c65e303d1cd4c227d99165611ca9974b556983e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "warmup_w30": (
         "1c6e048f6612e34e88746d6517d4241c8a177bbd03ce14fea9265cd1d06bb801",
         "5b808de4095927b8c27e2d0006af0aef290c58b5794fd90d6505c019c11c5151",
         "69af05e2f7d0a7c5131251589448737d47078e667955c1d75f3ced5973d97ad1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "warmup_w100": (
         "18d83a7ffcdff02b416bc38c8b1d3d4a55b1a2c26f18bc1ea97014528618e8fb",
         "e27ec19020cd240a1be503a26b2b6b0a1b4e8c0c7cb9d88b8e542035c8865eaf",
         "3008e0e73db971338a725fdc8cae9a9335ba3a05270daa40a47800cba822b5e4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "semantic": (
         "e324b1d863819350a6b459eb6da8f4ecbd6623f32a523058980072bbbccec919",
         "d217a4c4922a57d5769d7e6c39b794807e4b3c76677540e7dfa5f1196e8c34e1",
         "2bf44ee8e12bd354354db43e3748b2159ef58b1485a5370367ebaae18c923387",
+        "430de6978d0fa80a609338d1b6a1bf0ffa9e141cdcc5f50292072ac2f3a63c8b",
     ),
     "churn": (
         "d6589c6052619a68354b660e16f121f4c68dd10f0f7e4fcab2ad78c5e2563005",
         "447fd77b8f1db340d0abd7ade0e12347c95dd604f4a579b35cfe316ec22aef4a",
         "49394e3258d4358ce3c819c755b6df4656a87cd968c1bf65e0bfad4ce622b9f0",
+        "63b9ce45be1e1eb3cbcc76b1fbbdbdf28d10556a6150685e369e320235599de9",
     ),
     "drift": (
         "8461bef0ffff3575d72a9457f4bd8c0f3599e8af8e90d8892724e9e8e860540c",
         "b38e461d94227174adc0046d55222eec875f647b18e8bbd69b122c746663e918",
         "501205b768020fa298aefb84d36ab5a059822a92f400979914c04a2c2eec4743",
+        "4a5b5bf81a8bc513fc3fe69411f3c9ddfaa6014ee4feb592c6dfbdfbd5af19f3",
     ),
     "semantic_h600_lam2": (
         "86dace90fd5e0cedae8325f988421e2874490f17de529d79e08d79b3fd500b22",
         "0d962be13699e928f3d2499741555ca602b7d5b6cbd7ec565a73667029036c0e",
         "cd8092010771003760b0eebf71359d8c76bdf9a21af4255e3c4913bebb680ea1",
+        "d85e41ac1ab9e6bd06f4cd6e99fc1fd93cfffa9aaa6620353820f8e5fb53d60d",
     ),
     "churn_h600_lam2": (
         "bbccec6b0334f0e354d691528ad3ebaf1431d748181357414f070f7139ed5653",
         "0b6218746d957ef3c25b865db1162fcecfc553302bc6cfb639c3a6975a70fa82",
         "868abf978ae93608142efa070b1b204f902bb1bbcb9b85537c39dd2eff7718ba",
+        "5ab7b182c7515ed25d260d1055789696267e116250ae3c8f284c9f1a235cc4c5",
     ),
     "drift_h600_lam2": (
         "99c8be12513986971d70387ca6d492dee2b52cdb477deb024e5a7715b3351d11",
         "9674ea6af5c20540f6329bde41d054c1b9d50004ef7b7d71793c0530cc703beb",
         "3de4e3204a12b5e5c7eea022484bc1625f91947b07d62d576add4f6b3a365baf",
+        "ca5ce8062d114a225145c586cd01741061cf8baffde78ea65e135d166577c729",
+    ),
+    "mixed_plan_h400_lam2": (
+        "2a88d44e004689761648de408679727637fcf33dd6b186895ba2f2821b2ed1c4",
+        "9f0d7188d4694f9ef20aa0c1a05296b5ac03a7b82053744518d59d37879575be",
+        "93241425621bb6d6619fce5a3cd064d1bca906fb13482d6271868980eea87645",
+        "018738dde63159cf164ee1e200f4e2f5fc1a27e18093681fb7e505c3f2398c43",
     ),
 }
 

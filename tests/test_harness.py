@@ -17,6 +17,7 @@ from edgesched.harness import (
 )
 from edgesched.profiles import LLM
 from edgesched.sim.engine import ExecutionRecord
+from edgesched.sim.truth import PlanError, plan_from_dicts
 
 
 def record(task_id, latency, stutter=0, device=0):
@@ -290,3 +291,15 @@ def test_cli_custom_plan_from_config(tmp_path):
     events = (out / "events.log").read_text().splitlines()
     assert any("semantic_onset" in line for line in events)
     assert len(events) == 2
+
+
+def test_plan_naming_a_missing_device_fails_before_the_run(tmp_path):
+    rows = [
+        {"type": "device_leave", "at_task": 5, "device": 9},
+        {"type": "device_return", "at_task": 10, "device": 9},
+    ]
+    with pytest.raises(PlanError, match="device 9"):
+        run_experiment(ExperimentConfig(scenario="churn", horizon=30, plan=plan_from_dicts(rows)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "churn", "horizon": 30, "plan": rows}))
+    assert cli_main(["run", "--config", str(cfg)]) == 1

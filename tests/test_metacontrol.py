@@ -1,6 +1,8 @@
 """Triggers, tool execution, scripted policy, external adapter."""
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -15,6 +17,7 @@ from edgesched.metacontrol import (
     ToolExecutor,
     TriggerState,
     WarmupTick,
+    _default_transport,
     evaluate_triggers,
     llm_adapter_invoke,
     model_kind,
@@ -213,6 +216,32 @@ def test_switch_router_and_params():
     assert result.ok
     assert executor.config.explore_weight_ms == 1500
     assert executor.config.risk_penalty_ms == 30000
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        {"explore_weight_ms": float("nan")},
+        {"risk_penalty_ms": float("inf")},
+        {"explore_weight_ms": True},
+        {"explore_weight_ms": 100.0, "risk_penalty_ms": -1},
+    ],
+)
+def test_set_router_params_rejects_bad_values_and_keeps_config(arguments):
+    executor = make_executor()
+    before = executor.config.to_dict()
+    result = executor.execute_tool(ToolCall("set_router_params", arguments))
+    assert not result.ok
+    assert executor.config.to_dict() == before
+
+
+def test_update_calibration_rejects_bool_ratio():
+    executor = make_executor()
+    result = executor.execute_tool(
+        ToolCall("update_calibration", {"device": 0, "model": "LLM", "ratio": True})
+    )
+    assert not result.ok
+    assert executor.opm.oplog[-1][0] == "seed"
 
 
 def test_set_and_clear_device_risky():
@@ -446,3 +475,51 @@ def test_controller_uses_scripted_when_adapter_disabled():
     assert meta.llm_calls == 1
     assert overrides.is_risky(0)
     assert [e.tool for e in meta.audit.entries] == ["get_system_status", "set_device_risky"]
+
+
+def test_default_transport_posts_json_over_http(monkeypatch):
+    requests_seen = []
+    status = [200]
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            requests_seen.append(
+                (json.loads(body), self.headers["Authorization"], self.headers["Content-Type"])
+            )
+            reply = json.dumps(adapter_response([])).encode()
+            self.send_response(status[0])
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    monkeypatch.setenv("EDGESCHED_ADAPTER_API_KEY", "key-123")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        config = AdapterConfig(
+            enabled=True, url=f"http://127.0.0.1:{server.server_port}/v1", timeout_s=5.0
+        )
+        payload = {"model": "m", "messages": [{"role": "user", "content": "x"}]}
+        assert _default_transport(payload, config) == adapter_response([])
+        assert requests_seen == [(payload, "Bearer key-123", "application/json")]
+
+        status[0] = 500
+        executor = make_executor()
+        inv = Invocation("semantic_onset", 60, device=0, label="game")
+        executor.begin_invocation(inv)
+        calls = llm_adapter_invoke(inv, config, executor)
+        assert len(requests_seen) == 2
+        assert [c.tool for c in calls] == ["get_system_status", "set_device_risky"]
+        assert any(e.tool == "adapter_fallback" for e in executor.audit.entries)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()

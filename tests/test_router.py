@@ -346,3 +346,10 @@ def test_router_config_validation():
         RouterConfig(explore_weight_ms=-1)
     with pytest.raises(ValueError):
         RouterConfig(risk_penalty_ms=-5)
+
+
+@pytest.mark.parametrize("field", ["explore_weight_ms", "risk_penalty_ms"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "5"])
+def test_router_config_rejects_non_finite_bool_and_text(field, value):
+    with pytest.raises(ValueError, match=field):
+        RouterConfig(**{field: value})

@@ -389,3 +389,83 @@ def test_plan_from_dicts_roundtrip():
     assert plan.events[0].factor == 2.5
     with pytest.raises(PlanError, match="unknown event type"):
         plan_from_dicts([{"type": "nope"}])
+
+
+def test_plan_rejects_offset_that_closes_another_label():
+    # Paired by device only, this offset would leave "game" active (and the
+    # device degraded) for the rest of the run.
+    with pytest.raises(PlanError, match="video_call"):
+        ScenarioPlan((SemanticOnset(1, 0, "game"), SemanticOffset(2, 0, "video_call")))
+    with pytest.raises(PlanError, match="restore"):
+        ScenarioPlan((DriftStep(1, 0, "m-a", 2.0), DriftRestore(2, 0, "m-b")))
+
+
+@pytest.mark.parametrize(
+    "cls,args,field",
+    [
+        (DeviceLeave, (True, 0), "at_task"),
+        (DeviceLeave, (-1, 0), "at_task"),
+        (DeviceReturn, (1.0, 0), "at_task"),
+        (DeviceLeave, (1, "1"), "device"),
+        (DeviceReturn, (1, False), "device"),
+        (SemanticOnset, (1, 0, ""), "label"),
+        (SemanticOffset, (1, 0, None), "label"),
+        (SemanticOnset, (1, 0, "game", float("nan")), "factor"),
+        (SemanticOnset, (1, 0, "game", -2), "factor"),
+        (DriftStep, (1, 0, "m", float("inf")), "factor"),
+        (DriftStep, (1, 0, "m", True), "factor"),
+        (DriftRestore, (1, 0, 7), "model"),
+    ],
+)
+def test_malformed_event_fields_are_rejected(cls, args, field):
+    with pytest.raises(PlanError, match=rf"\b{field}\b"):
+        cls(*args)
+
+
+def test_plan_from_dicts_rejects_malformed_rows():
+    rows = [
+        {"type": "semantic_onset", "at_task": 1, "device": 0, "label": "game", "factor": 3.0},
+        {"type": "semantic_offset", "at_task": 2, "device": 0, "label": "game"},
+    ]
+    plan_from_dicts(rows)
+    for field, bad in (("at_task", True), ("device", "1"), ("factor", float("nan")), ("factor", -2)):
+        bad_rows = [dict(row, **{field: bad}) if field in row else row for row in rows]
+        with pytest.raises(PlanError, match=field):
+            plan_from_dicts(bad_rows)
+
+
+def test_engine_rejects_plan_naming_a_device_outside_the_pool(fixture_priors):
+    plan = ScenarioPlan((DeviceLeave(1, 9), DeviceReturn(2, 9)))
+    with pytest.raises(PlanError, match="device 9"):
+        Engine(make_truth(fixture_priors), plan, llm_tasks([0.0]), RoundRobinPolicy())
+
+
+def test_drift_is_logged_but_never_annotated(fixture_priors):
+    plan = ScenarioPlan(
+        (
+            SemanticOnset(1, 0, "game"),
+            DriftStep(1, 1, "llama3.1-8b-edge", 2.0),
+            DriftRestore(2, 1, "llama3.1-8b-edge"),
+            SemanticOffset(3, 0, "game"),
+        )
+    )
+    seen = []
+
+    class Probe:
+        name = "probe"
+
+        def choose(self, task, obs):
+            return obs.available_devices(task.kind)[0]
+
+        def on_annotation(self, annotation, at_task):
+            seen.append(annotation.type)
+
+    tasks = llm_tasks([0.0, 2000.0, 4000.0, 6000.0])
+    result = Engine(make_truth(fixture_priors), plan, tasks, Probe()).run()
+    assert seen == [a.type for a in result.annotations] == ["semantic_onset", "semantic_offset"]
+    assert result.event_log == [
+        "1 2000 semantic_onset 0 game",
+        "1 2000 drift_step 1 llama3.1-8b-edge",
+        "2 4000 drift_restore 1 llama3.1-8b-edge",
+        "3 6000 semantic_offset 0 game",
+    ]
