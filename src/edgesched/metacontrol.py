@@ -51,6 +51,16 @@ ALARM_MIN_SAMPLES = 3
 REASONS = ("semantic_onset", "semantic_offset", "residual_alarm", "warmup_point", "churn_event")
 
 
+def _require_count(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, not a bool, got {value!r}")
+
+
+def _require_window_ms(value: object) -> None:
+    if not is_finite_number(value) or value <= 0:
+        raise ValueError(f"window_ms must be a finite number > 0, got {value!r}")
+
+
 def warmup_points(budget: int) -> frozenset[int]:
     """Scheduled intervention points {min(10, W), W}; empty when W == 0."""
     if budget <= 0:
@@ -306,10 +316,9 @@ class ToolExecutor:
     def _tool_pull_observations(
         self, window_ms: float | None = None, limit: int = 50
     ) -> tuple[dict, dict]:
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        if window_ms is not None and window_ms <= 0:
-            raise ValueError(f"window_ms must be > 0, got {window_ms}")
+        _require_count("limit", limit)
+        if window_ms is not None:
+            _require_window_ms(window_ms)
         rows = self.telemetry.observations(window_ms, limit)
         return {
             "observations": rows,
@@ -322,6 +331,7 @@ class ToolExecutor:
         self, device: int, model: str, window_ms: float = DRIFT_WINDOW_MS
     ) -> tuple[dict, dict]:
         kind = model_kind(model)
+        _require_window_ms(window_ms)
         ratio, count = self.opm.drift_ratio(device, kind, window_ms, self._now())
         return {"ratio": ratio, "sample_count": count}, {}
 
@@ -362,10 +372,8 @@ class ToolExecutor:
     def _tool_trigger_online_profile_update(
         self, window: int = 40, min_samples: int = 1
     ) -> tuple[dict, dict]:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {min_samples}")
+        _require_count("window", window)
+        _require_count("min_samples", min_samples)
         statuses = self.opm.refit_all(min_samples, window, at_task=self._task_index)
         return {"refit": {str(d): s for d, s in statuses.items()}}, {
             "refit": {str(d): s for d, s in statuses.items()}
@@ -376,8 +384,7 @@ class ToolExecutor:
     ) -> tuple[dict, dict]:
         if device not in self._known_devices():
             raise ValueError(f"unknown device {device}")
-        if ttl <= 0:
-            raise ValueError(f"ttl must be > 0, got {ttl}")
+        _require_count("ttl", ttl)
         old_mask = sorted(o.device_id for o in self.overrides.active())
         self.overrides.set(device, ttl, origin=self._reason, at_task=self._task_index)
         new_mask = sorted(o.device_id for o in self.overrides.active())

@@ -14,6 +14,7 @@ offline replay.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ RIDGE_DAMPING = 1e-6
 
 
 class CausalityError(ValueError):
-    """A record was offered to the model before its completion time."""
+    """A record completes after ``now``, at a non-finite time, or out of order."""
 
 
 class UnknownDeviceError(KeyError):
@@ -166,20 +167,28 @@ class Opm:
     # -- feedback path --------------------------------------------------------
 
     def ingest_feedback(self, record: ExecutionRecord, now: float) -> None:
-        """Append one completed-task record (causal: completion <= now)."""
-        if record.completion_time > now:
-            raise CausalityError(
-                f"record for task {record.task_id} completes at {record.completion_time} > now {now}"
-            )
+        """Append one completed-task record.
+
+        Ordering contract: the completion time is finite, <= ``now`` and not
+        earlier than the newest residual of the same (device, kind), so each
+        residual window is sorted by completion time; :meth:`drift_ratio`
+        relies on that.
+        """
+        completion = record.completion_time
         key = (record.device_id, record.kind)
         est = self._estimate(record.device_id, record.kind)
+        residuals = self._residuals[key]
+        newest = residuals[-1].completion_time if residuals else -math.inf
+        if not (math.isfinite(completion) and newest <= completion <= now):
+            raise CausalityError(
+                f"record for task {record.task_id} completes at {completion}; it must be "
+                f"finite, >= {newest} (newest residual) and <= now {now}"
+            )
         predicted = self._raw_predict(est, record.n_in, record.n_out)
         self._windows[key].append(
-            _Sample(record.service_ms, record.n_in, record.n_out, record.completion_time)
+            _Sample(record.service_ms, record.n_in, record.n_out, completion)
         )
-        self._residuals[key].append(
-            _ResidualPair(predicted, record.service_ms, record.completion_time)
-        )
+        residuals.append(_ResidualPair(predicted, record.service_ms, completion))
         est.n += 1
         self.oplog.append(("ingest", record.to_dict(), now))
 
@@ -256,23 +265,36 @@ class Opm:
     def drift_ratio(
         self, device: int, kind: str, window_ms: float, now: float
     ) -> tuple[float, int]:
-        """Observed/predicted ratio over residual pairs inside the time window.
+        """Observed/predicted ratio over the residual pairs with
+        ``now - window_ms <= completion_time <= now``.
 
-        An empty window reports (1.0, 0): no evidence means no alarm.
+        Relies on the ordering contract of :meth:`ingest_feedback`: the walk
+        starts at the newest pair, skips pairs later than ``now`` and stops
+        at the first one before the cutoff.  Those tests are the exact
+        negations of the window test, so NaN and infinite bounds select the
+        same pairs.  Both means fold oldest-first.  An empty window reports
+        (1.0, 0): no evidence means no alarm.
         """
         if window_ms <= 0:
             raise ValueError(f"window_ms must be > 0, got {window_ms}")
         self._estimate(device, kind)
         cutoff = now - window_ms
-        pairs = [
-            p
-            for p in self._residuals[(device, kind)]
-            if cutoff <= p.completion_time <= now
-        ]
+        pairs = []
+        for p in reversed(self._residuals[(device, kind)]):
+            t = p.completion_time
+            if not t <= now:
+                continue
+            if not cutoff <= t:
+                break
+            pairs.append(p)
         if not pairs:
             return 1.0, 0
-        mean_obs = left_sum(p.observed for p in pairs) / len(pairs)
-        mean_pred = left_sum(p.predicted for p in pairs) / len(pairs)
+        sum_obs = sum_pred = 0.0
+        for p in reversed(pairs):
+            sum_obs += p.observed
+            sum_pred += p.predicted
+        mean_obs = sum_obs / len(pairs)
+        mean_pred = sum_pred / len(pairs)
         if mean_pred <= 0.0:
             return (1.0 if mean_obs <= 0.0 else float("inf")), len(pairs)
         return mean_obs / mean_pred, len(pairs)

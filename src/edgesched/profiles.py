@@ -82,9 +82,9 @@ class RawProfileRecord:
             )
         for field_name in ("ttft_ms_p99", "tpot_ms_p99", "latency_ms_p99", "image_size", "steps"):
             value = getattr(self, field_name)
-            if value is not None and value <= 0:
+            if value is not None and (not is_finite_number(value) or value <= 0):
                 raise ProfileError(
-                    f"field {field_name} must be strictly positive, got {value!r}"
+                    f"field {field_name} must be a finite number > 0, got {value!r}"
                 )
 
 
@@ -105,8 +105,8 @@ class DevicePrior:
     def __post_init__(self) -> None:
         for name in ("alpha0", "beta0", "gamma0"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ProfileError(f"{name} must be >= 0, got {value!r}")
+            if value is not None and (not is_finite_number(value) or value < 0):
+                raise ProfileError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.kind == LLM and (self.alpha0 is None or self.beta0 is None):
             raise ProfileError("LLM prior requires alpha0 and beta0")
         if self.kind == SDXL and self.gamma0 is None:

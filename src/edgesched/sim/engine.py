@@ -25,7 +25,6 @@ logger = logging.getLogger(__name__)
 
 _PRIO_SCENARIO = 0
 _PRIO_COMPLETION = 1
-_PRIO_ARRIVAL = 2
 
 
 class EngineError(RuntimeError):
@@ -174,6 +173,7 @@ class _QueueEntry:
 
 
 _entry_task = attrgetter("task")
+_arrival_time = attrgetter("arrival_time")
 
 
 @dataclass
@@ -181,6 +181,7 @@ class _InFlight:
     entry: _QueueEntry
     start_time: float
     completion_time: float
+    view: InFlightView
 
 
 @dataclass
@@ -190,8 +191,8 @@ class _DeviceRuntime:
     queue: deque = field(default_factory=deque)
     in_flight: _InFlight | None = None
     busy_ms: float = 0.0
-    # Last snapshot handed to the policy; None once the queue or the
-    # in-flight task changes.
+    # Last snapshot handed to the policy; None once the queue, the in-flight
+    # task or the device's availability changes.
     snapshot: DeviceSnapshot | None = None
     # true_costs[i] is the true service time of queue[i] at truth version
     # true_costs_version.  Filled lazily by the oracle's backlog, so it may
@@ -254,11 +255,18 @@ class Engine:
         self.annotations: list[EventAnnotation] = []
         self._annotation_view: tuple[EventAnnotation, ...] = ()
         self.event_log: list[str] = []
-        self._observations: list[dict] = []
         self._pending: list[TaskSpec] = []
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
         self._arrived_tasks = 0
+        # Callbacks, looked up once; an optional one is None when absent.
+        self._choose = policy.choose
+        self._on_task_arrival = getattr(policy, "on_task_arrival", None)
+        self._on_dispatch = getattr(policy, "on_dispatch", None)
+        self._on_completion = getattr(policy, "on_completion", None)
+        self._on_annotation = getattr(policy, "on_annotation", None)
+        self._hook_event = getattr(hooks, "on_event", None)
+        self._hook_record = getattr(hooks, "on_record", None)
         if getattr(policy, "wants_oracle_access", False):
             policy.attach_oracle(OracleAccess(self))
         if hasattr(policy, "attach_telemetry"):
@@ -270,29 +278,21 @@ class Engine:
         heapq.heappush(self._heap, (time, priority, self._seq, payload))
         self._seq += 1
 
-    def _interarrival(self) -> float:
-        if len(self.workload) >= 2:
-            return self.workload[1].arrival_time - self.workload[0].arrival_time
-        return 2000.0
-
     # -- policy-visible views ------------------------------------------------
 
     def observable_state(self) -> ObservableState:
         """Policy view; a device's snapshot is rebuilt only after it changed."""
         snaps = []
         for dev in self._ordered:
-            available = self.truth.is_available(dev.device_id)
             snap = dev.snapshot
-            if snap is None or snap.available != available:
-                in_flight = None
-                if dev.in_flight is not None:
-                    in_flight = InFlightView(dev.in_flight.entry.task, dev.in_flight.start_time)
+            if snap is None:
+                fl = dev.in_flight
                 snap = dev.snapshot = DeviceSnapshot(
                     device_id=dev.device_id,
                     kind=dev.kind,
-                    available=available,
+                    available=self.truth.is_available(dev.device_id),
                     queued=tuple(map(_entry_task, dev.queue)),
-                    in_flight=in_flight,
+                    in_flight=None if fl is None else fl.view,
                 )
             snaps.append(snap)
         obs = ObservableState(self.now, tuple(snaps), self._annotation_view)
@@ -326,13 +326,14 @@ class Engine:
         }
 
     def observation_log(self, window_ms: float | None = None, limit: int | None = None) -> list[dict]:
-        rows = self._observations
+        """``to_dict()`` rows of the records completed within ``window_ms``, last ``limit``."""
+        rows = self.records
         if window_ms is not None:
             cutoff = self.now - window_ms
-            rows = [r for r in rows if r["completion_time"] >= cutoff]
+            rows = [r for r in rows if r.completion_time >= cutoff]
         if limit is not None:
             rows = rows[-limit:]
-        return [dict(r) for r in rows]
+        return [r.to_dict() for r in rows]
 
     def true_backlog_ms(self, device: int, now: float) -> float:
         """Oracle-only: exact remaining work queued on a device.
@@ -365,6 +366,9 @@ class Engine:
         """
         was_available = self.truth.is_available(event.device)
         self.truth.apply_event(event)
+        available = self.truth.is_available(event.device)
+        if available != was_available:
+            self.devices[event.device].snapshot = None
         label = event.log_label
         self.event_log.append(
             f"{event.at_task} {self.now:.0f} {event.type} {event.device} "
@@ -374,11 +378,10 @@ class Engine:
             ann = EventAnnotation(event.at_task, self.now, event.type, event.device, label)
             self.annotations.append(ann)
             self._annotation_view = tuple(self.annotations)
-            if hasattr(self.policy, "on_annotation"):
-                self.policy.on_annotation(ann, event.at_task)
-            if self.hooks is not None and hasattr(self.hooks, "on_event"):
-                self.hooks.on_event(ann)
-        available = self.truth.is_available(event.device)
+            if self._on_annotation is not None:
+                self._on_annotation(ann, event.at_task)
+            if self._hook_event is not None:
+                self._hook_event(ann)
         if was_available and not available:
             self._redispatch_queue(event.device)
         elif available and not was_available:
@@ -400,13 +403,13 @@ class Engine:
 
     def _arrive(self, task: TaskSpec) -> None:
         self._arrived_tasks = max(self._arrived_tasks, task.task_id + 1)
-        if hasattr(self.policy, "on_task_arrival"):
-            self.policy.on_task_arrival(task.task_id, self.now)
+        if self._on_task_arrival is not None:
+            self._on_task_arrival(task.task_id, self.now)
         self._route(task)
 
     def _route(self, task: TaskSpec) -> None:
         obs = self.observable_state()
-        device = self.policy.choose(task, obs)
+        device = self._choose(task, obs)
         if device is None:
             if any(s.kind == task.kind and s.available for s in obs.devices):
                 raise EngineError(
@@ -431,8 +434,8 @@ class Engine:
         dev = self.devices[device]
         dev.queue.append(entry)
         dev.snapshot = None
-        if hasattr(self.policy, "on_dispatch"):
-            self.policy.on_dispatch(task, device, self.now)
+        if self._on_dispatch is not None:
+            self._on_dispatch(task, device, self.now)
         if dev.in_flight is None:
             self._start_next(device)
 
@@ -446,7 +449,9 @@ class Engine:
         if dev.true_costs:
             dev.true_costs.popleft()
         service = self.truth.true_service_time(device, entry.task, self.now)
-        dev.in_flight = _InFlight(entry, self.now, self.now + service)
+        dev.in_flight = _InFlight(
+            entry, self.now, self.now + service, InFlightView(entry.task, self.now)
+        )
         dev.snapshot = None
         self._push(self.now + service, _PRIO_COMPLETION, device)
 
@@ -474,30 +479,45 @@ class Engine:
             stutter=fl.entry.stutter,
         )
         self.records.append(record)
-        self._observations.append(record.to_dict())
-        if hasattr(self.policy, "on_completion"):
-            self.policy.on_completion(record, self.now, self._arrived_tasks)
-        if self.hooks is not None and hasattr(self.hooks, "on_record"):
-            self.hooks.on_record(record, self.now)
+        if self._on_completion is not None:
+            self._on_completion(record, self.now, self._arrived_tasks)
+        if self._hook_record is not None:
+            self._hook_record(record, self.now)
         self._start_next(device)
 
     # -- main loop -------------------------------------------------------------
 
+    def _pop_event(self) -> None:
+        time, priority, _seq, payload = heapq.heappop(self._heap)
+        self.now = time
+        if priority == _PRIO_SCENARIO:
+            self._apply_scenario(payload)
+        else:
+            self._complete(payload)
+
     def run(self) -> SimulationResult:
-        interarrival = self._interarrival()
+        """Merge the arrival stream with the heap of scenario events and completions.
+
+        Arrivals are sorted once by time (stably, so equal times keep list
+        order); the heap is drained up to and including each arrival's time
+        before the arrival itself, which keeps arrivals last among same-time
+        events.
+        """
+        arrivals = sorted(self.workload, key=_arrival_time)
+        interarrival = 2000.0
+        if len(arrivals) >= 2:
+            interarrival = arrivals[1].arrival_time - arrivals[0].arrival_time
         for event in self.plan.events:
             self._push(event.at_task * interarrival, _PRIO_SCENARIO, event)
-        for task in self.workload:
-            self._push(task.arrival_time, _PRIO_ARRIVAL, task)
-        while self._heap:
-            time, priority, _seq, payload = heapq.heappop(self._heap)
-            self.now = time
-            if priority == _PRIO_SCENARIO:
-                self._apply_scenario(payload)
-            elif priority == _PRIO_COMPLETION:
-                self._complete(payload)
-            else:
-                self._arrive(payload)
+        heap = self._heap
+        for task in arrivals:
+            arrival_time = task.arrival_time
+            while heap and heap[0][0] <= arrival_time:
+                self._pop_event()
+            self.now = arrival_time
+            self._arrive(task)
+        while heap:
+            self._pop_event()
         if self._pending:
             raise EngineError(
                 f"run ended with {len(self._pending)} task(s) stranded in the pending buffer"

@@ -298,8 +298,10 @@ class GroundTruthState:
         prior_error: dict[int, float | tuple[float, float]] | None = None,
         service_jitter: float = 0.0,
     ) -> None:
-        if service_jitter < 0 or service_jitter >= 1:
-            raise ValueError("service_jitter must be in [0, 1)")
+        if not is_finite_number(service_jitter) or not 0 <= service_jitter < 1:
+            raise ValueError(
+                f"service_jitter must be a finite number in [0, 1), got {service_jitter!r}"
+            )
         self.service_jitter = service_jitter
         self.version = 0
         self.devices: dict[int, _DeviceTruth] = {}

@@ -293,6 +293,17 @@ def test_cli_custom_plan_from_config(tmp_path):
     assert len(events) == 2
 
 
+@pytest.mark.parametrize("jitter", [float("nan"), float("inf"), True, -0.1, 1.0])
+def test_jitter_outside_its_contract_is_rejected(tmp_path, jitter):
+    with pytest.raises(ValueError, match=r"service_jitter must be a finite number in \[0, 1\)"):
+        run_experiment(ExperimentConfig(scenario="drift", horizon=60, service_jitter=jitter))
+    if isinstance(jitter, float):
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "drift", "--horizon", "60", "--jitter", str(jitter), "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert not (out / "report.json").exists()
+
+
 def test_plan_naming_a_missing_device_fails_before_the_run(tmp_path):
     rows = [
         {"type": "device_leave", "at_task": 5, "device": 9},

@@ -259,6 +259,45 @@ def test_set_and_clear_device_risky():
     assert not bad.ok
 
 
+@pytest.mark.parametrize(
+    "tool,arguments,contract",
+    [
+        ("set_device_risky", {"device": 0, "ttl": True}, "ttl must be an int >= 1, not a bool"),
+        ("set_device_risky", {"device": 0, "ttl": 2.5}, "ttl must be an int >= 1, not a bool"),
+        ("pull_observations", {"limit": True}, "limit must be an int >= 1, not a bool"),
+        ("pull_observations", {"limit": 5.0}, "limit must be an int >= 1, not a bool"),
+        ("pull_observations", {"window_ms": float("nan")}, "window_ms must be a finite number > 0"),
+        ("pull_observations", {"window_ms": True}, "window_ms must be a finite number > 0"),
+        ("compute_drift", {"device": 0, "model": "LLM", "window_ms": float("nan")},
+         "window_ms must be a finite number > 0"),
+        ("compute_drift", {"device": 0, "model": "LLM", "window_ms": float("inf")},
+         "window_ms must be a finite number > 0"),
+        ("compute_drift", {"device": 0, "model": "LLM", "window_ms": "60000"},
+         "window_ms must be a finite number > 0"),
+        ("trigger_online_profile_update", {"window": True, "min_samples": 1},
+         "window must be an int >= 1, not a bool"),
+        ("trigger_online_profile_update", {"window": 40, "min_samples": True},
+         "min_samples must be an int >= 1, not a bool"),
+        ("trigger_online_profile_update", {"window": 2.5, "min_samples": 1},
+         "window must be an int >= 1, not a bool"),
+    ],
+    ids=[
+        "ttl-bool", "ttl-float", "limit-bool", "limit-float", "pull-window-nan", "pull-window-bool",
+        "drift-window-nan", "drift-window-inf", "drift-window-str", "window-bool", "min_samples-bool",
+        "window-float",
+    ],
+)
+def test_tool_arguments_outside_their_contract_are_rejected(tool, arguments, contract):
+    executor = make_executor()
+    oplog_len = len(executor.opm.oplog)
+    result = executor.execute_tool(ToolCall(tool, arguments))
+    assert not result.ok
+    assert contract in result.error
+    assert executor.audit.entries[-1].result.startswith("rejected: ")
+    assert executor.overrides.active() == []
+    assert len(executor.opm.oplog) == oplog_len
+
+
 def test_trigger_online_profile_update_refits_all():
     executor = make_executor()
     result = executor.execute_tool(

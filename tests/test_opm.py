@@ -1,5 +1,6 @@
 """Online performance model: fitting, uncertainty, drift, calibration, replay."""
 
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from edgesched.opm import (
     CausalityError,
     Opm,
     UnknownDeviceError,
+    left_sum,
     replay_oplog,
     solve_token_coefficients,
 )
@@ -91,6 +93,29 @@ def test_ingest_unknown_device_rejected():
     opm = seeded_opm()
     with pytest.raises(UnknownDeviceError):
         opm.ingest_feedback(make_record(0, 9, LLM, 100.0, 256, 32), now=1e9)
+
+
+def test_ingest_rejects_out_of_order_and_non_finite_completion():
+    opm = seeded_opm()
+    opm.ingest_feedback(make_record(0, 0, LLM, 100.0, 256, 32, completion=5000.0), now=5000.0)
+    # A tie with the newest residual is in order; another device-kind has its own order.
+    opm.ingest_feedback(make_record(1, 0, LLM, 100.0, 256, 32, completion=5000.0), now=5000.0)
+    opm.ingest_feedback(make_record(2, 2, SDXL, 4000.0, completion=1000.0), now=5000.0)
+    oplog_len = len(opm.oplog)
+    bad = [
+        make_record(3, 0, LLM, 100.0, 256, 32, completion=4999.0),
+        make_record(4, 0, LLM, 100.0, 256, 32, completion=float("nan")),
+        make_record(5, 0, LLM, 100.0, 256, 32, completion=float("inf")),
+        make_record(6, 2, SDXL, 4000.0, completion=float("-inf")),
+    ]
+    for record in bad:
+        with pytest.raises(CausalityError):
+            opm.ingest_feedback(record, now=float("inf"))
+    with pytest.raises(CausalityError):
+        opm.ingest_feedback(make_record(7, 0, LLM, 100.0, 256, 32, completion=6000.0), now=float("nan"))
+    assert opm.estimates[(0, LLM)].n == 2
+    assert opm.estimates[(2, SDXL)].n == 1
+    assert len(opm.oplog) == oplog_len
 
 
 # --- refitting ----------------------------------------------------------------
@@ -257,6 +282,52 @@ def test_drift_ratio_requires_positive_window():
     opm = seeded_opm()
     with pytest.raises(ValueError):
         opm.drift_ratio(0, LLM, 0.0, now=0.0)
+
+
+def reference_drift_ratio(pairs, window_ms, now):
+    """The full-filter fold: every (predicted, observed, t) pair with cutoff <= t <= now."""
+    cutoff = now - window_ms
+    kept = [(pred, obs) for pred, obs, t in pairs if cutoff <= t <= now]
+    if not kept:
+        return 1.0, 0
+    mean_obs = left_sum(obs for _pred, obs in kept) / len(kept)
+    mean_pred = left_sum(pred for pred, _obs in kept) / len(kept)
+    if mean_pred <= 0.0:
+        return (1.0 if mean_obs <= 0.0 else float("inf")), len(kept)
+    return mean_obs / mean_pred, len(kept)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_drift_ratio_equals_full_filter_fold(seed):
+    rng = random.Random(seed)
+    nan, inf = float("nan"), float("inf")
+    opm = seeded_opm()
+    pairs = []  # the last 256 (predicted, observed, completion) of device 0
+    t = 0.0
+    for i in range(300):
+        # Whole multiples of 250 ms keep now - (now - t) == t exact; 0 steps make ties.
+        t += rng.choice((0.0, 0.0, 250.0, 500.0, 1000.0, 4000.0))
+        n_in, n_out = TOKEN_BIN_CYCLE[i % 9]
+        record = make_record(i, 0, LLM, rng.uniform(100.0, 9000.0), n_in, n_out, completion=t)
+        predicted = opm.predict(0, record)
+        opm.ingest_feedback(record, now=t)
+        pairs = (pairs + [(predicted, record.service_ms, t)])[-256:]
+        if i % 37 == 5:
+            opm.apply_calibration(0, LLM, rng.uniform(0.5, 2.0))
+        if i not in (3, 40, 299):
+            continue
+        times = sorted({p[2] for p in pairs})
+        nows = [times[0] - 250.0, times[0], times[-1], times[-1] + 250.0, nan, inf, -inf]
+        nows += rng.sample(times, min(5, len(times)))
+        nows += [x + 125.0 for x in rng.sample(times, min(3, len(times)))]
+        for now in nows:
+            windows = [60_000.0, 1.0, 125.0, 1e12, nan, inf]
+            if math.isfinite(now):
+                # Cutoffs that land exactly on pair times, including on now itself.
+                windows += [now - x for x in times if x < now][-4:]
+            for window_ms in windows:
+                got = opm.drift_ratio(0, LLM, window_ms, now)
+                assert got == reference_drift_ratio(pairs, window_ms, now), (i, now, window_ms)
 
 
 def test_alarm_needs_minimum_samples():

@@ -8,6 +8,7 @@ import pytest
 from edgesched.profiles import (
     LLM,
     SDXL,
+    DevicePrior,
     ProfileError,
     RawProfileRecord,
     default_profiles_path,
@@ -168,6 +169,41 @@ def test_load_profiles_order_preserving_and_idempotent(tmp_path):
     second = load_profiles(path)
     assert [r.device_name for r in first] == ["a", "b", "c"]
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "row,field,value",
+    [
+        (0, "ttft_ms_p99", float("nan")),
+        (0, "tpot_ms_p99", float("inf")),
+        (1, "latency_ms_p99", float("nan")),
+        (1, "steps", True),
+    ],
+)
+def test_non_finite_or_bool_profile_value_is_rejected(tmp_path, row, field, value):
+    rows = [
+        dict(LLM_LINE),
+        {
+            "device_name": "sd",
+            "model_id": "stable-diffusion-xl",
+            "scenario": "SingleStream",
+            "latency_ms_p99": 4000,
+            "image_size": 1024,
+            "steps": 20,
+        },
+    ]
+    rows[row][field] = value
+    path = write_jsonl(tmp_path / "p.jsonl", rows)
+    with pytest.raises(ProfileError, match=rf"p.jsonl:{row + 1}: field {field} must be a finite number > 0"):
+        load_profiles(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+def test_device_prior_rejects_non_finite_or_bool_coefficients(value):
+    with pytest.raises(ProfileError, match="alpha0 must be a finite number >= 0"):
+        DevicePrior(0, LLM, alpha0=value, beta0=50.0)
+    with pytest.raises(ProfileError, match="gamma0 must be a finite number >= 0"):
+        DevicePrior(2, SDXL, gamma0=value)
 
 
 def test_default_fixture_loads_as_expected_pool():

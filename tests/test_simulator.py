@@ -6,7 +6,7 @@ import pytest
 
 from conftest import FixedAssignmentPolicy, TableTruth, brute_force_replay, make_truth
 from edgesched.profiles import LLM, SDXL, DevicePrior
-from edgesched.router import RoundRobinPolicy
+from edgesched.router import OraclePolicy, RoundRobinPolicy
 from edgesched.sim.engine import Engine, EngineError, assert_no_ground_truth
 from edgesched.sim.truth import (
     DEGRADED,
@@ -323,6 +323,74 @@ def test_observable_state_contains_no_ground_truth(fixture_priors):
     result = engine.run()
     assert_no_ground_truth(engine.observable_state().to_dict())
     assert result.records
+
+
+@pytest.mark.parametrize("policy_cls", [RoundRobinPolicy, OraclePolicy])
+def test_shuffled_workload_gives_the_same_run(fixture_priors, policy_cls):
+    tasks = generate_workload(300, 2.0)
+    shuffled = list(tasks)
+    random.Random(5).shuffle(shuffled)
+
+    def run(workload):
+        truth = make_truth(fixture_priors, jitter=0.1)
+        return Engine(truth, builtin_plans("churn"), workload, policy_cls()).run()
+
+    ordered, mixed = run(tasks), run(shuffled)
+    assert mixed.records == ordered.records
+    assert mixed.event_log == ordered.event_log
+    assert mixed.annotations == ordered.annotations
+
+
+def reference_observation_rows(records, now, window_ms, limit):
+    rows = [r.to_dict() for r in records]
+    if window_ms is not None:
+        rows = [r for r in rows if r["completion_time"] >= now - window_ms]
+    if limit is not None:
+        rows = rows[-limit:]
+    return rows
+
+
+def test_observation_log_equals_record_rows(fixture_priors):
+    windows = (None, 0.0, 0.5, 5000.0, 60_000.0, float("inf"), float("nan"))
+    limits = (None, 1, 7, 10**6)
+    checked = []
+
+    class Hooks:
+        def on_record(self, record, now):
+            if record.task_id % 25 == 0:
+                check(now)
+
+    def check(now):
+        for window_ms in windows:
+            for limit in limits:
+                got = engine.observation_log(window_ms, limit)
+                assert got == reference_observation_rows(engine.records, now, window_ms, limit)
+        checked.append(now)
+
+    truth = make_truth(fixture_priors, jitter=0.1)
+    engine = Engine(truth, builtin_plans("semantic"), generate_workload(200, 2.0), RoundRobinPolicy(), hooks=Hooks())
+    engine.run()
+    check(engine.now)
+    assert len(checked) > 5
+
+
+def test_idle_device_availability_shows_at_the_next_decision(fixture_priors):
+    # Device 1 is idle with an empty queue when it leaves and when it returns.
+    seen = {}
+
+    class Probe:
+        name = "probe"
+
+        def choose(self, task, obs):
+            seen[task.task_id] = (obs.snapshot_of(1).available, obs.snapshot_of(3))
+            return 0
+
+    plan = ScenarioPlan((DeviceLeave(2, 1), DeviceReturn(4, 1)))
+    tasks = llm_tasks([i * 20_000.0 for i in range(6)])
+    Engine(make_truth(fixture_priors), plan, tasks, Probe()).run()
+    assert [seen[i][0] for i in range(6)] == [True, True, False, False, True, True]
+    # The untouched SDXL device keeps one snapshot for the whole run.
+    assert len({id(snap) for _available, snap in seen.values()}) == 1
 
 
 # --- plans ------------------------------------------------------------------------
