@@ -22,6 +22,7 @@ from .profiles import (
     SDXL,
     DevicePrior,
     default_profiles_path,
+    is_finite_number,
     load_profiles,
     priors_from_records,
 )
@@ -34,7 +35,7 @@ from .router import (
     RouterConfig,
 )
 from .sim.engine import Engine, ExecutionRecord, SimulationResult
-from .sim.truth import GroundTruthState, ScenarioPlan, builtin_plans
+from .sim.truth import GroundTruthState, ScenarioPlan, builtin_plans, check_service_jitter
 from .sim.workload import TaskSpec, generate_workload
 
 logger = logging.getLogger(__name__)
@@ -102,8 +103,16 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"unknown scenario {self.scenario!r}; valid: {sorted(SCENARIOS)}"
             )
+        for name in ("horizon", "warmup_budget"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ExperimentError(f"{name} must be an int, got {value!r}")
         if self.horizon < 0:
             raise ExperimentError("horizon must be >= 0")
+        if not is_finite_number(self.lam) or self.lam <= 0:
+            raise ExperimentError(f"lambda must be a finite number > 0, got {self.lam!r}")
+        if self.service_jitter is not None:
+            check_service_jitter(self.service_jitter)
         if self.warmup_budget < 0 or self.warmup_budget > max(self.horizon, 0):
             raise ExperimentError("warmup budget must be within [0, horizon]")
         for policy in self.policies:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .profiles import LLM, SDXL, DevicePrior
+from .profiles import LLM, DevicePrior
 from .sim.engine import ExecutionRecord
 
 # Residual mismatch above this observed/predicted ratio counts as drift.
@@ -63,7 +63,7 @@ class OpmEstimate:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Sample:
     service_ms: float
     n_in: int | None
@@ -71,7 +71,7 @@ class _Sample:
     completion_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _ResidualPair:
     predicted: float
     observed: float
@@ -128,6 +128,10 @@ class Opm:
     on :meth:`apply_calibration`.  Only these methods change estimates.  The
     fast path caches predictions of queued tasks per version, so a direct
     write to an :class:`OpmEstimate` field bypasses that invalidation.
+
+    ``oplog`` lists every mutation in order.  An ``("ingest", record, now)``
+    entry holds the ingested :class:`ExecutionRecord` itself, which is
+    immutable, so :func:`replay_oplog` feeds it back unchanged.
     """
 
     def __init__(self, window_capacity: int = DEFAULT_WINDOW_CAPACITY) -> None:
@@ -190,7 +194,7 @@ class Opm:
         )
         residuals.append(_ResidualPair(predicted, record.service_ms, completion))
         est.n += 1
-        self.oplog.append(("ingest", record.to_dict(), now))
+        self.oplog.append(("ingest", record, now))
 
     def window_size(self, device: int, kind: str) -> int:
         return len(self._windows[(device, kind)])
@@ -356,7 +360,7 @@ def replay_oplog(oplog: list[tuple], window_capacity: int = DEFAULT_WINDOW_CAPAC
             ]
             opm.seed(priors)
         elif tag == "ingest":
-            opm.ingest_feedback(ExecutionRecord(**op[1]), op[2])
+            opm.ingest_feedback(op[1], op[2])
         elif tag == "refit":
             _, device, kind, min_samples, window, at_task = op
             opm.refit(device, kind, min_samples, window, at_task)

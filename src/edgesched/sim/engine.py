@@ -5,23 +5,25 @@ Policies see an :class:`ObservableState` snapshot (feasible devices, queue
 contents, exposed event annotations) and receive :class:`ExecutionRecord`
 feedback strictly at completion time.  Same-time events process in the fixed
 order scenario-event < completion < arrival, so replays are byte-identical.
+
+The policy-visible types (TaskSpec, ExecutionRecord, EventAnnotation,
+InFlightView, DeviceSnapshot, ObservableState) are immutable
+``typing.NamedTuple`` classes, cheap to build once per task.  Unlike frozen
+dataclasses they can also be indexed and iterated, and they compare equal to
+a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
 from dataclasses import dataclass, field
 from collections import deque
 from itertools import islice
 from operator import attrgetter
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
-from ..profiles import LLM, SDXL
 from .truth import GroundTruthState, PlanError, ScenarioEvent, ScenarioPlan
 from .workload import TaskSpec
-
-logger = logging.getLogger(__name__)
 
 _PRIO_SCENARIO = 0
 _PRIO_COMPLETION = 1
@@ -31,8 +33,7 @@ class EngineError(RuntimeError):
     """Fatal contract violation inside a simulation run."""
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
+class ExecutionRecord(NamedTuple):
     """Causal post-completion feedback for one task."""
 
     task_id: int
@@ -49,24 +50,10 @@ class ExecutionRecord:
     stutter: int
 
     def to_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "device_id": self.device_id,
-            "kind": self.kind,
-            "arrival_time": self.arrival_time,
-            "dispatch_time": self.dispatch_time,
-            "start_time": self.start_time,
-            "completion_time": self.completion_time,
-            "latency_ms": self.latency_ms,
-            "service_ms": self.service_ms,
-            "n_in": self.n_in,
-            "n_out": self.n_out,
-            "stutter": self.stutter,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class EventAnnotation:
+class EventAnnotation(NamedTuple):
     """Policy-visible notice of a scenario event (never carries magnitudes)."""
 
     at_task: int
@@ -76,25 +63,17 @@ class EventAnnotation:
     label: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "at_task": self.at_task,
-            "time": self.time,
-            "type": self.type,
-            "device": self.device,
-            "label": self.label,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class InFlightView:
+class InFlightView(NamedTuple):
     """Observable slice of the task currently in service on a device."""
 
     task: TaskSpec
     start_time: float
 
 
-@dataclass(frozen=True)
-class DeviceSnapshot:
+class DeviceSnapshot(NamedTuple):
     device_id: int
     kind: str
     available: bool
@@ -112,8 +91,7 @@ class DeviceSnapshot:
         }
 
 
-@dataclass(frozen=True)
-class ObservableState:
+class ObservableState(NamedTuple):
     """Everything a routing policy may legally see at a decision epoch."""
 
     now: float
@@ -165,7 +143,7 @@ class OracleAccess:
         return bool(self._engine.truth.stutter_indicator(device, now=0.0))
 
 
-@dataclass
+@dataclass(slots=True)
 class _QueueEntry:
     task: TaskSpec
     dispatch_time: float
@@ -176,7 +154,7 @@ _entry_task = attrgetter("task")
 _arrival_time = attrgetter("arrival_time")
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlight:
     entry: _QueueEntry
     start_time: float
@@ -184,7 +162,7 @@ class _InFlight:
     view: InFlightView
 
 
-@dataclass
+@dataclass(slots=True)
 class _DeviceRuntime:
     device_id: int
     kind: str
@@ -288,11 +266,11 @@ class Engine:
             if snap is None:
                 fl = dev.in_flight
                 snap = dev.snapshot = DeviceSnapshot(
-                    device_id=dev.device_id,
-                    kind=dev.kind,
-                    available=self.truth.is_available(dev.device_id),
-                    queued=tuple(map(_entry_task, dev.queue)),
-                    in_flight=None if fl is None else fl.view,
+                    dev.device_id,
+                    dev.kind,
+                    self.truth.is_available(dev.device_id),
+                    tuple(map(_entry_task, dev.queue)),
+                    None if fl is None else fl.view,
                 )
             snaps.append(snap)
         obs = ObservableState(self.now, tuple(snaps), self._annotation_view)
@@ -464,19 +442,21 @@ class Engine:
         dev.snapshot = None
         dev.busy_ms += fl.completion_time - fl.start_time
         task = fl.entry.task
+        # Positional, in field order: a keyword call to a NamedTuple costs
+        # over twice as much, and this runs once per task.
         record = ExecutionRecord(
-            task_id=task.task_id,
-            device_id=device,
-            kind=task.kind,
-            arrival_time=task.arrival_time,
-            dispatch_time=fl.entry.dispatch_time,
-            start_time=fl.start_time,
-            completion_time=self.now,
-            latency_ms=self.now - task.arrival_time,
-            service_ms=self.now - fl.start_time,
-            n_in=task.n_in,
-            n_out=task.n_out,
-            stutter=fl.entry.stutter,
+            task.task_id,
+            device,
+            task.kind,
+            task.arrival_time,
+            fl.entry.dispatch_time,
+            fl.start_time,
+            self.now,
+            self.now - task.arrival_time,
+            self.now - fl.start_time,
+            task.n_in,
+            task.n_out,
+            fl.entry.stutter,
         )
         self.records.append(record)
         if self._on_completion is not None:
@@ -535,6 +515,9 @@ def assert_no_ground_truth(payload: object, path: str = "") -> None:
             if isinstance(key, str) and key in _FORBIDDEN_KEYS:
                 raise AssertionError(f"ground-truth field {key!r} leaked at {path or '<root>'}")
             assert_no_ground_truth(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(payload, tuple) and hasattr(payload, "_asdict"):
+        # A NamedTuple such as an oplog record: its field names count as keys.
+        assert_no_ground_truth(payload._asdict(), path)
     elif isinstance(payload, (list, tuple)):
         for i, value in enumerate(payload):
             assert_no_ground_truth(value, f"{path}[{i}]")

@@ -257,6 +257,12 @@ def _jitter_unit(device_id: int, task_id: int) -> float:
     return int.from_bytes(digest[:8], "big") / 2**63 - 1.0
 
 
+def check_service_jitter(value: object) -> None:
+    """Raise ValueError unless ``value`` is a finite number in [0, 1)."""
+    if not is_finite_number(value) or not 0 <= value < 1:
+        raise ValueError(f"service_jitter must be a finite number in [0, 1), got {value!r}")
+
+
 @dataclass
 class _DeviceTruth:
     device_id: int
@@ -298,10 +304,7 @@ class GroundTruthState:
         prior_error: dict[int, float | tuple[float, float]] | None = None,
         service_jitter: float = 0.0,
     ) -> None:
-        if not is_finite_number(service_jitter) or not 0 <= service_jitter < 1:
-            raise ValueError(
-                f"service_jitter must be a finite number in [0, 1), got {service_jitter!r}"
-            )
+        check_service_jitter(service_jitter)
         self.service_jitter = service_jitter
         self.version = 0
         self.devices: dict[int, _DeviceTruth] = {}

@@ -8,10 +8,9 @@ least-squares fit identifiable without randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from ..profiles import LLM, SDXL
+from ..profiles import LLM, SDXL, is_finite_number
 
 INPUT_BINS = (256, 512, 1024)
 OUTPUT_BINS = (32, 64, 128)
@@ -22,8 +21,7 @@ TOKEN_BIN_CYCLE = tuple((n_in, n_out) for n_in in INPUT_BINS for n_out in OUTPUT
 MixtureRule = Callable[[int], str]
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):
     """One generative request: position in the stream, kind, and size."""
 
     task_id: int
@@ -49,8 +47,8 @@ def generate_workload(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    if not is_finite_number(lam) or lam <= 0:
+        raise ValueError(f"lambda must be a finite number > 0, got {lam!r}")
     if mixture == "alternate":
         rule: MixtureRule = alternate
     elif callable(mixture):

@@ -219,7 +219,7 @@ def test_criterion_07_drift_detection_latency(preset_runs):
                 [DevicePrior(device_id=d, kind=k, alpha0=a, beta0=b, gamma0=g) for d, k, a, b, g in op[1]]
             )
         elif tag == "ingest":
-            record = ExecutionRecord(**op[1])
+            record = op[1]
             opm.ingest_feedback(record, op[2])
             if record.device_id == drifted_device and op[2] > alarm_time and recovered_at is None:
                 ratio, _count = opm.drift_ratio(drifted_device, LLM, DRIFT_WINDOW_MS, op[2])

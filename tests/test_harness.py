@@ -18,6 +18,7 @@ from edgesched.harness import (
 from edgesched.profiles import LLM
 from edgesched.sim.engine import ExecutionRecord
 from edgesched.sim.truth import PlanError, plan_from_dicts
+from edgesched.sim.workload import generate_workload
 
 
 def record(task_id, latency, stutter=0, device=0):
@@ -302,6 +303,44 @@ def test_jitter_outside_its_contract_is_rejected(tmp_path, jitter):
         argv = ["run", "--scenario", "drift", "--horizon", "60", "--jitter", str(jitter), "--out", str(out)]
         assert cli_main(argv) == 1
         assert not (out / "report.json").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "fields, error, message",
+    [
+        ({"horizon": 0, "service_jitter": NAN}, ValueError, r"service_jitter must be a finite number in \[0, 1\)"),
+        ({"lam": NAN}, ExperimentError, "lambda must be a finite number > 0"),
+        ({"lam": INF}, ExperimentError, "lambda must be a finite number > 0"),
+        ({"lam": True}, ExperimentError, "lambda must be a finite number > 0"),
+        ({"horizon": True}, ExperimentError, "horizon must be an int"),
+        ({"horizon": 30.0}, ExperimentError, "horizon must be an int"),
+        ({"warmup_budget": True}, ExperimentError, "warmup_budget must be an int"),
+    ],
+    ids=["jitter_nan_h0", "lam_nan", "lam_inf", "lam_bool", "horizon_bool", "horizon_float", "warmup_bool"],
+)
+def test_numeric_config_fields_are_checked_for_every_horizon(fields, error, message):
+    with pytest.raises(error, match=message):
+        ExperimentConfig(scenario="drift", **fields)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--lambda", "nan"], ["--lambda", "inf"], ["--horizon", "0", "--jitter", "nan"]],
+    ids=["lambda_nan", "lambda_inf", "horizon0_jitter_nan"],
+)
+def test_cli_rejects_non_finite_numbers_before_writing(tmp_path, flags):
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", "drift", "--horizon", "30", *flags, "--out", str(out)]) == 1
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("lam", [NAN, INF, -INF, True, 0.0])
+def test_generate_workload_rejects_a_rate_outside_its_contract(lam):
+    with pytest.raises(ValueError, match="lambda must be a finite number > 0"):
+        generate_workload(10, lam)
 
 
 def test_plan_naming_a_missing_device_fails_before_the_run(tmp_path):

@@ -1,0 +1,128 @@
+"""The contract of the policy-visible value types and of the OPM's oplog.
+
+The six types are immutable NamedTuples; their field order, ``repr`` text and
+``to_dict()`` rows are the ones policies, reports and logs were written
+against, so they are pinned here literally.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import pytest
+
+from edgesched.harness import ExperimentConfig, run_experiment
+from edgesched.opm import replay_oplog
+from edgesched.sim.engine import (
+    DeviceSnapshot,
+    EventAnnotation,
+    ExecutionRecord,
+    InFlightView,
+    ObservableState,
+    assert_no_ground_truth,
+)
+from edgesched.sim.workload import TaskSpec
+
+TASK = TaskSpec(0, "LLM", 0.0, 256, 32)
+QUEUED = TaskSpec(1, "SDXL", 2000.0)
+RECORD = ExecutionRecord(0, 1, "LLM", 0.0, 0.0, 0.0, 1500.25, 1500.25, 1500.25, 256, 32, 0)
+ANNOTATION = EventAnnotation(3, 6000.0, "semantic_onset", 1, "game")
+VIEW = InFlightView(TASK, 12.5)
+SNAPSHOT = DeviceSnapshot(0, "LLM", True, (QUEUED,), VIEW)
+STATE = ObservableState(12.5, (SNAPSHOT,), (ANNOTATION,))
+
+TASK_REPR = "TaskSpec(task_id=0, kind='LLM', arrival_time=0.0, n_in=256, n_out=32)"
+QUEUED_REPR = "TaskSpec(task_id=1, kind='SDXL', arrival_time=2000.0, n_in=None, n_out=None)"
+ANNOTATION_REPR = "EventAnnotation(at_task=3, time=6000.0, type='semantic_onset', device=1, label='game')"
+VIEW_REPR = f"InFlightView(task={TASK_REPR}, start_time=12.5)"
+SNAPSHOT_REPR = (
+    f"DeviceSnapshot(device_id=0, kind='LLM', available=True, queued=({QUEUED_REPR},), "
+    f"in_flight={VIEW_REPR})"
+)
+
+CASES = [
+    (TASK, ("task_id", "kind", "arrival_time", "n_in", "n_out"), TASK_REPR),
+    (
+        RECORD,
+        (
+            "task_id", "device_id", "kind", "arrival_time", "dispatch_time", "start_time",
+            "completion_time", "latency_ms", "service_ms", "n_in", "n_out", "stutter",
+        ),
+        "ExecutionRecord(task_id=0, device_id=1, kind='LLM', arrival_time=0.0, "
+        "dispatch_time=0.0, start_time=0.0, completion_time=1500.25, latency_ms=1500.25, "
+        "service_ms=1500.25, n_in=256, n_out=32, stutter=0)",
+    ),
+    (ANNOTATION, ("at_task", "time", "type", "device", "label"), ANNOTATION_REPR),
+    (VIEW, ("task", "start_time"), VIEW_REPR),
+    (SNAPSHOT, ("device_id", "kind", "available", "queued", "in_flight"), SNAPSHOT_REPR),
+    (
+        STATE,
+        ("now", "devices", "annotations"),
+        f"ObservableState(now=12.5, devices=({SNAPSHOT_REPR},), annotations=({ANNOTATION_REPR},))",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, fields, text", CASES, ids=[type(c[0]).__name__ for c in CASES])
+def test_value_type_fields_repr_and_immutability(value, fields, text):
+    cls = type(value)
+    assert cls._fields == fields
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], None)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    # Keyword and positional construction both give an equal, equally hashed value.
+    by_keyword = cls(**dict(zip(fields, value)))
+    assert by_keyword == value and cls(*value) == value
+    assert hash(by_keyword) == hash(value)
+
+
+def test_value_type_defaults():
+    assert QUEUED.n_in is None and QUEUED.n_out is None
+    assert EventAnnotation(5, 0.0, "device_leave", 2).label is None
+
+
+def test_to_dict_rows_keep_their_keys_and_order():
+    row = RECORD.to_dict()
+    assert list(row) == list(CASES[1][1])
+    assert ExecutionRecord(**row) == RECORD
+    assert ANNOTATION.to_dict() == {
+        "at_task": 3, "time": 6000.0, "type": "semantic_onset", "device": 1, "label": "game",
+    }
+    assert list(ANNOTATION.to_dict()) == ["at_task", "time", "type", "device", "label"]
+    snapshot_row = {
+        "device_id": 0, "kind": "LLM", "available": True, "queued": [1],
+        "in_flight": 0, "in_flight_start": 12.5,
+    }
+    assert SNAPSHOT.to_dict() == snapshot_row
+    assert list(SNAPSHOT.to_dict()) == list(snapshot_row)
+    state_row = STATE.to_dict()
+    assert list(state_row) == ["now", "devices", "annotations"]
+    assert state_row == {"now": 12.5, "devices": [snapshot_row], "annotations": [ANNOTATION.to_dict()]}
+    assert STATE.snapshot_of(0) is SNAPSHOT
+    assert STATE.available_devices("LLM") == [0] and STATE.available_devices("SDXL") == []
+
+
+def test_oplog_holds_the_engines_records_and_replays_bitwise():
+    # leak_check makes the engine scan every observation it hands the policy.
+    result = run_experiment(
+        ExperimentConfig("semantic", horizon=120, policies=("e3",), leak_check=True)
+    )
+    records = result.runs["e3"].records
+    opm = result.agent.opm
+    ingested = [op[1] for op in opm.oplog if op[0] == "ingest"]
+    assert len(ingested) == len(records) == 120
+    assert all(op is record for op, record in zip(ingested, records))
+    assert replay_oplog(opm.oplog).snapshot_table() == opm.snapshot_table()
+
+
+def test_leak_check_reads_namedtuple_field_names():
+    class Leaky(NamedTuple):
+        device_id: int
+        gamma: float
+
+    assert_no_ground_truth(STATE)
+    assert_no_ground_truth(RECORD)
+    with pytest.raises(AssertionError, match="'gamma' leaked at devices"):
+        assert_no_ground_truth({"devices": [Leaky(0, 4000.0)]})
