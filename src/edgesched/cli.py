@@ -22,7 +22,7 @@ from .harness import (
     run_experiment,
 )
 from .metacontrol import AdapterConfig
-from .profiles import ProfileError
+from .profiles import ProfileError, is_finite_number
 from .sim.truth import PlanError, plan_from_dicts
 
 
@@ -84,8 +84,10 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
     policies = pick(args.policies, "policies", ",".join(POLICY_NAMES))
     if isinstance(policies, str):
         policies = tuple(p.strip() for p in policies.split(",") if p.strip())
-    else:
+    elif isinstance(policies, list):
         policies = tuple(policies)
+    else:
+        raise ExperimentError(f"policies must be a comma-separated string or list, got {policies!r}")
 
     plan = None
     if "plan" in file_cfg:
@@ -106,9 +108,9 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
 
     return ExperimentConfig(
         scenario=scenario,
-        warmup_budget=int(pick(args.warmup, "warmup", 0)),
-        horizon=int(pick(args.horizon, "horizon", 300)),
-        lam=float(pick(args.lam, "lambda", 0.5)),
+        warmup_budget=pick(args.warmup, "warmup", 0),
+        horizon=pick(args.horizon, "horizon", 300),
+        lam=pick(args.lam, "lambda", 0.5),
         policies=policies,
         profiles_path=pick(args.profiles, "profiles"),
         out_dir=pick(args.out, "out"),
@@ -118,15 +120,22 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         adapter=adapter,
         explore_weight_ms=pick(args.explore_weight, "explore_weight_ms"),
         risk_penalty_ms=pick(args.risk_penalty, "risk_penalty_ms"),
-        trace_decisions=bool(args.trace_decisions or file_cfg.get("trace_decisions", False)),
+        trace_decisions=args.trace_decisions or file_cfg.get("trace_decisions", False),
     )
 
 
-def _parse_prior_error(raw: dict | None) -> dict | None:
+def _parse_prior_error(raw: object) -> dict | None:
+    """``{"<device>": factor or [alpha factor, beta factor]}``; factors are finite and > 0."""
     if raw is None:
         return None
+    contract = "prior_error must map device ids to a finite number > 0 or a pair of them"
+    if not isinstance(raw, dict):
+        raise ExperimentError(f"{contract}, got {raw!r}")
     parsed = {}
     for key, value in raw.items():
+        factors = value if isinstance(value, list) and len(value) == 2 else [value]
+        if not key.isdigit() or not all(is_finite_number(f) and f > 0 for f in factors):
+            raise ExperimentError(f"{contract}, got {key!r}: {value!r}")
         parsed[int(key)] = tuple(value) if isinstance(value, list) else value
     return parsed
 

@@ -23,6 +23,7 @@ from .profiles import (
     DevicePrior,
     default_profiles_path,
     is_finite_number,
+    is_int,
     load_profiles,
     priors_from_records,
 )
@@ -105,12 +106,15 @@ class ExperimentConfig:
             )
         for name in ("horizon", "warmup_budget"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(value):
                 raise ExperimentError(f"{name} must be an int, got {value!r}")
         if self.horizon < 0:
             raise ExperimentError("horizon must be >= 0")
         if not is_finite_number(self.lam) or self.lam <= 0:
             raise ExperimentError(f"lambda must be a finite number > 0, got {self.lam!r}")
+        self.lam = float(self.lam)  # an int rate is accepted and reported as a float
+        if not isinstance(self.trace_decisions, bool):
+            raise ExperimentError(f"trace_decisions must be a bool, got {self.trace_decisions!r}")
         if self.service_jitter is not None:
             check_service_jitter(self.service_jitter)
         if self.warmup_budget < 0 or self.warmup_budget > max(self.horizon, 0):

@@ -11,13 +11,15 @@ drive the same tools and falls back to the scripted policy on any failure.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
-from .opm import DRIFT_WINDOW_MS, Opm
-from .profiles import LLM, SDXL, is_finite_number
+from .opm import DRIFT_WINDOW_MS, Opm, UnknownDeviceError
+from .profiles import LLM, SDXL, is_finite_number, is_int
 from .router import (
     DEFAULT_EXPLORE_WEIGHT_MS,
     DEFAULT_RISK_PENALTY_MS,
@@ -31,34 +33,10 @@ from .router import (
 
 logger = logging.getLogger(__name__)
 
-TOOL_NAMES = (
-    "get_system_status",
-    "pull_observations",
-    "compute_drift",
-    "update_calibration",
-    "switch_router",
-    "set_router_params",
-    "trigger_online_profile_update",
-    "set_device_risky",
-    "clear_device_risky",
-)
-
 MAX_TOOL_ROUNDS = 2
 MIN_NONEVENT_GAP = 20
 ANOMALY_COOLDOWN = 20
 ALARM_MIN_SAMPLES = 3
-
-REASONS = ("semantic_onset", "semantic_offset", "residual_alarm", "warmup_point", "churn_event")
-
-
-def _require_count(name: str, value: object) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, not a bool, got {value!r}")
-
-
-def _require_window_ms(value: object) -> None:
-    if not is_finite_number(value) or value <= 0:
-        raise ValueError(f"window_ms must be a finite number > 0, got {value!r}")
 
 
 def warmup_points(budget: int) -> frozenset[int]:
@@ -76,6 +54,49 @@ def model_kind(model: str) -> str:
     if lowered == "sdxl" or "diffusion" in lowered or "sd-" in lowered:
         return SDXL
     raise ValueError(f"cannot infer task kind from model {model!r}")
+
+
+def _is_model(value: object) -> bool:
+    try:
+        return isinstance(value, str) and bool(model_kind(value))
+    except ValueError:
+        return False
+
+
+# --- the tool table ------------------------------------------------------------
+# An argument kind is (contract, check, JSON schema); a rejection reads
+# "<name> must be <contract>, got <value!r>".
+COUNT = ("an int >= 1, not a bool", lambda v: is_int(v) and v >= 1,
+         {"type": "integer", "minimum": 1})
+POSITIVE = ("a finite number > 0", lambda v: is_finite_number(v) and v > 0,
+            {"type": "number", "exclusiveMinimum": 0})
+NON_NEGATIVE = ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0,
+                {"type": "number", "minimum": 0})
+ROUTER = (f"one of {ROUTER_CHOICES}", lambda v: v in ROUTER_CHOICES,
+          {"type": "string", "enum": list(ROUTER_CHOICES)})
+# The executor also checks that the OPM knows the device.
+DEVICE = ("a device id the OPM knows", is_int, {"type": "integer"})
+MODEL = ("an LLM or SDXL model name", _is_model, {"type": "string"})
+
+# tool -> (description, {argument: kind}); ``ToolExecutor._tool_<tool>`` holds the defaults
+TOOLS = {
+    "get_system_status": ("Queue lengths, utilization, sim time, exposed semantic events.", {}),
+    "pull_observations": ("Recent completed-task summaries and stutter count.",
+                          {"window_ms": POSITIVE, "limit": COUNT}),
+    "compute_drift": ("Observed-to-predicted service ratio and sample count for a device-model.",
+                      {"device": DEVICE, "model": MODEL, "window_ms": POSITIVE}),
+    "update_calibration": ("Apply a smoothed multiplicative calibration correction.",
+                           {"device": DEVICE, "model": MODEL, "ratio": POSITIVE}),
+    "switch_router": ("Choose the fast-path scoring policy (sect or explore_risk).",
+                      {"router": ROUTER}),
+    "set_router_params": ("Set exploration weight and risk penalty in milliseconds.",
+                          {"explore_weight_ms": NON_NEGATIVE, "risk_penalty_ms": NON_NEGATIVE}),
+    "trigger_online_profile_update": ("Refit service-time estimates from recent completions.",
+                                      {"window": COUNT, "min_samples": COUNT}),
+    "set_device_risky": ("Apply a risk override with a task-count TTL.",
+                         {"device": DEVICE, "ttl": COUNT}),
+    "clear_device_risky": ("Clear a device risk override.", {"device": DEVICE}),
+}
 
 
 @dataclass
@@ -202,20 +223,13 @@ class AuditEntry:
     sim_time_ms: float
     reason: str
     tool: str
-    arguments: dict
+    arguments: object  # as the caller gave them; a rejected call's may not be a dict
     result: dict | str
     state_delta: dict
 
     def to_dict(self) -> dict:
-        return {
-            "task_index": self.task_index,
-            "sim_time_ms": self.sim_time_ms,
-            "reason": self.reason,
-            "tool": self.tool,
-            "arguments": self.arguments,
-            "result": self.result,
-            "state_delta": self.state_delta,
-        }
+        # Field-wise and shallow: asdict deep-copies (slow), vars() materialises a __dict__.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class AuditLog:
@@ -265,10 +279,7 @@ class ToolExecutor:
     def execute_round(self, calls: list[ToolCall]) -> list[ToolResult]:
         """Execute one batch of calls; batches beyond the round cap are rejected."""
         if self._rounds_used >= MAX_TOOL_ROUNDS:
-            results = []
-            for call in calls:
-                results.append(self._reject(call, "tool round cap exceeded"))
-            return results
+            return [self._reject(call, "tool round cap exceeded") for call in calls]
         self._rounds_used += 1
         return [self.execute_tool(call) for call in calls]
 
@@ -282,7 +293,7 @@ class ToolExecutor:
                 sim_time_ms=self._now(),
                 reason=self._reason,
                 tool=call.tool,
-                arguments=dict(call.arguments),
+                arguments=call.arguments,
                 result=result,
                 state_delta=delta,
             )
@@ -293,16 +304,31 @@ class ToolExecutor:
         self._audit(call, f"rejected: {message}", {})
         return ToolResult(call.tool, False, {}, message)
 
-    def _known_devices(self) -> set[int]:
-        return {device for device, _kind in self.opm.estimates}
+    def _check(self, call: ToolCall) -> str | None:
+        """The first contract in :data:`TOOLS` that ``call`` breaks, or None."""
+        if not isinstance(call.tool, str) or call.tool not in TOOLS:
+            return f"unknown tool {call.tool!r}"
+        if not isinstance(call.arguments, dict):
+            return f"arguments must be a JSON object, got {call.arguments!r}"
+        kinds = TOOLS[call.tool][1]
+        for name, value in call.arguments.items():
+            if name not in kinds:
+                return f"{call.tool} takes no argument {name!r}; it takes {sorted(kinds)}"
+            contract, check, _schema = kinds[name]
+            if not check(value) or (
+                kinds[name] is DEVICE and value not in {d for d, _kind in self.opm.estimates}
+            ):
+                return f"{name} must be {contract}, got {value!r}"
+        missing = [name for name in _required(call.tool) if name not in call.arguments]
+        return f"{call.tool} needs argument {missing[0]!r}" if missing else None
 
     def execute_tool(self, call: ToolCall) -> ToolResult:
-        if call.tool not in TOOL_NAMES:
-            return self._reject(call, f"unknown tool {call.tool!r}")
+        error = self._check(call)
+        if error is not None:
+            return self._reject(call, error)
         try:
-            handler = getattr(self, f"_tool_{call.tool}")
-            payload, delta = handler(**call.arguments)
-        except (TypeError, ValueError, KeyError) as exc:
+            payload, delta = getattr(self, f"_tool_{call.tool}")(**call.arguments)
+        except UnknownDeviceError as exc:  # the OPM knows the device, but not for this model
             return self._reject(call, str(exc))
         self.tool_calls += 1
         self._audit(call, payload, delta)
@@ -316,89 +342,70 @@ class ToolExecutor:
     def _tool_pull_observations(
         self, window_ms: float | None = None, limit: int = 50
     ) -> tuple[dict, dict]:
-        _require_count("limit", limit)
-        if window_ms is not None:
-            _require_window_ms(window_ms)
         rows = self.telemetry.observations(window_ms, limit)
-        return {
-            "observations": rows,
-            "stutter_count": sum(r["stutter"] for r in rows),
-        }, {}
+        return {"observations": rows, "stutter_count": sum(r["stutter"] for r in rows)}, {}
 
     # -- diagnosis ---------------------------------------------------------------
 
     def _tool_compute_drift(
         self, device: int, model: str, window_ms: float = DRIFT_WINDOW_MS
     ) -> tuple[dict, dict]:
-        kind = model_kind(model)
-        _require_window_ms(window_ms)
-        ratio, count = self.opm.drift_ratio(device, kind, window_ms, self._now())
+        ratio, count = self.opm.drift_ratio(device, model_kind(model), window_ms, self._now())
         return {"ratio": ratio, "sample_count": count}, {}
 
     # -- actuation ---------------------------------------------------------------
 
-    def _tool_update_calibration(
-        self, device: int, model: str, ratio: float
-    ) -> tuple[dict, dict]:
-        kind = model_kind(model)
-        if not is_finite_number(ratio) or ratio <= 0:
-            raise ValueError(f"calibration ratio must be a finite number > 0, got {ratio!r}")
-        old, new = self.opm.apply_calibration(device, kind, ratio)
+    def _tool_update_calibration(self, device: int, model: str, ratio: float) -> tuple[dict, dict]:
+        old, new = self.opm.apply_calibration(device, model_kind(model), ratio)
         return {"old_factor": old, "new_factor": new}, {
             "calibration_factor": {"device": device, "old": old, "new": new}
         }
 
     def _tool_switch_router(self, router: str) -> tuple[dict, dict]:
-        if router not in ROUTER_CHOICES:
-            raise ValueError(f"router must be one of {ROUTER_CHOICES}, got {router!r}")
         old = self.config.policy
         self.config.policy = router
         return {"router": router}, {"policy": {"old": old, "new": router}}
 
     def _tool_set_router_params(
-        self,
-        explore_weight_ms: float | None = None,
-        risk_penalty_ms: float | None = None,
+        self, explore_weight_ms: float | None = None, risk_penalty_ms: float | None = None
     ) -> tuple[dict, dict]:
         new = {"explore_weight_ms": explore_weight_ms, "risk_penalty_ms": risk_penalty_ms}
-        new = {name: value for name, value in new.items() if value is not None}
-        RouterConfig(**{**self.config.to_dict(), **new})  # validates before any change
         delta: dict = {}
         for name, value in new.items():
-            delta[name] = {"old": getattr(self.config, name), "new": value}
-            setattr(self.config, name, value)
+            if value is not None:
+                delta[name] = {"old": getattr(self.config, name), "new": value}
+                setattr(self.config, name, value)
         return self.config.to_dict(), delta
 
     def _tool_trigger_online_profile_update(
         self, window: int = 40, min_samples: int = 1
     ) -> tuple[dict, dict]:
-        _require_count("window", window)
-        _require_count("min_samples", min_samples)
         statuses = self.opm.refit_all(min_samples, window, at_task=self._task_index)
-        return {"refit": {str(d): s for d, s in statuses.items()}}, {
-            "refit": {str(d): s for d, s in statuses.items()}
-        }
+        refit = {str(d): s for d, s in statuses.items()}
+        return {"refit": refit}, {"refit": dict(refit)}
 
     def _tool_set_device_risky(
         self, device: int, ttl: int = DEFAULT_RISK_TTL_TASKS
     ) -> tuple[dict, dict]:
-        if device not in self._known_devices():
-            raise ValueError(f"unknown device {device}")
-        _require_count("ttl", ttl)
         old_mask = sorted(o.device_id for o in self.overrides.active())
         self.overrides.set(device, ttl, origin=self._reason, at_task=self._task_index)
         new_mask = sorted(o.device_id for o in self.overrides.active())
         return {"device": device, "ttl": ttl}, {"risk_mask": {"old": old_mask, "new": new_mask}}
 
     def _tool_clear_device_risky(self, device: int) -> tuple[dict, dict]:
-        if device not in self._known_devices():
-            raise ValueError(f"unknown device {device}")
         old_mask = sorted(o.device_id for o in self.overrides.active())
         cleared = self.overrides.clear(device)
         new_mask = sorted(o.device_id for o in self.overrides.active())
         return {"device": device, "cleared": cleared}, {
             "risk_mask": {"old": old_mask, "new": new_mask}
         }
+
+
+@functools.cache
+def _required(tool: str) -> tuple[str, ...]:
+    """The arguments of ``tool`` that its handler has no default for."""
+    params = inspect.signature(getattr(ToolExecutor, f"_tool_{tool}")).parameters.values()
+    return tuple(p.name for p in params if p.default is p.empty and p.name != "self")
 
 
 def scripted_policy(invocation: Invocation, executor: ToolExecutor) -> list[ToolCall]:
@@ -503,27 +510,25 @@ class AdapterConfig:
 
 
 def _tool_catalog() -> list[dict]:
-    descriptions = {
-        "get_system_status": "Queue lengths, utilization, sim time, exposed semantic events.",
-        "pull_observations": "Recent completed-task summaries and stutter count.",
-        "compute_drift": "Observed-to-predicted service ratio and sample count for a device-model.",
-        "update_calibration": "Apply a smoothed multiplicative calibration correction.",
-        "switch_router": "Choose the fast-path scoring policy (sect or explore_risk).",
-        "set_router_params": "Set exploration weight and risk penalty in milliseconds.",
-        "trigger_online_profile_update": "Refit service-time estimates from recent completions.",
-        "set_device_risky": "Apply a risk override with a task-count TTL.",
-        "clear_device_risky": "Clear a device risk override.",
-    }
+    """The chat-completions tool list, generated from :data:`TOOLS`."""
     return [
         {
             "type": "function",
             "function": {
                 "name": name,
-                "description": descriptions[name],
-                "parameters": {"type": "object"},
+                "description": description,
+                "parameters": {
+                    "type": "object",
+                    "properties": {
+                        arg: {**schema, "description": contract}
+                        for arg, (contract, _check, schema) in kinds.items()
+                    },
+                    "required": list(_required(name)),
+                    "additionalProperties": False,
+                },
             },
         }
-        for name in TOOL_NAMES
+        for name, (description, kinds) in TOOLS.items()
     ]
 
 
@@ -579,19 +584,7 @@ def llm_adapter_invoke(
         },
         {
             "role": "user",
-            "content": json.dumps(
-                {
-                    "reason": invocation.reason,
-                    "task_index": invocation.task_index,
-                    "device": invocation.device,
-                    "label": invocation.label,
-                    "model": invocation.model,
-                    "ratio": invocation.ratio,
-                    "sample_count": invocation.sample_count,
-                    "context": invocation.context,
-                },
-                sort_keys=True,
-            ),
+            "content": json.dumps(asdict(invocation), sort_keys=True),
         },
     ]
     payload = {"model": endpoint.model, "messages": messages, "tools": _tool_catalog()}
@@ -680,16 +673,7 @@ class MetaController:
     def _invoke(self, invocation: Invocation) -> None:
         if self.executor is None:
             raise RuntimeError("meta-controller has no telemetry attached")
-        invocation = Invocation(
-            reason=invocation.reason,
-            task_index=invocation.task_index,
-            device=invocation.device,
-            label=invocation.label,
-            model=invocation.model,
-            ratio=invocation.ratio,
-            sample_count=invocation.sample_count,
-            context=self._context(),
-        )
+        invocation = replace(invocation, context=self._context())
         self.invocations.append(invocation)
         self.executor.begin_invocation(invocation)
         if self.adapter is not None and self.adapter.enabled:

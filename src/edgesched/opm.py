@@ -276,10 +276,10 @@ class Opm:
         starts at the newest pair, skips pairs later than ``now`` and stops
         at the first one before the cutoff.  Those tests are the exact
         negations of the window test, so NaN and infinite bounds select the
-        same pairs.  Both means fold oldest-first.  An empty window reports
-        (1.0, 0): no evidence means no alarm.
+        same pairs (a NaN window is rejected).  Both means fold oldest-first.
+        An empty window reports (1.0, 0): no evidence means no alarm.
         """
-        if window_ms <= 0:
+        if not window_ms > 0:
             raise ValueError(f"window_ms must be > 0, got {window_ms}")
         self._estimate(device, kind)
         cutoff = now - window_ms

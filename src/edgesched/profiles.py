@@ -126,6 +126,11 @@ _RECORD_FIELDS = {
 }
 
 
+def is_int(value: object) -> bool:
+    """True for an int; bools are rejected."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_finite_number(value: object) -> bool:
     """True for a finite int or float; bools and non-numbers are rejected."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from ..profiles import LLM, SDXL, DevicePrior, is_finite_number
+from ..profiles import LLM, SDXL, DevicePrior, is_finite_number, is_int
 from .workload import TaskSpec
 
 STABLE = "Stable"
@@ -34,15 +34,11 @@ class PlanError(ValueError):
 # before task k arrives (the engine orders same-time events ahead of arrivals).
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _NAME_RULE = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
 # field -> (contract, check), shared by every event class
 _FIELD_RULES = {
-    "at_task": ("an int >= 0", lambda v: _is_int(v) and v >= 0),
-    "device": ("an int", _is_int),
+    "at_task": ("an int >= 0", lambda v: is_int(v) and v >= 0),
+    "device": ("an int", is_int),
     "label": _NAME_RULE,
     "model": _NAME_RULE,
     "factor": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),

@@ -353,3 +353,36 @@ def test_plan_naming_a_missing_device_fails_before_the_run(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "churn", "horizon": 30, "plan": rows}))
     assert cli_main(["run", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"horizon": True}, "horizon must be an int, got True"),
+        ({"horizon": 2.5}, "horizon must be an int, got 2.5"),
+        ({"horizon": "10"}, "horizon must be an int, got '10'"),
+        ({"lambda": True}, "lambda must be a finite number > 0, got True"),
+        ({"trace_decisions": "no"}, "trace_decisions must be a bool, got 'no'"),
+        ({"policies": 5}, "policies must be a comma-separated string or list, got 5"),
+        ({"prior_error": [1]}, "prior_error must map device ids to a finite number > 0 or a pair"),
+        ({"prior_error": {"0": [1.0]}}, "prior_error must map device ids to a finite number > 0"),
+        ({"prior_error": {"0": True}}, "prior_error must map device ids to a finite number > 0"),
+    ],
+    ids=["horizon_bool", "horizon_float", "horizon_str", "lambda_bool", "trace_str", "policies_int",
+         "prior_error_list", "prior_error_short_pair", "prior_error_bool"],
+)
+def test_config_file_values_are_checked_as_written(tmp_path, capsys, field, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "drift", "horizon": 30, "policies": "oracle", **field}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_config_file_int_lambda_is_reported_as_a_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "drift", "horizon": 30, "policies": "oracle", "lambda": 2}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert '"lambda": 2.0' in (out / "report.json").read_text()

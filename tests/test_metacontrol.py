@@ -1,5 +1,6 @@
 """Triggers, tool execution, scripted policy, external adapter."""
 
+import inspect
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -7,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from edgesched.metacontrol import (
+    TOOLS,
     AdapterConfig,
     AnnotationEvent,
     AuditLog,
@@ -18,6 +20,7 @@ from edgesched.metacontrol import (
     TriggerState,
     WarmupTick,
     _default_transport,
+    _tool_catalog,
     evaluate_triggers,
     llm_adapter_invoke,
     model_kind,
@@ -280,11 +283,22 @@ def test_set_and_clear_device_risky():
          "min_samples must be an int >= 1, not a bool"),
         ("trigger_online_profile_update", {"window": 2.5, "min_samples": 1},
          "window must be an int >= 1, not a bool"),
+        ("set_device_risky", {"device": True}, "device must be a device id the OPM knows, got True"),
+        ("set_device_risky", {"device": 2.0}, "device must be a device id the OPM knows, got 2.0"),
+        ("set_device_risky", {"device": "0"}, "device must be a device id the OPM knows, got '0'"),
+        ("update_calibration", {"device": True, "model": "LLM", "ratio": 2.0},
+         "device must be a device id the OPM knows, got True"),
+        ("compute_drift", {"device": 0, "model": 5}, "model must be an LLM or SDXL model name, got 5"),
+        ("set_device_risky", {"device": 0, "ttl_tasks": 5}, "set_device_risky takes no argument 'ttl_tasks'"),
+        ("get_system_status", [1], "arguments must be a JSON object, got [1]"),
+        ("compute_drift", {"model": "LLM"}, "compute_drift needs argument 'device'"),
+        ("compute_drift", {"device": 2, "model": "LLM"}, "no estimate for device 2 kind LLM"),
     ],
     ids=[
         "ttl-bool", "ttl-float", "limit-bool", "limit-float", "pull-window-nan", "pull-window-bool",
         "drift-window-nan", "drift-window-inf", "drift-window-str", "window-bool", "min_samples-bool",
-        "window-float",
+        "window-float", "device-bool", "device-float", "device-str", "calibration-device-bool",
+        "model-int", "unknown-argument", "not-an-object", "missing-argument", "device-of-the-other-kind",
     ],
 )
 def test_tool_arguments_outside_their_contract_are_rejected(tool, arguments, contract):
@@ -293,9 +307,30 @@ def test_tool_arguments_outside_their_contract_are_rejected(tool, arguments, con
     result = executor.execute_tool(ToolCall(tool, arguments))
     assert not result.ok
     assert contract in result.error
-    assert executor.audit.entries[-1].result.startswith("rejected: ")
+    assert executor.audit.entries[-1].result == f"rejected: {result.error}"
+    assert executor.audit.entries[-1].arguments == arguments  # as given
     assert executor.overrides.active() == []
     assert len(executor.opm.oplog) == oplog_len
+    assert all(e.calibration_factor == 1.0 for e in executor.opm.estimates.values())
+
+
+def test_catalog_is_generated_from_the_table():
+    catalog = {entry["function"]["name"]: entry["function"] for entry in _tool_catalog()}
+    assert list(catalog) == list(TOOLS)
+    for name, function in catalog.items():
+        parameters = inspect.signature(getattr(ToolExecutor, f"_tool_{name}")).parameters
+        handler_args = [arg for arg in parameters if arg != "self"]
+        schema = function["parameters"]
+        assert function["description"] == TOOLS[name][0]
+        assert list(schema["properties"]) == handler_args
+        assert schema["required"] == [
+            arg for arg in handler_args if parameters[arg].default is inspect.Parameter.empty
+        ]
+        assert schema["additionalProperties"] is False
+    assert catalog["set_device_risky"]["parameters"]["properties"]["ttl"]["type"] == "integer"
+    assert catalog["switch_router"]["parameters"]["properties"]["router"]["enum"] == [
+        "sect", "explore_risk"
+    ]
 
 
 def test_trigger_online_profile_update_refits_all():
@@ -472,6 +507,31 @@ def test_adapter_rejects_out_of_bounds_but_continues():
     tools_audited = [e.tool for e in executor.audit.entries]
     assert "set_device_risky" in tools_audited
     assert "get_system_status" in tools_audited
+
+
+def test_adapter_survives_non_object_arguments_and_a_bad_model():
+    executor = make_executor()
+    responses = [
+        {"choices": [{"message": {"tool_calls": [
+            {"function": {"name": "get_system_status", "arguments": "[1]"}},
+            {"function": {"name": "compute_drift", "arguments": json.dumps({"device": 0, "model": 5})}},
+        ]}}]},
+        adapter_response([]),
+    ]
+
+    def transport(payload, config):
+        return responses.pop(0)
+
+    inv = Invocation("residual_alarm", 60, device=0, model=LLM, ratio=2.0, sample_count=4)
+    executor.begin_invocation(inv)
+    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), executor, transport)
+    assert [c.tool for c in calls] == ["get_system_status", "compute_drift"]
+    assert [(e.tool, e.arguments, e.result) for e in executor.audit.entries] == [
+        ("get_system_status", [1], "rejected: arguments must be a JSON object, got [1]"),
+        ("compute_drift", {"device": 0, "model": 5},
+         "rejected: model must be an LLM or SDXL model name, got 5"),
+    ]
+    assert executor.audit.to_jsonl()  # rejected non-object arguments still serialize
 
 
 def test_adapter_failure_falls_back_to_scripted():

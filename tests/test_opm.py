@@ -282,6 +282,9 @@ def test_drift_ratio_requires_positive_window():
     opm = seeded_opm()
     with pytest.raises(ValueError):
         opm.drift_ratio(0, LLM, 0.0, now=0.0)
+    # NaN fails every comparison, so a "<= 0" test would let it through as "no evidence".
+    with pytest.raises(ValueError, match="window_ms must be > 0"):
+        drift_opm(2.0).drift_ratio(0, LLM, float("nan"), now=4000.0)
 
 
 def reference_drift_ratio(pairs, window_ms, now):
@@ -321,7 +324,7 @@ def test_drift_ratio_equals_full_filter_fold(seed):
         nows += rng.sample(times, min(5, len(times)))
         nows += [x + 125.0 for x in rng.sample(times, min(3, len(times)))]
         for now in nows:
-            windows = [60_000.0, 1.0, 125.0, 1e12, nan, inf]
+            windows = [60_000.0, 1.0, 125.0, 1e12, inf]
             if math.isfinite(now):
                 # Cutoffs that land exactly on pair times, including on now itself.
                 windows += [now - x for x in times if x < now][-4:]
