@@ -69,8 +69,19 @@ def _load_config_file(path: Path) -> dict:
     return payload
 
 
+# Config-file fields passed on unconverted; ExperimentConfig checks the rest.
+_FILE_TYPES = (
+    ("profiles", str, "a path string"),
+    ("out", str, "a path string"),
+    ("adapter", dict, "an object"),
+)
+
+
 def _merge(args: argparse.Namespace) -> ExperimentConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
+    for key, kind, contract in _FILE_TYPES:
+        if file_cfg.get(key) is not None and not isinstance(file_cfg[key], kind):
+            raise ExperimentError(f"{key} must be {contract}, got {file_cfg[key]!r}")
 
     def pick(flag_value, key, default=None):
         if flag_value is not None:
@@ -94,16 +105,17 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         plan = plan_from_dicts(file_cfg["plan"])
 
     adapter = None
-    adapter_cfg = file_cfg.get("adapter", {})
+    adapter_cfg = file_cfg.get("adapter") or {}
     url = args.adapter_url or adapter_cfg.get("url")
     if url:
+        timeout_s = args.adapter_timeout
         adapter = AdapterConfig(
             enabled=True,
             url=url,
             model=args.adapter_model or adapter_cfg.get("model", ""),
             api_key_env=args.adapter_key_env
             or adapter_cfg.get("api_key_env", AdapterConfig.api_key_env),
-            timeout_s=args.adapter_timeout or adapter_cfg.get("timeout_s", 10.0),
+            timeout_s=adapter_cfg.get("timeout_s", 10.0) if timeout_s is None else timeout_s,
         )
 
     return ExperimentConfig(

@@ -508,6 +508,10 @@ class AdapterConfig:
     api_key_env: str = "EDGESCHED_ADAPTER_API_KEY"
     timeout_s: float = 10.0
 
+    def __post_init__(self) -> None:
+        if not is_finite_number(self.timeout_s) or self.timeout_s <= 0:
+            raise ValueError(f"adapter timeout_s must be a finite number > 0, got {self.timeout_s!r}")
+
 
 def _tool_catalog() -> list[dict]:
     """The chat-completions tool list, generated from :data:`TOOLS`."""

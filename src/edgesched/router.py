@@ -4,8 +4,10 @@ The adaptive policy scores each feasible device as backlog + predicted
 service - exploration bonus + risk penalty and takes the argmin, with hard
 avoidance of risk-flagged devices whenever a safe alternative exists.  Static
 reference policies (prior-driven heuristic, round robin) and the
-full-information reference policy live here too.  Every selection runs in
-O(number of devices) and scores each candidate at most once.
+full-information reference policy live here too.  A selection scores each
+candidate at most once.  Its backlogs come from a memo: O(1) amortised per
+task appended to a queue, one float re-fold of the queued costs per FIFO
+service start, and a C-speed tuple comparison per changed snapshot.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .opm import Opm
+from .opm import Opm, left_sum
 from .profiles import LLM, DevicePrior, is_finite_number
 from .sim.engine import DeviceSnapshot, ObservableState, OracleAccess
 from .sim.workload import TaskSpec
@@ -112,16 +114,19 @@ class BacklogMemo:
 
     One memo serves one predictor, and a task id names one task.  ``sync``
     drops every entry when the predictor's version moves.  A device's entry
-    changes only with its snapshot: an appended task extends the queued sum
-    by one term, any other change re-sums the kept costs in queue order.
-    Either way the sum is the same left fold as pricing every task afresh,
-    and the entry holds no more than the queued tasks plus the one in flight.
+    holds its last snapshot, the queued costs aligned with ``snap.queued``,
+    their sum and the in-flight cost.  Tasks appended at the tail extend the
+    sum; a FIFO start (the old head now in flight, the rest the old tail plus
+    appended tasks) drops the head's cost and re-folds the list; any other
+    change prices the snapshot through a dict of the old entry's costs.  No
+    task is priced twice, every sum is the same left fold as pricing every
+    task afresh, and an entry holds the queued tasks plus the one in flight.
     """
 
     def __init__(self) -> None:
         self.version: int | None = None
-        # device -> (snapshot, queued sum, in-flight cost, task_id -> cost)
-        self._devices: dict[int, tuple[DeviceSnapshot, float, float, dict[int, float]]] = {}
+        # device -> (snapshot, queued sum, in-flight cost, queued costs)
+        self._devices: dict[int, tuple[DeviceSnapshot, float, float, list[float]]] = {}
 
     def sync(self, version: int) -> None:
         if version != self.version:
@@ -131,46 +136,47 @@ class BacklogMemo:
     def size(self, device: int) -> int:
         """Number of task costs held for a device."""
         entry = self._devices.get(device)
-        return 0 if entry is None else len(entry[3])
+        return 0 if entry is None else len(entry[3]) + (entry[0].in_flight is not None)
 
     def costs(self, snap: DeviceSnapshot, predict: Predictor) -> tuple[float, float]:
         """(queued work summed in queue order, in-flight prediction or 0.0)."""
         device = snap.device_id
         entry = self._devices.get(device)
-        if entry is None:
-            prev, known = None, {}
-        elif entry[0] is snap:
+        if entry is not None and entry[0] is snap:
             return entry[1], entry[2]
-        else:
-            prev, prev_queued, prev_in_flight, known = entry
-        if (
-            prev is not None
-            and prev.in_flight == snap.in_flight
-            and len(snap.queued) == len(prev.queued) + 1
-            and snap.queued[:-1] == prev.queued
-        ):
-            # One task was appended: extend the left fold by one term.
-            task = snap.queued[-1]
-            value = known[task.task_id] = predict(device, task)
-            queued, in_flight, kept = prev_queued + value, prev_in_flight, known
-        else:
-            kept = {}
-            queued = 0.0
-            for task in snap.queued:
-                value = known.get(task.task_id)
-                if value is None:
-                    value = predict(device, task)
-                kept[task.task_id] = value
-                queued += value
-            in_flight = 0.0
-            if snap.in_flight is not None:
-                task = snap.in_flight.task
-                in_flight = known.get(task.task_id)
+        queued, fl = snap.queued, snap.in_flight
+        known = {}
+        if entry is not None:
+            prev, total, in_flight, costs = entry
+            old = prev.queued
+            kept = len(old)
+            if fl == prev.in_flight and queued[:kept] == old:
+                known = None  # tasks appended at the tail, if any
+            elif fl is not None and old and fl.task is old[0] and queued[: kept - 1] == old[1:]:
+                # FIFO start: the head's cost goes in flight, the rest re-folds.
+                in_flight = costs.pop(0)
+                total = left_sum(costs)
+                kept -= 1
+                known = None
+            else:
+                known = {task.task_id: cost for task, cost in zip(old, costs)} if old else {}
+                if prev.in_flight is not None:
+                    known[prev.in_flight.task.task_id] = in_flight
+        if known is not None:
+            # Price the snapshot afresh, reusing the costs the old entry knew.
+            costs, total, kept, in_flight = [], 0.0, 0, 0.0
+            if fl is not None:
+                in_flight = known.get(fl.task.task_id)
                 if in_flight is None:
-                    in_flight = predict(device, task)
-                kept[task.task_id] = in_flight
-        self._devices[device] = (snap, queued, in_flight, kept)
-        return queued, in_flight
+                    in_flight = predict(device, fl.task)
+        for task in queued[kept:]:
+            value = known.get(task.task_id) if known else None
+            if value is None:
+                value = predict(device, task)
+            costs.append(value)
+            total += value
+        self._devices[device] = (snap, total, in_flight, costs)
+        return total, in_flight
 
 
 def backlog_ms(

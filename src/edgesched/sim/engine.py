@@ -150,7 +150,6 @@ class _QueueEntry:
     stutter: int
 
 
-_entry_task = attrgetter("task")
 _arrival_time = attrgetter("arrival_time")
 
 
@@ -167,6 +166,8 @@ class _DeviceRuntime:
     device_id: int
     kind: str
     queue: deque = field(default_factory=deque)
+    # queue[i].task, kept in step with queue so a snapshot copies it at C speed.
+    tasks: deque = field(default_factory=deque)
     in_flight: _InFlight | None = None
     busy_ms: float = 0.0
     # Last snapshot handed to the policy; None once the queue, the in-flight
@@ -269,7 +270,7 @@ class Engine:
                     dev.device_id,
                     dev.kind,
                     self.truth.is_available(dev.device_id),
-                    tuple(map(_entry_task, dev.queue)),
+                    tuple(dev.tasks),
                     None if fl is None else fl.view,
                 )
             snaps.append(snap)
@@ -318,15 +319,17 @@ class Engine:
 
         Sums the in-flight remainder, then each queued entry's true service
         time in queue order.  Those times are cached per entry until ground
-        truth changes, so each is computed once per truth version.
+        truth changes, so each is computed once per truth version.  The sum
+        is redone per call: it starts from the remainder, which moves with
+        ``now``, so adding a cached queued sum would change the bits.
         """
         dev = self.devices[device]
         costs = dev.true_costs
         if dev.true_costs_version != self.truth.version:
             costs.clear()
             dev.true_costs_version = self.truth.version
-        for entry in islice(dev.queue, len(costs), None):
-            costs.append(self.truth.true_service_time(device, entry.task, now))
+        for task in islice(dev.tasks, len(costs), None):
+            costs.append(self.truth.true_service_time(device, task, now))
         backlog = 0.0
         if dev.in_flight is not None:
             backlog += dev.in_flight.completion_time - now
@@ -367,8 +370,9 @@ class Engine:
 
     def _redispatch_queue(self, device: int) -> None:
         dev = self.devices[device]
-        orphans = [entry.task for entry in dev.queue]
+        orphans = list(dev.tasks)
         dev.queue.clear()
+        dev.tasks.clear()
         dev.true_costs.clear()
         dev.snapshot = None
         for task in orphans:
@@ -411,6 +415,7 @@ class Engine:
         entry = _QueueEntry(task, dispatch_time=self.now, stutter=stutter)
         dev = self.devices[device]
         dev.queue.append(entry)
+        dev.tasks.append(task)
         dev.snapshot = None
         if self._on_dispatch is not None:
             self._on_dispatch(task, device, self.now)
@@ -424,6 +429,7 @@ class Engine:
         if not self.truth.is_available(device):
             return
         entry = dev.queue.popleft()
+        dev.tasks.popleft()
         if dev.true_costs:
             dev.true_costs.popleft()
         service = self.truth.true_service_time(device, entry.task, self.now)

@@ -185,8 +185,12 @@ class ScenarioPlan:
 
 def plan_from_dicts(rows: list[dict]) -> ScenarioPlan:
     """Build a plan from declarative config rows ({"type": ..., ...})."""
+    if not isinstance(rows, list):
+        raise PlanError(f"a plan must be a list of event objects, got {rows!r}")
     events = []
     for row in rows:
+        if not isinstance(row, dict):
+            raise PlanError(f"a plan row must be an object, got {row!r}")
         row = dict(row)
         type_name = row.pop("type", None)
         cls = _EVENT_TYPES.get(type_name)

@@ -15,6 +15,7 @@ from edgesched.harness import (
     run_experiment,
     smooth_ma,
 )
+from edgesched.metacontrol import AdapterConfig
 from edgesched.profiles import LLM
 from edgesched.sim.engine import ExecutionRecord
 from edgesched.sim.truth import PlanError, plan_from_dicts
@@ -378,6 +379,46 @@ def test_config_file_values_are_checked_as_written(tmp_path, capsys, field, mess
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+ADAPTER_URL = "http://127.0.0.1:9/v1"  # never contacted: every row fails before the run
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"plan": 5}, "a plan must be a list of event objects, got 5"),
+        ({"plan": [5]}, "a plan row must be an object, got 5"),
+        ({"profiles": 5}, "profiles must be a path string, got 5"),
+        ({"out": 5}, "out must be a path string, got 5"),
+        ({"adapter": 5}, "adapter must be an object, got 5"),
+        ({"adapter": {"url": ADAPTER_URL, "timeout_s": "a"}}, "timeout_s must be a finite number > 0, got 'a'"),
+        ({"adapter": {"url": ADAPTER_URL, "timeout_s": True}}, "timeout_s must be a finite number > 0, got True"),
+        ({"adapter": {"url": ADAPTER_URL, "timeout_s": NAN}}, "timeout_s must be a finite number > 0, got nan"),
+        ({"adapter": {"url": ADAPTER_URL, "timeout_s": 0}}, "timeout_s must be a finite number > 0, got 0"),
+    ],
+    ids=["plan_int", "plan_row_int", "profiles_int", "out_int", "adapter_int",
+         "timeout_str", "timeout_bool", "timeout_nan", "timeout_zero"],
+)
+def test_config_file_values_of_the_wrong_type_are_rejected(tmp_path, capsys, field, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "drift", "horizon": 30, "policies": "oracle", **field}))
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("timeout_s", [0, -1.0, NAN, INF, True, "10"])
+def test_adapter_timeout_outside_its_contract_is_rejected(tmp_path, timeout_s):
+    with pytest.raises(ValueError, match="timeout_s must be a finite number > 0"):
+        AdapterConfig(enabled=True, url=ADAPTER_URL, timeout_s=timeout_s)
+    if isinstance(timeout_s, float):
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", "drift", "--horizon", "30", "--policies", "oracle",
+                "--adapter-url", ADAPTER_URL, "--adapter-timeout", str(timeout_s), "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert not (out / "report.json").exists()
 
 
 def test_config_file_int_lambda_is_reported_as_a_float(tmp_path):

@@ -4,7 +4,8 @@ Each policy runs a whole overloaded experiment (lambda=2.0, so queues grow)
 while a wrapper around ``choose`` compares, at every decision, the backlog
 the policy's caches give with the plain reference loops below, which price
 every queued task afresh.  The comparison is ``==``: the caches must keep
-the float summation order, not just come close.
+the float summation order, not just come close.  The same wrapper checks
+that each snapshot's queued tasks are the tasks of the engine's queue.
 """
 
 from __future__ import annotations
@@ -143,6 +144,10 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         device = choose(task, obs)
         probe.decisions += 1
         for snap in obs.devices:
+            # The engine's task deque stays in step with its queue entries.
+            entries = probe.engine.devices[snap.device_id].queue
+            assert snap.queued == tuple(entry.task for entry in entries), (task.task_id, snap.device_id)
+        for snap in obs.devices:
             if not snap.available or snap.kind != task.kind:
                 continue
             assert cached(snap, obs) == reference(snap, obs), (task.task_id, snap.device_id)
@@ -191,21 +196,39 @@ def test_memo_matches_reference_on_sparsely_observed_queues():
     memo = BacklogMemo()
     queued: list[TaskSpec] = []
     in_flight = None
+    started = 0  # heads taken into service since the memo last looked
+    seen_starts = {1: 0, 2: 0}
     for step in range(3000):
         op = rng.random()
         if op < 0.45:
             queued.append(TaskSpec(step, LLM, 0.0, rng.randint(1, 900), rng.randint(1, 300)))
-        elif op < 0.75:
+        elif op < 0.7:
             if in_flight is None and queued:
                 in_flight = InFlightView(queued.pop(0), float(step))
-        elif op < 0.97:
+                started += 1
+        elif op < 0.8:
+            # Several services end and the next heads start unobserved.
+            for _ in range(rng.randint(2, 4)):
+                if queued:
+                    in_flight = InFlightView(queued.pop(0), float(step))
+                    started += 1
+        elif op < 0.95:
             in_flight = None
         else:
+            # The device leaves, perhaps right after a start: its queue goes back.
+            if in_flight is None and queued and rng.random() < 0.5:
+                in_flight = InFlightView(queued.pop(0), float(step))
+                started += 1
             queued.clear()
         if rng.random() < 0.5:
             now = step + rng.random()
             snap = DeviceSnapshot(0, LLM, True, tuple(queued), in_flight)
             assert backlog_ms(snap, counting, now, memo) == reference_predicted_backlog(snap, plain, now)
             assert memo.size(0) <= len(queued) + 1
+            if started:
+                seen_starts[min(started, 2)] += 1
+            started = 0
+    # The memo saw plain FIFO starts and states two or more heads further on.
+    assert seen_starts[1] > 100 and seen_starts[2] > 100, seen_starts
     # The predictor never changed, so no task was priced twice.
     assert priced and len(priced) == len(set(priced))

@@ -502,6 +502,20 @@ def test_plan_from_dicts_rejects_malformed_rows():
             plan_from_dicts(bad_rows)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (5, "a plan must be a list of event objects, got 5"),
+        ({"type": "device_leave"}, "a plan must be a list"),
+        ([5], "a plan row must be an object, got 5"),
+        ([{"type": "device_leave", "at_task": 1, "device": 0}, "x"], "a plan row must be an object, got 'x'"),
+    ],
+)
+def test_plan_from_dicts_rejects_a_non_list_or_a_non_object_row(rows, message):
+    with pytest.raises(PlanError, match=message):
+        plan_from_dicts(rows)
+
+
 def test_engine_rejects_plan_naming_a_device_outside_the_pool(fixture_priors):
     plan = ScenarioPlan((DeviceLeave(1, 9), DeviceReturn(2, 9)))
     with pytest.raises(PlanError, match="device 9"):
