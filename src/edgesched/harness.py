@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .metacontrol import AdapterConfig, AuditLog, MetaController
@@ -193,9 +194,7 @@ def smooth_ma(series: list[float], window: int = MA_WINDOW) -> list[float]:
     return out
 
 
-def _latencies_by_task(records: list[ExecutionRecord]) -> list[float]:
-    ordered = sorted(records, key=lambda r: r.task_id)
-    return [r.latency_ms for r in ordered]
+_task_id = attrgetter("task_id")
 
 
 def compute_metrics(
@@ -218,7 +217,8 @@ def compute_metrics(
     )
     metrics: dict[str, PolicyMetrics] = {}
     for name, records in records_by_policy.items():
-        ids = sorted(r.task_id for r in records)
+        ordered = sorted(records, key=_task_id)
+        ids = list(map(_task_id, ordered))
         if ids != oracle_ids:
             raise ExperimentError(
                 f"policy {name!r} covers {len(ids)} task(s) but the reference covers "
@@ -234,7 +234,7 @@ def compute_metrics(
             vs = (avg / oracle_avg - 1.0) * 100.0 if oracle_avg > 0 else 0.0
         stutter = sum(r.stutter for r in records) / len(records)
         llm_calls, tool_calls = meta_counts.get(name, (0, 0))
-        latencies = _latencies_by_task(records)
+        latencies = [r.latency_ms for r in ordered]
         ma = smooth_ma(latencies, MA_WINDOW)
         trajectory = [
             (k, latencies[k], ma[k])

@@ -509,8 +509,20 @@ class AdapterConfig:
     timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
-        if not is_finite_number(self.timeout_s) or self.timeout_s <= 0:
-            raise ValueError(f"adapter timeout_s must be a finite number > 0, got {self.timeout_s!r}")
+        for name, (contract, check) in _ADAPTER_FIELDS.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(f"adapter {name} must be {contract}, got {value!r}")
+
+
+# AdapterConfig field -> (contract, check)
+_ADAPTER_FIELDS = {
+    "enabled": ("a bool", lambda v: isinstance(v, bool)),
+    "url": ("a string", lambda v: isinstance(v, str)),
+    "model": ("a string", lambda v: isinstance(v, str)),
+    "api_key_env": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "timeout_s": POSITIVE[:2],
+}
 
 
 def _tool_catalog() -> list[dict]:

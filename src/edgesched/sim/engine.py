@@ -134,7 +134,11 @@ class OracleAccess:
         self._engine = engine
 
     def true_service(self, device: int, task: TaskSpec, now: float) -> float:
-        return self._engine.truth.true_service_time(device, task, now)
+        """True service time; kept as the device's quote for a dispatch of ``task``."""
+        truth = self._engine.truth
+        cost = truth.true_service_time(device, task, now)
+        self._engine.devices[device].quote = (task, truth.version, cost)
+        return cost
 
     def true_backlog_ms(self, device: int, now: float) -> float:
         return self._engine.true_backlog_ms(device, now)
@@ -174,10 +178,11 @@ class _DeviceRuntime:
     # task or the device's availability changes.
     snapshot: DeviceSnapshot | None = None
     # true_costs[i] is the true service time of queue[i] at truth version
-    # true_costs_version.  Filled lazily by the oracle's backlog, so it may
-    # be shorter than the queue; popped and cleared together with it.
+    # true_costs_version.  Filled lazily by the oracle's backlog and quotes,
+    # so it may be shorter than the queue; a start at that version pops it.
     true_costs: deque = field(default_factory=deque)
     true_costs_version: int = -1
+    quote: tuple = (None, -1, 0.0)  # (task, truth version, cost) of the oracle's last price
 
 
 @dataclass
@@ -233,6 +238,7 @@ class Engine:
         self.records: list[ExecutionRecord] = []
         self.annotations: list[EventAnnotation] = []
         self._annotation_view: tuple[EventAnnotation, ...] = ()
+        self._active_semantic: dict[int, str] = {}  # device -> announced, open label
         self.event_log: list[str] = []
         self._pending: list[TaskSpec] = []
         self._heap: list[tuple[float, int, int, object]] = []
@@ -292,16 +298,12 @@ class Engine:
                 "queue_len": len(dev.queue) + (1 if dev.in_flight is not None else 0),
                 "utilization": busy / self.now if self.now > 0 else 0.0,
             }
-        active = {}
-        for ann in self.annotations:
-            if ann.type == "semantic_onset":
-                active[ann.device] = ann.label
-            elif ann.type == "semantic_offset":
-                active.pop(ann.device, None)
         return {
             "sim_time_ms": self.now,
             "devices": per_device,
-            "active_semantic_events": {str(d): label for d, label in sorted(active.items())},
+            "active_semantic_events": {
+                str(d): label for d, label in sorted(self._active_semantic.items())
+            },
         }
 
     def observation_log(self, window_ms: float | None = None, limit: int | None = None) -> list[dict]:
@@ -319,9 +321,10 @@ class Engine:
 
         Sums the in-flight remainder, then each queued entry's true service
         time in queue order.  Those times are cached per entry until ground
-        truth changes, so each is computed once per truth version.  The sum
-        is redone per call: it starts from the remainder, which moves with
-        ``now``, so adding a cached queued sum would change the bits.
+        truth changes; the oracle's quote for the task it dispatches fills it
+        too, and a service start consumes its head.  The sum is redone per
+        call: it starts from the remainder, which moves with ``now``, so
+        adding a cached queued sum would change the bits.
         """
         dev = self.devices[device]
         costs = dev.true_costs
@@ -359,6 +362,10 @@ class Engine:
             ann = EventAnnotation(event.at_task, self.now, event.type, event.device, label)
             self.annotations.append(ann)
             self._annotation_view = tuple(self.annotations)
+            if event.type == "semantic_onset":
+                self._active_semantic[event.device] = label
+            elif event.type == "semantic_offset":
+                self._active_semantic.pop(event.device, None)
             if self._on_annotation is not None:
                 self._on_annotation(ann, event.at_task)
             if self._hook_event is not None:
@@ -411,10 +418,15 @@ class Engine:
         self._dispatch(task, device)
 
     def _dispatch(self, task: TaskSpec, device: int) -> None:
-        stutter = self.truth.stutter_indicator(device, self.now)
-        entry = _QueueEntry(task, dispatch_time=self.now, stutter=stutter)
         dev = self.devices[device]
-        dev.queue.append(entry)
+        quoted, version, cost = dev.quote
+        # The oracle's quote is this entry's true cost if it priced this task
+        # at this truth version and the cache covers every earlier entry.
+        if quoted is task and version == dev.true_costs_version == self.truth.version:
+            if len(dev.true_costs) == len(dev.queue):
+                dev.true_costs.append(cost)
+        stutter = self.truth.stutter_indicator(device, self.now)
+        dev.queue.append(_QueueEntry(task, self.now, stutter))
         dev.tasks.append(task)
         dev.snapshot = None
         if self._on_dispatch is not None:
@@ -423,16 +435,19 @@ class Engine:
             self._start_next(device)
 
     def _start_next(self, device: int) -> None:
+        """Start the head of a non-empty queue on an idle device."""
         dev = self.devices[device]
-        if dev.in_flight is not None or not dev.queue:
-            return
         if not self.truth.is_available(device):
             return
         entry = dev.queue.popleft()
         dev.tasks.popleft()
-        if dev.true_costs:
-            dev.true_costs.popleft()
-        service = self.truth.true_service_time(device, entry.task, self.now)
+        costs = dev.true_costs
+        # true_service_time ignores the clock: a cost cached at this version is fresh.
+        if costs and dev.true_costs_version == self.truth.version:
+            service = costs.popleft()
+        else:
+            costs.clear()
+            service = self.truth.true_service_time(device, entry.task, self.now)
         dev.in_flight = _InFlight(
             entry, self.now, self.now + service, InFlightView(entry.task, self.now)
         )
@@ -469,7 +484,8 @@ class Engine:
             self._on_completion(record, self.now, self._arrived_tasks)
         if self._hook_record is not None:
             self._hook_record(record, self.now)
-        self._start_next(device)
+        if dev.queue:
+            self._start_next(device)
 
     # -- main loop -------------------------------------------------------------
 

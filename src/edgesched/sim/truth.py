@@ -8,7 +8,8 @@ policy read it.
 
 from __future__ import annotations
 
-import hashlib
+import struct
+from _md5 import md5
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -251,10 +252,12 @@ def builtin_plans(name: str) -> ScenarioPlan:
 # --- ground truth ----------------------------------------------------------
 
 
+_unpack_u64 = struct.Struct(">Q").unpack_from
+
+
 def _jitter_unit(device_id: int, task_id: int) -> float:
-    """Deterministic, platform-stable pseudo-noise in [-1, 1)."""
-    digest = hashlib.md5(f"{device_id}:{task_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**63 - 1.0
+    """Deterministic, platform-stable pseudo-noise in [-1, 1) from md5(b"<device>:<task>")."""
+    return _unpack_u64(md5(b"%d:%d" % (device_id, task_id)).digest())[0] / 2**63 - 1.0
 
 
 def check_service_jitter(value: object) -> None:
@@ -275,6 +278,7 @@ class _DeviceTruth:
     available: bool = True
     # label -> multiplicative service-time modifier (semantic or drift)
     active_factors: dict[str, float] = field(default_factory=dict)
+    factor: float = 1.0  # factor_product(), kept by GroundTruthState.apply_event
 
     def factor_product(self) -> float:
         product = 1.0
@@ -292,9 +296,10 @@ class GroundTruthState:
     bounded deterministic per-task wobble (0 disables it exactly).
 
     Version contract: ``version`` counts the mutations made through
-    :meth:`apply_event`, the only method that changes truth.  The engine
+    :meth:`apply_event`, the only method that changes truth; it also keeps
+    each device's ``factor`` equal to its ``factor_product()``.  The engine
     caches true service times of queued tasks until the version moves, so a
-    direct write to a device's fields bypasses that invalidation.
+    direct write to a device's fields bypasses both.
     """
 
     def __init__(
@@ -346,7 +351,6 @@ class GroundTruthState:
             raise RuntimeError(
                 f"engine fault: service time queried for unavailable device {device}"
             )
-        factor = truth.factor_product()
         if task.kind == LLM:
             if truth.kind != LLM:
                 raise ValueError(f"device {device} does not serve LLM tasks")
@@ -357,7 +361,7 @@ class GroundTruthState:
             base = truth.gamma
         else:
             raise ValueError(f"unknown task kind {task.kind!r}")
-        service = base * factor
+        service = base * truth.factor
         if self.service_jitter:
             service *= 1.0 + self.service_jitter * _jitter_unit(device, task.task_id)
         return service
@@ -370,4 +374,6 @@ class GroundTruthState:
 
     def apply_event(self, event: ScenarioEvent) -> None:
         self.version += 1
-        event.apply(self.devices[event.device])
+        truth = self.devices[event.device]
+        event.apply(truth)
+        truth.factor = truth.factor_product()

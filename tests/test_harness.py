@@ -396,9 +396,16 @@ ADAPTER_URL = "http://127.0.0.1:9/v1"  # never contacted: every row fails before
         ({"adapter": {"url": ADAPTER_URL, "timeout_s": True}}, "timeout_s must be a finite number > 0, got True"),
         ({"adapter": {"url": ADAPTER_URL, "timeout_s": NAN}}, "timeout_s must be a finite number > 0, got nan"),
         ({"adapter": {"url": ADAPTER_URL, "timeout_s": 0}}, "timeout_s must be a finite number > 0, got 0"),
+        ({"adapter": {"url": 5}}, "adapter url must be a string, got 5"),
+        ({"adapter": {"url": ADAPTER_URL, "model": 5}}, "adapter model must be a string, got 5"),
+        ({"adapter": {"url": ADAPTER_URL, "api_key_env": ""}},
+         "adapter api_key_env must be a non-empty string, got ''"),
+        ({"adapter": {"url": ADAPTER_URL, "api_key_env": ["KEY"]}},
+         "adapter api_key_env must be a non-empty string, got ['KEY']"),
     ],
     ids=["plan_int", "plan_row_int", "profiles_int", "out_int", "adapter_int",
-         "timeout_str", "timeout_bool", "timeout_nan", "timeout_zero"],
+         "timeout_str", "timeout_bool", "timeout_nan", "timeout_zero",
+         "url_int", "model_int", "api_key_env_empty", "api_key_env_list"],
 )
 def test_config_file_values_of_the_wrong_type_are_rejected(tmp_path, capsys, field, message):
     cfg = tmp_path / "cfg.json"
@@ -419,6 +426,23 @@ def test_adapter_timeout_outside_its_contract_is_rejected(tmp_path, timeout_s):
                 "--adapter-url", ADAPTER_URL, "--adapter-timeout", str(timeout_s), "--out", str(out)]
         assert cli_main(argv) == 1
         assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"enabled": 1}, "adapter enabled must be a bool, got 1"),
+        ({"enabled": "yes"}, "adapter enabled must be a bool, got 'yes'"),
+        ({"url": None}, "adapter url must be a string, got None"),
+        ({"model": 5}, "adapter model must be a string, got 5"),
+        ({"api_key_env": ""}, "adapter api_key_env must be a non-empty string, got ''"),
+        ({"api_key_env": None}, "adapter api_key_env must be a non-empty string, got None"),
+    ],
+)
+def test_adapter_fields_outside_their_contract_are_rejected(field, message):
+    with pytest.raises(ValueError) as info:
+        AdapterConfig(**{"enabled": True, "url": ADAPTER_URL, **field})
+    assert str(info.value) == message
 
 
 def test_config_file_int_lambda_is_reported_as_a_float(tmp_path):

@@ -6,13 +6,20 @@ the policy's caches give with the plain reference loops below, which price
 every queued task afresh.  The comparison is ``==``: the caches must keep
 the float summation order, not just come close.  The same wrapper checks
 that each snapshot's queued tasks are the tasks of the engine's queue.
+
+The engine's own ground-truth pricing is checked the same way: every
+service start must equal a fresh price, although the engine reuses the
+oracle's cached and quoted costs, and the engine's tracked semantic labels
+must equal a rescan of the annotations.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
+from test_golden import MIXED_PLAN_ROWS
 
 from edgesched.harness import DYNAMIC_PREFIX_TASKS, PRESETS, build_agent
 from edgesched.profiles import (
@@ -30,7 +37,7 @@ from edgesched.router import (
     prior_predictor,
 )
 from edgesched.sim.engine import DeviceSnapshot, Engine, InFlightView
-from edgesched.sim.truth import GroundTruthState, builtin_plans
+from edgesched.sim.truth import GroundTruthState, _jitter_unit, builtin_plans, plan_from_dicts
 from edgesched.sim.workload import TaskSpec, generate_workload
 
 HORIZON = 400
@@ -232,3 +239,227 @@ def test_memo_matches_reference_on_sparsely_observed_queues():
     assert seen_starts[1] > 100 and seen_starts[2] > 100, seen_starts
     # The predictor never changed, so no task was priced twice.
     assert priced and len(priced) == len(set(priced))
+
+
+# --- ground-truth pricing ----------------------------------------------------
+
+PLANS = ("semantic", "churn", "drift", "mixed")
+
+
+def old_jitter_unit(device_id: int, task_id: int) -> float:
+    """The jitter formula as first written, through hashlib."""
+    digest = hashlib.md5(f"{device_id}:{task_id}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**63 - 1.0
+
+
+def test_jitter_unit_equals_the_hashlib_formula():
+    for device in range(6):
+        for task_id in range(0, 30000, 7):
+            assert _jitter_unit(device, task_id) == old_jitter_unit(device, task_id), (device, task_id)
+    assert _jitter_unit(0, 0) == -0.5103722530494315
+    assert _jitter_unit(1, 42) == 0.2605690924858568
+    assert _jitter_unit(3, 299) == -0.24148628873487143
+    assert _jitter_unit(2, 9999) == -0.16313216788900753
+
+
+class QuotingPolicy:
+    """Oracle-access policy that quotes and routes at random.
+
+    A quote may be for an earlier task, on a device the policy does not pick,
+    or on a device whose cached costs do not cover its queue; the engine may
+    reuse a quote only when it is the exact cost of the dispatched entry.
+    """
+
+    name = "quoting"
+    wants_oracle_access = True
+
+    def __init__(self) -> None:
+        self.rng = random.Random(11)
+        self.seen: dict[str, list[TaskSpec]] = {}
+
+    def attach_oracle(self, access) -> None:
+        self.access = access
+
+    def choose(self, task, obs):
+        candidates = obs.available_devices(task.kind)
+        if not candidates:
+            return None
+        rng = self.rng
+        seen = self.seen.setdefault(task.kind, [])
+        seen.append(task)
+        for device in candidates:
+            if rng.random() < 0.5:
+                self.access.true_backlog_ms(device, obs.now)
+            if rng.random() < 0.7:
+                quoted = task if rng.random() < 0.6 else rng.choice(seen)
+                self.access.true_service(device, quoted, obs.now)
+        return rng.choice(candidates)
+
+
+class PricedEngine(Engine):
+    """Counts ground-truth prices and checks each service start against a fresh one."""
+
+    def __init__(self, truth, *args, **kwargs) -> None:
+        super().__init__(truth, *args, **kwargs)
+        self.events = 0  # ground-truth mutations
+        self.calls = 0  # true_service_time calls, from anywhere
+        self.start_calls = 0  # of which made by service starts
+        self.starts = 0
+        self.reused = 0  # starts that took a cached cost
+        self.stale = 0  # starts that found cached costs of an older truth version
+        priced = truth.true_service_time
+
+        def counting(device, task, now):
+            self.calls += 1
+            return priced(device, task, now)
+
+        truth.true_service_time = counting
+
+    def _start_next(self, device: int) -> None:
+        dev = self.devices[device]
+        if dev.true_costs:
+            if dev.true_costs_version == self.truth.version:
+                self.reused += 1
+            else:
+                self.stale += 1
+        calls = self.calls
+        super()._start_next(device)
+        self.start_calls += self.calls - calls
+        fl = dev.in_flight
+        fresh = GroundTruthState.true_service_time(self.truth, device, fl.entry.task, self.now)
+        assert fl.start_time == self.now
+        assert fl.completion_time == self.now + fresh, (fl.entry.task.task_id, device)
+        self.starts += 1
+
+
+def make_priced(plan_name: str, policy_name: str) -> PricedEngine:
+    """An H=400, lambda=2.0 engine that checks the truth factor after every event."""
+    records = load_profiles(default_profiles_path())
+    priors = priors_from_records(records)
+    scenario = "semantic" if plan_name == "mixed" else plan_name
+    truth = GroundTruthState(
+        priors,
+        device_names=[r.device_name for r in records],
+        prior_error=PRESETS[scenario]["prior_error"],
+        service_jitter=JITTER,
+    )
+    apply_event = truth.apply_event
+
+    def checked_apply(event):
+        apply_event(event)
+        for device_truth in truth.devices.values():
+            assert device_truth.factor == device_truth.factor_product(), event
+        engine.events += 1
+
+    truth.apply_event = checked_apply
+    policy = {
+        "e3": lambda: build_agent(priors, warmup_budget=DYNAMIC_PREFIX_TASKS),
+        "fixed_heuristic": lambda: FixedHeuristicPolicy(priors),
+        "oracle": OraclePolicy,
+        "quoting": QuotingPolicy,
+    }[policy_name]()
+    plan = plan_from_dicts(MIXED_PLAN_ROWS) if plan_name == "mixed" else builtin_plans(plan_name)
+    engine = PricedEngine(truth, plan, generate_workload(HORIZON, LAMBDA), policy)
+    return engine
+
+
+def run_priced(plan_name: str, policy_name: str) -> PricedEngine:
+    engine = make_priced(plan_name, policy_name)
+    assert len(engine.run().records) == HORIZON
+    return engine
+
+
+@pytest.mark.parametrize("policy_name", ["e3", "fixed_heuristic", "oracle", "quoting"])
+@pytest.mark.parametrize("plan_name", PLANS)
+def test_every_service_start_equals_a_fresh_price(plan_name, policy_name):
+    engine = run_priced(plan_name, policy_name)
+    assert engine.starts == HORIZON
+    assert engine.events == len(engine.plan.events)
+    if policy_name in ("e3", "fixed_heuristic"):
+        # Nothing else prices ground truth, so each started task costs one call.
+        assert engine.calls == engine.start_calls == engine.starts
+        assert engine.reused == engine.stale == 0
+    else:
+        # Starts take cached costs; under the oracle some find them stale.
+        assert engine.reused > 0
+        assert engine.stale > 0 or policy_name == "quoting"
+
+
+def test_oracle_prices_only_its_quotes_while_truth_holds():
+    """With no event, every queued and started cost is the oracle's decision price."""
+    engine = run_priced("warmup", "oracle")
+    # Two LLM or two SDXL devices are quoted per decision, and nothing else is priced.
+    assert engine.calls == 2 * HORIZON
+    assert engine.start_calls == 0
+    assert engine.reused == engine.starts == HORIZON
+
+
+class ScriptedQuotes:
+    """Oracle-access policy that, per decision, quotes some devices for the task and picks one."""
+
+    name = "scripted_quotes"
+    wants_oracle_access = True
+
+    def __init__(self, script: dict[int, list[tuple[tuple[int, ...], int]]]) -> None:
+        self.script = script
+
+    def attach_oracle(self, access) -> None:
+        self.access = access
+
+    def choose(self, task, obs):
+        quoted, pick = self.script[task.task_id].pop(0)
+        for device in quoted:
+            self.access.true_backlog_ms(device, obs.now)
+            self.access.true_service(device, task, obs.now)
+        # The pick's cached costs cover its queue at the current version.
+        self.access.true_backlog_ms(pick, obs.now)
+        return pick
+
+
+def test_a_quote_from_an_older_truth_version_is_not_reused(fixture_priors):
+    """Task 1 is quoted on device 0, queued on device 1, then device 0 degrades
+    and device 1 leaves; its redispatch to device 0 must price it afresh."""
+    tasks = [TaskSpec(k, LLM, 1000.0 * k, 100, 100) for k in range(4)]
+    plan = plan_from_dicts([
+        {"type": "semantic_onset", "at_task": 2, "device": 0, "label": "game"},
+        {"type": "device_leave", "at_task": 3, "device": 1},
+        {"type": "device_return", "at_task": 5, "device": 1},
+        {"type": "semantic_offset", "at_task": 6, "device": 0, "label": "game"},
+    ])
+    script = {0: [((), 1)], 1: [((0,), 1), ((), 0)], 2: [((), 1), ((), 0)], 3: [((), 0)]}
+    truth = GroundTruthState(fixture_priors[:2])
+    engine = PricedEngine(truth, plan, tasks, ScriptedQuotes(script))
+    engine.run()
+    assert engine.starts == len(tasks)
+    assert not any(script.values())  # every scripted decision was taken
+
+
+def rescanned_semantic_labels(annotations) -> dict[str, str]:
+    """Active semantic labels by a walk over every annotation so far."""
+    active = {}
+    for ann in annotations:
+        if ann.type == "semantic_onset":
+            active[ann.device] = ann.label
+        elif ann.type == "semantic_offset":
+            active.pop(ann.device, None)
+    return {str(d): label for d, label in sorted(active.items())}
+
+
+def test_status_snapshot_labels_equal_a_rescan_at_every_invocation():
+    engine = make_priced("mixed", "e3")
+    snapshot = engine.status_snapshot
+    seen = []
+
+    def checked_snapshot():
+        status = snapshot()
+        labels = status["active_semantic_events"]
+        assert labels == rescanned_semantic_labels(engine.annotations), engine.now
+        seen.append(labels)
+        return status
+
+    engine.status_snapshot = checked_snapshot
+    engine.run()
+    # Each invocation reads the status, and so does each get_system_status
+    # call; some of them see a semantic window open.
+    assert len(seen) >= len(engine.policy.meta.invocations) > 0
+    assert any(seen) and not all(seen)
