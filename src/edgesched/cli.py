@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
@@ -75,10 +76,26 @@ _FILE_TYPES = (
     ("out", str, "a path string"),
     ("adapter", dict, "an object"),
 )
+# Every key a config file may hold; "adapter" holds AdapterConfig's fields.
+_FILE_KEYS = (
+    "adapter", "explore_weight_ms", "horizon", "lambda", "out", "plan", "policies",
+    "prior_error", "profiles", "risk_penalty_ms", "scenario", "service_jitter",
+    "trace_decisions", "warmup",
+)
+_ADAPTER_KEYS = tuple(f.name for f in fields(AdapterConfig))
+
+
+def _check_keys(cfg: dict, accepted: tuple[str, ...], where: str) -> None:
+    for key in cfg:
+        if key not in accepted:
+            raise ExperimentError(
+                f"unknown {where} key {key!r}; accepted keys: {', '.join(accepted)}"
+            )
 
 
 def _merge(args: argparse.Namespace) -> ExperimentConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
+    _check_keys(file_cfg, _FILE_KEYS, "config")
     for key, kind, contract in _FILE_TYPES:
         if file_cfg.get(key) is not None and not isinstance(file_cfg[key], kind):
             raise ExperimentError(f"{key} must be {contract}, got {file_cfg[key]!r}")
@@ -106,11 +123,12 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
 
     adapter = None
     adapter_cfg = file_cfg.get("adapter") or {}
+    _check_keys(adapter_cfg, _ADAPTER_KEYS, "adapter")
     url = args.adapter_url or adapter_cfg.get("url")
     if url:
         timeout_s = args.adapter_timeout
         adapter = AdapterConfig(
-            enabled=True,
+            enabled=adapter_cfg.get("enabled", True),
             url=url,
             model=args.adapter_model or adapter_cfg.get("model", ""),
             api_key_env=args.adapter_key_env

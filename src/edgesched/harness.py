@@ -12,9 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
+from typing import TextIO
 
 from .metacontrol import AdapterConfig, AuditLog, MetaController
 from .opm import Opm, left_sum
@@ -143,7 +146,8 @@ class PolicyMetrics:
             "stutter_rate": self.stutter_rate,
             "llm_calls": self.llm_calls,
             "tool_calls": self.tool_calls,
-            "trajectory": [[k, raw, ma] for k, raw, ma in self.trajectory],
+            # (k, raw, ma) tuples serialize as JSON arrays; only the outer list is copied.
+            "trajectory": list(self.trajectory),
         }
 
 
@@ -186,11 +190,13 @@ def smooth_ma(series: list[float], window: int = MA_WINDOW) -> list[float]:
         raise ValueError(f"window must be >= 1, got {window}")
     out = []
     running = 0.0
-    for k, value in enumerate(series):
+    for k, value in enumerate(series[:window]):
         running += value
-        if k >= window:
-            running -= series[k - window]
-        out.append(running / min(k + 1, window))
+        out.append(running / (k + 1))
+    for k in range(window, len(series)):
+        running += series[k]
+        running -= series[k - window]
+        out.append(running / window)
     return out
 
 
@@ -411,9 +417,72 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
+# Rows of a number table encoded per write: bounds the memory a report takes
+# to write whatever the horizon.
+ROWS_PER_WRITE = 128
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _is_number_rows(value) -> bool:
+    """A non-empty list of non-empty rows of numbers (no item holds ``,``, ``[`` or ``]``)."""
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) > 0
+        and all(
+            isinstance(row, (list, tuple))
+            and len(row) > 0
+            and all(isinstance(x, (int, float)) for x in row)
+            for row in value
+        )
+    )
+
+
+def write_json(fh: TextIO, value, level: int = 0) -> None:
+    """Write ``json.dumps(value, sort_keys=True, indent=2)`` to ``fh`` piece by piece.
+
+    Dicts with string keys are written key by key.  A list of number rows is
+    encoded compactly by the C encoder and then indented with ``str.replace``;
+    that is exact because a JSON number, ``NaN`` or ``Infinity`` holds no
+    ``,``, ``[`` or ``]``.  Any other value goes through ``json.dumps`` whole.
+    """
+    pad = "\n" + "  " * level
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        fh.write("{")
+        sep = pad + "  "
+        for key in sorted(value):
+            fh.write(sep)
+            fh.write(json.dumps(key))
+            fh.write(": ")
+            write_json(fh, value[key], level + 1)
+            sep = "," + pad + "  "
+        fh.write(pad + "}")
+    elif _is_number_rows(value):
+        row_pad = pad + "  "
+        item_pad = row_pad + "  "
+        row_sep = row_pad + "]," + row_pad + "[" + item_pad
+        fh.write("[" + row_pad + "[" + item_pad)
+        for start in range(0, len(value), ROWS_PER_WRITE):
+            if start:
+                fh.write(row_sep)
+            text = _compact_json(value[start : start + ROWS_PER_WRITE])[2:-2]
+            text = text.replace(",", "," + item_pad)
+            fh.write(text.replace("]," + item_pad + "[", row_sep))
+        fh.write(row_pad + "]" + pad + "]")
+    else:
+        fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each line followed by a newline."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """Write report.json, per-policy trajectory CSVs, events.log, audit.log.
 
+    Every file but the few-line OPM snapshot is written piece by piece, never
+    held whole as one string.
     Re-emitting the same result produces byte-identical files.
     """
     out = Path(out_dir)
@@ -424,31 +493,25 @@ def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
 
     written: list[Path] = []
     report_path = out / "report.json"
-    report_path.write_text(
-        json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with report_path.open("w", encoding="utf-8") as fh:
+        write_json(fh, result.report.to_dict())
+        fh.write("\n")
     written.append(report_path)
 
     for name, pm in sorted(result.report.policies.items()):
         if not pm.trajectory:
             continue
         path = out / f"trajectory_{name}.csv"
-        lines = ["task_index,latency_ms,ma20_ms"]
-        lines += [f"{k},{raw:.6f},{ma:.6f}" for k, raw, ma in pm.trajectory]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = (f"{k},{raw:.6f},{ma:.6f}" for k, raw, ma in pm.trajectory)
+        _write_lines(path, chain(("task_index,latency_ms,ma20_ms",), rows))
         written.append(path)
 
     events_path = out / "events.log"
-    events_path.write_text(
-        "\n".join(result.event_log) + ("\n" if result.event_log else ""),
-        encoding="utf-8",
-    )
+    _write_lines(events_path, result.event_log)
     written.append(events_path)
 
     audit_path = out / "audit.log"
-    audit_text = result.audit.to_jsonl() if result.audit is not None else ""
-    audit_path.write_text(audit_text + ("\n" if audit_text else ""), encoding="utf-8")
+    _write_lines(audit_path, result.audit.lines() if result.audit is not None else ())
     written.append(audit_path)
 
     if result.agent is not None:
@@ -457,10 +520,8 @@ def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
         written.append(snapshot_path)
         if result.agent.trace is not None:
             decisions_path = out / "decisions.log"
-            decisions_path.write_text(
-                "\n".join(json.dumps(row, sort_keys=True) for row in result.agent.trace)
-                + ("\n" if result.agent.trace else ""),
-                encoding="utf-8",
+            _write_lines(
+                decisions_path, (json.dumps(row, sort_keys=True) for row in result.agent.trace)
             )
             written.append(decisions_path)
     return written

@@ -16,6 +16,7 @@ import inspect
 import json
 import logging
 import os
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .opm import DRIFT_WINDOW_MS, Opm, UnknownDeviceError
@@ -241,8 +242,12 @@ class AuditLog:
     def append(self, entry: AuditEntry) -> None:
         self.entries.append(entry)
 
+    def lines(self) -> Iterator[str]:
+        """One JSON line per entry, without newlines; ``audit.log`` is these lines."""
+        return (json.dumps(e.to_dict(), sort_keys=True) for e in self.entries)
+
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(e.to_dict(), sort_keys=True) for e in self.entries)
+        return "\n".join(self.lines())
 
 
 class ToolExecutor:

@@ -438,6 +438,9 @@ class AdaptiveAgentPolicy:
         self.overrides.decrement()
 
     def on_completion(self, record, now: float, now_task: int) -> None:
+        # A completed task is never dispatched again, so the set keeps only
+        # queued and in-flight ids (a redispatch must not decrement twice).
+        self._dispatched.discard(record.task_id)
         self.opm.ingest_feedback(record, now)
         if self.meta is not None:
             self.meta.on_feedback(record, now, now_task)

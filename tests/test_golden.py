@@ -1,5 +1,5 @@
-"""Golden artifacts: pinned sha256 of report.json, audit.log, decisions.log
-and events.log.
+"""Golden artifacts: pinned sha256 of report.json, audit.log, decisions.log,
+events.log, the four trajectory CSVs and opm_snapshot.txt.
 
 Covers the six shipped presets at their defaults, three overloaded runs
 (semantic, churn and drift at H=600, lambda=2.0), where queues grow and churn
@@ -24,6 +24,13 @@ from edgesched.harness import ExperimentConfig, run_experiment
 from edgesched.sim import plan_from_dicts
 
 ARTIFACTS = ("report.json", "audit.log", "decisions.log", "events.log")
+EXTRA_ARTIFACTS = (
+    "trajectory_e3.csv",
+    "trajectory_fixed_heuristic.csv",
+    "trajectory_oracle.csv",
+    "trajectory_round_robin.csv",
+    "opm_snapshot.txt",
+)
 
 # A config-file plan with every event type: a semantic window on an SDXL
 # device, hidden drift inside a semantic window on an LLM device, a leave
@@ -127,12 +134,89 @@ GOLDEN: dict[str, tuple[str, str, str, str]] = {
     ),
 }
 
+# name -> EXTRA_ARTIFACTS, in that order
+GOLDEN_EXTRA: dict[str, tuple[str, str, str, str, str]] = {
+    "warmup_w0": (
+        "f5ee9505c7547cc91c15bc0311d3252ea73e8fa30225298cfe61e58c740b4c04",
+        "f5ee9505c7547cc91c15bc0311d3252ea73e8fa30225298cfe61e58c740b4c04",
+        "1d558edab1abf7b30e8e196ce15b210b69094d9c7fba382fb0eea08e8d97c9d9",
+        "28aa09175eac7faa2bb645abc7fb46e1e1b7cd6af543d2e6a259164c49999e7a",
+        "a73b9764c1532bf9d1cf0549ea9bc0566aeeba2c7d62e1750572d6fdc781af12",
+    ),
+    "warmup_w30": (
+        "ef9454cb8932af869fbf945e2744c3da3bb5b4e06437c1a0f9b757c9aa23514d",
+        "f5ee9505c7547cc91c15bc0311d3252ea73e8fa30225298cfe61e58c740b4c04",
+        "1d558edab1abf7b30e8e196ce15b210b69094d9c7fba382fb0eea08e8d97c9d9",
+        "28aa09175eac7faa2bb645abc7fb46e1e1b7cd6af543d2e6a259164c49999e7a",
+        "5ebbc8f54563536ddf1c2252e74c5431e48f7cc9fbee91fb67926911eafc194f",
+    ),
+    "warmup_w100": (
+        "eb873e7ca6aea9ba0081d53829bf040e0a3c9bff85d50f263e43f5802762bc02",
+        "f5ee9505c7547cc91c15bc0311d3252ea73e8fa30225298cfe61e58c740b4c04",
+        "1d558edab1abf7b30e8e196ce15b210b69094d9c7fba382fb0eea08e8d97c9d9",
+        "28aa09175eac7faa2bb645abc7fb46e1e1b7cd6af543d2e6a259164c49999e7a",
+        "747b05d1641a5cac5d8dca2f246ef1bebe331894cad64fd9f8351fb42ff9df8a",
+    ),
+    "semantic": (
+        "2412a9ea010d13f67eda7909efad69708b164ebeb2f19d532ed17d3db458b1f0",
+        "64dfb16305af7de2c42f379eaa35fb0244d497506307271e06c1999b1f68f5de",
+        "2412a9ea010d13f67eda7909efad69708b164ebeb2f19d532ed17d3db458b1f0",
+        "f8918db4b16caba6a8bf7352b24baf9a6c8214f7767d5ab5c2a030737abf9faf",
+        "0d346dc6093fd7bf8f1b4a8d7149dd1c4b45d9a2e6b8dc6bc3fd1d32f3a1e067",
+    ),
+    "churn": (
+        "d1c81f8782d76a76a47531ceddbcb13b0c97dd7129c5211915e622b6f92fb311",
+        "07f70c9171dd1cf1f80faa02452f14df814b0287e8cd48a2fd97ffdda3630ee0",
+        "d1c81f8782d76a76a47531ceddbcb13b0c97dd7129c5211915e622b6f92fb311",
+        "79f456d017b49b45b123d9c5a2ae835c5729cc2c0d03c0004f3870faa15d5526",
+        "5b6c46be2cf2539e937a9409e4a1262207d6ee57c198612d88939c62d0d3d6e0",
+    ),
+    "drift": (
+        "71bfead6a12f05691232fb7f0062f2d896c15a97c2e5fd9247757b132a648c5a",
+        "cd2e0f22a2abba62bc9e30c2ff3877a2a208c966fcf1f56218e80d9cc4242b1c",
+        "3e859d383e04e2152934ccf62ef7dd08281fea79f56c9b43f0278ddfea61a831",
+        "fda95f382139aadd55a74f212af02e6242f072a76fc1acbbf2974ef2f2225cd8",
+        "22960f14c8cf54e8ee2839626eb8f928fcbeb21879569892284efb88891a74ce",
+    ),
+    "semantic_h600_lam2": (
+        "be779a3bd3e506c4bf04248802e1cdaf7bc62c4853fc06e53bcc889717375ac8",
+        "6d5b301217f14ac5fd2452da9c08b6d7366aee9050c48be6a6edec9f3e8b567d",
+        "e86d1afc8e9f711a09b5b5df193b4389e10b01547fd9ca8c4f040ac3805416ca",
+        "a80d234ffd9222d39a512edaf1a23b77333e1413e4b4707b29260b8e666e8387",
+        "0fd703f6fb69ed862d593cf06a210f9bf13c62f154a165999c3bd16c730e1307",
+    ),
+    "churn_h600_lam2": (
+        "f4b0c2ae0a6363fb754854344aa3fcd3fc7a28406c26147bafb15f19909b132a",
+        "49403e7845983f8b144082133a4892d37b15745158131b49702c49994a113953",
+        "16ebb668c16f3cf93a8355acacf4c7328adc79fb139a88e804c02b00b0cb6386",
+        "d34ef791d8887e37ad1a33073d5ac1401eaeaec3afc2c5fe6fcbda5fe3449f62",
+        "5b35864f5a433aab157e2a6de3a6a472a189da1267d93abf53ee82af06d9983e",
+    ),
+    "drift_h600_lam2": (
+        "3ae03e99c1f2fd01fb33661804bf86af750741eec64d5519f0080c83ca34a905",
+        "ec9f8c05987337b460ed648317e6aaff276363f2e9c6a034eb01f554813e753b",
+        "d6e0fb63c6ebd0052a291dfe3f7067cc8bce808b37cdbb851454cf5df9ea054e",
+        "d13f4187dc557d2a74f7ec77c4f885a93efd70bbc1862ec2cb9f1f8dd2440502",
+        "a5103b9ca64542d656fb479afd617f1cf9c5e74998316d0653738e4c98d9b397",
+    ),
+    "mixed_plan_h400_lam2": (
+        "94f91c8b445633a67ade8768cf0f87b9ffed7ef97c5efecc4f48b7f7cf4dcdf8",
+        "4515c42a31704c73d6c7147325ce7541ca5ad2ddc97ad113c19da8bb31e2aaef",
+        "4f915d6738ef1772eff46cfab1463111cba53514d8b1c945efe74e2952d957e0",
+        "d360128dbf2d631daa146e110a12a78e9774eb3f0edbe67b9dc6401273df7fd4",
+        "0cb0fd52b137eaaa8742e62ce175977bdf8223c36b8af137c23a3657a5eec749",
+    ),
+}
+
 
 def artifact_hashes(name: str, out_dir: Path) -> tuple[str, ...]:
-    """Run one golden configuration and hash its artifacts."""
+    """Run one golden configuration and hash its artifacts, then the extra ones."""
     out = out_dir / name
     run_experiment(ExperimentConfig(**CONFIGS[name], trace_decisions=True, out_dir=out))
-    return tuple(hashlib.sha256((out / a).read_bytes()).hexdigest() for a in ARTIFACTS)
+    return tuple(
+        hashlib.sha256((out / a).read_bytes()).hexdigest()
+        for a in ARTIFACTS + EXTRA_ARTIFACTS
+    )
 
 
 def mismatches(out_dir: Path) -> list[str]:
@@ -140,7 +224,8 @@ def mismatches(out_dir: Path) -> list[str]:
     lines = []
     for name in CONFIGS:
         got = artifact_hashes(name, out_dir)
-        for artifact, want, have in zip(ARTIFACTS, GOLDEN[name], got):
+        pinned = GOLDEN[name] + GOLDEN_EXTRA[name]
+        for artifact, want, have in zip(ARTIFACTS + EXTRA_ARTIFACTS, pinned, got, strict=True):
             if want != have:
                 lines.append(f"{name}/{artifact}: pinned {want}, got {have}")
     return lines

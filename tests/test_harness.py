@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from edgesched.cli import _build_parser as cli_parser
+from edgesched.cli import _merge as cli_merge
 from edgesched.cli import main as cli_main
 from edgesched.harness import (
     ExperimentConfig,
@@ -451,3 +453,33 @@ def test_config_file_int_lambda_is_reported_as_a_float(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert '"lambda": 2.0' in (out / "report.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ({"horizn": 30}, "unknown config key 'horizn'; accepted keys: adapter, explore_weight_ms,"),
+        ({"adapter": {"url": ADAPTER_URL, "timeout": 1}},
+         "unknown adapter key 'timeout'; accepted keys: enabled, url, model, api_key_env, timeout_s"),
+    ],
+    ids=["top_level", "adapter"],
+)
+def test_config_file_unknown_keys_are_rejected(tmp_path, capsys, field, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "drift", "horizon": 30, "policies": "oracle", **field}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("enabled", [False, True, None])
+def test_config_file_adapter_enabled_is_honoured(tmp_path, enabled):
+    adapter = {"url": ADAPTER_URL} if enabled is None else {"url": ADAPTER_URL, "enabled": enabled}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "drift", "adapter": adapter}))
+    config = cli_merge(cli_parser().parse_args(["run", "--config", str(cfg)]))
+    assert config.adapter.enabled is (enabled is not False)
+    assert config.adapter.url == ADAPTER_URL

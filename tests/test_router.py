@@ -3,8 +3,16 @@
 import pytest
 
 from conftest import make_truth
+from edgesched.harness import DYNAMIC_PREFIX_TASKS, PRESETS, build_agent
 from edgesched.opm import Opm
-from edgesched.profiles import LLM, SDXL, DevicePrior
+from edgesched.profiles import (
+    LLM,
+    SDXL,
+    DevicePrior,
+    default_profiles_path,
+    load_profiles,
+    priors_from_records,
+)
 from edgesched.router import (
     AdaptiveAgentPolicy,
     FixedHeuristicPolicy,
@@ -26,8 +34,14 @@ from edgesched.sim.engine import (
     ObservableState,
     assert_no_ground_truth,
 )
-from edgesched.sim.truth import ScenarioPlan, SemanticOnset, SemanticOffset
-from edgesched.sim.workload import TaskSpec
+from edgesched.sim.truth import (
+    GroundTruthState,
+    ScenarioPlan,
+    SemanticOffset,
+    SemanticOnset,
+    builtin_plans,
+)
+from edgesched.sim.workload import TaskSpec, generate_workload
 
 
 def obs_with(devices, now=0.0):
@@ -332,6 +346,46 @@ def test_agent_decrements_ttl_once_per_unique_task():
     assert agent.overrides.is_risky(0)
     agent.on_dispatch(TaskSpec(1, LLM, 2000.0, 256, 32), 0, 2000.0)
     assert not agent.overrides.is_risky(0)
+
+
+def test_dispatched_ids_are_only_the_queued_and_in_flight_tasks():
+    """On an overloaded churn run, departures redispatch queued tasks; after
+    every completion the agent's dispatched-id set holds only tasks that are
+    queued, in flight or waiting for a device."""
+    priors = priors_from_records(load_profiles(default_profiles_path()))
+    truth = GroundTruthState(
+        priors, prior_error=PRESETS["churn"]["prior_error"], service_jitter=0.15
+    )
+    agent = build_agent(priors, warmup_budget=DYNAMIC_PREFIX_TASKS)
+    seen: set[int] = set()
+    redispatches = 0
+    largest = 0
+    on_dispatch = agent.on_dispatch
+
+    def counting_dispatch(task, device, now):
+        nonlocal redispatches
+        redispatches += task.task_id in seen
+        seen.add(task.task_id)
+        on_dispatch(task, device, now)
+
+    agent.on_dispatch = counting_dispatch
+
+    class Check:
+        def on_record(self, record, now):
+            nonlocal largest
+            devices = engine.devices.values()
+            live = {t.task_id for dev in devices for t in dev.tasks}
+            live |= {dev.in_flight.entry.task.task_id for dev in devices if dev.in_flight}
+            live |= {t.task_id for t in engine._pending}
+            assert agent._dispatched <= live, record.task_id
+            largest = max(largest, len(agent._dispatched))
+
+    workload = generate_workload(600, 2.0)
+    engine = Engine(truth, builtin_plans("churn"), workload, agent, hooks=Check())
+    engine.run()
+    assert redispatches > 0
+    assert 0 < largest < len(workload)
+    assert agent._dispatched == set()
 
 
 def test_policy_visible_state_serializes_without_ground_truth():
