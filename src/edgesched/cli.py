@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from collections.abc import Collection
 from dataclasses import fields
 from pathlib import Path
 
@@ -47,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--explore-weight", type=float, help="initial exploration bonus weight, ms"
     )
     run.add_argument("--risk-penalty", type=float, help="initial risk penalty, ms")
-    run.add_argument("--trace-decisions", action="store_true")
+    run.add_argument("--trace-decisions", action="store_true", default=None)
     run.add_argument("--adapter-url", help="external controller endpoint URL")
     run.add_argument("--adapter-model", help="external controller model name")
     run.add_argument(
@@ -76,16 +77,29 @@ _FILE_TYPES = (
     ("out", str, "a path string"),
     ("adapter", dict, "an object"),
 )
-# Every key a config file may hold; "adapter" holds AdapterConfig's fields.
-_FILE_KEYS = (
-    "adapter", "explore_weight_ms", "horizon", "lambda", "out", "plan", "policies",
-    "prior_error", "profiles", "risk_penalty_ms", "scenario", "service_jitter",
-    "trace_decisions", "warmup",
-)
+# Every key a config file may hold, with the flag (argparse dest) that
+# overrides it; None marks a key only a config file sets.  "adapter" holds
+# AdapterConfig's fields.
+_FILE_KEYS = {
+    "adapter": None,
+    "explore_weight_ms": "explore_weight",
+    "horizon": "horizon",
+    "lambda": "lam",
+    "out": "out",
+    "plan": None,
+    "policies": "policies",
+    "prior_error": None,
+    "profiles": "profiles",
+    "risk_penalty_ms": "risk_penalty",
+    "scenario": "scenario",
+    "service_jitter": "jitter",
+    "trace_decisions": "trace_decisions",
+    "warmup": "warmup",
+}
 _ADAPTER_KEYS = tuple(f.name for f in fields(AdapterConfig))
 
 
-def _check_keys(cfg: dict, accepted: tuple[str, ...], where: str) -> None:
+def _check_keys(cfg: dict, accepted: Collection[str], where: str) -> None:
     for key in cfg:
         if key not in accepted:
             raise ExperimentError(
@@ -100,16 +114,19 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         if file_cfg.get(key) is not None and not isinstance(file_cfg[key], kind):
             raise ExperimentError(f"{key} must be {contract}, got {file_cfg[key]!r}")
 
-    def pick(flag_value, key, default=None):
+    def pick(key, default=None):
+        """The flag's value if given, else the config file's, else ``default``."""
+        flag = _FILE_KEYS[key]
+        flag_value = None if flag is None else getattr(args, flag)
         if flag_value is not None:
             return flag_value
         return file_cfg.get(key, default)
 
-    scenario = pick(args.scenario, "scenario")
+    scenario = pick("scenario")
     if scenario is None:
         raise ExperimentError("a scenario is required (--scenario or config file)")
 
-    policies = pick(args.policies, "policies", ",".join(POLICY_NAMES))
+    policies = pick("policies", ",".join(POLICY_NAMES))
     if isinstance(policies, str):
         policies = tuple(p.strip() for p in policies.split(",") if p.strip())
     elif isinstance(policies, list):
@@ -119,16 +136,17 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
 
     plan = None
     if "plan" in file_cfg:
-        plan = plan_from_dicts(file_cfg["plan"])
+        plan = plan_from_dicts(pick("plan"))
 
     adapter = None
-    adapter_cfg = file_cfg.get("adapter") or {}
+    adapter_cfg = pick("adapter") or {}
     _check_keys(adapter_cfg, _ADAPTER_KEYS, "adapter")
     url = args.adapter_url or adapter_cfg.get("url")
     if url:
         timeout_s = args.adapter_timeout
         adapter = AdapterConfig(
-            enabled=adapter_cfg.get("enabled", True),
+            # --adapter-url turns the adapter on whatever the file says.
+            enabled=True if args.adapter_url else adapter_cfg.get("enabled", True),
             url=url,
             model=args.adapter_model or adapter_cfg.get("model", ""),
             api_key_env=args.adapter_key_env
@@ -138,19 +156,19 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
 
     return ExperimentConfig(
         scenario=scenario,
-        warmup_budget=pick(args.warmup, "warmup", 0),
-        horizon=pick(args.horizon, "horizon", 300),
-        lam=pick(args.lam, "lambda", 0.5),
+        warmup_budget=pick("warmup", 0),
+        horizon=pick("horizon", 300),
+        lam=pick("lambda", 0.5),
         policies=policies,
-        profiles_path=pick(args.profiles, "profiles"),
-        out_dir=pick(args.out, "out"),
-        prior_error=_parse_prior_error(file_cfg.get("prior_error")),
-        service_jitter=pick(args.jitter, "service_jitter"),
+        profiles_path=pick("profiles"),
+        out_dir=pick("out"),
+        prior_error=_parse_prior_error(pick("prior_error")),
+        service_jitter=pick("service_jitter"),
         plan=plan,
         adapter=adapter,
-        explore_weight_ms=pick(args.explore_weight, "explore_weight_ms"),
-        risk_penalty_ms=pick(args.risk_penalty, "risk_penalty_ms"),
-        trace_decisions=args.trace_decisions or file_cfg.get("trace_decisions", False),
+        explore_weight_ms=pick("explore_weight_ms"),
+        risk_penalty_ms=pick("risk_penalty_ms"),
+        trace_decisions=pick("trace_decisions", False),
     )
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import TextIO
 
 from .metacontrol import AdapterConfig, AuditLog, MetaController
 from .opm import Opm, left_sum
@@ -146,7 +145,9 @@ class PolicyMetrics:
             "stutter_rate": self.stutter_rate,
             "llm_calls": self.llm_calls,
             "tool_calls": self.tool_calls,
-            # (k, raw, ma) tuples serialize as JSON arrays; only the outer list is copied.
+            # The (k, raw, ma) tuples serialize as JSON arrays, so only the outer
+            # list is copied: a new list per row made emit_report peak at 1.2x
+            # the size of report.json (semantic, H=2000), the tuples at 0.4x.
             "trajectory": list(self.trajectory),
         }
 
@@ -417,61 +418,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-# Rows of a number table encoded per write: bounds the memory a report takes
-# to write whatever the horizon.
-ROWS_PER_WRITE = 128
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _is_number_rows(value) -> bool:
-    """A non-empty list of non-empty rows of numbers (no item holds ``,``, ``[`` or ``]``)."""
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) > 0
-        and all(
-            isinstance(row, (list, tuple))
-            and len(row) > 0
-            and all(isinstance(x, (int, float)) for x in row)
-            for row in value
-        )
-    )
-
-
-def write_json(fh: TextIO, value, level: int = 0) -> None:
-    """Write ``json.dumps(value, sort_keys=True, indent=2)`` to ``fh`` piece by piece.
-
-    Dicts with string keys are written key by key.  A list of number rows is
-    encoded compactly by the C encoder and then indented with ``str.replace``;
-    that is exact because a JSON number, ``NaN`` or ``Infinity`` holds no
-    ``,``, ``[`` or ``]``.  Any other value goes through ``json.dumps`` whole.
-    """
-    pad = "\n" + "  " * level
-    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
-        fh.write("{")
-        sep = pad + "  "
-        for key in sorted(value):
-            fh.write(sep)
-            fh.write(json.dumps(key))
-            fh.write(": ")
-            write_json(fh, value[key], level + 1)
-            sep = "," + pad + "  "
-        fh.write(pad + "}")
-    elif _is_number_rows(value):
-        row_pad = pad + "  "
-        item_pad = row_pad + "  "
-        row_sep = row_pad + "]," + row_pad + "[" + item_pad
-        fh.write("[" + row_pad + "[" + item_pad)
-        for start in range(0, len(value), ROWS_PER_WRITE):
-            if start:
-                fh.write(row_sep)
-            text = _compact_json(value[start : start + ROWS_PER_WRITE])[2:-2]
-            text = text.replace(",", "," + item_pad)
-            fh.write(text.replace("]," + item_pad + "[", row_sep))
-        fh.write(row_pad + "]" + pad + "]")
-    else:
-        fh.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
-
-
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     """Write each line followed by a newline."""
     with path.open("w", encoding="utf-8") as fh:
@@ -494,7 +440,8 @@ def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     report_path = out / "report.json"
     with report_path.open("w", encoding="utf-8") as fh:
-        write_json(fh, result.report.to_dict())
+        # json.dump writes the encoder's chunks as they come, never joining them.
+        json.dump(result.report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     written.append(report_path)
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from edgesched.cli import _FILE_KEYS as cli_file_keys
 from edgesched.cli import _build_parser as cli_parser
 from edgesched.cli import _merge as cli_merge
 from edgesched.cli import main as cli_main
@@ -476,10 +477,34 @@ def test_config_file_unknown_keys_are_rejected(tmp_path, capsys, field, message)
 
 
 @pytest.mark.parametrize("enabled", [False, True, None])
-def test_config_file_adapter_enabled_is_honoured(tmp_path, enabled):
+@pytest.mark.parametrize("url_flag", [False, True], ids=["file_url", "flag_url"])
+def test_config_file_adapter_enabled_is_honoured(tmp_path, enabled, url_flag):
+    """The file's "enabled" holds for its own url; --adapter-url wins over it,
+    as every flag wins over the file."""
     adapter = {"url": ADAPTER_URL} if enabled is None else {"url": ADAPTER_URL, "enabled": enabled}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "drift", "adapter": adapter}))
-    config = cli_merge(cli_parser().parse_args(["run", "--config", str(cfg)]))
-    assert config.adapter.enabled is (enabled is not False)
-    assert config.adapter.url == ADAPTER_URL
+    argv = ["run", "--config", str(cfg)]
+    if url_flag:
+        argv += ["--adapter-url", ADAPTER_URL + "/flag"]
+    config = cli_merge(cli_parser().parse_args(argv))
+    assert config.adapter.enabled is (url_flag or enabled is not False)
+    assert config.adapter.url == ADAPTER_URL + ("/flag" if url_flag else "")
+
+
+def test_every_config_file_key_names_a_real_flag():
+    """pick() reads each file key's overriding flag from the one key table."""
+    args = cli_parser().parse_args(["run"])
+    for key, flag in cli_file_keys.items():
+        assert flag is None or hasattr(args, flag), key
+    assert args.trace_decisions is None  # unset, so a file's value is used
+
+
+@pytest.mark.parametrize("in_file", [None, False, True])
+@pytest.mark.parametrize("flag", [False, True])
+def test_trace_decisions_flag_wins_over_the_file(tmp_path, in_file, flag):
+    body = {"scenario": "drift"} if in_file is None else {"scenario": "drift", "trace_decisions": in_file}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    argv = ["run", "--config", str(cfg)] + (["--trace-decisions"] if flag else [])
+    assert cli_merge(cli_parser().parse_args(argv)).trace_decisions is (flag or in_file is True)
