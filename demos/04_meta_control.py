@@ -12,10 +12,8 @@ import logging
 
 from edgesched.metacontrol import (
     AdapterConfig,
-    AnnotationEvent,
     AuditLog,
     Invocation,
-    ResidualAlarm,
     ToolExecutor,
     TriggerState,
     evaluate_triggers,
@@ -57,12 +55,16 @@ def main():
     logging.disable(logging.WARNING)  # keep the narrative output clean
     print("trigger evaluation:")
     state = TriggerState(warmup_points=warmup_points(30))
-    onset = AnnotationEvent("semantic_onset", 0, "game")
-    print("  onset at task 60  ->", evaluate_triggers(onset, state, 60).reason)
-    print("  same onset at 70  ->", evaluate_triggers(onset, state, 70), "(cooldown)")
-    alarm = ResidualAlarm(0, LLM, 2.0, 5)
-    print("  alarm at task 65  ->", evaluate_triggers(alarm, state, 65), "(non-event gap)")
-    print("  alarm at task 95  ->", evaluate_triggers(alarm, state, 95).reason)
+    def onset(task):
+        return Invocation("semantic_onset", task, device=0, label="game")
+
+    def alarm(task):
+        return Invocation("residual_alarm", task, device=0, model=LLM, ratio=2.0, sample_count=5)
+
+    print("  onset at task 60  ->", evaluate_triggers(onset(60), state).reason)
+    print("  same onset at 70  ->", evaluate_triggers(onset(70), state), "(cooldown)")
+    print("  alarm at task 65  ->", evaluate_triggers(alarm(65), state), "(non-event gap)")
+    print("  alarm at task 95  ->", evaluate_triggers(alarm(95), state).reason)
 
     print("\nscripted responses, as recorded in the audit log:")
     executor = make_executor()

@@ -17,7 +17,7 @@ import json
 import logging
 import os
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 from .opm import DRIFT_WINDOW_MS, Opm, UnknownDeviceError
 from .profiles import LLM, SDXL, is_finite_number, is_int
@@ -38,6 +38,13 @@ MAX_TOOL_ROUNDS = 2
 MIN_NONEVENT_GAP = 20
 ANOMALY_COOLDOWN = 20
 ALARM_MIN_SAMPLES = 3
+# Annotation type -> invocation reason.  A departure needs no invocation: the
+# feasible set and re-dispatch handle it; a return triggers an estimate refresh.
+ANNOTATION_REASONS = {
+    "semantic_onset": "semantic_onset",
+    "semantic_offset": "semantic_offset",
+    "device_return": "churn_event",
+}
 
 
 def warmup_points(budget: int) -> frozenset[int]:
@@ -105,35 +112,13 @@ class TriggerState:
     """Suppression bookkeeping for the event-driven controller."""
 
     warmup_points: frozenset[int] = frozenset()
-    min_nonevent_gap: int = MIN_NONEVENT_GAP
-    anomaly_cooldown: int = ANOMALY_COOLDOWN
     last_invocation_task: int = -(10**9)
-    cooldowns: dict[tuple, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class AnnotationEvent:
-    type: str
-    device: int
-    label: str | None = None
-
-
-@dataclass(frozen=True)
-class ResidualAlarm:
-    device: int
-    model: str
-    ratio: float
-    sample_count: int
-
-
-@dataclass(frozen=True)
-class WarmupTick:
-    task_index: int
+    cooldowns: dict[tuple, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Invocation:
-    """One meta-controller activation with a policy-visible context snapshot."""
+    """One meta-controller activation: why, at which task, and about what."""
 
     reason: str
     task_index: int
@@ -142,64 +127,26 @@ class Invocation:
     model: str | None = None
     ratio: float | None = None
     sample_count: int | None = None
-    context: dict = field(default_factory=dict)
 
 
-def evaluate_triggers(event, state: TriggerState, now_task: int) -> Invocation | None:
-    """Decide whether an observed event warrants a meta-control invocation.
+def evaluate_triggers(candidate: Invocation, state: TriggerState) -> Invocation | None:
+    """Return ``candidate`` if it fires now, or None if it is suppressed.
 
-    Semantic and churn annotations fire subject only to a per-signature
-    cooldown; residual alarms additionally respect the minimum non-event gap;
-    warmup points fire exactly once each.  Device departures are annotated
-    but need no invocation (the feasible set and re-dispatch handle them);
-    returns trigger an estimate refresh.
+    Its signature is (reason, device, label, model).  A fired warmup point
+    holds its signature for the rest of the run, any other reason for
+    ``ANOMALY_COOLDOWN`` tasks; a residual alarm also waits until
+    ``MIN_NONEVENT_GAP`` tasks have passed since the last invocation.
     """
-    if isinstance(event, AnnotationEvent):
-        if event.type in ("semantic_onset", "semantic_offset"):
-            reason = event.type
-            signature = (reason, event.device, event.label)
-        elif event.type == "device_return":
-            reason = "churn_event"
-            signature = (reason, event.device, "return")
-        else:
-            return None
-        if now_task < state.cooldowns.get(signature, -(10**9)):
-            return None
-        state.cooldowns[signature] = now_task + state.anomaly_cooldown
-        state.last_invocation_task = now_task
-        return Invocation(reason, now_task, device=event.device, label=event.label)
-
-    if isinstance(event, ResidualAlarm):
-        signature = ("residual_alarm", event.device, event.model)
-        if now_task < state.cooldowns.get(signature, -(10**9)):
-            return None
-        if now_task - state.last_invocation_task < state.min_nonevent_gap:
-            return None
-        state.cooldowns[signature] = now_task + state.anomaly_cooldown
-        state.last_invocation_task = now_task
-        return Invocation(
-            "residual_alarm",
-            now_task,
-            device=event.device,
-            model=event.model,
-            ratio=event.ratio,
-            sample_count=event.sample_count,
-        )
-
-    if isinstance(event, WarmupTick):
-        if event.task_index not in state.warmup_points:
-            return None
-        signature = ("warmup_point", event.task_index)
-        if signature in state.cooldowns:
-            return None
-        state.cooldowns[signature] = 10**9
-        state.last_invocation_task = now_task
-        first = event.task_index == min(state.warmup_points) and len(state.warmup_points) > 1
-        return Invocation(
-            "warmup_point", now_task, label="first" if first else "last"
-        )
-
-    return None
+    now = candidate.task_index
+    signature = (candidate.reason, candidate.device, candidate.label, candidate.model)
+    if now < state.cooldowns.get(signature, -(10**9)):
+        return None
+    if candidate.reason == "residual_alarm" and now - state.last_invocation_task < MIN_NONEVENT_GAP:
+        return None
+    forever = candidate.reason == "warmup_point"
+    state.cooldowns[signature] = float("inf") if forever else now + ANOMALY_COOLDOWN
+    state.last_invocation_task = now
+    return candidate
 
 
 @dataclass(frozen=True)
@@ -594,7 +541,7 @@ def llm_adapter_invoke(
     policy; the fallback itself is audited.
     """
     transport = transport or _default_transport
-    made: list[ToolCall] = []
+    user = {**asdict(invocation), "context": executor.telemetry.system_status()}
     messages = [
         {
             "role": "system",
@@ -603,45 +550,37 @@ def llm_adapter_invoke(
                 "Respond only with tool calls; at most two rounds are executed."
             ),
         },
-        {
-            "role": "user",
-            "content": json.dumps(asdict(invocation), sort_keys=True),
-        },
+        {"role": "user", "content": json.dumps(user, sort_keys=True)},
     ]
-    payload = {"model": endpoint.model, "messages": messages, "tools": _tool_catalog()}
+
+    def ask() -> list[ToolCall]:
+        payload = {"model": endpoint.model, "messages": messages, "tools": _tool_catalog()}
+        return _parse_tool_calls(transport(payload, endpoint))
+
     try:
-        response = transport(payload, endpoint)
-        calls = _parse_tool_calls(response)
+        calls = ask()
+        error, outcome = "no tool calls returned", "adapter returned no tool calls"
     except Exception as exc:  # network, schema, or JSON failure
         logger.warning("adapter failed (%s); falling back to scripted policy", exc)
-        executor._audit(
-            ToolCall("adapter_fallback", {"error": str(exc)}),
-            "adapter failure; scripted policy used",
-            {},
-        )
-        return scripted_policy(invocation, executor)
+        calls, error, outcome = [], str(exc), "adapter failure"
     if not calls:
         executor._audit(
-            ToolCall("adapter_fallback", {"error": "no tool calls returned"}),
-            "adapter returned no tool calls; scripted policy used",
-            {},
+            ToolCall("adapter_fallback", {"error": error}), f"{outcome}; scripted policy used", {}
         )
         return scripted_policy(invocation, executor)
 
+    made: list[ToolCall] = []
     for _round in range(MAX_TOOL_ROUNDS):
         results = executor.execute_round(calls)
         made.extend(calls)
-        tool_messages = [
+        if _round + 1 >= MAX_TOOL_ROUNDS:
+            break
+        messages = messages + [
             {"role": "tool", "name": r.tool, "content": json.dumps(r.payload if r.ok else {"error": r.error}, sort_keys=True)}
             for r in results
         ]
-        if _round + 1 >= MAX_TOOL_ROUNDS:
-            break
-        messages = messages + tool_messages
-        payload = {"model": endpoint.model, "messages": messages, "tools": _tool_catalog()}
         try:
-            response = transport(payload, endpoint)
-            calls = _parse_tool_calls(response)
+            calls = ask()
         except Exception as exc:
             logger.warning("adapter round 2 failed (%s); stopping after round 1", exc)
             break
@@ -686,15 +625,13 @@ class MetaController:
             self.opm, self.config, self.overrides, telemetry, self.audit
         )
 
-    def _context(self) -> dict:
-        if self.executor is None or self.executor.telemetry is None:
-            return {}
-        return self.executor.telemetry.system_status()
-
-    def _invoke(self, invocation: Invocation) -> None:
+    def _invoke(self, candidate: Invocation) -> None:
+        """Run the controller on ``candidate`` if the trigger rule lets it fire."""
+        invocation = evaluate_triggers(candidate, self.trigger_state)
+        if invocation is None:
+            return
         if self.executor is None:
             raise RuntimeError("meta-controller has no telemetry attached")
-        invocation = replace(invocation, context=self._context())
         self.invocations.append(invocation)
         self.executor.begin_invocation(invocation)
         if self.adapter is not None and self.adapter.enabled:
@@ -705,31 +642,25 @@ class MetaController:
     # -- engine-facing hooks -----------------------------------------------------
 
     def on_task_arrival(self, task_index: int, now: float) -> None:
-        invocation = evaluate_triggers(
-            WarmupTick(task_index), self.trigger_state, task_index
-        )
-        if invocation is not None:
-            self._invoke(invocation)
+        points = self.trigger_state.warmup_points
+        if task_index in points:
+            # Of two points the earlier is "first"; a single point is "last".
+            first = task_index == min(points) and len(points) > 1
+            self._invoke(Invocation("warmup_point", task_index, label="first" if first else "last"))
 
     def on_annotation(self, annotation, now_task: int) -> None:
-        invocation = evaluate_triggers(
-            AnnotationEvent(annotation.type, annotation.device, annotation.label),
-            self.trigger_state,
-            now_task,
-        )
-        if invocation is not None:
-            self._invoke(invocation)
+        reason = ANNOTATION_REASONS.get(annotation.type)
+        if reason is not None:
+            self._invoke(Invocation(reason, now_task, device=annotation.device, label=annotation.label))
 
     def on_feedback(self, record, now: float, now_task: int) -> None:
         ratio, count = self.opm.drift_ratio(
             record.device_id, record.kind, DRIFT_WINDOW_MS, now
         )
-        if not self.opm.is_drift_alarm(ratio, count, ALARM_MIN_SAMPLES):
-            return
-        invocation = evaluate_triggers(
-            ResidualAlarm(record.device_id, record.kind, ratio, count),
-            self.trigger_state,
-            now_task,
-        )
-        if invocation is not None:
-            self._invoke(invocation)
+        if self.opm.is_drift_alarm(ratio, count, ALARM_MIN_SAMPLES):
+            self._invoke(
+                Invocation(
+                    "residual_alarm", now_task, device=record.device_id, model=record.kind,
+                    ratio=ratio, sample_count=count,
+                )
+            )

@@ -277,44 +277,6 @@ def prior_predictor(priors: dict[int, DevicePrior]) -> Predictor:
     return predict
 
 
-def select_baseline(
-    kind: str,
-    task: TaskSpec,
-    obs: ObservableState,
-    priors: dict[int, DevicePrior] | None = None,
-    cursors: dict[str, int] | None = None,
-    memo: BacklogMemo | None = None,
-) -> int | None:
-    """Static reference selection.
-
-    ``fixed_heuristic`` ranks by prior-priced backlog plus prior prediction
-    and never updates; a memo carries its backlog prices across decisions.
-    ``round_robin`` cycles a persistent per-kind cursor over the available
-    devices.  Neither reads learned estimates or risk flags.
-    """
-    candidates = obs.available_devices(task.kind)
-    if not candidates:
-        return None
-    if kind == "fixed_heuristic":
-        if priors is None:
-            raise ValueError("fixed_heuristic needs the prior table")
-        predict = prior_predictor(priors)
-        scored = [
-            (backlog_ms(obs.snapshot_of(d), predict, obs.now, memo) + predict(d, task), d)
-            for d in candidates
-        ]
-        return min(scored)[1]
-    if kind == "round_robin":
-        if cursors is None:
-            raise ValueError("round_robin needs a cursor table")
-        cursor = cursors.get(task.kind, -1)
-        later = [d for d in candidates if d > cursor]
-        chosen = later[0] if later else candidates[0]
-        cursors[task.kind] = chosen
-        return chosen
-    raise ValueError(f"unknown baseline {kind!r}; valid: ['fixed_heuristic', 'round_robin']")
-
-
 def select_oracle(
     task: TaskSpec, access: OracleAccess, obs: ObservableState
 ) -> int | None:
@@ -329,7 +291,7 @@ def select_oracle(
     stable = [d for d in candidates if not access.is_degraded(d)]
     pool = stable if stable else candidates
     scored = [
-        (access.true_backlog_ms(d, obs.now) + access.true_service(d, task, obs.now), d)
+        (access.true_backlog_ms(d, obs.now) + access.true_service(d, task), d)
         for d in pool
     ]
     return min(scored)[1]
@@ -344,11 +306,20 @@ class FixedHeuristicPolicy:
     name = "fixed_heuristic"
 
     def __init__(self, priors: list[DevicePrior]) -> None:
-        self._priors = {p.device_id: p for p in priors}
-        self.memo = BacklogMemo()
+        self._predict = prior_predictor({p.device_id: p for p in priors})
+        self.memo = BacklogMemo()  # carries backlog prices across decisions
 
     def choose(self, task: TaskSpec, obs: ObservableState) -> int | None:
-        return select_baseline("fixed_heuristic", task, obs, priors=self._priors, memo=self.memo)
+        """Least prior-priced backlog plus prior prediction."""
+        candidates = obs.available_devices(task.kind)
+        if not candidates:
+            return None
+        predict = self._predict
+        scored = [
+            (backlog_ms(obs.snapshot_of(d), predict, obs.now, self.memo) + predict(d, task), d)
+            for d in candidates
+        ]
+        return min(scored)[1]
 
 
 class RoundRobinPolicy:
@@ -360,7 +331,15 @@ class RoundRobinPolicy:
         self._cursors: dict[str, int] = {}
 
     def choose(self, task: TaskSpec, obs: ObservableState) -> int | None:
-        return select_baseline("round_robin", task, obs, cursors=self._cursors)
+        """The first available device after this kind's cursor, wrapping around."""
+        candidates = obs.available_devices(task.kind)
+        if not candidates:
+            return None
+        cursor = self._cursors.get(task.kind, -1)
+        later = [d for d in candidates if d > cursor]
+        chosen = later[0] if later else candidates[0]
+        self._cursors[task.kind] = chosen
+        return chosen
 
 
 class OraclePolicy:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from collections import deque
 from itertools import islice
 from operator import attrgetter
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 from .truth import GroundTruthState, PlanError, ScenarioEvent, ScenarioPlan
 from .workload import TaskSpec
@@ -119,24 +119,16 @@ class ObservableState(NamedTuple):
         }
 
 
-class RoutingPolicy(Protocol):
-    """Minimal surface the engine drives; optional callbacks default to no-ops."""
-
-    name: str
-
-    def choose(self, task: TaskSpec, obs: ObservableState) -> int | None: ...
-
-
 class OracleAccess:
     """Ground-truth window handed only to the full-information reference policy."""
 
     def __init__(self, engine: "Engine") -> None:
         self._engine = engine
 
-    def true_service(self, device: int, task: TaskSpec, now: float) -> float:
+    def true_service(self, device: int, task: TaskSpec) -> float:
         """True service time; kept as the device's quote for a dispatch of ``task``."""
         truth = self._engine.truth
-        cost = truth.true_service_time(device, task, now)
+        cost = truth.true_service_time(device, task)
         self._engine.devices[device].quote = (task, truth.version, cost)
         return cost
 
@@ -144,7 +136,7 @@ class OracleAccess:
         return self._engine.true_backlog_ms(device, now)
 
     def is_degraded(self, device: int) -> bool:
-        return bool(self._engine.truth.stutter_indicator(device, now=0.0))
+        return bool(self._engine.truth.stutter_indicator(device))
 
 
 @dataclass(slots=True)
@@ -332,7 +324,7 @@ class Engine:
             costs.clear()
             dev.true_costs_version = self.truth.version
         for task in islice(dev.tasks, len(costs), None):
-            costs.append(self.truth.true_service_time(device, task, now))
+            costs.append(self.truth.true_service_time(device, task))
         backlog = 0.0
         if dev.in_flight is not None:
             backlog += dev.in_flight.completion_time - now
@@ -425,7 +417,7 @@ class Engine:
         if quoted is task and version == dev.true_costs_version == self.truth.version:
             if len(dev.true_costs) == len(dev.queue):
                 dev.true_costs.append(cost)
-        stutter = self.truth.stutter_indicator(device, self.now)
+        stutter = self.truth.stutter_indicator(device)
         dev.queue.append(_QueueEntry(task, self.now, stutter))
         dev.tasks.append(task)
         dev.snapshot = None
@@ -442,12 +434,12 @@ class Engine:
         entry = dev.queue.popleft()
         dev.tasks.popleft()
         costs = dev.true_costs
-        # true_service_time ignores the clock: a cost cached at this version is fresh.
+        # true_service_time reads no clock: a cost cached at this version is fresh.
         if costs and dev.true_costs_version == self.truth.version:
             service = costs.popleft()
         else:
             costs.clear()
-            service = self.truth.true_service_time(device, entry.task, self.now)
+            service = self.truth.true_service_time(device, entry.task)
         dev.in_flight = _InFlight(
             entry, self.now, self.now + service, InFlightView(entry.task, self.now)
         )

@@ -344,7 +344,7 @@ class GroundTruthState:
     def is_available(self, device: int) -> bool:
         return self.devices[device].available
 
-    def true_service_time(self, device: int, task: TaskSpec, now: float) -> float:
+    def true_service_time(self, device: int, task: TaskSpec) -> float:
         """Effective service time under all currently active modifiers."""
         truth = self.devices[device]
         if not truth.available:
@@ -366,8 +366,8 @@ class GroundTruthState:
             service *= 1.0 + self.service_jitter * _jitter_unit(device, task.task_id)
         return service
 
-    def stutter_indicator(self, device: int, now: float) -> int:
-        """1 iff the device is semantically degraded at time ``now``."""
+    def stutter_indicator(self, device: int) -> int:
+        """1 iff the device is semantically degraded."""
         return 1 if self.devices[device].z == DEGRADED else 0
 
     # -- mutations driven by scenario events --------------------------------

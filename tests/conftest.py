@@ -31,7 +31,7 @@ class TableTruth(GroundTruthState):
         super().__init__(priors)
         self._table = table
 
-    def true_service_time(self, device, task, now):
+    def true_service_time(self, device, task):
         if not self.devices[device].available:
             raise RuntimeError("engine fault: unavailable device")
         return self._table[(device, task.task_id)]

@@ -21,6 +21,7 @@ import random
 import pytest
 from test_golden import MIXED_PLAN_ROWS
 
+from edgesched import metacontrol
 from edgesched.harness import DYNAMIC_PREFIX_TASKS, PRESETS, build_agent
 from edgesched.profiles import (
     LLM,
@@ -68,7 +69,7 @@ def reference_true_backlog(engine, snap, now):
     if in_flight is not None:
         backlog += in_flight.completion_time - now
     for task in snap.queued:
-        backlog += engine.truth.true_service_time(snap.device_id, task, now)
+        backlog += engine.truth.true_service_time(snap.device_id, task)
     return backlog
 
 
@@ -292,7 +293,7 @@ class QuotingPolicy:
                 self.access.true_backlog_ms(device, obs.now)
             if rng.random() < 0.7:
                 quoted = task if rng.random() < 0.6 else rng.choice(seen)
-                self.access.true_service(device, quoted, obs.now)
+                self.access.true_service(device, quoted)
         return rng.choice(candidates)
 
 
@@ -309,9 +310,9 @@ class PricedEngine(Engine):
         self.stale = 0  # starts that found cached costs of an older truth version
         priced = truth.true_service_time
 
-        def counting(device, task, now):
+        def counting(device, task):
             self.calls += 1
-            return priced(device, task, now)
+            return priced(device, task)
 
         truth.true_service_time = counting
 
@@ -326,7 +327,7 @@ class PricedEngine(Engine):
         super()._start_next(device)
         self.start_calls += self.calls - calls
         fl = dev.in_flight
-        fresh = GroundTruthState.true_service_time(self.truth, device, fl.entry.task, self.now)
+        fresh = GroundTruthState.true_service_time(self.truth, device, fl.entry.task)
         assert fl.start_time == self.now
         assert fl.completion_time == self.now + fresh, (fl.entry.task.task_id, device)
         self.starts += 1
@@ -410,7 +411,7 @@ class ScriptedQuotes:
         quoted, pick = self.script[task.task_id].pop(0)
         for device in quoted:
             self.access.true_backlog_ms(device, obs.now)
-            self.access.true_service(device, task, obs.now)
+            self.access.true_service(device, task)
         # The pick's cached costs cover its queue at the current version.
         self.access.true_backlog_ms(pick, obs.now)
         return pick
@@ -445,10 +446,12 @@ def rescanned_semantic_labels(annotations) -> dict[str, str]:
     return {str(d): label for d, label in sorted(active.items())}
 
 
-def test_status_snapshot_labels_equal_a_rescan_at_every_invocation():
+def test_status_snapshot_labels_equal_a_rescan_at_every_invocation(monkeypatch):
     engine = make_priced("mixed", "e3")
     snapshot = engine.status_snapshot
     seen = []
+    invoked = []
+    policy = metacontrol.scripted_policy
 
     def checked_snapshot():
         status = snapshot()
@@ -457,9 +460,15 @@ def test_status_snapshot_labels_equal_a_rescan_at_every_invocation():
         seen.append(labels)
         return status
 
+    def checked_policy(invocation, executor):
+        invoked.append(executor.telemetry.system_status())
+        return policy(invocation, executor)
+
     engine.status_snapshot = checked_snapshot
+    monkeypatch.setattr(metacontrol, "scripted_policy", checked_policy)
     engine.run()
-    # Each invocation reads the status, and so does each get_system_status
-    # call; some of them see a semantic window open.
+    # The status is read (and checked) once per invocation here, and once per
+    # get_system_status call; some of the reads see a semantic window open.
+    assert len(invoked) == len(engine.policy.meta.invocations)
     assert len(seen) >= len(engine.policy.meta.invocations) > 0
     assert any(seen) and not all(seen)

@@ -2,23 +2,22 @@
 
 import inspect
 import json
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from edgesched import metacontrol
 from edgesched.metacontrol import (
     TOOLS,
     AdapterConfig,
-    AnnotationEvent,
     AuditLog,
     Invocation,
     MetaController,
-    ResidualAlarm,
     ToolCall,
     ToolExecutor,
     TriggerState,
-    WarmupTick,
     _default_transport,
     _tool_catalog,
     evaluate_triggers,
@@ -30,7 +29,7 @@ from edgesched.metacontrol import (
 from edgesched.opm import Opm
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.router import RiskOverrideTable, RouterConfig
-from edgesched.sim.engine import assert_no_ground_truth
+from edgesched.sim.engine import EventAnnotation, ExecutionRecord, assert_no_ground_truth
 
 
 class FakeTelemetry:
@@ -68,6 +67,14 @@ def make_executor(now=0.0):
     return executor
 
 
+def make_controller(warmup_budget=0, now=0.0, **kwargs):
+    opm = Opm()
+    opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0)])
+    meta = MetaController(opm, RouterConfig(), RiskOverrideTable(), warmup_budget, **kwargs)
+    meta.attach_telemetry(FakeTelemetry(now))
+    return meta
+
+
 # --- warmup points ------------------------------------------------------------
 
 
@@ -84,60 +91,164 @@ def test_warmup_points(budget, expected):
 
 def test_semantic_onset_fires_and_cooldown_suppresses():
     state = TriggerState()
-    event = AnnotationEvent("semantic_onset", 0, "game")
-    inv = evaluate_triggers(event, state, now_task=60)
+    inv = evaluate_triggers(Invocation("semantic_onset", 60, device=0, label="game"), state)
     assert inv is not None and inv.reason == "semantic_onset"
     # Same signature inside the 20-task cooldown window (expires at 80).
-    assert evaluate_triggers(event, state, now_task=70) is None
-    assert evaluate_triggers(event, state, now_task=85) is not None
+    assert evaluate_triggers(Invocation("semantic_onset", 70, device=0, label="game"), state) is None
+    assert evaluate_triggers(Invocation("semantic_onset", 85, device=0, label="game"), state) is not None
 
 
 def test_different_signatures_do_not_share_cooldowns():
     state = TriggerState()
-    assert evaluate_triggers(AnnotationEvent("semantic_onset", 0, "game"), state, 60)
-    assert evaluate_triggers(AnnotationEvent("semantic_onset", 1, "game"), state, 61)
-    assert evaluate_triggers(AnnotationEvent("semantic_offset", 0, "game"), state, 62)
+    assert evaluate_triggers(Invocation("semantic_onset", 60, device=0, label="game"), state)
+    assert evaluate_triggers(Invocation("semantic_onset", 61, device=1, label="game"), state)
+    assert evaluate_triggers(Invocation("semantic_offset", 62, device=0, label="game"), state)
 
 
 def test_device_leave_is_informational_return_triggers_churn():
-    state = TriggerState()
-    assert evaluate_triggers(AnnotationEvent("device_leave", 3), state, 80) is None
-    inv = evaluate_triggers(AnnotationEvent("device_return", 3), state, 160)
+    meta = make_controller()
+    meta.on_annotation(EventAnnotation(80, 0.0, "device_leave", 3), 80)
+    assert meta.invocations == [] and meta.trigger_state.cooldowns == {}
+    meta.on_annotation(EventAnnotation(160, 0.0, "device_return", 3), 160)
+    [inv] = meta.invocations
     assert inv is not None and inv.reason == "churn_event"
 
 
 def test_residual_alarm_respects_nonevent_gap():
     state = TriggerState()
     state.last_invocation_task = 30
-    alarm = ResidualAlarm(1, LLM, 2.0, 5)
-    assert evaluate_triggers(alarm, state, now_task=45) is None  # gap 15 < 20
-    inv = evaluate_triggers(alarm, state, now_task=50)
+    alarm = dict(device=1, model=LLM, ratio=2.0, sample_count=5)
+    assert evaluate_triggers(Invocation("residual_alarm", 45, **alarm), state) is None  # gap 15 < 20
+    inv = evaluate_triggers(Invocation("residual_alarm", 50, **alarm), state)
     assert inv is not None and inv.reason == "residual_alarm"
     assert inv.ratio == 2.0
 
 
 def test_residual_alarm_signature_cooldown():
     state = TriggerState()
-    alarm = ResidualAlarm(1, LLM, 2.0, 5)
-    assert evaluate_triggers(alarm, state, now_task=100) is not None
-    assert evaluate_triggers(alarm, state, now_task=119) is None
-    assert evaluate_triggers(alarm, state, now_task=121) is not None
+    alarm = dict(device=1, model=LLM, ratio=2.0, sample_count=5)
+    assert evaluate_triggers(Invocation("residual_alarm", 100, **alarm), state) is not None
+    assert evaluate_triggers(Invocation("residual_alarm", 119, **alarm), state) is None
+    assert evaluate_triggers(Invocation("residual_alarm", 121, **alarm), state) is not None
 
 
 def test_warmup_tick_fires_once_per_point():
     state = TriggerState(warmup_points=warmup_points(30))
-    assert evaluate_triggers(WarmupTick(5), state, 5) is None
-    first = evaluate_triggers(WarmupTick(10), state, 10)
+    assert 5 not in state.warmup_points  # so on_task_arrival(5) builds no candidate
+    first = evaluate_triggers(Invocation("warmup_point", 10, label="first"), state)
     assert first is not None and first.label == "first"
-    assert evaluate_triggers(WarmupTick(10), state, 10) is None
-    last = evaluate_triggers(WarmupTick(30), state, 30)
+    assert evaluate_triggers(Invocation("warmup_point", 10, label="first"), state) is None
+    last = evaluate_triggers(Invocation("warmup_point", 30, label="last"), state)
     assert last is not None and last.label == "last"
+    assert evaluate_triggers(Invocation("warmup_point", 10**9, label="last"), state) is None
+    meta = make_controller(warmup_budget=30)
+    for task_index in range(40):
+        meta.on_task_arrival(task_index, 0.0)
+    assert [(i.task_index, i.label) for i in meta.invocations] == [(10, "first"), (30, "last")]
 
 
 def test_single_warmup_point_is_treated_as_last():
-    state = TriggerState(warmup_points=warmup_points(5))
-    inv = evaluate_triggers(WarmupTick(5), state, 5)
+    meta = make_controller(warmup_budget=5)
+    meta.on_task_arrival(5, 0.0)
+    [inv] = meta.invocations
     assert inv is not None and inv.label == "last"
+
+
+def parent_rule(event, state, now_task):
+    """The three-branch trigger rule the one-rule ``evaluate_triggers`` replaced,
+    kept here as the reference.  Returns the fired invocation's fields or None."""
+    kind = event[0]
+    if kind == "annotation":
+        _, type_, device, label = event
+        if type_ in ("semantic_onset", "semantic_offset"):
+            reason, signature = type_, (type_, device, label)
+        elif type_ == "device_return":
+            reason, signature = "churn_event", ("churn_event", device, "return")
+        else:
+            return None
+        if now_task < state["cooldowns"].get(signature, -(10**9)):
+            return None
+        state["cooldowns"][signature] = now_task + 20
+        state["last"] = now_task
+        return (reason, now_task, device, label, None, None, None)
+    if kind == "alarm":
+        _, device, model, ratio, count = event
+        signature = ("residual_alarm", device, model)
+        if now_task < state["cooldowns"].get(signature, -(10**9)):
+            return None
+        if now_task - state["last"] < 20:
+            return None
+        state["cooldowns"][signature] = now_task + 20
+        state["last"] = now_task
+        return ("residual_alarm", now_task, device, None, model, ratio, count)
+    points = state["points"]
+    if now_task not in points:
+        return None
+    signature = ("warmup_point", now_task)
+    if signature in state["cooldowns"]:
+        return None
+    state["cooldowns"][signature] = 10**9
+    state["last"] = now_task
+    first = now_task == min(points) and len(points) > 1
+    return ("warmup_point", now_task, None, "first" if first else "last", None, None, None)
+
+
+class AlarmingOpm:
+    """Stands in for the OPM in ``on_feedback``: each record raises the alarm it is given."""
+
+    alarm = (1.0, 0)
+
+    def drift_ratio(self, device, kind, window_ms, now):
+        return self.alarm
+
+    def is_drift_alarm(self, ratio, count, min_samples):
+        return True
+
+
+@pytest.mark.parametrize("budget", [0, 5, 30])
+def test_one_rule_fires_what_the_three_branch_rule_fired(budget, monkeypatch):
+    """3,000 seeded events through the three hooks fire, in order and field for
+    field, what the three-branch rule fired for the same events."""
+    rng = random.Random(budget)
+    meta = make_controller(warmup_budget=budget)
+    meta.opm = AlarmingOpm()
+    monkeypatch.setattr(metacontrol, "scripted_policy", lambda invocation, executor: [])
+    reference = {"cooldowns": {}, "last": -(10**9), "points": warmup_points(budget)}
+    expected = []
+
+    def feed(event, now_task):
+        fired = parent_rule(event, reference, now_task)
+        if fired is not None:
+            expected.append(fired)
+
+    annotation_types = ("semantic_onset", "semantic_offset", "device_leave", "device_return")
+    arrivals = 0
+    for _ in range(3000):
+        task = max(arrivals - 1, 0)
+        if rng.random() < 0.6:  # the engine announces every arrival once, in order
+            task = arrivals
+            arrivals += 1
+            meta.on_task_arrival(task, 0.0)
+            feed(("warmup",), task)
+        elif rng.random() < 0.2:
+            device, type_ = rng.randrange(3), rng.choice(annotation_types)
+            label = rng.choice(("game", "video")) if type_.startswith("semantic") else None
+            meta.on_annotation(EventAnnotation(task, 0.0, type_, device, label), task)
+            feed(("annotation", type_, device, label), task)
+        else:
+            device, model = rng.randrange(3), rng.choice((LLM, SDXL))
+            meta.opm.alarm = ratio, count = rng.uniform(0.2, 3.0), rng.randrange(3, 9)
+            record = ExecutionRecord(task, device, model, *[0.0] * 6, 1, 1, 0)
+            meta.on_feedback(record, 0.0, task)
+            feed(("alarm", device, model, ratio, count), task)
+    got = [
+        (i.reason, i.task_index, i.device, i.label, i.model, i.ratio, i.sample_count)
+        for i in meta.invocations
+    ]
+    assert got == expected
+    assert {inv[0] for inv in got} == {
+        "semantic_onset", "semantic_offset", "churn_event", "residual_alarm"
+    } | ({"warmup_point"} if budget else set())
 
 
 # --- tool execution ------------------------------------------------------------------
@@ -547,6 +658,79 @@ def test_adapter_failure_falls_back_to_scripted():
     assert [c.tool for c in calls] == ["get_system_status", "set_device_risky"]
     assert any(e.tool == "adapter_fallback" for e in executor.audit.entries)
     assert executor.overrides.is_risky(0)
+
+
+ONSET_USER_MESSAGE = (
+    '{"context": {"active_semantic_events": {}, "devices": {}, "sim_time_ms": 1234.0}, '
+    '"device": 0, "label": "game", "model": null, "ratio": null, "reason": "semantic_onset", '
+    '"sample_count": null, "task_index": 60}'
+)
+ONSET_SCRIPTED_AUDIT = [
+    '{"arguments": {}, "reason": "semantic_onset", "result": {"active_semantic_events": {}, '
+    '"devices": {}, "sim_time_ms": 1234.0}, "sim_time_ms": 1234.0, "state_delta": {}, '
+    '"task_index": 60, "tool": "get_system_status"}',
+    '{"arguments": {"device": 0, "ttl": 50}, "reason": "semantic_onset", "result": {"device": 0, '
+    '"ttl": 50}, "sim_time_ms": 1234.0, "state_delta": {"risk_mask": {"new": [0], "old": []}}, '
+    '"task_index": 60, "tool": "set_device_risky"}',
+]
+
+
+def adapter_controller(replies):
+    """A controller whose adapter transport records each payload and answers from ``replies``
+    (an exception is raised instead of returned)."""
+    payloads = []
+
+    def transport(payload, config):
+        payloads.append(payload)
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    adapter = AdapterConfig(enabled=True, url="http://x", model="m")
+    meta = make_controller(now=1234.0, adapter=adapter, transport=transport)
+    meta.on_annotation(EventAnnotation(60, 1234.0, "semantic_onset", 0, "game"), 60)
+    return meta, payloads
+
+
+@pytest.mark.parametrize(
+    "reply,fallback",
+    [
+        (TimeoutError("no response in 10 s"),
+         '{"arguments": {"error": "no response in 10 s"}, "reason": "semantic_onset", '
+         '"result": "adapter failure; scripted policy used", "sim_time_ms": 1234.0, '
+         '"state_delta": {}, "task_index": 60, "tool": "adapter_fallback"}'),
+        (adapter_response([]),
+         '{"arguments": {"error": "no tool calls returned"}, "reason": "semantic_onset", '
+         '"result": "adapter returned no tool calls; scripted policy used", "sim_time_ms": 1234.0, '
+         '"state_delta": {}, "task_index": 60, "tool": "adapter_fallback"}'),
+    ],
+    ids=["transport-raised", "no-tool-calls"],
+)
+def test_adapter_message_and_fallback_audit_bytes(reply, fallback):
+    meta, payloads = adapter_controller([reply])
+    [payload] = payloads
+    assert payload["model"] == "m"
+    assert payload["tools"] == _tool_catalog()
+    system, user = payload["messages"]
+    assert system["role"] == "system" and user["role"] == "user"
+    assert user["content"] == ONSET_USER_MESSAGE
+    assert list(meta.audit.lines()) == [fallback, *ONSET_SCRIPTED_AUDIT]
+
+
+def test_adapter_second_round_extends_the_first_rounds_messages():
+    meta, payloads = adapter_controller(
+        [adapter_response([("get_system_status", {})]), adapter_response([])]
+    )
+    first, second = payloads
+    assert len(first["messages"]) == 2  # the first payload is not extended in place
+    assert first["messages"][1]["content"] == ONSET_USER_MESSAGE
+    assert second["messages"] == first["messages"] + [
+        {"role": "tool", "name": "get_system_status",
+         "content": '{"active_semantic_events": {}, "devices": {}, "sim_time_ms": 1234.0}'}
+    ]
+    assert second["model"] == "m" and second["tools"] == _tool_catalog()
+    assert [e.tool for e in meta.audit.entries] == ["get_system_status"]
 
 
 def test_adapter_round_cap_is_enforced():

@@ -23,7 +23,6 @@ from edgesched.router import (
     RouterConfig,
     backlog_ms,
     score,
-    select_baseline,
     select_e3,
     select_oracle,
 )
@@ -204,17 +203,14 @@ def test_backlog_counts_queued_and_clipped_in_flight():
 
 
 def test_round_robin_cycles_per_kind():
-    cursors = {}
+    policy = RoundRobinPolicy()
     obs = obs_with([llm_snapshot(0), llm_snapshot(1)])
-    picks = [
-        select_baseline("round_robin", TaskSpec(i, LLM, 0.0, 256, 32), obs, cursors=cursors)
-        for i in range(3)
-    ]
+    picks = [policy.choose(TaskSpec(i, LLM, 0.0, 256, 32), obs) for i in range(3)]
     assert picks == [0, 1, 0]
 
 
 def test_round_robin_kind_cursors_are_independent():
-    cursors = {}
+    policy = RoundRobinPolicy()
     devices = [
         llm_snapshot(0),
         llm_snapshot(1),
@@ -222,42 +218,37 @@ def test_round_robin_kind_cursors_are_independent():
         DeviceSnapshot(3, SDXL, True, (), None),
     ]
     obs = obs_with(devices)
-    assert select_baseline("round_robin", TaskSpec(0, LLM, 0.0, 256, 32), obs, cursors=cursors) == 0
-    assert select_baseline("round_robin", TaskSpec(1, SDXL, 0.0), obs, cursors=cursors) == 2
-    assert select_baseline("round_robin", TaskSpec(2, LLM, 0.0, 256, 32), obs, cursors=cursors) == 1
-    assert select_baseline("round_robin", TaskSpec(3, SDXL, 0.0), obs, cursors=cursors) == 3
+    assert policy.choose(TaskSpec(0, LLM, 0.0, 256, 32), obs) == 0
+    assert policy.choose(TaskSpec(1, SDXL, 0.0), obs) == 2
+    assert policy.choose(TaskSpec(2, LLM, 0.0, 256, 32), obs) == 1
+    assert policy.choose(TaskSpec(3, SDXL, 0.0), obs) == 3
 
 
 def test_round_robin_skips_unavailable():
-    cursors = {}
+    policy = RoundRobinPolicy()
     obs = obs_with([llm_snapshot(0), llm_snapshot(1, available=False)])
-    picks = [
-        select_baseline("round_robin", TaskSpec(i, LLM, 0.0, 256, 32), obs, cursors=cursors)
-        for i in range(2)
-    ]
+    picks = [policy.choose(TaskSpec(i, LLM, 0.0, 256, 32), obs) for i in range(2)]
     assert picks == [0, 0]
 
 
 def test_fixed_heuristic_prefers_smaller_prior_prediction():
-    priors = {
-        0: DevicePrior(0, LLM, alpha0=2.0, beta0=80.0),
-        1: DevicePrior(1, LLM, alpha0=1.0, beta0=50.0),
-    }
+    policy = FixedHeuristicPolicy(
+        [DevicePrior(0, LLM, alpha0=2.0, beta0=80.0), DevicePrior(1, LLM, alpha0=1.0, beta0=50.0)]
+    )
     obs = obs_with([llm_snapshot(0), llm_snapshot(1)])
     task = TaskSpec(0, LLM, 0.0, 512, 64)
-    assert select_baseline("fixed_heuristic", task, obs, priors=priors) == 1
+    assert policy.choose(task, obs) == 1
 
 
 def test_fixed_heuristic_is_static_under_identical_observables():
     # The mapping never changes with hidden drift: same queues, same choice.
-    priors = {
-        0: DevicePrior(0, LLM, alpha0=1.0, beta0=50.0),
-        1: DevicePrior(1, LLM, alpha0=2.0, beta0=80.0),
-    }
+    policy = FixedHeuristicPolicy(
+        [DevicePrior(0, LLM, alpha0=1.0, beta0=50.0), DevicePrior(1, LLM, alpha0=2.0, beta0=80.0)]
+    )
     obs = obs_with([llm_snapshot(0), llm_snapshot(1)])
     task = TaskSpec(0, LLM, 0.0, 512, 64)
-    first = select_baseline("fixed_heuristic", task, obs, priors=priors)
-    second = select_baseline("fixed_heuristic", task, obs, priors=priors)
+    first = policy.choose(task, obs)
+    second = policy.choose(task, obs)
     assert first == second == 0
 
 
@@ -267,12 +258,6 @@ def test_baselines_have_no_learned_or_risk_inputs():
     for policy in (fh, rr):
         assert not hasattr(policy, "opm")
         assert not hasattr(policy, "overrides")
-
-
-def test_select_baseline_unknown_kind():
-    obs = obs_with([llm_snapshot(0)])
-    with pytest.raises(ValueError, match="unknown baseline"):
-        select_baseline("greedy", TaskSpec(0, LLM, 0.0, 1, 1), obs)
 
 
 # --- full-information reference -----------------------------------------------------

@@ -149,38 +149,38 @@ def test_identical_runs_produce_identical_records(fixture_priors):
 def test_true_service_time_examples(fixture_priors):
     truth = make_truth(fixture_priors)
     task = TaskSpec(0, LLM, 0.0, 512, 64)
-    assert truth.true_service_time(0, task, 0.0) == 3712.0
+    assert truth.true_service_time(0, task) == 3712.0
     truth.apply_event(SemanticOnset(0, 0, "game", 3.0))
-    assert truth.true_service_time(0, task, 0.0) == 3712.0 * 3
+    assert truth.true_service_time(0, task) == 3712.0 * 3
     sd_task = TaskSpec(1, SDXL, 0.0)
-    assert truth.true_service_time(2, sd_task, 0.0) == 4000.0
+    assert truth.true_service_time(2, sd_task) == 4000.0
 
 
 def test_true_service_time_unavailable_device_is_engine_fault(fixture_priors):
     truth = make_truth(fixture_priors)
     truth.apply_event(DeviceLeave(0, 0))
     with pytest.raises(RuntimeError, match="engine fault"):
-        truth.true_service_time(0, TaskSpec(0, LLM, 0.0, 256, 32), 0.0)
+        truth.true_service_time(0, TaskSpec(0, LLM, 0.0, 256, 32))
 
 
 def test_stutter_indicator_follows_hidden_state(fixture_priors):
     truth = make_truth(fixture_priors)
-    assert truth.stutter_indicator(0, 0.0) == 0
+    assert truth.stutter_indicator(0) == 0
     truth.apply_event(SemanticOnset(0, 0, "game", 3.0))
-    assert truth.stutter_indicator(0, 0.0) == 1
+    assert truth.stutter_indicator(0) == 1
     truth.apply_event(SemanticOffset(1, 0, "game"))
-    assert truth.stutter_indicator(0, 0.0) == 0
+    assert truth.stutter_indicator(0) == 0
 
 
 def test_drift_changes_service_but_not_hidden_state(fixture_priors):
     truth = make_truth(fixture_priors)
     task = TaskSpec(0, LLM, 0.0, 512, 64)
-    base = truth.true_service_time(1, task, 0.0)
+    base = truth.true_service_time(1, task)
     truth.apply_event(DriftStep(0, 1, "llama3.1-8b-edge", 2.0))
-    assert truth.true_service_time(1, task, 0.0) == 2 * base
+    assert truth.true_service_time(1, task) == 2 * base
     assert truth.devices[1].z == STABLE
     truth.apply_event(DriftRestore(1, 1, "llama3.1-8b-edge"))
-    assert truth.true_service_time(1, task, 0.0) == base
+    assert truth.true_service_time(1, task) == base
 
 
 def test_stutter_stamped_at_dispatch_not_completion(fixture_priors):
@@ -199,18 +199,18 @@ def test_jitter_defaults_off_and_is_bounded(fixture_priors):
     exact = make_truth(fixture_priors)
     wobbly = make_truth(fixture_priors, jitter=0.2)
     task = TaskSpec(5, LLM, 0.0, 512, 64)
-    assert exact.true_service_time(0, task, 0.0) == 3712.0
-    value = wobbly.true_service_time(0, task, 0.0)
+    assert exact.true_service_time(0, task) == 3712.0
+    value = wobbly.true_service_time(0, task)
     assert value != 3712.0
     assert 3712.0 * 0.8 <= value <= 3712.0 * 1.2
-    assert value == wobbly.true_service_time(0, task, 0.0)
+    assert value == wobbly.true_service_time(0, task)
 
 
 def test_prior_error_factors_scale_truth(fixture_priors):
     truth = make_truth(fixture_priors, prior_error={0: (2.0, 3.0), 2: 1.5})
     task = TaskSpec(0, LLM, 0.0, 100, 10)
-    assert truth.true_service_time(0, task, 0.0) == 2.0 * 100 + 150.0 * 10
-    assert truth.true_service_time(2, TaskSpec(1, SDXL, 0.0), 0.0) == 6000.0
+    assert truth.true_service_time(0, task) == 2.0 * 100 + 150.0 * 10
+    assert truth.true_service_time(2, TaskSpec(1, SDXL, 0.0)) == 6000.0
 
 
 # --- scenario events in the loop -------------------------------------------------

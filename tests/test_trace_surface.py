@@ -1,0 +1,36 @@
+"""The names perfbench's traced run wraps still exist and are still called.
+
+``perfbench/layers.py`` patches module globals and methods by name; a rename
+in the program would otherwise show only when the traced benchmark runs.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import layers  # noqa: E402
+from spans import Tracer  # noqa: E402
+
+from edgesched import harness  # noqa: E402
+
+
+def current(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_traced_layers_are_called_and_restored():
+    tracer = Tracer()
+    layers.install(tracer)
+    patched = list(tracer._patches)
+    try:
+        harness.run_experiment(harness.ExperimentConfig("semantic", horizon=60))
+    finally:
+        tracer.restore()
+    assert patched
+    for name in ("meta.evaluate_triggers", "meta.invoke", "router.select_e3", "router.backlog_ms"):
+        assert tracer.stats[name][0] >= 1, name
+    for owner, attr, original in patched:
+        assert current(owner, attr) is original, (owner, attr)
