@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Fast-path scoring: backlog + prediction - exploration + risk penalty.
+"""Fast-path scoring: backlog + prediction - exploration, behind a risk gate.
 
 Builds a two-device state and decomposes the score of each candidate, then
 shows hard avoidance (a risk-flagged device is never chosen while a safe one
-exists) and the route-anyway fallback when every device is flagged.
+exists) and the route-anyway fallback when every device is flagged: the
+flagged devices are then scored as usual.
 """
 
 from edgesched.opm import Opm
@@ -56,20 +57,20 @@ def main():
     show_scores("exploration on (cold start, u=1)", state, task)
 
     overrides = RiskOverrideTable()
-    overrides.set(1, ttl=50, origin="demo", at_task=0)
+    overrides.set(1, ttl=50, at_task=0)
     state = make_state(RouterConfig(policy="sect"), overrides)
     chosen = show_scores("device 1 risk-flagged", state, task)
     assert chosen == 0, "hard avoidance must exclude the flagged device"
 
     overrides = RiskOverrideTable()
-    overrides.set(0, ttl=50, origin="demo", at_task=0)
-    overrides.set(1, ttl=50, origin="demo", at_task=0)
+    overrides.set(0, ttl=50, at_task=0)
+    overrides.set(1, ttl=50, at_task=0)
     state = make_state(RouterConfig(policy="sect"), overrides)
     show_scores("all devices flagged (route-anyway)", state, task)
 
     print("\nTTL bookkeeping: overrides expire after N dispatched tasks")
     table = RiskOverrideTable()
-    table.set(0, ttl=3, origin="demo", at_task=0)
+    table.set(0, ttl=3, at_task=0)
     for k in range(4):
         print(f"  after {k} dispatches: risky={table.is_risky(0)}")
         table.decrement()

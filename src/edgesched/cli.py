@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--explore-weight", type=float, help="initial exploration bonus weight, ms"
     )
-    run.add_argument("--risk-penalty", type=float, help="initial risk penalty, ms")
     run.add_argument("--trace-decisions", action="store_true", default=None)
     run.add_argument("--adapter-url", help="external controller endpoint URL")
     run.add_argument("--adapter-model", help="external controller model name")
@@ -90,7 +89,6 @@ _FILE_KEYS = {
     "policies": "policies",
     "prior_error": None,
     "profiles": "profiles",
-    "risk_penalty_ms": "risk_penalty",
     "scenario": "scenario",
     "service_jitter": "jitter",
     "trace_decisions": "trace_decisions",
@@ -167,7 +165,6 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         plan=plan,
         adapter=adapter,
         explore_weight_ms=pick("explore_weight_ms"),
-        risk_penalty_ms=pick("risk_penalty_ms"),
         trace_decisions=pick("trace_decisions", False),
     )
 

@@ -98,7 +98,6 @@ class ExperimentConfig:
     adapter: AdapterConfig | None = None
     adapter_transport: object | None = None
     explore_weight_ms: float | None = None
-    risk_penalty_ms: float | None = None
     trace_decisions: bool = False
     leak_check: bool = False
 
@@ -120,6 +119,8 @@ class ExperimentConfig:
             raise ExperimentError(f"trace_decisions must be a bool, got {self.trace_decisions!r}")
         if self.service_jitter is not None:
             check_service_jitter(self.service_jitter)
+        if self.explore_weight_ms is not None:  # checked even when e3 does not run
+            RouterConfig(explore_weight_ms=self.explore_weight_ms)
         if self.warmup_budget < 0 or self.warmup_budget > max(self.horizon, 0):
             raise ExperimentError("warmup budget must be within [0, horizon]")
         for policy in self.policies:
@@ -304,12 +305,8 @@ def _build_policy(
     name: str, priors: list[DevicePrior], warmup_budget: int, config: ExperimentConfig
 ):
     if name == "e3":
-        kwargs = {}
-        if config.explore_weight_ms is not None:
-            kwargs["explore_weight_ms"] = config.explore_weight_ms
-        if config.risk_penalty_ms is not None:
-            kwargs["risk_penalty_ms"] = config.risk_penalty_ms
-        router_config = RouterConfig(**kwargs)
+        weight = config.explore_weight_ms
+        router_config = RouterConfig() if weight is None else RouterConfig(explore_weight_ms=weight)
         return build_agent(
             priors,
             warmup_budget,

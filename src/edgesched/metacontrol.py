@@ -1,10 +1,11 @@
 """Slow-path, event-driven meta-control.
 
 Triggers fire on exposed scenario annotations, residual alarms, and scheduled
-warmup intervention points; repeated triggers are suppressed by signature
-cooldowns and a minimum task gap for non-event invocations.  Every invocation
-acts through a closed set of nine executable tools, each bounded, validated,
-and recorded in an append-only audit log.  A deterministic scripted policy is
+warmup intervention points; a repeated annotation or warmup point is
+suppressed by its signature's cooldown, a residual alarm by a minimum task gap
+since the last invocation.  Every invocation acts through a closed set of nine
+executable tools, each bounded, validated, and recorded in an append-only
+audit log.  A deterministic scripted policy is
 the default controller; an optional external chat-completions adapter can
 drive the same tools and falls back to the scripted policy on any failure.
 """
@@ -22,8 +23,6 @@ from dataclasses import asdict, dataclass, field, fields
 from .opm import DRIFT_WINDOW_MS, Opm, UnknownDeviceError
 from .profiles import LLM, SDXL, is_finite_number, is_int
 from .router import (
-    DEFAULT_EXPLORE_WEIGHT_MS,
-    DEFAULT_RISK_PENALTY_MS,
     DEFAULT_RISK_TTL_TASKS,
     EXPLORE_RISK,
     ROUTER_CHOICES,
@@ -97,8 +96,8 @@ TOOLS = {
                            {"device": DEVICE, "model": MODEL, "ratio": POSITIVE}),
     "switch_router": ("Choose the fast-path scoring policy (sect or explore_risk).",
                       {"router": ROUTER}),
-    "set_router_params": ("Set exploration weight and risk penalty in milliseconds.",
-                          {"explore_weight_ms": NON_NEGATIVE, "risk_penalty_ms": NON_NEGATIVE}),
+    "set_router_params": ("Set the exploration bonus weight in milliseconds.",
+                          {"explore_weight_ms": NON_NEGATIVE}),
     "trigger_online_profile_update": ("Refit service-time estimates from recent completions.",
                                       {"window": COUNT, "min_samples": COUNT}),
     "set_device_risky": ("Apply a risk override with a task-count TTL.",
@@ -132,19 +131,22 @@ class Invocation:
 def evaluate_triggers(candidate: Invocation, state: TriggerState) -> Invocation | None:
     """Return ``candidate`` if it fires now, or None if it is suppressed.
 
-    Its signature is (reason, device, label, model).  A fired warmup point
-    holds its signature for the rest of the run, any other reason for
-    ``ANOMALY_COOLDOWN`` tasks; a residual alarm also waits until
-    ``MIN_NONEVENT_GAP`` tasks have passed since the last invocation.
+    A residual alarm fires once ``MIN_NONEVENT_GAP`` tasks have passed since
+    the last invocation, whatever its device and model, and sets no cooldown.
+    Any other candidate's signature is (reason, device, label): a fired
+    warmup point holds it for the rest of the run, an annotation for
+    ``ANOMALY_COOLDOWN`` tasks.
     """
     now = candidate.task_index
-    signature = (candidate.reason, candidate.device, candidate.label, candidate.model)
-    if now < state.cooldowns.get(signature, -(10**9)):
-        return None
-    if candidate.reason == "residual_alarm" and now - state.last_invocation_task < MIN_NONEVENT_GAP:
-        return None
-    forever = candidate.reason == "warmup_point"
-    state.cooldowns[signature] = float("inf") if forever else now + ANOMALY_COOLDOWN
+    if candidate.reason == "residual_alarm":
+        if now - state.last_invocation_task < MIN_NONEVENT_GAP:
+            return None
+    else:
+        signature = (candidate.reason, candidate.device, candidate.label)
+        if now < state.cooldowns.get(signature, -(10**9)):
+            return None
+        forever = candidate.reason == "warmup_point"
+        state.cooldowns[signature] = float("inf") if forever else now + ANOMALY_COOLDOWN
     state.last_invocation_task = now
     return candidate
 
@@ -318,16 +320,10 @@ class ToolExecutor:
         self.config.policy = router
         return {"router": router}, {"policy": {"old": old, "new": router}}
 
-    def _tool_set_router_params(
-        self, explore_weight_ms: float | None = None, risk_penalty_ms: float | None = None
-    ) -> tuple[dict, dict]:
-        new = {"explore_weight_ms": explore_weight_ms, "risk_penalty_ms": risk_penalty_ms}
-        delta: dict = {}
-        for name, value in new.items():
-            if value is not None:
-                delta[name] = {"old": getattr(self.config, name), "new": value}
-                setattr(self.config, name, value)
-        return self.config.to_dict(), delta
+    def _tool_set_router_params(self, explore_weight_ms: float) -> tuple[dict, dict]:
+        old = self.config.explore_weight_ms
+        self.config.explore_weight_ms = explore_weight_ms
+        return self.config.to_dict(), {"explore_weight_ms": {"old": old, "new": explore_weight_ms}}
 
     def _tool_trigger_online_profile_update(
         self, window: int = 40, min_samples: int = 1
@@ -340,7 +336,7 @@ class ToolExecutor:
         self, device: int, ttl: int = DEFAULT_RISK_TTL_TASKS
     ) -> tuple[dict, dict]:
         old_mask = sorted(o.device_id for o in self.overrides.active())
-        self.overrides.set(device, ttl, origin=self._reason, at_task=self._task_index)
+        self.overrides.set(device, ttl, at_task=self._task_index)
         new_mask = sorted(o.device_id for o in self.overrides.active())
         return {"device": device, "ttl": ttl}, {"risk_mask": {"old": old_mask, "new": new_mask}}
 
@@ -414,18 +410,8 @@ def scripted_policy(invocation: Invocation, executor: ToolExecutor) -> list[Tool
         run(second)
     elif reason == "warmup_point":
         if invocation.label == "first":
-            run(
-                [
-                    ToolCall("switch_router", {"router": EXPLORE_RISK}),
-                    ToolCall(
-                        "set_router_params",
-                        {
-                            "explore_weight_ms": DEFAULT_EXPLORE_WEIGHT_MS,
-                            "risk_penalty_ms": DEFAULT_RISK_PENALTY_MS,
-                        },
-                    ),
-                ]
-            )
+            # Explore mode uses the configured weight; the controller sets none.
+            run([ToolCall("switch_router", {"router": EXPLORE_RISK})])
         else:
             run(
                 [

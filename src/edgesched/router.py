@@ -1,8 +1,8 @@
 """Fast-path per-task dispatch.
 
 The adaptive policy scores each feasible device as backlog + predicted
-service - exploration bonus + risk penalty and takes the argmin, with hard
-avoidance of risk-flagged devices whenever a safe alternative exists.  Static
+service - exploration bonus and takes the argmin.  Risk gating is hard: a
+risk-flagged device is scored only when no safe device is feasible.  Static
 reference policies (prior-driven heuristic, round robin) and the
 full-information reference policy live here too.  A selection scores each
 candidate at most once.  Its backlogs come from a memo: O(1) amortised per
@@ -25,7 +25,6 @@ EXPLORE_RISK = "explore_risk"
 ROUTER_CHOICES = (SECT, EXPLORE_RISK)
 
 DEFAULT_EXPLORE_WEIGHT_MS = 2000.0
-DEFAULT_RISK_PENALTY_MS = 60000.0
 DEFAULT_RISK_TTL_TASKS = 50
 
 
@@ -35,7 +34,6 @@ class RouterConfig:
 
     policy: str = SECT
     explore_weight_ms: float = DEFAULT_EXPLORE_WEIGHT_MS
-    risk_penalty_ms: float = DEFAULT_RISK_PENALTY_MS
 
     def __post_init__(self) -> None:
         self.validate()
@@ -43,24 +41,18 @@ class RouterConfig:
     def validate(self) -> None:
         if self.policy not in ROUTER_CHOICES:
             raise ValueError(f"policy must be one of {ROUTER_CHOICES}, got {self.policy!r}")
-        for name in ("explore_weight_ms", "risk_penalty_ms"):
-            value = getattr(self, name)
-            if not is_finite_number(value) or value < 0:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        value = self.explore_weight_ms
+        if not is_finite_number(value) or value < 0:
+            raise ValueError(f"explore_weight_ms must be a finite number >= 0, got {value!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "explore_weight_ms": self.explore_weight_ms,
-            "risk_penalty_ms": self.risk_penalty_ms,
-        }
+        return {"policy": self.policy, "explore_weight_ms": self.explore_weight_ms}
 
 
 @dataclass
 class RiskOverride:
     device_id: int
     ttl_tasks: int
-    origin_signature: str
     set_at: int
 
 
@@ -74,10 +66,10 @@ class RiskOverrideTable:
     def __init__(self) -> None:
         self._overrides: dict[int, RiskOverride] = {}
 
-    def set(self, device: int, ttl: int, origin: str, at_task: int) -> RiskOverride:
+    def set(self, device: int, ttl: int, at_task: int) -> RiskOverride:
         if ttl <= 0:
             raise ValueError(f"ttl must be > 0, got {ttl}")
-        override = RiskOverride(device, ttl, origin, at_task)
+        override = RiskOverride(device, ttl, at_task)
         self._overrides[device] = override
         return override
 
@@ -228,19 +220,19 @@ class PolicyVisibleState:
 
 
 def score(device: int, task: TaskSpec, state: PolicyVisibleState) -> float:
-    """Backlog + prediction - exploration bonus + risk penalty, in ms.
+    """Backlog + prediction - exploration bonus, in ms.
 
     Plain mode disables the exploration term; explore mode weights the
-    device's epistemic uncertainty by the configured bonus.  Scores may go
-    negative; only the argmin matters.
+    device's epistemic uncertainty by the configured bonus.  A risk flag adds
+    nothing here: :func:`select_e3` scores a pool that is all safe or all
+    risky.  Scores may go negative; only the argmin matters.
     """
     config = state.config
     q = state.backlog(device)
     t_hat = state.opm.predict(device, task)
     c = config.explore_weight_ms if config.policy == EXPLORE_RISK else 0.0
     u = state.opm.uncertainty(device, task.kind)
-    m = config.risk_penalty_ms if state.overrides.is_risky(device) else 0.0
-    return q + t_hat - c * u + m
+    return q + t_hat - c * u
 
 
 def select_e3(

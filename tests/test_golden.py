@@ -79,57 +79,57 @@ GOLDEN: dict[str, tuple[str, str, str, str]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "warmup_w30": (
-        "1c6e048f6612e34e88746d6517d4241c8a177bbd03ce14fea9265cd1d06bb801",
-        "5b808de4095927b8c27e2d0006af0aef290c58b5794fd90d6505c019c11c5151",
+        "21733124ef2a843787e0771c6d1125e3c89aa16d9fbee3f39148600416e14524",
+        "c93ccffdd98ef8cc91715d1b933401092487b5b9f1590413ef2c1356057219fe",
         "69af05e2f7d0a7c5131251589448737d47078e667955c1d75f3ced5973d97ad1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "warmup_w100": (
-        "18d83a7ffcdff02b416bc38c8b1d3d4a55b1a2c26f18bc1ea97014528618e8fb",
-        "e27ec19020cd240a1be503a26b2b6b0a1b4e8c0c7cb9d88b8e542035c8865eaf",
+        "11228cc284244a8b6642ab3866e7323ab56b60396fa5965adf9ab9f6f5f74017",
+        "3e53953710a609d4809ad5e4382e1c940b5d8ba4b82c23144738b1e6bed39ab0",
         "3008e0e73db971338a725fdc8cae9a9335ba3a05270daa40a47800cba822b5e4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "semantic": (
-        "e324b1d863819350a6b459eb6da8f4ecbd6623f32a523058980072bbbccec919",
-        "d217a4c4922a57d5769d7e6c39b794807e4b3c76677540e7dfa5f1196e8c34e1",
+        "a1dbf4f41087079b2bd59d71599271d8eb8df99f403cc6d12893b5ce3b458ec2",
+        "6a1725d82a92acd58f4ac1253be1f1ae170f7cad5b81ccdcbbf0c33b5eeaf600",
         "2bf44ee8e12bd354354db43e3748b2159ef58b1485a5370367ebaae18c923387",
         "430de6978d0fa80a609338d1b6a1bf0ffa9e141cdcc5f50292072ac2f3a63c8b",
     ),
     "churn": (
-        "d6589c6052619a68354b660e16f121f4c68dd10f0f7e4fcab2ad78c5e2563005",
-        "447fd77b8f1db340d0abd7ade0e12347c95dd604f4a579b35cfe316ec22aef4a",
+        "17e1d49f8a0c1532bc001ea46b3dc477cd377f088c618217e9f412ca824db9f0",
+        "d011688c06d62fa18d7b56f4e7328d2b491d053f20d59cc13604db3aa22738ad",
         "49394e3258d4358ce3c819c755b6df4656a87cd968c1bf65e0bfad4ce622b9f0",
         "63b9ce45be1e1eb3cbcc76b1fbbdbdf28d10556a6150685e369e320235599de9",
     ),
     "drift": (
-        "8461bef0ffff3575d72a9457f4bd8c0f3599e8af8e90d8892724e9e8e860540c",
-        "b38e461d94227174adc0046d55222eec875f647b18e8bbd69b122c746663e918",
+        "1c507dcfd76048600973c3aac4fff1d4fbe824ee61b2d1ccbf128a7b362dcbaa",
+        "e52b4440ae875f1e1dd56bc791645c0ce1f97be7fc48628eee061a738048c937",
         "501205b768020fa298aefb84d36ab5a059822a92f400979914c04a2c2eec4743",
         "4a5b5bf81a8bc513fc3fe69411f3c9ddfaa6014ee4feb592c6dfbdfbd5af19f3",
     ),
     "semantic_h600_lam2": (
-        "86dace90fd5e0cedae8325f988421e2874490f17de529d79e08d79b3fd500b22",
-        "0d962be13699e928f3d2499741555ca602b7d5b6cbd7ec565a73667029036c0e",
+        "2de5a63e31939e3e4a2cb2c9e7bec5b68b540586a73955e7722262c80dcc838a",
+        "f71875c7a67cff0b994958f72ddc2d3a27b9b6f6a1356fbddd45dee869f069ab",
         "cd8092010771003760b0eebf71359d8c76bdf9a21af4255e3c4913bebb680ea1",
         "d85e41ac1ab9e6bd06f4cd6e99fc1fd93cfffa9aaa6620353820f8e5fb53d60d",
     ),
     "churn_h600_lam2": (
-        "bbccec6b0334f0e354d691528ad3ebaf1431d748181357414f070f7139ed5653",
-        "0b6218746d957ef3c25b865db1162fcecfc553302bc6cfb639c3a6975a70fa82",
+        "bedc232ca5e04cfbb6ea73b9047b59b7773ea4c3c034706068022511f3442718",
+        "5b6b267d21b2496503ca112b7b5ec8a57f403de479ff3547e7b7e83f94a50dcf",
         "868abf978ae93608142efa070b1b204f902bb1bbcb9b85537c39dd2eff7718ba",
         "5ab7b182c7515ed25d260d1055789696267e116250ae3c8f284c9f1a235cc4c5",
     ),
     "drift_h600_lam2": (
-        "99c8be12513986971d70387ca6d492dee2b52cdb477deb024e5a7715b3351d11",
-        "9674ea6af5c20540f6329bde41d054c1b9d50004ef7b7d71793c0530cc703beb",
+        "a4ddd250d669d752b23d1dc2cc68f886d715645637d632530e6d9c22c6d6397e",
+        "db3ea0f7e9bf92831d447b96e83c2ff4569f1114304933f0ebc8899cb8fc18d3",
         "3de4e3204a12b5e5c7eea022484bc1625f91947b07d62d576add4f6b3a365baf",
         "ca5ce8062d114a225145c586cd01741061cf8baffde78ea65e135d166577c729",
     ),
     "mixed_plan_h400_lam2": (
-        "2a88d44e004689761648de408679727637fcf33dd6b186895ba2f2821b2ed1c4",
-        "9f0d7188d4694f9ef20aa0c1a05296b5ac03a7b82053744518d59d37879575be",
-        "93241425621bb6d6619fce5a3cd064d1bca906fb13482d6271868980eea87645",
+        "88f9d058b53d3cbb8018c8ba9125d92ad508ec4245735bb99d82119ef1ed357c",
+        "f2a94ecd07c9c8ab39128ac0d37761107ad51edaf001ec97f4868952d9d4f4ae",
+        "7533f9f42d4d5c06af3f265009dd904c0e6f73f7de71f801ac0eb835ecff8592",
         "018738dde63159cf164ee1e200f4e2f5fc1a27e18093681fb7e505c3f2398c43",
     ),
 }

@@ -275,6 +275,21 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert set(payload["policies"]) == {"round_robin", "oracle"}
 
 
+def test_explore_weight_flag_reaches_the_router():
+    """The scripted first warmup point switches the router and keeps the
+    configured weight, so --explore-weight changes what e3 does."""
+
+    def e3_latency(*flags):
+        argv = ["run", "--scenario", "warmup", "--warmup", "100", "--policies", "e3", *flags]
+        config = cli_merge(cli_parser().parse_args(argv))
+        return run_experiment(config).report.policies["e3"].avg_latency_ms
+
+    default = e3_latency()
+    assert round(default, 2) == 2715.29  # the warmup W=100 preset is unchanged
+    assert e3_latency("--explore-weight", "2000") == default
+    assert e3_latency("--explore-weight", "0") != e3_latency("--explore-weight", "8000")
+
+
 def test_cli_custom_plan_from_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -322,8 +337,11 @@ NAN, INF = float("nan"), float("inf")
         ({"horizon": True}, ExperimentError, "horizon must be an int"),
         ({"horizon": 30.0}, ExperimentError, "horizon must be an int"),
         ({"warmup_budget": True}, ExperimentError, "warmup_budget must be an int"),
+        ({"policies": ("oracle",), "explore_weight_ms": -5.0}, ValueError,
+         "explore_weight_ms must be a finite number >= 0"),
     ],
-    ids=["jitter_nan_h0", "lam_nan", "lam_inf", "lam_bool", "horizon_bool", "horizon_float", "warmup_bool"],
+    ids=["jitter_nan_h0", "lam_nan", "lam_inf", "lam_bool", "horizon_bool", "horizon_float", "warmup_bool",
+         "explore_weight_without_e3"],
 )
 def test_numeric_config_fields_are_checked_for_every_horizon(fields, error, message):
     with pytest.raises(error, match=message):
@@ -462,8 +480,9 @@ def test_config_file_int_lambda_is_reported_as_a_float(tmp_path):
         ({"horizn": 30}, "unknown config key 'horizn'; accepted keys: adapter, explore_weight_ms,"),
         ({"adapter": {"url": ADAPTER_URL, "timeout": 1}},
          "unknown adapter key 'timeout'; accepted keys: enabled, url, model, api_key_env, timeout_s"),
+        ({"risk_penalty_ms": 1}, "unknown config key 'risk_penalty_ms'; accepted keys: adapter,"),
     ],
-    ids=["top_level", "adapter"],
+    ids=["top_level", "adapter", "risk_penalty_ms"],
 )
 def test_config_file_unknown_keys_are_rejected(tmp_path, capsys, field, message):
     cfg = tmp_path / "cfg.json"

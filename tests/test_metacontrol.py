@@ -124,12 +124,19 @@ def test_residual_alarm_respects_nonevent_gap():
     assert inv.ratio == 2.0
 
 
-def test_residual_alarm_signature_cooldown():
+def test_residual_alarm_is_governed_by_the_gap_alone():
     state = TriggerState()
-    alarm = dict(device=1, model=LLM, ratio=2.0, sample_count=5)
-    assert evaluate_triggers(Invocation("residual_alarm", 100, **alarm), state) is not None
-    assert evaluate_triggers(Invocation("residual_alarm", 119, **alarm), state) is None
-    assert evaluate_triggers(Invocation("residual_alarm", 121, **alarm), state) is not None
+
+    def alarm(task, device, model):
+        candidate = Invocation("residual_alarm", task, device=device, model=model, ratio=2.0)
+        return evaluate_triggers(candidate, state)
+
+    assert alarm(100, 1, LLM)
+    # Another device or model inside the gap is suppressed all the same.
+    assert alarm(119, 0, LLM) is None and alarm(119, 1, SDXL) is None
+    # At the gap the same device and model fire again.
+    assert alarm(120, 1, LLM)
+    assert state.last_invocation_task == 120 and state.cooldowns == {}
 
 
 def test_warmup_tick_fires_once_per_point():
@@ -324,12 +331,12 @@ def test_switch_router_and_params():
     }
     bad = executor.execute_tool(ToolCall("switch_router", {"router": "random"}))
     assert not bad.ok
-    result = executor.execute_tool(
-        ToolCall("set_router_params", {"explore_weight_ms": 1500, "risk_penalty_ms": 30000})
-    )
+    result = executor.execute_tool(ToolCall("set_router_params", {"explore_weight_ms": 1500}))
     assert result.ok
     assert executor.config.explore_weight_ms == 1500
-    assert executor.config.risk_penalty_ms == 30000
+    assert executor.audit.entries[-1].state_delta == {
+        "explore_weight_ms": {"old": 2000.0, "new": 1500}
+    }
 
 
 @pytest.mark.parametrize(
@@ -339,6 +346,8 @@ def test_switch_router_and_params():
         {"risk_penalty_ms": float("inf")},
         {"explore_weight_ms": True},
         {"explore_weight_ms": 100.0, "risk_penalty_ms": -1},
+        {},
+        {"risk_penalty_ms": 1000},
     ],
 )
 def test_set_router_params_rejects_bad_values_and_keeps_config(arguments):
@@ -347,6 +356,8 @@ def test_set_router_params_rejects_bad_values_and_keeps_config(arguments):
     result = executor.execute_tool(ToolCall("set_router_params", arguments))
     assert not result.ok
     assert executor.config.to_dict() == before
+    [entry] = executor.audit.entries
+    assert entry.result == f"rejected: {result.error}" and entry.state_delta == {}
 
 
 def test_update_calibration_rejects_bool_ratio():
@@ -439,6 +450,7 @@ def test_catalog_is_generated_from_the_table():
         ]
         assert schema["additionalProperties"] is False
     assert catalog["set_device_risky"]["parameters"]["properties"]["ttl"]["type"] == "integer"
+    assert catalog["set_router_params"]["parameters"]["required"] == ["explore_weight_ms"]
     assert catalog["switch_router"]["parameters"]["properties"]["router"]["enum"] == [
         "sect", "explore_risk"
     ]
@@ -505,7 +517,7 @@ def test_scripted_semantic_onset_sequence():
 
 def test_scripted_semantic_offset_clears():
     executor = make_executor()
-    executor.overrides.set(0, 50, "test", 0)
+    executor.overrides.set(0, 50, 0)
     inv = Invocation("semantic_offset", 100, device=0, label="game")
     executor.begin_invocation(inv)
     calls = scripted_policy(inv, executor)
@@ -542,9 +554,11 @@ def test_scripted_warmup_first_and_last():
     executor = make_executor()
     first = Invocation("warmup_point", 10, label="first")
     executor.begin_invocation(first)
+    executor.config.explore_weight_ms = 8000.0
     calls = scripted_policy(first, executor)
-    assert [c.tool for c in calls] == ["switch_router", "set_router_params"]
+    assert [c.tool for c in calls] == ["switch_router"]
     assert executor.config.policy == "explore_risk"
+    assert executor.config.explore_weight_ms == 8000.0  # the configured weight is kept
 
     last = Invocation("warmup_point", 30, label="last")
     executor.begin_invocation(last)

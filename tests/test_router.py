@@ -82,11 +82,12 @@ def test_score_plain_mode_sums_backlog_and_prediction():
     assert score(0, task, state) == pytest.approx(3000.0)
 
 
-def test_score_adds_risk_penalty():
+def test_score_ignores_the_risk_flag():
+    # The gate in select_e3 handles risk; a flagged device scores as a safe one.
     overrides = RiskOverrideTable()
-    overrides.set(0, ttl=10, origin="test", at_task=0)
+    overrides.set(0, ttl=10, at_task=0)
     state, task = score_fixture(config=RouterConfig(policy="sect"), overrides=overrides)
-    assert score(0, task, state) == pytest.approx(63000.0)
+    assert score(0, task, state) == pytest.approx(3000.0)
 
 
 def test_score_explore_mode_subtracts_uncertainty_bonus():
@@ -124,7 +125,7 @@ def test_select_e3_takes_argmin():
 
 def test_select_e3_hard_avoidance_beats_scores():
     overrides = RiskOverrideTable()
-    overrides.set(0, ttl=10, origin="test", at_task=0)
+    overrides.set(0, ttl=10, at_task=0)
     # Device 0 would win on score, but it is risky and 1 is safe.
     state = two_device_state(overrides=overrides, alpha0=1.0, alpha1=50.0)
     assert select_e3(TaskSpec(0, LLM, 0.0, 100, 0), state) == 1
@@ -132,8 +133,8 @@ def test_select_e3_hard_avoidance_beats_scores():
 
 def test_select_e3_route_anyway_when_all_risky():
     overrides = RiskOverrideTable()
-    overrides.set(0, ttl=10, origin="test", at_task=0)
-    overrides.set(1, ttl=10, origin="test", at_task=0)
+    overrides.set(0, ttl=10, at_task=0)
+    overrides.set(1, ttl=10, at_task=0)
     state = two_device_state(overrides=overrides, alpha0=30.0, alpha1=40.0)
     assert select_e3(TaskSpec(0, LLM, 0.0, 100, 0), state) == 0
 
@@ -302,7 +303,7 @@ def test_oracle_forced_onto_sole_degraded_device():
 
 def test_ttl_expires_after_global_dispatches():
     table = RiskOverrideTable()
-    table.set(0, ttl=3, origin="test", at_task=0)
+    table.set(0, ttl=3, at_task=0)
     for _ in range(2):
         table.decrement()
         assert table.is_risky(0)
@@ -312,19 +313,19 @@ def test_ttl_expires_after_global_dispatches():
 
 def test_clear_is_immediate_and_set_requires_positive_ttl():
     table = RiskOverrideTable()
-    table.set(0, ttl=50, origin="test", at_task=0)
+    table.set(0, ttl=50, at_task=0)
     assert table.clear(0)
     assert not table.is_risky(0)
     assert not table.clear(0)
     with pytest.raises(ValueError):
-        table.set(0, ttl=0, origin="test", at_task=0)
+        table.set(0, ttl=0, at_task=0)
 
 
 def test_agent_decrements_ttl_once_per_unique_task():
     opm = Opm()
     opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=1.0)])
     agent = AdaptiveAgentPolicy(opm)
-    agent.overrides.set(0, ttl=2, origin="test", at_task=0)
+    agent.overrides.set(0, ttl=2, at_task=0)
     task = TaskSpec(0, LLM, 0.0, 256, 32)
     agent.on_dispatch(task, 0, 0.0)
     agent.on_dispatch(task, 0, 100.0)  # re-dispatch of the same task
@@ -383,11 +384,9 @@ def test_router_config_validation():
         RouterConfig(policy="bogus")
     with pytest.raises(ValueError):
         RouterConfig(explore_weight_ms=-1)
-    with pytest.raises(ValueError):
-        RouterConfig(risk_penalty_ms=-5)
 
 
-@pytest.mark.parametrize("field", ["explore_weight_ms", "risk_penalty_ms"])
+@pytest.mark.parametrize("field", ["explore_weight_ms"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "5"])
 def test_router_config_rejects_non_finite_bool_and_text(field, value):
     with pytest.raises(ValueError, match=field):
