@@ -24,7 +24,7 @@ from .harness import (
     run_experiment,
 )
 from .metacontrol import AdapterConfig
-from .profiles import ProfileError, is_finite_number
+from .profiles import ProfileError
 from .sim.truth import PlanError, plan_from_dicts
 
 
@@ -169,20 +169,15 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def _parse_prior_error(raw: object) -> dict | None:
-    """``{"<device>": factor or [alpha factor, beta factor]}``; factors are finite and > 0."""
-    if raw is None:
-        return None
-    contract = "prior_error must map device ids to a finite number > 0 or a pair of them"
+def _parse_prior_error(raw: object) -> object:
+    """``{"<device>": factor or [alpha factor, beta factor]}`` as ``{device: factor or
+    (alpha factor, beta factor)}``; ExperimentConfig checks the result."""
     if not isinstance(raw, dict):
-        raise ExperimentError(f"{contract}, got {raw!r}")
-    parsed = {}
-    for key, value in raw.items():
-        factors = value if isinstance(value, list) and len(value) == 2 else [value]
-        if not key.isdigit() or not all(is_finite_number(f) and f > 0 for f in factors):
-            raise ExperimentError(f"{contract}, got {key!r}: {value!r}")
-        parsed[int(key)] = tuple(value) if isinstance(value, list) else value
-    return parsed
+        return raw
+    return {
+        int(key) if key.isdecimal() else key: tuple(value) if isinstance(value, list) else value
+        for key, value in raw.items()
+    }
 
 
 def main(argv: list[str] | None = None) -> int:

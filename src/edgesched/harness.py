@@ -39,7 +39,13 @@ from .router import (
     RouterConfig,
 )
 from .sim.engine import Engine, ExecutionRecord, SimulationResult
-from .sim.truth import GroundTruthState, ScenarioPlan, builtin_plans, check_service_jitter
+from .sim.truth import (
+    GroundTruthState,
+    ScenarioPlan,
+    builtin_plans,
+    check_prior_error,
+    check_service_jitter,
+)
 from .sim.workload import TaskSpec, generate_workload
 
 logger = logging.getLogger(__name__)
@@ -117,12 +123,19 @@ class ExperimentConfig:
         self.lam = float(self.lam)  # an int rate is accepted and reported as a float
         if not isinstance(self.trace_decisions, bool):
             raise ExperimentError(f"trace_decisions must be a bool, got {self.trace_decisions!r}")
+        if self.prior_error is not None:
+            check_prior_error(self.prior_error)
         if self.service_jitter is not None:
             check_service_jitter(self.service_jitter)
         if self.explore_weight_ms is not None:  # checked even when e3 does not run
             RouterConfig(explore_weight_ms=self.explore_weight_ms)
         if self.warmup_budget < 0 or self.warmup_budget > max(self.horizon, 0):
             raise ExperimentError("warmup budget must be within [0, horizon]")
+        if self.scenario != "warmup" and self.warmup_budget != 0:
+            raise ExperimentError(
+                f"{self.scenario} takes no warmup budget, got {self.warmup_budget}; "
+                f"its budget is the {DYNAMIC_PREFIX_TASKS}-task settling prefix"
+            )
         for policy in self.policies:
             if policy not in POLICY_NAMES:
                 raise ExperimentError(
@@ -331,7 +344,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not records:
         raise ExperimentError(f"no usable profiles in {profiles_path}")
     priors = priors_from_records(records)
-    device_names = [r.device_name for r in records]
 
     if config.plan is not None:
         plan = config.plan
@@ -378,12 +390,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     meta_counts: dict[str, tuple[int, int]] = {}
     agent: AdaptiveAgentPolicy | None = None
     for name in to_run:
-        truth = GroundTruthState(
-            priors,
-            device_names=device_names,
-            prior_error=prior_error,
-            service_jitter=jitter,
-        )
+        truth = GroundTruthState(priors, prior_error=prior_error, service_jitter=jitter)
         policy = _build_policy(name, priors, warmup_budget, config)
         engine = Engine(truth, plan, workload, policy, leak_check=config.leak_check)
         runs[name] = engine.run()

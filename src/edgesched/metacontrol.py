@@ -237,14 +237,11 @@ class ToolExecutor:
         self._rounds_used += 1
         return [self.execute_tool(call) for call in calls]
 
-    def _now(self) -> float:
-        return self.telemetry.now() if self.telemetry is not None else 0.0
-
     def _audit(self, call: ToolCall, result: dict | str, delta: dict) -> None:
         self.audit.append(
             AuditEntry(
                 task_index=self._task_index,
-                sim_time_ms=self._now(),
+                sim_time_ms=self.telemetry.now(),
                 reason=self._reason,
                 tool=call.tool,
                 arguments=call.arguments,
@@ -304,7 +301,8 @@ class ToolExecutor:
     def _tool_compute_drift(
         self, device: int, model: str, window_ms: float = DRIFT_WINDOW_MS
     ) -> tuple[dict, dict]:
-        ratio, count = self.opm.drift_ratio(device, model_kind(model), window_ms, self._now())
+        now = self.telemetry.now()
+        ratio, count = self.opm.drift_ratio(device, model_kind(model), window_ms, now)
         return {"ratio": ratio, "sample_count": count}, {}
 
     # -- actuation ---------------------------------------------------------------

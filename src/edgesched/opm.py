@@ -1,10 +1,11 @@
 """Agent-side online performance model.
 
 Learns per-device service-time coefficients purely from completed-task
-feedback: a windowed least-squares fit of the token-linear model for LLM
-devices, a windowed mean for diffusion devices.  Also tracks epistemic
-uncertainty (sample scarcity), an observed/predicted residual window for
-drift detection, and a smoothed multiplicative calibration factor.
+feedback, kept as one history per (device, kind).  A refit reads its newest
+40 records: a least-squares fit of the token-linear model for LLM devices, a
+mean for diffusion devices.  Drift detection compares them with the
+predictions made at ingest.  Also tracks epistemic uncertainty (sample
+scarcity) and a smoothed multiplicative calibration factor.
 
 Nothing here ever sees simulator ground truth; every number derives from
 ingested :class:`ExecutionRecord` feedback.  All mutations are appended to an
@@ -16,16 +17,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from .profiles import LLM, DevicePrior
+from .profiles import LLM, DevicePrior, is_int
 from .sim.engine import ExecutionRecord
 
 # Residual mismatch above this observed/predicted ratio counts as drift.
 DRIFT_THRESHOLD = 1.3
 DRIFT_WINDOW_MS = 60_000.0
 CALIBRATION_SMOOTHING = 0.3
-DEFAULT_WINDOW_CAPACITY = 40
+WINDOW_CAPACITY = 40
+HISTORY_CAPACITY = 256
 RIDGE_DAMPING = 1e-6
 
 
@@ -50,33 +52,6 @@ class OpmEstimate:
     n: int = 0
     last_refit: int = -1
 
-    def as_tuple(self) -> tuple:
-        return (
-            self.device_id,
-            self.kind,
-            self.alpha_hat,
-            self.beta_hat,
-            self.gamma_hat,
-            self.calibration_factor,
-            self.n,
-            self.last_refit,
-        )
-
-
-@dataclass(slots=True)
-class _Sample:
-    service_ms: float
-    n_in: int | None
-    n_out: int | None
-    completion_time: float
-
-
-@dataclass(slots=True)
-class _ResidualPair:
-    predicted: float
-    observed: float
-    completion_time: float
-
 
 def left_sum(values) -> float:
     """Float sum folded strictly left to right, starting from 0.0.
@@ -89,6 +64,11 @@ def left_sum(values) -> float:
     for value in values:
         total += value
     return total
+
+
+def _check_window(window: object) -> None:
+    if window is not None and not (is_int(window) and window >= 1):
+        raise ValueError(f"window must be None or an int >= 1, got {window!r}")
 
 
 def solve_token_coefficients(
@@ -129,17 +109,19 @@ class Opm:
     fast path caches predictions of queued tasks per version, so a direct
     write to an :class:`OpmEstimate` field bypasses that invalidation.
 
+    Feedback lives in one history per (device, kind): the newest
+    :data:`HISTORY_CAPACITY` (prediction at ingest, record) pairs, sorted by
+    completion time.  Refits read its newest :data:`WINDOW_CAPACITY` records.
+
     ``oplog`` lists every mutation in order.  An ``("ingest", record, now)``
     entry holds the ingested :class:`ExecutionRecord` itself, which is
     immutable, so :func:`replay_oplog` feeds it back unchanged.
     """
 
-    def __init__(self, window_capacity: int = DEFAULT_WINDOW_CAPACITY) -> None:
-        self.window_capacity = window_capacity
+    def __init__(self) -> None:
         self.version = 0
         self.estimates: dict[tuple[int, str], OpmEstimate] = {}
-        self._windows: dict[tuple[int, str], deque[_Sample]] = {}
-        self._residuals: dict[tuple[int, str], deque[_ResidualPair]] = {}
+        self._history: dict[tuple[int, str], deque[tuple[float, ExecutionRecord]]] = {}
         self.oplog: list[tuple] = []
 
     # -- lifecycle -----------------------------------------------------------
@@ -157,8 +139,7 @@ class Opm:
             else:
                 est.gamma_hat = prior.gamma0
             self.estimates[key] = est
-            self._windows[key] = deque(maxlen=self.window_capacity)
-            self._residuals[key] = deque(maxlen=256)
+            self._history[key] = deque(maxlen=HISTORY_CAPACITY)
         self.version += 1
         self.oplog.append(("seed", tuple(sorted((p.device_id, p.kind, p.alpha0, p.beta0, p.gamma0) for p in priors))))
 
@@ -174,30 +155,26 @@ class Opm:
         """Append one completed-task record.
 
         Ordering contract: the completion time is finite, <= ``now`` and not
-        earlier than the newest residual of the same (device, kind), so each
-        residual window is sorted by completion time; :meth:`drift_ratio`
-        relies on that.
+        earlier than the newest record of the same (device, kind), so each
+        history is sorted by completion time; :meth:`drift_ratio` relies on
+        that.
         """
         completion = record.completion_time
-        key = (record.device_id, record.kind)
         est = self._estimate(record.device_id, record.kind)
-        residuals = self._residuals[key]
-        newest = residuals[-1].completion_time if residuals else -math.inf
+        history = self._history[(record.device_id, record.kind)]
+        newest = history[-1][1].completion_time if history else -math.inf
         if not (math.isfinite(completion) and newest <= completion <= now):
             raise CausalityError(
                 f"record for task {record.task_id} completes at {completion}; it must be "
-                f"finite, >= {newest} (newest residual) and <= now {now}"
+                f"finite, >= {newest} (newest record) and <= now {now}"
             )
-        predicted = self._raw_predict(est, record.n_in, record.n_out)
-        self._windows[key].append(
-            _Sample(record.service_ms, record.n_in, record.n_out, completion)
-        )
-        residuals.append(_ResidualPair(predicted, record.service_ms, completion))
+        history.append((self._raw_predict(est, record.n_in, record.n_out), record))
         est.n += 1
         self.oplog.append(("ingest", record, now))
 
     def window_size(self, device: int, kind: str) -> int:
-        return len(self._windows[(device, kind)])
+        """Number of records a refit with no ``window`` reads."""
+        return min(len(self._history[(device, kind)]), WINDOW_CAPACITY)
 
     # -- estimation -----------------------------------------------------------
 
@@ -210,27 +187,28 @@ class Opm:
         at_task: int | None = None,
         _log: bool = True,
     ) -> str:
-        """Refit one device-kind from its recent window.
+        """Refit one device-kind from its newest ``min(window, 40)`` records.
 
-        Returns "updated" or "insufficient".  A successful refit supersedes
-        any drift calibration, so the calibration factor resets to 1.
+        ``window`` is None (40) or an int >= 1.  Returns "updated" or
+        "insufficient".  A successful refit supersedes any drift
+        calibration, so the calibration factor resets to 1.
         """
+        _check_window(window)
         if _log:
             self.oplog.append(("refit", device, kind, min_samples, window, at_task))
         est = self._estimate(device, kind)
-        samples = list(self._windows[(device, kind)])
-        if window is not None:
-            samples = samples[-window:]
+        count = WINDOW_CAPACITY if window is None else min(window, WINDOW_CAPACITY)
+        samples = [record for _predicted, record in self._history[(device, kind)]][-count:]
         if len(samples) < max(min_samples, 1):
             return "insufficient"
         if kind == LLM:
             alpha, beta = solve_token_coefficients(
-                [(s.n_in, s.n_out, s.service_ms) for s in samples]
+                [(r.n_in, r.n_out, r.service_ms) for r in samples]
             )
             est.alpha_hat = alpha
             est.beta_hat = beta
         else:
-            est.gamma_hat = left_sum(s.service_ms for s in samples) / len(samples)
+            est.gamma_hat = left_sum(r.service_ms for r in samples) / len(samples)
         est.calibration_factor = 1.0
         if at_task is not None:
             est.last_refit = at_task
@@ -241,6 +219,7 @@ class Opm:
         self, min_samples: int = 1, window: int | None = None, at_task: int | None = None
     ) -> dict[int, str]:
         """Refit every seeded device-kind; per-device status keyed by id."""
+        _check_window(window)
         self.oplog.append(("refit_all", min_samples, window, at_task))
         results = {}
         for device, kind in sorted(self.estimates):
@@ -269,7 +248,7 @@ class Opm:
     def drift_ratio(
         self, device: int, kind: str, window_ms: float, now: float
     ) -> tuple[float, int]:
-        """Observed/predicted ratio over the residual pairs with
+        """Observed/predicted ratio over the history pairs whose record has
         ``now - window_ms <= completion_time <= now``.
 
         Relies on the ordering contract of :meth:`ingest_feedback`: the walk
@@ -284,19 +263,19 @@ class Opm:
         self._estimate(device, kind)
         cutoff = now - window_ms
         pairs = []
-        for p in reversed(self._residuals[(device, kind)]):
-            t = p.completion_time
+        for pair in reversed(self._history[(device, kind)]):
+            t = pair[1].completion_time
             if not t <= now:
                 continue
             if not cutoff <= t:
                 break
-            pairs.append(p)
+            pairs.append(pair)
         if not pairs:
             return 1.0, 0
         sum_obs = sum_pred = 0.0
-        for p in reversed(pairs):
-            sum_obs += p.observed
-            sum_pred += p.predicted
+        for predicted, record in reversed(pairs):
+            sum_obs += record.service_ms
+            sum_pred += predicted
         mean_obs = sum_obs / len(pairs)
         mean_pred = sum_pred / len(pairs)
         if mean_pred <= 0.0:
@@ -325,7 +304,7 @@ class Opm:
 
     def snapshot_table(self) -> list[tuple]:
         """Bit-comparable estimate table, one tuple per device-kind."""
-        return [self.estimates[key].as_tuple() for key in sorted(self.estimates)]
+        return [astuple(self.estimates[key]) for key in sorted(self.estimates)]
 
     def snapshot_text(self) -> str:
         """Human-readable one-line-per-device-kind estimate dump."""
@@ -343,14 +322,14 @@ class Opm:
         return "\n".join(lines)
 
 
-def replay_oplog(oplog: list[tuple], window_capacity: int = DEFAULT_WINDOW_CAPACITY) -> Opm:
+def replay_oplog(oplog: list[tuple]) -> Opm:
     """Rebuild an OPM from a recorded operation log.
 
     The estimate table after replay is bit-identical to the original run's:
     the model depends only on the ingested record sequence and the explicit
     refit/calibration operations, never on simulator internals.
     """
-    opm = Opm(window_capacity)
+    opm = Opm()
     for op in oplog:
         tag = op[0]
         if tag == "seed":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -113,17 +113,7 @@ class DevicePrior:
             raise ProfileError("SDXL prior requires gamma0")
 
 
-_RECORD_FIELDS = {
-    "device_name",
-    "model_id",
-    "scenario",
-    "precision",
-    "ttft_ms_p99",
-    "tpot_ms_p99",
-    "latency_ms_p99",
-    "image_size",
-    "steps",
-}
+_RECORD_FIELDS = {f.name for f in fields(RawProfileRecord)}
 
 
 def is_int(value: object) -> bool:
@@ -232,27 +222,6 @@ def priors_from_records(records: list[RawProfileRecord]) -> list[DevicePrior]:
         else:
             priors.append(prior_from_sd(record, device_id))
     return priors
-
-
-def priors_to_json(priors: list[DevicePrior]) -> str:
-    """Serialize a prior set; exact round-trip with :func:`priors_from_json`."""
-    rows = []
-    for p in priors:
-        rows.append(
-            {
-                "device_id": p.device_id,
-                "kind": p.kind,
-                "alpha0": p.alpha0,
-                "beta0": p.beta0,
-                "gamma0": p.gamma0,
-            }
-        )
-    return json.dumps(rows, sort_keys=True)
-
-
-def priors_from_json(text: str) -> list[DevicePrior]:
-    rows = json.loads(text)
-    return [DevicePrior(**row) for row in rows]
 
 
 def default_profiles_path() -> Path:

@@ -19,8 +19,6 @@ from .workload import TaskSpec
 STABLE = "Stable"
 DEGRADED = "Degraded"
 
-SEMANTIC_LABELS = ("game", "video_call", "low_battery", "system_update", "overheating")
-
 # Service-time multiplier applied while a device is semantically degraded.
 DEFAULT_DEGRADATION_FACTOR = 3.0
 
@@ -82,7 +80,7 @@ class SemanticOnset(ScenarioEvent):
     factor: float = DEFAULT_DEGRADATION_FACTOR
 
     def apply(self, truth: _DeviceTruth) -> None:
-        truth.active_factors[self.label] = self.factor
+        truth.active_factors[(self.opens, self.label)] = self.factor
         truth.z = DEGRADED
 
 
@@ -95,9 +93,9 @@ class SemanticOffset(ScenarioEvent):
     label: str
 
     def apply(self, truth: _DeviceTruth) -> None:
-        truth.active_factors.pop(self.label, None)
-        if not any(label in SEMANTIC_LABELS for label in truth.active_factors):
-            truth.z = STABLE
+        # A plan opens at most one semantic window per device at a time.
+        truth.active_factors.pop((self.closes, self.label), None)
+        truth.z = STABLE
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ class DriftStep(ScenarioEvent):
     factor: float
 
     def apply(self, truth: _DeviceTruth) -> None:
-        truth.active_factors[f"drift:{self.model}"] = self.factor
+        truth.active_factors[(self.opens, self.model)] = self.factor
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ class DriftRestore(ScenarioEvent):
     model: str
 
     def apply(self, truth: _DeviceTruth) -> None:
-        truth.active_factors.pop(f"drift:{self.model}", None)
+        truth.active_factors.pop((self.closes, self.model), None)
 
 
 _EVENT_TYPES = {cls.type: cls for cls in ScenarioEvent.__subclasses__()}
@@ -266,18 +264,29 @@ def check_service_jitter(value: object) -> None:
         raise ValueError(f"service_jitter must be a finite number in [0, 1), got {value!r}")
 
 
+def check_prior_error(value: object) -> None:
+    """Raise ValueError unless ``value`` maps int device ids to a finite
+    number > 0 or a tuple of two of them (LLM alpha and beta factors)."""
+    contract = "prior_error must map device ids to a finite number > 0 or a pair of them"
+    if not isinstance(value, dict):
+        raise ValueError(f"{contract}, got {value!r}")
+    for device, error in value.items():
+        factors = error if isinstance(error, tuple) and len(error) == 2 else (error,)
+        if not is_int(device) or not all(is_finite_number(f) and f > 0 for f in factors):
+            raise ValueError(f"{contract}, got {device!r}: {error!r}")
+
+
 @dataclass
 class _DeviceTruth:
     device_id: int
     kind: str
-    name: str
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 0.0
     z: str = STABLE
     available: bool = True
-    # label -> multiplicative service-time modifier (semantic or drift)
-    active_factors: dict[str, float] = field(default_factory=dict)
+    # (window family, label or model) -> service-time multiplier, in opening order
+    active_factors: dict[tuple[str, str], float] = field(default_factory=dict)
     factor: float = 1.0  # factor_product(), kept by GroundTruthState.apply_event
 
     def factor_product(self) -> float:
@@ -305,27 +314,19 @@ class GroundTruthState:
     def __init__(
         self,
         priors: list[DevicePrior],
-        device_names: list[str] | None = None,
         prior_error: dict[int, float | tuple[float, float]] | None = None,
         service_jitter: float = 0.0,
     ) -> None:
         check_service_jitter(service_jitter)
+        prior_error = prior_error or {}
+        check_prior_error(prior_error)
         self.service_jitter = service_jitter
         self.version = 0
         self.devices: dict[int, _DeviceTruth] = {}
-        prior_error = prior_error or {}
         for prior in priors:
-            name = (
-                device_names[prior.device_id]
-                if device_names is not None
-                else f"device-{prior.device_id}"
-            )
-            truth = _DeviceTruth(prior.device_id, prior.kind, name)
+            truth = _DeviceTruth(prior.device_id, prior.kind)
             error = prior_error.get(prior.device_id, 1.0)
-            if isinstance(error, tuple):
-                err_a, err_b = error
-            else:
-                err_a = err_b = float(error)
+            err_a, err_b = error if isinstance(error, tuple) else (error, error)
             if prior.kind == LLM:
                 truth.alpha = prior.alpha0 * err_a
                 truth.beta = prior.beta0 * err_b

@@ -1,6 +1,6 @@
 """Deterministic task stream generation.
 
-The default mixture alternates LLM and SDXL requests at a fixed arrival rate.
+The stream alternates LLM and SDXL requests at a fixed arrival rate.
 LLM token lengths cycle row-major through the 3x3 bin grid so every
 (input, output) combination recurs on a fixed schedule, which keeps the
 least-squares fit identifiable without randomness.
@@ -8,7 +8,7 @@ least-squares fit identifiable without randomness.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from ..profiles import LLM, SDXL, is_finite_number
 
@@ -17,8 +17,6 @@ OUTPUT_BINS = (32, 64, 128)
 
 # Row-major walk over INPUT_BINS x OUTPUT_BINS.
 TOKEN_BIN_CYCLE = tuple((n_in, n_out) for n_in in INPUT_BINS for n_out in OUTPUT_BINS)
-
-MixtureRule = Callable[[int], str]
 
 
 class TaskSpec(NamedTuple):
@@ -31,42 +29,25 @@ class TaskSpec(NamedTuple):
     n_out: int | None = None
 
 
-def alternate(task_id: int) -> str:
-    """Default mixture: even task ids are LLM, odd are SDXL."""
-    return LLM if task_id % 2 == 0 else SDXL
-
-
-def generate_workload(
-    horizon: int,
-    lam: float = 0.5,
-    mixture: MixtureRule | str = "alternate",
-) -> list[TaskSpec]:
+def generate_workload(horizon: int, lam: float = 0.5) -> list[TaskSpec]:
     """Build the deterministic stream of ``horizon`` tasks.
 
     Arrivals are evenly spaced at 1000/lam milliseconds (lam in tasks/s).
+    Even task ids are LLM requests, whose token bins follow
+    :data:`TOKEN_BIN_CYCLE`; odd ids are SDXL requests.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not is_finite_number(lam) or lam <= 0:
         raise ValueError(f"lambda must be a finite number > 0, got {lam!r}")
-    if mixture == "alternate":
-        rule: MixtureRule = alternate
-    elif callable(mixture):
-        rule = mixture
-    else:
-        raise ValueError(f"unknown mixture rule {mixture!r}")
-
     interarrival = 1000.0 / lam
     tasks: list[TaskSpec] = []
     llm_ordinal = 0
     for k in range(horizon):
-        kind = rule(k)
-        if kind == LLM:
+        if k % 2 == 0:
             n_in, n_out = TOKEN_BIN_CYCLE[llm_ordinal % len(TOKEN_BIN_CYCLE)]
             llm_ordinal += 1
             tasks.append(TaskSpec(k, LLM, k * interarrival, n_in, n_out))
-        elif kind == SDXL:
-            tasks.append(TaskSpec(k, SDXL, k * interarrival))
         else:
-            raise ValueError(f"mixture rule produced unknown kind {kind!r}")
+            tasks.append(TaskSpec(k, SDXL, k * interarrival))
     return tasks

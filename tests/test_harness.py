@@ -21,7 +21,7 @@ from edgesched.harness import (
 from edgesched.metacontrol import AdapterConfig
 from edgesched.profiles import LLM
 from edgesched.sim.engine import ExecutionRecord
-from edgesched.sim.truth import PlanError, plan_from_dicts
+from edgesched.sim.truth import GroundTruthState, PlanError, plan_from_dicts
 from edgesched.sim.workload import generate_workload
 
 
@@ -346,6 +346,45 @@ NAN, INF = float("nan"), float("inf")
 def test_numeric_config_fields_are_checked_for_every_horizon(fields, error, message):
     with pytest.raises(error, match=message):
         ExperimentConfig(scenario="drift", **fields)
+
+
+@pytest.mark.parametrize(
+    "prior_error",
+    [{0: NAN}, {0: (2.0, INF)}, {0: -1.0}, {0: "x"}, {0: True}, {0: [2.0, 2.0]}, {0: (2.0,)},
+     {"0": 2.0}, [(0, 2.0)]],
+    ids=["nan", "pair_inf", "negative", "str", "bool", "list_pair", "short_pair", "str_key", "not_a_dict"],
+)
+def test_prior_error_is_checked_before_the_run(fixture_priors, prior_error):
+    message = "prior_error must map device ids to a finite number > 0 or a pair of them"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(scenario="drift", horizon=60, prior_error=prior_error)
+    with pytest.raises(ValueError, match=message):
+        GroundTruthState(fixture_priors, prior_error=prior_error)
+
+
+@pytest.mark.parametrize("key", ["²", "-1", "x"])
+def test_config_file_prior_error_key_must_be_a_device_id(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "drift", "horizon": 30, "prior_error": {key: 2.0}}))
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    assert "prior_error must map device ids" in capsys.readouterr().err
+
+
+def test_prior_error_may_name_devices_outside_the_pool():
+    result = run_experiment(
+        ExperimentConfig(scenario="warmup", horizon=10, policies=("oracle",), prior_error={7: 2.0})
+    )
+    assert len(result.runs["oracle"].records) == 10
+
+
+@pytest.mark.parametrize("scenario", ["semantic", "churn", "drift"])
+def test_dynamic_scenarios_reject_a_warmup_budget(tmp_path, capsys, scenario):
+    with pytest.raises(ExperimentError, match="50-task settling prefix"):
+        ExperimentConfig(scenario=scenario, warmup_budget=30)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", scenario, "--warmup", "100", "--out", str(out)]) == 1
+    assert "50-task settling prefix" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -97,7 +97,6 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
     priors = priors_from_records(records)
     truth = GroundTruthState(
         priors,
-        device_names=[r.device_name for r in records],
         prior_error=PRESETS[scenario]["prior_error"],
         service_jitter=JITTER,
     )
@@ -340,7 +339,6 @@ def make_priced(plan_name: str, policy_name: str) -> PricedEngine:
     scenario = "semantic" if plan_name == "mixed" else plan_name
     truth = GroundTruthState(
         priors,
-        device_names=[r.device_name for r in records],
         prior_error=PRESETS[scenario]["prior_error"],
         service_jitter=JITTER,
     )

@@ -15,9 +15,7 @@ from edgesched.profiles import (
     load_profiles,
     prior_from_llm,
     prior_from_sd,
-    priors_from_json,
     priors_from_records,
-    priors_to_json,
 )
 
 LLM_LINE = {
@@ -142,13 +140,6 @@ def test_alpha_times_reference_recovers_ttft_exactly():
             "d", "llama3.1-8b-edge", "SingleStream", ttft_ms_p99=ttft, tpot_ms_p99=10
         )
         assert abs(prior_from_llm(rec).alpha0 * 1024 - ttft) <= 1e-12 * ttft
-
-
-def test_prior_roundtrip_bit_exact(fixture_priors):
-    text = priors_to_json(fixture_priors)
-    again = priors_from_json(text)
-    assert again == fixture_priors
-    assert priors_to_json(again) == text
 
 
 def test_load_profiles_order_preserving_and_idempotent(tmp_path):

@@ -183,6 +183,26 @@ def test_drift_changes_service_but_not_hidden_state(fixture_priors):
     assert truth.true_service_time(1, task) == base
 
 
+def test_semantic_label_named_like_a_drift_model_keeps_the_drift(fixture_priors):
+    # A semantic label is free text, so it may spell "drift:<model>"; its
+    # window must not overwrite or close the device's open drift window.
+    model = "llama3.1-8b-edge"
+    plan = plan_from_dicts(
+        [
+            {"type": "drift_step", "at_task": 1, "device": 1, "model": model, "factor": 2.0},
+            {"type": "semantic_onset", "at_task": 2, "device": 1, "label": f"drift:{model}"},
+            {"type": "semantic_offset", "at_task": 3, "device": 1, "label": f"drift:{model}"},
+            {"type": "drift_restore", "at_task": 4, "device": 1, "model": model},
+        ]
+    )
+    truth = make_truth(fixture_priors)
+    seen = []
+    for event in plan.events:
+        truth.apply_event(event)
+        seen.append((truth.devices[1].factor, truth.devices[1].z))
+    assert seen == [(2.0, STABLE), (6.0, DEGRADED), (2.0, STABLE), (1.0, STABLE)]
+
+
 def test_stutter_stamped_at_dispatch_not_completion(fixture_priors):
     # Device degraded when the task is dispatched; offset lands before the
     # (long) task completes.  The record must still carry stutter = 1.

@@ -54,10 +54,3 @@ def test_invalid_parameters_rejected():
         generate_workload(-1, lam=0.5)
     with pytest.raises(ValueError):
         generate_workload(4, lam=0.0)
-    with pytest.raises(ValueError):
-        generate_workload(4, lam=0.5, mixture="bogus")
-
-
-def test_custom_mixture_rule():
-    tasks = generate_workload(4, lam=0.5, mixture=lambda k: LLM)
-    assert all(t.kind == LLM for t in tasks)
