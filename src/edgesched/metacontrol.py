@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 from .opm import DRIFT_WINDOW_MS, Opm, UnknownDeviceError
-from .profiles import LLM, SDXL, is_finite_number, is_int
+from .profiles import is_finite_number, is_int, model_kind
 from .router import (
     DEFAULT_RISK_TTL_TASKS,
     EXPLORE_RISK,
@@ -51,16 +51,6 @@ def warmup_points(budget: int) -> frozenset[int]:
     if budget <= 0:
         return frozenset()
     return frozenset({min(10, budget), budget})
-
-
-def model_kind(model: str) -> str:
-    """Map a model identifier from a tool argument onto a device kind."""
-    lowered = model.lower()
-    if lowered == "llm" or "llama" in lowered:
-        return LLM
-    if lowered == "sdxl" or "diffusion" in lowered or "sd-" in lowered:
-        return SDXL
-    raise ValueError(f"cannot infer task kind from model {model!r}")
 
 
 def _is_model(value: object) -> bool:

@@ -122,13 +122,28 @@ def is_int(value: object) -> bool:
 
 
 def is_finite_number(value: object) -> bool:
-    """True for a finite int or float; bools and non-numbers are rejected."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite int or float; bools, non-numbers and ints too large
+    for a float are rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _looks_like(model_id: str, hints: tuple[str, ...]) -> bool:
     lowered = model_id.lower()
     return any(h in lowered for h in hints)
+
+
+def model_kind(model: str) -> str:
+    """The device kind a model name runs on, by the profile loader's hints (LLM first)."""
+    if _looks_like(model, _LLM_MODEL_HINTS):
+        return LLM
+    if _looks_like(model, _SD_MODEL_HINTS):
+        return SDXL
+    raise ValueError(f"cannot infer task kind from model {model!r}")
 
 
 def load_profiles(path: str | Path) -> list[RawProfileRecord]:

@@ -3,8 +3,10 @@
 The engine is the only component that touches :class:`GroundTruthState`.
 Policies see an :class:`ObservableState` snapshot (feasible devices, queue
 contents, exposed event annotations) and receive :class:`ExecutionRecord`
-feedback strictly at completion time.  Same-time events process in the fixed
-order scenario-event < completion < arrival, so replays are byte-identical.
+feedback strictly at completion time.  Scenario events are timed in tasks: an
+event at ``at_task = k`` fires at the arrival time of the ``k``-th arrival,
+just before it arrives.  Same-time events process in the fixed order
+scenario-event < completion < arrival, so replays are byte-identical.
 
 The policy-visible types (TaskSpec, ExecutionRecord, EventAnnotation,
 InFlightView, DeviceSnapshot, ObservableState) are immutable
@@ -24,9 +26,6 @@ from typing import NamedTuple
 
 from .truth import GroundTruthState, PlanError, ScenarioEvent, ScenarioPlan
 from .workload import TaskSpec
-
-_PRIO_SCENARIO = 0
-_PRIO_COMPLETION = 1
 
 
 class EngineError(RuntimeError):
@@ -233,7 +232,7 @@ class Engine:
         self._active_semantic: dict[int, str] = {}  # device -> announced, open label
         self.event_log: list[str] = []
         self._pending: list[TaskSpec] = []
-        self._heap: list[tuple[float, int, int, object]] = []
+        self._heap: list[tuple[float, int, int]] = []  # (completion time, push order, device)
         self._seq = 0
         self._arrived_tasks = 0
         # Callbacks, looked up once; an optional one is None when absent.
@@ -248,12 +247,6 @@ class Engine:
             policy.attach_oracle(OracleAccess(self))
         if hasattr(policy, "attach_telemetry"):
             policy.attach_telemetry(Telemetry(self))
-
-    # -- scheduling helpers --------------------------------------------------
-
-    def _push(self, time: float, priority: int, payload: object) -> None:
-        heapq.heappush(self._heap, (time, priority, self._seq, payload))
-        self._seq += 1
 
     # -- policy-visible views ------------------------------------------------
 
@@ -382,12 +375,6 @@ class Engine:
         for task in pending:
             self._route(task)
 
-    def _arrive(self, task: TaskSpec) -> None:
-        self._arrived_tasks = max(self._arrived_tasks, task.task_id + 1)
-        if self._on_task_arrival is not None:
-            self._on_task_arrival(task.task_id, self.now)
-        self._route(task)
-
     def _route(self, task: TaskSpec) -> None:
         obs = self.observable_state()
         device = self._choose(task, obs)
@@ -444,9 +431,12 @@ class Engine:
             entry, self.now, self.now + service, InFlightView(entry.task, self.now)
         )
         dev.snapshot = None
-        self._push(self.now + service, _PRIO_COMPLETION, device)
+        heapq.heappush(self._heap, (self.now + service, self._seq, device))
+        self._seq += 1
 
-    def _complete(self, device: int) -> None:
+    def _complete(self) -> None:
+        """Pop the earliest completion, advance the clock to it and finish its task."""
+        self.now, _seq, device = heapq.heappop(self._heap)
         dev = self.devices[device]
         fl = dev.in_flight
         if fl is None:
@@ -481,37 +471,39 @@ class Engine:
 
     # -- main loop -------------------------------------------------------------
 
-    def _pop_event(self) -> None:
-        time, priority, _seq, payload = heapq.heappop(self._heap)
-        self.now = time
-        if priority == _PRIO_SCENARIO:
-            self._apply_scenario(payload)
-        else:
-            self._complete(payload)
-
     def run(self) -> SimulationResult:
-        """Merge the arrival stream with the heap of scenario events and completions.
+        """Walk the arrival stream, firing scenario events and completions in between.
 
         Arrivals are sorted once by time (stably, so equal times keep list
-        order); the heap is drained up to and including each arrival's time
-        before the arrival itself, which keeps arrivals last among same-time
-        events.
+        order).  Before the ``k``-th arrival the engine finishes every
+        completion strictly before its time, moves the clock there, applies
+        the plan's events with ``at_task <= k`` in plan order, finishes the
+        completions at that time, then lets the task arrive.  Events whose
+        task never arrives fire together after the last completion, without
+        moving the clock, and the completions they cause (say, the tasks a
+        return flushes) run after them.
         """
-        arrivals = sorted(self.workload, key=_arrival_time)
-        interarrival = 2000.0
-        if len(arrivals) >= 2:
-            interarrival = arrivals[1].arrival_time - arrivals[0].arrival_time
-        for event in self.plan.events:
-            self._push(event.at_task * interarrival, _PRIO_SCENARIO, event)
         heap = self._heap
-        for task in arrivals:
+        events = deque(self.plan.events)  # sorted by at_task, checked by ScenarioPlan
+        for k, task in enumerate(sorted(self.workload, key=_arrival_time)):
             arrival_time = task.arrival_time
-            while heap and heap[0][0] <= arrival_time:
-                self._pop_event()
+            while heap and heap[0][0] < arrival_time:
+                self._complete()
             self.now = arrival_time
-            self._arrive(task)
+            while events and events[0].at_task <= k:
+                self._apply_scenario(events.popleft())
+            while heap and heap[0][0] <= arrival_time:
+                self._complete()
+            self._arrived_tasks = k + 1
+            if self._on_task_arrival is not None:
+                self._on_task_arrival(k, arrival_time)
+            self._route(task)
         while heap:
-            self._pop_event()
+            self._complete()
+        for event in events:
+            self._apply_scenario(event)
+        while heap:
+            self._complete()
         if self._pending:
             raise EngineError(
                 f"run ended with {len(self._pending)} task(s) stranded in the pending buffer"

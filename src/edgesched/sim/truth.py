@@ -29,8 +29,8 @@ class PlanError(ValueError):
 
 # --- scenario events -------------------------------------------------------
 #
-# Event times are task indices: an event at index k mutates ground truth just
-# before task k arrives (the engine orders same-time events ahead of arrivals).
+# Event times are task indices: an event at index k mutates ground truth at the
+# time of the k-th arrival, just before it (see Engine.run).
 
 
 _NAME_RULE = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
@@ -192,7 +192,7 @@ def plan_from_dicts(rows: list[dict]) -> ScenarioPlan:
             raise PlanError(f"a plan row must be an object, got {row!r}")
         row = dict(row)
         type_name = row.pop("type", None)
-        cls = _EVENT_TYPES.get(type_name)
+        cls = _EVENT_TYPES.get(type_name) if isinstance(type_name, str) else None
         if cls is None:
             raise PlanError(
                 f"unknown event type {type_name!r}; valid: {sorted(_EVENT_TYPES)}"

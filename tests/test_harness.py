@@ -21,7 +21,7 @@ from edgesched.harness import (
 from edgesched.metacontrol import AdapterConfig
 from edgesched.profiles import LLM
 from edgesched.sim.engine import ExecutionRecord
-from edgesched.sim.truth import GroundTruthState, PlanError, plan_from_dicts
+from edgesched.sim.truth import GroundTruthState, PlanError, ScenarioPlan, builtin_plans, plan_from_dicts
 from edgesched.sim.workload import generate_workload
 
 
@@ -325,6 +325,7 @@ def test_jitter_outside_its_contract_is_rejected(tmp_path, jitter):
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 10**400  # an int too large for a float
 
 
 @pytest.mark.parametrize(
@@ -334,13 +335,18 @@ NAN, INF = float("nan"), float("inf")
         ({"lam": NAN}, ExperimentError, "lambda must be a finite number > 0"),
         ({"lam": INF}, ExperimentError, "lambda must be a finite number > 0"),
         ({"lam": True}, ExperimentError, "lambda must be a finite number > 0"),
+        ({"lam": HUGE}, ExperimentError, "lambda must be a finite number > 0"),
+        ({"service_jitter": HUGE}, ValueError, r"service_jitter must be a finite number in \[0, 1\)"),
+        ({"policies": ("oracle",), "explore_weight_ms": HUGE}, ValueError,
+         "explore_weight_ms must be a finite number >= 0"),
         ({"horizon": True}, ExperimentError, "horizon must be an int"),
         ({"horizon": 30.0}, ExperimentError, "horizon must be an int"),
         ({"warmup_budget": True}, ExperimentError, "warmup_budget must be an int"),
         ({"policies": ("oracle",), "explore_weight_ms": -5.0}, ValueError,
          "explore_weight_ms must be a finite number >= 0"),
     ],
-    ids=["jitter_nan_h0", "lam_nan", "lam_inf", "lam_bool", "horizon_bool", "horizon_float", "warmup_bool",
+    ids=["jitter_nan_h0", "lam_nan", "lam_inf", "lam_bool", "lam_huge_int", "jitter_huge_int",
+         "explore_weight_huge_int", "horizon_bool", "horizon_float", "warmup_bool",
          "explore_weight_without_e3"],
 )
 def test_numeric_config_fields_are_checked_for_every_horizon(fields, error, message):
@@ -351,8 +357,9 @@ def test_numeric_config_fields_are_checked_for_every_horizon(fields, error, mess
 @pytest.mark.parametrize(
     "prior_error",
     [{0: NAN}, {0: (2.0, INF)}, {0: -1.0}, {0: "x"}, {0: True}, {0: [2.0, 2.0]}, {0: (2.0,)},
-     {"0": 2.0}, [(0, 2.0)]],
-    ids=["nan", "pair_inf", "negative", "str", "bool", "list_pair", "short_pair", "str_key", "not_a_dict"],
+     {"0": 2.0}, [(0, 2.0)], {0: HUGE}],
+    ids=["nan", "pair_inf", "negative", "str", "bool", "list_pair", "short_pair", "str_key", "not_a_dict",
+         "huge_int"],
 )
 def test_prior_error_is_checked_before_the_run(fixture_priors, prior_error):
     message = "prior_error must map device ids to a finite number > 0 or a pair of them"
@@ -368,6 +375,20 @@ def test_config_file_prior_error_key_must_be_a_device_id(tmp_path, capsys, key):
     cfg.write_text(json.dumps({"scenario": "drift", "horizon": 30, "prior_error": {key: 2.0}}))
     assert cli_main(["run", "--config", str(cfg)]) == 1
     assert "prior_error must map device ids" in capsys.readouterr().err
+
+
+def test_events_past_the_last_arrival_change_no_record():
+    # The semantic plan starts at task 60: at H=60 every event fires after
+    # the last completion, at the clock that completion left.
+    def run(plan):
+        return run_experiment(ExperimentConfig(scenario="semantic", horizon=60, lam=2.0, plan=plan))
+
+    planned, empty = run(None), run(ScenarioPlan(()))
+    events = builtin_plans("semantic").events
+    for name, sim in planned.runs.items():
+        assert sim.records == empty.runs[name].records, name
+        last = max(r.completion_time for r in sim.records)
+        assert sim.event_log == [f"{e.at_task} {last:.0f} {e.type} {e.device} {e.label}" for e in events]
 
 
 def test_prior_error_may_name_devices_outside_the_pool():
@@ -423,14 +444,15 @@ def test_plan_naming_a_missing_device_fails_before_the_run(tmp_path):
         ({"horizon": 2.5}, "horizon must be an int, got 2.5"),
         ({"horizon": "10"}, "horizon must be an int, got '10'"),
         ({"lambda": True}, "lambda must be a finite number > 0, got True"),
+        ({"lambda": HUGE}, f"lambda must be a finite number > 0, got {HUGE}"),
         ({"trace_decisions": "no"}, "trace_decisions must be a bool, got 'no'"),
         ({"policies": 5}, "policies must be a comma-separated string or list, got 5"),
         ({"prior_error": [1]}, "prior_error must map device ids to a finite number > 0 or a pair"),
         ({"prior_error": {"0": [1.0]}}, "prior_error must map device ids to a finite number > 0"),
         ({"prior_error": {"0": True}}, "prior_error must map device ids to a finite number > 0"),
     ],
-    ids=["horizon_bool", "horizon_float", "horizon_str", "lambda_bool", "trace_str", "policies_int",
-         "prior_error_list", "prior_error_short_pair", "prior_error_bool"],
+    ids=["horizon_bool", "horizon_float", "horizon_str", "lambda_bool", "lambda_huge_int", "trace_str",
+         "policies_int", "prior_error_list", "prior_error_short_pair", "prior_error_bool"],
 )
 def test_config_file_values_are_checked_as_written(tmp_path, capsys, field, message):
     cfg = tmp_path / "cfg.json"

@@ -266,6 +266,9 @@ def test_model_kind_mapping():
     assert model_kind("LLM") == LLM
     assert model_kind("stable-diffusion-xl") == SDXL
     assert model_kind("SDXL") == SDXL
+    # Names the profile loader accepts as LLM and SDXL rows.
+    assert model_kind("tiny-llm-q4") == LLM
+    assert model_kind("sdxl-base-1.0") == SDXL
     with pytest.raises(ValueError):
         model_kind("resnet50")
 
@@ -399,6 +402,11 @@ def test_set_and_clear_device_risky():
          "window_ms must be a finite number > 0"),
         ("compute_drift", {"device": 0, "model": "LLM", "window_ms": "60000"},
          "window_ms must be a finite number > 0"),
+        ("compute_drift", {"device": 0, "model": "LLM", "window_ms": 10**400},
+         "window_ms must be a finite number > 0"),
+        ("pull_observations", {"window_ms": 10**400}, "window_ms must be a finite number > 0"),
+        ("update_calibration", {"device": 0, "model": "LLM", "ratio": 10**400},
+         "ratio must be a finite number > 0"),
         ("trigger_online_profile_update", {"window": True, "min_samples": 1},
          "window must be an int >= 1, not a bool"),
         ("trigger_online_profile_update", {"window": 40, "min_samples": True},
@@ -418,7 +426,8 @@ def test_set_and_clear_device_risky():
     ],
     ids=[
         "ttl-bool", "ttl-float", "limit-bool", "limit-float", "pull-window-nan", "pull-window-bool",
-        "drift-window-nan", "drift-window-inf", "drift-window-str", "window-bool", "min_samples-bool",
+        "drift-window-nan", "drift-window-inf", "drift-window-str", "drift-window-huge-int",
+        "pull-window-huge-int", "ratio-huge-int", "window-bool", "min_samples-bool",
         "window-float", "device-bool", "device-float", "device-str", "calibration-device-bool",
         "model-int", "unknown-argument", "not-an-object", "missing-argument", "device-of-the-other-kind",
     ],
@@ -657,6 +666,31 @@ def test_adapter_survives_non_object_arguments_and_a_bad_model():
          "rejected: model must be an LLM or SDXL model name, got 5"),
     ]
     assert executor.audit.to_jsonl()  # rejected non-object arguments still serialize
+
+
+def test_adapter_int_too_large_for_a_float_is_rejected_and_audited():
+    executor = make_executor()
+    huge = 10**400
+    responses = [
+        adapter_response(
+            [("set_router_params", {"explore_weight_ms": huge}), ("get_system_status", {})]
+        ),
+        adapter_response([]),
+    ]
+
+    def transport(payload, config):
+        return responses.pop(0)
+
+    weight = executor.config.explore_weight_ms
+    inv = Invocation("semantic_onset", 60, device=1, label="game")
+    executor.begin_invocation(inv)
+    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), executor, transport)
+    assert [c.tool for c in calls] == ["set_router_params", "get_system_status"]
+    rejected, status = executor.audit.entries
+    assert rejected.result == f"rejected: explore_weight_ms must be a finite number >= 0, got {huge!r}"
+    assert status.tool == "get_system_status" and isinstance(status.result, dict)
+    assert executor.config.explore_weight_ms == weight
+    assert executor.audit.to_jsonl()
 
 
 def test_adapter_failure_falls_back_to_scripted():

@@ -318,6 +318,15 @@ def test_scenario_event_processes_before_same_time_arrival(fixture_priors):
     assert by_id[2].stutter == 0
 
 
+def test_events_fire_at_their_tasks_arrival_on_an_uneven_stream(fixture_priors):
+    truth = make_truth(fixture_priors)
+    plan = ScenarioPlan((SemanticOnset(3, 0, "game", 3.0), SemanticOffset(4, 0, "game")))
+    tasks = llm_tasks([0.0, 100.0, 5000.0, 6000.0, 7000.0])
+    result = Engine(truth, plan, tasks, FixedAssignmentPolicy({i: 0 for i in range(5)})).run()
+    assert result.event_log == ["3 6000 semantic_onset 0 game", "4 7000 semantic_offset 0 game"]
+    assert [r.stutter for r in sorted(result.records)] == [0, 0, 0, 1, 0]
+
+
 # --- causality and non-leakage ---------------------------------------------------
 
 
@@ -503,6 +512,7 @@ def test_plan_rejects_offset_that_closes_another_label():
         (DriftStep, (1, 0, "m", float("inf")), "factor"),
         (DriftStep, (1, 0, "m", True), "factor"),
         (DriftRestore, (1, 0, 7), "model"),
+        (DriftStep, (1, 0, "m", 10**400), "factor"),
     ],
 )
 def test_malformed_event_fields_are_rejected(cls, args, field):
@@ -529,6 +539,8 @@ def test_plan_from_dicts_rejects_malformed_rows():
         ({"type": "device_leave"}, "a plan must be a list"),
         ([5], "a plan row must be an object, got 5"),
         ([{"type": "device_leave", "at_task": 1, "device": 0}, "x"], "a plan row must be an object, got 'x'"),
+        ([{"type": ["device_leave"], "at_task": 1, "device": 0}],
+         r"unknown event type \['device_leave'\]; valid: "),
     ],
 )
 def test_plan_from_dicts_rejects_a_non_list_or_a_non_object_row(rows, message):

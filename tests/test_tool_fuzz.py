@@ -32,8 +32,8 @@ VALID = {
 }
 INVALID = {
     COUNT[0]: [0, -1, True, 2.5, "3"],
-    POSITIVE[0]: [0, -0.5, float("nan"), float("inf"), True, "1"],
-    NON_NEGATIVE[0]: [-1, -0.5, float("nan"), float("-inf"), True],
+    POSITIVE[0]: [0, -0.5, float("nan"), float("inf"), True, "1", 10**400],
+    NON_NEGATIVE[0]: [-1, -0.5, float("nan"), float("-inf"), True, 10**400],
     ROUTER[0]: ["random", "SECT", ["sect"]],
     DEVICE[0]: [3, 42, -1, True, 2.0, "0"],
     MODEL[0]: [5, "resnet", "", ["LLM"]],
