@@ -30,13 +30,7 @@ from edgesched.profiles import (
     load_profiles,
     priors_from_records,
 )
-from edgesched.router import (
-    BacklogMemo,
-    FixedHeuristicPolicy,
-    OraclePolicy,
-    backlog_ms,
-    prior_predictor,
-)
+from edgesched.router import BacklogMemo, FixedHeuristicPolicy, OraclePolicy, backlog_ms
 from edgesched.sim.engine import DeviceSnapshot, Engine, InFlightView
 from edgesched.sim.truth import GroundTruthState, _jitter_unit, builtin_plans, plan_from_dicts
 from edgesched.sim.workload import TaskSpec, generate_workload
@@ -49,6 +43,19 @@ JITTER = 0.15
 # calibrates, so without these the memo would never price a queue under a
 # calibration it has not seen.
 CALIBRATE_EVERY = 40
+
+
+def prior_predictor(priors):
+    """Service time straight from offline priors, written out apart from the OPM."""
+    table = {p.device_id: p for p in priors}
+
+    def predict(device, task):
+        prior = table[device]
+        if task.kind == LLM:
+            return prior.alpha0 * task.n_in + prior.beta0 * task.n_out
+        return prior.gamma0
+
+    return predict
 
 
 def reference_predicted_backlog(snap, predict, now):
@@ -128,7 +135,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
 
     elif policy_name == "fixed_heuristic":
         policy = FixedHeuristicPolicy(priors)
-        predict = prior_predictor({p.device_id: p for p in priors})
+        predict = prior_predictor(priors)
 
         def cached(snap, obs):
             return backlog_ms(snap, predict, obs.now, policy.memo)
@@ -193,7 +200,7 @@ def test_runs_cover_calibration_and_redispatch_with_queued_work():
 def test_memo_matches_reference_on_sparsely_observed_queues():
     """Random dispatch/start/complete/redispatch steps; the memo sees some states."""
     rng = random.Random(7)
-    plain = prior_predictor({0: DevicePrior(0, LLM, alpha0=1.37, beta0=41.3)})
+    plain = prior_predictor([DevicePrior(0, LLM, alpha0=1.37, beta0=41.3)])
     priced: list[int] = []
 
     def counting(device, task):
@@ -239,6 +246,66 @@ def test_memo_matches_reference_on_sparsely_observed_queues():
     assert seen_starts[1] > 100 and seen_starts[2] > 100, seen_starts
     # The predictor never changed, so no task was priced twice.
     assert priced and len(priced) == len(set(priced))
+
+
+def _llm(task_id: int) -> TaskSpec:
+    return TaskSpec(task_id, LLM, 0.0, 100 + 37 * task_id, 10 + 7 * task_id)
+
+
+# Each case is the sequence of (queued ids, in-flight id) states one memo sees.
+MEMO_CASES = {
+    "appends": [((1,), None), ((1, 2), None), ((1, 2, 3), None)],
+    "one_start": [((1, 2, 3), None), ((2, 3), 1), ((2, 3, 4), 1)],
+    "two_starts": [((1, 2, 3, 4), None), ((3, 4), 2), ((3, 4, 5), 2)],
+    "start_then_leave": [((1, 2, 3), None), ((), 1), ((6,), 1)],
+    "middle_task_gone": [((1, 2, 3), None), ((1, 3), None), ((1, 3, 4), None)],
+    "head_redispatched_last": [((1, 2), 5), ((2, 1), 5), ((2, 1, 3), None)],
+    "cleared_then_refilled": [((1, 2, 3), 4), ((2, 3), None), ((5, 6), 2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_memo_matches_reference_on_each_kind_of_queue_change(case):
+    predict = prior_predictor([DevicePrior(0, LLM, alpha0=1.37, beta0=41.3)])
+    memo = BacklogMemo()
+    for step, (queued, in_flight) in enumerate(MEMO_CASES[case]):
+        fl = None if in_flight is None else InFlightView(_llm(in_flight), float(step))
+        snap = DeviceSnapshot(0, LLM, True, tuple(map(_llm, queued)), fl)
+        assert backlog_ms(snap, predict, float(step), memo) == reference_predicted_backlog(snap, predict, float(step)), step
+        assert memo.size(0) == len(queued) + (in_flight is not None)
+
+
+def reference_prior_choice(task, obs, predict):
+    """The static baseline as first written: least prior-priced backlog plus prior prediction."""
+    candidates = obs.available_devices(task.kind)
+    if not candidates:
+        return None
+    return min(
+        (reference_predicted_backlog(obs.snapshot_of(d), predict, obs.now) + predict(d, task), d)
+        for d in candidates
+    )[1]
+
+
+@pytest.mark.parametrize("scenario", ["semantic", "churn", "drift"])
+def test_fixed_heuristic_matches_the_prior_scorer_at_every_decision(scenario):
+    priors = priors_from_records(load_profiles(default_profiles_path()))
+    truth = GroundTruthState(priors, prior_error=PRESETS[scenario]["prior_error"], service_jitter=JITTER)
+    policy = FixedHeuristicPolicy(priors)
+    predict = prior_predictor(priors)
+    choose = policy.choose
+    decisions = []
+
+    def checked_choose(task, obs):
+        device = choose(task, obs)
+        assert device == reference_prior_choice(task, obs, predict), task.task_id
+        decisions.append(device)
+        return device
+
+    policy.choose = checked_choose
+    workload = generate_workload(HORIZON, LAMBDA)
+    result = Engine(truth, builtin_plans(scenario), workload, policy).run()
+    assert len(result.records) == HORIZON
+    assert len(decisions) >= HORIZON
 
 
 # --- ground-truth pricing ----------------------------------------------------

@@ -259,6 +259,9 @@ def test_baselines_have_no_learned_or_risk_inputs():
     for policy in (fh, rr):
         assert not hasattr(policy, "opm")
         assert not hasattr(policy, "overrides")
+        # Without engine callbacks nothing can feed a baseline's state.
+        for hook in ("on_task_arrival", "on_dispatch", "on_completion", "on_annotation"):
+            assert not hasattr(policy, hook), (policy.name, hook)
 
 
 # --- full-information reference -----------------------------------------------------
