@@ -56,29 +56,32 @@ class RawProfileRecord:
         return SDXL
 
     def validate(self) -> None:
+        for name in ("device_name", "model_id", "scenario"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ProfileError(f"{name} must be a string, got {value!r}")
         has_llm = self.ttft_ms_p99 is not None or self.tpot_ms_p99 is not None
         has_sd = self.latency_ms_p99 is not None
         if has_llm and has_sd:
             raise ProfileError(
                 f"record for {self.device_name!r} mixes LLM and diffusion fields"
             )
-        if has_llm:
-            if self.ttft_ms_p99 is None or self.tpot_ms_p99 is None:
-                raise ProfileError(
-                    f"record for {self.device_name!r} needs both ttft_ms_p99 and tpot_ms_p99"
-                )
-            if not _looks_like(self.model_id, _LLM_MODEL_HINTS):
-                raise ProfileError(
-                    f"model_id {self.model_id!r} does not match LLM latency fields"
-                )
-        elif has_sd:
-            if not _looks_like(self.model_id, _SD_MODEL_HINTS):
-                raise ProfileError(
-                    f"model_id {self.model_id!r} does not match diffusion latency fields"
-                )
-        else:
+        if not (has_llm or has_sd):
             raise ProfileError(
                 f"record for {self.device_name!r} carries no latency measurement"
+            )
+        if has_llm and (self.ttft_ms_p99 is None or self.tpot_ms_p99 is None):
+            raise ProfileError(
+                f"record for {self.device_name!r} needs both ttft_ms_p99 and tpot_ms_p99"
+            )
+        try:
+            fits = model_kind(self.model_id) == (LLM if has_llm else SDXL)
+        except ValueError:
+            fits = False
+        if not fits:
+            fields_name = "LLM" if has_llm else "diffusion"
+            raise ProfileError(
+                f"model_id {self.model_id!r} does not match {fields_name} latency fields"
             )
         for field_name in ("ttft_ms_p99", "tpot_ms_p99", "latency_ms_p99", "image_size", "steps"):
             value = getattr(self, field_name)

@@ -5,6 +5,7 @@ import logging
 
 import pytest
 
+from edgesched.cli import main as cli_main
 from edgesched.profiles import (
     LLM,
     SDXL,
@@ -205,3 +206,51 @@ def test_default_fixture_loads_as_expected_pool():
     assert priors[1].alpha0 == 2.0 and priors[1].beta0 == 80.0
     assert priors[2].gamma0 == 4000.0
     assert priors[3].gamma0 == 7000.0
+
+
+SD_LINE = {
+    "device_name": "sd",
+    "model_id": "stable-diffusion-xl",
+    "scenario": "SingleStream",
+    "latency_ms_p99": 4000,
+    "image_size": 1024,
+    "steps": 20,
+}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (dict(LLM_LINE, model_id=5), "model_id must be a string, got 5"),
+        (dict(LLM_LINE, model_id=None), "model_id must be a string, got None"),
+        (dict(LLM_LINE, model_id=["llama"]), "model_id must be a string, got ['llama']"),
+        (dict(SD_LINE, model_id=5), "model_id must be a string, got 5"),
+        (dict(LLM_LINE, device_name=7), "device_name must be a string, got 7"),
+        (dict(LLM_LINE, scenario=None), "scenario must be a string, got None"),
+        # Names matching both hint lists are LLM models, so diffusion fields do not fit.
+        (dict(SD_LINE, model_id="llama-sd-turbo"), "model_id 'llama-sd-turbo' does not match diffusion latency fields"),
+        (dict(SD_LINE, model_id="sdxl-llm-distilled"), "model_id 'sdxl-llm-distilled' does not match diffusion latency fields"),
+        (dict(SD_LINE, model_id="resnet50"), "model_id 'resnet50' does not match diffusion latency fields"),
+        (dict(LLM_LINE, model_id="sdxl-base"), "model_id 'sdxl-base' does not match LLM latency fields"),
+    ],
+    ids=["model_int", "model_null", "model_list", "sd_model_int", "device_int", "scenario_null",
+         "llm_name_sd_fields", "both_hints_sd_fields", "unknown_sd_model", "sd_name_llm_fields"],
+)
+def test_profile_row_outside_the_contract_is_one_cli_error(tmp_path, capsys, row, message):
+    path = write_jsonl(tmp_path / "p.jsonl", [SD_LINE, row])
+    with pytest.raises(ProfileError) as info:
+        load_profiles(path)
+    assert str(info.value) == f"{path}:2: {message}"
+    assert cli_main(["run", "--scenario", "warmup", "--horizon", "10", "--profiles", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
+
+def test_rows_matching_one_hint_list_still_load(tmp_path):
+    rows = [
+        dict(LLM_LINE, model_id="tiny-llm-q4"),
+        dict(LLM_LINE, model_id="llama-sd-turbo"),
+        dict(SD_LINE, model_id="sdxl-base-1.0"),
+        dict(SD_LINE, model_id="sd-1.5"),
+    ]
+    records = load_profiles(write_jsonl(tmp_path / "p.jsonl", rows))
+    assert [r.kind for r in records] == [LLM, LLM, SDXL, SDXL]
