@@ -57,20 +57,20 @@ def main():
     show_scores("exploration on (cold start, u=1)", state, task)
 
     overrides = RiskOverrideTable()
-    overrides.set(1, ttl=50, at_task=0)
+    overrides.set(1, ttl=50)
     state = make_state(RouterConfig(policy="sect"), overrides)
     chosen = show_scores("device 1 risk-flagged", state, task)
     assert chosen == 0, "hard avoidance must exclude the flagged device"
 
     overrides = RiskOverrideTable()
-    overrides.set(0, ttl=50, at_task=0)
-    overrides.set(1, ttl=50, at_task=0)
+    overrides.set(0, ttl=50)
+    overrides.set(1, ttl=50)
     state = make_state(RouterConfig(policy="sect"), overrides)
     show_scores("all devices flagged (route-anyway)", state, task)
 
     print("\nTTL bookkeeping: overrides expire after N dispatched tasks")
     table = RiskOverrideTable()
-    table.set(0, ttl=3, at_task=0)
+    table.set(0, ttl=3)
     for k in range(4):
         print(f"  after {k} dispatches: risky={table.is_risky(0)}")
         table.decrement()

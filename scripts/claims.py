@@ -11,15 +11,13 @@ or above it, plus the agent's task count and final OPM sample count per
 never tried.
 
 The ledger is a measurement, not a gate: every point is kept, whatever it
-shows.  Run from the repository root with the standard library alone:
-
-    python scripts/claims.py            # rewrites CLAIMS.json
-    python scripts/claims.py --check    # exits 1 if CLAIMS.json is stale
+shows.  It needs the standard library alone; ``python scripts/claims.py``
+rewrites ``CLAIMS.json`` at the repository root, and
+``tests/test_claims.py`` checks that the committed file is current.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from collections import Counter
@@ -91,19 +89,5 @@ def render(ledger: dict) -> str:
     return json.dumps(ledger, sort_keys=True, indent=2) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="compare with CLAIMS.json instead of writing it")
-    args = parser.parse_args(argv)
-    text = render(build_ledger())
-    if args.check:
-        if LEDGER_PATH.exists() and LEDGER_PATH.read_text() == text:
-            return 0
-        print(f"{LEDGER_PATH.name} is stale; rerun python scripts/claims.py", file=sys.stderr)
-        return 1
-    LEDGER_PATH.write_text(text)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    LEDGER_PATH.write_text(render(build_ledger()))

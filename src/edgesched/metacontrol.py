@@ -323,15 +323,15 @@ class ToolExecutor:
     def _tool_set_device_risky(
         self, device: int, ttl: int = DEFAULT_RISK_TTL_TASKS
     ) -> tuple[dict, dict]:
-        old_mask = sorted(o.device_id for o in self.overrides.active())
-        self.overrides.set(device, ttl, at_task=self._task_index)
-        new_mask = sorted(o.device_id for o in self.overrides.active())
+        old_mask = self.overrides.devices()
+        self.overrides.set(device, ttl)
+        new_mask = self.overrides.devices()
         return {"device": device, "ttl": ttl}, {"risk_mask": {"old": old_mask, "new": new_mask}}
 
     def _tool_clear_device_risky(self, device: int) -> tuple[dict, dict]:
-        old_mask = sorted(o.device_id for o in self.overrides.active())
+        old_mask = self.overrides.devices()
         cleared = self.overrides.clear(device)
-        new_mask = sorted(o.device_id for o in self.overrides.active())
+        new_mask = self.overrides.devices()
         return {"device": device, "cleared": cleared}, {
             "risk_mask": {"old": old_mask, "new": new_mask}
         }

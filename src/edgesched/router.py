@@ -2,12 +2,12 @@
 
 The adaptive policy scores each feasible device as backlog + predicted
 service - exploration bonus and takes the argmin.  Risk gating is hard: a
-risk-flagged device is scored only when no safe device is feasible.  Static
-reference policies (prior-driven heuristic, round robin) and the
-full-information reference policy live here too.  A selection scores each
-candidate at most once.  Its backlogs come from a memo: O(1) amortised per
-task appended to a queue, one float re-fold of the queued costs per FIFO
-service start, and a C-speed tuple comparison per changed snapshot.
+risk-flagged device is scored only when no safe device is feasible.  The
+static baseline is the same plain fast path on offline priors that never
+change; round robin and the full-information reference policy live here
+too.  A selection scores each candidate at most once.  Its backlogs come
+from a memo that keeps the aligned tail of each device's queued costs, so
+each queued task is priced once per model version.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .opm import Opm, left_sum
-from .profiles import LLM, DevicePrior, is_finite_number
+from .profiles import DevicePrior, is_finite_number
 from .sim.engine import DeviceSnapshot, ObservableState, OracleAccess
 from .sim.workload import TaskSpec
 
@@ -49,53 +49,35 @@ class RouterConfig:
         return {"policy": self.policy, "explore_weight_ms": self.explore_weight_ms}
 
 
-@dataclass
-class RiskOverride:
-    device_id: int
-    ttl_tasks: int
-    set_at: int
-
-
 class RiskOverrideTable:
-    """Device risk flags with a task-count time-to-live.
+    """Device risk flags, each with the number of tasks it has left.
 
     The TTL is decremented once per dispatched task globally (first dispatch
     of each task), not per task routed to the flagged device.
     """
 
     def __init__(self) -> None:
-        self._overrides: dict[int, RiskOverride] = {}
+        self._ttl: dict[int, int] = {}
 
-    def set(self, device: int, ttl: int, at_task: int) -> RiskOverride:
+    def set(self, device: int, ttl: int) -> None:
         if ttl <= 0:
             raise ValueError(f"ttl must be > 0, got {ttl}")
-        override = RiskOverride(device, ttl, at_task)
-        self._overrides[device] = override
-        return override
+        self._ttl[device] = ttl
 
     def clear(self, device: int) -> bool:
-        return self._overrides.pop(device, None) is not None
+        return self._ttl.pop(device, None) is not None
 
     def decrement(self) -> None:
-        expired = []
-        for device, override in self._overrides.items():
-            override.ttl_tasks -= 1
-            if override.ttl_tasks <= 0:
-                expired.append(device)
-        for device in expired:
-            del self._overrides[device]
+        self._ttl = {device: left - 1 for device, left in self._ttl.items() if left > 1}
 
     def is_risky(self, device: int) -> bool:
-        return device in self._overrides
+        return device in self._ttl
 
-    def active(self) -> list[RiskOverride]:
-        return [self._overrides[d] for d in sorted(self._overrides)]
+    def devices(self) -> list[int]:
+        return sorted(self._ttl)
 
     def to_dict(self) -> dict:
-        return {
-            str(o.device_id): {"ttl_tasks": o.ttl_tasks, "set_at": o.set_at}
-            for o in self.active()
-        }
+        return {str(d): {"ttl_tasks": self._ttl[d]} for d in self.devices()}
 
 
 Predictor = Callable[[int, TaskSpec], float]
@@ -107,12 +89,13 @@ class BacklogMemo:
     One memo serves one predictor, and a task id names one task.  ``sync``
     drops every entry when the predictor's version moves.  A device's entry
     holds its last snapshot, the queued costs aligned with ``snap.queued``,
-    their sum and the in-flight cost.  Tasks appended at the tail extend the
-    sum; a FIFO start (the old head now in flight, the rest the old tail plus
-    appended tasks) drops the head's cost and re-folds the list; any other
-    change prices the snapshot through a dict of the old entry's costs.  No
-    task is priced twice, every sum is the same left fold as pricing every
-    task afresh, and an entry holds the queued tasks plus the one in flight.
+    their sum and the in-flight cost.  One FIFO rule reads a new snapshot:
+    the old queue's tasks before the new head have left it, and the rest
+    must be the new queue's first tasks, or the queue was cleared and
+    nothing is kept.  The in-flight task keeps its cost if it was in flight
+    or queued before.  The kept costs are re-folded only when some left, and
+    only the new tail is priced, so every sum is the same left fold as
+    pricing every task afresh.
     """
 
     def __init__(self) -> None:
@@ -137,34 +120,24 @@ class BacklogMemo:
         if entry is not None and entry[0] is snap:
             return entry[1], entry[2]
         queued, fl = snap.queued, snap.in_flight
-        known = {}
-        if entry is not None:
+        if entry is None:
+            old, old_fl, total, in_flight, costs = (), None, 0.0, 0.0, []
+        else:
             prev, total, in_flight, costs = entry
-            old = prev.queued
-            kept = len(old)
-            if fl == prev.in_flight and queued[:kept] == old:
-                known = None  # tasks appended at the tail, if any
-            elif fl is not None and old and fl.task is old[0] and queued[: kept - 1] == old[1:]:
-                # FIFO start: the head's cost goes in flight, the rest re-folds.
-                in_flight = costs.pop(0)
-                total = left_sum(costs)
-                kept -= 1
-                known = None
-            else:
-                known = {task.task_id: cost for task, cost in zip(old, costs)} if old else {}
-                if prev.in_flight is not None:
-                    known[prev.in_flight.task.task_id] = in_flight
-        if known is not None:
-            # Price the snapshot afresh, reusing the costs the old entry knew.
-            costs, total, kept, in_flight = [], 0.0, 0, 0.0
-            if fl is not None:
-                in_flight = known.get(fl.task.task_id)
-                if in_flight is None:
-                    in_flight = predict(device, fl.task)
+            old, old_fl = prev.queued, prev.in_flight
+        if fl is None:
+            in_flight = 0.0
+        elif fl != old_fl:
+            in_flight = costs[old.index(fl.task)] if fl.task in old else predict(device, fl.task)
+        started = old.index(queued[0]) if queued and queued[0] in old else len(old)
+        kept = len(old) - started
+        if queued[:kept] != old[started:]:
+            costs, total, kept = [], 0.0, 0  # the queue was cleared
+        elif started:
+            costs = costs[started:]
+            total = left_sum(costs)
         for task in queued[kept:]:
-            value = known.get(task.task_id) if known else None
-            if value is None:
-                value = predict(device, task)
+            value = predict(device, task)
             costs.append(value)
             total += value
         self._devices[device] = (snap, total, in_flight, costs)
@@ -228,11 +201,10 @@ def score(device: int, task: TaskSpec, state: PolicyVisibleState) -> float:
     risky.  Scores may go negative; only the argmin matters.
     """
     config = state.config
-    q = state.backlog(device)
-    t_hat = state.opm.predict(device, task)
-    c = config.explore_weight_ms if config.policy == EXPLORE_RISK else 0.0
-    u = state.opm.uncertainty(device, task.kind)
-    return q + t_hat - c * u
+    value = state.backlog(device) + state.opm.predict(device, task)
+    if config.policy == EXPLORE_RISK:
+        value -= config.explore_weight_ms * state.opm.uncertainty(device, task.kind)
+    return value
 
 
 def select_e3(
@@ -255,18 +227,6 @@ def select_e3(
             }
         )
     return best
-
-
-def prior_predictor(priors: dict[int, DevicePrior]) -> Predictor:
-    """Static service-time prediction straight from offline priors."""
-
-    def predict(device: int, task: TaskSpec) -> float:
-        prior = priors[device]
-        if task.kind == LLM:
-            return prior.alpha0 * task.n_in + prior.beta0 * task.n_out
-        return prior.gamma0
-
-    return predict
 
 
 def select_oracle(
@@ -293,25 +253,26 @@ def select_oracle(
 
 
 class FixedHeuristicPolicy:
-    """Static heuristic driven only by offline priors; never adapts."""
+    """The static baseline: e3's plain fast path on priors that never change.
+
+    Its model is seeded from the offline priors and never fed, its risk
+    table stays empty and its router stays in plain mode, so each choice is
+    the least prior-priced backlog plus prior prediction.  It takes no
+    engine callbacks, so nothing it learns can move a choice.
+    """
 
     name = "fixed_heuristic"
 
     def __init__(self, priors: list[DevicePrior]) -> None:
-        self._predict = prior_predictor({p.device_id: p for p in priors})
-        self.memo = BacklogMemo()  # carries backlog prices across decisions
+        opm = Opm()
+        opm.seed(priors)
+        self._state = (opm, RiskOverrideTable(), RouterConfig(), BacklogMemo())
+
+    def visible_state(self, obs: ObservableState) -> PolicyVisibleState:
+        return PolicyVisibleState(obs, *self._state)
 
     def choose(self, task: TaskSpec, obs: ObservableState) -> int | None:
-        """Least prior-priced backlog plus prior prediction."""
-        candidates = obs.available_devices(task.kind)
-        if not candidates:
-            return None
-        predict = self._predict
-        scored = [
-            (backlog_ms(obs.snapshot_of(d), predict, obs.now, self.memo) + predict(d, task), d)
-            for d in candidates
-        ]
-        return min(scored)[1]
+        return select_e3(task, self.visible_state(obs))
 
 
 class RoundRobinPolicy:

@@ -138,7 +138,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         predict = prior_predictor(priors)
 
         def cached(snap, obs):
-            return backlog_ms(snap, predict, obs.now, policy.memo)
+            return policy.visible_state(obs).backlog(snap.device_id)
 
         def reference(snap, obs):
             return reference_predicted_backlog(snap, predict, obs.now)
@@ -166,8 +166,8 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
                 continue
             assert cached(snap, obs) == reference(snap, obs), (task.task_id, snap.device_id)
             probe.checked += 1
-            memo = getattr(policy, "memo", None)
-            if memo is not None:
+            if policy_name != "oracle":
+                memo = policy.visible_state(obs).memo
                 assert memo.size(snap.device_id) <= len(snap.queued) + 1
         if perturb is not None:
             perturb(task, obs)

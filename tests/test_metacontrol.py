@@ -440,7 +440,7 @@ def test_tool_arguments_outside_their_contract_are_rejected(tool, arguments, con
     assert contract in result.error
     assert executor.audit.entries[-1].result == f"rejected: {result.error}"
     assert executor.audit.entries[-1].arguments == arguments  # as given
-    assert executor.overrides.active() == []
+    assert executor.overrides.devices() == []
     assert len(executor.opm.oplog) == oplog_len
     assert all(e.calibration_factor == 1.0 for e in executor.opm.estimates.values())
 
@@ -526,7 +526,7 @@ def test_scripted_semantic_onset_sequence():
 
 def test_scripted_semantic_offset_clears():
     executor = make_executor()
-    executor.overrides.set(0, 50, 0)
+    executor.overrides.set(0, 50)
     inv = Invocation("semantic_offset", 100, device=0, label="game")
     executor.begin_invocation(inv)
     calls = scripted_policy(inv, executor)
