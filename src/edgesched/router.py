@@ -6,8 +6,8 @@ risk-flagged device is scored only when no safe device is feasible.  The
 static baseline is the same plain fast path on offline priors that never
 change; round robin and the full-information reference policy live here
 too.  A selection scores each candidate at most once.  Its backlogs come
-from a memo that keeps the aligned tail of each device's queued costs, so
-each queued task is priced once per model version.
+from a memo that keeps each device's queued costs while the queue moves
+FIFO and prices only the tasks appended since the last look.
 """
 
 from __future__ import annotations
@@ -257,8 +257,8 @@ class FixedHeuristicPolicy:
 
     Its model is seeded from the offline priors and never fed, its risk
     table stays empty and its router stays in plain mode, so each choice is
-    the least prior-priced backlog plus prior prediction.  It takes no
-    engine callbacks, so nothing it learns can move a choice.
+    the least prior-priced backlog plus prior prediction.  It defines no
+    engine callbacks, so nothing can feed its model.
     """
 
     name = "fixed_heuristic"
