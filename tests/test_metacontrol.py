@@ -26,7 +26,8 @@ from edgesched.metacontrol import (
     scripted_policy,
     warmup_points,
 )
-from edgesched.opm import Opm
+from edgesched.harness import ExperimentConfig, run_experiment
+from edgesched.opm import DRIFT_WINDOW_MS, Opm
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.router import RiskOverrideTable, RouterConfig
 from edgesched.sim.engine import EventAnnotation, ExecutionRecord, assert_no_ground_truth
@@ -557,6 +558,61 @@ def test_scripted_residual_alarm_calibrates_then_refits():
     # The refit supersedes the calibration it just applied.
     assert executor.opm.estimates[(0, LLM)].calibration_factor == 1.0
     assert executor.opm.estimates[(0, LLM)].alpha_hat != 1.0
+
+
+def calibrating_policy(shipped):
+    """The scripted controller with the residual-alarm branch that calibrated
+    before it refit (compute the drift, calibrate by its ratio, refit), kept
+    here as the reference; every other trigger goes to ``shipped``."""
+
+    def policy(invocation, executor):
+        if invocation.reason != "residual_alarm":
+            return shipped(invocation, executor)
+        device, model = invocation.device, invocation.model
+        drift = ToolCall("compute_drift", {"device": device, "model": model, "window_ms": DRIFT_WINDOW_MS})
+        [result] = executor.execute_round([drift])
+        second = []
+        if result.ok and 0 < result.payload["ratio"] != float("inf"):
+            ratio = result.payload["ratio"]
+            second.append(ToolCall("update_calibration", {"device": device, "model": model, "ratio": ratio}))
+        second.append(ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3}))
+        executor.execute_round(second)
+        return [drift, *second]
+
+    return policy
+
+
+# name -> ExperimentConfig arguments; each run raises residual alarms
+ALARM_CONFIGS = {
+    "warmup_w30": {"scenario": "warmup", "warmup_budget": 30},
+    "drift": {"scenario": "drift"},
+    "semantic_h600_lam2": {"scenario": "semantic", "horizon": 600, "lam": 2.0},
+    "drift_h600_lam2": {"scenario": "drift", "horizon": 600, "lam": 2.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALARM_CONFIGS))
+def test_alarm_decides_what_the_calibrating_alarm_decided(name, monkeypatch):
+    """e3's records and decision trace equal those of the controller whose alarm
+    calibrated first, because each calibration was erased by the refit that
+    followed it in the same invocation before any prediction read it."""
+    config = {**ALARM_CONFIGS[name], "policies": ("e3",), "trace_decisions": True}
+    shipped = run_experiment(ExperimentConfig(**config))
+    monkeypatch.setattr(metacontrol, "scripted_policy", calibrating_policy(scripted_policy))
+    reference = run_experiment(ExperimentConfig(**config))
+    for result in (shipped, reference):
+        assert any(i.reason == "residual_alarm" for i in result.agent.meta.invocations)
+    entries = reference.audit.entries
+    calibrations = [i for i, e in enumerate(entries) if e.tool == "update_calibration"]
+    assert calibrations
+    for i in calibrations:
+        calibration, refit = entries[i], entries[i + 1]
+        assert (refit.tool, refit.task_index, refit.reason) == (
+            "trigger_online_profile_update", calibration.task_index, calibration.reason
+        )
+        assert refit.result["refit"][str(calibration.arguments["device"])] == "updated"
+    assert shipped.runs["e3"].records == reference.runs["e3"].records
+    assert shipped.agent.trace == reference.agent.trace
 
 
 def test_scripted_warmup_first_and_last():
