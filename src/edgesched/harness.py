@@ -295,23 +295,18 @@ def build_agent(
     trace: list | None = None,
     router_config: RouterConfig | None = None,
 ) -> AdaptiveAgentPolicy:
-    """Wire the adaptive policy: model, router config, risk mask, controller."""
+    """Wire the controller (model, router config, risk mask), then the agent that routes on it."""
     opm = Opm()
     opm.seed(priors)
-    config = router_config or RouterConfig()
-    overrides = RiskOverrideTable()
     meta = MetaController(
         opm,
-        config,
-        overrides,
+        router_config or RouterConfig(),
+        RiskOverrideTable(),
         warmup_budget=warmup_budget,
-        audit=AuditLog(),
         adapter=adapter,
         transport=transport,
     )
-    return AdaptiveAgentPolicy(
-        opm, config, warmup_budget, meta=meta, trace=trace, overrides=overrides
-    )
+    return AdaptiveAgentPolicy(meta, warmup_budget, trace)
 
 
 def _build_policy(

@@ -316,7 +316,7 @@ class ToolExecutor:
     def _tool_trigger_online_profile_update(
         self, window: int = 40, min_samples: int = 1
     ) -> tuple[dict, dict]:
-        statuses = self.opm.refit_all(min_samples, window, at_task=self._task_index)
+        statuses = self.opm.refit_all(min_samples, window)
         refit = {str(d): s for d, s in statuses.items()}
         return {"refit": refit}, {"refit": dict(refit)}
 
@@ -345,80 +345,47 @@ def _required(tool: str) -> tuple[str, ...]:
 
 
 def scripted_policy(invocation: Invocation, executor: ToolExecutor) -> list[ToolCall]:
-    """Deterministic reference controller: a fixed tool sequence per trigger."""
-    made: list[ToolCall] = []
+    """Deterministic reference controller: one fixed round of tools per trigger.
 
-    def run(calls: list[ToolCall]) -> list[ToolResult]:
-        made.extend(calls)
-        return executor.execute_round(calls)
-
+    A residual alarm records the drift ratio that raised it and refits.  It
+    does not calibrate: the refit always updates the alarm's device, which
+    has at least :data:`ALARM_MIN_SAMPLES` records, and would reset the
+    calibration before any prediction read it.
+    """
     reason = invocation.reason
+    device = invocation.device
+    calls: list[ToolCall] = []
     if reason == "semantic_onset":
-        run(
-            [
-                ToolCall("get_system_status", {}),
-                ToolCall(
-                    "set_device_risky",
-                    {"device": invocation.device, "ttl": DEFAULT_RISK_TTL_TASKS},
-                ),
-            ]
-        )
+        calls = [
+            ToolCall("get_system_status", {}),
+            ToolCall("set_device_risky", {"device": device, "ttl": DEFAULT_RISK_TTL_TASKS}),
+        ]
     elif reason == "semantic_offset":
-        run([ToolCall("clear_device_risky", {"device": invocation.device})])
+        calls = [ToolCall("clear_device_risky", {"device": device})]
     elif reason == "residual_alarm":
-        results = run(
-            [
-                ToolCall(
-                    "compute_drift",
-                    {
-                        "device": invocation.device,
-                        "model": invocation.model,
-                        "window_ms": DRIFT_WINDOW_MS,
-                    },
-                )
-            ]
-        )
-        second: list[ToolCall] = []
-        if results[0].ok:
-            ratio = results[0].payload["ratio"]
-            if ratio > 0 and ratio != float("inf"):
-                second.append(
-                    ToolCall(
-                        "update_calibration",
-                        {
-                            "device": invocation.device,
-                            "model": invocation.model,
-                            "ratio": ratio,
-                        },
-                    )
-                )
-        second.append(
-            ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3})
-        )
-        run(second)
+        calls = [
+            ToolCall(
+                "compute_drift",
+                {"device": device, "model": invocation.model, "window_ms": DRIFT_WINDOW_MS},
+            ),
+            ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3}),
+        ]
+    elif reason == "warmup_point" and invocation.label == "first":
+        # Explore mode uses the configured weight; the controller sets none.
+        calls = [ToolCall("switch_router", {"router": EXPLORE_RISK})]
     elif reason == "warmup_point":
-        if invocation.label == "first":
-            # Explore mode uses the configured weight; the controller sets none.
-            run([ToolCall("switch_router", {"router": EXPLORE_RISK})])
-        else:
-            run(
-                [
-                    ToolCall(
-                        "trigger_online_profile_update", {"window": 40, "min_samples": 1}
-                    ),
-                    ToolCall("switch_router", {"router": SECT}),
-                ]
-            )
+        calls = [
+            ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 1}),
+            ToolCall("switch_router", {"router": SECT}),
+        ]
     elif reason == "churn_event":
-        run(
-            [
-                ToolCall("get_system_status", {}),
-                ToolCall(
-                    "trigger_online_profile_update", {"window": 40, "min_samples": 3}
-                ),
-            ]
-        )
-    return made
+        calls = [
+            ToolCall("get_system_status", {}),
+            ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3}),
+        ]
+    if calls:
+        executor.execute_round(calls)
+    return calls
 
 
 # --- optional external controller -------------------------------------------

@@ -50,7 +50,6 @@ class OpmEstimate:
     gamma_hat: float = 0.0
     calibration_factor: float = 1.0
     n: int = 0
-    last_refit: int = -1
 
 
 def left_sum(values) -> float:
@@ -184,18 +183,19 @@ class Opm:
         kind: str,
         min_samples: int = 1,
         window: int | None = None,
-        at_task: int | None = None,
         _log: bool = True,
     ) -> str:
         """Refit one device-kind from its newest ``min(window, 40)`` records.
 
         ``window`` is None (40) or an int >= 1.  Returns "updated" or
         "insufficient".  A successful refit supersedes any drift
-        calibration, so the calibration factor resets to 1.
+        calibration, so the calibration factor resets to 1; a calibration
+        applied just before an updating refit is erased unread, which is why
+        the scripted residual alarm refits without calibrating.
         """
         _check_window(window)
         if _log:
-            self.oplog.append(("refit", device, kind, min_samples, window, at_task))
+            self.oplog.append(("refit", device, kind, min_samples, window))
         est = self._estimate(device, kind)
         count = WINDOW_CAPACITY if window is None else min(window, WINDOW_CAPACITY)
         samples = [record for _predicted, record in self._history[(device, kind)]][-count:]
@@ -210,22 +210,16 @@ class Opm:
         else:
             est.gamma_hat = left_sum(r.service_ms for r in samples) / len(samples)
         est.calibration_factor = 1.0
-        if at_task is not None:
-            est.last_refit = at_task
         self.version += 1
         return "updated"
 
-    def refit_all(
-        self, min_samples: int = 1, window: int | None = None, at_task: int | None = None
-    ) -> dict[int, str]:
+    def refit_all(self, min_samples: int = 1, window: int | None = None) -> dict[int, str]:
         """Refit every seeded device-kind; per-device status keyed by id."""
         _check_window(window)
-        self.oplog.append(("refit_all", min_samples, window, at_task))
+        self.oplog.append(("refit_all", min_samples, window))
         results = {}
         for device, kind in sorted(self.estimates):
-            results[device] = self.refit(
-                device, kind, min_samples, window, at_task, _log=False
-            )
+            results[device] = self.refit(device, kind, min_samples, window, _log=False)
         return results
 
     def _raw_predict(self, est: OpmEstimate, n_in: int | None, n_out: int | None) -> float:
@@ -341,11 +335,11 @@ def replay_oplog(oplog: list[tuple]) -> Opm:
         elif tag == "ingest":
             opm.ingest_feedback(op[1], op[2])
         elif tag == "refit":
-            _, device, kind, min_samples, window, at_task = op
-            opm.refit(device, kind, min_samples, window, at_task)
+            _, device, kind, min_samples, window = op
+            opm.refit(device, kind, min_samples, window)
         elif tag == "refit_all":
-            _, min_samples, window, at_task = op
-            opm.refit_all(min_samples, window, at_task)
+            _, min_samples, window = op
+            opm.refit_all(min_samples, window)
         elif tag == "calibrate":
             _, device, kind, ratio = op
             opm.apply_calibration(device, kind, ratio)

@@ -13,12 +13,15 @@ FIFO and prices only the tasks appended since the last look.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .opm import Opm, left_sum
 from .profiles import DevicePrior, is_finite_number
 from .sim.engine import DeviceSnapshot, ObservableState, OracleAccess
 from .sim.workload import TaskSpec
+
+if TYPE_CHECKING:  # metacontrol imports this module
+    from .metacontrol import MetaController
 
 SECT = "sect"
 EXPLORE_RISK = "explore_risk"
@@ -316,10 +319,11 @@ class OraclePolicy:
 class AdaptiveAgentPolicy:
     """The closed-loop agent: learned predictions, risk gating, meta-control.
 
-    Owns the policy-side state (model, router config, risk overrides) and
-    forwards engine callbacks to the meta-controller.  During the warmup
-    budget the model refits every few tasks so exploration samples become
-    usable estimates quickly.
+    Routes on the state its meta-controller acts on (model, router config,
+    risk overrides) and forwards every engine callback to that controller;
+    there is no agent without one.  During the warmup budget the model
+    refits every few tasks so exploration samples become usable estimates
+    quickly.
     """
 
     name = "e3"
@@ -327,26 +331,19 @@ class AdaptiveAgentPolicy:
     WARMUP_REFIT_EVERY = 5
 
     def __init__(
-        self,
-        opm: Opm,
-        config: RouterConfig | None = None,
-        warmup_budget: int = 0,
-        meta=None,
-        trace: list | None = None,
-        overrides: RiskOverrideTable | None = None,
+        self, meta: MetaController, warmup_budget: int = 0, trace: list | None = None
     ) -> None:
-        self.opm = opm
-        self.config = config or RouterConfig()
-        self.warmup_budget = warmup_budget
         self.meta = meta
+        self.opm = meta.opm
+        self.config = meta.config
+        self.overrides = meta.overrides
+        self.warmup_budget = warmup_budget
         self.trace = trace
-        self.overrides = overrides if overrides is not None else RiskOverrideTable()
         self.memo = BacklogMemo()
         self._dispatched: set[int] = set()
 
     def attach_telemetry(self, telemetry) -> None:
-        if self.meta is not None:
-            self.meta.attach_telemetry(telemetry)
+        self.meta.attach_telemetry(telemetry)
 
     def visible_state(self, obs: ObservableState) -> PolicyVisibleState:
         return PolicyVisibleState(obs, self.opm, self.overrides, self.config, self.memo)
@@ -359,9 +356,8 @@ class AdaptiveAgentPolicy:
             0 < task_index < self.warmup_budget
             and task_index % self.WARMUP_REFIT_EVERY == 0
         ):
-            self.opm.refit_all(min_samples=1, at_task=task_index)
-        if self.meta is not None:
-            self.meta.on_task_arrival(task_index, now)
+            self.opm.refit_all(min_samples=1)
+        self.meta.on_task_arrival(task_index, now)
 
     def on_dispatch(self, task: TaskSpec, device: int, now: float) -> None:
         if task.task_id in self._dispatched:
@@ -374,9 +370,7 @@ class AdaptiveAgentPolicy:
         # queued and in-flight ids (a redispatch must not decrement twice).
         self._dispatched.discard(record.task_id)
         self.opm.ingest_feedback(record, now)
-        if self.meta is not None:
-            self.meta.on_feedback(record, now, now_task)
+        self.meta.on_feedback(record, now, now_task)
 
     def on_annotation(self, annotation, now_task: int) -> None:
-        if self.meta is not None:
-            self.meta.on_annotation(annotation, now_task)
+        self.meta.on_annotation(annotation, now_task)

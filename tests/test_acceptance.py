@@ -226,9 +226,9 @@ def test_criterion_07_drift_detection_latency(preset_runs):
                 if ratio <= 1.3:
                     recovered_at = op[2]
         elif tag == "refit":
-            opm.refit(op[1], op[2], op[3], op[4], op[5])
+            opm.refit(op[1], op[2], op[3], op[4])
         elif tag == "refit_all":
-            opm.refit_all(op[1], op[2], op[3])
+            opm.refit_all(op[1], op[2])
         elif tag == "calibrate":
             opm.apply_calibration(op[1], op[2], op[3])
     assert recovered_at is not None, "drift ratio never returned below 1.3"

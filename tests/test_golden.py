@@ -79,14 +79,14 @@ GOLDEN: dict[str, tuple[str, str, str, str]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "warmup_w30": (
-        "21733124ef2a843787e0771c6d1125e3c89aa16d9fbee3f39148600416e14524",
-        "c93ccffdd98ef8cc91715d1b933401092487b5b9f1590413ef2c1356057219fe",
+        "502c3ebed666d465cf1c36963f1f3f9a511d2d2a8a59484b9b02e27a4ce6c22a",
+        "580d382d2401f15713dec66699860eff5d9a4bc004519362739fd206b8196cd4",
         "69af05e2f7d0a7c5131251589448737d47078e667955c1d75f3ced5973d97ad1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "warmup_w100": (
-        "11228cc284244a8b6642ab3866e7323ab56b60396fa5965adf9ab9f6f5f74017",
-        "3e53953710a609d4809ad5e4382e1c940b5d8ba4b82c23144738b1e6bed39ab0",
+        "e68eb156b3d502f0777d0e98812a5aa189d5e897f6cc6d8b19c14ac0cc2d536e",
+        "7b13bd0233b979f0e6bdedb677294807d789bf849210627e2cdef665c501fad0",
         "3008e0e73db971338a725fdc8cae9a9335ba3a05270daa40a47800cba822b5e4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
@@ -103,14 +103,14 @@ GOLDEN: dict[str, tuple[str, str, str, str]] = {
         "63b9ce45be1e1eb3cbcc76b1fbbdbdf28d10556a6150685e369e320235599de9",
     ),
     "drift": (
-        "1c507dcfd76048600973c3aac4fff1d4fbe824ee61b2d1ccbf128a7b362dcbaa",
-        "e52b4440ae875f1e1dd56bc791645c0ce1f97be7fc48628eee061a738048c937",
+        "819066d917b096756529ad971729ed526829eb568482980cb68423d8508f4669",
+        "df8f2cb0876f33fa3341fc1ec89fb024216e2799544b2bdef5704b5efb6e6578",
         "501205b768020fa298aefb84d36ab5a059822a92f400979914c04a2c2eec4743",
         "4a5b5bf81a8bc513fc3fe69411f3c9ddfaa6014ee4feb592c6dfbdfbd5af19f3",
     ),
     "semantic_h600_lam2": (
-        "2de5a63e31939e3e4a2cb2c9e7bec5b68b540586a73955e7722262c80dcc838a",
-        "f71875c7a67cff0b994958f72ddc2d3a27b9b6f6a1356fbddd45dee869f069ab",
+        "8384c20e7b6837b298145488202241b46b879408e5fbb22300b1df8e6e363545",
+        "0b58a8623c0c61cc31b1ce249e037dc29d6b46ab28d9bcd70fea4ead0e0e004a",
         "cd8092010771003760b0eebf71359d8c76bdf9a21af4255e3c4913bebb680ea1",
         "d85e41ac1ab9e6bd06f4cd6e99fc1fd93cfffa9aaa6620353820f8e5fb53d60d",
     ),
@@ -121,14 +121,14 @@ GOLDEN: dict[str, tuple[str, str, str, str]] = {
         "5ab7b182c7515ed25d260d1055789696267e116250ae3c8f284c9f1a235cc4c5",
     ),
     "drift_h600_lam2": (
-        "a4ddd250d669d752b23d1dc2cc68f886d715645637d632530e6d9c22c6d6397e",
-        "db3ea0f7e9bf92831d447b96e83c2ff4569f1114304933f0ebc8899cb8fc18d3",
+        "c54b7fdc50ea54fcbae2c71da24c1f7cc73da544362433248f0a22e1db823e2a",
+        "d0558b290c2f7890af113fafe76a7c9afdd3f438c6d23af22aa73d087ba971b0",
         "3de4e3204a12b5e5c7eea022484bc1625f91947b07d62d576add4f6b3a365baf",
         "ca5ce8062d114a225145c586cd01741061cf8baffde78ea65e135d166577c729",
     ),
     "mixed_plan_h400_lam2": (
-        "88f9d058b53d3cbb8018c8ba9125d92ad508ec4245735bb99d82119ef1ed357c",
-        "f2a94ecd07c9c8ab39128ac0d37761107ad51edaf001ec97f4868952d9d4f4ae",
+        "d312d81e7aa70632ec46140c6d068cdf716738a5eedf302ceb1428244c3659e9",
+        "f086dc5e79ac8e0718f4b25cb9247660692b1d711fe2e8d8f62054f880d678b0",
         "7533f9f42d4d5c06af3f265009dd904c0e6f73f7de71f801ac0eb835ecff8592",
         "018738dde63159cf164ee1e200f4e2f5fc1a27e18093681fb7e505c3f2398c43",
     ),

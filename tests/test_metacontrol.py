@@ -535,7 +535,7 @@ def test_scripted_semantic_offset_clears():
     assert not executor.overrides.is_risky(0)
 
 
-def test_scripted_residual_alarm_calibrates_then_refits():
+def test_scripted_residual_alarm_diagnoses_then_refits():
     executor = make_executor()
     # Feed the model so compute_drift sees a 2x mismatch.
     from edgesched.sim.engine import ExecutionRecord
@@ -550,12 +550,10 @@ def test_scripted_residual_alarm_calibrates_then_refits():
     inv = Invocation("residual_alarm", 130, device=0, model=LLM, ratio=2.0, sample_count=4)
     executor.begin_invocation(inv)
     calls = scripted_policy(inv, executor)
-    assert [c.tool for c in calls] == [
-        "compute_drift",
-        "update_calibration",
-        "trigger_online_profile_update",
-    ]
-    # The refit supersedes the calibration it just applied.
+    assert [c.tool for c in calls] == ["compute_drift", "trigger_online_profile_update"]
+    [drift, refit] = executor.audit.entries
+    assert drift.result == {"ratio": 2.0, "sample_count": 4}
+    assert refit.result["refit"]["0"] == "updated"
     assert executor.opm.estimates[(0, LLM)].calibration_factor == 1.0
     assert executor.opm.estimates[(0, LLM)].alpha_hat != 1.0
 

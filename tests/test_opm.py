@@ -408,7 +408,7 @@ def test_oplog_replay_reproduces_estimate_table_bitwise():
                 make_record(i, 2, SDXL, 4100.0 + rng.uniform(-100, 100), completion=now), now=now
             )
         if i % 11 == 0:
-            opm.refit_all(min_samples=2, window=40, at_task=i)
+            opm.refit_all(min_samples=2, window=40)
         if i % 17 == 0:
             opm.apply_calibration(0, LLM, 1.0 + rng.random())
     replayed = replay_oplog(opm.oplog)

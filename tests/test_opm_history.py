@@ -63,7 +63,7 @@ class TwoStoreOpm:
         self.residuals[key].append((predicted, record.service_ms, record.completion_time))
         est.n += 1
 
-    def refit(self, device, kind, min_samples, window, at_task):
+    def refit(self, device, kind, min_samples, window):
         est = self.estimates[(device, kind)]
         samples = list(self.windows[(device, kind)])
         if window is not None:
@@ -77,13 +77,11 @@ class TwoStoreOpm:
         else:
             est.gamma_hat = left_sum(s[0] for s in samples) / len(samples)
         est.calibration_factor = 1.0
-        if at_task is not None:
-            est.last_refit = at_task
         return "updated"
 
-    def refit_all(self, min_samples, window, at_task):
+    def refit_all(self, min_samples, window):
         return {
-            device: self.refit(device, kind, min_samples, window, at_task)
+            device: self.refit(device, kind, min_samples, window)
             for device, kind in sorted(self.estimates)
         }
 
@@ -150,10 +148,10 @@ def test_one_history_matches_two_stores(seed):
             ratio = rng.uniform(0.5, 2.5)
             assert opm.apply_calibration(*key, ratio) == reference.calibrate(*key, ratio)
         elif roll < 0.10:
-            args = (rng.choice((1, 3, 41)), rng.choice(WINDOWS), task_id)
+            args = (rng.choice((1, 3, 41)), rng.choice(WINDOWS))
             assert opm.refit(*key, *args) == reference.refit(*key, *args)
         elif roll < 0.12:
-            args = (rng.choice((1, 3, 41)), rng.choice(WINDOWS), task_id)
+            args = (rng.choice((1, 3, 41)), rng.choice(WINDOWS))
             assert opm.refit_all(*args) == reference.refit_all(*args)
         elif roll < 0.20:
             completions = [pair[2] for pair in reference.residuals[key]]
@@ -167,5 +165,5 @@ def test_one_history_matches_two_stores(seed):
 
     assert min(ingests.values()) > 256
     for window in WINDOWS:
-        assert opm.refit_all(1, window, None) == reference.refit_all(1, window, None)
+        assert opm.refit_all(1, window) == reference.refit_all(1, window)
         assert opm.snapshot_table() == reference.snapshot_table()
