@@ -136,6 +136,8 @@ class ExperimentConfig:
                 f"{self.scenario} takes no warmup budget, got {self.warmup_budget}; "
                 f"its budget is the {DYNAMIC_PREFIX_TASKS}-task settling prefix"
             )
+        if not self.policies:
+            raise ExperimentError(f"policies must name at least one of {sorted(POLICY_NAMES)}")
         for policy in self.policies:
             if policy not in POLICY_NAMES:
                 raise ExperimentError(

@@ -149,12 +149,21 @@ def model_kind(model: str) -> str:
     raise ValueError(f"cannot infer task kind from model {model!r}")
 
 
+def check_sd_config(record: RawProfileRecord) -> None:
+    """Raise unless a diffusion record matches the profiling configuration (1024px, 20 steps)."""
+    if record.image_size != SD_IMAGE_SIZE:
+        raise ProfileError(f"image_size must be {SD_IMAGE_SIZE}, got {record.image_size!r}")
+    if record.steps != SD_STEPS:
+        raise ProfileError(f"steps must be {SD_STEPS}, got {record.steps!r}")
+
+
 def load_profiles(path: str | Path) -> list[RawProfileRecord]:
     """Read profile records from a JSONL file, in file order.
 
     Unknown fields are ignored.  Records whose scenario is not SingleStream
-    are skipped with a warning (one log line per skip).  Malformed lines and
-    invariant violations raise :class:`ProfileError` naming the line.
+    are skipped with a warning (one log line per skip).  Malformed lines,
+    invariant violations and kept diffusion rows outside the profiling
+    configuration raise :class:`ProfileError` naming the line.
     """
     path = Path(path)
     try:
@@ -177,6 +186,8 @@ def load_profiles(path: str | Path) -> list[RawProfileRecord]:
         try:
             record = RawProfileRecord(**known)
             record.validate()
+            if record.scenario == "SingleStream" and record.kind == SDXL:
+                check_sd_config(record)
         except ProfileError as exc:
             raise ProfileError(f"{path}:{lineno}: {exc}") from exc
         except TypeError as exc:
@@ -216,18 +227,13 @@ def prior_from_llm(record: RawProfileRecord, device_id: int = 0) -> DevicePrior:
 def prior_from_sd(record: RawProfileRecord, device_id: int = 0) -> DevicePrior:
     """Extract the flat per-image cost from a diffusion measurement.
 
-    The record must match the profiling configuration (1024px, 20 steps).
+    The record must match the profiling configuration (:func:`check_sd_config`).
     """
     if record.kind != SDXL:
         raise ProfileError(
             f"prior_from_sd needs a diffusion record, got {record.model_id!r}"
         )
-    if record.image_size != SD_IMAGE_SIZE:
-        raise ProfileError(
-            f"image_size must be {SD_IMAGE_SIZE}, got {record.image_size!r}"
-        )
-    if record.steps != SD_STEPS:
-        raise ProfileError(f"steps must be {SD_STEPS}, got {record.steps!r}")
+    check_sd_config(record)
     return DevicePrior(device_id=device_id, kind=SDXL, gamma0=record.latency_ms_p99)
 
 

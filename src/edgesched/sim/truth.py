@@ -330,6 +330,11 @@ class GroundTruthState:
             if prior.kind == LLM:
                 truth.alpha = prior.alpha0 * err_a
                 truth.beta = prior.beta0 * err_b
+            elif isinstance(error, tuple):
+                raise ValueError(
+                    f"prior_error for device {prior.device_id} is the pair {error!r}, "
+                    "but a diffusion device takes one factor"
+                )
             else:
                 truth.gamma = prior.gamma0 * err_a
             self.devices[prior.device_id] = truth

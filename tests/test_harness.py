@@ -391,6 +391,13 @@ def test_events_past_the_last_arrival_change_no_record():
         assert sim.event_log == [f"{e.at_task} {last:.0f} {e.type} {e.device} {e.label}" for e in events]
 
 
+def test_prior_error_pair_is_rejected_only_on_a_diffusion_device(fixture_priors):
+    with pytest.raises(ValueError, match="device 2 is the pair .* diffusion device takes one factor"):
+        GroundTruthState(fixture_priors, prior_error={2: (2.0, 5.0)})
+    truth = GroundTruthState(fixture_priors, prior_error={0: (2.0, 5.0), 7: (2.0, 5.0)})
+    assert (truth.devices[0].alpha, truth.devices[0].beta) == (2.0, 250.0)
+
+
 def test_prior_error_may_name_devices_outside_the_pool():
     result = run_experiment(
         ExperimentConfig(scenario="warmup", horizon=10, policies=("oracle",), prior_error={7: 2.0})
@@ -450,9 +457,15 @@ def test_plan_naming_a_missing_device_fails_before_the_run(tmp_path):
         ({"prior_error": [1]}, "prior_error must map device ids to a finite number > 0 or a pair"),
         ({"prior_error": {"0": [1.0]}}, "prior_error must map device ids to a finite number > 0"),
         ({"prior_error": {"0": True}}, "prior_error must map device ids to a finite number > 0"),
+        ({"prior_error": {"2": [2.0, 5.0]}},
+         "error: prior_error for device 2 is the pair (2.0, 5.0), but a diffusion device takes one factor\n"),
+        ({"policies": []}, "error: policies must name at least one of "
+                           "['e3', 'fixed_heuristic', 'oracle', 'round_robin']\n"),
+        ({"policies": ","}, "error: policies must name at least one of "),
     ],
     ids=["horizon_bool", "horizon_float", "horizon_str", "lambda_bool", "lambda_huge_int", "trace_str",
-         "policies_int", "prior_error_list", "prior_error_short_pair", "prior_error_bool"],
+         "policies_int", "prior_error_list", "prior_error_short_pair", "prior_error_bool",
+         "prior_error_pair_on_sdxl", "policies_empty_list", "policies_empty_string"],
 )
 def test_config_file_values_are_checked_as_written(tmp_path, capsys, field, message):
     cfg = tmp_path / "cfg.json"

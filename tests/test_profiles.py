@@ -232,9 +232,14 @@ SD_LINE = {
         (dict(SD_LINE, model_id="sdxl-llm-distilled"), "model_id 'sdxl-llm-distilled' does not match diffusion latency fields"),
         (dict(SD_LINE, model_id="resnet50"), "model_id 'resnet50' does not match diffusion latency fields"),
         (dict(LLM_LINE, model_id="sdxl-base"), "model_id 'sdxl-base' does not match LLM latency fields"),
+        # A kept diffusion row must match the profiling configuration.
+        (dict(SD_LINE, steps=30), "steps must be 20, got 30"),
+        (dict(SD_LINE, image_size=512), "image_size must be 1024, got 512"),
+        ({k: v for k, v in SD_LINE.items() if k != "image_size"}, "image_size must be 1024, got None"),
     ],
     ids=["model_int", "model_null", "model_list", "sd_model_int", "device_int", "scenario_null",
-         "llm_name_sd_fields", "both_hints_sd_fields", "unknown_sd_model", "sd_name_llm_fields"],
+         "llm_name_sd_fields", "both_hints_sd_fields", "unknown_sd_model", "sd_name_llm_fields",
+         "sd_steps", "sd_image_size", "sd_no_image_size"],
 )
 def test_profile_row_outside_the_contract_is_one_cli_error(tmp_path, capsys, row, message):
     path = write_jsonl(tmp_path / "p.jsonl", [SD_LINE, row])
@@ -243,6 +248,12 @@ def test_profile_row_outside_the_contract_is_one_cli_error(tmp_path, capsys, row
     assert str(info.value) == f"{path}:2: {message}"
     assert cli_main(["run", "--scenario", "warmup", "--horizon", "10", "--profiles", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+
+
+def test_skipped_diffusion_row_outside_the_profiling_configuration_stays_skipped(tmp_path):
+    offline = dict(SD_LINE, scenario="Offline", steps=30, image_size=512)
+    records = load_profiles(write_jsonl(tmp_path / "p.jsonl", [offline, SD_LINE]))
+    assert [(r.scenario, r.steps) for r in records] == [("SingleStream", 20)]
 
 
 def test_rows_matching_one_hint_list_still_load(tmp_path):
