@@ -373,6 +373,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
     if config.horizon == 0:
+        # Nothing runs, but the prior-error factors must still fit the pool.
+        GroundTruthState(priors, prior_error=prior_error, service_jitter=jitter)
         result = ExperimentResult(report, {}, None, None, [])
         if config.out_dir is not None:
             emit_report(result, config.out_dir)

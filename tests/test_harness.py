@@ -394,6 +394,8 @@ def test_events_past_the_last_arrival_change_no_record():
 def test_prior_error_pair_is_rejected_only_on_a_diffusion_device(fixture_priors):
     with pytest.raises(ValueError, match="device 2 is the pair .* diffusion device takes one factor"):
         GroundTruthState(fixture_priors, prior_error={2: (2.0, 5.0)})
+    with pytest.raises(ValueError, match="device 2 is the pair"):  # even when no task runs
+        run_experiment(ExperimentConfig(scenario="semantic", horizon=0, prior_error={2: (2.0, 5.0)}))
     truth = GroundTruthState(fixture_priors, prior_error={0: (2.0, 5.0), 7: (2.0, 5.0)})
     assert (truth.devices[0].alpha, truth.devices[0].beta) == (2.0, 250.0)
 
