@@ -54,10 +54,7 @@ def warmup_points(budget: int) -> frozenset[int]:
 
 
 def _is_model(value: object) -> bool:
-    try:
-        return isinstance(value, str) and bool(model_kind(value))
-    except ValueError:
-        return False
+    return isinstance(value, str) and model_kind(value) is not None
 
 
 # --- the tool table ------------------------------------------------------------
@@ -184,9 +181,6 @@ class AuditLog:
     def lines(self) -> Iterator[str]:
         """One JSON line per entry, without newlines; ``audit.log`` is these lines."""
         return (json.dumps(e.to_dict(), sort_keys=True) for e in self.entries)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(self.lines())
 
 
 class ToolExecutor:
@@ -539,14 +533,13 @@ class MetaController:
         config: RouterConfig,
         overrides: RiskOverrideTable,
         warmup_budget: int = 0,
-        audit: AuditLog | None = None,
         adapter: AdapterConfig | None = None,
         transport=None,
     ) -> None:
         self.opm = opm
         self.config = config
         self.overrides = overrides
-        self.audit = audit or AuditLog()
+        self.audit = AuditLog()
         self.adapter = adapter
         self.transport = transport
         self.trigger_state = TriggerState(warmup_points(warmup_budget))

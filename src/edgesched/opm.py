@@ -112,9 +112,12 @@ class Opm:
     :data:`HISTORY_CAPACITY` (prediction at ingest, record) pairs, sorted by
     completion time.  Refits read its newest :data:`WINDOW_CAPACITY` records.
 
-    ``oplog`` lists every mutation in order.  An ``("ingest", record, now)``
-    entry holds the ingested :class:`ExecutionRecord` itself, which is
-    immutable, so :func:`replay_oplog` feeds it back unchanged.
+    ``oplog`` lists every mutation in order, one tuple per call: ``("seed",
+    priors)``, ``("ingest", record, now)``, ``("refit", device, kind,
+    min_samples, window)`` whatever the outcome (:meth:`refit_all` logs one
+    per device-kind) and ``("calibrate", device, kind, observed_ratio)``.  An
+    ingest entry holds the immutable :class:`ExecutionRecord` itself, so
+    :func:`replay_oplog` feeds it back unchanged.
     """
 
     def __init__(self) -> None:
@@ -183,7 +186,6 @@ class Opm:
         kind: str,
         min_samples: int = 1,
         window: int | None = None,
-        _log: bool = True,
     ) -> str:
         """Refit one device-kind from its newest ``min(window, 40)`` records.
 
@@ -194,8 +196,7 @@ class Opm:
         the scripted residual alarm refits without calibrating.
         """
         _check_window(window)
-        if _log:
-            self.oplog.append(("refit", device, kind, min_samples, window))
+        self.oplog.append(("refit", device, kind, min_samples, window))
         est = self._estimate(device, kind)
         count = WINDOW_CAPACITY if window is None else min(window, WINDOW_CAPACITY)
         samples = [record for _predicted, record in self._history[(device, kind)]][-count:]
@@ -214,13 +215,11 @@ class Opm:
         return "updated"
 
     def refit_all(self, min_samples: int = 1, window: int | None = None) -> dict[int, str]:
-        """Refit every seeded device-kind; per-device status keyed by id."""
-        _check_window(window)
-        self.oplog.append(("refit_all", min_samples, window))
-        results = {}
-        for device, kind in sorted(self.estimates):
-            results[device] = self.refit(device, kind, min_samples, window, _log=False)
-        return results
+        """Refit every seeded device-kind in key order; per-device status keyed by id."""
+        return {
+            device: self.refit(device, kind, min_samples, window)
+            for device, kind in sorted(self.estimates)
+        }
 
     def _raw_predict(self, est: OpmEstimate, n_in: int | None, n_out: int | None) -> float:
         if est.kind == LLM:
@@ -337,9 +336,6 @@ def replay_oplog(oplog: list[tuple]) -> Opm:
         elif tag == "refit":
             _, device, kind, min_samples, window = op
             opm.refit(device, kind, min_samples, window)
-        elif tag == "refit_all":
-            _, min_samples, window = op
-            opm.refit_all(min_samples, window)
         elif tag == "calibrate":
             _, device, kind, ratio = op
             opm.apply_calibration(device, kind, ratio)

@@ -74,11 +74,7 @@ class RawProfileRecord:
             raise ProfileError(
                 f"record for {self.device_name!r} needs both ttft_ms_p99 and tpot_ms_p99"
             )
-        try:
-            fits = model_kind(self.model_id) == (LLM if has_llm else SDXL)
-        except ValueError:
-            fits = False
-        if not fits:
+        if model_kind(self.model_id) != (LLM if has_llm else SDXL):
             fields_name = "LLM" if has_llm else "diffusion"
             raise ProfileError(
                 f"model_id {self.model_id!r} does not match {fields_name} latency fields"
@@ -140,13 +136,14 @@ def _looks_like(model_id: str, hints: tuple[str, ...]) -> bool:
     return any(h in lowered for h in hints)
 
 
-def model_kind(model: str) -> str:
-    """The device kind a model name runs on, by the profile loader's hints (LLM first)."""
+def model_kind(model: str) -> str | None:
+    """The device kind a model name runs on, by the profile loader's hints
+    (LLM first); None when the name matches neither list."""
     if _looks_like(model, _LLM_MODEL_HINTS):
         return LLM
     if _looks_like(model, _SD_MODEL_HINTS):
         return SDXL
-    raise ValueError(f"cannot infer task kind from model {model!r}")
+    return None
 
 
 def check_sd_config(record: RawProfileRecord) -> None:

@@ -147,18 +147,14 @@ class BacklogMemo:
         return total, in_flight
 
 
-def backlog_ms(
-    snap: DeviceSnapshot, predict: Predictor, now: float, memo: BacklogMemo | None = None
-) -> float:
+def backlog_ms(snap: DeviceSnapshot, predict: Predictor, now: float, memo: BacklogMemo) -> float:
     """Backlog in predicted milliseconds: queued work plus in-flight remainder.
 
     Queued predictions are summed in queue order, then the in-flight
     remainder is added: the prediction minus elapsed service, floored at
-    zero (the observer cannot know the task is running late).  A memo reuses
-    the predictions of earlier decisions.
+    zero (the observer cannot know the task is running late).  The memo
+    reuses the predictions of earlier decisions.
     """
-    if memo is None:
-        memo = BacklogMemo()
     total, in_flight = memo.costs(snap, predict)
     if snap.in_flight is not None:
         elapsed = now - snap.in_flight.start_time

@@ -24,6 +24,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
+from ..profiles import model_kind
 from .truth import GroundTruthState, PlanError, ScenarioEvent, ScenarioPlan
 from .workload import TaskSpec
 
@@ -208,14 +209,12 @@ class Engine:
         plan: ScenarioPlan,
         workload: list[TaskSpec],
         policy,
-        hooks: "object | None" = None,
         leak_check: bool = False,
     ) -> None:
         self.truth = truth
         self.plan = plan
         self.workload = workload
         self.policy = policy
-        self.hooks = hooks
         self.leak_check = leak_check
         self.now = 0.0
         self.devices = {
@@ -223,8 +222,13 @@ class Engine:
             for device_id in truth.device_ids()
         }
         for event in plan.events:
+            where = f"{event.type} at task {event.at_task}"
             if event.device not in self.devices:
-                raise PlanError(f"{event.type} at task {event.at_task}: no device {event.device}")
+                raise PlanError(f"{where}: no device {event.device}")
+            kind = self.devices[event.device].kind
+            model = getattr(event, "model", None)
+            if model is not None and model_kind(model) != kind:
+                raise PlanError(f"{where}: model {model!r} does not run on {kind} device {event.device}")
         self._ordered = [self.devices[d] for d in sorted(self.devices)]
         self.records: list[ExecutionRecord] = []
         self.annotations: list[EventAnnotation] = []
@@ -241,8 +245,6 @@ class Engine:
         self._on_dispatch = getattr(policy, "on_dispatch", None)
         self._on_completion = getattr(policy, "on_completion", None)
         self._on_annotation = getattr(policy, "on_annotation", None)
-        self._hook_event = getattr(hooks, "on_event", None)
-        self._hook_record = getattr(hooks, "on_record", None)
         if getattr(policy, "wants_oracle_access", False):
             policy.attach_oracle(OracleAccess(self))
         if hasattr(policy, "attach_telemetry"):
@@ -353,8 +355,6 @@ class Engine:
                 self._active_semantic.pop(event.device, None)
             if self._on_annotation is not None:
                 self._on_annotation(ann, event.at_task)
-            if self._hook_event is not None:
-                self._hook_event(ann)
         if was_available and not available:
             self._redispatch_queue(event.device)
         elif available and not was_available:
@@ -414,10 +414,8 @@ class Engine:
             self._start_next(device)
 
     def _start_next(self, device: int) -> None:
-        """Start the head of a non-empty queue on an idle device."""
+        """Start the head of a non-empty queue on an idle, available device."""
         dev = self.devices[device]
-        if not self.truth.is_available(device):
-            return
         entry = dev.queue.popleft()
         dev.tasks.popleft()
         costs = dev.true_costs
@@ -464,8 +462,6 @@ class Engine:
         self.records.append(record)
         if self._on_completion is not None:
             self._on_completion(record, self.now, self._arrived_tasks)
-        if self._hook_record is not None:
-            self._hook_record(record, self.now)
         if dev.queue:
             self._start_next(device)
 

@@ -227,8 +227,6 @@ def test_criterion_07_drift_detection_latency(preset_runs):
                     recovered_at = op[2]
         elif tag == "refit":
             opm.refit(op[1], op[2], op[3], op[4])
-        elif tag == "refit_all":
-            opm.refit_all(op[1], op[2])
         elif tag == "calibrate":
             opm.apply_calibration(op[1], op[2], op[3])
     assert recovered_at is not None, "drift ratio never returned below 1.3"

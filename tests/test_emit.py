@@ -57,7 +57,7 @@ def test_emitted_files_equal_their_whole_string_forms(tmp_path):
     emit_report(result, tmp_path)
     report = result.report.to_dict()
     assert (tmp_path / "report.json").read_text() == expected(report)
-    assert (tmp_path / "audit.log").read_text() == result.audit.to_jsonl() + "\n"
+    assert (tmp_path / "audit.log").read_text() == "".join(line + "\n" for line in result.audit.lines())
     assert (tmp_path / "events.log").read_text() == "\n".join(result.event_log) + "\n"
     decisions = "\n".join(json.dumps(row, sort_keys=True) for row in result.agent.trace)
     assert (tmp_path / "decisions.log").read_text() == decisions + "\n"

@@ -32,28 +32,34 @@ WINDOWS = {
 }
 
 
+MODELS = {LLM: "llama-synthetic", SDXL: "sdxl-synthetic"}
+
+
 def _profile_row(i, kind, draw):
-    row = {"device_name": f"dev{i}", "scenario": "SingleStream"}
+    row = {"device_name": f"dev{i}", "scenario": "SingleStream", "model_id": MODELS[kind]}
     if kind == LLM:
-        row.update(model_id="llama-synthetic", ttft_ms_p99=draw(st.floats(50.0, 4000.0)),
+        row.update(ttft_ms_p99=draw(st.floats(50.0, 4000.0)),
                    tpot_ms_p99=draw(st.floats(5.0, 200.0)))
     else:
-        row.update(model_id="sdxl-synthetic", latency_ms_p99=draw(st.floats(500.0, 20000.0)),
+        row.update(latency_ms_p99=draw(st.floats(500.0, 20000.0)),
                    image_size=1024, steps=20)
     return row
 
 
-def _plan_rows(draw, n_devices, horizon):
-    """Non-overlapping windows per (family, device, model), as sorted plan rows."""
+def _plan_rows(draw, kinds, horizon):
+    """Non-overlapping windows per (family, device, model), as sorted plan rows.
+
+    A drift window names the model its device runs: the engine rejects one
+    that names another kind's model."""
     rows, busy_until = [], {}
     for _ in range(draw(st.integers(1, 8))):
         family = draw(st.sampled_from(sorted(WINDOWS)))
-        device = draw(st.integers(0, n_devices - 1))
+        device = draw(st.integers(0, len(kinds) - 1))
         start = draw(st.integers(0, horizon + 10))
         end = start + draw(st.integers(1, 60))
         extra = {}
         if family == "drift":
-            extra["model"] = draw(st.sampled_from(["llama-synthetic", "sdxl-synthetic"]))
+            extra["model"] = MODELS[kinds[device]]
         key = (family, device, extra.get("model"))
         if start <= busy_until.get(key, -1):
             continue
@@ -86,7 +92,7 @@ def cases(draw):
     for k, (gap, kind, n_in, n_out) in enumerate(steps):
         now += gap
         tasks.append(TaskSpec(k, kind, now, n_in, n_out) if kind == LLM else TaskSpec(k, kind, now))
-    plan_rows = _plan_rows(draw, len(kinds), len(tasks))
+    plan_rows = _plan_rows(draw, kinds, len(tasks))
     jitter = draw(st.sampled_from([0.0, 0.1, 0.3]))
     warmup = draw(st.integers(0, 40))
     return profile_rows, plan_rows, tasks, jitter, warmup
@@ -117,7 +123,7 @@ def _run(name, priors, plan, tasks, jitter, warmup):
 
 
 def _artifacts(policy, result):
-    audit = policy.meta.audit.to_jsonl() if policy.name == "e3" else ""
+    audit = list(policy.meta.audit.lines()) if policy.name == "e3" else []
     return repr((result.records, result.event_log, result.annotations, audit))
 
 

@@ -19,7 +19,7 @@ from edgesched.harness import (
     smooth_ma,
 )
 from edgesched.metacontrol import AdapterConfig
-from edgesched.profiles import LLM
+from edgesched.profiles import LLM, default_profiles_path
 from edgesched.sim.engine import ExecutionRecord
 from edgesched.sim.truth import GroundTruthState, PlanError, ScenarioPlan, builtin_plans, plan_from_dicts
 from edgesched.sim.workload import generate_workload
@@ -344,10 +344,13 @@ HUGE = 10**400  # an int too large for a float
         ({"warmup_budget": True}, ExperimentError, "warmup_budget must be an int"),
         ({"policies": ("oracle",), "explore_weight_ms": -5.0}, ValueError,
          "explore_weight_ms must be a finite number >= 0"),
+        ({"horizon": -1}, ExperimentError, "horizon must be >= 0"),
+        ({"horizon": 10, "warmup_budget": 11}, ExperimentError, r"warmup budget must be within \[0, horizon\]"),
+        ({"warmup_budget": -1}, ExperimentError, r"warmup budget must be within \[0, horizon\]"),
     ],
     ids=["jitter_nan_h0", "lam_nan", "lam_inf", "lam_bool", "lam_huge_int", "jitter_huge_int",
          "explore_weight_huge_int", "horizon_bool", "horizon_float", "warmup_bool",
-         "explore_weight_without_e3"],
+         "explore_weight_without_e3", "horizon_negative", "warmup_above_horizon", "warmup_negative"],
 )
 def test_numeric_config_fields_are_checked_for_every_horizon(fields, error, message):
     with pytest.raises(error, match=message):
@@ -603,3 +606,82 @@ def test_trace_decisions_flag_wins_over_the_file(tmp_path, in_file, flag):
     cfg.write_text(json.dumps(body))
     argv = ["run", "--config", str(cfg)] + (["--trace-decisions"] if flag else [])
     assert cli_merge(cli_parser().parse_args(argv)).trace_decisions is (flag or in_file is True)
+
+
+# --- errors a caller can provoke -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config"),
+        ("{", "cannot read config"),
+        ("[1]", "must hold a JSON object"),
+        ('"drift"', "must hold a JSON object"),
+        ('{"horizon": 10}', "a scenario is required (--scenario or config file)"),
+    ],
+    ids=["missing_file", "malformed", "list", "string", "no_scenario"],
+)
+def test_config_file_that_holds_no_config_is_one_cli_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert cli_main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def _profile_file(tmp_path, rows):
+    path = tmp_path / "profiles.jsonl"
+    lines = [json.loads(line) for line in default_profiles_path().read_text().splitlines()]
+    path.write_text("".join(json.dumps(dict(lines[i], **extra)) + "\n" for i, extra in rows))
+    return path
+
+
+@pytest.mark.parametrize(
+    "scenario, rows, message",
+    [
+        ("semantic", [(0, {}), (1, {}), (2, {})],
+         "built-in scenario plans expect the 4-device pool (two LLM devices 0-1, two SDXL "
+         "devices 2-3); got kinds ['LLM', 'LLM', 'SDXL']"),
+        ("warmup", [(0, {"scenario": "Offline"}), (2, {"scenario": "Server"})], "no usable profiles in"),
+        ("warmup", [(0, {}), (1, {})], "no device in the pool runs the workload's ['SDXL'] tasks"),
+    ],
+    ids=["three_devices_dynamic", "no_single_stream_rows", "no_sdxl_device"],
+)
+def test_pool_that_cannot_run_the_experiment_is_one_cli_error(tmp_path, capsys, scenario, rows, message):
+    path = _profile_file(tmp_path, rows)
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", scenario, "--horizon", "10", "--profiles", str(path), "--out", str(out)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_output_directory_under_a_regular_file_is_one_cli_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("x")
+    out = tmp_path / "file" / "out"
+    config = ExperimentConfig("warmup", horizon=10, policies=("oracle",), out_dir=out)
+    with pytest.raises(ExperimentError, match=f"cannot create output directory {out}"):
+        run_experiment(config)
+    assert cli_main(["run", "--scenario", "warmup", "--horizon", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}: ")
+
+
+def test_drift_naming_another_kinds_model_fails_before_the_run(tmp_path, capsys):
+    model = "llama3.1-8b-edge"
+    rows = [
+        {"type": "drift_step", "at_task": 120, "device": 2, "model": model, "factor": 2.0},
+        {"type": "drift_restore", "at_task": 220, "device": 2, "model": model},
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "drift", "plan": rows}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: drift_step at task 120: model '{model}' does not run on SDXL device 2\n"
+    )
+    assert not out.exists()

@@ -93,7 +93,7 @@ class Probe:
     def queued_total(self) -> int:
         return sum(len(dev.queue) for dev in self.engine.devices.values())
 
-    def on_event(self, annotation) -> None:
+    def on_annotation(self, annotation) -> None:
         # Called before the engine redispatches a departing device's queue.
         if annotation.type == "device_leave" and self.engine.devices[annotation.device].queue:
             self.leaves_with_queue += 1
@@ -174,9 +174,17 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         return device
 
     policy.choose = checked_choose
+    forward = getattr(policy, "on_annotation", None)
+
+    def on_annotation(annotation, now_task):
+        if forward is not None:
+            forward(annotation, now_task)
+        probe.on_annotation(annotation)
+
+    policy.on_annotation = on_annotation
     plan = builtin_plans(scenario)
     workload = generate_workload(HORIZON, LAMBDA)
-    probe.engine = Engine(truth, plan, workload, policy, hooks=probe)
+    probe.engine = Engine(truth, plan, workload, policy)
     result = probe.engine.run()
     assert len(result.records) == HORIZON
     return probe

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import logging
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -270,8 +271,7 @@ def test_model_kind_mapping():
     # Names the profile loader accepts as LLM and SDXL rows.
     assert model_kind("tiny-llm-q4") == LLM
     assert model_kind("sdxl-base-1.0") == SDXL
-    with pytest.raises(ValueError):
-        model_kind("resnet50")
+    assert model_kind("resnet50") is None
 
 
 def test_get_system_status_and_audit():
@@ -719,7 +719,7 @@ def test_adapter_survives_non_object_arguments_and_a_bad_model():
         ("compute_drift", {"device": 0, "model": 5},
          "rejected: model must be an LLM or SDXL model name, got 5"),
     ]
-    assert executor.audit.to_jsonl()  # rejected non-object arguments still serialize
+    assert list(executor.audit.lines())  # rejected non-object arguments still serialize
 
 
 def test_adapter_int_too_large_for_a_float_is_rejected_and_audited():
@@ -744,7 +744,7 @@ def test_adapter_int_too_large_for_a_float_is_rejected_and_audited():
     assert rejected.result == f"rejected: explore_weight_ms must be a finite number >= 0, got {huge!r}"
     assert status.tool == "get_system_status" and isinstance(status.result, dict)
     assert executor.config.explore_weight_ms == weight
-    assert executor.audit.to_jsonl()
+    assert list(executor.audit.lines())
 
 
 def test_adapter_failure_falls_back_to_scripted():
@@ -908,3 +908,100 @@ def test_default_transport_posts_json_over_http(monkeypatch):
         server.shutdown()
         server.server_close()
         thread.join()
+
+
+def test_adapter_second_round_failure_keeps_the_first_rounds_calls(caplog):
+    with caplog.at_level(logging.WARNING, logger="edgesched.metacontrol"):
+        meta, payloads = adapter_controller(
+            [adapter_response([("get_system_status", {})]), TimeoutError("no second answer")]
+        )
+    assert len(payloads) == 2
+    assert [e.tool for e in meta.audit.entries] == ["get_system_status"]  # no fallback
+    assert "adapter round 2 failed (no second answer); stopping after round 1" in caplog.text
+
+
+def test_controller_without_telemetry_cannot_run_an_invocation():
+    opm = Opm()
+    opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0)])
+    meta = MetaController(opm, RouterConfig(), RiskOverrideTable(), warmup_budget=10)
+    meta.on_task_arrival(9, 0.0)  # no trigger, so nothing needs telemetry
+    with pytest.raises(RuntimeError, match="meta-controller has no telemetry attached"):
+        meta.on_task_arrival(10, 0.0)
+
+
+# --- adapter doubles inside an engine run ------------------------------------------
+
+DOUBLE = AdapterConfig(enabled=True, url="http://double.invalid", model="m")
+
+
+class _Unexecuted:
+    """Takes a round of tool calls without running them."""
+
+    def execute_round(self, calls):
+        return []
+
+
+def answering(first_round):
+    """An adapter transport: round one answers ``first_round(invocation fields)``,
+    round two answers no calls.  Returns the transport and the invocations asked."""
+    asked = []
+
+    def transport(payload, config):
+        messages = payload["messages"]
+        if len(messages) > 2:
+            return adapter_response([])
+        fields = json.loads(messages[1]["content"])
+        del fields["context"]
+        asked.append(fields)
+        return adapter_response(first_round(fields))
+
+    return transport, asked
+
+
+def scripted_calls(fields):
+    calls = scripted_policy(Invocation(**fields), _Unexecuted())
+    return [(c.tool, c.arguments) for c in calls]
+
+
+SCRIPTED_DOUBLE_CONFIGS = {
+    "warmup_w30": {"scenario": "warmup", "warmup_budget": 30},
+    "semantic": {"scenario": "semantic"},
+    "churn": {"scenario": "churn"},
+    "drift": {"scenario": "drift"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTED_DOUBLE_CONFIGS))
+def test_adapter_answering_the_scripted_calls_writes_the_scripted_artifacts(name, tmp_path):
+    config = {**SCRIPTED_DOUBLE_CONFIGS[name], "trace_decisions": True}
+    scripted = run_experiment(ExperimentConfig(**config, out_dir=tmp_path / "scripted"))
+    transport, asked = answering(scripted_calls)
+    run_experiment(
+        ExperimentConfig(**config, adapter=DOUBLE, adapter_transport=transport, out_dir=tmp_path / "adapter")
+    )
+    assert [Invocation(**fields) for fields in asked] == scripted.agent.meta.invocations != []
+    files = sorted(p.name for p in (tmp_path / "scripted").iterdir())
+    assert "decisions.log" in files and "audit.log" in files
+    assert sorted(p.name for p in (tmp_path / "adapter").iterdir()) == files
+    for file in files:
+        assert (tmp_path / "adapter" / file).read_bytes() == (tmp_path / "scripted" / file).read_bytes(), file
+
+
+def test_tools_the_scripted_controller_never_calls_run_inside_an_engine():
+    calls = [
+        ("pull_observations", {"window_ms": 60000.0, "limit": 5}),
+        ("update_calibration", {"device": 0, "model": "llama3.1-8b-edge", "ratio": 1.2}),
+        ("set_router_params", {"explore_weight_ms": 1500.0}),
+    ]
+    transport, asked = answering(lambda fields: calls)
+    result = run_experiment(ExperimentConfig("semantic", adapter=DOUBLE, adapter_transport=transport))
+    entries = result.audit.entries
+    assert len(asked) == len(result.agent.meta.invocations) > 0
+    assert [(e.tool, e.arguments) for e in entries] == calls * len(asked)
+    assert all(isinstance(e.result, dict) for e in entries)  # none rejected
+    pulled = [e.result["observations"] for e in entries if e.tool == "pull_observations"]
+    assert all(0 < len(rows) <= 5 for rows in pulled)
+    assert result.agent.opm.estimates[(0, LLM)].calibration_factor != 1.0
+    assert result.agent.config.explore_weight_ms == 1500.0
+    for name, run in result.runs.items():
+        assert sorted(r.task_id for r in run.records) == list(range(300)), name

@@ -422,3 +422,34 @@ def test_snapshot_text_one_line_per_device_kind():
     assert len(lines) == 2
     assert lines[0].startswith("device=0 kind=LLM alpha_hat=")
     assert lines[1].startswith("device=2 kind=SDXL gamma_hat=")
+
+
+def test_refit_logs_one_entry_per_device_kind_whatever_the_outcome():
+    opm = seeded_opm()
+    opm.ingest_feedback(make_record(0, 2, SDXL, 4100.0), now=1e9)
+    start = len(opm.oplog)
+    assert opm.refit_all(min_samples=1, window=5) == {0: "insufficient", 2: "updated"}
+    assert opm.refit(2, SDXL, min_samples=3) == "insufficient"
+    assert opm.oplog[start:] == [
+        ("refit", 0, LLM, 1, 5),
+        ("refit", 2, SDXL, 1, 5),
+        ("refit", 2, SDXL, 3, None),
+    ]
+    assert replay_oplog(opm.oplog).snapshot_table() == opm.snapshot_table()
+
+
+def test_replay_rejects_an_unknown_tag():
+    with pytest.raises(ValueError, match="unknown op 'refit_all'"):
+        replay_oplog([("refit_all", 1, None)])
+
+
+@pytest.mark.parametrize("service, ratio", [(100.0, math.inf), (0.0, 1.0)])
+def test_drift_ratio_against_a_zero_mean_prediction(service, ratio):
+    opm = seeded_opm([DevicePrior(2, SDXL, gamma0=0.0)])
+    opm.ingest_feedback(make_record(0, 2, SDXL, service), now=1e9)
+    assert opm.drift_ratio(2, SDXL, 1e12, now=1e9) == (ratio, 1)
+
+
+def test_collinear_tokens_too_large_for_the_damping_give_zero_coefficients():
+    # (1e9)^2 absorbs the 1e-6 ridge term, so the damped system stays singular.
+    assert solve_token_coefficients([(10**9, 10**9, 1.0)] * 3) == (0.0, 0.0)

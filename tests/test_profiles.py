@@ -236,10 +236,17 @@ SD_LINE = {
         (dict(SD_LINE, steps=30), "steps must be 20, got 30"),
         (dict(SD_LINE, image_size=512), "image_size must be 1024, got 512"),
         ({k: v for k, v in SD_LINE.items() if k != "image_size"}, "image_size must be 1024, got None"),
+        ({k: v for k, v in LLM_LINE.items() if k != "tpot_ms_p99"},
+         "record for 'dev-a' needs both ttft_ms_p99 and tpot_ms_p99"),
+        ({k: v for k, v in LLM_LINE.items() if k not in ("ttft_ms_p99", "tpot_ms_p99")},
+         "record for 'dev-a' carries no latency measurement"),
+        (5, "expected a JSON object"),
+        ([LLM_LINE], "expected a JSON object"),
     ],
     ids=["model_int", "model_null", "model_list", "sd_model_int", "device_int", "scenario_null",
          "llm_name_sd_fields", "both_hints_sd_fields", "unknown_sd_model", "sd_name_llm_fields",
-         "sd_steps", "sd_image_size", "sd_no_image_size"],
+         "sd_steps", "sd_image_size", "sd_no_image_size", "ttft_without_tpot", "no_latency",
+         "line_int", "line_list"],
 )
 def test_profile_row_outside_the_contract_is_one_cli_error(tmp_path, capsys, row, message):
     path = write_jsonl(tmp_path / "p.jsonl", [SD_LINE, row])
@@ -265,3 +272,36 @@ def test_rows_matching_one_hint_list_still_load(tmp_path):
     ]
     records = load_profiles(write_jsonl(tmp_path / "p.jsonl", rows))
     assert [r.kind for r in records] == [LLM, LLM, SDXL, SDXL]
+
+
+def test_row_missing_a_required_field_names_its_line(tmp_path):
+    row = {k: v for k, v in LLM_LINE.items() if k != "device_name"}
+    path = write_jsonl(tmp_path / "p.jsonl", [LLM_LINE, row])
+    with pytest.raises(ProfileError, match=f"{path}:2: missing required field: .*'device_name'"):
+        load_profiles(path)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text(f"\n{json.dumps(LLM_LINE)}\n   \n{json.dumps(SD_LINE)}\n", encoding="utf-8")
+    assert [r.kind for r in load_profiles(path)] == [LLM, SDXL]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kind": LLM, "beta0": 50.0}, "LLM prior requires alpha0 and beta0"),
+        ({"kind": LLM, "alpha0": 1.0}, "LLM prior requires alpha0 and beta0"),
+        ({"kind": SDXL, "alpha0": 1.0, "beta0": 50.0}, "SDXL prior requires gamma0"),
+    ],
+    ids=["llm_no_alpha", "llm_no_beta", "sdxl_no_gamma"],
+)
+def test_device_prior_needs_the_coefficients_of_its_kind(kwargs, message):
+    with pytest.raises(ProfileError, match=message):
+        DevicePrior(0, **kwargs)
+
+
+def test_prior_from_sd_rejects_llm_record():
+    rec = RawProfileRecord("d", "llama3.1-8b-edge", "SingleStream", ttft_ms_p99=1024, tpot_ms_p99=50)
+    with pytest.raises(ProfileError, match="prior_from_sd needs a diffusion record, got 'llama3.1-8b-edge'"):
+        prior_from_sd(rec)

@@ -16,6 +16,7 @@ from edgesched.profiles import (
 )
 from edgesched.router import (
     AdaptiveAgentPolicy,
+    BacklogMemo,
     FixedHeuristicPolicy,
     OraclePolicy,
     PolicyVisibleState,
@@ -196,9 +197,9 @@ def test_backlog_counts_queued_and_clipped_in_flight():
     in_flight = InFlightView(TaskSpec(0, LLM, 0.0, 100, 0), start_time=0.0)
     snap = llm_snapshot(0, queued=[TaskSpec(1, LLM, 0.0, 50, 0)], in_flight=in_flight)
     # At now=400 the in-flight prediction (1000) has 600 remaining.
-    assert backlog_ms(snap, opm.predict, 400.0) == pytest.approx(500.0 + 600.0)
+    assert backlog_ms(snap, opm.predict, 400.0, BacklogMemo()) == pytest.approx(500.0 + 600.0)
     # Past its predicted end the remainder clips to zero.
-    assert backlog_ms(snap, opm.predict, 5000.0) == pytest.approx(500.0)
+    assert backlog_ms(snap, opm.predict, 5000.0, BacklogMemo()) == pytest.approx(500.0)
 
 
 # --- baselines ------------------------------------------------------------------------
@@ -359,19 +360,21 @@ def test_dispatched_ids_are_only_the_queued_and_in_flight_tasks():
         on_dispatch(task, device, now)
 
     agent.on_dispatch = counting_dispatch
+    on_completion = agent.on_completion
 
-    class Check:
-        def on_record(self, record, now):
-            nonlocal largest
-            devices = engine.devices.values()
-            live = {t.task_id for dev in devices for t in dev.tasks}
-            live |= {dev.in_flight.entry.task.task_id for dev in devices if dev.in_flight}
-            live |= {t.task_id for t in engine._pending}
-            assert agent._dispatched <= live, record.task_id
-            largest = max(largest, len(agent._dispatched))
+    def checked_completion(record, now, now_task):
+        nonlocal largest
+        on_completion(record, now, now_task)
+        devices = engine.devices.values()
+        live = {t.task_id for dev in devices for t in dev.tasks}
+        live |= {dev.in_flight.entry.task.task_id for dev in devices if dev.in_flight}
+        live |= {t.task_id for t in engine._pending}
+        assert agent._dispatched <= live, record.task_id
+        largest = max(largest, len(agent._dispatched))
 
+    agent.on_completion = checked_completion
     workload = generate_workload(600, 2.0)
-    engine = Engine(truth, builtin_plans("churn"), workload, agent, hooks=Check())
+    engine = Engine(truth, builtin_plans("churn"), workload, agent)
     engine.run()
     assert redispatches > 0
     assert 0 < largest < len(workload)
@@ -395,3 +398,9 @@ def test_router_config_validation():
 def test_router_config_rejects_non_finite_bool_and_text(field, value):
     with pytest.raises(ValueError, match=field):
         RouterConfig(**{field: value})
+
+
+def test_oracle_choose_before_any_engine_attached_it_is_an_error():
+    task = TaskSpec(0, LLM, 0.0, 256, 32)
+    with pytest.raises(RuntimeError, match="oracle policy was never attached to a run"):
+        OraclePolicy().choose(task, ObservableState(0.0, (), ()))

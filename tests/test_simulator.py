@@ -332,14 +332,13 @@ def test_events_fire_at_their_tasks_arrival_on_an_uneven_stream(fixture_priors):
 
 def test_records_delivered_exactly_at_completion(fixture_priors):
     deliveries = []
-
-    class Hooks:
-        def on_record(self, record, now):
-            deliveries.append((record.task_id, record.completion_time, now))
-
+    policy = FixedAssignmentPolicy({i: 0 for i in range(5)})
+    policy.on_completion = lambda record, now, _now_task: deliveries.append(
+        (record.task_id, record.completion_time, now)
+    )
     truth = make_truth(fixture_priors)
     tasks = [TaskSpec(i, LLM, i * 2000.0, 256, 32) for i in range(5)]
-    Engine(truth, ScenarioPlan(()), tasks, FixedAssignmentPolicy({i: 0 for i in range(5)}), hooks=Hooks()).run()
+    Engine(truth, ScenarioPlan(()), tasks, policy).run()
     assert len(deliveries) == 5
     for _task_id, completion, now in deliveries:
         assert now == completion
@@ -384,10 +383,9 @@ def test_observation_log_equals_record_rows(fixture_priors):
     limits = (None, 1, 7, 10**6)
     checked = []
 
-    class Hooks:
-        def on_record(self, record, now):
-            if record.task_id % 25 == 0:
-                check(now)
+    def on_completion(record, now, _now_task):
+        if record.task_id % 25 == 0:
+            check(now)
 
     def check(now):
         for window_ms in windows:
@@ -397,7 +395,9 @@ def test_observation_log_equals_record_rows(fixture_priors):
         checked.append(now)
 
     truth = make_truth(fixture_priors, jitter=0.1)
-    engine = Engine(truth, builtin_plans("semantic"), generate_workload(200, 2.0), RoundRobinPolicy(), hooks=Hooks())
+    policy = RoundRobinPolicy()
+    policy.on_completion = on_completion
+    engine = Engine(truth, builtin_plans("semantic"), generate_workload(200, 2.0), policy)
     engine.run()
     check(engine.now)
     assert len(checked) > 5
@@ -583,3 +583,86 @@ def test_drift_is_logged_but_never_annotated(fixture_priors):
         "2 4000 drift_restore 1 llama3.1-8b-edge",
         "3 6000 semantic_offset 0 game",
     ]
+
+
+# --- errors a caller can provoke -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([{"type": "device_leave", "at_task": 5, "device": 0},
+          {"type": "device_return", "at_task": 2, "device": 0}],
+         "plan events must be sorted by task index"),
+        ([{"type": "device_leave", "at_task": 1, "device": 0},
+          {"type": "device_leave", "at_task": 2, "device": 0},
+          {"type": "device_return", "at_task": 3, "device": 0}],
+         "device_leave at task 2 on device 0: window already open since task 1"),
+        ([{"type": "device_leave", "at_task": 1, "device": 0, "colour": "red"}],
+         "bad arguments for device_leave: .*'colour'"),
+    ],
+    ids=["unsorted", "opened_twice", "unknown_field"],
+)
+def test_plan_rows_out_of_order_or_shape_are_rejected(rows, message):
+    with pytest.raises(PlanError, match=message):
+        plan_from_dicts(rows)
+
+
+@pytest.mark.parametrize(
+    "device, model, message",
+    [
+        (2, "llama3.1-8b-edge", "drift_step at task 1: model 'llama3.1-8b-edge' does not run on SDXL device 2"),
+        (0, "stable-diffusion-xl", "drift_step at task 1: model 'stable-diffusion-xl' does not run on LLM device 0"),
+        (0, "resnet50", "drift_step at task 1: model 'resnet50' does not run on LLM device 0"),
+    ],
+    ids=["llm_model_on_sdxl", "sdxl_model_on_llm", "unknown_model"],
+)
+def test_engine_rejects_a_drift_naming_a_model_its_device_does_not_run(fixture_priors, device, model, message):
+    plan = ScenarioPlan((DriftStep(1, device, model, 2.0), DriftRestore(2, device, model)))
+    with pytest.raises(PlanError, match=message):
+        Engine(make_truth(fixture_priors), plan, llm_tasks([0.0]), RoundRobinPolicy())
+
+
+def test_policy_refusing_a_task_while_a_device_is_feasible_is_fatal(fixture_priors):
+    class Refuses:
+        name = "refuses"
+
+        def choose(self, task, obs):
+            return None
+
+    with pytest.raises(EngineError, match="policy refuses refused task 0 despite feasible devices"):
+        Engine(make_truth(fixture_priors), ScenarioPlan(()), llm_tasks([0.0]), Refuses()).run()
+
+
+def test_policy_routing_a_task_to_a_device_of_another_kind_is_fatal(fixture_priors):
+    with pytest.raises(EngineError, match="routed LLM task 0 to SDXL device 2"):
+        Engine(make_truth(fixture_priors), ScenarioPlan(()), llm_tasks([0.0]), FixedAssignmentPolicy({0: 2})).run()
+
+
+def test_task_no_device_can_run_is_stranded_at_the_end(fixture_priors):
+    llm_only = make_truth(fixture_priors[:2])
+    tasks = [TaskSpec(0, LLM, 0.0, 256, 32), TaskSpec(1, SDXL, 1000.0)]
+    with pytest.raises(EngineError, match=r"run ended with 1 task\(s\) stranded in the pending buffer"):
+        Engine(llm_only, ScenarioPlan(()), tasks, RoundRobinPolicy()).run()
+
+
+def test_snapshot_of_an_unknown_device_is_a_key_error(fixture_priors):
+    engine = Engine(make_truth(fixture_priors), ScenarioPlan(()), [], RoundRobinPolicy())
+    obs = engine.observable_state()
+    assert obs.snapshot_of(3).device_id == 3
+    with pytest.raises(KeyError, match="unknown device 9"):
+        obs.snapshot_of(9)
+
+
+@pytest.mark.parametrize(
+    "device, task, message",
+    [
+        (2, TaskSpec(0, LLM, 0.0, 256, 32), "device 2 does not serve LLM tasks"),
+        (0, TaskSpec(0, SDXL, 0.0), "device 0 does not serve SDXL tasks"),
+        (0, TaskSpec(0, "video", 0.0), "unknown task kind 'video'"),
+    ],
+    ids=["llm_on_sdxl", "sdxl_on_llm", "unknown_kind"],
+)
+def test_true_service_time_of_a_task_of_the_wrong_kind_is_rejected(fixture_priors, device, task, message):
+    with pytest.raises(ValueError, match=message):
+        make_truth(fixture_priors).true_service_time(device, task)

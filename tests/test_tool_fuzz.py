@@ -88,4 +88,4 @@ def test_execute_tool_never_raises_and_a_rejection_changes_nothing(calls):
             assert _state(executor) == before
         known = {str(device) for device, _kind in executor.opm.estimates}
         assert set(executor.overrides.to_dict()) <= known
-    executor.audit.to_jsonl()
+    list(executor.audit.lines())
