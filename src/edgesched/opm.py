@@ -70,14 +70,14 @@ def _check_window(window: object) -> None:
         raise ValueError(f"window must be None or an int >= 1, got {window!r}")
 
 
-def solve_token_coefficients(
-    samples: list[tuple[int, int, float]], damping: float = RIDGE_DAMPING
-) -> tuple[float, float]:
+def solve_token_coefficients(samples: list[tuple[int, int, float]]) -> tuple[float, float]:
     """Least-squares (alpha, beta) for service = alpha*n_in + beta*n_out.
 
     Solves the 2x2 normal system directly; a singular system (collinear token
-    features) falls back to ridge with the given damping.  Output is clipped
-    to be non-negative.
+    features) falls back to ridge with :data:`RIDGE_DAMPING`.  Token counts of
+    about 1e8 absorb that ridge in rounding, so a system it leaves singular
+    takes the ridge times the matrix trace instead, which keeps the
+    determinant positive.  Output is clipped to be non-negative.
     """
     sxx = sxy = syy = bx = by = 0.0
     for n_in, n_out, service in samples:
@@ -89,11 +89,13 @@ def solve_token_coefficients(
     det = sxx * syy - sxy * sxy
     scale = sxx * syy
     if scale == 0.0 or det <= 1e-12 * scale:
-        sxx += damping
-        syy += damping
-        det = sxx * syy - sxy * sxy
-    if det == 0.0:
-        return 0.0, 0.0
+        ridge = RIDGE_DAMPING
+        det = (sxx + ridge) * (syy + ridge) - sxy * sxy
+        if det == 0.0:
+            ridge *= sxx + syy
+            det = (sxx + ridge) * (syy + ridge) - sxy * sxy
+        sxx += ridge
+        syy += ridge
     alpha = (syy * bx - sxy * by) / det
     beta = (sxx * by - sxy * bx) / det
     return max(alpha, 0.0), max(beta, 0.0)
@@ -173,10 +175,6 @@ class Opm:
         history.append((self._raw_predict(est, record.n_in, record.n_out), record))
         est.n += 1
         self.oplog.append(("ingest", record, now))
-
-    def window_size(self, device: int, kind: str) -> int:
-        """Number of records a refit with no ``window`` reads."""
-        return min(len(self._history[(device, kind)]), WINDOW_CAPACITY)
 
     # -- estimation -----------------------------------------------------------
 

@@ -111,11 +111,6 @@ class BacklogMemo:
             self.version = version
             self._devices.clear()
 
-    def size(self, device: int) -> int:
-        """Number of task costs held for a device."""
-        entry = self._devices.get(device)
-        return 0 if entry is None else len(entry[3]) + (entry[0].in_flight is not None)
-
     def costs(self, snap: DeviceSnapshot, predict: Predictor) -> tuple[float, float]:
         """(queued work summed in queue order, in-flight prediction or 0.0)."""
         device = snap.device_id

@@ -1,18 +1,25 @@
 """Deterministic discrete-event engine with per-device FIFO single-server queues.
 
 The engine is the only component that touches :class:`GroundTruthState`.
-Policies see an :class:`ObservableState` snapshot (feasible devices, queue
-contents, exposed event annotations) and receive :class:`ExecutionRecord`
-feedback strictly at completion time.  Scenario events are timed in tasks: an
-event at ``at_task = k`` fires at the arrival time of the ``k``-th arrival,
-just before it arrives.  Same-time events process in the fixed order
-scenario-event < completion < arrival, so replays are byte-identical.
+At each routing decision a policy sees a :class:`DecisionView` (feasible
+devices, queue contents, exposed event annotations) with the read surface of
+:class:`ObservableState`, and it receives :class:`ExecutionRecord` feedback
+strictly at completion time.  A view builds a device's snapshot only when the
+policy reads it, and it is valid only for its decision: once the engine moves
+on, reading device state through it raises :class:`EngineError`.
+
+Scenario events are timed in tasks: an event at ``at_task = k`` fires at the
+arrival time of the ``k``-th arrival, just before it arrives.  Same-time
+events process in the fixed order scenario-event < completion < arrival, so
+replays are byte-identical.
 
 The policy-visible types (TaskSpec, ExecutionRecord, EventAnnotation,
 InFlightView, DeviceSnapshot, ObservableState) are immutable
 ``typing.NamedTuple`` classes, cheap to build once per task.  Unlike frozen
 dataclasses they can also be indexed and iterated, and they compare equal to
-a plain tuple of the same values.
+a plain tuple of the same values.  The engine builds them, and its own queue
+and in-flight entries, with ``tuple.__new__``, which skips the Python-level
+``__new__`` frame a call to the class would run.
 """
 
 from __future__ import annotations
@@ -92,7 +99,11 @@ class DeviceSnapshot(NamedTuple):
 
 
 class ObservableState(NamedTuple):
-    """Everything a routing policy may legally see at a decision epoch."""
+    """Everything a routing policy may legally see at a decision epoch.
+
+    Tests and demos build one by hand; the engine hands policies a
+    :class:`DecisionView`, which has the same read surface.
+    """
 
     now: float
     devices: tuple[DeviceSnapshot, ...]
@@ -119,6 +130,60 @@ class ObservableState(NamedTuple):
         }
 
 
+def _stale_view() -> EngineError:
+    return EngineError("a DecisionView was read after its decision; the engine has moved on")
+
+
+class DecisionView:
+    """One routing decision's view: :class:`ObservableState`'s read surface, built on read.
+
+    ``Engine.observable_state`` makes one per decision.  ``now`` and
+    ``annotations`` are plain values fixed when it is made.
+    ``available_devices`` reads per-kind tuples that the engine refreshes
+    only when a device's availability flips.  ``snapshot_of`` builds only the
+    snapshot it is asked for, and the engine keeps that snapshot until the
+    device changes, so a policy that reads no snapshot (round robin, the
+    oracle) pays for none.  ``devices`` and ``to_dict`` build them all.
+
+    The view is valid only for its decision: after a completion, a scenario
+    event or the decision's end, reading device state through it raises
+    :class:`EngineError`.  A view made outside a run stays valid until the
+    run starts to move the engine.
+    """
+
+    __slots__ = ("now", "annotations", "_engine", "_epoch")
+
+    def available_devices(self, kind: str | None = None) -> list[int]:
+        """Available device ids of ``kind`` (every kind for None), in id order."""
+        engine = self._engine
+        if engine._epoch != self._epoch:
+            raise _stale_view()
+        return list(engine._available.get(kind, ()))
+
+    def snapshot_of(self, device: int) -> DeviceSnapshot:
+        engine = self._engine
+        if engine._epoch != self._epoch:
+            raise _stale_view()
+        dev = engine.devices.get(device)
+        if dev is None:
+            raise KeyError(f"unknown device {device}")
+        snap = dev.snapshot
+        return engine._snapshot(dev) if snap is None else snap
+
+    @property
+    def devices(self) -> tuple[DeviceSnapshot, ...]:
+        engine = self._engine
+        if engine._epoch != self._epoch:
+            raise _stale_view()
+        return tuple(
+            engine._snapshot(dev) if dev.snapshot is None else dev.snapshot
+            for dev in engine._ordered
+        )
+
+    def to_dict(self) -> dict:
+        return ObservableState(self.now, self.devices, self.annotations).to_dict()
+
+
 class OracleAccess:
     """Ground-truth window handed only to the full-information reference policy."""
 
@@ -139,22 +204,22 @@ class OracleAccess:
         return bool(self._engine.truth.stutter_indicator(device))
 
 
-@dataclass(slots=True)
-class _QueueEntry:
+class _QueueEntry(NamedTuple):
     task: TaskSpec
     dispatch_time: float
     stutter: int
 
 
-_arrival_time = attrgetter("arrival_time")
-
-
-@dataclass(slots=True)
-class _InFlight:
+class _InFlight(NamedTuple):
     entry: _QueueEntry
     start_time: float
     completion_time: float
     view: InFlightView
+
+
+_arrival_time = attrgetter("arrival_time")
+_new_tuple = tuple.__new__
+_new_object = object.__new__
 
 
 @dataclass(slots=True)
@@ -166,8 +231,8 @@ class _DeviceRuntime:
     tasks: deque = field(default_factory=deque)
     in_flight: _InFlight | None = None
     busy_ms: float = 0.0
-    # Last snapshot handed to the policy; None once the queue, the in-flight
-    # task or the device's availability changes.
+    # Last snapshot a view built; None until one is read, and again once the
+    # queue, the in-flight task or the device's availability changes.
     snapshot: DeviceSnapshot | None = None
     # true_costs[i] is the true service time of queue[i] at truth version
     # true_costs_version.  Filled lazily by the oracle's backlog and quotes,
@@ -230,6 +295,9 @@ class Engine:
             if model is not None and model_kind(model) != kind:
                 raise PlanError(f"{where}: model {model!r} does not run on {kind} device {event.device}")
         self._ordered = [self.devices[d] for d in sorted(self.devices)]
+        self._index_available()
+        # Moves whenever device state may change, which ends every open view.
+        self._epoch = 0
         self.records: list[ExecutionRecord] = []
         self.annotations: list[EventAnnotation] = []
         self._annotation_view: tuple[EventAnnotation, ...] = ()
@@ -252,25 +320,34 @@ class Engine:
 
     # -- policy-visible views ------------------------------------------------
 
-    def observable_state(self) -> ObservableState:
-        """Policy view; a device's snapshot is rebuilt only after it changed."""
-        snaps = []
-        for dev in self._ordered:
-            snap = dev.snapshot
-            if snap is None:
-                fl = dev.in_flight
-                snap = dev.snapshot = DeviceSnapshot(
-                    dev.device_id,
-                    dev.kind,
-                    self.truth.is_available(dev.device_id),
-                    tuple(dev.tasks),
-                    None if fl is None else fl.view,
-                )
-            snaps.append(snap)
-        obs = ObservableState(self.now, tuple(snaps), self._annotation_view)
+    def observable_state(self) -> DecisionView:
+        """The policy's view of the engine as it is now, valid until the engine moves on."""
+        # Set field by field: an __init__ frame per decision costs more.
+        view = _new_object(DecisionView)
+        view.now = self.now
+        view.annotations = self._annotation_view
+        view._engine = self
+        view._epoch = self._epoch
         if self.leak_check:
-            assert_no_ground_truth(obs.to_dict())
-        return obs
+            assert_no_ground_truth(view.to_dict())
+        return view
+
+    def _snapshot(self, dev: _DeviceRuntime) -> DeviceSnapshot:
+        """Build a device's snapshot and keep it until the device changes."""
+        fl = dev.in_flight
+        available = self.truth.is_available(dev.device_id)
+        fields = (dev.device_id, dev.kind, available, tuple(dev.tasks), None if fl is None else fl.view)
+        snap = dev.snapshot = _new_tuple(DeviceSnapshot, fields)
+        return snap
+
+    def _index_available(self) -> None:
+        """Available device ids per kind, and for every kind under None."""
+        available: dict[str | None, tuple[int, ...]] = {None: ()}
+        for dev in self._ordered:
+            if self.truth.is_available(dev.device_id):
+                for key in (None, dev.kind):
+                    available[key] = available.get(key, ()) + (dev.device_id,)
+        self._available = available
 
     def status_snapshot(self) -> dict:
         per_device = {}
@@ -335,11 +412,13 @@ class Engine:
         A device that just became unavailable hands its queue back to the
         policy; one that just became available drains the pending buffer.
         """
+        self._epoch += 1
         was_available = self.truth.is_available(event.device)
         self.truth.apply_event(event)
         available = self.truth.is_available(event.device)
         if available != was_available:
             self.devices[event.device].snapshot = None
+            self._index_available()
         label = event.log_label
         self.event_log.append(
             f"{event.at_task} {self.now:.0f} {event.type} {event.device} "
@@ -376,10 +455,10 @@ class Engine:
             self._route(task)
 
     def _route(self, task: TaskSpec) -> None:
-        obs = self.observable_state()
-        device = self._choose(task, obs)
+        device = self._choose(task, self.observable_state())
+        self._epoch += 1
         if device is None:
-            if any(s.kind == task.kind and s.available for s in obs.devices):
+            if self._available.get(task.kind):
                 raise EngineError(
                     f"policy {self.policy.name} refused task {task.task_id} despite feasible devices"
                 )
@@ -405,7 +484,7 @@ class Engine:
             if len(dev.true_costs) == len(dev.queue):
                 dev.true_costs.append(cost)
         stutter = self.truth.stutter_indicator(device)
-        dev.queue.append(_QueueEntry(task, self.now, stutter))
+        dev.queue.append(_new_tuple(_QueueEntry, (task, self.now, stutter)))
         dev.tasks.append(task)
         dev.snapshot = None
         if self._on_dispatch is not None:
@@ -425,8 +504,9 @@ class Engine:
         else:
             costs.clear()
             service = self.truth.true_service_time(device, entry.task)
-        dev.in_flight = _InFlight(
-            entry, self.now, self.now + service, InFlightView(entry.task, self.now)
+        now = self.now
+        dev.in_flight = _new_tuple(
+            _InFlight, (entry, now, now + service, _new_tuple(InFlightView, (entry.task, now)))
         )
         dev.snapshot = None
         heapq.heappush(self._heap, (self.now + service, self._seq, device))
@@ -435,6 +515,7 @@ class Engine:
     def _complete(self) -> None:
         """Pop the earliest completion, advance the clock to it and finish its task."""
         self.now, _seq, device = heapq.heappop(self._heap)
+        self._epoch += 1
         dev = self.devices[device]
         fl = dev.in_flight
         if fl is None:
@@ -442,22 +523,25 @@ class Engine:
         dev.in_flight = None
         dev.snapshot = None
         dev.busy_ms += fl.completion_time - fl.start_time
-        task = fl.entry.task
-        # Positional, in field order: a keyword call to a NamedTuple costs
-        # over twice as much, and this runs once per task.
-        record = ExecutionRecord(
-            task.task_id,
-            device,
-            task.kind,
-            task.arrival_time,
-            fl.entry.dispatch_time,
-            fl.start_time,
-            self.now,
-            self.now - task.arrival_time,
-            self.now - fl.start_time,
-            task.n_in,
-            task.n_out,
-            fl.entry.stutter,
+        entry = fl.entry
+        task = entry.task
+        # In field order, through tuple.__new__: this runs once per task.
+        record = _new_tuple(
+            ExecutionRecord,
+            (
+                task.task_id,
+                device,
+                task.kind,
+                task.arrival_time,
+                entry.dispatch_time,
+                fl.start_time,
+                self.now,
+                self.now - task.arrival_time,
+                self.now - fl.start_time,
+                task.n_in,
+                task.n_out,
+                entry.stutter,
+            ),
         )
         self.records.append(record)
         if self._on_completion is not None:

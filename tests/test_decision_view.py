@@ -1,0 +1,188 @@
+"""The engine's per-decision view reads like an ObservableState built eagerly.
+
+``Engine.observable_state`` returns a :class:`DecisionView` that builds a
+device's snapshot only when a policy reads it.  These tests pin that every
+read equals the eager state of the same moment, that a view is valid only
+for its decision, that policies which read no snapshot cause none to be
+built, and that the leak check still scans the whole view.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from edgesched import harness
+from edgesched.profiles import LLM, SDXL
+from edgesched.router import OraclePolicy, RoundRobinPolicy
+from edgesched.sim.engine import (
+    DecisionView,
+    DeviceSnapshot,
+    Engine,
+    EngineError,
+    InFlightView,
+    ObservableState,
+)
+from edgesched.sim.truth import ScenarioPlan, builtin_plans
+from edgesched.sim.workload import TaskSpec, generate_workload
+
+from conftest import make_truth
+
+PRESETS = [("warmup", 0), ("warmup", 30), ("warmup", 100), ("semantic", 0), ("churn", 0), ("drift", 0)]
+
+
+def eager_state(engine: Engine) -> ObservableState:
+    """The engine's state as an ObservableState, read from its queue entries and ground truth."""
+    snaps = []
+    for device in sorted(engine.devices):
+        dev = engine.devices[device]
+        fl = dev.in_flight
+        snaps.append(
+            DeviceSnapshot(
+                device,
+                dev.kind,
+                engine.truth.is_available(device),
+                tuple(entry.task for entry in dev.queue),
+                None if fl is None else InFlightView(fl.entry.task, fl.start_time),
+            )
+        )
+    return ObservableState(engine.now, tuple(snaps), tuple(engine.annotations))
+
+
+def check_every_view(monkeypatch) -> list[int]:
+    """Compare each view the engine makes with the eager state; returns a decision counter."""
+    original = Engine.observable_state
+    decisions = [0]
+
+    def compared(self):
+        view = original(self)
+        ref = eager_state(self)
+        assert isinstance(view, DecisionView)
+        assert view.now == ref.now and view.annotations == ref.annotations
+        for kind in (LLM, SDXL, None):
+            assert view.available_devices(kind) == ref.available_devices(kind), kind
+        for device in self.devices:
+            assert view.snapshot_of(device) == ref.snapshot_of(device), device
+        assert view.devices == ref.devices
+        assert view.to_dict() == ref.to_dict()
+        decisions[0] += 1
+        return view
+
+    monkeypatch.setattr(Engine, "observable_state", compared)
+    return decisions
+
+
+@pytest.mark.parametrize(
+    "scenario, warmup, horizon, lam",
+    [(s, w, 300, 0.5) for s, w in PRESETS] + [("churn", 0, 600, 2.0)],
+    ids=[f"{s}-W{w}" for s, w in PRESETS] + ["churn-H600-lam2"],
+)
+def test_every_view_equals_the_eager_state(monkeypatch, scenario, warmup, horizon, lam):
+    decisions = check_every_view(monkeypatch)
+    result = harness.run_experiment(
+        harness.ExperimentConfig(scenario, warmup_budget=warmup, horizon=horizon, lam=lam)
+    )
+    completed = sum(len(run.records) for run in result.runs.values())
+    # Every task is routed at least once; churn routes some again.
+    assert decisions[0] >= completed == len(result.runs) * horizon
+
+
+STALE_READS = {
+    "available_devices": lambda view: view.available_devices(LLM),
+    "snapshot_of": lambda view: view.snapshot_of(0),
+    "devices": lambda view: view.devices,
+    "to_dict": lambda view: view.to_dict(),
+}
+
+
+class KeepingPolicy:
+    """Round robin that keeps every view and reads the previous one at each decision."""
+
+    name = "keeping"
+
+    def __init__(self, read) -> None:
+        self.inner = RoundRobinPolicy()
+        self.read = read
+        self.views: list[DecisionView] = []
+        self.stale_raised = 0
+
+    def choose(self, task, obs):
+        if self.views:
+            with pytest.raises(EngineError, match="read after its decision"):
+                self.read(self.views[-1])
+            self.stale_raised += 1
+        self.read(obs)
+        self.views.append(obs)
+        return self.inner.choose(task, obs)
+
+
+@pytest.mark.parametrize("read", sorted(STALE_READS))
+def test_a_view_read_after_its_decision_raises(fixture_priors, read):
+    policy = KeepingPolicy(STALE_READS[read])
+    # All three arrive before the first completion, so only decisions end the views.
+    tasks = [TaskSpec(i, LLM, 100.0 * i, 256, 32) for i in range(3)]
+    engine = Engine(make_truth(fixture_priors), ScenarioPlan(()), tasks, policy)
+    before = engine.observable_state()
+    result = engine.run()
+    assert policy.stale_raised == 2
+    assert min(r.completion_time for r in result.records) > 200.0
+    for view in [before, *policy.views]:
+        with pytest.raises(EngineError, match="read after its decision"):
+            STALE_READS[read](view)
+    # The values fixed at the decision stay readable.
+    assert [view.now for view in policy.views] == [0.0, 100.0, 200.0]
+
+
+def test_a_view_read_outside_a_run_answers_until_the_engine_moves(fixture_priors):
+    engine = Engine(make_truth(fixture_priors), builtin_plans("churn"), generate_workload(40, 0.5), RoundRobinPolicy())
+    view = engine.observable_state()
+    assert view.available_devices() == [0, 1, 2, 3]
+    assert view.devices == eager_state(engine).devices
+    engine.run()
+    view = engine.observable_state()
+    assert view.to_dict() == eager_state(engine).to_dict()
+    assert view.annotations and view.now == engine.now
+
+
+@pytest.mark.parametrize("policy_cls", [RoundRobinPolicy, OraclePolicy])
+def test_policies_that_read_no_snapshot_build_none(fixture_priors, policy_cls):
+    policy = policy_cls()
+    choose = policy.choose
+    decisions = [0]
+
+    def checked(task, obs):
+        device = choose(task, obs)
+        assert all(dev.snapshot is None for dev in engine.devices.values()), task.task_id
+        decisions[0] += 1
+        return device
+
+    policy.choose = checked  # the engine looks its callbacks up once, when built
+    tasks = generate_workload(600, 2.0)
+    engine = Engine(make_truth(fixture_priors, jitter=0.15), builtin_plans("churn"), tasks, policy)
+    result = engine.run()
+    assert len(result.records) == 600 and decisions[0] >= 600
+    assert result.annotations  # the churn plan ran: devices left and came back
+    assert all(dev.snapshot is None for dev in engine.devices.values())
+
+
+def test_the_leak_check_scans_the_whole_view(fixture_priors, monkeypatch):
+    tasks = generate_workload(10, 0.5)
+    plain = DeviceSnapshot.to_dict
+
+    def leaky(self):
+        return {**plain(self), "alpha": 1.0}
+
+    monkeypatch.setattr(DeviceSnapshot, "to_dict", leaky)
+    # Round robin never reads a snapshot, so only the check builds them.
+    engine = Engine(make_truth(fixture_priors), ScenarioPlan(()), tasks, RoundRobinPolicy(), leak_check=True)
+    with pytest.raises(AssertionError, match=r"ground-truth field 'alpha' leaked at devices\[0\]"):
+        engine.run()
+    unchecked = Engine(make_truth(fixture_priors), ScenarioPlan(()), tasks, RoundRobinPolicy())
+    assert len(unchecked.run().records) == 10
+
+
+def test_an_unknown_device_is_a_key_error_in_a_hand_built_state(fixture_priors):
+    # The engine's view has its own test in test_simulator.py.
+    state = eager_state(Engine(make_truth(fixture_priors), ScenarioPlan(()), [], RoundRobinPolicy()))
+    assert state.snapshot_of(3).device_id == 3
+    with pytest.raises(KeyError, match="unknown device 9"):
+        state.snapshot_of(9)

@@ -45,6 +45,12 @@ JITTER = 0.15
 CALIBRATE_EVERY = 40
 
 
+def memo_size(memo: BacklogMemo, device: int) -> int:
+    """Number of task costs the memo holds for a device."""
+    entry = memo._devices.get(device)
+    return 0 if entry is None else len(entry[3]) + (entry[0].in_flight is not None)
+
+
 def prior_predictor(priors):
     """Service time straight from offline priors, written out apart from the OPM."""
     table = {p.device_id: p for p in priors}
@@ -168,7 +174,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
             probe.checked += 1
             if policy_name != "oracle":
                 memo = policy.visible_state(obs).memo
-                assert memo.size(snap.device_id) <= len(snap.queued) + 1
+                assert memo_size(memo, snap.device_id) <= len(snap.queued) + 1
         if perturb is not None:
             perturb(task, obs)
         return device
@@ -246,7 +252,7 @@ def test_memo_matches_reference_on_sparsely_observed_queues():
             now = step + rng.random()
             snap = DeviceSnapshot(0, LLM, True, tuple(queued), in_flight)
             assert backlog_ms(snap, counting, now, memo) == reference_predicted_backlog(snap, plain, now)
-            assert memo.size(0) <= len(queued) + 1
+            assert memo_size(memo, 0) <= len(queued) + 1
             if started:
                 seen_starts[min(started, 2)] += 1
             started = 0
@@ -280,7 +286,7 @@ def test_memo_matches_reference_on_each_kind_of_queue_change(case):
         fl = None if in_flight is None else InFlightView(_llm(in_flight), float(step))
         snap = DeviceSnapshot(0, LLM, True, tuple(map(_llm, queued)), fl)
         assert backlog_ms(snap, predict, float(step), memo) == reference_predicted_backlog(snap, predict, float(step)), step
-        assert memo.size(0) == len(queued) + (in_flight is not None)
+        assert memo_size(memo, 0) == len(queued) + (in_flight is not None)
 
 
 def reference_prior_choice(task, obs, predict):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import solve_lstsq_oracle
 from edgesched.opm import (
+    WINDOW_CAPACITY,
     CausalityError,
     Opm,
     UnknownDeviceError,
@@ -35,6 +36,11 @@ def make_record(task_id, device, kind, service, n_in=None, n_out=None, completio
         n_out=n_out,
         stutter=0,
     )
+
+
+def window_size(opm, device, kind):
+    """Number of records a refit with no ``window`` reads."""
+    return min(len(opm._history[(device, kind)]), WINDOW_CAPACITY)
 
 
 def seeded_opm(priors=None):
@@ -85,7 +91,7 @@ def test_window_capacity_evicts_oldest():
     opm = seeded_opm()
     for i in range(41):
         opm.ingest_feedback(make_record(i, 0, LLM, 100.0 + i, 256, 32), now=1e9)
-    assert opm.window_size(0, LLM) == 40
+    assert window_size(opm, 0, LLM) == 40
     assert opm.estimates[(0, LLM)].n == 41
 
 
@@ -450,6 +456,9 @@ def test_drift_ratio_against_a_zero_mean_prediction(service, ratio):
     assert opm.drift_ratio(2, SDXL, 1e12, now=1e9) == (ratio, 1)
 
 
-def test_collinear_tokens_too_large_for_the_damping_give_zero_coefficients():
-    # (1e9)^2 absorbs the 1e-6 ridge term, so the damped system stays singular.
-    assert solve_token_coefficients([(10**9, 10**9, 1.0)] * 3) == (0.0, 0.0)
+def test_collinear_tokens_too_large_for_the_fixed_damping_get_a_scaled_ridge():
+    # (1e9)^2 absorbs the fixed 1e-6 ridge term, so the damped system stays
+    # singular until the ridge is scaled by the matrix trace.
+    alpha, beta = solve_token_coefficients([(10**9, 10**9, 1.0)] * 3)
+    assert alpha > 0.0 and beta > 0.0
+    assert alpha * 10**9 + beta * 10**9 == pytest.approx(1.0, rel=1e-5)

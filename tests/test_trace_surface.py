@@ -32,5 +32,9 @@ def test_traced_layers_are_called_and_restored():
     assert patched
     for name in ("meta.evaluate_triggers", "meta.invoke", "router.select_e3", "router.backlog_ms"):
         assert tracer.stats[name][0] >= 1, name
+    # Engine methods wrapped by name: a decision that stops going through
+    # them would leave the traced per-layer figures at zero.
+    for name in ("sim.observable_state", "sim.true_backlog_ms"):
+        assert tracer.stats[name][0] >= 1, name
     for owner, attr, original in patched:
         assert current(owner, attr) is original, (owner, attr)
