@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """The slow-path controller: triggers, the nine tools, and the audit trail.
 
-Simulates a semantic onset/offset pair against a standalone tool executor and
-prints the audited actions, then shows trigger suppression (cooldowns and the
-non-event gap) and finally drives one invocation through the external-adapter
-path with a canned transport, demonstrating the scripted fallback on timeout.
+Shows trigger suppression (cooldowns and the non-event gap), then feeds a
+semantic onset/offset pair to a standalone meta-controller and prints the
+audited actions, and finally drives one invocation through the
+external-adapter path with a canned transport, demonstrating the scripted
+fallback on timeout.
 """
 
 import json
@@ -12,18 +13,16 @@ import logging
 
 from edgesched.metacontrol import (
     AdapterConfig,
-    AuditLog,
     Invocation,
-    ToolExecutor,
+    MetaController,
     TriggerState,
     evaluate_triggers,
-    llm_adapter_invoke,
-    scripted_policy,
     warmup_points,
 )
 from edgesched.opm import Opm
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.router import RiskOverrideTable, RouterConfig
+from edgesched.sim.engine import EventAnnotation
 
 
 class StandaloneTelemetry:
@@ -40,7 +39,8 @@ class StandaloneTelemetry:
         return []
 
 
-def make_executor():
+def make_controller(transport=None):
+    """A controller outside any engine; with a transport, an external adapter drives it."""
     opm = Opm()
     opm.seed(
         [
@@ -48,7 +48,14 @@ def make_executor():
             DevicePrior(2, SDXL, gamma0=4000.0),
         ]
     )
-    return ToolExecutor(opm, RouterConfig(), RiskOverrideTable(), StandaloneTelemetry(), AuditLog())
+    adapter = AdapterConfig(enabled=True, url="http://adapter.local") if transport else None
+    meta = MetaController(opm, RouterConfig(), RiskOverrideTable(), adapter=adapter, transport=transport)
+    meta.attach_telemetry(StandaloneTelemetry())
+    return meta
+
+
+def onset_at(task):
+    return EventAnnotation(task, 120_000.0, "semantic_onset", 0, "game")
 
 
 def main():
@@ -67,55 +74,40 @@ def main():
     print("  alarm at task 95  ->", evaluate_triggers(alarm(95), state).reason)
 
     print("\nscripted responses, as recorded in the audit log:")
-    executor = make_executor()
-    for invocation in (
-        Invocation("semantic_onset", 60, device=0, label="game"),
-        Invocation("semantic_offset", 100, device=0, label="game"),
-    ):
-        executor.begin_invocation(invocation)
-        scripted_policy(invocation, executor)
-    for entry in executor.audit.entries:
+    meta = make_controller()
+    meta.on_annotation(onset_at(60), 60)
+    meta.on_annotation(EventAnnotation(100, 120_000.0, "semantic_offset", 0, "game"), 100)
+    for entry in meta.audit.entries:
         print(" ", json.dumps(entry.to_dict(), sort_keys=True))
 
     print("\nexternal adapter with a canned endpoint:")
-    executor = make_executor()
+
+    sent = []
 
     def canned_transport(payload, config):
-        return {
-            "choices": [
-                {
-                    "message": {
-                        "tool_calls": [
-                            {
-                                "function": {
-                                    "name": "set_device_risky",
-                                    "arguments": json.dumps({"device": 0, "ttl": 25}),
-                                }
-                            }
-                        ]
-                    }
-                }
-            ]
+        sent.append([m["role"] for m in payload["messages"]])
+        if len(sent) > 1:  # round two: the endpoint has nothing more to do
+            return {"choices": [{"message": {"role": "assistant", "content": "done"}}]}
+        call = {
+            "id": "call_0",
+            "type": "function",
+            "function": {"name": "set_device_risky", "arguments": json.dumps({"device": 0, "ttl": 25})},
         }
+        return {"choices": [{"message": {"role": "assistant", "content": None, "tool_calls": [call]}}]}
 
-    invocation = Invocation("semantic_onset", 60, device=0, label="game")
-    executor.begin_invocation(invocation)
-    calls = llm_adapter_invoke(
-        invocation, AdapterConfig(enabled=True, url="http://adapter.local"), executor, canned_transport
-    )
-    print("  adapter issued:", [c.tool for c in calls])
+    meta = make_controller(canned_transport)
+    meta.on_annotation(onset_at(60), 60)
+    print("  adapter issued:", [e.tool for e in meta.audit.entries])
+    print("  round two sent:", sent[1])
 
     print("\nadapter timeout falls back to the scripted policy:")
-    executor = make_executor()
 
     def broken_transport(payload, config):
         raise TimeoutError("no response")
 
-    executor.begin_invocation(invocation)
-    calls = llm_adapter_invoke(
-        invocation, AdapterConfig(enabled=True, url="http://adapter.local"), executor, broken_transport
-    )
-    print("  fallback issued:", [c.tool for c in calls])
+    meta = make_controller(broken_transport)
+    meta.on_annotation(onset_at(60), 60)
+    print("  fallback issued:", [e.tool for e in meta.audit.entries])
 
 
 if __name__ == "__main__":

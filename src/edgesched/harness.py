@@ -302,7 +302,7 @@ def build_agent(
         adapter=adapter,
         transport=transport,
     )
-    return AdaptiveAgentPolicy(meta, warmup_budget, trace)
+    return AdaptiveAgentPolicy(meta, trace)
 
 
 def _build_policy(
@@ -392,8 +392,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if name == "e3":
             agent = policy
             meta_counts[name] = (policy.meta.llm_calls, policy.meta.tool_calls)
-        else:
-            meta_counts[name] = (0, 0)
         logger.info(
             "scenario=%s policy=%s completed %d tasks",
             config.scenario,
@@ -409,7 +407,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     report.policies = metrics
 
-    event_log = runs[wanted[0]].event_log if wanted else []
+    event_log = runs[wanted[0]].event_log
     audit = agent.meta.audit if agent is not None else None
     result = ExperimentResult(report, {n: runs[n] for n in wanted}, audit, agent, event_log)
     if config.out_dir is not None:

@@ -1,13 +1,17 @@
 """Slow-path, event-driven meta-control.
 
+One :class:`MetaController` holds the control surface: the model's
+calibration and refit entry points, the router config and the risk mask.
 Triggers fire on exposed scenario annotations, residual alarms, and scheduled
 warmup intervention points; a repeated annotation or warmup point is
 suppressed by its signature's cooldown, a residual alarm by a minimum task gap
 since the last invocation.  Every invocation acts through a closed set of nine
-executable tools, each bounded, validated, and recorded in an append-only
-audit log.  A deterministic scripted policy is
-the default controller; an optional external chat-completions adapter can
-drive the same tools and falls back to the scripted policy on any failure.
+executable tools, which the controller checks against :data:`TOOLS`, runs and
+records in an append-only audit log.  Below the warmup budget it also refits
+the model every :data:`WARMUP_REFIT_PERIOD` tasks.  A deterministic scripted
+policy is the default controller; an optional external chat-completions
+adapter can drive the same tools for at most :data:`MAX_TOOL_ROUNDS` rounds
+and falls back to the scripted policy on any failure.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ logger = logging.getLogger(__name__)
 
 MAX_TOOL_ROUNDS = 2
 MIN_NONEVENT_GAP = 20
+WARMUP_REFIT_PERIOD = 5
 ANOMALY_COOLDOWN = 20
 ALARM_MIN_SAMPLES = 3
 # Annotation type -> invocation reason.  A departure needs no invocation: the
@@ -68,11 +73,11 @@ NON_NEGATIVE = ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0
                 {"type": "number", "minimum": 0})
 ROUTER = (f"one of {ROUTER_CHOICES}", lambda v: v in ROUTER_CHOICES,
           {"type": "string", "enum": list(ROUTER_CHOICES)})
-# The executor also checks that the OPM knows the device.
+# The tool checker also checks that the OPM knows the device.
 DEVICE = ("a device id the OPM knows", is_int, {"type": "integer"})
 MODEL = ("an LLM or SDXL model name", _is_model, {"type": "string"})
 
-# tool -> (description, {argument: kind}); ``ToolExecutor._tool_<tool>`` holds the defaults
+# tool -> (description, {argument: kind}); ``MetaController._tool_<tool>`` holds the defaults
 TOOLS = {
     "get_system_status": ("Queue lengths, utilization, sim time, exposed semantic events.", {}),
     "pull_observations": ("Recent completed-task summaries and stutter count.",
@@ -183,12 +188,16 @@ class AuditLog:
         return (json.dumps(e.to_dict(), sort_keys=True) for e in self.entries)
 
 
-class ToolExecutor:
-    """Validates and executes tool calls against the live agent state.
+class MetaController:
+    """The slow path: triggers, the nine tools, and their audit.
 
-    The executor can mutate only the explicit control surface: the model's
-    calibration/refit entry points, the router config, and the risk mask.
-    No tool can reach simulator ground truth.
+    It holds the explicit control surface (the model's calibration and
+    refit entry points, the router config and the risk mask), and its tools
+    are the only way a controller can change it; no tool can reach
+    simulator ground truth.  Every tool call, rejected or not, is audited
+    under the invocation being served.  Below the warmup budget the model
+    also refits every few tasks, so exploration samples become usable
+    estimates quickly.
     """
 
     def __init__(
@@ -196,37 +205,51 @@ class ToolExecutor:
         opm: Opm,
         config: RouterConfig,
         overrides: RiskOverrideTable,
-        telemetry,
-        audit: AuditLog,
+        warmup_budget: int = 0,
+        adapter: AdapterConfig | None = None,
+        transport=None,
     ) -> None:
         self.opm = opm
         self.config = config
         self.overrides = overrides
-        self.telemetry = telemetry
-        self.audit = audit
+        self.warmup_budget = warmup_budget
+        self.audit = AuditLog()
+        self.adapter = adapter
+        self.transport = transport
+        self.trigger_state = TriggerState(warmup_points(warmup_budget))
+        self.telemetry = None
+        self.invocations: list[Invocation] = []
         self.tool_calls = 0
-        self._reason = "unsolicited"
-        self._task_index = -1
-        self._rounds_used = 0
 
-    def begin_invocation(self, invocation: Invocation) -> None:
-        self._reason = invocation.reason
-        self._task_index = invocation.task_index
-        self._rounds_used = 0
+    @property
+    def llm_calls(self) -> int:
+        return len(self.invocations)
 
-    def execute_round(self, calls: list[ToolCall]) -> list[ToolResult]:
-        """Execute one batch of calls; batches beyond the round cap are rejected."""
-        if self._rounds_used >= MAX_TOOL_ROUNDS:
-            return [self._reject(call, "tool round cap exceeded") for call in calls]
-        self._rounds_used += 1
-        return [self.execute_tool(call) for call in calls]
+    def attach_telemetry(self, telemetry) -> None:
+        self.telemetry = telemetry
+
+    def _invoke(self, candidate: Invocation) -> None:
+        """Run the controller on ``candidate`` if the trigger rule lets it fire."""
+        invocation = evaluate_triggers(candidate, self.trigger_state)
+        if invocation is None:
+            return
+        if self.telemetry is None:
+            raise RuntimeError("meta-controller has no telemetry attached")
+        self.invocations.append(invocation)
+        if self.adapter is not None and self.adapter.enabled:
+            llm_adapter_invoke(invocation, self.adapter, self, self.transport)
+        else:
+            scripted_policy(invocation, self)
+
+    # -- tool execution ----------------------------------------------------------
 
     def _audit(self, call: ToolCall, result: dict | str, delta: dict) -> None:
+        invocation = self.invocations[-1]  # the one being served
         self.audit.append(
             AuditEntry(
-                task_index=self._task_index,
+                task_index=invocation.task_index,
                 sim_time_ms=self.telemetry.now(),
-                reason=self._reason,
+                reason=invocation.reason,
                 tool=call.tool,
                 arguments=call.arguments,
                 result=result,
@@ -258,6 +281,7 @@ class ToolExecutor:
         return f"{call.tool} needs argument {missing[0]!r}" if missing else None
 
     def execute_tool(self, call: ToolCall) -> ToolResult:
+        """Check, run and audit one call; a rejected call counts and is audited too."""
         error = self._check(call)
         if error is not None:
             return self._reject(call, error)
@@ -331,14 +355,44 @@ class ToolExecutor:
         }
 
 
+
+    # -- engine-facing hooks -----------------------------------------------------
+
+    def on_task_arrival(self, task_index: int, now: float) -> None:
+        if 0 < task_index < self.warmup_budget and task_index % WARMUP_REFIT_PERIOD == 0:
+            self.opm.refit_all(min_samples=1)  # before a warmup point at this task fires
+        points = self.trigger_state.warmup_points
+        if task_index in points:
+            # Of two points the earlier is "first"; a single point is "last".
+            first = task_index == min(points) and len(points) > 1
+            self._invoke(Invocation("warmup_point", task_index, label="first" if first else "last"))
+
+    def on_annotation(self, annotation, now_task: int) -> None:
+        reason = ANNOTATION_REASONS.get(annotation.type)
+        if reason is not None:
+            self._invoke(Invocation(reason, now_task, device=annotation.device, label=annotation.label))
+
+    def on_feedback(self, record, now: float, now_task: int) -> None:
+        ratio, count = self.opm.drift_ratio(
+            record.device_id, record.kind, DRIFT_WINDOW_MS, now
+        )
+        if self.opm.is_drift_alarm(ratio, count, ALARM_MIN_SAMPLES):
+            self._invoke(
+                Invocation(
+                    "residual_alarm", now_task, device=record.device_id, model=record.kind,
+                    ratio=ratio, sample_count=count,
+                )
+            )
+
+
 @functools.cache
 def _required(tool: str) -> tuple[str, ...]:
     """The arguments of ``tool`` that its handler has no default for."""
-    params = inspect.signature(getattr(ToolExecutor, f"_tool_{tool}")).parameters.values()
+    params = inspect.signature(getattr(MetaController, f"_tool_{tool}")).parameters.values()
     return tuple(p.name for p in params if p.default is p.empty and p.name != "self")
 
 
-def scripted_policy(invocation: Invocation, executor: ToolExecutor) -> list[ToolCall]:
+def scripted_policy(invocation: Invocation, meta: MetaController) -> list[ToolCall]:
     """Deterministic reference controller: one fixed round of tools per trigger.
 
     A residual alarm records the drift ratio that raised it and refits.  It
@@ -377,8 +431,8 @@ def scripted_policy(invocation: Invocation, executor: ToolExecutor) -> list[Tool
             ToolCall("get_system_status", {}),
             ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3}),
         ]
-    if calls:
-        executor.execute_round(calls)
+    for call in calls:
+        meta.execute_tool(call)
     return calls
 
 
@@ -450,7 +504,8 @@ def _default_transport(payload: dict, config: AdapterConfig) -> dict:
         return json.load(response)
 
 
-def _parse_tool_calls(response: dict) -> list[ToolCall]:
+def _parse_tool_calls(response: dict) -> tuple[dict, list[ToolCall]]:
+    """The reply's assistant message and the tool calls it carries, in order."""
     calls = []
     message = response["choices"][0]["message"]
     for item in message.get("tool_calls") or []:
@@ -459,24 +514,27 @@ def _parse_tool_calls(response: dict) -> list[ToolCall]:
         if isinstance(arguments, str):
             arguments = json.loads(arguments) if arguments else {}
         calls.append(ToolCall(function["name"], arguments))
-    return calls
+    return message, calls
 
 
 def llm_adapter_invoke(
     invocation: Invocation,
     endpoint: AdapterConfig,
-    executor: ToolExecutor,
+    meta: MetaController,
     transport=None,
 ) -> list[ToolCall]:
     """Drive one invocation through an external controller endpoint.
 
-    The exchange uses a chat-completions-style schema: message list plus tool
-    catalog out, tool-call list back, at most two rounds.  Timeouts, transport
-    errors, or an empty/unparseable first round fall back to the scripted
-    policy; the fallback itself is audited.
+    The exchange follows the chat-completions tool protocol: message list
+    plus tool catalog out, an assistant message with tool calls back.  The
+    second round's messages add that assistant message and one ``tool``
+    message per call, answering its id.  The loop runs at most
+    :data:`MAX_TOOL_ROUNDS` rounds.  Timeouts, transport errors, or an
+    empty/unparseable first round fall back to the scripted policy; the
+    fallback itself is audited.
     """
     transport = transport or _default_transport
-    user = {**asdict(invocation), "context": executor.telemetry.system_status()}
+    user = {**asdict(invocation), "context": meta.telemetry.system_status()}
     messages = [
         {
             "role": "system",
@@ -488,113 +546,46 @@ def llm_adapter_invoke(
         {"role": "user", "content": json.dumps(user, sort_keys=True)},
     ]
 
-    def ask() -> list[ToolCall]:
+    def ask() -> tuple[dict, list[ToolCall]]:
         payload = {"model": endpoint.model, "messages": messages, "tools": _tool_catalog()}
         return _parse_tool_calls(transport(payload, endpoint))
 
     try:
-        calls = ask()
+        message, calls = ask()
         error, outcome = "no tool calls returned", "adapter returned no tool calls"
     except Exception as exc:  # network, schema, or JSON failure
         logger.warning("adapter failed (%s); falling back to scripted policy", exc)
         calls, error, outcome = [], str(exc), "adapter failure"
     if not calls:
-        executor._audit(
+        meta._audit(
             ToolCall("adapter_fallback", {"error": error}), f"{outcome}; scripted policy used", {}
         )
-        return scripted_policy(invocation, executor)
+        return scripted_policy(invocation, meta)
 
     made: list[ToolCall] = []
     for _round in range(MAX_TOOL_ROUNDS):
-        results = executor.execute_round(calls)
+        results = [meta.execute_tool(call) for call in calls]
         made.extend(calls)
         if _round + 1 >= MAX_TOOL_ROUNDS:
             break
-        messages = messages + [
-            {"role": "tool", "name": r.tool, "content": json.dumps(r.payload if r.ok else {"error": r.error}, sort_keys=True)}
-            for r in results
+        items = message["tool_calls"]
+        messages = [
+            *messages,
+            {"role": "assistant", "content": message.get("content"), "tool_calls": items},
+            *(
+                {
+                    "role": "tool",
+                    "tool_call_id": item.get("id"),
+                    "content": json.dumps(r.payload if r.ok else {"error": r.error}, sort_keys=True),
+                }
+                for item, r in zip(items, results)
+            ),
         ]
         try:
-            calls = ask()
+            message, calls = ask()
         except Exception as exc:
             logger.warning("adapter round 2 failed (%s); stopping after round 1", exc)
             break
         if not calls:
             break
     return made
-
-
-class MetaController:
-    """Event-driven controller orchestrating triggers, tools, and audit."""
-
-    def __init__(
-        self,
-        opm: Opm,
-        config: RouterConfig,
-        overrides: RiskOverrideTable,
-        warmup_budget: int = 0,
-        adapter: AdapterConfig | None = None,
-        transport=None,
-    ) -> None:
-        self.opm = opm
-        self.config = config
-        self.overrides = overrides
-        self.audit = AuditLog()
-        self.adapter = adapter
-        self.transport = transport
-        self.trigger_state = TriggerState(warmup_points(warmup_budget))
-        self.executor: ToolExecutor | None = None
-        self.invocations: list[Invocation] = []
-
-    @property
-    def llm_calls(self) -> int:
-        return len(self.invocations)
-
-    @property
-    def tool_calls(self) -> int:
-        return self.executor.tool_calls if self.executor is not None else 0
-
-    def attach_telemetry(self, telemetry) -> None:
-        self.executor = ToolExecutor(
-            self.opm, self.config, self.overrides, telemetry, self.audit
-        )
-
-    def _invoke(self, candidate: Invocation) -> None:
-        """Run the controller on ``candidate`` if the trigger rule lets it fire."""
-        invocation = evaluate_triggers(candidate, self.trigger_state)
-        if invocation is None:
-            return
-        if self.executor is None:
-            raise RuntimeError("meta-controller has no telemetry attached")
-        self.invocations.append(invocation)
-        self.executor.begin_invocation(invocation)
-        if self.adapter is not None and self.adapter.enabled:
-            llm_adapter_invoke(invocation, self.adapter, self.executor, self.transport)
-        else:
-            scripted_policy(invocation, self.executor)
-
-    # -- engine-facing hooks -----------------------------------------------------
-
-    def on_task_arrival(self, task_index: int, now: float) -> None:
-        points = self.trigger_state.warmup_points
-        if task_index in points:
-            # Of two points the earlier is "first"; a single point is "last".
-            first = task_index == min(points) and len(points) > 1
-            self._invoke(Invocation("warmup_point", task_index, label="first" if first else "last"))
-
-    def on_annotation(self, annotation, now_task: int) -> None:
-        reason = ANNOTATION_REASONS.get(annotation.type)
-        if reason is not None:
-            self._invoke(Invocation(reason, now_task, device=annotation.device, label=annotation.label))
-
-    def on_feedback(self, record, now: float, now_task: int) -> None:
-        ratio, count = self.opm.drift_ratio(
-            record.device_id, record.kind, DRIFT_WINDOW_MS, now
-        )
-        if self.opm.is_drift_alarm(ratio, count, ALARM_MIN_SAMPLES):
-            self._invoke(
-                Invocation(
-                    "residual_alarm", now_task, device=record.device_id, model=record.kind,
-                    ratio=ratio, sample_count=count,
-                )
-            )

@@ -312,23 +312,18 @@ class AdaptiveAgentPolicy:
 
     Routes on the state its meta-controller acts on (model, router config,
     risk overrides) and forwards every engine callback to that controller;
-    there is no agent without one.  During the warmup budget the model
-    refits every few tasks so exploration samples become usable estimates
-    quickly.
+    there is no agent without one.  The controller owns the slow path
+    whole, the warmup schedule included; the agent itself only feeds the
+    model and counts each task's first dispatch against the risk TTLs.
     """
 
     name = "e3"
 
-    WARMUP_REFIT_EVERY = 5
-
-    def __init__(
-        self, meta: MetaController, warmup_budget: int = 0, trace: list | None = None
-    ) -> None:
+    def __init__(self, meta: MetaController, trace: list | None = None) -> None:
         self.meta = meta
         self.opm = meta.opm
         self.config = meta.config
         self.overrides = meta.overrides
-        self.warmup_budget = warmup_budget
         self.trace = trace
         self.memo = BacklogMemo()
         self._dispatched: set[int] = set()
@@ -343,11 +338,6 @@ class AdaptiveAgentPolicy:
         return select_e3(task, self.visible_state(obs), self.trace)
 
     def on_task_arrival(self, task_index: int, now: float) -> None:
-        if (
-            0 < task_index < self.warmup_budget
-            and task_index % self.WARMUP_REFIT_EVERY == 0
-        ):
-            self.opm.refit_all(min_samples=1)
         self.meta.on_task_arrival(task_index, now)
 
     def on_dispatch(self, task: TaskSpec, device: int, now: float) -> None:

@@ -539,9 +539,9 @@ def test_status_snapshot_labels_equal_a_rescan_at_every_invocation(monkeypatch):
         seen.append(labels)
         return status
 
-    def checked_policy(invocation, executor):
-        invoked.append(executor.telemetry.system_status())
-        return policy(invocation, executor)
+    def checked_policy(invocation, meta):
+        invoked.append(meta.telemetry.system_status())
+        return policy(invocation, meta)
 
     engine.status_snapshot = checked_snapshot
     monkeypatch.setattr(metacontrol, "scripted_policy", checked_policy)

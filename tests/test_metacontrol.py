@@ -13,11 +13,9 @@ from edgesched import metacontrol
 from edgesched.metacontrol import (
     TOOLS,
     AdapterConfig,
-    AuditLog,
     Invocation,
     MetaController,
     ToolCall,
-    ToolExecutor,
     TriggerState,
     _default_transport,
     _tool_catalog,
@@ -52,7 +50,8 @@ class FakeTelemetry:
         return [dict(r) for r in rows]
 
 
-def make_executor(now=0.0):
+def serving_controller(now=0.0):
+    """A controller over three seeded devices, serving a semantic onset at task 5."""
     opm = Opm()
     opm.seed(
         [
@@ -61,12 +60,10 @@ def make_executor(now=0.0):
             DevicePrior(2, SDXL, gamma0=4000.0),
         ]
     )
-    config = RouterConfig()
-    overrides = RiskOverrideTable()
-    audit = AuditLog()
-    executor = ToolExecutor(opm, config, overrides, FakeTelemetry(now), audit)
-    executor.begin_invocation(Invocation("semantic_onset", task_index=5, device=0))
-    return executor
+    meta = MetaController(opm, RouterConfig(), RiskOverrideTable())
+    meta.attach_telemetry(FakeTelemetry(now))
+    meta.invocations.append(Invocation("semantic_onset", task_index=5, device=0))
+    return meta
 
 
 def make_controller(warmup_budget=0, now=0.0, **kwargs):
@@ -156,6 +153,38 @@ def test_warmup_tick_fires_once_per_point():
     assert [(i.task_index, i.label) for i in meta.invocations] == [(10, "first"), (30, "last")]
 
 
+def test_the_controller_refits_every_five_tasks_below_the_warmup_budget():
+    """The whole warmup schedule runs in the controller, no agent needed: a
+    model refit at tasks 5..25, before the warmup point at task 10 fires,
+    and the tool refit of the last warmup point at task 30."""
+    opm = Opm()
+    opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0), DevicePrior(2, SDXL, gamma0=4000.0)])
+    meta = MetaController(opm, RouterConfig(), RiskOverrideTable(), warmup_budget=30)
+    meta.attach_telemetry(FakeTelemetry())
+    audited = []  # (tool, oplog length when its entry was appended)
+    append = meta.audit.append
+    meta.audit.append = lambda entry: (audited.append((entry.tool, len(opm.oplog))), append(entry))
+    refits, after = {}, {}
+    for k in range(31):
+        device, kind, n_in, n_out = (0, LLM, 256, 32) if k % 2 else (2, SDXL, None, None)
+        t = 1000.0 * k
+        opm.ingest_feedback(ExecutionRecord(k, device, kind, t, t, t, t, 900.0, 900.0, n_in, n_out, 0), t)
+        before = len(opm.oplog)
+        meta.on_task_arrival(k, t)
+        after[k] = len(opm.oplog)
+        refits[k] = opm.oplog[before:]
+    scheduled = [("refit", 0, LLM, 1, None), ("refit", 2, SDXL, 1, None)]
+    assert {k: ops for k, ops in refits.items() if ops} == {
+        **{k: scheduled for k in (5, 10, 15, 20, 25)},
+        30: [("refit", 0, LLM, 1, 40), ("refit", 2, SDXL, 1, 40)],
+    }
+    assert audited == [
+        ("switch_router", after[10]),
+        ("trigger_online_profile_update", after[30]),
+        ("switch_router", after[30]),
+    ]
+
+
 def test_single_warmup_point_is_treated_as_last():
     meta = make_controller(warmup_budget=5)
     meta.on_task_arrival(5, 0.0)
@@ -213,6 +242,9 @@ class AlarmingOpm:
     def is_drift_alarm(self, ratio, count, min_samples):
         return True
 
+    def refit_all(self, min_samples=1, window=None):  # the warmup schedule's refits
+        return {}
+
 
 @pytest.mark.parametrize("budget", [0, 5, 30])
 def test_one_rule_fires_what_the_three_branch_rule_fired(budget, monkeypatch):
@@ -221,7 +253,7 @@ def test_one_rule_fires_what_the_three_branch_rule_fired(budget, monkeypatch):
     rng = random.Random(budget)
     meta = make_controller(warmup_budget=budget)
     meta.opm = AlarmingOpm()
-    monkeypatch.setattr(metacontrol, "scripted_policy", lambda invocation, executor: [])
+    monkeypatch.setattr(metacontrol, "scripted_policy", lambda invocation, controller: [])
     reference = {"cooldowns": {}, "last": -(10**9), "points": warmup_points(budget)}
     expected = []
 
@@ -275,33 +307,33 @@ def test_model_kind_mapping():
 
 
 def test_get_system_status_and_audit():
-    executor = make_executor(now=1234.0)
-    result = executor.execute_tool(ToolCall("get_system_status", {}))
+    meta = serving_controller(now=1234.0)
+    result = meta.execute_tool(ToolCall("get_system_status", {}))
     assert result.ok
     assert result.payload["sim_time_ms"] == 1234.0
-    entry = executor.audit.entries[-1]
+    entry = meta.audit.entries[-1]
     assert entry.tool == "get_system_status"
     assert entry.reason == "semantic_onset"
     assert entry.task_index == 5
 
 
 def test_pull_observations_counts_stutter():
-    executor = make_executor()
-    executor.telemetry._observations = [
+    meta = serving_controller()
+    meta.telemetry._observations = [
         {"task_id": 0, "stutter": 1},
         {"task_id": 1, "stutter": 0},
         {"task_id": 2, "stutter": 1},
     ]
-    result = executor.execute_tool(ToolCall("pull_observations", {"limit": 10}))
+    result = meta.execute_tool(ToolCall("pull_observations", {"limit": 10}))
     assert result.ok
     assert result.payload["stutter_count"] == 2
-    bad = executor.execute_tool(ToolCall("pull_observations", {"limit": 0}))
+    bad = meta.execute_tool(ToolCall("pull_observations", {"limit": 0}))
     assert not bad.ok
 
 
 def test_compute_drift_empty_window():
-    executor = make_executor()
-    result = executor.execute_tool(
+    meta = serving_controller()
+    result = meta.execute_tool(
         ToolCall("compute_drift", {"device": 0, "model": "llama3.1-8b-edge", "window_ms": 60000})
     )
     assert result.ok
@@ -309,36 +341,36 @@ def test_compute_drift_empty_window():
 
 
 def test_update_calibration_logs_old_and_new():
-    executor = make_executor()
-    result = executor.execute_tool(
+    meta = serving_controller()
+    result = meta.execute_tool(
         ToolCall("update_calibration", {"device": 0, "model": "LLM", "ratio": 2.0})
     )
     assert result.ok
     assert result.payload["old_factor"] == 1.0
     assert result.payload["new_factor"] == pytest.approx(1.3)
-    delta = executor.audit.entries[-1].state_delta
+    delta = meta.audit.entries[-1].state_delta
     assert delta["calibration_factor"]["old"] == 1.0
     assert delta["calibration_factor"]["new"] == pytest.approx(1.3)
-    bad = executor.execute_tool(
+    bad = meta.execute_tool(
         ToolCall("update_calibration", {"device": 0, "model": "LLM", "ratio": -1})
     )
     assert not bad.ok
 
 
 def test_switch_router_and_params():
-    executor = make_executor()
-    result = executor.execute_tool(ToolCall("switch_router", {"router": "explore_risk"}))
-    assert result.ok and executor.config.policy == "explore_risk"
-    assert executor.audit.entries[-1].state_delta["policy"] == {
+    meta = serving_controller()
+    result = meta.execute_tool(ToolCall("switch_router", {"router": "explore_risk"}))
+    assert result.ok and meta.config.policy == "explore_risk"
+    assert meta.audit.entries[-1].state_delta["policy"] == {
         "old": "sect",
         "new": "explore_risk",
     }
-    bad = executor.execute_tool(ToolCall("switch_router", {"router": "random"}))
+    bad = meta.execute_tool(ToolCall("switch_router", {"router": "random"}))
     assert not bad.ok
-    result = executor.execute_tool(ToolCall("set_router_params", {"explore_weight_ms": 1500}))
+    result = meta.execute_tool(ToolCall("set_router_params", {"explore_weight_ms": 1500}))
     assert result.ok
-    assert executor.config.explore_weight_ms == 1500
-    assert executor.audit.entries[-1].state_delta == {
+    assert meta.config.explore_weight_ms == 1500
+    assert meta.audit.entries[-1].state_delta == {
         "explore_weight_ms": {"old": 2000.0, "new": 1500}
     }
 
@@ -355,36 +387,36 @@ def test_switch_router_and_params():
     ],
 )
 def test_set_router_params_rejects_bad_values_and_keeps_config(arguments):
-    executor = make_executor()
-    before = executor.config.to_dict()
-    result = executor.execute_tool(ToolCall("set_router_params", arguments))
+    meta = serving_controller()
+    before = meta.config.to_dict()
+    result = meta.execute_tool(ToolCall("set_router_params", arguments))
     assert not result.ok
-    assert executor.config.to_dict() == before
-    [entry] = executor.audit.entries
+    assert meta.config.to_dict() == before
+    [entry] = meta.audit.entries
     assert entry.result == f"rejected: {result.error}" and entry.state_delta == {}
 
 
 def test_update_calibration_rejects_bool_ratio():
-    executor = make_executor()
-    result = executor.execute_tool(
+    meta = serving_controller()
+    result = meta.execute_tool(
         ToolCall("update_calibration", {"device": 0, "model": "LLM", "ratio": True})
     )
     assert not result.ok
-    assert executor.opm.oplog[-1][0] == "seed"
+    assert meta.opm.oplog[-1][0] == "seed"
 
 
 def test_set_and_clear_device_risky():
-    executor = make_executor()
-    result = executor.execute_tool(ToolCall("set_device_risky", {"device": 0}))
+    meta = serving_controller()
+    result = meta.execute_tool(ToolCall("set_device_risky", {"device": 0}))
     assert result.ok
     assert result.payload["ttl"] == 50
-    assert executor.overrides.is_risky(0)
-    assert executor.audit.entries[-1].state_delta["risk_mask"] == {"old": [], "new": [0]}
-    result = executor.execute_tool(ToolCall("clear_device_risky", {"device": 0}))
-    assert result.ok and not executor.overrides.is_risky(0)
-    bad = executor.execute_tool(ToolCall("set_device_risky", {"device": 0, "ttl": 0}))
+    assert meta.overrides.is_risky(0)
+    assert meta.audit.entries[-1].state_delta["risk_mask"] == {"old": [], "new": [0]}
+    result = meta.execute_tool(ToolCall("clear_device_risky", {"device": 0}))
+    assert result.ok and not meta.overrides.is_risky(0)
+    bad = meta.execute_tool(ToolCall("set_device_risky", {"device": 0, "ttl": 0}))
     assert not bad.ok
-    bad = executor.execute_tool(ToolCall("set_device_risky", {"device": 42}))
+    bad = meta.execute_tool(ToolCall("set_device_risky", {"device": 42}))
     assert not bad.ok
 
 
@@ -434,23 +466,23 @@ def test_set_and_clear_device_risky():
     ],
 )
 def test_tool_arguments_outside_their_contract_are_rejected(tool, arguments, contract):
-    executor = make_executor()
-    oplog_len = len(executor.opm.oplog)
-    result = executor.execute_tool(ToolCall(tool, arguments))
+    meta = serving_controller()
+    oplog_len = len(meta.opm.oplog)
+    result = meta.execute_tool(ToolCall(tool, arguments))
     assert not result.ok
     assert contract in result.error
-    assert executor.audit.entries[-1].result == f"rejected: {result.error}"
-    assert executor.audit.entries[-1].arguments == arguments  # as given
-    assert executor.overrides.devices() == []
-    assert len(executor.opm.oplog) == oplog_len
-    assert all(e.calibration_factor == 1.0 for e in executor.opm.estimates.values())
+    assert meta.audit.entries[-1].result == f"rejected: {result.error}"
+    assert meta.audit.entries[-1].arguments == arguments  # as given
+    assert meta.overrides.devices() == []
+    assert len(meta.opm.oplog) == oplog_len
+    assert all(e.calibration_factor == 1.0 for e in meta.opm.estimates.values())
 
 
 def test_catalog_is_generated_from_the_table():
     catalog = {entry["function"]["name"]: entry["function"] for entry in _tool_catalog()}
     assert list(catalog) == list(TOOLS)
     for name, function in catalog.items():
-        parameters = inspect.signature(getattr(ToolExecutor, f"_tool_{name}")).parameters
+        parameters = inspect.signature(getattr(MetaController, f"_tool_{name}")).parameters
         handler_args = [arg for arg in parameters if arg != "self"]
         schema = function["parameters"]
         assert function["description"] == TOOLS[name][0]
@@ -467,38 +499,29 @@ def test_catalog_is_generated_from_the_table():
 
 
 def test_trigger_online_profile_update_refits_all():
-    executor = make_executor()
-    result = executor.execute_tool(
+    meta = serving_controller()
+    result = meta.execute_tool(
         ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3})
     )
     assert result.ok
     assert result.payload["refit"] == {"0": "insufficient", "1": "insufficient", "2": "insufficient"}
-    bad = executor.execute_tool(
+    bad = meta.execute_tool(
         ToolCall("trigger_online_profile_update", {"window": 0, "min_samples": 1})
     )
     assert not bad.ok
 
 
 def test_unknown_tool_rejected_and_audited():
-    executor = make_executor()
-    before = len(executor.audit.entries)
-    result = executor.execute_tool(ToolCall("dispatch_task", {"task": 1}))
+    meta = serving_controller()
+    before = len(meta.audit.entries)
+    result = meta.execute_tool(ToolCall("dispatch_task", {"task": 1}))
     assert not result.ok
-    assert len(executor.audit.entries) == before + 1
-    assert "rejected" in executor.audit.entries[-1].result
-
-
-def test_round_cap_rejects_third_batch():
-    executor = make_executor()
-    executor.execute_round([ToolCall("get_system_status", {})])
-    executor.execute_round([ToolCall("get_system_status", {})])
-    results = executor.execute_round([ToolCall("get_system_status", {})])
-    assert not results[0].ok
-    assert "round cap" in results[0].error
+    assert len(meta.audit.entries) == before + 1
+    assert "rejected" in meta.audit.entries[-1].result
 
 
 def test_tool_results_carry_no_ground_truth():
-    executor = make_executor()
+    meta = serving_controller()
     for call in (
         ToolCall("get_system_status", {}),
         ToolCall("pull_observations", {"limit": 5}),
@@ -506,9 +529,9 @@ def test_tool_results_carry_no_ground_truth():
         ToolCall("update_calibration", {"device": 0, "model": "LLM", "ratio": 1.1}),
         ToolCall("set_device_risky", {"device": 1}),
     ):
-        result = executor.execute_tool(call)
+        result = meta.execute_tool(call)
         assert_no_ground_truth(result.payload)
-    for entry in executor.audit.entries:
+    for entry in meta.audit.entries:
         assert_no_ground_truth(entry.to_dict())
 
 
@@ -516,46 +539,46 @@ def test_tool_results_carry_no_ground_truth():
 
 
 def test_scripted_semantic_onset_sequence():
-    executor = make_executor()
+    meta = serving_controller()
     inv = Invocation("semantic_onset", 60, device=0, label="game")
-    executor.begin_invocation(inv)
-    calls = scripted_policy(inv, executor)
+    meta.invocations.append(inv)
+    calls = scripted_policy(inv, meta)
     assert [c.tool for c in calls] == ["get_system_status", "set_device_risky"]
     assert calls[1].arguments == {"device": 0, "ttl": 50}
-    assert executor.overrides.is_risky(0)
+    assert meta.overrides.is_risky(0)
 
 
 def test_scripted_semantic_offset_clears():
-    executor = make_executor()
-    executor.overrides.set(0, 50)
+    meta = serving_controller()
+    meta.overrides.set(0, 50)
     inv = Invocation("semantic_offset", 100, device=0, label="game")
-    executor.begin_invocation(inv)
-    calls = scripted_policy(inv, executor)
+    meta.invocations.append(inv)
+    calls = scripted_policy(inv, meta)
     assert [c.tool for c in calls] == ["clear_device_risky"]
-    assert not executor.overrides.is_risky(0)
+    assert not meta.overrides.is_risky(0)
 
 
 def test_scripted_residual_alarm_diagnoses_then_refits():
-    executor = make_executor()
+    meta = serving_controller()
     # Feed the model so compute_drift sees a 2x mismatch.
     from edgesched.sim.engine import ExecutionRecord
 
     for i in range(4):
-        executor.opm.ingest_feedback(
+        meta.opm.ingest_feedback(
             ExecutionRecord(i, 0, LLM, 0.0, 0.0, 0.0, 1000.0 * i, 1000.0 * i,
                             2 * 1856.0, 256, 32, 0),
             now=1e9,
         )
-    executor.telemetry._now = 4000.0
+    meta.telemetry._now = 4000.0
     inv = Invocation("residual_alarm", 130, device=0, model=LLM, ratio=2.0, sample_count=4)
-    executor.begin_invocation(inv)
-    calls = scripted_policy(inv, executor)
+    meta.invocations.append(inv)
+    calls = scripted_policy(inv, meta)
     assert [c.tool for c in calls] == ["compute_drift", "trigger_online_profile_update"]
-    [drift, refit] = executor.audit.entries
+    [drift, refit] = meta.audit.entries
     assert drift.result == {"ratio": 2.0, "sample_count": 4}
     assert refit.result["refit"]["0"] == "updated"
-    assert executor.opm.estimates[(0, LLM)].calibration_factor == 1.0
-    assert executor.opm.estimates[(0, LLM)].alpha_hat != 1.0
+    assert meta.opm.estimates[(0, LLM)].calibration_factor == 1.0
+    assert meta.opm.estimates[(0, LLM)].alpha_hat != 1.0
 
 
 def calibrating_policy(shipped):
@@ -563,18 +586,19 @@ def calibrating_policy(shipped):
     before it refit (compute the drift, calibrate by its ratio, refit), kept
     here as the reference; every other trigger goes to ``shipped``."""
 
-    def policy(invocation, executor):
+    def policy(invocation, meta):
         if invocation.reason != "residual_alarm":
-            return shipped(invocation, executor)
+            return shipped(invocation, meta)
         device, model = invocation.device, invocation.model
         drift = ToolCall("compute_drift", {"device": device, "model": model, "window_ms": DRIFT_WINDOW_MS})
-        [result] = executor.execute_round([drift])
+        result = meta.execute_tool(drift)
         second = []
         if result.ok and 0 < result.payload["ratio"] != float("inf"):
             ratio = result.payload["ratio"]
             second.append(ToolCall("update_calibration", {"device": device, "model": model, "ratio": ratio}))
         second.append(ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3}))
-        executor.execute_round(second)
+        for call in second:
+            meta.execute_tool(call)
         return [drift, *second]
 
     return policy
@@ -614,29 +638,29 @@ def test_alarm_decides_what_the_calibrating_alarm_decided(name, monkeypatch):
 
 
 def test_scripted_warmup_first_and_last():
-    executor = make_executor()
+    meta = serving_controller()
     first = Invocation("warmup_point", 10, label="first")
-    executor.begin_invocation(first)
-    executor.config.explore_weight_ms = 8000.0
-    calls = scripted_policy(first, executor)
+    meta.invocations.append(first)
+    meta.config.explore_weight_ms = 8000.0
+    calls = scripted_policy(first, meta)
     assert [c.tool for c in calls] == ["switch_router"]
-    assert executor.config.policy == "explore_risk"
-    assert executor.config.explore_weight_ms == 8000.0  # the configured weight is kept
+    assert meta.config.policy == "explore_risk"
+    assert meta.config.explore_weight_ms == 8000.0  # the configured weight is kept
 
     last = Invocation("warmup_point", 30, label="last")
-    executor.begin_invocation(last)
-    calls = scripted_policy(last, executor)
+    meta.invocations.append(last)
+    calls = scripted_policy(last, meta)
     assert [c.tool for c in calls] == ["trigger_online_profile_update", "switch_router"]
-    assert executor.config.policy == "sect"
+    assert meta.config.policy == "sect"
     refit_call = calls[0]
     assert refit_call.arguments["min_samples"] == 1
 
 
 def test_scripted_churn_event_refreshes_estimates():
-    executor = make_executor()
+    meta = serving_controller()
     inv = Invocation("churn_event", 160, device=3)
-    executor.begin_invocation(inv)
-    calls = scripted_policy(inv, executor)
+    meta.invocations.append(inv)
+    calls = scripted_policy(inv, meta)
     assert [c.tool for c in calls] == ["get_system_status", "trigger_online_profile_update"]
     assert calls[1].arguments["min_samples"] == 3
 
@@ -645,14 +669,21 @@ def test_scripted_churn_event_refreshes_estimates():
 
 
 def adapter_response(tool_calls):
+    """A chat-completions reply whose assistant message carries ``tool_calls``."""
     return {
         "choices": [
             {
                 "message": {
+                    "role": "assistant",
+                    "content": None,
                     "tool_calls": [
-                        {"function": {"name": name, "arguments": json.dumps(args)}}
-                        for name, args in tool_calls
-                    ]
+                        {
+                            "id": f"call_{i}",
+                            "type": "function",
+                            "function": {"name": name, "arguments": json.dumps(args)},
+                        }
+                        for i, (name, args) in enumerate(tool_calls)
+                    ],
                 }
             }
         ]
@@ -660,7 +691,7 @@ def adapter_response(tool_calls):
 
 
 def test_adapter_executes_returned_calls():
-    executor = make_executor()
+    meta = serving_controller()
     responses = [
         adapter_response([("set_device_risky", {"device": 1, "ttl": 20})]),
         adapter_response([]),
@@ -670,14 +701,14 @@ def test_adapter_executes_returned_calls():
         return responses.pop(0)
 
     inv = Invocation("semantic_onset", 60, device=1, label="game")
-    executor.begin_invocation(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), executor, transport)
+    meta.invocations.append(inv)
+    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
     assert [c.tool for c in calls] == ["set_device_risky"]
-    assert executor.overrides.is_risky(1)
+    assert meta.overrides.is_risky(1)
 
 
 def test_adapter_rejects_out_of_bounds_but_continues():
-    executor = make_executor()
+    meta = serving_controller()
     responses = [
         adapter_response(
             [("set_device_risky", {"device": 1, "ttl": 0}), ("get_system_status", {})]
@@ -689,16 +720,16 @@ def test_adapter_rejects_out_of_bounds_but_continues():
         return responses.pop(0)
 
     inv = Invocation("semantic_onset", 60, device=1)
-    executor.begin_invocation(inv)
-    llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), executor, transport)
-    assert not executor.overrides.is_risky(1)
-    tools_audited = [e.tool for e in executor.audit.entries]
+    meta.invocations.append(inv)
+    llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
+    assert not meta.overrides.is_risky(1)
+    tools_audited = [e.tool for e in meta.audit.entries]
     assert "set_device_risky" in tools_audited
     assert "get_system_status" in tools_audited
 
 
 def test_adapter_survives_non_object_arguments_and_a_bad_model():
-    executor = make_executor()
+    meta = serving_controller()
     responses = [
         {"choices": [{"message": {"tool_calls": [
             {"function": {"name": "get_system_status", "arguments": "[1]"}},
@@ -711,19 +742,19 @@ def test_adapter_survives_non_object_arguments_and_a_bad_model():
         return responses.pop(0)
 
     inv = Invocation("residual_alarm", 60, device=0, model=LLM, ratio=2.0, sample_count=4)
-    executor.begin_invocation(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), executor, transport)
+    meta.invocations.append(inv)
+    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
     assert [c.tool for c in calls] == ["get_system_status", "compute_drift"]
-    assert [(e.tool, e.arguments, e.result) for e in executor.audit.entries] == [
+    assert [(e.tool, e.arguments, e.result) for e in meta.audit.entries] == [
         ("get_system_status", [1], "rejected: arguments must be a JSON object, got [1]"),
         ("compute_drift", {"device": 0, "model": 5},
          "rejected: model must be an LLM or SDXL model name, got 5"),
     ]
-    assert list(executor.audit.lines())  # rejected non-object arguments still serialize
+    assert list(meta.audit.lines())  # rejected non-object arguments still serialize
 
 
 def test_adapter_int_too_large_for_a_float_is_rejected_and_audited():
-    executor = make_executor()
+    meta = serving_controller()
     huge = 10**400
     responses = [
         adapter_response(
@@ -735,31 +766,31 @@ def test_adapter_int_too_large_for_a_float_is_rejected_and_audited():
     def transport(payload, config):
         return responses.pop(0)
 
-    weight = executor.config.explore_weight_ms
+    weight = meta.config.explore_weight_ms
     inv = Invocation("semantic_onset", 60, device=1, label="game")
-    executor.begin_invocation(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), executor, transport)
+    meta.invocations.append(inv)
+    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
     assert [c.tool for c in calls] == ["set_router_params", "get_system_status"]
-    rejected, status = executor.audit.entries
+    rejected, status = meta.audit.entries
     assert rejected.result == f"rejected: explore_weight_ms must be a finite number >= 0, got {huge!r}"
     assert status.tool == "get_system_status" and isinstance(status.result, dict)
-    assert executor.config.explore_weight_ms == weight
-    assert list(executor.audit.lines())
+    assert meta.config.explore_weight_ms == weight
+    assert list(meta.audit.lines())
 
 
 def test_adapter_failure_falls_back_to_scripted():
-    executor = make_executor()
+    meta = serving_controller()
 
     def transport(payload, config):
         raise TimeoutError("no response in 10 s")
 
     inv = Invocation("semantic_onset", 60, device=0, label="game")
-    executor.begin_invocation(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), executor, transport)
+    meta.invocations.append(inv)
+    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
     # Identical tool sequence to the scripted policy for the same invocation.
     assert [c.tool for c in calls] == ["get_system_status", "set_device_risky"]
-    assert any(e.tool == "adapter_fallback" for e in executor.audit.entries)
-    assert executor.overrides.is_risky(0)
+    assert any(e.tool == "adapter_fallback" for e in meta.audit.entries)
+    assert meta.overrides.is_risky(0)
 
 
 ONSET_USER_MESSAGE = (
@@ -821,29 +852,34 @@ def test_adapter_message_and_fallback_audit_bytes(reply, fallback):
 
 
 def test_adapter_second_round_extends_the_first_rounds_messages():
-    meta, payloads = adapter_controller(
-        [adapter_response([("get_system_status", {})]), adapter_response([])]
-    )
+    """Round two follows the chat-completions tool protocol: the assistant
+    message that carried round one's calls, then one tool message per call
+    that answers its id, a rejected call with its error."""
+    reply = adapter_response([("get_system_status", {}), ("set_device_risky", {"device": 0, "ttl": 0})])
+    meta, payloads = adapter_controller([reply, adapter_response([])])
     first, second = payloads
     assert len(first["messages"]) == 2  # the first payload is not extended in place
     assert first["messages"][1]["content"] == ONSET_USER_MESSAGE
     assert second["messages"] == first["messages"] + [
-        {"role": "tool", "name": "get_system_status",
-         "content": '{"active_semantic_events": {}, "devices": {}, "sim_time_ms": 1234.0}'}
+        {"role": "assistant", "content": None, "tool_calls": reply["choices"][0]["message"]["tool_calls"]},
+        {"role": "tool", "tool_call_id": "call_0",
+         "content": '{"active_semantic_events": {}, "devices": {}, "sim_time_ms": 1234.0}'},
+        {"role": "tool", "tool_call_id": "call_1",
+         "content": '{"error": "ttl must be an int >= 1, not a bool, got 0"}'},
     ]
     assert second["model"] == "m" and second["tools"] == _tool_catalog()
-    assert [e.tool for e in meta.audit.entries] == ["get_system_status"]
+    assert [e.tool for e in meta.audit.entries] == ["get_system_status", "set_device_risky"]
 
 
 def test_adapter_round_cap_is_enforced():
-    executor = make_executor()
+    meta = serving_controller()
 
     def transport(payload, config):
         return adapter_response([("get_system_status", {})])
 
     inv = Invocation("churn_event", 160, device=3)
-    executor.begin_invocation(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), executor, transport)
+    meta.invocations.append(inv)
+    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
     assert len(calls) == 2  # two rounds maximum, despite endless responses
 
 
@@ -897,13 +933,13 @@ def test_default_transport_posts_json_over_http(monkeypatch):
         assert requests_seen == [(payload, "Bearer key-123", "application/json")]
 
         status[0] = 500
-        executor = make_executor()
+        meta = serving_controller()
         inv = Invocation("semantic_onset", 60, device=0, label="game")
-        executor.begin_invocation(inv)
-        calls = llm_adapter_invoke(inv, config, executor)
+        meta.invocations.append(inv)
+        calls = llm_adapter_invoke(inv, config, meta)
         assert len(requests_seen) == 2
         assert [c.tool for c in calls] == ["get_system_status", "set_device_risky"]
-        assert any(e.tool == "adapter_fallback" for e in executor.audit.entries)
+        assert any(e.tool == "adapter_fallback" for e in meta.audit.entries)
     finally:
         server.shutdown()
         server.server_close()
@@ -935,10 +971,10 @@ DOUBLE = AdapterConfig(enabled=True, url="http://double.invalid", model="m")
 
 
 class _Unexecuted:
-    """Takes a round of tool calls without running them."""
+    """Takes tool calls without running them."""
 
-    def execute_round(self, calls):
-        return []
+    def execute_tool(self, call):
+        return None
 
 
 def answering(first_round):

@@ -1,8 +1,8 @@
-"""Fuzzing the tool executor with arbitrary JSON arguments."""
+"""Fuzzing the meta-controller's tools with arbitrary JSON arguments."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_metacontrol import make_executor
+from test_metacontrol import serving_controller
 
 from edgesched.metacontrol import (
     COUNT,
@@ -60,11 +60,11 @@ CALLS = st.sampled_from([*TOOLS, "dispatch_task"]).flatmap(
 )
 
 
-def _state(executor):
-    opm = executor.opm
+def _state(meta):
+    opm = meta.opm
     return (
-        executor.config.to_dict(),
-        executor.overrides.to_dict(),
+        meta.config.to_dict(),
+        meta.overrides.to_dict(),
         opm.version,
         len(opm.oplog),
         opm.snapshot_text(),
@@ -74,18 +74,18 @@ def _state(executor):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(CALLS, min_size=1, max_size=3))
 def test_execute_tool_never_raises_and_a_rejection_changes_nothing(calls):
-    executor = make_executor(now=5000.0)
-    executor.telemetry._observations = [{"task_id": 0, "stutter": 1}]
+    meta = serving_controller(now=5000.0)
+    meta.telemetry._observations = [{"task_id": 0, "stutter": 1}]
     for call in calls:
-        before = _state(executor)
-        audited = len(executor.audit.entries)
-        result = executor.execute_tool(call)
-        assert len(executor.audit.entries) == audited + 1
-        entry = executor.audit.entries[-1]
+        before = _state(meta)
+        audited = len(meta.audit.entries)
+        result = meta.execute_tool(call)
+        assert len(meta.audit.entries) == audited + 1
+        entry = meta.audit.entries[-1]
         assert entry.tool == call.tool and entry.arguments is call.arguments  # as given
         if not result.ok:
             assert entry.result == f"rejected: {result.error}"
-            assert _state(executor) == before
-        known = {str(device) for device, _kind in executor.opm.estimates}
-        assert set(executor.overrides.to_dict()) <= known
-    list(executor.audit.lines())
+            assert _state(meta) == before
+        known = {str(device) for device, _kind in meta.opm.estimates}
+        assert set(meta.overrides.to_dict()) <= known
+    list(meta.audit.lines())

@@ -26,12 +26,20 @@ def test_traced_layers_are_called_and_restored():
     layers.install(tracer)
     patched = list(tracer._patches)
     try:
-        harness.run_experiment(harness.ExperimentConfig("semantic", horizon=60))
+        result = harness.run_experiment(harness.ExperimentConfig("semantic", horizon=60))
     finally:
         tracer.restore()
+    layers.after_experiment(tracer, result, 0)
     assert patched
-    for name in ("meta.evaluate_triggers", "meta.invoke", "router.select_e3", "router.backlog_ms"):
+    for name in (
+        "meta.evaluate_triggers", "meta.invoke", "meta.on_feedback", "harness.build_agent",
+        "router.select_e3", "router.backlog_ms",
+    ):
         assert tracer.stats[name][0] >= 1, name
+    # The counters read from the result: a hook reading a renamed attribute
+    # would count 0 here while the traced run still reports "correct".
+    tool_entries = [e for e in result.audit.entries if e.tool != "adapter_fallback"]
+    assert tracer.counters["meta.tool_calls"] == len(tool_entries) > 0
     # Engine methods wrapped by name: a decision that stops going through
     # them would leave the traced per-layer figures at zero.
     for name in ("sim.observable_state", "sim.true_backlog_ms"):
