@@ -19,9 +19,7 @@ from edgesched.metacontrol import (
     evaluate_triggers,
     warmup_points,
 )
-from edgesched.opm import Opm
 from edgesched.profiles import LLM, SDXL, DevicePrior
-from edgesched.router import RiskOverrideTable, RouterConfig
 from edgesched.sim.engine import EventAnnotation
 
 
@@ -40,16 +38,11 @@ class StandaloneTelemetry:
 
 
 def make_controller(transport=None):
-    """A controller outside any engine; with a transport, an external adapter drives it."""
-    opm = Opm()
-    opm.seed(
-        [
-            DevicePrior(0, LLM, alpha0=1.0, beta0=50.0),
-            DevicePrior(2, SDXL, gamma0=4000.0),
-        ]
-    )
-    adapter = AdapterConfig(enabled=True, url="http://adapter.local") if transport else None
-    meta = MetaController(opm, RouterConfig(), RiskOverrideTable(), adapter=adapter, transport=transport)
+    """A controller seeded from two priors, outside any engine; with a transport, an
+    external adapter drives it."""
+    priors = [DevicePrior(0, LLM, alpha0=1.0, beta0=50.0), DevicePrior(2, SDXL, gamma0=4000.0)]
+    adapter = AdapterConfig(url="http://adapter.local") if transport else None
+    meta = MetaController(priors, adapter=adapter, transport=transport)
     meta.attach_telemetry(StandaloneTelemetry())
     return meta
 

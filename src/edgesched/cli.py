@@ -13,7 +13,6 @@ import json
 import logging
 import sys
 from collections.abc import Collection
-from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
@@ -44,18 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--horizon", type=int)
     run.add_argument("--lambda", dest="lam", type=float, help="arrival rate, tasks/s")
     run.add_argument("--jitter", type=float, help="service jitter amplitude override")
-    run.add_argument(
-        "--explore-weight", type=float, help="initial exploration bonus weight, ms"
-    )
     run.add_argument("--trace-decisions", action="store_true", default=None)
     run.add_argument("--adapter-url", help="external controller endpoint URL")
     run.add_argument("--adapter-model", help="external controller model name")
     run.add_argument(
-        "--adapter-key-env",
-        default=None,
-        help="environment variable holding the adapter API key",
+        "--adapter-key-env", help="environment variable holding the adapter API key"
     )
-    run.add_argument("--adapter-timeout", type=float, default=None)
+    run.add_argument("--adapter-timeout", type=float)
     run.add_argument("-v", "--verbose", action="store_true")
     return parser
 
@@ -78,10 +72,9 @@ _FILE_TYPES = (
 )
 # Every key a config file may hold, with the flag (argparse dest) that
 # overrides it; None marks a key only a config file sets.  "adapter" holds
-# AdapterConfig's fields.
+# AdapterConfig's fields, each overridden by its flag in _ADAPTER_FLAGS.
 _FILE_KEYS = {
     "adapter": None,
-    "explore_weight_ms": "explore_weight",
     "horizon": "horizon",
     "lambda": "lam",
     "out": "out",
@@ -94,7 +87,12 @@ _FILE_KEYS = {
     "trace_decisions": "trace_decisions",
     "warmup": "warmup",
 }
-_ADAPTER_KEYS = tuple(f.name for f in fields(AdapterConfig))
+_ADAPTER_FLAGS = {
+    "url": "adapter_url",
+    "model": "adapter_model",
+    "api_key_env": "adapter_key_env",
+    "timeout_s": "adapter_timeout",
+}
 
 
 def _check_keys(cfg: dict, accepted: Collection[str], where: str) -> None:
@@ -136,21 +134,13 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
     if "plan" in file_cfg:
         plan = plan_from_dicts(pick("plan"))
 
-    adapter = None
-    adapter_cfg = pick("adapter") or {}
-    _check_keys(adapter_cfg, _ADAPTER_KEYS, "adapter")
-    url = args.adapter_url or adapter_cfg.get("url")
-    if url:
-        timeout_s = args.adapter_timeout
-        adapter = AdapterConfig(
-            # --adapter-url turns the adapter on whatever the file says.
-            enabled=True if args.adapter_url else adapter_cfg.get("enabled", True),
-            url=url,
-            model=args.adapter_model or adapter_cfg.get("model", ""),
-            api_key_env=args.adapter_key_env
-            or adapter_cfg.get("api_key_env", AdapterConfig.api_key_env),
-            timeout_s=adapter_cfg.get("timeout_s", 10.0) if timeout_s is None else timeout_s,
-        )
+    adapter_cfg = dict(pick("adapter") or {})
+    _check_keys(adapter_cfg, _ADAPTER_FLAGS, "adapter")
+    for key, flag in _ADAPTER_FLAGS.items():
+        if getattr(args, flag) is not None:
+            adapter_cfg[key] = getattr(args, flag)
+    # Any adapter setting asks for an adapter, so one without a url fails its check.
+    adapter = AdapterConfig(**adapter_cfg) if adapter_cfg else None
 
     return ExperimentConfig(
         scenario=scenario,
@@ -164,7 +154,6 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         service_jitter=pick("service_jitter"),
         plan=plan,
         adapter=adapter,
-        explore_weight_ms=pick("explore_weight_ms"),
         trace_decisions=pick("trace_decisions", False),
     )
 

@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .metacontrol import AdapterConfig, AuditLog, MetaController
-from .opm import Opm, left_sum
+from .opm import left_sum
 from .profiles import (
     LLM,
     SDXL,
@@ -34,9 +34,7 @@ from .router import (
     AdaptiveAgentPolicy,
     FixedHeuristicPolicy,
     OraclePolicy,
-    RiskOverrideTable,
     RoundRobinPolicy,
-    RouterConfig,
 )
 from .sim.engine import Engine, ExecutionRecord, SimulationResult
 from .sim.truth import (
@@ -103,7 +101,6 @@ class ExperimentConfig:
     plan: ScenarioPlan | None = None
     adapter: AdapterConfig | None = None
     adapter_transport: object | None = None
-    explore_weight_ms: float | None = None
     trace_decisions: bool = False
     leak_check: bool = False
 
@@ -127,8 +124,6 @@ class ExperimentConfig:
             check_prior_error(self.prior_error)
         if self.service_jitter is not None:
             check_service_jitter(self.service_jitter)
-        if self.explore_weight_ms is not None:  # checked even when e3 does not run
-            RouterConfig(explore_weight_ms=self.explore_weight_ms)
         if self.warmup_budget < 0 or self.warmup_budget > self.horizon:
             raise ExperimentError("warmup budget must be within [0, horizon]")
         if self.scenario != "warmup" and self.warmup_budget != 0:
@@ -289,35 +284,21 @@ def build_agent(
     adapter: AdapterConfig | None = None,
     transport=None,
     trace: list | None = None,
-    router_config: RouterConfig | None = None,
 ) -> AdaptiveAgentPolicy:
-    """Wire the controller (model, router config, risk mask), then the agent that routes on it."""
-    opm = Opm()
-    opm.seed(priors)
-    meta = MetaController(
-        opm,
-        router_config or RouterConfig(),
-        RiskOverrideTable(),
-        warmup_budget=warmup_budget,
-        adapter=adapter,
-        transport=transport,
-    )
-    return AdaptiveAgentPolicy(meta, trace)
+    """The e3 agent: routing on a controller that seeds its model from ``priors``."""
+    return AdaptiveAgentPolicy(MetaController(priors, warmup_budget, adapter, transport), trace)
 
 
 def _build_policy(
     name: str, priors: list[DevicePrior], warmup_budget: int, config: ExperimentConfig
 ):
     if name == "e3":
-        weight = config.explore_weight_ms
-        router_config = RouterConfig() if weight is None else RouterConfig(explore_weight_ms=weight)
         return build_agent(
             priors,
             warmup_budget,
             adapter=config.adapter,
             transport=config.adapter_transport,
             trace=[] if config.trace_decisions else None,
-            router_config=router_config,
         )
     if name == "fixed_heuristic":
         return FixedHeuristicPolicy(priors)

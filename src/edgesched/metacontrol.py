@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 from .opm import DRIFT_WINDOW_MS, Opm, UnknownDeviceError
-from .profiles import is_finite_number, is_int, model_kind
+from .profiles import DevicePrior, is_finite_number, is_int, model_kind
 from .router import (
     DEFAULT_RISK_TTL_TASKS,
     EXPLORE_RISK,
@@ -191,27 +191,28 @@ class AuditLog:
 class MetaController:
     """The slow path: triggers, the nine tools, and their audit.
 
-    It holds the explicit control surface (the model's calibration and
-    refit entry points, the router config and the risk mask), and its tools
-    are the only way a controller can change it; no tool can reach
-    simulator ground truth.  Every tool call, rejected or not, is audited
-    under the invocation being served.  Below the warmup budget the model
-    also refits every few tasks, so exploration samples become usable
-    estimates quickly.
+    It builds and holds the explicit control surface: a model seeded from
+    ``priors`` (its calibration and refit entry points), the default router
+    config and an empty risk mask.  Its tools are the only way a controller
+    can change that surface; no tool can reach simulator ground truth.  The
+    scripted policy answers each invocation, or the ``adapter`` endpoint
+    does when one is given (over ``transport``, HTTP by default).  Every
+    tool call, rejected or not, is audited under the invocation being
+    served.  Below the warmup budget the model also refits every few tasks,
+    so exploration samples become usable estimates quickly.
     """
 
     def __init__(
         self,
-        opm: Opm,
-        config: RouterConfig,
-        overrides: RiskOverrideTable,
+        priors: list[DevicePrior],
         warmup_budget: int = 0,
         adapter: AdapterConfig | None = None,
         transport=None,
     ) -> None:
-        self.opm = opm
-        self.config = config
-        self.overrides = overrides
+        self.opm = Opm()
+        self.opm.seed(priors)
+        self.config = RouterConfig()
+        self.overrides = RiskOverrideTable()
         self.warmup_budget = warmup_budget
         self.audit = AuditLog()
         self.adapter = adapter
@@ -236,7 +237,7 @@ class MetaController:
         if self.telemetry is None:
             raise RuntimeError("meta-controller has no telemetry attached")
         self.invocations.append(invocation)
-        if self.adapter is not None and self.adapter.enabled:
+        if self.adapter is not None:
             llm_adapter_invoke(invocation, self.adapter, self, self.transport)
         else:
             scripted_policy(invocation, self)
@@ -354,8 +355,6 @@ class MetaController:
             "risk_mask": {"old": old_mask, "new": new_mask}
         }
 
-
-
     # -- engine-facing hooks -----------------------------------------------------
 
     def on_task_arrival(self, task_index: int, now: float) -> None:
@@ -441,9 +440,11 @@ def scripted_policy(invocation: Invocation, meta: MetaController) -> list[ToolCa
 
 @dataclass
 class AdapterConfig:
-    """External chat-completions endpoint settings; disabled by default."""
+    """External chat-completions endpoint settings; ``url`` must be given.
 
-    enabled: bool = False
+    A controller that holds one drives every invocation through the endpoint.
+    """
+
     url: str = ""
     model: str = ""
     api_key_env: str = "EDGESCHED_ADAPTER_API_KEY"
@@ -458,8 +459,7 @@ class AdapterConfig:
 
 # AdapterConfig field -> (contract, check)
 _ADAPTER_FIELDS = {
-    "enabled": ("a bool", lambda v: isinstance(v, bool)),
-    "url": ("a string", lambda v: isinstance(v, str)),
+    "url": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
     "model": ("a string", lambda v: isinstance(v, str)),
     "api_key_env": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
     "timeout_s": POSITIVE[:2],

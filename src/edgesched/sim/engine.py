@@ -464,6 +464,10 @@ class Engine:
                 )
             self._pending.append(task)
             return
+        if type(device) is not int or device not in self.devices:  # True and 1.0 hash as 1
+            raise EngineError(
+                f"policy {self.policy.name} routed task {task.task_id} to unknown device {device!r}"
+            )
         if not self.truth.is_available(device):
             raise EngineError(
                 f"policy {self.policy.name} routed task {task.task_id} to unavailable device {device}"

@@ -1,10 +1,12 @@
 """Metrics pipeline, report emission, experiment wiring, CLI."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from edgesched.cli import _ADAPTER_FLAGS as cli_adapter_flags
 from edgesched.cli import _FILE_KEYS as cli_file_keys
 from edgesched.cli import _build_parser as cli_parser
 from edgesched.cli import _merge as cli_merge
@@ -275,21 +277,6 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert set(payload["policies"]) == {"round_robin", "oracle"}
 
 
-def test_explore_weight_flag_reaches_the_router():
-    """The scripted first warmup point switches the router and keeps the
-    configured weight, so --explore-weight changes what e3 does."""
-
-    def e3_latency(*flags):
-        argv = ["run", "--scenario", "warmup", "--warmup", "100", "--policies", "e3", *flags]
-        config = cli_merge(cli_parser().parse_args(argv))
-        return run_experiment(config).report.policies["e3"].avg_latency_ms
-
-    default = e3_latency()
-    assert round(default, 2) == 2715.29  # the warmup W=100 preset is unchanged
-    assert e3_latency("--explore-weight", "2000") == default
-    assert e3_latency("--explore-weight", "0") != e3_latency("--explore-weight", "8000")
-
-
 def test_cli_custom_plan_from_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -337,20 +324,16 @@ HUGE = 10**400  # an int too large for a float
         ({"lam": True}, ExperimentError, "lambda must be a finite number > 0"),
         ({"lam": HUGE}, ExperimentError, "lambda must be a finite number > 0"),
         ({"service_jitter": HUGE}, ValueError, r"service_jitter must be a finite number in \[0, 1\)"),
-        ({"policies": ("oracle",), "explore_weight_ms": HUGE}, ValueError,
-         "explore_weight_ms must be a finite number >= 0"),
         ({"horizon": True}, ExperimentError, "horizon must be an int"),
         ({"horizon": 30.0}, ExperimentError, "horizon must be an int"),
         ({"warmup_budget": True}, ExperimentError, "warmup_budget must be an int"),
-        ({"policies": ("oracle",), "explore_weight_ms": -5.0}, ValueError,
-         "explore_weight_ms must be a finite number >= 0"),
         ({"horizon": -1}, ExperimentError, "horizon must be >= 0"),
         ({"horizon": 10, "warmup_budget": 11}, ExperimentError, r"warmup budget must be within \[0, horizon\]"),
         ({"warmup_budget": -1}, ExperimentError, r"warmup budget must be within \[0, horizon\]"),
     ],
     ids=["jitter_nan_h0", "lam_nan", "lam_inf", "lam_bool", "lam_huge_int", "jitter_huge_int",
-         "explore_weight_huge_int", "horizon_bool", "horizon_float", "warmup_bool",
-         "explore_weight_without_e3", "horizon_negative", "warmup_above_horizon", "warmup_negative"],
+         "horizon_bool", "horizon_float", "warmup_bool",
+         "horizon_negative", "warmup_above_horizon", "warmup_negative"],
 )
 def test_numeric_config_fields_are_checked_for_every_horizon(fields, error, message):
     with pytest.raises(error, match=message):
@@ -496,7 +479,7 @@ ADAPTER_URL = "http://127.0.0.1:9/v1"  # never contacted: every row fails before
         ({"adapter": {"url": ADAPTER_URL, "timeout_s": True}}, "timeout_s must be a finite number > 0, got True"),
         ({"adapter": {"url": ADAPTER_URL, "timeout_s": NAN}}, "timeout_s must be a finite number > 0, got nan"),
         ({"adapter": {"url": ADAPTER_URL, "timeout_s": 0}}, "timeout_s must be a finite number > 0, got 0"),
-        ({"adapter": {"url": 5}}, "adapter url must be a string, got 5"),
+        ({"adapter": {"url": 5}}, "adapter url must be a non-empty string, got 5"),
         ({"adapter": {"url": ADAPTER_URL, "model": 5}}, "adapter model must be a string, got 5"),
         ({"adapter": {"url": ADAPTER_URL, "api_key_env": ""}},
          "adapter api_key_env must be a non-empty string, got ''"),
@@ -519,7 +502,7 @@ def test_config_file_values_of_the_wrong_type_are_rejected(tmp_path, capsys, fie
 @pytest.mark.parametrize("timeout_s", [0, -1.0, NAN, INF, True, "10"])
 def test_adapter_timeout_outside_its_contract_is_rejected(tmp_path, timeout_s):
     with pytest.raises(ValueError, match="timeout_s must be a finite number > 0"):
-        AdapterConfig(enabled=True, url=ADAPTER_URL, timeout_s=timeout_s)
+        AdapterConfig(url=ADAPTER_URL, timeout_s=timeout_s)
     if isinstance(timeout_s, float):
         out = tmp_path / "out"
         argv = ["run", "--scenario", "drift", "--horizon", "30", "--policies", "oracle",
@@ -531,9 +514,9 @@ def test_adapter_timeout_outside_its_contract_is_rejected(tmp_path, timeout_s):
 @pytest.mark.parametrize(
     "field, message",
     [
-        ({"enabled": 1}, "adapter enabled must be a bool, got 1"),
-        ({"enabled": "yes"}, "adapter enabled must be a bool, got 'yes'"),
-        ({"url": None}, "adapter url must be a string, got None"),
+        ({"url": ""}, "adapter url must be a non-empty string, got ''"),
+        ({"url": [ADAPTER_URL]}, f"adapter url must be a non-empty string, got {[ADAPTER_URL]!r}"),
+        ({"url": None}, "adapter url must be a non-empty string, got None"),
         ({"model": 5}, "adapter model must be a string, got 5"),
         ({"api_key_env": ""}, "adapter api_key_env must be a non-empty string, got ''"),
         ({"api_key_env": None}, "adapter api_key_env must be a non-empty string, got None"),
@@ -541,7 +524,7 @@ def test_adapter_timeout_outside_its_contract_is_rejected(tmp_path, timeout_s):
 )
 def test_adapter_fields_outside_their_contract_are_rejected(field, message):
     with pytest.raises(ValueError) as info:
-        AdapterConfig(**{"enabled": True, "url": ADAPTER_URL, **field})
+        AdapterConfig(**{"url": ADAPTER_URL, **field})
     assert str(info.value) == message
 
 
@@ -556,9 +539,9 @@ def test_config_file_int_lambda_is_reported_as_a_float(tmp_path):
 @pytest.mark.parametrize(
     "field, message",
     [
-        ({"horizn": 30}, "unknown config key 'horizn'; accepted keys: adapter, explore_weight_ms,"),
+        ({"horizn": 30}, "unknown config key 'horizn'; accepted keys: adapter, horizon,"),
         ({"adapter": {"url": ADAPTER_URL, "timeout": 1}},
-         "unknown adapter key 'timeout'; accepted keys: enabled, url, model, api_key_env, timeout_s"),
+         "unknown adapter key 'timeout'; accepted keys: url, model, api_key_env, timeout_s"),
         ({"risk_penalty_ms": 1}, "unknown config key 'risk_penalty_ms'; accepted keys: adapter,"),
     ],
     ids=["top_level", "adapter", "risk_penalty_ms"],
@@ -574,28 +557,74 @@ def test_config_file_unknown_keys_are_rejected(tmp_path, capsys, field, message)
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("enabled", [False, True, None])
-@pytest.mark.parametrize("url_flag", [False, True], ids=["file_url", "flag_url"])
-def test_config_file_adapter_enabled_is_honoured(tmp_path, enabled, url_flag):
-    """The file's "enabled" holds for its own url; --adapter-url wins over it,
-    as every flag wins over the file."""
-    adapter = {"url": ADAPTER_URL} if enabled is None else {"url": ADAPTER_URL, "enabled": enabled}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "drift", "adapter": adapter}))
-    argv = ["run", "--config", str(cfg)]
-    if url_flag:
-        argv += ["--adapter-url", ADAPTER_URL + "/flag"]
-    config = cli_merge(cli_parser().parse_args(argv))
-    assert config.adapter.enabled is (url_flag or enabled is not False)
-    assert config.adapter.url == ADAPTER_URL + ("/flag" if url_flag else "")
+FILE_ADAPTER = {"url": ADAPTER_URL, "model": "file-model", "api_key_env": "FILE_KEY", "timeout_s": 3.0}
+FLAG_VALUES = {"url": ADAPTER_URL + "/flag", "model": "flag-model", "api_key_env": "FLAG_KEY", "timeout_s": 7.0}
+
+
+def adapter_argv(tmp_path, adapter, flags):
+    """``run`` argv over a config file holding ``adapter`` (or none), plus one
+    flag per ``flags`` field, named from the CLI's adapter flag table."""
+    argv = ["run", "--scenario", "drift", "--horizon", "30", "--policies", "oracle"]
+    if adapter is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"adapter": adapter}))
+        argv += ["--config", str(cfg)]
+    for key, value in flags.items():
+        argv += ["--" + cli_adapter_flags[key].replace("_", "-"), str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("key", [None, *FLAG_VALUES])
+@pytest.mark.parametrize("in_file", [True, False], ids=["file", "no_file"])
+def test_each_adapter_flag_wins_over_its_file_field(tmp_path, key, in_file):
+    """A flag overrides its own field of the file's adapter object; the other
+    fields come from the file, or else from AdapterConfig's defaults."""
+    flags = {} if key is None else {key: FLAG_VALUES[key]}
+    if not in_file and key != "url":
+        flags["url"] = ADAPTER_URL
+    config = cli_merge(cli_parser().parse_args(adapter_argv(tmp_path, FILE_ADAPTER if in_file else None, flags)))
+    assert config.adapter == AdapterConfig(**{**(FILE_ADAPTER if in_file else {}), **flags})
+
+
+def test_no_adapter_setting_builds_no_adapter(tmp_path):
+    assert cli_merge(cli_parser().parse_args(adapter_argv(tmp_path, None, {}))).adapter is None
+    assert cli_merge(cli_parser().parse_args(adapter_argv(tmp_path, {}, {}))).adapter is None
+
+
+@pytest.mark.parametrize(
+    "adapter, flags, message",
+    [
+        (None, {"model": "m"}, "adapter url must be a non-empty string, got ''"),
+        ({"model": "m"}, {}, "adapter url must be a non-empty string, got ''"),
+        ({"timeout_s": 5.0}, {"api_key_env": "KEY"}, "adapter url must be a non-empty string, got ''"),
+        (None, {"url": ""}, "adapter url must be a non-empty string, got ''"),
+        (FILE_ADAPTER, {"api_key_env": ""}, "adapter api_key_env must be a non-empty string, got ''"),
+        (None, {"url": ADAPTER_URL, "api_key_env": ""},
+         "adapter api_key_env must be a non-empty string, got ''"),
+    ],
+    ids=["model_flag_without_url", "model_in_file_without_url", "file_and_flag_without_url",
+         "empty_url_flag", "empty_key_env_flag_over_file", "empty_key_env_flag"],
+)
+def test_adapter_settings_outside_the_contract_are_one_cli_error(tmp_path, capsys, adapter, flags, message):
+    """Any adapter setting asks for an adapter, so one without a url exits 1,
+    and an empty flag value does not fall back to the file's."""
+    out = tmp_path / "out"
+    assert cli_main([*adapter_argv(tmp_path, adapter, flags), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (out / "report.json").exists()
 
 
 def test_every_config_file_key_names_a_real_flag():
-    """pick() reads each file key's overriding flag from the one key table."""
+    """pick() reads each file key's overriding flag from the one key table,
+    and each AdapterConfig field has its own flag."""
     args = cli_parser().parse_args(["run"])
     for key, flag in cli_file_keys.items():
         assert flag is None or hasattr(args, flag), key
     assert args.trace_decisions is None  # unset, so a file's value is used
+    assert list(cli_adapter_flags) == [f.name for f in dataclasses.fields(AdapterConfig)]
+    for key, flag in cli_adapter_flags.items():
+        assert getattr(args, flag) is None, key  # unset, so the file's field is used
 
 
 @pytest.mark.parametrize("in_file", [None, False, True])

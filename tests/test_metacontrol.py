@@ -26,9 +26,9 @@ from edgesched.metacontrol import (
     warmup_points,
 )
 from edgesched.harness import ExperimentConfig, run_experiment
-from edgesched.opm import DRIFT_WINDOW_MS, Opm
+from edgesched.opm import DRIFT_WINDOW_MS
 from edgesched.profiles import LLM, SDXL, DevicePrior
-from edgesched.router import RiskOverrideTable, RouterConfig
+from edgesched.router import DEFAULT_EXPLORE_WEIGHT_MS
 from edgesched.sim.engine import EventAnnotation, ExecutionRecord, assert_no_ground_truth
 
 
@@ -52,24 +52,20 @@ class FakeTelemetry:
 
 def serving_controller(now=0.0):
     """A controller over three seeded devices, serving a semantic onset at task 5."""
-    opm = Opm()
-    opm.seed(
+    meta = MetaController(
         [
             DevicePrior(0, LLM, alpha0=1.0, beta0=50.0),
             DevicePrior(1, LLM, alpha0=2.0, beta0=80.0),
             DevicePrior(2, SDXL, gamma0=4000.0),
         ]
     )
-    meta = MetaController(opm, RouterConfig(), RiskOverrideTable())
     meta.attach_telemetry(FakeTelemetry(now))
     meta.invocations.append(Invocation("semantic_onset", task_index=5, device=0))
     return meta
 
 
 def make_controller(warmup_budget=0, now=0.0, **kwargs):
-    opm = Opm()
-    opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0)])
-    meta = MetaController(opm, RouterConfig(), RiskOverrideTable(), warmup_budget, **kwargs)
+    meta = MetaController([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0)], warmup_budget, **kwargs)
     meta.attach_telemetry(FakeTelemetry(now))
     return meta
 
@@ -157,10 +153,10 @@ def test_the_controller_refits_every_five_tasks_below_the_warmup_budget():
     """The whole warmup schedule runs in the controller, no agent needed: a
     model refit at tasks 5..25, before the warmup point at task 10 fires,
     and the tool refit of the last warmup point at task 30."""
-    opm = Opm()
-    opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0), DevicePrior(2, SDXL, gamma0=4000.0)])
-    meta = MetaController(opm, RouterConfig(), RiskOverrideTable(), warmup_budget=30)
+    priors = [DevicePrior(0, LLM, alpha0=1.0, beta0=50.0), DevicePrior(2, SDXL, gamma0=4000.0)]
+    meta = MetaController(priors, warmup_budget=30)
     meta.attach_telemetry(FakeTelemetry())
+    opm = meta.opm
     audited = []  # (tool, oplog length when its entry was appended)
     append = meta.audit.append
     meta.audit.append = lambda entry: (audited.append((entry.tool, len(opm.oplog))), append(entry))
@@ -702,7 +698,7 @@ def test_adapter_executes_returned_calls():
 
     inv = Invocation("semantic_onset", 60, device=1, label="game")
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
     assert [c.tool for c in calls] == ["set_device_risky"]
     assert meta.overrides.is_risky(1)
 
@@ -721,7 +717,7 @@ def test_adapter_rejects_out_of_bounds_but_continues():
 
     inv = Invocation("semantic_onset", 60, device=1)
     meta.invocations.append(inv)
-    llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
+    llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
     assert not meta.overrides.is_risky(1)
     tools_audited = [e.tool for e in meta.audit.entries]
     assert "set_device_risky" in tools_audited
@@ -743,7 +739,7 @@ def test_adapter_survives_non_object_arguments_and_a_bad_model():
 
     inv = Invocation("residual_alarm", 60, device=0, model=LLM, ratio=2.0, sample_count=4)
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
     assert [c.tool for c in calls] == ["get_system_status", "compute_drift"]
     assert [(e.tool, e.arguments, e.result) for e in meta.audit.entries] == [
         ("get_system_status", [1], "rejected: arguments must be a JSON object, got [1]"),
@@ -769,7 +765,7 @@ def test_adapter_int_too_large_for_a_float_is_rejected_and_audited():
     weight = meta.config.explore_weight_ms
     inv = Invocation("semantic_onset", 60, device=1, label="game")
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
     assert [c.tool for c in calls] == ["set_router_params", "get_system_status"]
     rejected, status = meta.audit.entries
     assert rejected.result == f"rejected: explore_weight_ms must be a finite number >= 0, got {huge!r}"
@@ -786,7 +782,7 @@ def test_adapter_failure_falls_back_to_scripted():
 
     inv = Invocation("semantic_onset", 60, device=0, label="game")
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
     # Identical tool sequence to the scripted policy for the same invocation.
     assert [c.tool for c in calls] == ["get_system_status", "set_device_risky"]
     assert any(e.tool == "adapter_fallback" for e in meta.audit.entries)
@@ -820,7 +816,7 @@ def adapter_controller(replies):
             raise reply
         return reply
 
-    adapter = AdapterConfig(enabled=True, url="http://x", model="m")
+    adapter = AdapterConfig(url="http://x", model="m")
     meta = make_controller(now=1234.0, adapter=adapter, transport=transport)
     meta.on_annotation(EventAnnotation(60, 1234.0, "semantic_onset", 0, "game"), 60)
     return meta, payloads
@@ -879,22 +875,18 @@ def test_adapter_round_cap_is_enforced():
 
     inv = Invocation("churn_event", 160, device=3)
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(enabled=True, url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
     assert len(calls) == 2  # two rounds maximum, despite endless responses
 
 
 def test_controller_uses_scripted_when_adapter_disabled():
-    opm = Opm()
-    opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0)])
-    config = RouterConfig()
-    overrides = RiskOverrideTable()
-    meta = MetaController(opm, config, overrides, warmup_budget=0, adapter=AdapterConfig(enabled=False))
-    meta.attach_telemetry(FakeTelemetry())
+    """The adapter is off unless one is configured: the scripted policy answers."""
+    meta = make_controller()
     meta.on_annotation(
         type("Ann", (), {"type": "semantic_onset", "device": 0, "label": "game"})(), 60
     )
     assert meta.llm_calls == 1
-    assert overrides.is_risky(0)
+    assert meta.overrides.is_risky(0)
     assert [e.tool for e in meta.audit.entries] == ["get_system_status", "set_device_risky"]
 
 
@@ -925,9 +917,7 @@ def test_default_transport_posts_json_over_http(monkeypatch):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        config = AdapterConfig(
-            enabled=True, url=f"http://127.0.0.1:{server.server_port}/v1", timeout_s=5.0
-        )
+        config = AdapterConfig(url=f"http://127.0.0.1:{server.server_port}/v1", timeout_s=5.0)
         payload = {"model": "m", "messages": [{"role": "user", "content": "x"}]}
         assert _default_transport(payload, config) == adapter_response([])
         assert requests_seen == [(payload, "Bearer key-123", "application/json")]
@@ -957,9 +947,7 @@ def test_adapter_second_round_failure_keeps_the_first_rounds_calls(caplog):
 
 
 def test_controller_without_telemetry_cannot_run_an_invocation():
-    opm = Opm()
-    opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0)])
-    meta = MetaController(opm, RouterConfig(), RiskOverrideTable(), warmup_budget=10)
+    meta = MetaController([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0)], warmup_budget=10)
     meta.on_task_arrival(9, 0.0)  # no trigger, so nothing needs telemetry
     with pytest.raises(RuntimeError, match="meta-controller has no telemetry attached"):
         meta.on_task_arrival(10, 0.0)
@@ -967,7 +955,7 @@ def test_controller_without_telemetry_cannot_run_an_invocation():
 
 # --- adapter doubles inside an engine run ------------------------------------------
 
-DOUBLE = AdapterConfig(enabled=True, url="http://double.invalid", model="m")
+DOUBLE = AdapterConfig(url="http://double.invalid", model="m")
 
 
 class _Unexecuted:
@@ -1021,6 +1009,30 @@ def test_adapter_answering_the_scripted_calls_writes_the_scripted_artifacts(name
     assert sorted(p.name for p in (tmp_path / "adapter").iterdir()) == files
     for file in files:
         assert (tmp_path / "adapter" / file).read_bytes() == (tmp_path / "scripted" / file).read_bytes(), file
+
+
+def test_set_router_params_at_the_first_warmup_point_reaches_the_router():
+    """The explore weight is set at run time through the tool surface: an
+    adapter that adds set_router_params to the scripted first warmup point
+    changes what e3 does, and setting the default weight changes nothing."""
+
+    def e3_latency(weight=None):
+        config = {"scenario": "warmup", "warmup_budget": 100, "policies": ("e3",)}
+        if weight is not None:
+
+            def first_round(fields):
+                calls = scripted_calls(fields)
+                if fields["label"] == "first":
+                    calls.append(("set_router_params", {"explore_weight_ms": weight}))
+                return calls
+
+            config["adapter"], config["adapter_transport"] = DOUBLE, answering(first_round)[0]
+        return run_experiment(ExperimentConfig(**config)).report.policies["e3"].avg_latency_ms
+
+    default = e3_latency()
+    assert round(default, 2) == 2715.29  # the warmup W=100 preset is unchanged
+    assert e3_latency(DEFAULT_EXPLORE_WEIGHT_MS) == default
+    assert e3_latency(0.0) != e3_latency(8000.0)
 
 
 def test_tools_the_scripted_controller_never_calls_run_inside_an_engine():

@@ -17,7 +17,7 @@ def test_every_run_flag_in_the_readme_exists():
     # pip's flags share the README; only lines that do not invoke pip are checked.
     lines = [line for line in README.splitlines() if "pip " not in line]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(lines)))
-    assert "--explore-weight" in named
+    assert "--trace-decisions" in named
     assert sorted(named - _run_options()) == []
 
 

@@ -327,9 +327,7 @@ def test_clear_is_immediate_and_set_requires_positive_ttl():
 
 
 def test_agent_decrements_ttl_once_per_unique_task():
-    opm = Opm()
-    opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=1.0)])
-    agent = AdaptiveAgentPolicy(MetaController(opm, RouterConfig(), RiskOverrideTable()))
+    agent = AdaptiveAgentPolicy(MetaController([DevicePrior(0, LLM, alpha0=1.0, beta0=1.0)]))
     agent.overrides.set(0, ttl=2)
     task = TaskSpec(0, LLM, 0.0, 256, 32)
     agent.on_dispatch(task, 0, 0.0)

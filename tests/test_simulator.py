@@ -639,6 +639,17 @@ def test_policy_routing_a_task_to_a_device_of_another_kind_is_fatal(fixture_prio
         Engine(make_truth(fixture_priors), ScenarioPlan(()), llm_tasks([0.0]), FixedAssignmentPolicy({0: 2})).run()
 
 
+@pytest.mark.parametrize("device", [9, True, 1.0], ids=["absent", "bool", "float"])
+def test_policy_routing_a_task_to_an_unknown_device_is_fatal(fixture_priors, device):
+    """A bool or float equal to a device id is no device id: the run stops
+    before dispatching it."""
+    engine = Engine(make_truth(fixture_priors), ScenarioPlan(()), llm_tasks([0.0]), FixedAssignmentPolicy({0: device}))
+    with pytest.raises(EngineError) as info:
+        engine.run()
+    assert str(info.value) == f"policy fixed_assignment routed task 0 to unknown device {device!r}"
+    assert engine.records == [] and all(not dev.queue for dev in engine.devices.values())
+
+
 def test_task_no_device_can_run_is_stranded_at_the_end(fixture_priors):
     llm_only = make_truth(fixture_priors[:2])
     tasks = [TaskSpec(0, LLM, 0.0, 256, 32), TaskSpec(1, SDXL, 1000.0)]
