@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
 """Fast-path scoring: backlog + prediction - exploration, behind a risk gate.
 
-Builds a two-device state and decomposes the score of each candidate, then
-shows hard avoidance (a risk-flagged device is never chosen while a safe one
-exists) and the route-anyway fallback when every device is flagged: the
-flagged devices are then scored as usual.
+Hands a fast path a hand-built two-device view and decomposes the score of
+each candidate, then shows hard avoidance (a risk-flagged device is never
+chosen while a safe one exists) and the route-anyway fallback when every
+device is flagged: the flagged devices are then scored as usual.
 """
 
 from edgesched.opm import Opm
 from edgesched.profiles import LLM, DevicePrior
-from edgesched.router import (
-    PolicyVisibleState,
-    RiskOverrideTable,
-    RouterConfig,
-    score,
-    select_e3,
-)
+from edgesched.router import FastPath, RiskOverrideTable, RouterConfig, score
 from edgesched.sim import DeviceSnapshot, ObservableState, TaskSpec
 
 
-def make_state(config, overrides):
+QUEUED = (TaskSpec(90, LLM, 0.0, 512, 64),)  # 3712 ms of predicted backlog
+VIEW = ObservableState(
+    0.0,
+    (DeviceSnapshot(0, LLM, True, QUEUED, None), DeviceSnapshot(1, LLM, True, (), None)),
+    (),
+)
+
+
+def make_fast_path(config, overrides):
     opm = Opm()
     opm.seed(
         [
@@ -27,20 +29,14 @@ def make_state(config, overrides):
             DevicePrior(1, LLM, alpha0=2.0, beta0=80.0),
         ]
     )
-    queued = (TaskSpec(90, LLM, 0.0, 512, 64),)  # 3712 ms of predicted backlog
-    devices = (
-        DeviceSnapshot(0, LLM, True, queued, None),
-        DeviceSnapshot(1, LLM, True, (), None),
-    )
-    obs = ObservableState(0.0, devices, ())
-    return PolicyVisibleState(obs, opm, overrides, config)
+    return FastPath(opm, overrides, config)
 
 
-def show_scores(label, state, task):
-    chosen = select_e3(task, state)
+def show_scores(label, fast, task):
+    chosen = fast.choose(task, VIEW)  # binds the view the scores below read
     parts = []
-    for device in state.candidates(task.kind):
-        parts.append(f"d{device}={score(device, task, state):9.1f}")
+    for device in fast.candidates(task.kind):
+        parts.append(f"d{device}={score(device, task, fast):9.1f}")
     print(f"  {label:34s} {'  '.join(parts)}   -> device {chosen}")
     return chosen
 
@@ -50,23 +46,23 @@ def main():
     print("incoming LLM task (512 in, 64 out); device 0 has one queued task\n")
 
     overrides = RiskOverrideTable()
-    state = make_state(RouterConfig(policy="sect"), overrides)
-    show_scores("plain scoring", state, task)
+    fast = make_fast_path(RouterConfig(policy="sect"), overrides)
+    show_scores("plain scoring", fast, task)
 
-    state = make_state(RouterConfig(policy="explore_risk"), overrides)
-    show_scores("exploration on (cold start, u=1)", state, task)
+    fast = make_fast_path(RouterConfig(policy="explore_risk"), overrides)
+    show_scores("exploration on (cold start, u=1)", fast, task)
 
     overrides = RiskOverrideTable()
     overrides.set(1, ttl=50)
-    state = make_state(RouterConfig(policy="sect"), overrides)
-    chosen = show_scores("device 1 risk-flagged", state, task)
+    fast = make_fast_path(RouterConfig(policy="sect"), overrides)
+    chosen = show_scores("device 1 risk-flagged", fast, task)
     assert chosen == 0, "hard avoidance must exclude the flagged device"
 
     overrides = RiskOverrideTable()
     overrides.set(0, ttl=50)
     overrides.set(1, ttl=50)
-    state = make_state(RouterConfig(policy="sect"), overrides)
-    show_scores("all devices flagged (route-anyway)", state, task)
+    fast = make_fast_path(RouterConfig(policy="sect"), overrides)
+    show_scores("all devices flagged (route-anyway)", fast, task)
 
     print("\nTTL bookkeeping: overrides expire after N dispatched tasks")
     table = RiskOverrideTable()

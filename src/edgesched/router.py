@@ -1,18 +1,21 @@
 """Fast-path per-task dispatch.
 
-The adaptive policy scores each feasible device as backlog + predicted
+A :class:`FastPath` holds one scoring policy's control surface (model,
+risk flags, router config), its backlog memo and the engine's view of the
+decision being made.  It scores each feasible device as backlog + predicted
 service - exploration bonus and takes the argmin.  Risk gating is hard: a
 risk-flagged device is scored only when no safe device is feasible.  The
-static baseline is the same plain fast path on offline priors that never
-change; round robin and the full-information reference policy live here
-too.  A selection scores each candidate at most once.  Its backlogs come
-from a memo that keeps each device's queued costs while the queue moves
-FIFO and prices only the tasks appended since the last look.
+adaptive agent routes on its controller's surface; the static baseline is
+the same plain fast path on offline priors that never change.  Round robin
+and the full-information reference policy live here too.  A selection
+scores each candidate at most once.  Its backlogs come from a memo that
+keeps each device's queued costs while the queue moves FIFO and prices only
+the tasks appended since the last look.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .opm import Opm, left_sum
@@ -78,9 +81,6 @@ class RiskOverrideTable:
 
     def devices(self) -> list[int]:
         return sorted(self._ttl)
-
-    def to_dict(self) -> dict:
-        return {str(d): {"ttl_tasks": self._ttl[d]} for d in self.devices()}
 
 
 Predictor = Callable[[int, TaskSpec], float]
@@ -157,36 +157,40 @@ def backlog_ms(snap: DeviceSnapshot, predict: Predictor, now: float, memo: Backl
     return total
 
 
-@dataclass
-class PolicyVisibleState:
-    """Everything the adaptive fast path may consult for one decision."""
+class FastPath:
+    """One scoring policy's fast path: its control surface and the decision at hand.
 
-    obs: ObservableState
-    opm: Opm
-    overrides: RiskOverrideTable
-    config: RouterConfig
-    memo: BacklogMemo = field(default_factory=BacklogMemo)
+    ``opm``, ``overrides`` and ``config`` are the surface the slow path sets
+    through tools; ``memo`` keeps the model's backlog prices between
+    decisions, and ``trace``, when a list, gets each decision's scores.
+    ``choose`` binds ``obs``, the engine's view of the decision being made,
+    which the engine ends when it moves on: reading the last view between
+    decisions raises instead of answering from a stale state.
+    """
 
-    @property
-    def now(self) -> float:
-        return self.obs.now
+    def __init__(
+        self, opm: Opm, overrides: RiskOverrideTable, config: RouterConfig, trace: list | None = None
+    ) -> None:
+        self.opm = opm
+        self.overrides = overrides
+        self.config = config
+        self.trace = trace
+        self.memo = BacklogMemo()
+        self.obs: ObservableState | None = None
+
+    def choose(self, task: TaskSpec, obs: ObservableState) -> int | None:
+        self.obs = obs
+        return select_e3(task, self)
 
     def candidates(self, kind: str) -> list[int]:
         return self.obs.available_devices(kind)
 
     def backlog(self, device: int) -> float:
         self.memo.sync(self.opm.version)
-        return backlog_ms(self.obs.snapshot_of(device), self.opm.predict, self.now, self.memo)
-
-    def to_dict(self) -> dict:
-        return {
-            "observable": self.obs.to_dict(),
-            "risk_overrides": self.overrides.to_dict(),
-            "router_config": self.config.to_dict(),
-        }
+        return backlog_ms(self.obs.snapshot_of(device), self.opm.predict, self.obs.now, self.memo)
 
 
-def score(device: int, task: TaskSpec, state: PolicyVisibleState) -> float:
+def score(device: int, task: TaskSpec, state: FastPath) -> float:
     """Backlog + prediction - exploration bonus, in ms.
 
     Plain mode disables the exploration term; explore mode weights the
@@ -201,9 +205,7 @@ def score(device: int, task: TaskSpec, state: PolicyVisibleState) -> float:
     return value
 
 
-def select_e3(
-    task: TaskSpec, state: PolicyVisibleState, trace: list | None = None
-) -> int | None:
+def select_e3(task: TaskSpec, state: FastPath) -> int | None:
     """Adaptive selection with hard risk avoidance and route-anyway fallback."""
     candidates = state.candidates(task.kind)
     if not candidates:
@@ -211,7 +213,8 @@ def select_e3(
     safe = [d for d in candidates if not state.overrides.is_risky(d)]
     pool = safe if safe else candidates
     scored = [(score(d, task, state), d) for d in pool]
-    best_score, best = min(scored)
+    best = min(scored)[1]
+    trace = state.trace
     if trace is not None:
         trace.append(
             {
@@ -246,7 +249,7 @@ def select_oracle(
 # --- engine-facing policy objects -------------------------------------------
 
 
-class FixedHeuristicPolicy:
+class FixedHeuristicPolicy(FastPath):
     """The static baseline: e3's plain fast path on priors that never change.
 
     Its model is seeded from the offline priors and never fed, its risk
@@ -260,13 +263,10 @@ class FixedHeuristicPolicy:
     def __init__(self, priors: list[DevicePrior]) -> None:
         opm = Opm()
         opm.seed(priors)
-        self._state = (opm, RiskOverrideTable(), RouterConfig(), BacklogMemo())
+        super().__init__(opm, RiskOverrideTable(), RouterConfig())
 
-    def visible_state(self, obs: ObservableState) -> PolicyVisibleState:
-        return PolicyVisibleState(obs, *self._state)
-
-    def choose(self, task: TaskSpec, obs: ObservableState) -> int | None:
-        return select_e3(task, self.visible_state(obs))
+    # Owned per class, so perfbench's tracer can wrap each policy's choices apart.
+    choose = FastPath.choose
 
 
 class RoundRobinPolicy:
@@ -307,7 +307,7 @@ class OraclePolicy:
         return select_oracle(task, self._access, obs)
 
 
-class AdaptiveAgentPolicy:
+class AdaptiveAgentPolicy(FastPath):
     """The closed-loop agent: learned predictions, risk gating, meta-control.
 
     Routes on the state its meta-controller acts on (model, router config,
@@ -320,22 +320,14 @@ class AdaptiveAgentPolicy:
     name = "e3"
 
     def __init__(self, meta: MetaController, trace: list | None = None) -> None:
+        super().__init__(meta.opm, meta.overrides, meta.config, trace)
         self.meta = meta
-        self.opm = meta.opm
-        self.config = meta.config
-        self.overrides = meta.overrides
-        self.trace = trace
-        self.memo = BacklogMemo()
         self._dispatched: set[int] = set()
+
+    choose = FastPath.choose
 
     def attach_telemetry(self, telemetry) -> None:
         self.meta.attach_telemetry(telemetry)
-
-    def visible_state(self, obs: ObservableState) -> PolicyVisibleState:
-        return PolicyVisibleState(obs, self.opm, self.overrides, self.config, self.memo)
-
-    def choose(self, task: TaskSpec, obs: ObservableState) -> int | None:
-        return select_e3(task, self.visible_state(obs), self.trace)
 
     def on_task_arrival(self, task_index: int, now: float) -> None:
         self.meta.on_task_arrival(task_index, now)

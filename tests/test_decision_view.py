@@ -130,6 +130,12 @@ def test_a_view_read_after_its_decision_raises(fixture_priors, read):
             STALE_READS[read](view)
     # The values fixed at the decision stay readable.
     assert [view.now for view in policy.views] == [0.0, 100.0, 200.0]
+    # A fast path keeps its last view between decisions, but never answers from it.
+    agent = harness.build_agent(fixture_priors, warmup_budget=0)
+    Engine(make_truth(fixture_priors), ScenarioPlan(()), tasks, agent).run()
+    for stale in (lambda: agent.candidates(LLM), lambda: agent.backlog(0)):
+        with pytest.raises(EngineError, match="read after its decision"):
+            stale()
 
 
 def test_a_view_read_outside_a_run_answers_until_the_engine_moves(fixture_priors):

@@ -128,7 +128,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         opm.apply_calibration = recording_calibration
 
         def cached(snap, obs):
-            return policy.visible_state(obs).backlog(snap.device_id)
+            return policy.backlog(snap.device_id)  # choose bound obs
 
         def reference(snap, obs):
             return reference_predicted_backlog(snap, opm.predict, obs.now)
@@ -144,7 +144,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         predict = prior_predictor(priors)
 
         def cached(snap, obs):
-            return policy.visible_state(obs).backlog(snap.device_id)
+            return policy.backlog(snap.device_id)  # choose bound obs
 
         def reference(snap, obs):
             return reference_predicted_backlog(snap, predict, obs.now)
@@ -173,8 +173,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
             assert cached(snap, obs) == reference(snap, obs), (task.task_id, snap.device_id)
             probe.checked += 1
             if policy_name != "oracle":
-                memo = policy.visible_state(obs).memo
-                assert memo_size(memo, snap.device_id) <= len(snap.queued) + 1
+                assert memo_size(policy.memo, snap.device_id) <= len(snap.queued) + 1
         if perturb is not None:
             perturb(task, obs)
         return device

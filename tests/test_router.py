@@ -17,9 +17,9 @@ from edgesched.profiles import (
 from edgesched.router import (
     AdaptiveAgentPolicy,
     BacklogMemo,
+    FastPath,
     FixedHeuristicPolicy,
     OraclePolicy,
-    PolicyVisibleState,
     RiskOverrideTable,
     RoundRobinPolicy,
     RouterConfig,
@@ -33,7 +33,6 @@ from edgesched.sim.engine import (
     Engine,
     InFlightView,
     ObservableState,
-    assert_no_ground_truth,
 )
 from edgesched.sim.truth import (
     GroundTruthState,
@@ -53,12 +52,18 @@ def llm_snapshot(device_id, queued=(), in_flight=None, available=True):
     return DeviceSnapshot(device_id, LLM, available, tuple(queued), in_flight)
 
 
-def seeded_state(priors, config=None, overrides=None, devices=None, now=0.0):
+def bound(opm, devices, config=None, overrides=None, now=0.0, trace=None):
+    """A fast path on ``opm`` bound to a hand-built view of ``devices``."""
+    state = FastPath(opm, overrides or RiskOverrideTable(), config or RouterConfig(), trace)
+    state.obs = obs_with(devices, now)
+    return state
+
+
+def seeded_state(priors, config=None, overrides=None, devices=None, now=0.0, trace=None):
     opm = Opm()
     opm.seed(priors)
     devices = devices or [llm_snapshot(p.device_id) for p in priors]
-    obs = obs_with(devices, now)
-    return PolicyVisibleState(obs, opm, overrides or RiskOverrideTable(), config or RouterConfig())
+    return bound(opm, devices, config, overrides, now, trace)
 
 
 # --- scoring -------------------------------------------------------------------
@@ -108,13 +113,13 @@ def test_scores_may_go_negative():
 # --- adaptive selection ------------------------------------------------------------
 
 
-def two_device_state(config=None, overrides=None, alpha0=10.0, alpha1=10.0, q0=(), q1=()):
+def two_device_state(config=None, overrides=None, alpha0=10.0, alpha1=10.0, q0=(), q1=(), trace=None):
     priors = [
         DevicePrior(0, LLM, alpha0=alpha0, beta0=0.0),
         DevicePrior(1, LLM, alpha0=alpha1, beta0=0.0),
     ]
     devices = [llm_snapshot(0, queued=q0), llm_snapshot(1, queued=q1)]
-    return seeded_state(priors, config=config, overrides=overrides, devices=devices)
+    return seeded_state(priors, config=config, overrides=overrides, devices=devices, trace=trace)
 
 
 def test_select_e3_takes_argmin():
@@ -174,8 +179,7 @@ def test_select_e3_scores_each_candidate_once():
     opm.seed(
         [DevicePrior(0, LLM, alpha0=1.0, beta0=1.0), DevicePrior(1, LLM, alpha0=2.0, beta0=2.0)]
     )
-    obs = obs_with([llm_snapshot(0), llm_snapshot(1)])
-    state = PolicyVisibleState(obs, opm, RiskOverrideTable(), RouterConfig())
+    state = bound(opm, [llm_snapshot(0), llm_snapshot(1)])
     select_e3(TaskSpec(0, LLM, 0.0, 100, 10), state)
     # Empty queues: exactly one prediction per candidate.
     assert sorted(calls) == [0, 1]
@@ -183,8 +187,8 @@ def test_select_e3_scores_each_candidate_once():
 
 def test_trace_records_scores_and_choice():
     trace = []
-    state = two_device_state()
-    select_e3(TaskSpec(4, LLM, 0.0, 100, 0), state, trace)
+    state = two_device_state(trace=trace)
+    select_e3(TaskSpec(4, LLM, 0.0, 100, 0), state)
     assert trace[0]["task_id"] == 4
     assert trace[0]["chosen"] == 0
     assert len(trace[0]["scores"]) == 2
@@ -256,11 +260,19 @@ def test_fixed_heuristic_is_static_under_identical_observables():
 
 
 def test_baselines_have_no_learned_or_risk_inputs():
-    fh = FixedHeuristicPolicy([DevicePrior(0, LLM, alpha0=1.0, beta0=1.0)])
+    priors = priors_from_records(load_profiles(default_profiles_path()))
+    truth = GroundTruthState(priors, prior_error=PRESETS["drift"]["prior_error"], service_jitter=0.15)
+    fh = FixedHeuristicPolicy(priors)
+    result = Engine(truth, builtin_plans("drift"), generate_workload(300, 0.5), fh).run()
+    assert len(result.records) == 300 and result.event_log  # the drift step and its restore fired
+    # A drift run leaves the static baseline's surface as it was seeded.
+    assert [op[0] for op in fh.opm.oplog] == ["seed"] and fh.opm.version == 1
+    assert fh.overrides.devices() == []
+    assert fh.config == RouterConfig()
     rr = RoundRobinPolicy()
+    assert not hasattr(rr, "opm")
+    assert not hasattr(rr, "overrides")
     for policy in (fh, rr):
-        assert not hasattr(policy, "opm")
-        assert not hasattr(policy, "overrides")
         # Without engine callbacks nothing can feed a baseline's state.
         for hook in ("on_task_arrival", "on_dispatch", "on_completion", "on_annotation"):
             assert not hasattr(policy, hook), (policy.name, hook)
@@ -377,11 +389,6 @@ def test_dispatched_ids_are_only_the_queued_and_in_flight_tasks():
     assert redispatches > 0
     assert 0 < largest < len(workload)
     assert agent._dispatched == set()
-
-
-def test_policy_visible_state_serializes_without_ground_truth():
-    state = two_device_state()
-    assert_no_ground_truth(state.to_dict())
 
 
 def test_router_config_validation():

@@ -64,7 +64,7 @@ def _state(meta):
     opm = meta.opm
     return (
         meta.config.to_dict(),
-        meta.overrides.to_dict(),
+        dict(meta.overrides._ttl),
         opm.version,
         len(opm.oplog),
         opm.snapshot_text(),
@@ -86,6 +86,6 @@ def test_execute_tool_never_raises_and_a_rejection_changes_nothing(calls):
         if not result.ok:
             assert entry.result == f"rejected: {result.error}"
             assert _state(meta) == before
-        known = {str(device) for device, _kind in meta.opm.estimates}
-        assert set(meta.overrides.to_dict()) <= known
+        known = {device for device, _kind in meta.opm.estimates}
+        assert set(meta.overrides.devices()) <= known
     list(meta.audit.lines())

@@ -26,7 +26,7 @@ def test_traced_layers_are_called_and_restored():
     layers.install(tracer)
     patched = list(tracer._patches)
     try:
-        result = harness.run_experiment(harness.ExperimentConfig("semantic", horizon=60))
+        result = harness.run_experiment(harness.ExperimentConfig("semantic", horizon=120))
     finally:
         tracer.restore()
     layers.after_experiment(tracer, result, 0)
@@ -44,5 +44,11 @@ def test_traced_layers_are_called_and_restored():
     # them would leave the traced per-layer figures at zero.
     for name in ("sim.observable_state", "sim.true_backlog_ms"):
         assert tracer.stats[name][0] >= 1, name
+    # Both fast-path policies are wrapped per class, once per routed task.
+    for name in ("router.choose.e3", "router.choose.fixed_heuristic"):
+        assert tracer.stats[name][0] == 120, name
+    # The gate hook reads the risk table e3 routes on: the task-60 semantic
+    # onset flags a device, and later decisions exclude it.
+    assert tracer.counters["router.risk_gate.excluded"] > 0
     for owner, attr, original in patched:
         assert current(owner, attr) is original, (owner, attr)
