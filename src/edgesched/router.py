@@ -293,7 +293,6 @@ class OraclePolicy:
     """Reference upper bound: reads current ground truth, never the future."""
 
     name = "oracle"
-    wants_oracle_access = True
 
     def __init__(self) -> None:
         self._access: OracleAccess | None = None

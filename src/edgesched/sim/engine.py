@@ -17,9 +17,11 @@ The policy-visible types (TaskSpec, ExecutionRecord, EventAnnotation,
 InFlightView, DeviceSnapshot, ObservableState) are immutable
 ``typing.NamedTuple`` classes, cheap to build once per task.  Unlike frozen
 dataclasses they can also be indexed and iterated, and they compare equal to
-a plain tuple of the same values.  The engine builds them, and its own queue
-and in-flight entries, with ``tuple.__new__``, which skips the Python-level
-``__new__`` frame a call to the class would run.
+a plain tuple of the same values.  The engine builds them with
+``tuple.__new__``, which skips the Python-level ``__new__`` frame a call to
+the class would run.  It keeps each task once: a device's queue holds the
+queued TaskSpecs themselves, and its in-flight slot holds the InFlightView
+that snapshots hand out.
 """
 
 from __future__ import annotations
@@ -115,12 +117,8 @@ class ObservableState(NamedTuple):
                 return snap
         raise KeyError(f"unknown device {device}")
 
-    def available_devices(self, kind: str | None = None) -> list[int]:
-        return [
-            s.device_id
-            for s in self.devices
-            if s.available and (kind is None or s.kind == kind)
-        ]
+    def available_devices(self, kind: str) -> list[int]:
+        return [s.device_id for s in self.devices if s.available and s.kind == kind]
 
     def to_dict(self) -> dict:
         return {
@@ -153,8 +151,8 @@ class DecisionView:
 
     __slots__ = ("now", "annotations", "_engine", "_epoch")
 
-    def available_devices(self, kind: str | None = None) -> list[int]:
-        """Available device ids of ``kind`` (every kind for None), in id order."""
+    def available_devices(self, kind: str) -> list[int]:
+        """Available device ids of ``kind``, in id order."""
         engine = self._engine
         if engine._epoch != self._epoch:
             raise _stale_view()
@@ -204,19 +202,6 @@ class OracleAccess:
         return bool(self._engine.truth.stutter_indicator(device))
 
 
-class _QueueEntry(NamedTuple):
-    task: TaskSpec
-    dispatch_time: float
-    stutter: int
-
-
-class _InFlight(NamedTuple):
-    entry: _QueueEntry
-    start_time: float
-    completion_time: float
-    view: InFlightView
-
-
 _arrival_time = attrgetter("arrival_time")
 _new_tuple = tuple.__new__
 _new_object = object.__new__
@@ -226,10 +211,11 @@ _new_object = object.__new__
 class _DeviceRuntime:
     device_id: int
     kind: str
+    # The queued tasks in FIFO order; a snapshot copies it at C speed.
     queue: deque = field(default_factory=deque)
-    # queue[i].task, kept in step with queue so a snapshot copies it at C speed.
-    tasks: deque = field(default_factory=deque)
-    in_flight: _InFlight | None = None
+    # The task in service as snapshots show it; None while the device is idle.
+    in_flight: InFlightView | None = None
+    completion_time: float = 0.0  # of the task in service; only the oracle's backlog reads it
     busy_ms: float = 0.0
     # Last snapshot a view built; None until one is read, and again once the
     # queue, the in-flight task or the device's availability changes.
@@ -281,6 +267,8 @@ class Engine:
         self.workload = workload
         self.policy = policy
         self.leak_check = leak_check
+        if len({task.task_id for task in workload}) < len(workload):
+            raise EngineError("workload task ids must be unique: a task's dispatch stamp is keyed by its id")
         self.now = 0.0
         self.devices = {
             device_id: _DeviceRuntime(device_id, truth.kind_of(device_id))
@@ -306,6 +294,8 @@ class Engine:
         self._pending: list[TaskSpec] = []
         self._heap: list[tuple[float, int, int]] = []  # (completion time, push order, device)
         self._seq = 0
+        # task id -> (dispatch time, stutter) of its latest dispatch, until it completes.
+        self._stamps: dict[int, tuple[float, int]] = {}
         self._arrived_tasks = 0
         # Callbacks, looked up once; an optional one is None when absent.
         self._choose = policy.choose
@@ -313,7 +303,7 @@ class Engine:
         self._on_dispatch = getattr(policy, "on_dispatch", None)
         self._on_completion = getattr(policy, "on_completion", None)
         self._on_annotation = getattr(policy, "on_annotation", None)
-        if getattr(policy, "wants_oracle_access", False):
+        if hasattr(policy, "attach_oracle"):
             policy.attach_oracle(OracleAccess(self))
         if hasattr(policy, "attach_telemetry"):
             policy.attach_telemetry(Telemetry(self))
@@ -334,19 +324,17 @@ class Engine:
 
     def _snapshot(self, dev: _DeviceRuntime) -> DeviceSnapshot:
         """Build a device's snapshot and keep it until the device changes."""
-        fl = dev.in_flight
         available = self.truth.is_available(dev.device_id)
-        fields = (dev.device_id, dev.kind, available, tuple(dev.tasks), None if fl is None else fl.view)
+        fields = (dev.device_id, dev.kind, available, tuple(dev.queue), dev.in_flight)
         snap = dev.snapshot = _new_tuple(DeviceSnapshot, fields)
         return snap
 
     def _index_available(self) -> None:
-        """Available device ids per kind, and for every kind under None."""
-        available: dict[str | None, tuple[int, ...]] = {None: ()}
+        """Available device ids per kind."""
+        available: dict[str, tuple[int, ...]] = {}
         for dev in self._ordered:
             if self.truth.is_available(dev.device_id):
-                for key in (None, dev.kind):
-                    available[key] = available.get(key, ()) + (dev.device_id,)
+                available[dev.kind] = available.get(dev.kind, ()) + (dev.device_id,)
         self._available = available
 
     def status_snapshot(self) -> dict:
@@ -383,8 +371,8 @@ class Engine:
     def true_backlog_ms(self, device: int, now: float) -> float:
         """Oracle-only: exact remaining work queued on a device.
 
-        Sums the in-flight remainder, then each queued entry's true service
-        time in queue order.  Those times are cached per entry until ground
+        Sums the in-flight remainder, then each queued task's true service
+        time in queue order.  Those times are cached per task until ground
         truth changes; the oracle's quote for the task it dispatches fills it
         too, and a service start consumes its head.  The sum is redone per
         call: it starts from the remainder, which moves with ``now``, so
@@ -395,11 +383,11 @@ class Engine:
         if dev.true_costs_version != self.truth.version:
             costs.clear()
             dev.true_costs_version = self.truth.version
-        for task in islice(dev.tasks, len(costs), None):
+        for task in islice(dev.queue, len(costs), None):
             costs.append(self.truth.true_service_time(device, task))
         backlog = 0.0
         if dev.in_flight is not None:
-            backlog += dev.in_flight.completion_time - now
+            backlog += dev.completion_time - now
         for cost in costs:
             backlog += cost
         return backlog
@@ -441,9 +429,8 @@ class Engine:
 
     def _redispatch_queue(self, device: int) -> None:
         dev = self.devices[device]
-        orphans = list(dev.tasks)
+        orphans = list(dev.queue)
         dev.queue.clear()
-        dev.tasks.clear()
         dev.true_costs.clear()
         dev.snapshot = None
         for task in orphans:
@@ -482,14 +469,13 @@ class Engine:
     def _dispatch(self, task: TaskSpec, device: int) -> None:
         dev = self.devices[device]
         quoted, version, cost = dev.quote
-        # The oracle's quote is this entry's true cost if it priced this task
-        # at this truth version and the cache covers every earlier entry.
+        # The oracle's quote is this task's true cost if it priced this task
+        # at this truth version and the cache covers every earlier queued task.
         if quoted is task and version == dev.true_costs_version == self.truth.version:
             if len(dev.true_costs) == len(dev.queue):
                 dev.true_costs.append(cost)
-        stutter = self.truth.stutter_indicator(device)
-        dev.queue.append(_new_tuple(_QueueEntry, (task, self.now, stutter)))
-        dev.tasks.append(task)
+        self._stamps[task.task_id] = (self.now, self.truth.stutter_indicator(device))
+        dev.queue.append(task)
         dev.snapshot = None
         if self._on_dispatch is not None:
             self._on_dispatch(task, device, self.now)
@@ -499,21 +485,18 @@ class Engine:
     def _start_next(self, device: int) -> None:
         """Start the head of a non-empty queue on an idle, available device."""
         dev = self.devices[device]
-        entry = dev.queue.popleft()
-        dev.tasks.popleft()
+        task = dev.queue.popleft()
         costs = dev.true_costs
         # true_service_time reads no clock: a cost cached at this version is fresh.
         if costs and dev.true_costs_version == self.truth.version:
             service = costs.popleft()
         else:
             costs.clear()
-            service = self.truth.true_service_time(device, entry.task)
-        now = self.now
-        dev.in_flight = _new_tuple(
-            _InFlight, (entry, now, now + service, _new_tuple(InFlightView, (entry.task, now)))
-        )
+            service = self.truth.true_service_time(device, task)
+        dev.in_flight = _new_tuple(InFlightView, (task, self.now))
+        dev.completion_time = self.now + service
         dev.snapshot = None
-        heapq.heappush(self._heap, (self.now + service, self._seq, device))
+        heapq.heappush(self._heap, (dev.completion_time, self._seq, device))
         self._seq += 1
 
     def _complete(self) -> None:
@@ -526,9 +509,9 @@ class Engine:
             raise EngineError(f"completion event for idle device {device}")
         dev.in_flight = None
         dev.snapshot = None
-        dev.busy_ms += fl.completion_time - fl.start_time
-        entry = fl.entry
-        task = entry.task
+        task, start_time = fl
+        dev.busy_ms += self.now - start_time
+        dispatch_time, stutter = self._stamps.pop(task.task_id)
         # In field order, through tuple.__new__: this runs once per task.
         record = _new_tuple(
             ExecutionRecord,
@@ -537,14 +520,14 @@ class Engine:
                 device,
                 task.kind,
                 task.arrival_time,
-                entry.dispatch_time,
-                fl.start_time,
+                dispatch_time,
+                start_time,
                 self.now,
                 self.now - task.arrival_time,
-                self.now - fl.start_time,
+                self.now - start_time,
                 task.n_in,
                 task.n_out,
-                entry.stutter,
+                stutter,
             ),
         )
         self.records.append(record)

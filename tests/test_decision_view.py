@@ -19,7 +19,6 @@ from edgesched.sim.engine import (
     DeviceSnapshot,
     Engine,
     EngineError,
-    InFlightView,
     ObservableState,
 )
 from edgesched.sim.truth import ScenarioPlan, builtin_plans
@@ -31,19 +30,12 @@ PRESETS = [("warmup", 0), ("warmup", 30), ("warmup", 100), ("semantic", 0), ("ch
 
 
 def eager_state(engine: Engine) -> ObservableState:
-    """The engine's state as an ObservableState, read from its queue entries and ground truth."""
+    """The engine's state as an ObservableState, read from its queues and ground truth."""
     snaps = []
     for device in sorted(engine.devices):
         dev = engine.devices[device]
-        fl = dev.in_flight
         snaps.append(
-            DeviceSnapshot(
-                device,
-                dev.kind,
-                engine.truth.is_available(device),
-                tuple(entry.task for entry in dev.queue),
-                None if fl is None else InFlightView(fl.entry.task, fl.start_time),
-            )
+            DeviceSnapshot(device, dev.kind, engine.truth.is_available(device), tuple(dev.queue), dev.in_flight)
         )
     return ObservableState(engine.now, tuple(snaps), tuple(engine.annotations))
 
@@ -58,7 +50,7 @@ def check_every_view(monkeypatch) -> list[int]:
         ref = eager_state(self)
         assert isinstance(view, DecisionView)
         assert view.now == ref.now and view.annotations == ref.annotations
-        for kind in (LLM, SDXL, None):
+        for kind in (LLM, SDXL):
             assert view.available_devices(kind) == ref.available_devices(kind), kind
         for device in self.devices:
             assert view.snapshot_of(device) == ref.snapshot_of(device), device
@@ -141,7 +133,7 @@ def test_a_view_read_after_its_decision_raises(fixture_priors, read):
 def test_a_view_read_outside_a_run_answers_until_the_engine_moves(fixture_priors):
     engine = Engine(make_truth(fixture_priors), builtin_plans("churn"), generate_workload(40, 0.5), RoundRobinPolicy())
     view = engine.observable_state()
-    assert view.available_devices() == [0, 1, 2, 3]
+    assert [view.available_devices(kind) for kind in (LLM, SDXL)] == [[0, 1], [2, 3]]
     assert view.devices == eager_state(engine).devices
     engine.run()
     view = engine.observable_state()

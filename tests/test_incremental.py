@@ -78,9 +78,9 @@ def reference_predicted_backlog(snap, predict, now):
 def reference_true_backlog(engine, snap, now):
     """In-flight remainder, then every queued task's true service time."""
     backlog = 0.0
-    in_flight = engine.devices[snap.device_id].in_flight
-    if in_flight is not None:
-        backlog += in_flight.completion_time - now
+    dev = engine.devices[snap.device_id]
+    if dev.in_flight is not None:
+        backlog += dev.completion_time - now
     for task in snap.queued:
         backlog += engine.truth.true_service_time(snap.device_id, task)
     return backlog
@@ -163,10 +163,6 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
     def checked_choose(task, obs):
         device = choose(task, obs)
         probe.decisions += 1
-        for snap in obs.devices:
-            # The engine's task deque stays in step with its queue entries.
-            entries = probe.engine.devices[snap.device_id].queue
-            assert snap.queued == tuple(entry.task for entry in entries), (task.task_id, snap.device_id)
         for snap in obs.devices:
             if not snap.available or snap.kind != task.kind:
                 continue
@@ -351,7 +347,6 @@ class QuotingPolicy:
     """
 
     name = "quoting"
-    wants_oracle_access = True
 
     def __init__(self) -> None:
         self.rng = random.Random(11)
@@ -406,9 +401,9 @@ class PricedEngine(Engine):
         super()._start_next(device)
         self.start_calls += self.calls - calls
         fl = dev.in_flight
-        fresh = GroundTruthState.true_service_time(self.truth, device, fl.entry.task)
+        fresh = GroundTruthState.true_service_time(self.truth, device, fl.task)
         assert fl.start_time == self.now
-        assert fl.completion_time == self.now + fresh, (fl.entry.task.task_id, device)
+        assert dev.completion_time == self.now + fresh, (fl.task.task_id, device)
         self.starts += 1
 
 
@@ -477,7 +472,6 @@ class ScriptedQuotes:
     """Oracle-access policy that, per decision, quotes some devices for the task and picks one."""
 
     name = "scripted_quotes"
-    wants_oracle_access = True
 
     def __init__(self, script: dict[int, list[tuple[tuple[int, ...], int]]]) -> None:
         self.script = script

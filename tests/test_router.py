@@ -376,8 +376,8 @@ def test_dispatched_ids_are_only_the_queued_and_in_flight_tasks():
         nonlocal largest
         on_completion(record, now, now_task)
         devices = engine.devices.values()
-        live = {t.task_id for dev in devices for t in dev.tasks}
-        live |= {dev.in_flight.entry.task.task_id for dev in devices if dev.in_flight}
+        live = {t.task_id for dev in devices for t in dev.queue}
+        live |= {dev.in_flight.task.task_id for dev in devices if dev.in_flight}
         live |= {t.task_id for t in engine._pending}
         assert agent._dispatched <= live, record.task_id
         largest = max(largest, len(agent._dispatched))

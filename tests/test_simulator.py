@@ -258,9 +258,12 @@ def test_device_leave_excludes_from_feasible_set(fixture_priors):
 
 def test_departed_device_completes_in_flight_and_requeues_rest(fixture_priors):
     # Both queued tasks sit on device 1 when it leaves: the in-flight one
-    # finishes there, the queued one re-dispatches to device 0.
+    # finishes there, the queued one re-dispatches to device 0, which a
+    # semantic onset degrades at the same instant.
     truth = make_truth(fixture_priors)
-    plan = ScenarioPlan((DeviceLeave(2, 1), DeviceReturn(6, 1)))
+    plan = ScenarioPlan(
+        (SemanticOnset(2, 0, "game", 3.0), DeviceLeave(2, 1), SemanticOffset(6, 0, "game"), DeviceReturn(6, 1))
+    )
     tasks = [TaskSpec(0, LLM, 0.0, 1024, 128), TaskSpec(1, LLM, 2000.0, 256, 32),
              TaskSpec(2, LLM, 4000.0, 256, 32)]
 
@@ -275,7 +278,10 @@ def test_departed_device_completes_in_flight_and_requeues_rest(fixture_priors):
     by_id = {r.task_id: r for r in result.records}
     assert by_id[0].device_id == 1
     assert by_id[1].device_id == 0
+    # The record carries the second dispatch's time and stutter, not the first's.
     assert by_id[1].dispatch_time == 4000.0  # re-dispatched at the leave instant
+    assert by_id[1].stutter == 1
+    assert by_id[0].stutter == 0
 
 
 def test_pending_buffer_holds_tasks_until_any_return(fixture_priors):
@@ -648,6 +654,12 @@ def test_policy_routing_a_task_to_an_unknown_device_is_fatal(fixture_priors, dev
         engine.run()
     assert str(info.value) == f"policy fixed_assignment routed task 0 to unknown device {device!r}"
     assert engine.records == [] and all(not dev.queue for dev in engine.devices.values())
+
+
+def test_a_workload_with_a_repeated_task_id_is_rejected(fixture_priors):
+    tasks = [TaskSpec(0, LLM, 0.0, 256, 32), TaskSpec(0, LLM, 10.0, 512, 64)]
+    with pytest.raises(EngineError, match="workload task ids must be unique"):
+        Engine(make_truth(fixture_priors), ScenarioPlan(()), tasks, RoundRobinPolicy())
 
 
 def test_task_no_device_can_run_is_stranded_at_the_end(fixture_priors):
