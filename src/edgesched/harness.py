@@ -102,7 +102,6 @@ class ExperimentConfig:
     adapter: AdapterConfig | None = None
     adapter_transport: object | None = None
     trace_decisions: bool = False
-    leak_check: bool = False
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -131,6 +130,8 @@ class ExperimentConfig:
                 f"{self.scenario} takes no warmup budget, got {self.warmup_budget}; "
                 f"its budget is the {DYNAMIC_PREFIX_TASKS}-task settling prefix"
             )
+        if not isinstance(self.policies, (tuple, list)):
+            raise ExperimentError(f"policies must be a tuple or list of policy names, got {self.policies!r}")
         if not self.policies:
             raise ExperimentError(f"policies must name at least one of {sorted(POLICY_NAMES)}")
         for policy in self.policies:
@@ -368,7 +369,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for name in to_run:
         truth = GroundTruthState(priors, prior_error=prior_error, service_jitter=jitter)
         policy = _build_policy(name, priors, warmup_budget, config)
-        engine = Engine(truth, plan, workload, policy, leak_check=config.leak_check)
+        engine = Engine(truth, plan, workload, policy)
         runs[name] = engine.run()
         if name == "e3":
             agent = policy

@@ -19,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import astuple, dataclass
 
-from .profiles import LLM, DevicePrior, is_int
+from .profiles import LLM, DevicePrior, is_finite_number, is_int
 from .sim.engine import ExecutionRecord
 
 # Residual mismatch above this observed/predicted ratio counts as drift.
@@ -281,8 +281,8 @@ class Opm:
         self, device: int, kind: str, observed_ratio: float
     ) -> tuple[float, float]:
         """Exponentially smoothed multiplicative correction; returns (old, new)."""
-        if observed_ratio <= 0:
-            raise ValueError(f"observed_ratio must be > 0, got {observed_ratio}")
+        if not is_finite_number(observed_ratio) or observed_ratio <= 0:
+            raise ValueError(f"observed_ratio must be a finite number > 0, got {observed_ratio!r}")
         est = self._estimate(device, kind)
         old = est.calibration_factor
         new = CALIBRATION_SMOOTHING * observed_ratio + (1 - CALIBRATION_SMOOTHING) * old

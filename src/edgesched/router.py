@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .opm import Opm, left_sum
-from .profiles import DevicePrior, is_finite_number
+from .profiles import DevicePrior, is_finite_number, is_int
 from .sim.engine import DeviceSnapshot, ObservableState, OracleAccess
 from .sim.workload import TaskSpec
 
@@ -66,8 +66,8 @@ class RiskOverrideTable:
         self._ttl: dict[int, int] = {}
 
     def set(self, device: int, ttl: int) -> None:
-        if ttl <= 0:
-            raise ValueError(f"ttl must be > 0, got {ttl}")
+        if not is_int(ttl) or ttl < 1:
+            raise ValueError(f"ttl must be an int >= 1, not a bool, got {ttl!r}")
         self._ttl[device] = ttl
 
     def clear(self, device: int) -> bool:

@@ -58,9 +58,6 @@ class ExecutionRecord(NamedTuple):
     n_out: int | None
     stutter: int
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class EventAnnotation(NamedTuple):
     """Policy-visible notice of a scenario event (never carries magnitudes)."""
@@ -70,9 +67,6 @@ class EventAnnotation(NamedTuple):
     type: str
     device: int
     label: str | None = None
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 class InFlightView(NamedTuple):
@@ -88,16 +82,6 @@ class DeviceSnapshot(NamedTuple):
     available: bool
     queued: tuple[TaskSpec, ...]
     in_flight: InFlightView | None
-
-    def to_dict(self) -> dict:
-        return {
-            "device_id": self.device_id,
-            "kind": self.kind,
-            "available": self.available,
-            "queued": [t.task_id for t in self.queued],
-            "in_flight": None if self.in_flight is None else self.in_flight.task.task_id,
-            "in_flight_start": None if self.in_flight is None else self.in_flight.start_time,
-        }
 
 
 class ObservableState(NamedTuple):
@@ -120,13 +104,6 @@ class ObservableState(NamedTuple):
     def available_devices(self, kind: str) -> list[int]:
         return [s.device_id for s in self.devices if s.available and s.kind == kind]
 
-    def to_dict(self) -> dict:
-        return {
-            "now": self.now,
-            "devices": [s.to_dict() for s in self.devices],
-            "annotations": [a.to_dict() for a in self.annotations],
-        }
-
 
 def _stale_view() -> EngineError:
     return EngineError("a DecisionView was read after its decision; the engine has moved on")
@@ -141,7 +118,7 @@ class DecisionView:
     only when a device's availability flips.  ``snapshot_of`` builds only the
     snapshot it is asked for, and the engine keeps that snapshot until the
     device changes, so a policy that reads no snapshot (round robin, the
-    oracle) pays for none.  ``devices`` and ``to_dict`` build them all.
+    oracle) pays for none.  ``devices`` builds them all.
 
     The view is valid only for its decision: after a completion, a scenario
     event or the decision's end, reading device state through it raises
@@ -177,9 +154,6 @@ class DecisionView:
             engine._snapshot(dev) if dev.snapshot is None else dev.snapshot
             for dev in engine._ordered
         )
-
-    def to_dict(self) -> dict:
-        return ObservableState(self.now, self.devices, self.annotations).to_dict()
 
 
 class OracleAccess:
@@ -260,13 +234,11 @@ class Engine:
         plan: ScenarioPlan,
         workload: list[TaskSpec],
         policy,
-        leak_check: bool = False,
     ) -> None:
         self.truth = truth
         self.plan = plan
         self.workload = workload
         self.policy = policy
-        self.leak_check = leak_check
         if len({task.task_id for task in workload}) < len(workload):
             raise EngineError("workload task ids must be unique: a task's dispatch stamp is keyed by its id")
         self.now = 0.0
@@ -318,8 +290,6 @@ class Engine:
         view.annotations = self._annotation_view
         view._engine = self
         view._epoch = self._epoch
-        if self.leak_check:
-            assert_no_ground_truth(view.to_dict())
         return view
 
     def _snapshot(self, dev: _DeviceRuntime) -> DeviceSnapshot:
@@ -359,14 +329,14 @@ class Engine:
         }
 
     def observation_log(self, window_ms: float | None = None, limit: int | None = None) -> list[dict]:
-        """``to_dict()`` rows of the records completed within ``window_ms``, last ``limit``."""
+        """``_asdict()`` rows of the records completed within ``window_ms``, last ``limit``."""
         rows = self.records
         if window_ms is not None:
             cutoff = self.now - window_ms
             rows = [r for r in rows if r.completion_time >= cutoff]
         if limit is not None:
             rows = rows[-limit:]
-        return [r.to_dict() for r in rows]
+        return [r._asdict() for r in rows]
 
     def true_backlog_ms(self, device: int, now: float) -> float:
         """Oracle-only: exact remaining work queued on a device.
@@ -578,19 +548,47 @@ class Engine:
         return SimulationResult(self.records, self.event_log, self.annotations)
 
 
-_FORBIDDEN_KEYS = {"alpha", "beta", "gamma", "z", "active_factors", "factor", "service_jitter"}
+_FORBIDDEN_KEYS = frozenset({"alpha", "beta", "gamma", "z", "active_factors", "factor", "service_jitter"})
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# NamedTuple class -> its first forbidden field name, or None; each class is read once.
+_FIELD_LEAKS: dict[type, str | None] = {}
 
 
-def assert_no_ground_truth(payload: object, path: str = "") -> None:
-    """Structural non-leakage check: no hidden-state field names in a payload."""
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            if isinstance(key, str) and key in _FORBIDDEN_KEYS:
-                raise AssertionError(f"ground-truth field {key!r} leaked at {path or '<root>'}")
-            assert_no_ground_truth(value, f"{path}.{key}" if path else str(key))
-    elif isinstance(payload, tuple) and hasattr(payload, "_asdict"):
-        # A NamedTuple such as an oplog record: its field names count as keys.
-        assert_no_ground_truth(payload._asdict(), path)
-    elif isinstance(payload, (list, tuple)):
-        for i, value in enumerate(payload):
-            assert_no_ground_truth(value, f"{path}[{i}]")
+def assert_no_ground_truth(payload: object) -> None:
+    """Structural non-leakage check: no hidden-state field names in a payload.
+
+    Dict keys and NamedTuple field names count as names.  The walk reads the
+    values as they are, descending into dicts, lists and tuples, and builds a
+    path only for the leak it reports.
+    """
+    leak = _find_leak(payload)
+    if leak is not None:
+        key, steps = leak
+        path = "".join(reversed(steps)).removeprefix(".")
+        raise AssertionError(f"ground-truth field {key!r} leaked at {path or '<root>'}")
+
+
+def _find_leak(value: object) -> tuple[str, list[str]] | None:
+    """The first forbidden name under ``value`` and the path steps to it, innermost first.
+
+    A dict's keys or a NamedTuple's field names are checked before its values.
+    """
+    cls = type(value)
+    if isinstance(value, dict):
+        name = next((key for key in value if isinstance(key, str) and key in _FORBIDDEN_KEYS), None)
+        labels, items = value, value.values()
+    elif isinstance(value, tuple) and hasattr(cls, "_fields"):
+        if cls not in _FIELD_LEAKS:
+            _FIELD_LEAKS[cls] = next((f for f in cls._fields if f in _FORBIDDEN_KEYS), None)
+        name, labels, items = _FIELD_LEAKS[cls], cls._fields, value
+    elif isinstance(value, (list, tuple)):
+        name, labels, items = None, None, value
+    else:
+        return None
+    if name is not None:
+        return name, []
+    for i, item in enumerate(items):
+        if type(item) not in _SCALARS and (leak := _find_leak(item)) is not None:
+            leak[1].append(f"[{i}]" if labels is None else f".{list(labels)[i]}")
+            return leak
+    return None

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from edgesched.profiles import LLM, SDXL, DevicePrior
+from edgesched.sim.engine import Engine, ObservableState, assert_no_ground_truth
 from edgesched.sim.truth import GroundTruthState
 from edgesched.sim.workload import TaskSpec
 
@@ -18,6 +21,27 @@ def fixture_priors() -> list[DevicePrior]:
         DevicePrior(2, SDXL, gamma0=4000.0),
         DevicePrior(3, SDXL, gamma0=7000.0),
     ]
+
+
+@contextmanager
+def leak_scan():
+    """Scan every view the engine hands a policy for ground-truth field names.
+
+    Each decision's view is read as an ObservableState of the same moment, so
+    the scan sees every snapshot, queued task and in-flight task whole.
+    """
+    original = Engine.observable_state
+
+    def scanned(self):
+        view = original(self)
+        assert_no_ground_truth(ObservableState(view.now, view.devices, view.annotations))
+        return view
+
+    Engine.observable_state = scanned
+    try:
+        yield
+    finally:
+        Engine.observable_state = original
 
 
 def make_truth(priors, prior_error=None, jitter=0.0) -> GroundTruthState:

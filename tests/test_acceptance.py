@@ -13,6 +13,7 @@ from conftest import (
     FixedAssignmentPolicy,
     TableTruth,
     brute_force_replay,
+    leak_scan,
     solve_lstsq_oracle,
 )
 from edgesched.harness import ExperimentConfig, run_experiment
@@ -34,14 +35,11 @@ PRESET_KEYS = (
 )
 
 
-def preset_config(scenario, warmup, **kwargs):
-    return ExperimentConfig(
-        scenario=scenario,
-        warmup_budget=warmup,
-        policies=ALL_POLICIES,
-        leak_check=True,
-        **kwargs,
-    )
+def run_preset(scenario, warmup, **kwargs):
+    """One preset run with every policy, its views scanned for leaks at each decision."""
+    config = ExperimentConfig(scenario=scenario, warmup_budget=warmup, policies=ALL_POLICIES, **kwargs)
+    with leak_scan():
+        return run_experiment(config)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +47,7 @@ def preset_runs():
     results, timings = {}, {}
     for scenario, warmup in PRESET_KEYS:
         start = time.perf_counter()
-        results[(scenario, warmup)] = run_experiment(preset_config(scenario, warmup))
+        results[(scenario, warmup)] = run_preset(scenario, warmup)
         timings[(scenario, warmup)] = time.perf_counter() - start
     return results, timings
 
@@ -236,7 +234,7 @@ def test_criterion_07_drift_detection_latency(preset_runs):
 
 
 def test_criterion_08_non_leakage_and_replay(preset_runs):
-    # The semantic preset ran with per-decision structural leak checks on; here
+    # Every preset ran with per-decision structural leak scans; here
     # the audit trail, tool results, and model inputs are scanned again and the
     # feedback log is replayed offline.
     results, _ = preset_runs
@@ -259,8 +257,8 @@ def test_criterion_09_determinism(tmp_path):
     for scenario, warmup in PRESET_KEYS:
         first = tmp_path / f"{scenario}_{warmup}_a"
         second = tmp_path / f"{scenario}_{warmup}_b"
-        run_experiment(preset_config(scenario, warmup, out_dir=first))
-        run_experiment(preset_config(scenario, warmup, out_dir=second))
+        run_preset(scenario, warmup, out_dir=first)
+        run_preset(scenario, warmup, out_dir=second)
         for name in ("report.json", "audit.log"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), (
                 f"{scenario} W={warmup}: {name} differs between runs"

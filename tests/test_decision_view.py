@@ -9,6 +9,8 @@ built, and that the leak check still scans the whole view.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
 from edgesched import harness
@@ -24,7 +26,7 @@ from edgesched.sim.engine import (
 from edgesched.sim.truth import ScenarioPlan, builtin_plans
 from edgesched.sim.workload import TaskSpec, generate_workload
 
-from conftest import make_truth
+from conftest import leak_scan, make_truth
 
 PRESETS = [("warmup", 0), ("warmup", 30), ("warmup", 100), ("semantic", 0), ("churn", 0), ("drift", 0)]
 
@@ -55,7 +57,6 @@ def check_every_view(monkeypatch) -> list[int]:
         for device in self.devices:
             assert view.snapshot_of(device) == ref.snapshot_of(device), device
         assert view.devices == ref.devices
-        assert view.to_dict() == ref.to_dict()
         decisions[0] += 1
         return view
 
@@ -82,7 +83,6 @@ STALE_READS = {
     "available_devices": lambda view: view.available_devices(LLM),
     "snapshot_of": lambda view: view.snapshot_of(0),
     "devices": lambda view: view.devices,
-    "to_dict": lambda view: view.to_dict(),
 }
 
 
@@ -137,7 +137,7 @@ def test_a_view_read_outside_a_run_answers_until_the_engine_moves(fixture_priors
     assert view.devices == eager_state(engine).devices
     engine.run()
     view = engine.observable_state()
-    assert view.to_dict() == eager_state(engine).to_dict()
+    assert view.devices == eager_state(engine).devices
     assert view.annotations and view.now == engine.now
 
 
@@ -162,20 +162,29 @@ def test_policies_that_read_no_snapshot_build_none(fixture_priors, policy_cls):
     assert all(dev.snapshot is None for dev in engine.devices.values())
 
 
-def test_the_leak_check_scans_the_whole_view(fixture_priors, monkeypatch):
-    tasks = generate_workload(10, 0.5)
-    plain = DeviceSnapshot.to_dict
+class AlphaTask(NamedTuple):
+    """A workload task that also carries a ground-truth coefficient name."""
 
-    def leaky(self):
-        return {**plain(self), "alpha": 1.0}
+    task_id: int
+    kind: str
+    arrival_time: float
+    n_in: int | None
+    n_out: int | None
+    alpha: float
 
-    monkeypatch.setattr(DeviceSnapshot, "to_dict", leaky)
-    # Round robin never reads a snapshot, so only the check builds them.
-    engine = Engine(make_truth(fixture_priors), ScenarioPlan(()), tasks, RoundRobinPolicy(), leak_check=True)
-    with pytest.raises(AssertionError, match=r"ground-truth field 'alpha' leaked at devices\[0\]"):
+
+def test_the_leak_check_scans_the_whole_view(fixture_priors):
+    tasks = [AlphaTask(*task, alpha=1.0) for task in generate_workload(12, 0.5)]
+    # Task 0 ends before task 1 arrives, so at task 2's decision the only
+    # task in sight is task 1, in service on SDXL device 2.  Round robin
+    # never reads a snapshot, so only the scan builds them.
+    engine = Engine(make_truth(fixture_priors), ScenarioPlan(()), tasks, RoundRobinPolicy())
+    with leak_scan(), pytest.raises(
+        AssertionError, match=r"^ground-truth field 'alpha' leaked at devices\[2\]\.in_flight\.task$"
+    ):
         engine.run()
     unchecked = Engine(make_truth(fixture_priors), ScenarioPlan(()), tasks, RoundRobinPolicy())
-    assert len(unchecked.run().records) == 10
+    assert len(unchecked.run().records) == 12
 
 
 def test_an_unknown_device_is_a_key_error_in_a_hand_built_state(fixture_priors):

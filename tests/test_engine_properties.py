@@ -15,6 +15,7 @@ from pathlib import Path
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import leak_scan
 from edgesched.harness import POLICY_NAMES, build_agent
 from edgesched.opm import replay_oplog
 from edgesched.profiles import LLM, SDXL, load_profiles, priors_from_records
@@ -107,10 +108,10 @@ def _policy(name, priors, warmup):
 
 
 def _run(name, priors, plan, tasks, jitter, warmup):
-    """One leak-checked run; also returns (event, clock, records so far) per fired event."""
+    """One leak-scanned run; also returns (event, clock, records so far) per fired event."""
     truth = GroundTruthState(priors, service_jitter=jitter)
     policy = _policy(name, priors, warmup)
-    engine = Engine(truth, plan, tasks, policy, leak_check=True)
+    engine = Engine(truth, plan, tasks, policy)
     fired = []
     apply_event = truth.apply_event
 
@@ -119,7 +120,8 @@ def _run(name, priors, plan, tasks, jitter, warmup):
         apply_event(scenario_event)
 
     truth.apply_event = spy
-    return policy, engine.run(), fired
+    with leak_scan():
+        return policy, engine.run(), fired
 
 
 def _artifacts(policy, result):

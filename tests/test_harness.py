@@ -174,6 +174,12 @@ def test_unknown_policy_and_scenario_rejected():
         ExperimentConfig(scenario="bogus")
 
 
+@pytest.mark.parametrize("policies", ["e3", "e3,oracle", {"e3"}, None])
+def test_policies_must_be_a_tuple_or_list(policies):
+    with pytest.raises(ExperimentError, match="policies must be a tuple or list of policy names, got "):
+        ExperimentConfig(scenario="semantic", policies=policies)
+
+
 def test_emit_report_is_byte_stable(tmp_path):
     config = ExperimentConfig(scenario="warmup", warmup_budget=0, horizon=30)
     result = run_experiment(config)

@@ -376,6 +376,15 @@ def test_apply_calibration_examples():
         opm.apply_calibration(0, LLM, 0.0)
 
 
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf"), True, "2.0"])
+def test_apply_calibration_rejects_a_ratio_that_is_not_a_finite_number(ratio):
+    opm = seeded_opm()
+    with pytest.raises(ValueError, match="observed_ratio must be a finite number > 0, got "):
+        opm.apply_calibration(0, LLM, ratio)
+    assert opm.estimates[(0, LLM)].calibration_factor == 1.0
+    assert opm.version == seeded_opm().version and not any(op[0] == "calibrate" for op in opm.oplog)
+
+
 def test_calibration_converges_geometrically():
     opm = seeded_opm()
     target = 2.5

@@ -338,6 +338,14 @@ def test_clear_is_immediate_and_set_requires_positive_ttl():
         table.set(0, ttl=0)
 
 
+@pytest.mark.parametrize("ttl", [True, float("nan"), float("inf"), 2.0, "3"])
+def test_set_rejects_a_ttl_that_is_not_an_int(ttl):
+    table = RiskOverrideTable()
+    with pytest.raises(ValueError, match="ttl must be an int >= 1, not a bool, got "):
+        table.set(0, ttl)
+    assert table.devices() == []
+
+
 def test_agent_decrements_ttl_once_per_unique_task():
     agent = AdaptiveAgentPolicy(MetaController([DevicePrior(0, LLM, alpha0=1.0, beta0=1.0)]))
     agent.overrides.set(0, ttl=2)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conftest import FixedAssignmentPolicy, TableTruth, brute_force_replay, make_truth
+from conftest import FixedAssignmentPolicy, TableTruth, brute_force_replay, leak_scan, make_truth
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.router import OraclePolicy, RoundRobinPolicy
-from edgesched.sim.engine import Engine, EngineError, assert_no_ground_truth
+from edgesched.sim.engine import Engine, EngineError, ObservableState, assert_no_ground_truth
 from edgesched.sim.truth import (
     DEGRADED,
     STABLE,
@@ -353,9 +353,11 @@ def test_records_delivered_exactly_at_completion(fixture_priors):
 def test_observable_state_contains_no_ground_truth(fixture_priors):
     truth = make_truth(fixture_priors, prior_error={0: 2.0}, jitter=0.1)
     tasks = generate_workload(30, 0.5)
-    engine = Engine(truth, builtin_plans("semantic"), tasks, RoundRobinPolicy(), leak_check=True)
-    result = engine.run()
-    assert_no_ground_truth(engine.observable_state().to_dict())
+    engine = Engine(truth, builtin_plans("semantic"), tasks, RoundRobinPolicy())
+    with leak_scan():
+        result = engine.run()
+    view = engine.observable_state()
+    assert_no_ground_truth(ObservableState(view.now, view.devices, view.annotations))
     assert result.records
 
 
@@ -376,7 +378,7 @@ def test_shuffled_workload_gives_the_same_run(fixture_priors, policy_cls):
 
 
 def reference_observation_rows(records, now, window_ms, limit):
-    rows = [r.to_dict() for r in records]
+    rows = [r._asdict() for r in records]
     if window_ms is not None:
         rows = [r for r in rows if r["completion_time"] >= now - window_ms]
     if limit is not None:

@@ -1,16 +1,19 @@
 """The contract of the policy-visible value types and of the OPM's oplog.
 
-The six types are immutable NamedTuples; their field order, ``repr`` text and
-``to_dict()`` rows are the ones policies, reports and logs were written
-against, so they are pinned here literally.
+The six types are immutable NamedTuples; their field order and ``repr`` text
+are the ones policies, reports and logs were written against, so they are
+pinned here literally.  The leak check reads the types themselves: their
+field names count as keys.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 import pytest
 
+from conftest import leak_scan
 from edgesched.harness import ExperimentConfig, run_experiment
 from edgesched.opm import replay_oplog
 from edgesched.sim.engine import (
@@ -83,32 +86,19 @@ def test_value_type_defaults():
     assert EventAnnotation(5, 0.0, "device_leave", 2).label is None
 
 
-def test_to_dict_rows_keep_their_keys_and_order():
-    row = RECORD.to_dict()
+def test_record_rows_keep_their_keys_and_order():
+    # Engine.observation_log hands tools these rows.
+    row = RECORD._asdict()
     assert list(row) == list(CASES[1][1])
     assert ExecutionRecord(**row) == RECORD
-    assert ANNOTATION.to_dict() == {
-        "at_task": 3, "time": 6000.0, "type": "semantic_onset", "device": 1, "label": "game",
-    }
-    assert list(ANNOTATION.to_dict()) == ["at_task", "time", "type", "device", "label"]
-    snapshot_row = {
-        "device_id": 0, "kind": "LLM", "available": True, "queued": [1],
-        "in_flight": 0, "in_flight_start": 12.5,
-    }
-    assert SNAPSHOT.to_dict() == snapshot_row
-    assert list(SNAPSHOT.to_dict()) == list(snapshot_row)
-    state_row = STATE.to_dict()
-    assert list(state_row) == ["now", "devices", "annotations"]
-    assert state_row == {"now": 12.5, "devices": [snapshot_row], "annotations": [ANNOTATION.to_dict()]}
     assert STATE.snapshot_of(0) is SNAPSHOT
     assert STATE.available_devices("LLM") == [0] and STATE.available_devices("SDXL") == []
 
 
 def test_oplog_holds_the_engines_records_and_replays_bitwise():
-    # leak_check makes the engine scan every observation it hands the policy.
-    result = run_experiment(
-        ExperimentConfig("semantic", horizon=120, policies=("e3",), leak_check=True)
-    )
+    # The scan reads every view the engine hands the policy.
+    with leak_scan():
+        result = run_experiment(ExperimentConfig("semantic", horizon=120, policies=("e3",)))
     records = result.runs["e3"].records
     opm = result.agent.opm
     ingested = [op[1] for op in opm.oplog if op[0] == "ingest"]
@@ -122,7 +112,22 @@ def test_leak_check_reads_namedtuple_field_names():
         device_id: int
         gamma: float
 
+    class Holder(NamedTuple):
+        device_id: int
+        extra: dict
+
     assert_no_ground_truth(STATE)
     assert_no_ground_truth(RECORD)
-    with pytest.raises(AssertionError, match="'gamma' leaked at devices"):
-        assert_no_ground_truth({"devices": [Leaky(0, 4000.0)]})
+    assert_no_ground_truth({0: [STATE], (1, 2): RECORD, None: "x"})  # non-string keys are skipped
+    assert_no_ground_truth(["alpha", object()])  # strings and other objects are values, not names
+    leaks = [
+        ({"devices": [Leaky(0, 4000.0)]}, "'gamma' leaked at devices[0]"),
+        ({"alpha": 1.0}, "'alpha' leaked at <root>"),
+        (Leaky(0, 1.0), "'gamma' leaked at <root>"),
+        ([{"z": 0.5}], "'z' leaked at [0]"),
+        ((SNAPSHOT, Holder(1, {"ok": [1], "factor": 2.0})), "'factor' leaked at [1].extra"),
+        ({3: {"beta": 2.0}}, "'beta' leaked at 3"),
+    ]
+    for payload, report in leaks:
+        with pytest.raises(AssertionError, match=f"^{re.escape(f'ground-truth field {report}')}$"):
+            assert_no_ground_truth(payload)
