@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import astuple, dataclass
+from itertools import islice
 
 from .profiles import LLM, DevicePrior, is_finite_number, is_int
 from .sim.engine import ExecutionRecord
@@ -111,8 +112,11 @@ class Opm:
     write to an :class:`OpmEstimate` field bypasses that invalidation.
 
     Feedback lives in one history per (device, kind): the newest
-    :data:`HISTORY_CAPACITY` (prediction at ingest, record) pairs, sorted by
-    completion time.  Refits read its newest :data:`WINDOW_CAPACITY` records.
+    :data:`HISTORY_CAPACITY` entries, sorted by completion time.  Each entry
+    is a flat ``(predicted, completion_time, service_ms, record)`` tuple:
+    the prediction made at ingest, the two record fields the drift window
+    reads as plain floats, and the record itself.  Refits read the records
+    of its newest :data:`WINDOW_CAPACITY` entries.
 
     ``oplog`` lists every mutation in order, one tuple per call: ``("seed",
     priors)``, ``("ingest", record, now)``, ``("refit", device, kind,
@@ -125,7 +129,7 @@ class Opm:
     def __init__(self) -> None:
         self.version = 0
         self.estimates: dict[tuple[int, str], OpmEstimate] = {}
-        self._history: dict[tuple[int, str], deque[tuple[float, ExecutionRecord]]] = {}
+        self._history: dict[tuple[int, str], deque[tuple[float, float, float, ExecutionRecord]]] = {}
         self.oplog: list[tuple] = []
 
     # -- lifecycle -----------------------------------------------------------
@@ -166,13 +170,14 @@ class Opm:
         completion = record.completion_time
         est = self._estimate(record.device_id, record.kind)
         history = self._history[(record.device_id, record.kind)]
-        newest = history[-1][1].completion_time if history else -math.inf
+        newest = history[-1][1] if history else -math.inf
         if not (math.isfinite(completion) and newest <= completion <= now):
             raise CausalityError(
                 f"record for task {record.task_id} completes at {completion}; it must be "
                 f"finite, >= {newest} (newest record) and <= now {now}"
             )
-        history.append((self._raw_predict(est, record.n_in, record.n_out), record))
+        predicted = self._raw_predict(est, record.n_in, record.n_out)
+        history.append((predicted, completion, record.service_ms, record))
         est.n += 1
         self.oplog.append(("ingest", record, now))
 
@@ -197,7 +202,8 @@ class Opm:
         self.oplog.append(("refit", device, kind, min_samples, window))
         est = self._estimate(device, kind)
         count = WINDOW_CAPACITY if window is None else min(window, WINDOW_CAPACITY)
-        samples = [record for _predicted, record in self._history[(device, kind)]][-count:]
+        samples = [entry[3] for entry in islice(reversed(self._history[(device, kind)]), count)]
+        samples.reverse()
         if len(samples) < max(min_samples, 1):
             return "insufficient"
         if kind == LLM:
@@ -239,39 +245,41 @@ class Opm:
     def drift_ratio(
         self, device: int, kind: str, window_ms: float, now: float
     ) -> tuple[float, int]:
-        """Observed/predicted ratio over the history pairs whose record has
+        """Observed/predicted ratio over the history entries with
         ``now - window_ms <= completion_time <= now``.
 
         Relies on the ordering contract of :meth:`ingest_feedback`: the walk
-        starts at the newest pair, skips pairs later than ``now`` and stops
-        at the first one before the cutoff.  Those tests are the exact
+        starts at the newest entry, skips entries later than ``now`` and
+        stops at the first one before the cutoff.  Those tests are the exact
         negations of the window test, so NaN and infinite bounds select the
-        same pairs (a NaN window is rejected).  Both means fold oldest-first.
-        An empty window reports (1.0, 0): no evidence means no alarm.
+        same entries (a NaN window is rejected).  Both means fold the
+        window's plain floats oldest-first.  An empty window reports
+        (1.0, 0): no evidence means no alarm.
         """
         if not window_ms > 0:
             raise ValueError(f"window_ms must be > 0, got {window_ms}")
         self._estimate(device, kind)
         cutoff = now - window_ms
-        pairs = []
-        for pair in reversed(self._history[(device, kind)]):
-            t = pair[1].completion_time
+        window = []  # newest first
+        for entry in reversed(self._history[(device, kind)]):
+            t = entry[1]
             if not t <= now:
                 continue
             if not cutoff <= t:
                 break
-            pairs.append(pair)
-        if not pairs:
+            window.append(entry)
+        count = len(window)
+        if not count:
             return 1.0, 0
         sum_obs = sum_pred = 0.0
-        for predicted, record in reversed(pairs):
-            sum_obs += record.service_ms
+        for predicted, _completion, service, _record in reversed(window):
+            sum_obs += service
             sum_pred += predicted
-        mean_obs = sum_obs / len(pairs)
-        mean_pred = sum_pred / len(pairs)
+        mean_obs = sum_obs / count
+        mean_pred = sum_pred / count
         if mean_pred <= 0.0:
-            return (1.0 if mean_obs <= 0.0 else float("inf")), len(pairs)
-        return mean_obs / mean_pred, len(pairs)
+            return (1.0 if mean_obs <= 0.0 else float("inf")), count
+        return mean_obs / mean_pred, count
 
     def is_drift_alarm(self, ratio: float, sample_count: int, min_samples: int = 3) -> bool:
         """Alarm rule: strictly above threshold with enough evidence."""

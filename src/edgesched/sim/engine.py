@@ -189,7 +189,7 @@ class _DeviceRuntime:
     queue: deque = field(default_factory=deque)
     # The task in service as snapshots show it; None while the device is idle.
     in_flight: InFlightView | None = None
-    completion_time: float = 0.0  # of the task in service; only the oracle's backlog reads it
+    completion_time: float = 0.0  # of the task in service, or of the last one served
     busy_ms: float = 0.0
     # Last snapshot a view built; None until one is read, and again once the
     # queue, the in-flight task or the device's availability changes.
@@ -199,6 +199,9 @@ class _DeviceRuntime:
     # so it may be shorter than the queue; a start at that version pops it.
     true_costs: deque = field(default_factory=deque)
     true_costs_version: int = -1
+    # completion_time plus true_costs, left-folded: when the priced tasks
+    # would all be served.  Kept across busy starts, refolded otherwise.
+    drain: float = 0.0
     quote: tuple = (None, -1, 0.0)  # (task, truth version, cost) of the oracle's last price
 
 
@@ -339,28 +342,32 @@ class Engine:
         return [r._asdict() for r in rows]
 
     def true_backlog_ms(self, device: int, now: float) -> float:
-        """Oracle-only: exact remaining work queued on a device.
+        """Oracle-only: exact remaining work on a device, its drain time minus ``now``.
 
-        Sums the in-flight remainder, then each queued task's true service
-        time in queue order.  Those times are cached per task until ground
-        truth changes; the oracle's quote for the task it dispatches fills it
-        too, and a service start consumes its head.  The sum is redone per
-        call: it starts from the remainder, which moves with ``now``, so
-        adding a cached queued sum would change the bits.
+        The drain time is the in-flight completion time plus each queued
+        task's true service time, added in queue order: while truth holds,
+        the time the engine finishes the queue, to the bit, since each busy
+        start adds the next cost to the completion before it.  Costs and
+        drain time are kept until truth changes; the oracle's quote extends
+        them, so a call prices and adds only the tasks queued since the last.
+        An idle device has no backlog.
         """
         dev = self.devices[device]
         costs = dev.true_costs
-        if dev.true_costs_version != self.truth.version:
+        version = self.truth.version
+        if dev.true_costs_version != version:
             costs.clear()
-            dev.true_costs_version = self.truth.version
-        for task in islice(dev.queue, len(costs), None):
-            costs.append(self.truth.true_service_time(device, task))
-        backlog = 0.0
-        if dev.in_flight is not None:
-            backlog += dev.completion_time - now
-        for cost in costs:
-            backlog += cost
-        return backlog
+            dev.true_costs_version = version
+            dev.drain = dev.completion_time
+        queue = dev.queue
+        if len(costs) < len(queue):
+            drain = dev.drain
+            for task in islice(queue, len(costs), None):
+                cost = self.truth.true_service_time(device, task)
+                costs.append(cost)
+                drain += cost
+            dev.drain = drain
+        return 0.0 if dev.in_flight is None else dev.drain - now
 
     # -- event handlers --------------------------------------------------------
 
@@ -402,6 +409,7 @@ class Engine:
         orphans = list(dev.queue)
         dev.queue.clear()
         dev.true_costs.clear()
+        dev.drain = dev.completion_time
         dev.snapshot = None
         for task in orphans:
             self._route(task)
@@ -421,20 +429,20 @@ class Engine:
                 )
             self._pending.append(task)
             return
-        if type(device) is not int or device not in self.devices:  # True and 1.0 hash as 1
-            raise EngineError(
-                f"policy {self.policy.name} routed task {task.task_id} to unknown device {device!r}"
-            )
-        if not self.truth.is_available(device):
-            raise EngineError(
-                f"policy {self.policy.name} routed task {task.task_id} to unavailable device {device}"
-            )
-        if self.truth.kind_of(device) != task.kind:
-            raise EngineError(
-                f"policy {self.policy.name} routed {task.kind} task {task.task_id} "
-                f"to {self.truth.kind_of(device)} device {device}"
-            )
+        # True and 1.0 hash as 1, so the type is checked first.
+        if type(device) is not int or device not in self._available.get(task.kind, ()):
+            raise self._misrouted(task, device)
         self._dispatch(task, device)
+
+    def _misrouted(self, task: TaskSpec, device: object) -> EngineError:
+        """The error for a choice that is not an available device of the task's kind."""
+        who = f"policy {self.policy.name} routed"
+        if type(device) is not int or device not in self.devices:
+            return EngineError(f"{who} task {task.task_id} to unknown device {device!r}")
+        if not self.truth.is_available(device):
+            return EngineError(f"{who} task {task.task_id} to unavailable device {device}")
+        kind = self.truth.kind_of(device)
+        return EngineError(f"{who} {task.kind} task {task.task_id} to {kind} device {device}")
 
     def _dispatch(self, task: TaskSpec, device: int) -> None:
         dev = self.devices[device]
@@ -444,6 +452,7 @@ class Engine:
         if quoted is task and version == dev.true_costs_version == self.truth.version:
             if len(dev.true_costs) == len(dev.queue):
                 dev.true_costs.append(cost)
+                dev.drain += cost
         self._stamps[task.task_id] = (self.now, self.truth.stutter_indicator(device))
         dev.queue.append(task)
         dev.snapshot = None
@@ -465,6 +474,8 @@ class Engine:
             service = self.truth.true_service_time(device, task)
         dev.in_flight = _new_tuple(InFlightView, (task, self.now))
         dev.completion_time = self.now + service
+        if not costs:  # else a busy start: the drain time begins with this addition
+            dev.drain = dev.completion_time
         dev.snapshot = None
         heapq.heappush(self._heap, (dev.completion_time, self._seq, device))
         self._seq += 1

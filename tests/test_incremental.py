@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter, deque
 
 import pytest
 from test_golden import MIXED_PLAN_ROWS
@@ -76,14 +77,14 @@ def reference_predicted_backlog(snap, predict, now):
 
 
 def reference_true_backlog(engine, snap, now):
-    """In-flight remainder, then every queued task's true service time."""
-    backlog = 0.0
+    """The in-flight completion time plus every queued task's true service time, minus ``now``."""
     dev = engine.devices[snap.device_id]
-    if dev.in_flight is not None:
-        backlog += dev.completion_time - now
+    if dev.in_flight is None:
+        return 0.0
+    drain = dev.completion_time
     for task in snap.queued:
-        backlog += engine.truth.true_service_time(snap.device_id, task)
-    return backlog
+        drain += engine.truth.true_service_time(snap.device_id, task)
+    return drain - now
 
 
 class Probe:
@@ -407,8 +408,10 @@ class PricedEngine(Engine):
         self.starts += 1
 
 
-def make_priced(plan_name: str, policy_name: str) -> PricedEngine:
-    """An H=400, lambda=2.0 engine that checks the truth factor after every event."""
+def make_priced(
+    plan_name: str, policy_name: str, engine_class: type[PricedEngine] = PricedEngine, horizon: int = HORIZON
+) -> PricedEngine:
+    """A lambda=2.0 engine (H=400 unless given) that checks the truth factor after every event."""
     records = load_profiles(default_profiles_path())
     priors = priors_from_records(records)
     scenario = "semantic" if plan_name == "mixed" else plan_name
@@ -433,7 +436,7 @@ def make_priced(plan_name: str, policy_name: str) -> PricedEngine:
         "quoting": QuotingPolicy,
     }[policy_name]()
     plan = plan_from_dicts(MIXED_PLAN_ROWS) if plan_name == "mixed" else builtin_plans(plan_name)
-    engine = PricedEngine(truth, plan, generate_workload(HORIZON, LAMBDA), policy)
+    engine = engine_class(truth, plan, generate_workload(horizon, LAMBDA), policy)
     return engine
 
 
@@ -466,6 +469,106 @@ def test_oracle_prices_only_its_quotes_while_truth_holds():
     assert engine.calls == 2 * HORIZON
     assert engine.start_calls == 0
     assert engine.reused == engine.starts == HORIZON
+
+
+class WaitEngine(PricedEngine):
+    """Records, per dispatch, the backlog the oracle read for the chosen device."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.read: dict[int, float] = {}  # device -> backlog read in this decision
+        # task id -> (backlog read, device busy, truth version) of its latest dispatch
+        self.dispatched: dict[int, tuple[float, bool, int]] = {}
+        self.start_version: dict[int, int] = {}
+
+    def true_backlog_ms(self, device: int, now: float) -> float:
+        backlog = self.read[device] = super().true_backlog_ms(device, now)
+        return backlog
+
+    def _route(self, task) -> None:
+        self.read.clear()
+        super()._route(task)
+
+    def _dispatch(self, task, device: int) -> None:
+        busy = self.devices[device].in_flight is not None
+        self.dispatched[task.task_id] = (self.read[device], busy, self.truth.version)
+        super()._dispatch(task, device)
+
+    def _start_next(self, device: int) -> None:
+        super()._start_next(device)
+        self.start_version[self.devices[device].in_flight.task.task_id] = self.truth.version
+
+
+@pytest.mark.parametrize("plan_name", ("warmup",) + PLANS)
+def test_oracle_backlog_is_the_wait_of_a_busy_dispatch(plan_name):
+    """A task dispatched to a busy device starts after exactly the backlog the
+    oracle read for it, unless ground truth changed before its start."""
+    engine = make_priced(plan_name, "oracle", WaitEngine)
+    checked = 0
+    for record in engine.run().records:
+        backlog, busy, version = engine.dispatched[record.task_id]
+        if busy and engine.start_version[record.task_id] == version:
+            assert record.start_time - record.dispatch_time == backlog, record.task_id
+            checked += 1
+    # Under overload, about half of the dispatches or more are checked.
+    assert checked > HORIZON // 3, checked
+
+
+class CountingQueue(deque):
+    """A device queue that counts the tasks read through its iterator."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads = 0
+
+    def __iter__(self):
+        for task in deque.__iter__(self):
+            self.reads += 1
+            yield task
+
+
+class FoldCountEngine(PricedEngine):
+    """Counts what ``true_backlog_ms`` prices and reads of each queue."""
+
+    def __init__(self, truth, *args, **kwargs) -> None:
+        super().__init__(truth, *args, **kwargs)
+        for dev in self.devices.values():
+            dev.queue = CountingQueue()
+        self.calls = 0
+        self.queued = 0  # queue lengths summed over the calls
+        self.reads = 0  # queued tasks the calls read
+        self.priced: Counter = Counter()  # (device, task id, truth version) -> prices in a call
+        self._in_backlog = False
+        price = truth.true_service_time
+
+        def counting(device, task):
+            if self._in_backlog:
+                self.priced[device, task.task_id, truth.version] += 1
+            return price(device, task)
+
+        truth.true_service_time = counting
+
+    def true_backlog_ms(self, device: int, now: float) -> float:
+        queue = self.devices[device].queue
+        self.calls += 1
+        self.queued += len(queue)
+        reads = queue.reads
+        self._in_backlog = True
+        backlog = super().true_backlog_ms(device, now)
+        self._in_backlog = False
+        self.reads += queue.reads - reads
+        return backlog
+
+
+def test_oracle_backlog_reads_each_queue_once_per_truth_version():
+    """On an overload-sized oracle run (semantic, H=3000, lambda=2.0), no
+    queued task is priced or read twice by the backlog at one truth version,
+    though the queues run long."""
+    engine = make_priced("semantic", "oracle", FoldCountEngine, horizon=3000)
+    assert len(engine.run().records) == 3000
+    assert engine.queued > 20 * engine.calls  # the mean queue holds more than 20 tasks
+    assert engine.priced and max(engine.priced.values()) == 1
+    assert engine.reads <= len(engine.priced) < engine.calls
 
 
 class ScriptedQuotes:
