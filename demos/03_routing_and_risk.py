@@ -9,7 +9,7 @@ device is flagged: the flagged devices are then scored as usual.
 
 from edgesched.opm import Opm
 from edgesched.profiles import LLM, DevicePrior
-from edgesched.router import FastPath, RiskOverrideTable, RouterConfig, scores
+from edgesched.router import FastPath, RiskOverrideTable, RouterConfig, score
 from edgesched.sim import DeviceSnapshot, ObservableState, TaskSpec
 
 
@@ -34,7 +34,9 @@ def make_fast_path(config, overrides):
 
 def show_scores(label, fast, task):
     chosen = fast.choose(task, VIEW)  # binds the view the scores below read
-    parts = [f"d{device}={value:9.1f}" for value, device in scores(fast.candidates(task.kind), task, fast)]
+    parts = []
+    for device in fast.candidates(task.kind):
+        parts.append(f"d{device}={score(device, task, fast):9.1f}")
     print(f"  {label:34s} {'  '.join(parts)}   -> device {chosen}")
     return chosen
 

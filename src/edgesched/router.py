@@ -190,23 +190,19 @@ class FastPath:
         return backlog_ms(self.obs.snapshot_of(device), self.opm.predict, self.obs.now, self.memo)
 
 
-def scores(pool: list[int], task: TaskSpec, state: FastPath) -> list[tuple[float, int]]:
-    """(backlog + prediction - exploration bonus, device) for each device of ``pool``, in ms.
+def score(device: int, task: TaskSpec, state: FastPath) -> float:
+    """Backlog + prediction - exploration bonus, in ms.
 
     Plain mode disables the exploration term; explore mode weights the
     device's epistemic uncertainty by the configured bonus.  A risk flag adds
     nothing here: :func:`select_e3` scores a pool that is all safe or all
-    risky.  Scores may go negative; only the argmin matters.  The pool is
-    scored in one pass, with one memo sync for all its backlogs.
+    risky.  Scores may go negative; only the argmin matters.
     """
-    opm, obs, memo, config = state.opm, state.obs, state.memo, state.config
-    predict, now = opm.predict, obs.now
-    memo.sync(opm.version)
-    scored = [(backlog_ms(obs.snapshot_of(d), predict, now, memo) + predict(d, task), d) for d in pool]
+    config = state.config
+    value = state.backlog(device) + state.opm.predict(device, task)
     if config.policy == EXPLORE_RISK:
-        weight, kind = config.explore_weight_ms, task.kind
-        scored = [(value - weight * opm.uncertainty(d, kind), d) for value, d in scored]
-    return scored
+        value -= config.explore_weight_ms * state.opm.uncertainty(device, task.kind)
+    return value
 
 
 def select_e3(task: TaskSpec, state: FastPath) -> int | None:
@@ -214,10 +210,9 @@ def select_e3(task: TaskSpec, state: FastPath) -> int | None:
     candidates = state.candidates(task.kind)
     if not candidates:
         return None
-    is_risky = state.overrides.is_risky
-    safe = [d for d in candidates if not is_risky(d)]
+    safe = [d for d in candidates if not state.overrides.is_risky(d)]
     pool = safe if safe else candidates
-    scored = scores(pool, task, state)
+    scored = [(score(d, task, state), d) for d in pool]
     best = min(scored)[1]
     trace = state.trace
     if trace is not None:

@@ -24,7 +24,7 @@ from edgesched.router import (
     RoundRobinPolicy,
     RouterConfig,
     backlog_ms,
-    scores,
+    score,
     select_e3,
     select_oracle,
 )
@@ -86,8 +86,7 @@ def score_fixture(config=None, overrides=None):
 
 def test_score_plain_mode_sums_backlog_and_prediction():
     state, task = score_fixture(config=RouterConfig(policy="sect"))
-    [(value, device)] = scores([0], task, state)
-    assert device == 0 and value == pytest.approx(3000.0)
+    assert score(0, task, state) == pytest.approx(3000.0)
 
 
 def test_score_ignores_the_risk_flag():
@@ -95,23 +94,20 @@ def test_score_ignores_the_risk_flag():
     overrides = RiskOverrideTable()
     overrides.set(0, ttl=10)
     state, task = score_fixture(config=RouterConfig(policy="sect"), overrides=overrides)
-    [(value, device)] = scores([0], task, state)
-    assert device == 0 and value == pytest.approx(3000.0)
+    assert score(0, task, state) == pytest.approx(3000.0)
 
 
 def test_score_explore_mode_subtracts_uncertainty_bonus():
     state, task = score_fixture(config=RouterConfig(policy="explore_risk"))
     # Cold start: n = 0 so the uncertainty is 1 and the full bonus applies.
-    [(value, device)] = scores([0], task, state)
-    assert device == 0 and value == pytest.approx(1000.0)
+    assert score(0, task, state) == pytest.approx(1000.0)
 
 
 def test_scores_may_go_negative():
     priors = [DevicePrior(0, LLM, alpha0=0.001, beta0=0.0)]
     state = seeded_state(priors, config=RouterConfig(policy="explore_risk"))
     task = TaskSpec(0, LLM, 0.0, 256, 32)
-    [(value, _device)] = scores([0], task, state)
-    assert value < 0
+    assert score(0, task, state) < 0
 
 
 # --- adaptive selection ------------------------------------------------------------
