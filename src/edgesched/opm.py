@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import astuple, dataclass
 from itertools import islice
 
-from .profiles import LLM, DevicePrior, is_finite_number, is_int
+from .profiles import LLM, DevicePrior, check_new_device, is_finite_number, is_int
 from .sim.engine import ExecutionRecord
 
 # Residual mismatch above this observed/predicted ratio counts as drift.
@@ -136,10 +136,11 @@ class Opm:
 
     def seed(self, priors: list[DevicePrior]) -> None:
         """Initialize estimates from offline priors (calibration 1, n = 0)."""
+        seeded = {device for device, _kind in self.estimates}
         for prior in priors:
+            check_new_device(prior.device_id, seeded)
+            seeded.add(prior.device_id)
             key = (prior.device_id, prior.kind)
-            if key in self.estimates:
-                raise ValueError(f"duplicate prior for device {prior.device_id}")
             est = OpmEstimate(prior.device_id, prior.kind)
             if prior.kind == LLM:
                 est.alpha_hat = prior.alpha0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Container
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -129,6 +130,12 @@ def is_finite_number(value: object) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def check_new_device(device_id: int, seen: Container[int]) -> None:
+    """Raise ValueError if ``device_id`` is in ``seen``: a device has one prior, of one kind."""
+    if device_id in seen:
+        raise ValueError(f"duplicate prior for device {device_id}: a device id names one device of one kind")
 
 
 def _looks_like(model_id: str, hints: tuple[str, ...]) -> bool:

@@ -21,7 +21,8 @@ a plain tuple of the same values.  The engine builds them with
 ``tuple.__new__``, which skips the Python-level ``__new__`` frame a call to
 the class would run.  It keeps each task once: a device's queue holds the
 queued TaskSpecs themselves, and its in-flight slot holds the InFlightView
-that snapshots hand out.
+that snapshots hand out.  It prices each task's true service time once, at
+dispatch, and again only when an event changes its device's truth.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from collections import deque
-from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -163,11 +163,7 @@ class OracleAccess:
         self._engine = engine
 
     def true_service(self, device: int, task: TaskSpec) -> float:
-        """True service time; kept as the device's quote for a dispatch of ``task``."""
-        truth = self._engine.truth
-        cost = truth.true_service_time(device, task)
-        self._engine.devices[device].quote = (task, truth.version, cost)
-        return cost
+        return self._engine.truth.true_service_time(device, task)
 
     def true_backlog_ms(self, device: int, now: float) -> float:
         return self._engine.true_backlog_ms(device, now)
@@ -194,15 +190,11 @@ class _DeviceRuntime:
     # Last snapshot a view built; None until one is read, and again once the
     # queue, the in-flight task or the device's availability changes.
     snapshot: DeviceSnapshot | None = None
-    # true_costs[i] is the true service time of queue[i] at truth version
-    # true_costs_version.  Filled lazily by the oracle's backlog and quotes,
-    # so it may be shorter than the queue; a start at that version pops it.
-    true_costs: deque = field(default_factory=deque)
-    true_costs_version: int = -1
-    # completion_time plus true_costs, left-folded: when the priced tasks
-    # would all be served.  Kept across busy starts, refolded otherwise.
+    # costs[i] is queue[i]'s true service time under the device's current
+    # truth: priced at dispatch, repriced after an event on the device.
+    costs: deque = field(default_factory=deque)
+    # completion_time plus costs, left-folded: when the queue would be served.
     drain: float = 0.0
-    quote: tuple = (None, -1, 0.0)  # (task, truth version, cost) of the oracle's last price
 
 
 @dataclass
@@ -347,43 +339,33 @@ class Engine:
         The drain time is the in-flight completion time plus each queued
         task's true service time, added in queue order: while truth holds,
         the time the engine finishes the queue, to the bit, since each busy
-        start adds the next cost to the completion before it.  Costs and
-        drain time are kept until truth changes; the oracle's quote extends
-        them, so a call prices and adds only the tasks queued since the last.
+        start adds the next cost to the completion before it.  The engine
+        keeps it as it prices and reprices the queue, so this reads one float.
         An idle device has no backlog.
         """
         dev = self.devices[device]
-        costs = dev.true_costs
-        version = self.truth.version
-        if dev.true_costs_version != version:
-            costs.clear()
-            dev.true_costs_version = version
-            dev.drain = dev.completion_time
-        queue = dev.queue
-        if len(costs) < len(queue):
-            drain = dev.drain
-            for task in islice(queue, len(costs), None):
-                cost = self.truth.true_service_time(device, task)
-                costs.append(cost)
-                drain += cost
-            dev.drain = drain
         return 0.0 if dev.in_flight is None else dev.drain - now
 
     # -- event handlers --------------------------------------------------------
 
     def _apply_scenario(self, event: ScenarioEvent) -> None:
-        """Mutate truth, log, annotate unless hidden, then redispatch or flush.
+        """Mutate truth, reprice, log, annotate unless hidden, then redispatch or flush.
 
-        A device that just became unavailable hands its queue back to the
-        policy; one that just became available drains the pending buffer.
+        An event changes only its own device's truth, so only that device's
+        queue is repriced.  A device that just became unavailable hands its
+        queue back to the policy; one that just became available drains the
+        pending buffer.
         """
         self._epoch += 1
+        dev = self.devices[event.device]
         was_available = self.truth.is_available(event.device)
         self.truth.apply_event(event)
         available = self.truth.is_available(event.device)
         if available != was_available:
-            self.devices[event.device].snapshot = None
+            dev.snapshot = None
             self._index_available()
+        elif available and dev.queue:
+            self._reprice(dev)
         label = event.log_label
         self.event_log.append(
             f"{event.at_task} {self.now:.0f} {event.type} {event.device} "
@@ -404,11 +386,20 @@ class Engine:
         elif available and not was_available:
             self._flush_pending()
 
+    def _reprice(self, dev: _DeviceRuntime) -> None:
+        """Price every queued task under the device's new truth and refold the drain time."""
+        device = dev.device_id
+        dev.costs = deque(self.truth.true_service_time(device, task) for task in dev.queue)
+        drain = dev.completion_time
+        for cost in dev.costs:
+            drain += cost
+        dev.drain = drain
+
     def _redispatch_queue(self, device: int) -> None:
         dev = self.devices[device]
         orphans = list(dev.queue)
         dev.queue.clear()
-        dev.true_costs.clear()
+        dev.costs.clear()
         dev.drain = dev.completion_time
         dev.snapshot = None
         for task in orphans:
@@ -446,13 +437,9 @@ class Engine:
 
     def _dispatch(self, task: TaskSpec, device: int) -> None:
         dev = self.devices[device]
-        quoted, version, cost = dev.quote
-        # The oracle's quote is this task's true cost if it priced this task
-        # at this truth version and the cache covers every earlier queued task.
-        if quoted is task and version == dev.true_costs_version == self.truth.version:
-            if len(dev.true_costs) == len(dev.queue):
-                dev.true_costs.append(cost)
-                dev.drain += cost
+        cost = self.truth.true_service_time(device, task)
+        dev.costs.append(cost)
+        dev.drain += cost
         self._stamps[task.task_id] = (self.now, self.truth.stutter_indicator(device))
         dev.queue.append(task)
         dev.snapshot = None
@@ -465,16 +452,10 @@ class Engine:
         """Start the head of a non-empty queue on an idle, available device."""
         dev = self.devices[device]
         task = dev.queue.popleft()
-        costs = dev.true_costs
-        # true_service_time reads no clock: a cost cached at this version is fresh.
-        if costs and dev.true_costs_version == self.truth.version:
-            service = costs.popleft()
-        else:
-            costs.clear()
-            service = self.truth.true_service_time(device, task)
+        service = dev.costs.popleft()
         dev.in_flight = _new_tuple(InFlightView, (task, self.now))
         dev.completion_time = self.now + service
-        if not costs:  # else a busy start: the drain time begins with this addition
+        if not dev.costs:  # else a busy start: the drain time begins with this addition
             dev.drain = dev.completion_time
         dev.snapshot = None
         heapq.heappush(self._heap, (dev.completion_time, self._seq, device))

@@ -13,7 +13,7 @@ from _md5 import md5
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from ..profiles import LLM, SDXL, DevicePrior, is_finite_number, is_int
+from ..profiles import LLM, SDXL, DevicePrior, check_new_device, is_finite_number, is_int
 from .workload import TaskSpec
 
 STABLE = "Stable"
@@ -304,11 +304,10 @@ class GroundTruthState:
     amount that the agent must recover online.  ``service_jitter`` adds a
     bounded deterministic per-task wobble (0 disables it exactly).
 
-    Version contract: ``version`` counts the mutations made through
-    :meth:`apply_event`, the only method that changes truth; it also keeps
-    each device's ``factor`` equal to its ``factor_product()``.  The engine
-    caches true service times of queued tasks until the version moves, so a
-    direct write to a device's fields bypasses both.
+    :meth:`apply_event` is the only method that changes truth, and it
+    changes one device's.  It keeps that device's ``factor`` equal to its
+    ``factor_product()``, and the engine reprices the device's queued tasks
+    after it, so a direct write to a device's fields bypasses both.
     """
 
     def __init__(
@@ -321,9 +320,9 @@ class GroundTruthState:
         prior_error = prior_error or {}
         check_prior_error(prior_error)
         self.service_jitter = service_jitter
-        self.version = 0
         self.devices: dict[int, _DeviceTruth] = {}
         for prior in priors:
+            check_new_device(prior.device_id, self.devices)
             truth = _DeviceTruth(prior.device_id, prior.kind)
             error = prior_error.get(prior.device_id, 1.0)
             err_a, err_b = error if isinstance(error, tuple) else (error, error)
@@ -379,7 +378,6 @@ class GroundTruthState:
     # -- mutations driven by scenario events --------------------------------
 
     def apply_event(self, event: ScenarioEvent) -> None:
-        self.version += 1
         truth = self.devices[event.device]
         event.apply(truth)
         truth.factor = truth.factor_product()

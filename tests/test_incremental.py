@@ -1,4 +1,4 @@
-"""The fast path's and the oracle's cached backlogs equal a fresh rescan.
+"""The fast path's cached backlogs and the engine's kept true costs equal a fresh rescan.
 
 Each policy runs a whole overloaded experiment (lambda=2.0, so queues grow)
 while a wrapper around ``choose`` compares, at every decision, the backlog
@@ -7,17 +7,20 @@ every queued task afresh.  The comparison is ``==``: the caches must keep
 the float summation order, not just come close.  The same wrapper checks
 that each snapshot's queued tasks are the tasks of the engine's queue.
 
-The engine's own ground-truth pricing is checked the same way: every
-service start must equal a fresh price, although the engine reuses the
-oracle's cached and quoted costs, and the engine's tracked semantic labels
-must equal a rescan of the annotations.
+The engine's own ground-truth pricing is checked the same way.  It prices a
+task once at dispatch and reprices a device's queue after an event on it:
+at every decision each device's kept costs must equal a fresh price of its
+queue, every service start must equal a fresh price, and the oracle's
+backlog, the kept drain time minus now, must price nothing and read no
+queue.  The engine's tracked semantic labels must equal a rescan of the
+annotations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import Counter, deque
+from collections import deque
 
 import pytest
 from test_golden import MIXED_PLAN_ROWS
@@ -31,7 +34,7 @@ from edgesched.profiles import (
     load_profiles,
     priors_from_records,
 )
-from edgesched.router import BacklogMemo, FixedHeuristicPolicy, OraclePolicy, backlog_ms
+from edgesched.router import BacklogMemo, FixedHeuristicPolicy, OraclePolicy, RoundRobinPolicy, backlog_ms
 from edgesched.sim.engine import DeviceSnapshot, Engine, InFlightView
 from edgesched.sim.truth import GroundTruthState, _jitter_unit, builtin_plans, plan_from_dicts
 from edgesched.sim.workload import TaskSpec, generate_workload
@@ -339,50 +342,29 @@ def test_jitter_unit_equals_the_hashlib_formula():
     assert _jitter_unit(2, 9999) == -0.16313216788900753
 
 
-class QuotingPolicy:
-    """Oracle-access policy that quotes and routes at random.
-
-    A quote may be for an earlier task, on a device the policy does not pick,
-    or on a device whose cached costs do not cover its queue; the engine may
-    reuse a quote only when it is the exact cost of the dispatched entry.
-    """
-
-    name = "quoting"
-
-    def __init__(self) -> None:
-        self.rng = random.Random(11)
-        self.seen: dict[str, list[TaskSpec]] = {}
-
-    def attach_oracle(self, access) -> None:
-        self.access = access
-
-    def choose(self, task, obs):
-        candidates = obs.available_devices(task.kind)
-        if not candidates:
-            return None
-        rng = self.rng
-        seen = self.seen.setdefault(task.kind, [])
-        seen.append(task)
-        for device in candidates:
-            if rng.random() < 0.5:
-                self.access.true_backlog_ms(device, obs.now)
-            if rng.random() < 0.7:
-                quoted = task if rng.random() < 0.6 else rng.choice(seen)
-                self.access.true_service(device, quoted)
-        return rng.choice(candidates)
+def fresh_costs(engine: Engine, dev) -> list[float]:
+    """A fresh true price of every task in a device's queue, through no wrapper."""
+    return [GroundTruthState.true_service_time(engine.truth, dev.device_id, task) for task in dev.queue]
 
 
 class PricedEngine(Engine):
-    """Counts ground-truth prices and checks each service start against a fresh one."""
+    """Counts ground-truth prices and checks the engine's costs against fresh ones.
+
+    At every decision each device's kept costs must equal a fresh price of
+    its queue, and its drain time their fold; every service start must take
+    a fresh price.
+    """
 
     def __init__(self, truth, *args, **kwargs) -> None:
         super().__init__(truth, *args, **kwargs)
         self.events = 0  # ground-truth mutations
         self.calls = 0  # true_service_time calls, from anywhere
+        self.engine_calls = 0  # of which made by dispatches and reprices
         self.start_calls = 0  # of which made by service starts
+        self.dispatches = 0
+        self.repriced = 0  # queued tasks repriced after events
         self.starts = 0
-        self.reused = 0  # starts that took a cached cost
-        self.stale = 0  # starts that found cached costs of an older truth version
+        self.queued_checked = 0  # queued costs compared at decisions
         priced = truth.true_service_time
 
         def counting(device, task):
@@ -391,13 +373,30 @@ class PricedEngine(Engine):
 
         truth.true_service_time = counting
 
+    def _route(self, task) -> None:
+        for dev in self.devices.values():
+            assert list(dev.costs) == fresh_costs(self, dev), (task.task_id, dev.device_id)
+            drain = dev.completion_time
+            for cost in dev.costs:
+                drain += cost
+            assert dev.drain == drain, (task.task_id, dev.device_id)
+            self.queued_checked += len(dev.costs)
+        super()._route(task)
+
+    def _dispatch(self, task, device: int) -> None:
+        calls = self.calls
+        super()._dispatch(task, device)
+        self.engine_calls += self.calls - calls
+        self.dispatches += 1
+
+    def _reprice(self, dev) -> None:
+        calls = self.calls
+        super()._reprice(dev)
+        self.engine_calls += self.calls - calls
+        self.repriced += len(dev.queue)
+
     def _start_next(self, device: int) -> None:
         dev = self.devices[device]
-        if dev.true_costs:
-            if dev.true_costs_version == self.truth.version:
-                self.reused += 1
-            else:
-                self.stale += 1
         calls = self.calls
         super()._start_next(device)
         self.start_calls += self.calls - calls
@@ -409,8 +408,8 @@ class PricedEngine(Engine):
 
 
 def make_priced(
-    plan_name: str, policy_name: str, engine_class: type[PricedEngine] = PricedEngine, horizon: int = HORIZON
-) -> PricedEngine:
+    plan_name: str, policy_name: str, engine_class: type[Engine] = PricedEngine, horizon: int = HORIZON
+) -> Engine:
     """A lambda=2.0 engine (H=400 unless given) that checks the truth factor after every event."""
     records = load_profiles(default_profiles_path())
     priors = priors_from_records(records)
@@ -432,8 +431,8 @@ def make_priced(
     policy = {
         "e3": lambda: build_agent(priors, warmup_budget=DYNAMIC_PREFIX_TASKS),
         "fixed_heuristic": lambda: FixedHeuristicPolicy(priors),
+        "round_robin": RoundRobinPolicy,
         "oracle": OraclePolicy,
-        "quoting": QuotingPolicy,
     }[policy_name]()
     plan = plan_from_dicts(MIXED_PLAN_ROWS) if plan_name == "mixed" else builtin_plans(plan_name)
     engine = engine_class(truth, plan, generate_workload(horizon, LAMBDA), policy)
@@ -446,29 +445,25 @@ def run_priced(plan_name: str, policy_name: str) -> PricedEngine:
     return engine
 
 
-@pytest.mark.parametrize("policy_name", ["e3", "fixed_heuristic", "oracle", "quoting"])
+@pytest.mark.parametrize("policy_name", ["e3", "fixed_heuristic", "round_robin", "oracle"])
 @pytest.mark.parametrize("plan_name", PLANS)
 def test_every_service_start_equals_a_fresh_price(plan_name, policy_name):
     engine = run_priced(plan_name, policy_name)
     assert engine.starts == HORIZON
     assert engine.events == len(engine.plan.events)
-    if policy_name in ("e3", "fixed_heuristic"):
-        # Nothing else prices ground truth, so each started task costs one call.
-        assert engine.calls == engine.start_calls == engine.starts
-        assert engine.reused == engine.stale == 0
-    else:
-        # Starts take cached costs; under the oracle some find them stale.
-        assert engine.reused > 0
-        assert engine.stale > 0 or policy_name == "quoting"
-
-
-def test_oracle_prices_only_its_quotes_while_truth_holds():
-    """With no event, every queued and started cost is the oracle's decision price."""
-    engine = run_priced("warmup", "oracle")
-    # Two LLM or two SDXL devices are quoted per decision, and nothing else is priced.
-    assert engine.calls == 2 * HORIZON
+    assert engine.dispatches >= HORIZON
+    # Every decision compared the kept costs of long queues with fresh prices.
+    assert engine.queued_checked > 10 * HORIZON
+    # The engine prices each dispatch once and each queued task again after
+    # an event on its device; a start takes the kept cost.
     assert engine.start_calls == 0
-    assert engine.reused == engine.starts == HORIZON
+    assert engine.engine_calls == engine.dispatches + engine.repriced
+    # Churn's events hand queues back or find them empty; the others reprice.
+    assert (engine.repriced > 0) == (plan_name != "churn")
+    if policy_name == "oracle":
+        assert engine.calls > engine.engine_calls  # the oracle's own prices
+    else:
+        assert engine.calls == engine.engine_calls
 
 
 class WaitEngine(PricedEngine):
@@ -477,9 +472,9 @@ class WaitEngine(PricedEngine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.read: dict[int, float] = {}  # device -> backlog read in this decision
-        # task id -> (backlog read, device busy, truth version) of its latest dispatch
+        # task id -> (backlog read, device busy, events so far) of its latest dispatch
         self.dispatched: dict[int, tuple[float, bool, int]] = {}
-        self.start_version: dict[int, int] = {}
+        self.start_events: dict[int, int] = {}  # task id -> events before its start
 
     def true_backlog_ms(self, device: int, now: float) -> float:
         backlog = self.read[device] = super().true_backlog_ms(device, now)
@@ -491,23 +486,23 @@ class WaitEngine(PricedEngine):
 
     def _dispatch(self, task, device: int) -> None:
         busy = self.devices[device].in_flight is not None
-        self.dispatched[task.task_id] = (self.read[device], busy, self.truth.version)
+        self.dispatched[task.task_id] = (self.read[device], busy, self.events)
         super()._dispatch(task, device)
 
     def _start_next(self, device: int) -> None:
         super()._start_next(device)
-        self.start_version[self.devices[device].in_flight.task.task_id] = self.truth.version
+        self.start_events[self.devices[device].in_flight.task.task_id] = self.events
 
 
 @pytest.mark.parametrize("plan_name", ("warmup",) + PLANS)
 def test_oracle_backlog_is_the_wait_of_a_busy_dispatch(plan_name):
     """A task dispatched to a busy device starts after exactly the backlog the
-    oracle read for it, unless ground truth changed before its start."""
+    oracle read for it, unless a scenario event fired before its start."""
     engine = make_priced(plan_name, "oracle", WaitEngine)
     checked = 0
     for record in engine.run().records:
-        backlog, busy, version = engine.dispatched[record.task_id]
-        if busy and engine.start_version[record.task_id] == version:
+        backlog, busy, events = engine.dispatched[record.task_id]
+        if busy and engine.start_events[record.task_id] == events:
             assert record.start_time - record.dispatch_time == backlog, record.task_id
             checked += 1
     # Under overload, about half of the dispatches or more are checked.
@@ -527,23 +522,24 @@ class CountingQueue(deque):
             yield task
 
 
-class FoldCountEngine(PricedEngine):
+class BacklogCountEngine(Engine):
     """Counts what ``true_backlog_ms`` prices and reads of each queue."""
 
     def __init__(self, truth, *args, **kwargs) -> None:
         super().__init__(truth, *args, **kwargs)
         for dev in self.devices.values():
             dev.queue = CountingQueue()
+        self.events = 0
         self.calls = 0
         self.queued = 0  # queue lengths summed over the calls
         self.reads = 0  # queued tasks the calls read
-        self.priced: Counter = Counter()  # (device, task id, truth version) -> prices in a call
+        self.priced = 0  # true_service_time calls made inside the calls
         self._in_backlog = False
         price = truth.true_service_time
 
         def counting(device, task):
             if self._in_backlog:
-                self.priced[device, task.task_id, truth.version] += 1
+                self.priced += 1
             return price(device, task)
 
         truth.true_service_time = counting
@@ -560,41 +556,31 @@ class FoldCountEngine(PricedEngine):
         return backlog
 
 
-def test_oracle_backlog_reads_each_queue_once_per_truth_version():
-    """On an overload-sized oracle run (semantic, H=3000, lambda=2.0), no
-    queued task is priced or read twice by the backlog at one truth version,
-    though the queues run long."""
-    engine = make_priced("semantic", "oracle", FoldCountEngine, horizon=3000)
+def test_oracle_backlog_prices_nothing_and_reads_no_queue():
+    """On an overload-sized oracle run (semantic, H=3000, lambda=2.0) the
+    backlog reads the kept drain time, though the queues run long."""
+    engine = make_priced("semantic", "oracle", BacklogCountEngine, horizon=3000)
     assert len(engine.run().records) == 3000
     assert engine.queued > 20 * engine.calls  # the mean queue holds more than 20 tasks
-    assert engine.priced and max(engine.priced.values()) == 1
-    assert engine.reads <= len(engine.priced) < engine.calls
+    assert engine.calls > 3000
+    assert engine.priced == engine.reads == 0
 
 
-class ScriptedQuotes:
-    """Oracle-access policy that, per decision, quotes some devices for the task and picks one."""
+class ScriptedPicks:
+    """Policy that picks, per decision, the next device its script names for the task."""
 
-    name = "scripted_quotes"
+    name = "scripted_picks"
 
-    def __init__(self, script: dict[int, list[tuple[tuple[int, ...], int]]]) -> None:
+    def __init__(self, script: dict[int, list[int]]) -> None:
         self.script = script
 
-    def attach_oracle(self, access) -> None:
-        self.access = access
-
     def choose(self, task, obs):
-        quoted, pick = self.script[task.task_id].pop(0)
-        for device in quoted:
-            self.access.true_backlog_ms(device, obs.now)
-            self.access.true_service(device, task)
-        # The pick's cached costs cover its queue at the current version.
-        self.access.true_backlog_ms(pick, obs.now)
-        return pick
+        return self.script[task.task_id].pop(0)
 
 
-def test_a_quote_from_an_older_truth_version_is_not_reused(fixture_priors):
-    """Task 1 is quoted on device 0, queued on device 1, then device 0 degrades
-    and device 1 leaves; its redispatch to device 0 must price it afresh."""
+def test_a_redispatched_task_is_priced_on_its_new_device(fixture_priors):
+    """Tasks 1 and 2 queue on device 1 while device 0 degrades; device 1 then
+    leaves, and their redispatch to device 0 prices them under its truth."""
     tasks = [TaskSpec(k, LLM, 1000.0 * k, 100, 100) for k in range(4)]
     plan = plan_from_dicts([
         {"type": "semantic_onset", "at_task": 2, "device": 0, "label": "game"},
@@ -602,12 +588,14 @@ def test_a_quote_from_an_older_truth_version_is_not_reused(fixture_priors):
         {"type": "device_return", "at_task": 5, "device": 1},
         {"type": "semantic_offset", "at_task": 6, "device": 0, "label": "game"},
     ])
-    script = {0: [((), 1)], 1: [((0,), 1), ((), 0)], 2: [((), 1), ((), 0)], 3: [((), 0)]}
+    script = {0: [1], 1: [1, 0], 2: [1, 0], 3: [0]}
     truth = GroundTruthState(fixture_priors[:2])
-    engine = PricedEngine(truth, plan, tasks, ScriptedQuotes(script))
-    engine.run()
-    assert engine.starts == len(tasks)
+    engine = PricedEngine(truth, plan, tasks, ScriptedPicks(script))
+    records = engine.run().records
     assert not any(script.values())  # every scripted decision was taken
+    assert engine.starts == len(tasks)
+    assert engine.dispatches == len(tasks) + 2
+    assert [r.device_id for r in sorted(records, key=lambda r: r.task_id)] == [1, 0, 0, 0]
 
 
 def rescanned_semantic_labels(annotations) -> dict[str, str]:

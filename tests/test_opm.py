@@ -17,6 +17,7 @@ from edgesched.opm import (
 )
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.sim.engine import ExecutionRecord
+from edgesched.sim.truth import GroundTruthState
 from edgesched.sim.workload import TOKEN_BIN_CYCLE, TaskSpec
 
 
@@ -73,6 +74,21 @@ def test_seed_empty_and_duplicate():
     opm2 = Opm()
     with pytest.raises(ValueError, match="duplicate"):
         opm2.seed([DevicePrior(0, LLM, 1.0, 50.0), DevicePrior(0, LLM, 2.0, 80.0)])
+    # One id for two kinds is one device listed twice, not two devices.
+    mixed = [DevicePrior(0, LLM, 1.0, 50.0), DevicePrior(0, SDXL, gamma0=4000.0)]
+    with pytest.raises(ValueError, match="duplicate prior for device 0"):
+        Opm().seed(mixed)
+    opm3 = Opm()
+    opm3.seed(mixed[:1])
+    with pytest.raises(ValueError, match="duplicate prior for device 0"):
+        opm3.seed(mixed[1:])
+
+
+@pytest.mark.parametrize("second_kind", [LLM, SDXL])
+def test_ground_truth_rejects_a_repeated_device_id(second_kind):
+    second = DevicePrior(0, LLM, 2.0, 80.0) if second_kind == LLM else DevicePrior(0, SDXL, gamma0=4000.0)
+    with pytest.raises(ValueError, match="duplicate prior for device 0"):
+        GroundTruthState([DevicePrior(0, LLM, 1.0, 50.0), second])
 
 
 # --- causal ingestion ----------------------------------------------------------
