@@ -21,7 +21,9 @@ VIEW = ObservableState(
 )
 
 
-def make_fast_path(config, overrides):
+def make_fast_path(policy, overrides):
+    config = RouterConfig()  # starts in plain mode; in a run, only a tool changes it
+    config.policy = policy
     opm = Opm()
     opm.seed(
         [
@@ -46,22 +48,22 @@ def main():
     print("incoming LLM task (512 in, 64 out); device 0 has one queued task\n")
 
     overrides = RiskOverrideTable()
-    fast = make_fast_path(RouterConfig(policy="sect"), overrides)
+    fast = make_fast_path("sect", overrides)
     show_scores("plain scoring", fast, task)
 
-    fast = make_fast_path(RouterConfig(policy="explore_risk"), overrides)
+    fast = make_fast_path("explore_risk", overrides)
     show_scores("exploration on (cold start, u=1)", fast, task)
 
     overrides = RiskOverrideTable()
     overrides.set(1, ttl=50)
-    fast = make_fast_path(RouterConfig(policy="sect"), overrides)
+    fast = make_fast_path("sect", overrides)
     chosen = show_scores("device 1 risk-flagged", fast, task)
     assert chosen == 0, "hard avoidance must exclude the flagged device"
 
     overrides = RiskOverrideTable()
     overrides.set(0, ttl=50)
     overrides.set(1, ttl=50)
-    fast = make_fast_path(RouterConfig(policy="sect"), overrides)
+    fast = make_fast_path("sect", overrides)
     show_scores("all devices flagged (route-anyway)", fast, task)
 
     print("\nTTL bookkeeping: overrides expire after N dispatched tasks")

@@ -17,7 +17,6 @@ from edgesched.metacontrol import (
     MetaController,
     TriggerState,
     evaluate_triggers,
-    warmup_points,
 )
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.sim.engine import EventAnnotation
@@ -54,7 +53,7 @@ def onset_at(task):
 def main():
     logging.disable(logging.WARNING)  # keep the narrative output clean
     print("trigger evaluation:")
-    state = TriggerState(warmup_points=warmup_points(30))
+    state = TriggerState()
     def onset(task):
         return Invocation("semantic_onset", task, device=0, label="game")
 

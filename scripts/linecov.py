@@ -4,10 +4,10 @@ A stdlib line tracer (``sys.settrace``; no package, no network).  It runs
 tier-1 in-process, then the six presets through ``edgesched.cli.main``, each
 at the default settings and again at ``--horizon 600 --lambda 2.0
 --trace-decisions``, with artifacts written to a temporary directory.  It
-prints the ``src/edgesched`` statements that none of these runs executes,
-then those that only tier-1 executes, and exits nonzero when tier-1 fails,
-a never-run statement is not on :data:`ALLOWLIST`, or an allowlist entry
-names no never-run statement.
+prints the ``src/**/*.py`` line count, the ``src/edgesched`` statements that
+none of these runs executes, then those that only tier-1 executes, and exits
+nonzero when tier-1 fails, a never-run statement is not on
+:data:`ALLOWLIST`, or an allowlist entry names no never-run statement.
 
 A statement is counted once, at its first line, and runs when any line of it
 (for a compound statement, of its header) does.  Lines in a subprocess that a
@@ -194,19 +194,21 @@ def main() -> int:
     status = run_tier1(tests)
     run_cli(cli)
 
-    owners, keys = {}, {}
+    owners, keys, total_lines = {}, {}, 0
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = _rel(str(path))
         owners[rel] = statements(path)
-        source = path.read_text(encoding="utf-8").splitlines()
+        text = path.read_text(encoding="utf-8")
+        total_lines += text.count("\n")  # as `wc -l` counts them
+        source = text.splitlines()
         for first, scope in owners[rel].values():
             keys[(rel, first)] = (rel, scope, source[first - 1].strip())
     by_tests, by_cli = _executed(tests.hits, owners), _executed(cli.hits, owners)
     never = sorted(set(keys) - by_tests - by_cli)
     only_tests = sorted(by_tests - by_cli)
 
-    print(f"\n{len(keys)} statements in src/edgesched: {len(never)} never run, "
-          f"{len(only_tests)} run only under tier-1")
+    print(f"\n{len(keys)} statements in src/edgesched ({total_lines} lines of src/**/*.py): "
+          f"{len(never)} never run, {len(only_tests)} run only under tier-1")
     print("\nNever run:")
     matched = [keys[stmt] for stmt in never]
     failures = 0

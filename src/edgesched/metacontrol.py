@@ -24,7 +24,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 
-from .opm import DRIFT_WINDOW_MS, Opm, UnknownDeviceError
+from .opm import DRIFT_WINDOW_MS, WINDOW_CAPACITY, Opm, UnknownDeviceError
 from .profiles import DevicePrior, is_finite_number, is_int, model_kind
 from .router import (
     DEFAULT_RISK_TTL_TASKS,
@@ -41,7 +41,6 @@ MAX_TOOL_ROUNDS = 2
 MIN_NONEVENT_GAP = 20
 WARMUP_REFIT_PERIOD = 5
 ANOMALY_COOLDOWN = 20
-ALARM_MIN_SAMPLES = 3
 # Annotation type -> invocation reason.  A departure needs no invocation: the
 # feasible set and re-dispatch handle it; a return triggers an estimate refresh.
 ANNOTATION_REASONS = {
@@ -102,9 +101,8 @@ TOOLS = {
 class TriggerState:
     """Suppression bookkeeping for the event-driven controller."""
 
-    warmup_points: frozenset[int] = frozenset()
     last_invocation_task: int = -(10**9)
-    cooldowns: dict[tuple, float] = field(default_factory=dict)
+    cooldowns: dict[tuple, int] = field(default_factory=dict)  # signature -> first task it fires again
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,8 @@ def evaluate_triggers(candidate: Invocation, state: TriggerState) -> Invocation 
 
     A residual alarm fires once ``MIN_NONEVENT_GAP`` tasks have passed since
     the last invocation, whatever its device and model, and sets no cooldown.
-    Any other candidate's signature is (reason, device, label): a fired
-    warmup point holds it for the rest of the run, an annotation for
-    ``ANOMALY_COOLDOWN`` tasks.
+    Any other candidate (an annotation or a warmup point) holds its signature,
+    (reason, device, label), for ``ANOMALY_COOLDOWN`` tasks.
     """
     now = candidate.task_index
     if candidate.reason == "residual_alarm":
@@ -137,8 +134,7 @@ def evaluate_triggers(candidate: Invocation, state: TriggerState) -> Invocation 
         signature = (candidate.reason, candidate.device, candidate.label)
         if now < state.cooldowns.get(signature, -(10**9)):
             return None
-        forever = candidate.reason == "warmup_point"
-        state.cooldowns[signature] = float("inf") if forever else now + ANOMALY_COOLDOWN
+        state.cooldowns[signature] = now + ANOMALY_COOLDOWN
     state.last_invocation_task = now
     return candidate
 
@@ -217,7 +213,8 @@ class MetaController:
         self.audit = AuditLog()
         self.adapter = adapter
         self.transport = transport
-        self.trigger_state = TriggerState(warmup_points(warmup_budget))
+        self.warmup_points = warmup_points(warmup_budget)
+        self.trigger_state = TriggerState()
         self.telemetry = None
         self.invocations: list[Invocation] = []
         self.tool_calls = 0
@@ -333,7 +330,7 @@ class MetaController:
         return self.config.to_dict(), {"explore_weight_ms": {"old": old, "new": explore_weight_ms}}
 
     def _tool_trigger_online_profile_update(
-        self, window: int = 40, min_samples: int = 1
+        self, window: int = WINDOW_CAPACITY, min_samples: int = 1
     ) -> tuple[dict, dict]:
         statuses = self.opm.refit_all(min_samples, window)
         refit = {str(d): s for d, s in statuses.items()}
@@ -357,13 +354,12 @@ class MetaController:
 
     # -- engine-facing hooks -----------------------------------------------------
 
-    def on_task_arrival(self, task_index: int, now: float) -> None:
+    def on_task_arrival(self, task_index: int) -> None:
         if 0 < task_index < self.warmup_budget and task_index % WARMUP_REFIT_PERIOD == 0:
             self.opm.refit_all(min_samples=1)  # before a warmup point at this task fires
-        points = self.trigger_state.warmup_points
-        if task_index in points:
+        if task_index in self.warmup_points:
             # Of two points the earlier is "first"; a single point is "last".
-            first = task_index == min(points) and len(points) > 1
+            first = task_index < max(self.warmup_points)
             self._invoke(Invocation("warmup_point", task_index, label="first" if first else "last"))
 
     def on_annotation(self, annotation, now_task: int) -> None:
@@ -375,7 +371,7 @@ class MetaController:
         ratio, count = self.opm.drift_ratio(
             record.device_id, record.kind, DRIFT_WINDOW_MS, now
         )
-        if self.opm.is_drift_alarm(ratio, count, ALARM_MIN_SAMPLES):
+        if self.opm.is_drift_alarm(ratio, count):
             self._invoke(
                 Invocation(
                     "residual_alarm", now_task, device=record.device_id, model=record.kind,
@@ -396,7 +392,7 @@ def scripted_policy(invocation: Invocation, meta: MetaController) -> list[ToolCa
 
     A residual alarm records the drift ratio that raised it and refits.  It
     does not calibrate: the refit always updates the alarm's device, which
-    has at least :data:`ALARM_MIN_SAMPLES` records, and would reset the
+    has at least :data:`opm.ALARM_MIN_SAMPLES` records, and would reset the
     calibration before any prediction read it.
     """
     reason = invocation.reason
@@ -415,20 +411,20 @@ def scripted_policy(invocation: Invocation, meta: MetaController) -> list[ToolCa
                 "compute_drift",
                 {"device": device, "model": invocation.model, "window_ms": DRIFT_WINDOW_MS},
             ),
-            ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3}),
+            ToolCall("trigger_online_profile_update", {"window": WINDOW_CAPACITY, "min_samples": 3}),
         ]
     elif reason == "warmup_point" and invocation.label == "first":
         # Explore mode uses the configured weight; the controller sets none.
         calls = [ToolCall("switch_router", {"router": EXPLORE_RISK})]
     elif reason == "warmup_point":
         calls = [
-            ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 1}),
+            ToolCall("trigger_online_profile_update", {"window": WINDOW_CAPACITY, "min_samples": 1}),
             ToolCall("switch_router", {"router": SECT}),
         ]
     elif reason == "churn_event":
         calls = [
             ToolCall("get_system_status", {}),
-            ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3}),
+            ToolCall("trigger_online_profile_update", {"window": WINDOW_CAPACITY, "min_samples": 3}),
         ]
     for call in calls:
         meta.execute_tool(call)

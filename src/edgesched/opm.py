@@ -26,6 +26,7 @@ from .sim.engine import ExecutionRecord
 # Residual mismatch above this observed/predicted ratio counts as drift.
 DRIFT_THRESHOLD = 1.3
 DRIFT_WINDOW_MS = 60_000.0
+ALARM_MIN_SAMPLES = 3
 CALIBRATION_SMOOTHING = 0.3
 WINDOW_CAPACITY = 40
 HISTORY_CAPACITY = 256
@@ -282,9 +283,9 @@ class Opm:
             return (1.0 if mean_obs <= 0.0 else float("inf")), count
         return mean_obs / mean_pred, count
 
-    def is_drift_alarm(self, ratio: float, sample_count: int, min_samples: int = 3) -> bool:
-        """Alarm rule: strictly above threshold with enough evidence."""
-        return ratio > DRIFT_THRESHOLD and sample_count >= min_samples
+    def is_drift_alarm(self, ratio: float, sample_count: int) -> bool:
+        """Alarm rule: strictly above threshold over at least ``ALARM_MIN_SAMPLES`` records."""
+        return ratio > DRIFT_THRESHOLD and sample_count >= ALARM_MIN_SAMPLES
 
     def apply_calibration(
         self, device: int, kind: str, observed_ratio: float

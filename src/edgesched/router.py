@@ -15,11 +15,11 @@ the tasks appended since the last look.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .opm import Opm, left_sum
-from .profiles import DevicePrior, is_finite_number, is_int
+from .profiles import DevicePrior, is_int
 from .sim.engine import DeviceSnapshot, ObservableState, OracleAccess
 from .sim.workload import TaskSpec
 
@@ -36,20 +36,10 @@ DEFAULT_RISK_TTL_TASKS = 50
 
 @dataclass
 class RouterConfig:
-    """Mutable fast-path configuration (the slow path adjusts it via tools)."""
+    """Fast-path settings; only the ``switch_router`` and ``set_router_params`` tools set them."""
 
-    policy: str = SECT
-    explore_weight_ms: float = DEFAULT_EXPLORE_WEIGHT_MS
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if self.policy not in ROUTER_CHOICES:
-            raise ValueError(f"policy must be one of {ROUTER_CHOICES}, got {self.policy!r}")
-        value = self.explore_weight_ms
-        if not is_finite_number(value) or value < 0:
-            raise ValueError(f"explore_weight_ms must be a finite number >= 0, got {value!r}")
+    policy: str = field(default=SECT, init=False)
+    explore_weight_ms: float = field(default=DEFAULT_EXPLORE_WEIGHT_MS, init=False)
 
     def to_dict(self) -> dict:
         return {"policy": self.policy, "explore_weight_ms": self.explore_weight_ms}
@@ -58,8 +48,8 @@ class RouterConfig:
 class RiskOverrideTable:
     """Device risk flags, each with the number of tasks it has left.
 
-    The TTL is decremented once per dispatched task globally (first dispatch
-    of each task), not per task routed to the flagged device.
+    Every TTL is decremented once per task, when the engine dispatches it
+    for the first time (``on_first_dispatch``), wherever it is routed.
     """
 
     def __init__(self) -> None:
@@ -321,26 +311,19 @@ class AdaptiveAgentPolicy(FastPath):
     def __init__(self, meta: MetaController, trace: list | None = None) -> None:
         super().__init__(meta.opm, meta.overrides, meta.config, trace)
         self.meta = meta
-        self._dispatched: set[int] = set()
 
     choose = FastPath.choose
 
     def attach_telemetry(self, telemetry) -> None:
         self.meta.attach_telemetry(telemetry)
 
-    def on_task_arrival(self, task_index: int, now: float) -> None:
-        self.meta.on_task_arrival(task_index, now)
+    def on_task_arrival(self, task_index: int) -> None:
+        self.meta.on_task_arrival(task_index)
 
-    def on_dispatch(self, task: TaskSpec, device: int, now: float) -> None:
-        if task.task_id in self._dispatched:
-            return
-        self._dispatched.add(task.task_id)
+    def on_first_dispatch(self, task: TaskSpec) -> None:
         self.overrides.decrement()
 
     def on_completion(self, record, now: float, now_task: int) -> None:
-        # A completed task is never dispatched again, so the set keeps only
-        # queued and in-flight ids (a redispatch must not decrement twice).
-        self._dispatched.discard(record.task_id)
         self.opm.ingest_feedback(record, now)
         self.meta.on_feedback(record, now, now_task)
 

@@ -1,12 +1,17 @@
 """Deterministic discrete-event engine with per-device FIFO single-server queues.
 
 The engine is the only component that touches :class:`GroundTruthState`.
-At each routing decision a policy sees a :class:`DecisionView` (feasible
-devices, queue contents, exposed event annotations) with the read surface of
-:class:`ObservableState`, and it receives :class:`ExecutionRecord` feedback
-strictly at completion time.  A view builds a device's snapshot only when the
-policy reads it, and it is valid only for its decision: once the engine moves
-on, reading device state through it raises :class:`EngineError`.
+At each routing decision it calls ``policy.choose(task, view)`` with a
+:class:`DecisionView` (feasible devices, queue contents, exposed event
+annotations) that has the read surface of :class:`ObservableState`.  A view
+builds a device's snapshot only when the policy reads it, and it is valid
+only for its decision: once the engine moves on, reading device state
+through it raises :class:`EngineError`.  A policy may also define the hooks
+``on_task_arrival(task_index)``, ``on_annotation(annotation, now_task)``,
+``on_first_dispatch(task)`` (once per task, not again when a leaving device
+hands it back), ``attach_oracle(access)``, ``attach_telemetry(telemetry)``
+and ``on_completion(record, now, now_task)``, which gets the task's
+:class:`ExecutionRecord` strictly at completion time.
 
 Scenario events are timed in tasks: an event at ``at_task = k`` fires at the
 arrival time of the ``k``-th arrival, just before it arrives.  Same-time
@@ -267,7 +272,7 @@ class Engine:
         # Callbacks, looked up once; an optional one is None when absent.
         self._choose = policy.choose
         self._on_task_arrival = getattr(policy, "on_task_arrival", None)
-        self._on_dispatch = getattr(policy, "on_dispatch", None)
+        self._on_first_dispatch = getattr(policy, "on_first_dispatch", None)
         self._on_completion = getattr(policy, "on_completion", None)
         self._on_annotation = getattr(policy, "on_annotation", None)
         if hasattr(policy, "attach_oracle"):
@@ -440,11 +445,12 @@ class Engine:
         cost = self.truth.true_service_time(device, task)
         dev.costs.append(cost)
         dev.drain += cost
+        first = task.task_id not in self._stamps  # a redispatched task keeps its stamp
         self._stamps[task.task_id] = (self.now, self.truth.stutter_indicator(device))
         dev.queue.append(task)
         dev.snapshot = None
-        if self._on_dispatch is not None:
-            self._on_dispatch(task, device, self.now)
+        if first and self._on_first_dispatch is not None:
+            self._on_first_dispatch(task)
         if dev.in_flight is None:
             self._start_next(device)
 
@@ -525,7 +531,7 @@ class Engine:
                 self._complete()
             self._arrived_tasks = k + 1
             if self._on_task_arrival is not None:
-                self._on_task_arrival(k, arrival_time)
+                self._on_task_arrival(k)
             self._route(task)
         while heap:
             self._complete()

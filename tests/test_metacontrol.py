@@ -135,17 +135,11 @@ def test_residual_alarm_is_governed_by_the_gap_alone():
 
 
 def test_warmup_tick_fires_once_per_point():
-    state = TriggerState(warmup_points=warmup_points(30))
-    assert 5 not in state.warmup_points  # so on_task_arrival(5) builds no candidate
-    first = evaluate_triggers(Invocation("warmup_point", 10, label="first"), state)
-    assert first is not None and first.label == "first"
-    assert evaluate_triggers(Invocation("warmup_point", 10, label="first"), state) is None
-    last = evaluate_triggers(Invocation("warmup_point", 30, label="last"), state)
-    assert last is not None and last.label == "last"
-    assert evaluate_triggers(Invocation("warmup_point", 10**9, label="last"), state) is None
+    # The engine announces each task index once, so each point is a candidate once.
     meta = make_controller(warmup_budget=30)
+    assert meta.warmup_points == {10, 30}
     for task_index in range(40):
-        meta.on_task_arrival(task_index, 0.0)
+        meta.on_task_arrival(task_index)
     assert [(i.task_index, i.label) for i in meta.invocations] == [(10, "first"), (30, "last")]
 
 
@@ -166,7 +160,7 @@ def test_the_controller_refits_every_five_tasks_below_the_warmup_budget():
         t = 1000.0 * k
         opm.ingest_feedback(ExecutionRecord(k, device, kind, t, t, t, t, 900.0, 900.0, n_in, n_out, 0), t)
         before = len(opm.oplog)
-        meta.on_task_arrival(k, t)
+        meta.on_task_arrival(k)
         after[k] = len(opm.oplog)
         refits[k] = opm.oplog[before:]
     scheduled = [("refit", 0, LLM, 1, None), ("refit", 2, SDXL, 1, None)]
@@ -183,7 +177,7 @@ def test_the_controller_refits_every_five_tasks_below_the_warmup_budget():
 
 def test_single_warmup_point_is_treated_as_last():
     meta = make_controller(warmup_budget=5)
-    meta.on_task_arrival(5, 0.0)
+    meta.on_task_arrival(5)
     [inv] = meta.invocations
     assert inv is not None and inv.label == "last"
 
@@ -235,7 +229,7 @@ class AlarmingOpm:
     def drift_ratio(self, device, kind, window_ms, now):
         return self.alarm
 
-    def is_drift_alarm(self, ratio, count, min_samples):
+    def is_drift_alarm(self, ratio, count):
         return True
 
     def refit_all(self, min_samples=1, window=None):  # the warmup schedule's refits
@@ -265,7 +259,7 @@ def test_one_rule_fires_what_the_three_branch_rule_fired(budget, monkeypatch):
         if rng.random() < 0.6:  # the engine announces every arrival once, in order
             task = arrivals
             arrivals += 1
-            meta.on_task_arrival(task, 0.0)
+            meta.on_task_arrival(task)
             feed(("warmup",), task)
         elif rng.random() < 0.2:
             device, type_ = rng.randrange(3), rng.choice(annotation_types)
@@ -361,8 +355,9 @@ def test_switch_router_and_params():
         "old": "sect",
         "new": "explore_risk",
     }
-    bad = meta.execute_tool(ToolCall("switch_router", {"router": "random"}))
-    assert not bad.ok
+    for router in ("random", "bogus"):
+        bad = meta.execute_tool(ToolCall("switch_router", {"router": router}))
+        assert not bad.ok and meta.config.policy == "explore_risk"
     result = meta.execute_tool(ToolCall("set_router_params", {"explore_weight_ms": 1500}))
     assert result.ok
     assert meta.config.explore_weight_ms == 1500
@@ -380,6 +375,9 @@ def test_switch_router_and_params():
         {"explore_weight_ms": 100.0, "risk_penalty_ms": -1},
         {},
         {"risk_penalty_ms": 1000},
+        {"explore_weight_ms": float("inf")},
+        {"explore_weight_ms": "5"},
+        {"explore_weight_ms": -1},
     ],
 )
 def test_set_router_params_rejects_bad_values_and_keeps_config(arguments):
@@ -948,9 +946,9 @@ def test_adapter_second_round_failure_keeps_the_first_rounds_calls(caplog):
 
 def test_controller_without_telemetry_cannot_run_an_invocation():
     meta = MetaController([DevicePrior(0, LLM, alpha0=1.0, beta0=50.0)], warmup_budget=10)
-    meta.on_task_arrival(9, 0.0)  # no trigger, so nothing needs telemetry
+    meta.on_task_arrival(9)  # no trigger, so nothing needs telemetry
     with pytest.raises(RuntimeError, match="meta-controller has no telemetry attached"):
-        meta.on_task_arrival(10, 0.0)
+        meta.on_task_arrival(10)
 
 
 # --- adapter doubles inside an engine run ------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import make_truth
 from edgesched.harness import DYNAMIC_PREFIX_TASKS, PRESETS, build_agent
-from edgesched.metacontrol import MetaController
 from edgesched.opm import Opm
 from edgesched.profiles import (
     LLM,
@@ -59,6 +58,13 @@ def bound(opm, devices, config=None, overrides=None, now=0.0, trace=None):
     return state
 
 
+def explore_config():
+    """A router config in explore mode, as the ``switch_router`` tool leaves it."""
+    config = RouterConfig()
+    config.policy = "explore_risk"
+    return config
+
+
 def seeded_state(priors, config=None, overrides=None, devices=None, now=0.0, trace=None):
     opm = Opm()
     opm.seed(priors)
@@ -85,7 +91,7 @@ def score_fixture(config=None, overrides=None):
 
 
 def test_score_plain_mode_sums_backlog_and_prediction():
-    state, task = score_fixture(config=RouterConfig(policy="sect"))
+    state, task = score_fixture(config=RouterConfig())
     assert score(0, task, state) == pytest.approx(3000.0)
 
 
@@ -93,19 +99,19 @@ def test_score_ignores_the_risk_flag():
     # The gate in select_e3 handles risk; a flagged device scores as a safe one.
     overrides = RiskOverrideTable()
     overrides.set(0, ttl=10)
-    state, task = score_fixture(config=RouterConfig(policy="sect"), overrides=overrides)
+    state, task = score_fixture(config=RouterConfig(), overrides=overrides)
     assert score(0, task, state) == pytest.approx(3000.0)
 
 
 def test_score_explore_mode_subtracts_uncertainty_bonus():
-    state, task = score_fixture(config=RouterConfig(policy="explore_risk"))
+    state, task = score_fixture(config=explore_config())
     # Cold start: n = 0 so the uncertainty is 1 and the full bonus applies.
     assert score(0, task, state) == pytest.approx(1000.0)
 
 
 def test_scores_may_go_negative():
     priors = [DevicePrior(0, LLM, alpha0=0.001, beta0=0.0)]
-    state = seeded_state(priors, config=RouterConfig(policy="explore_risk"))
+    state = seeded_state(priors, config=explore_config())
     task = TaskSpec(0, LLM, 0.0, 256, 32)
     assert score(0, task, state) < 0
 
@@ -274,7 +280,7 @@ def test_baselines_have_no_learned_or_risk_inputs():
     assert not hasattr(rr, "overrides")
     for policy in (fh, rr):
         # Without engine callbacks nothing can feed a baseline's state.
-        for hook in ("on_task_arrival", "on_dispatch", "on_completion", "on_annotation"):
+        for hook in ("on_task_arrival", "on_first_dispatch", "on_completion", "on_annotation"):
             assert not hasattr(policy, hook), (policy.name, hook)
 
 
@@ -346,71 +352,45 @@ def test_set_rejects_a_ttl_that_is_not_an_int(ttl):
     assert table.devices() == []
 
 
-def test_agent_decrements_ttl_once_per_unique_task():
-    agent = AdaptiveAgentPolicy(MetaController([DevicePrior(0, LLM, alpha0=1.0, beta0=1.0)]))
-    agent.overrides.set(0, ttl=2)
-    task = TaskSpec(0, LLM, 0.0, 256, 32)
-    agent.on_dispatch(task, 0, 0.0)
-    agent.on_dispatch(task, 0, 100.0)  # re-dispatch of the same task
-    assert agent.overrides.is_risky(0)
-    agent.on_dispatch(TaskSpec(1, LLM, 2000.0, 256, 32), 0, 2000.0)
-    assert not agent.overrides.is_risky(0)
-
-
-def test_dispatched_ids_are_only_the_queued_and_in_flight_tasks():
-    """On an overloaded churn run, departures redispatch queued tasks; after
-    every completion the agent's dispatched-id set holds only tasks that are
-    queued, in flight or waiting for a device."""
+def test_first_dispatch_runs_once_per_task_and_ttls_count_distinct_tasks():
+    """On an overloaded churn run, departures hand queued tasks back for
+    redispatch; the engine still calls ``on_first_dispatch`` once per task id,
+    so a risk flag set with ttl k expires at the k-th distinct task."""
     priors = priors_from_records(load_profiles(default_profiles_path()))
     truth = GroundTruthState(
         priors, prior_error=PRESETS["churn"]["prior_error"], service_jitter=0.15
     )
     agent = build_agent(priors, warmup_budget=DYNAMIC_PREFIX_TASKS)
-    seen: set[int] = set()
-    redispatches = 0
-    largest = 0
-    on_dispatch = agent.on_dispatch
+    ttl = 300
+    firsts: list[int] = []
+    risky_after: list[bool] = []  # after each first dispatch's decrement
+    on_first_dispatch = agent.on_first_dispatch
 
-    def counting_dispatch(task, device, now):
-        nonlocal redispatches
-        redispatches += task.task_id in seen
-        seen.add(task.task_id)
-        on_dispatch(task, device, now)
+    def counting_first_dispatch(task):
+        if not firsts:
+            agent.overrides.set(0, ttl)
+        firsts.append(task.task_id)
+        on_first_dispatch(task)
+        risky_after.append(agent.overrides.is_risky(0))
 
-    agent.on_dispatch = counting_dispatch
-    on_completion = agent.on_completion
-
-    def checked_completion(record, now, now_task):
-        nonlocal largest
-        on_completion(record, now, now_task)
-        devices = engine.devices.values()
-        live = {t.task_id for dev in devices for t in dev.queue}
-        live |= {dev.in_flight.task.task_id for dev in devices if dev.in_flight}
-        live |= {t.task_id for t in engine._pending}
-        assert agent._dispatched <= live, record.task_id
-        largest = max(largest, len(agent._dispatched))
-
-    agent.on_completion = checked_completion
+    agent.on_first_dispatch = counting_first_dispatch
     workload = generate_workload(600, 2.0)
     engine = Engine(truth, builtin_plans("churn"), workload, agent)
+    seen: set[int] = set()
+    redispatched_at: list[int] = []  # first dispatches so far at each redispatch
+    dispatch = engine._dispatch
+
+    def counting_dispatch(task, device):
+        if task.task_id in seen:
+            redispatched_at.append(len(firsts))
+        seen.add(task.task_id)
+        dispatch(task, device)
+
+    engine._dispatch = counting_dispatch
     engine.run()
-    assert redispatches > 0
-    assert 0 < largest < len(workload)
-    assert agent._dispatched == set()
-
-
-def test_router_config_validation():
-    with pytest.raises(ValueError):
-        RouterConfig(policy="bogus")
-    with pytest.raises(ValueError):
-        RouterConfig(explore_weight_ms=-1)
-
-
-@pytest.mark.parametrize("field", ["explore_weight_ms"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "5"])
-def test_router_config_rejects_non_finite_bool_and_text(field, value):
-    with pytest.raises(ValueError, match=field):
-        RouterConfig(**{field: value})
+    assert sorted(firsts) == [task.task_id for task in workload]
+    assert redispatched_at and min(redispatched_at) < ttl  # some while the flag is up
+    assert risky_after == [n < ttl for n in range(1, len(workload) + 1)]
 
 
 def test_oracle_choose_before_any_engine_attached_it_is_an_error():

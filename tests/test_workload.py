@@ -54,3 +54,10 @@ def test_invalid_parameters_rejected():
         generate_workload(-1, lam=0.5)
     with pytest.raises(ValueError):
         generate_workload(4, lam=0.0)
+
+
+@pytest.mark.parametrize("horizon", [True, 3.0, "3", None])
+def test_horizon_must_be_an_int(horizon):
+    # A bool is an int to range(), and a float used to fail there with a bare TypeError.
+    with pytest.raises(ValueError, match=f"horizon must be an int >= 0, got {horizon!r}"):
+        generate_workload(horizon)
