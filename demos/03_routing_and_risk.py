@@ -16,7 +16,7 @@ from edgesched.sim import DeviceSnapshot, ObservableState, TaskSpec
 QUEUED = (TaskSpec(90, LLM, 0.0, 512, 64),)  # 3712 ms of predicted backlog
 VIEW = ObservableState(
     0.0,
-    (DeviceSnapshot(0, LLM, True, QUEUED, None), DeviceSnapshot(1, LLM, True, (), None)),
+    (DeviceSnapshot(0, LLM, True, QUEUED, None, 0), DeviceSnapshot(1, LLM, True, (), None, 0)),
     (),
 )
 

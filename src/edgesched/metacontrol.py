@@ -66,6 +66,9 @@ def _is_model(value: object) -> bool:
 # "<name> must be <contract>, got <value!r>".
 COUNT = ("an int >= 1, not a bool", lambda v: is_int(v) and v >= 1,
          {"type": "integer", "minimum": 1})
+WINDOW = (f"an int in [1, {WINDOW_CAPACITY}], not a bool",
+          lambda v: is_int(v) and 1 <= v <= WINDOW_CAPACITY,
+          {"type": "integer", "minimum": 1, "maximum": WINDOW_CAPACITY})
 POSITIVE = ("a finite number > 0", lambda v: is_finite_number(v) and v > 0,
             {"type": "number", "exclusiveMinimum": 0})
 NON_NEGATIVE = ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0,
@@ -90,7 +93,7 @@ TOOLS = {
     "set_router_params": ("Set the exploration bonus weight in milliseconds.",
                           {"explore_weight_ms": NON_NEGATIVE}),
     "trigger_online_profile_update": ("Refit service-time estimates from recent completions.",
-                                      {"window": COUNT, "min_samples": COUNT}),
+                                      {"window": WINDOW, "min_samples": COUNT}),
     "set_device_risky": ("Apply a risk override with a task-count TTL.",
                          {"device": DEVICE, "ttl": COUNT}),
     "clear_device_risky": ("Clear a device risk override.", {"device": DEVICE}),

@@ -68,8 +68,8 @@ def left_sum(values) -> float:
 
 
 def _check_window(window: object) -> None:
-    if window is not None and not (is_int(window) and window >= 1):
-        raise ValueError(f"window must be None or an int >= 1, got {window!r}")
+    if window is not None and not (is_int(window) and 1 <= window <= WINDOW_CAPACITY):
+        raise ValueError(f"window must be None or an int in [1, {WINDOW_CAPACITY}], got {window!r}")
 
 
 def solve_token_coefficients(samples: list[tuple[int, int, float]]) -> tuple[float, float]:
@@ -192,9 +192,9 @@ class Opm:
         min_samples: int = 1,
         window: int | None = None,
     ) -> str:
-        """Refit one device-kind from its newest ``min(window, 40)`` records.
+        """Refit one device-kind from its newest ``window`` records.
 
-        ``window`` is None (40) or an int >= 1.  Returns "updated" or
+        ``window`` is None (40) or an int in [1, 40].  Returns "updated" or
         "insufficient".  A successful refit supersedes any drift
         calibration, so the calibration factor resets to 1; a calibration
         applied just before an updating refit is erased unread, which is why
@@ -203,7 +203,7 @@ class Opm:
         _check_window(window)
         self.oplog.append(("refit", device, kind, min_samples, window))
         est = self._estimate(device, kind)
-        count = WINDOW_CAPACITY if window is None else min(window, WINDOW_CAPACITY)
+        count = WINDOW_CAPACITY if window is None else window
         samples = [entry[3] for entry in islice(reversed(self._history[(device, kind)]), count)]
         samples.reverse()
         if len(samples) < max(min_samples, 1):

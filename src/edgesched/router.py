@@ -9,8 +9,9 @@ adaptive agent routes on its controller's surface; the static baseline is
 the same plain fast path on offline priors that never change.  Round robin
 and the full-information reference policy live here too.  A selection
 scores each candidate at most once.  Its backlogs come from a memo that
-keeps each device's queued costs while the queue moves FIFO and prices only
-the tasks appended since the last look.
+keeps each device's queued costs, drops as many as the snapshot's
+``departed`` count says left the head since the last look, and prices only
+the tasks appended since then.
 """
 
 from __future__ import annotations
@@ -76,74 +77,41 @@ class RiskOverrideTable:
 Predictor = Callable[[int, TaskSpec], float]
 
 
-class BacklogMemo:
-    """Predicted cost of each task queued or in flight, per device.
-
-    One memo serves one predictor, and a task id names one task.  ``sync``
-    drops every entry when the predictor's version moves.  A device's entry
-    holds its last snapshot, the queued costs aligned with ``snap.queued``,
-    their sum and the in-flight cost.  One FIFO rule reads a new snapshot:
-    the old queue's tasks before the new head have left it, and the rest
-    must be the new queue's first tasks, or the queue was cleared and
-    nothing is kept.  The in-flight task keeps its cost if it was in flight
-    or queued before.  The kept costs are re-folded only when some left, and
-    only the new tail is priced, so every sum is the same left fold as
-    pricing every task afresh.
-    """
-
-    def __init__(self) -> None:
-        self.version: int | None = None
-        # device -> (snapshot, queued sum, in-flight cost, queued costs)
-        self._devices: dict[int, tuple[DeviceSnapshot, float, float, list[float]]] = {}
-
-    def sync(self, version: int) -> None:
-        if version != self.version:
-            self.version = version
-            self._devices.clear()
-
-    def costs(self, snap: DeviceSnapshot, predict: Predictor) -> tuple[float, float]:
-        """(queued work summed in queue order, in-flight prediction or 0.0)."""
-        device = snap.device_id
-        entry = self._devices.get(device)
-        if entry is not None and entry[0] is snap:
-            return entry[1], entry[2]
-        queued, fl = snap.queued, snap.in_flight
-        if entry is None:
-            old, old_fl, total, in_flight, costs = (), None, 0.0, 0.0, []
-        else:
-            prev, total, in_flight, costs = entry
-            old, old_fl = prev.queued, prev.in_flight
-        if fl is None:
-            in_flight = 0.0
-        elif fl != old_fl:
-            in_flight = costs[old.index(fl.task)] if fl.task in old else predict(device, fl.task)
-        started = old.index(queued[0]) if queued and queued[0] in old else len(old)
-        kept = len(old) - started
-        if queued[:kept] != old[started:]:
-            costs, total, kept = [], 0.0, 0  # the queue was cleared
-        elif started:
-            costs = costs[started:]
-            total = left_sum(costs)
-        for task in queued[kept:]:
-            value = predict(device, task)
-            costs.append(value)
-            total += value
-        self._devices[device] = (snap, total, in_flight, costs)
-        return total, in_flight
-
-
-def backlog_ms(snap: DeviceSnapshot, predict: Predictor, now: float, memo: BacklogMemo) -> float:
+def backlog_ms(snap: DeviceSnapshot, predict: Predictor, now: float, memo: dict) -> float:
     """Backlog in predicted milliseconds: queued work plus in-flight remainder.
 
     Queued predictions are summed in queue order, then the in-flight
     remainder is added: the prediction minus elapsed service, floored at
-    zero (the observer cannot know the task is running late).  The memo
-    reuses the predictions of earlier decisions.
+    zero (the observer cannot know the task is running late).
+
+    ``memo`` maps a device to (departed count, in-flight view, queued sum,
+    in-flight cost, queued costs) from an earlier decision under the same
+    predictor.  Of the kept queued costs, the first ``snap.departed`` minus
+    the kept count have left the head, and the rest price the new queue's
+    first tasks.  Those are re-folded only when some left, only the new
+    tail is priced, and the in-flight task is priced again only when it
+    changed, so every sum is the same left fold as pricing every task afresh.
     """
-    total, in_flight = memo.costs(snap, predict)
-    if snap.in_flight is not None:
-        elapsed = now - snap.in_flight.start_time
-        total += max(0.0, in_flight - elapsed)
+    device = snap.device_id
+    fl = snap.in_flight
+    entry = memo.get(device)
+    if entry is None:
+        departed, old_fl, total, in_flight, costs = snap.departed, None, 0.0, 0.0, []
+    else:
+        departed, old_fl, total, in_flight, costs = entry
+    gone = snap.departed - departed
+    if gone:
+        costs = costs[gone:]
+        total = left_sum(costs)
+    for task in snap.queued[len(costs):]:
+        value = predict(device, task)
+        costs.append(value)
+        total += value
+    if fl != old_fl:
+        in_flight = 0.0 if fl is None else predict(device, fl.task)
+    memo[device] = (snap.departed, fl, total, in_flight, costs)
+    if fl is not None:
+        total += max(0.0, in_flight - (now - fl.start_time))
     return total
 
 
@@ -151,9 +119,9 @@ class FastPath:
     """One scoring policy's fast path: its control surface and the decision at hand.
 
     ``opm``, ``overrides`` and ``config`` are the surface the slow path sets
-    through tools; ``memo`` keeps the model's backlog prices between
-    decisions, and ``trace``, when a list, gets each decision's scores.
-    ``choose`` binds ``obs``, the engine's view of the decision being made,
+    through tools; ``memo`` keeps the backlog prices of the model's
+    ``version`` between decisions, and ``trace``, when a list, gets each
+    decision's scores.  ``choose`` binds ``obs``, the engine's view of the decision being made,
     which the engine ends when it moves on: reading the last view between
     decisions raises instead of answering from a stale state.
     """
@@ -165,7 +133,8 @@ class FastPath:
         self.overrides = overrides
         self.config = config
         self.trace = trace
-        self.memo = BacklogMemo()
+        self.memo: dict = {}
+        self.version: int | None = None
         self.obs: ObservableState | None = None
 
     def choose(self, task: TaskSpec, obs: ObservableState) -> int | None:
@@ -176,7 +145,9 @@ class FastPath:
         return self.obs.available_devices(kind)
 
     def backlog(self, device: int) -> float:
-        self.memo.sync(self.opm.version)
+        if self.opm.version != self.version:
+            self.version = self.opm.version
+            self.memo.clear()
         return backlog_ms(self.obs.snapshot_of(device), self.opm.predict, self.obs.now, self.memo)
 
 

@@ -82,11 +82,20 @@ class InFlightView(NamedTuple):
 
 
 class DeviceSnapshot(NamedTuple):
+    """One device as a policy sees it.
+
+    ``departed`` counts the tasks that have left the queue at its head since
+    the run began, by a service start or a handback at a leave: between two
+    snapshots, the old queue's first ``new.departed - old.departed`` tasks
+    left, and the rest are the new queue's first tasks.
+    """
+
     device_id: int
     kind: str
     available: bool
     queued: tuple[TaskSpec, ...]
     in_flight: InFlightView | None
+    departed: int
 
 
 class ObservableState(NamedTuple):
@@ -200,6 +209,8 @@ class _DeviceRuntime:
     costs: deque = field(default_factory=deque)
     # completion_time plus costs, left-folded: when the queue would be served.
     drain: float = 0.0
+    # Tasks that have left the queue at its head: started or handed back.
+    departed: int = 0
 
 
 @dataclass
@@ -295,7 +306,7 @@ class Engine:
     def _snapshot(self, dev: _DeviceRuntime) -> DeviceSnapshot:
         """Build a device's snapshot and keep it until the device changes."""
         available = self.truth.is_available(dev.device_id)
-        fields = (dev.device_id, dev.kind, available, tuple(dev.queue), dev.in_flight)
+        fields = (dev.device_id, dev.kind, available, tuple(dev.queue), dev.in_flight, dev.departed)
         snap = dev.snapshot = _new_tuple(DeviceSnapshot, fields)
         return snap
 
@@ -403,6 +414,7 @@ class Engine:
     def _redispatch_queue(self, device: int) -> None:
         dev = self.devices[device]
         orphans = list(dev.queue)
+        dev.departed += len(orphans)
         dev.queue.clear()
         dev.costs.clear()
         dev.drain = dev.completion_time
@@ -458,6 +470,7 @@ class Engine:
         """Start the head of a non-empty queue on an idle, available device."""
         dev = self.devices[device]
         task = dev.queue.popleft()
+        dev.departed += 1
         service = dev.costs.popleft()
         dev.in_flight = _new_tuple(InFlightView, (task, self.now))
         dev.completion_time = self.now + service

@@ -33,14 +33,21 @@ def generate_workload(horizon: int, lam: float = 0.5) -> list[TaskSpec]:
     """Build the deterministic stream of ``horizon`` tasks.
 
     Arrivals are evenly spaced at 1000/lam milliseconds (lam in tasks/s).
-    Even task ids are LLM requests, whose token bins follow
-    :data:`TOKEN_BIN_CYCLE`; odd ids are SDXL requests.
+    The last one, at (horizon - 1) * 1000/lam, must be finite and below
+    2**53 ms, where a float still resolves a millisecond.  Even task ids
+    are LLM requests, whose token bins follow :data:`TOKEN_BIN_CYCLE`; odd
+    ids are SDXL requests.
     """
     if not is_int(horizon) or horizon < 0:
         raise ValueError(f"horizon must be an int >= 0, got {horizon!r}")
     if not is_finite_number(lam) or lam <= 0:
         raise ValueError(f"lambda must be a finite number > 0, got {lam!r}")
     interarrival = 1000.0 / lam
+    if not max(horizon - 1, 0) * interarrival < 2.0**53:  # also false for inf and nan
+        raise ValueError(
+            f"lambda must put the last arrival, (horizon - 1) * 1000/lambda ms, "
+            f"below 2**53 ms, got lambda={lam!r} for horizon {horizon}"
+        )
     tasks: list[TaskSpec] = []
     llm_ordinal = 0
     for k in range(horizon):

@@ -44,6 +44,17 @@ def leak_scan():
         Engine.observable_state = original
 
 
+def reference_predicted_backlog(snap, predict, now):
+    """Queued predictions in queue order, then the floored in-flight remainder."""
+    total = 0.0
+    for task in snap.queued:
+        total += predict(snap.device_id, task)
+    if snap.in_flight is not None:
+        elapsed = now - snap.in_flight.start_time
+        total += max(0.0, predict(snap.device_id, snap.in_flight.task) - elapsed)
+    return total
+
+
 def make_truth(priors, prior_error=None, jitter=0.0) -> GroundTruthState:
     return GroundTruthState(priors, prior_error=prior_error, service_jitter=jitter)
 

@@ -37,7 +37,7 @@ def eager_state(engine: Engine) -> ObservableState:
     for device in sorted(engine.devices):
         dev = engine.devices[device]
         snaps.append(
-            DeviceSnapshot(device, dev.kind, engine.truth.is_available(device), tuple(dev.queue), dev.in_flight)
+            DeviceSnapshot(device, dev.kind, engine.truth.is_available(device), tuple(dev.queue), dev.in_flight, dev.departed)
         )
     return ObservableState(engine.now, tuple(snaps), tuple(engine.annotations))
 

@@ -3,8 +3,12 @@
 Each example builds a pool of 2-8 devices from synthetic JSONL profile rows,
 a valid plan through ``plan_from_dicts`` (some windows reach past the last
 arrival), and a stream whose gaps may be zero, and runs every policy on it
-twice.  Whether the oracle has the lowest mean latency is recorded as a
-hypothesis event, not asserted: it is a greedy referent, not an optimum.
+twice.  At every decision of the two scoring policies, each device's
+snapshot is checked against the last one it showed (its queue moved FIFO
+by exactly ``departed`` tasks), and each available device's backlog against
+a fresh reference loop.  Whether the oracle has the lowest mean latency is
+recorded as a hypothesis event, not asserted: it is a greedy referent, not
+an optimum.
 """
 
 import json
@@ -15,7 +19,7 @@ from pathlib import Path
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import leak_scan
+from conftest import leak_scan, reference_predicted_backlog
 from edgesched.harness import POLICY_NAMES, build_agent
 from edgesched.opm import replay_oplog
 from edgesched.profiles import LLM, SDXL, load_profiles, priors_from_records
@@ -107,10 +111,34 @@ def _policy(name, priors, warmup):
     return RoundRobinPolicy() if name == "round_robin" else OraclePolicy()
 
 
+def _check_decisions(policy):
+    """Wrap a scoring policy's ``choose`` to check snapshots and backlogs after each decision."""
+    choose, last = policy.choose, {}
+
+    def checked(task, obs):
+        device = choose(task, obs)
+        for snap in obs.devices:
+            old = last.get(snap.device_id)
+            if old is not None:
+                gone = snap.departed - old.departed
+                assert gone >= 0
+                kept = old.queued[gone:]
+                assert snap.queued[: len(kept)] == kept
+            last[snap.device_id] = snap
+            if snap.available:
+                expected = reference_predicted_backlog(snap, policy.opm.predict, obs.now)
+                assert policy.backlog(snap.device_id) == expected, (task.task_id, snap.device_id)
+        return device
+
+    policy.choose = checked
+
+
 def _run(name, priors, plan, tasks, jitter, warmup):
     """One leak-scanned run; also returns (event, clock, records so far) per fired event."""
     truth = GroundTruthState(priors, service_jitter=jitter)
     policy = _policy(name, priors, warmup)
+    if name in ("e3", "fixed_heuristic"):
+        _check_decisions(policy)
     engine = Engine(truth, plan, tasks, policy)
     fired = []
     apply_event = truth.apply_event

@@ -420,6 +420,16 @@ def test_cli_rejects_non_finite_numbers_before_writing(tmp_path, flags):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("lam", ["1e-306", "1e-303"])
+def test_cli_rejects_a_rate_too_slow_for_a_float_clock(tmp_path, capsys, lam):
+    # 1e-306 once failed as "completes at nan"; 1e-303 once reported a
+    # latency in which the service times had vanished into the arrival times.
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", "semantic", "--horizon", "20", "--lambda", lam, "--out", str(out)]) == 1
+    assert "lambda must put the last arrival, (horizon - 1) * 1000/lambda ms, below 2**53 ms" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("lam", [NAN, INF, -INF, True, 0.0])
 def test_generate_workload_rejects_a_rate_outside_its_contract(lam):
     with pytest.raises(ValueError, match="lambda must be a finite number > 0"):

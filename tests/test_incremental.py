@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
+from conftest import reference_predicted_backlog
 from test_golden import MIXED_PLAN_ROWS
 
 from edgesched import metacontrol
@@ -34,7 +35,7 @@ from edgesched.profiles import (
     load_profiles,
     priors_from_records,
 )
-from edgesched.router import BacklogMemo, FixedHeuristicPolicy, OraclePolicy, RoundRobinPolicy, backlog_ms
+from edgesched.router import FixedHeuristicPolicy, OraclePolicy, RoundRobinPolicy, backlog_ms
 from edgesched.sim.engine import DeviceSnapshot, Engine, InFlightView
 from edgesched.sim.truth import GroundTruthState, _jitter_unit, builtin_plans, plan_from_dicts
 from edgesched.sim.workload import TaskSpec, generate_workload
@@ -49,10 +50,10 @@ JITTER = 0.15
 CALIBRATE_EVERY = 40
 
 
-def memo_size(memo: BacklogMemo, device: int) -> int:
+def memo_size(memo: dict, device: int) -> int:
     """Number of task costs the memo holds for a device."""
-    entry = memo._devices.get(device)
-    return 0 if entry is None else len(entry[3]) + (entry[0].in_flight is not None)
+    entry = memo.get(device)
+    return 0 if entry is None else len(entry[4]) + (entry[1] is not None)
 
 
 def prior_predictor(priors):
@@ -66,17 +67,6 @@ def prior_predictor(priors):
         return prior.gamma0
 
     return predict
-
-
-def reference_predicted_backlog(snap, predict, now):
-    """Queued predictions in queue order, then the floored in-flight remainder."""
-    total = 0.0
-    for task in snap.queued:
-        total += predict(snap.device_id, task)
-    if snap.in_flight is not None:
-        elapsed = now - snap.in_flight.start_time
-        total += max(0.0, predict(snap.device_id, snap.in_flight.task) - elapsed)
-    return total
 
 
 def reference_true_backlog(engine, snap, now):
@@ -211,7 +201,11 @@ def test_runs_cover_calibration_and_redispatch_with_queued_work():
 
 
 def test_memo_matches_reference_on_sparsely_observed_queues():
-    """Random dispatch/start/complete/redispatch steps; the memo sees some states."""
+    """Random dispatch/start/complete/handback steps; the memo sees some states.
+
+    ``departed`` counts the heads taken into service and the tasks handed
+    back, as the engine counts them.
+    """
     rng = random.Random(7)
     plain = prior_predictor([DevicePrior(0, LLM, alpha0=1.37, beta0=41.3)])
     priced: list[int] = []
@@ -220,11 +214,15 @@ def test_memo_matches_reference_on_sparsely_observed_queues():
         priced.append(task.task_id)
         return plain(device, task)
 
-    memo = BacklogMemo()
+    memo = {}
     queued: list[TaskSpec] = []
     in_flight = None
+    departed = 0
     started = 0  # heads taken into service since the memo last looked
+    handed_back = False  # whether a leave handed queued tasks back since then
     seen_starts = {1: 0, 2: 0}
+    seen_handbacks = 0
+    seen_in_flight = set()
     for step in range(3000):
         op = rng.random()
         if op < 0.45:
@@ -232,12 +230,14 @@ def test_memo_matches_reference_on_sparsely_observed_queues():
         elif op < 0.7:
             if in_flight is None and queued:
                 in_flight = InFlightView(queued.pop(0), float(step))
+                departed += 1
                 started += 1
         elif op < 0.8:
             # Several services end and the next heads start unobserved.
             for _ in range(rng.randint(2, 4)):
                 if queued:
                     in_flight = InFlightView(queued.pop(0), float(step))
+                    departed += 1
                     started += 1
         elif op < 0.95:
             in_flight = None
@@ -245,45 +245,54 @@ def test_memo_matches_reference_on_sparsely_observed_queues():
             # The device leaves, perhaps right after a start: its queue goes back.
             if in_flight is None and queued and rng.random() < 0.5:
                 in_flight = InFlightView(queued.pop(0), float(step))
+                departed += 1
                 started += 1
+            departed += len(queued)
+            handed_back = handed_back or bool(queued)
             queued.clear()
         if rng.random() < 0.5:
             now = step + rng.random()
-            snap = DeviceSnapshot(0, LLM, True, tuple(queued), in_flight)
+            snap = DeviceSnapshot(0, LLM, True, tuple(queued), in_flight, departed)
             assert backlog_ms(snap, counting, now, memo) == reference_predicted_backlog(snap, plain, now)
-            assert memo_size(memo, 0) <= len(queued) + 1
+            assert memo_size(memo, 0) == len(queued) + (in_flight is not None)
             if started:
                 seen_starts[min(started, 2)] += 1
-            started = 0
-    # The memo saw plain FIFO starts and states two or more heads further on.
+            seen_handbacks += handed_back
+            if in_flight is not None:
+                seen_in_flight.add(in_flight.task.task_id)
+            started, handed_back = 0, False
+    # The memo saw plain FIFO starts, states two or more heads further on,
+    # and queues handed back.
     assert seen_starts[1] > 100 and seen_starts[2] > 100, seen_starts
-    # The predictor never changed, so no task was priced twice.
-    assert priced and len(priced) == len(set(priced))
+    assert seen_handbacks > 20, seen_handbacks
+    # The predictor never changed, so each task was priced once while
+    # queued, and once more only if the memo saw it in flight.
+    assert priced
+    assert all(n <= 1 + (task_id in seen_in_flight) for task_id, n in Counter(priced).items())
 
 
 def _llm(task_id: int) -> TaskSpec:
     return TaskSpec(task_id, LLM, 0.0, 100 + 37 * task_id, 10 + 7 * task_id)
 
 
-# Each case is the sequence of (queued ids, in-flight id) states one memo sees.
+# Each case is the sequence of (queued ids, in-flight id, departed count)
+# states one memo sees.
 MEMO_CASES = {
-    "appends": [((1,), None), ((1, 2), None), ((1, 2, 3), None)],
-    "one_start": [((1, 2, 3), None), ((2, 3), 1), ((2, 3, 4), 1)],
-    "two_starts": [((1, 2, 3, 4), None), ((3, 4), 2), ((3, 4, 5), 2)],
-    "start_then_leave": [((1, 2, 3), None), ((), 1), ((6,), 1)],
-    "middle_task_gone": [((1, 2, 3), None), ((1, 3), None), ((1, 3, 4), None)],
-    "head_redispatched_last": [((1, 2), 5), ((2, 1), 5), ((2, 1, 3), None)],
-    "cleared_then_refilled": [((1, 2, 3), 4), ((2, 3), None), ((5, 6), 2)],
+    "appends": [((1,), None, 0), ((1, 2), None, 0), ((1, 2, 3), None, 0)],
+    "one_start": [((1, 2, 3), None, 0), ((2, 3), 1, 1), ((2, 3, 4), 1, 1)],
+    "two_starts": [((1, 2, 3, 4), None, 0), ((3, 4), 2, 2), ((3, 4, 5), 2, 2)],
+    "start_then_leave": [((1, 2, 3), None, 0), ((), 1, 3), ((6,), 1, 3)],
+    "cleared_then_refilled": [((1, 2, 3), 4, 0), ((2, 3), None, 1), ((5, 6), 2, 3)],
 }
 
 
 @pytest.mark.parametrize("case", sorted(MEMO_CASES))
 def test_memo_matches_reference_on_each_kind_of_queue_change(case):
     predict = prior_predictor([DevicePrior(0, LLM, alpha0=1.37, beta0=41.3)])
-    memo = BacklogMemo()
-    for step, (queued, in_flight) in enumerate(MEMO_CASES[case]):
+    memo = {}
+    for step, (queued, in_flight, departed) in enumerate(MEMO_CASES[case]):
         fl = None if in_flight is None else InFlightView(_llm(in_flight), float(step))
-        snap = DeviceSnapshot(0, LLM, True, tuple(map(_llm, queued)), fl)
+        snap = DeviceSnapshot(0, LLM, True, tuple(map(_llm, queued)), fl, departed)
         assert backlog_ms(snap, predict, float(step), memo) == reference_predicted_backlog(snap, predict, float(step)), step
         assert memo_size(memo, 0) == len(queued) + (in_flight is not None)
 

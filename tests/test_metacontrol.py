@@ -431,11 +431,13 @@ def test_set_and_clear_device_risky():
         ("update_calibration", {"device": 0, "model": "LLM", "ratio": 10**400},
          "ratio must be a finite number > 0"),
         ("trigger_online_profile_update", {"window": True, "min_samples": 1},
-         "window must be an int >= 1, not a bool"),
+         "window must be an int in [1, 40], not a bool"),
+        ("trigger_online_profile_update", {"window": 41, "min_samples": 1},
+         "window must be an int in [1, 40], not a bool, got 41"),
         ("trigger_online_profile_update", {"window": 40, "min_samples": True},
          "min_samples must be an int >= 1, not a bool"),
         ("trigger_online_profile_update", {"window": 2.5, "min_samples": 1},
-         "window must be an int >= 1, not a bool"),
+         "window must be an int in [1, 40], not a bool"),
         ("set_device_risky", {"device": True}, "device must be a device id the OPM knows, got True"),
         ("set_device_risky", {"device": 2.0}, "device must be a device id the OPM knows, got 2.0"),
         ("set_device_risky", {"device": "0"}, "device must be a device id the OPM knows, got '0'"),
@@ -450,7 +452,7 @@ def test_set_and_clear_device_risky():
     ids=[
         "ttl-bool", "ttl-float", "limit-bool", "limit-float", "pull-window-nan", "pull-window-bool",
         "drift-window-nan", "drift-window-inf", "drift-window-str", "drift-window-huge-int",
-        "pull-window-huge-int", "ratio-huge-int", "window-bool", "min_samples-bool",
+        "pull-window-huge-int", "ratio-huge-int", "window-bool", "window-above-capacity", "min_samples-bool",
         "window-float", "device-bool", "device-float", "device-str", "calibration-device-bool",
         "model-int", "unknown-argument", "not-an-object", "missing-argument", "device-of-the-other-kind",
     ],
@@ -482,6 +484,9 @@ def test_catalog_is_generated_from_the_table():
         ]
         assert schema["additionalProperties"] is False
     assert catalog["set_device_risky"]["parameters"]["properties"]["ttl"]["type"] == "integer"
+    assert catalog["trigger_online_profile_update"]["parameters"]["properties"]["window"] == {
+        "type": "integer", "minimum": 1, "maximum": 40, "description": "an int in [1, 40], not a bool"
+    }
     assert catalog["set_router_params"]["parameters"]["required"] == ["explore_weight_ms"]
     assert catalog["switch_router"]["parameters"]["properties"]["router"]["enum"] == [
         "sect", "explore_risk"

@@ -29,7 +29,7 @@ PRIORS = [
     DevicePrior(1, LLM, alpha0=4.0, beta0=20.0),
     DevicePrior(2, SDXL, gamma0=4000.0),
 ]
-WINDOWS = (None, 1, 3, 39, 40, 41, 300)
+WINDOWS = (None, 1, 3, 39, 40)
 
 
 class TwoStoreOpm:

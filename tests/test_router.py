@@ -18,7 +18,6 @@ from edgesched.profiles import (
 )
 from edgesched.router import (
     AdaptiveAgentPolicy,
-    BacklogMemo,
     FastPath,
     FixedHeuristicPolicy,
     OraclePolicy,
@@ -51,7 +50,7 @@ def obs_with(devices, now=0.0):
 
 
 def llm_snapshot(device_id, queued=(), in_flight=None, available=True):
-    return DeviceSnapshot(device_id, LLM, available, tuple(queued), in_flight)
+    return DeviceSnapshot(device_id, LLM, available, tuple(queued), in_flight, 0)
 
 
 def bound(opm, devices, config=None, overrides=None, now=0.0, trace=None):
@@ -210,9 +209,9 @@ def test_backlog_counts_queued_and_clipped_in_flight():
     in_flight = InFlightView(TaskSpec(0, LLM, 0.0, 100, 0), start_time=0.0)
     snap = llm_snapshot(0, queued=[TaskSpec(1, LLM, 0.0, 50, 0)], in_flight=in_flight)
     # At now=400 the in-flight prediction (1000) has 600 remaining.
-    assert backlog_ms(snap, opm.predict, 400.0, BacklogMemo()) == pytest.approx(500.0 + 600.0)
+    assert backlog_ms(snap, opm.predict, 400.0, {}) == pytest.approx(500.0 + 600.0)
     # Past its predicted end the remainder clips to zero.
-    assert backlog_ms(snap, opm.predict, 5000.0, BacklogMemo()) == pytest.approx(500.0)
+    assert backlog_ms(snap, opm.predict, 5000.0, {}) == pytest.approx(500.0)
 
 
 # --- baselines ------------------------------------------------------------------------
@@ -230,8 +229,8 @@ def test_round_robin_kind_cursors_are_independent():
     devices = [
         llm_snapshot(0),
         llm_snapshot(1),
-        DeviceSnapshot(2, SDXL, True, (), None),
-        DeviceSnapshot(3, SDXL, True, (), None),
+        DeviceSnapshot(2, SDXL, True, (), None, 0),
+        DeviceSnapshot(3, SDXL, True, (), None, 0),
     ]
     obs = obs_with(devices)
     assert policy.choose(TaskSpec(0, LLM, 0.0, 256, 32), obs) == 0

@@ -12,6 +12,7 @@ from edgesched.metacontrol import (
     POSITIVE,
     ROUTER,
     TOOLS,
+    WINDOW,
     ToolCall,
 )
 
@@ -24,6 +25,7 @@ JSON = st.recursive(
 # Values inside and just outside each argument kind's contract, by contract.
 VALID = {
     COUNT[0]: [1, 3, 40],
+    WINDOW[0]: [1, 3, 40],
     POSITIVE[0]: [0.5, 2.0, 60_000.0],
     NON_NEGATIVE[0]: [0, 1500, 30_000.0],
     ROUTER[0]: ["sect", "explore_risk"],
@@ -32,6 +34,7 @@ VALID = {
 }
 INVALID = {
     COUNT[0]: [0, -1, True, 2.5, "3"],
+    WINDOW[0]: [0, 41, -1, True, 2.5, "3"],
     POSITIVE[0]: [0, -0.5, float("nan"), float("inf"), True, "1", 10**400],
     NON_NEGATIVE[0]: [-1, -0.5, float("nan"), float("-inf"), True, 10**400],
     ROUTER[0]: ["random", "SECT", ["sect"]],

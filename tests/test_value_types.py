@@ -31,7 +31,7 @@ QUEUED = TaskSpec(1, "SDXL", 2000.0)
 RECORD = ExecutionRecord(0, 1, "LLM", 0.0, 0.0, 0.0, 1500.25, 1500.25, 1500.25, 256, 32, 0)
 ANNOTATION = EventAnnotation(3, 6000.0, "semantic_onset", 1, "game")
 VIEW = InFlightView(TASK, 12.5)
-SNAPSHOT = DeviceSnapshot(0, "LLM", True, (QUEUED,), VIEW)
+SNAPSHOT = DeviceSnapshot(0, "LLM", True, (QUEUED,), VIEW, 7)
 STATE = ObservableState(12.5, (SNAPSHOT,), (ANNOTATION,))
 
 TASK_REPR = "TaskSpec(task_id=0, kind='LLM', arrival_time=0.0, n_in=256, n_out=32)"
@@ -40,7 +40,7 @@ ANNOTATION_REPR = "EventAnnotation(at_task=3, time=6000.0, type='semantic_onset'
 VIEW_REPR = f"InFlightView(task={TASK_REPR}, start_time=12.5)"
 SNAPSHOT_REPR = (
     f"DeviceSnapshot(device_id=0, kind='LLM', available=True, queued=({QUEUED_REPR},), "
-    f"in_flight={VIEW_REPR})"
+    f"in_flight={VIEW_REPR}, departed=7)"
 )
 
 CASES = [
@@ -57,7 +57,7 @@ CASES = [
     ),
     (ANNOTATION, ("at_task", "time", "type", "device", "label"), ANNOTATION_REPR),
     (VIEW, ("task", "start_time"), VIEW_REPR),
-    (SNAPSHOT, ("device_id", "kind", "available", "queued", "in_flight"), SNAPSHOT_REPR),
+    (SNAPSHOT, ("device_id", "kind", "available", "queued", "in_flight", "departed"), SNAPSHOT_REPR),
     (
         STATE,
         ("now", "devices", "annotations"),

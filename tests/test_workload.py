@@ -56,6 +56,25 @@ def test_invalid_parameters_rejected():
         generate_workload(4, lam=0.0)
 
 
+@pytest.mark.parametrize(
+    ("horizon", "lam"),
+    [
+        (20, 1e-306),  # 1000/lambda overflows: the first arrival is 0 * inf = nan
+        (1, 1e-306),
+        (0, 1e-306),
+        (20, 1e-303),  # finite, but far past where a float resolves a millisecond
+        (3, 1000.0 / 2.0**52),  # the last arrival is exactly 2**53 ms
+    ],
+)
+def test_a_rate_whose_last_arrival_a_float_cannot_resolve_is_rejected(horizon, lam):
+    with pytest.raises(ValueError, match=r"lambda must put the last arrival, \(horizon - 1\) \* 1000/lambda ms, below 2\*\*53 ms"):
+        generate_workload(horizon, lam)
+
+
+def test_a_last_arrival_just_below_2_53_ms_is_accepted():
+    assert generate_workload(2, 1000.0 / 2.0**52)[-1].arrival_time == 2.0**52
+
+
 @pytest.mark.parametrize("horizon", [True, 3.0, "3", None])
 def test_horizon_must_be_an_int(horizon):
     # A bool is an int to range(), and a float used to fail there with a bare TypeError.
