@@ -67,8 +67,8 @@ def main():
 
     print("\nscripted responses, as recorded in the audit log:")
     meta = make_controller()
-    meta.on_annotation(onset_at(60), 60)
-    meta.on_annotation(EventAnnotation(100, 120_000.0, "semantic_offset", 0, "game"), 100)
+    meta.on_annotation(onset_at(60))
+    meta.on_annotation(EventAnnotation(100, 120_000.0, "semantic_offset", 0, "game"))
     for entry in meta.audit.entries:
         print(" ", json.dumps(entry.to_dict(), sort_keys=True))
 
@@ -88,7 +88,7 @@ def main():
         return {"choices": [{"message": {"role": "assistant", "content": None, "tool_calls": [call]}}]}
 
     meta = make_controller(canned_transport)
-    meta.on_annotation(onset_at(60), 60)
+    meta.on_annotation(onset_at(60))
     print("  adapter issued:", [e.tool for e in meta.audit.entries])
     print("  round two sent:", sent[1])
 
@@ -98,7 +98,7 @@ def main():
         raise TimeoutError("no response")
 
     meta = make_controller(broken_transport)
-    meta.on_annotation(onset_at(60), 60)
+    meta.on_annotation(onset_at(60))
     print("  fallback issued:", [e.tool for e in meta.audit.entries])
 
 

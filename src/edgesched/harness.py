@@ -119,6 +119,10 @@ class ExperimentConfig:
         self.lam = float(self.lam)  # an int rate is accepted and reported as a float
         if not isinstance(self.trace_decisions, bool):
             raise ExperimentError(f"trace_decisions must be a bool, got {self.trace_decisions!r}")
+        if self.plan is not None and not isinstance(self.plan, ScenarioPlan):
+            raise ExperimentError(f"plan must be a ScenarioPlan or None, got {self.plan!r}")
+        if self.adapter is not None and not isinstance(self.adapter, AdapterConfig):
+            raise ExperimentError(f"adapter must be an AdapterConfig or None, got {self.adapter!r}")
         if self.prior_error is not None:
             check_prior_error(self.prior_error)
         if self.service_jitter is not None:

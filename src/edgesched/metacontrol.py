@@ -365,14 +365,14 @@ class MetaController:
             first = task_index < max(self.warmup_points)
             self._invoke(Invocation("warmup_point", task_index, label="first" if first else "last"))
 
-    def on_annotation(self, annotation, now_task: int) -> None:
+    def on_annotation(self, annotation) -> None:
         reason = ANNOTATION_REASONS.get(annotation.type)
         if reason is not None:
-            self._invoke(Invocation(reason, now_task, device=annotation.device, label=annotation.label))
+            self._invoke(Invocation(reason, annotation.at_task, device=annotation.device, label=annotation.label))
 
-    def on_feedback(self, record, now: float, now_task: int) -> None:
+    def on_feedback(self, record, now_task: int) -> None:
         ratio, count = self.opm.drift_ratio(
-            record.device_id, record.kind, DRIFT_WINDOW_MS, now
+            record.device_id, record.kind, DRIFT_WINDOW_MS, record.completion_time
         )
         if self.opm.is_drift_alarm(ratio, count):
             self._invoke(

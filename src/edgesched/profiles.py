@@ -88,6 +88,10 @@ class RawProfileRecord:
                 )
 
 
+# kind -> the prior coefficients a device of that kind uses
+_COEFFICIENTS = {LLM: ("alpha0", "beta0"), SDXL: ("gamma0",)}
+
+
 @dataclass(frozen=True)
 class DevicePrior:
     """Offline prior for one device: exactly the coefficients its kind uses.
@@ -103,14 +107,19 @@ class DevicePrior:
     gamma0: float | None = None
 
     def __post_init__(self) -> None:
+        if not is_int(self.device_id):
+            raise ProfileError(f"device_id must be an int, not a bool, got {self.device_id!r}")
+        if not isinstance(self.kind, str) or self.kind not in _COEFFICIENTS:
+            raise ProfileError(f"kind must be one of {tuple(_COEFFICIENTS)}, got {self.kind!r}")
+        uses = _COEFFICIENTS[self.kind]
+        if any(getattr(self, name) is None for name in uses):
+            raise ProfileError(f"{self.kind} prior requires {' and '.join(uses)}")
         for name in ("alpha0", "beta0", "gamma0"):
             value = getattr(self, name)
+            if value is not None and name not in uses:
+                raise ProfileError(f"{self.kind} prior takes no {name}, got {value!r}")
             if value is not None and (not is_finite_number(value) or value < 0):
                 raise ProfileError(f"{name} must be a finite number >= 0, got {value!r}")
-        if self.kind == LLM and (self.alpha0 is None or self.beta0 is None):
-            raise ProfileError("LLM prior requires alpha0 and beta0")
-        if self.kind == SDXL and self.gamma0 is None:
-            raise ProfileError("SDXL prior requires gamma0")
 
 
 _RECORD_FIELDS = {f.name for f in fields(RawProfileRecord)}

@@ -294,9 +294,9 @@ class AdaptiveAgentPolicy(FastPath):
     def on_first_dispatch(self, task: TaskSpec) -> None:
         self.overrides.decrement()
 
-    def on_completion(self, record, now: float, now_task: int) -> None:
-        self.opm.ingest_feedback(record, now)
-        self.meta.on_feedback(record, now, now_task)
+    def on_completion(self, record, now_task: int) -> None:
+        self.opm.ingest_feedback(record, record.completion_time)
+        self.meta.on_feedback(record, now_task)
 
-    def on_annotation(self, annotation, now_task: int) -> None:
-        self.meta.on_annotation(annotation, now_task)
+    def on_annotation(self, annotation) -> None:
+        self.meta.on_annotation(annotation)

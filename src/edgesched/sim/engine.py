@@ -4,14 +4,15 @@ The engine is the only component that touches :class:`GroundTruthState`.
 At each routing decision it calls ``policy.choose(task, view)`` with a
 :class:`DecisionView` (feasible devices, queue contents, exposed event
 annotations) that has the read surface of :class:`ObservableState`.  A view
-builds a device's snapshot only when the policy reads it, and it is valid
-only for its decision: once the engine moves on, reading device state
-through it raises :class:`EngineError`.  A policy may also define the hooks
-``on_task_arrival(task_index)``, ``on_annotation(annotation, now_task)``,
-``on_first_dispatch(task)`` (once per task, not again when a leaving device
-hands it back), ``attach_oracle(access)``, ``attach_telemetry(telemetry)``
-and ``on_completion(record, now, now_task)``, which gets the task's
-:class:`ExecutionRecord` strictly at completion time.
+builds a device's snapshot each time the policy reads it and keeps none, and
+it is valid only for its decision: once the engine moves on, reading device
+state through it raises :class:`EngineError`.  A policy may also define the
+hooks ``on_task_arrival(task_index)``, ``on_annotation(annotation)`` (the
+annotation carries its ``at_task``), ``on_first_dispatch(task)`` (once per
+task, not again when a leaving device hands it back),
+``attach_oracle(access)``, ``attach_telemetry(telemetry)`` and
+``on_completion(record, now_task)``, which gets the task's
+:class:`ExecutionRecord` strictly at its ``completion_time``.
 
 Scenario events are timed in tasks: an event at ``at_task = k`` fires at the
 arrival time of the ``k``-th arrival, just before it arrives.  Same-time
@@ -127,12 +128,13 @@ class DecisionView:
     """One routing decision's view: :class:`ObservableState`'s read surface, built on read.
 
     ``Engine.observable_state`` makes one per decision.  ``now`` and
-    ``annotations`` are plain values fixed when it is made.
-    ``available_devices`` reads per-kind tuples that the engine refreshes
-    only when a device's availability flips.  ``snapshot_of`` builds only the
-    snapshot it is asked for, and the engine keeps that snapshot until the
-    device changes, so a policy that reads no snapshot (round robin, the
-    oracle) pays for none.  ``devices`` builds them all.
+    ``annotations`` are plain values fixed when it is made; ``annotations``
+    is the engine's own tuple, shared, not copied.  ``available_devices``
+    reads per-kind tuples that the engine refreshes only when a device's
+    availability flips.  ``snapshot_of`` builds the snapshot it is asked
+    for, afresh on each read, and nothing keeps it, so a policy that reads
+    no snapshot (round robin, the oracle) pays for none.  ``devices`` builds
+    them all, in id order.
 
     The view is valid only for its decision: after a completion, a scenario
     event or the decision's end, reading device state through it raises
@@ -156,18 +158,14 @@ class DecisionView:
         dev = engine.devices.get(device)
         if dev is None:
             raise KeyError(f"unknown device {device}")
-        snap = dev.snapshot
-        return engine._snapshot(dev) if snap is None else snap
+        return engine._snapshot(dev)
 
     @property
     def devices(self) -> tuple[DeviceSnapshot, ...]:
         engine = self._engine
         if engine._epoch != self._epoch:
             raise _stale_view()
-        return tuple(
-            engine._snapshot(dev) if dev.snapshot is None else dev.snapshot
-            for dev in engine._ordered
-        )
+        return tuple(engine._snapshot(dev) for dev in engine.devices.values())
 
 
 class OracleAccess:
@@ -201,9 +199,6 @@ class _DeviceRuntime:
     in_flight: InFlightView | None = None
     completion_time: float = 0.0  # of the task in service, or of the last one served
     busy_ms: float = 0.0
-    # Last snapshot a view built; None until one is read, and again once the
-    # queue, the in-flight task or the device's availability changes.
-    snapshot: DeviceSnapshot | None = None
     # costs[i] is queue[i]'s true service time under the device's current
     # truth: priced at dispatch, repriced after an event on the device.
     costs: deque = field(default_factory=deque)
@@ -217,7 +212,7 @@ class _DeviceRuntime:
 class SimulationResult:
     records: list[ExecutionRecord]
     event_log: list[str]
-    annotations: list[EventAnnotation]
+    annotations: tuple[EventAnnotation, ...]
 
 
 class Telemetry:
@@ -230,10 +225,36 @@ class Telemetry:
         return self._engine.now
 
     def system_status(self) -> dict:
-        return self._engine.status_snapshot()
+        engine = self._engine
+        per_device = {}
+        for device_id, dev in engine.devices.items():
+            busy = dev.busy_ms
+            if dev.in_flight is not None:
+                busy += engine.now - dev.in_flight.start_time
+            per_device[str(device_id)] = {
+                "kind": dev.kind,
+                "available": engine.truth.is_available(device_id),
+                "queue_len": len(dev.queue) + (1 if dev.in_flight is not None else 0),
+                "utilization": busy / engine.now if engine.now > 0 else 0.0,
+            }
+        return {
+            "sim_time_ms": engine.now,
+            "devices": per_device,
+            "active_semantic_events": {
+                str(d): label for d, label in sorted(engine._active_semantic.items())
+            },
+        }
 
     def observations(self, window_ms: float | None = None, limit: int | None = None) -> list[dict]:
-        return self._engine.observation_log(window_ms, limit)
+        """``_asdict()`` rows of the records completed within ``window_ms``, last ``limit``."""
+        engine = self._engine
+        rows = engine.records
+        if window_ms is not None:
+            cutoff = engine.now - window_ms
+            rows = [r for r in rows if r.completion_time >= cutoff]
+        if limit is not None:
+            rows = rows[-limit:]
+        return [r._asdict() for r in rows]
 
 
 class Engine:
@@ -265,13 +286,11 @@ class Engine:
             model = getattr(event, "model", None)
             if model is not None and model_kind(model) != kind:
                 raise PlanError(f"{where}: model {model!r} does not run on {kind} device {event.device}")
-        self._ordered = [self.devices[d] for d in sorted(self.devices)]
         self._index_available()
         # Moves whenever device state may change, which ends every open view.
         self._epoch = 0
         self.records: list[ExecutionRecord] = []
-        self.annotations: list[EventAnnotation] = []
-        self._annotation_view: tuple[EventAnnotation, ...] = ()
+        self.annotations: tuple[EventAnnotation, ...] = ()
         self._active_semantic: dict[int, str] = {}  # device -> announced, open label
         self.event_log: list[str] = []
         self._pending: list[TaskSpec] = []
@@ -298,56 +317,24 @@ class Engine:
         # Set field by field: an __init__ frame per decision costs more.
         view = _new_object(DecisionView)
         view.now = self.now
-        view.annotations = self._annotation_view
+        view.annotations = self.annotations
         view._engine = self
         view._epoch = self._epoch
         return view
 
     def _snapshot(self, dev: _DeviceRuntime) -> DeviceSnapshot:
-        """Build a device's snapshot and keep it until the device changes."""
+        """A device's snapshot as it is now, built afresh on every read."""
         available = self.truth.is_available(dev.device_id)
         fields = (dev.device_id, dev.kind, available, tuple(dev.queue), dev.in_flight, dev.departed)
-        snap = dev.snapshot = _new_tuple(DeviceSnapshot, fields)
-        return snap
+        return _new_tuple(DeviceSnapshot, fields)
 
     def _index_available(self) -> None:
         """Available device ids per kind."""
         available: dict[str, tuple[int, ...]] = {}
-        for dev in self._ordered:
+        for dev in self.devices.values():
             if self.truth.is_available(dev.device_id):
                 available[dev.kind] = available.get(dev.kind, ()) + (dev.device_id,)
         self._available = available
-
-    def status_snapshot(self) -> dict:
-        per_device = {}
-        for device_id in sorted(self.devices):
-            dev = self.devices[device_id]
-            busy = dev.busy_ms
-            if dev.in_flight is not None:
-                busy += self.now - dev.in_flight.start_time
-            per_device[str(device_id)] = {
-                "kind": dev.kind,
-                "available": self.truth.is_available(device_id),
-                "queue_len": len(dev.queue) + (1 if dev.in_flight is not None else 0),
-                "utilization": busy / self.now if self.now > 0 else 0.0,
-            }
-        return {
-            "sim_time_ms": self.now,
-            "devices": per_device,
-            "active_semantic_events": {
-                str(d): label for d, label in sorted(self._active_semantic.items())
-            },
-        }
-
-    def observation_log(self, window_ms: float | None = None, limit: int | None = None) -> list[dict]:
-        """``_asdict()`` rows of the records completed within ``window_ms``, last ``limit``."""
-        rows = self.records
-        if window_ms is not None:
-            cutoff = self.now - window_ms
-            rows = [r for r in rows if r.completion_time >= cutoff]
-        if limit is not None:
-            rows = rows[-limit:]
-        return [r._asdict() for r in rows]
 
     def true_backlog_ms(self, device: int, now: float) -> float:
         """Oracle-only: exact remaining work on a device, its drain time minus ``now``.
@@ -378,7 +365,6 @@ class Engine:
         self.truth.apply_event(event)
         available = self.truth.is_available(event.device)
         if available != was_available:
-            dev.snapshot = None
             self._index_available()
         elif available and dev.queue:
             self._reprice(dev)
@@ -389,14 +375,13 @@ class Engine:
         )
         if not event.hidden:
             ann = EventAnnotation(event.at_task, self.now, event.type, event.device, label)
-            self.annotations.append(ann)
-            self._annotation_view = tuple(self.annotations)
+            self.annotations += (ann,)
             if event.type == "semantic_onset":
                 self._active_semantic[event.device] = label
             elif event.type == "semantic_offset":
                 self._active_semantic.pop(event.device, None)
             if self._on_annotation is not None:
-                self._on_annotation(ann, event.at_task)
+                self._on_annotation(ann)
         if was_available and not available:
             self._redispatch_queue(event.device)
         elif available and not was_available:
@@ -418,7 +403,6 @@ class Engine:
         dev.queue.clear()
         dev.costs.clear()
         dev.drain = dev.completion_time
-        dev.snapshot = None
         for task in orphans:
             self._route(task)
 
@@ -460,7 +444,6 @@ class Engine:
         first = task.task_id not in self._stamps  # a redispatched task keeps its stamp
         self._stamps[task.task_id] = (self.now, self.truth.stutter_indicator(device))
         dev.queue.append(task)
-        dev.snapshot = None
         if first and self._on_first_dispatch is not None:
             self._on_first_dispatch(task)
         if dev.in_flight is None:
@@ -476,7 +459,6 @@ class Engine:
         dev.completion_time = self.now + service
         if not dev.costs:  # else a busy start: the drain time begins with this addition
             dev.drain = dev.completion_time
-        dev.snapshot = None
         heapq.heappush(self._heap, (dev.completion_time, self._seq, device))
         self._seq += 1
 
@@ -489,7 +471,6 @@ class Engine:
         if fl is None:
             raise EngineError(f"completion event for idle device {device}")
         dev.in_flight = None
-        dev.snapshot = None
         task, start_time = fl
         dev.busy_ms += self.now - start_time
         dispatch_time, stutter = self._stamps.pop(task.task_id)
@@ -513,7 +494,7 @@ class Engine:
         )
         self.records.append(record)
         if self._on_completion is not None:
-            self._on_completion(record, self.now, self._arrived_tasks)
+            self._on_completion(record, self._arrived_tasks)
         if dev.queue:
             self._start_next(device)
 

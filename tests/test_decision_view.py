@@ -142,24 +142,34 @@ def test_a_view_read_outside_a_run_answers_until_the_engine_moves(fixture_priors
 
 
 @pytest.mark.parametrize("policy_cls", [RoundRobinPolicy, OraclePolicy])
-def test_policies_that_read_no_snapshot_build_none(fixture_priors, policy_cls):
+def test_policies_that_read_no_snapshot_build_none(fixture_priors, policy_cls, monkeypatch):
     policy = policy_cls()
     choose = policy.choose
     decisions = [0]
+    built = []
+    snapshot = Engine._snapshot
+
+    def counted(self, dev):
+        built.append(dev.device_id)
+        return snapshot(self, dev)
 
     def checked(task, obs):
         device = choose(task, obs)
-        assert all(dev.snapshot is None for dev in engine.devices.values()), task.task_id
+        assert built == [], task.task_id
         decisions[0] += 1
         return device
 
+    monkeypatch.setattr(Engine, "_snapshot", counted)
     policy.choose = checked  # the engine looks its callbacks up once, when built
     tasks = generate_workload(600, 2.0)
     engine = Engine(make_truth(fixture_priors, jitter=0.15), builtin_plans("churn"), tasks, policy)
     result = engine.run()
     assert len(result.records) == 600 and decisions[0] >= 600
     assert result.annotations  # the churn plan ran: devices left and came back
-    assert all(dev.snapshot is None for dev in engine.devices.values())
+    assert built == []
+    # The count is live: one read through a view builds one snapshot.
+    engine.observable_state().snapshot_of(0)
+    assert built == [0]
 
 
 class AlphaTask(NamedTuple):

@@ -180,6 +180,18 @@ def test_policies_must_be_a_tuple_or_list(policies):
         ExperimentConfig(scenario="semantic", policies=policies)
 
 
+def test_adapter_must_be_an_adapter_config():
+    # A dict once ran, and every invocation fell back to the scripted policy.
+    with pytest.raises(ExperimentError, match=r"adapter must be an AdapterConfig or None, got \{'url': 'u'\}"):
+        ExperimentConfig(scenario="semantic", adapter={"url": "u"})
+
+
+@pytest.mark.parametrize("plan", ["x", [], ()])
+def test_plan_must_be_a_scenario_plan(plan):
+    with pytest.raises(ExperimentError, match="plan must be a ScenarioPlan or None, got "):
+        ExperimentConfig(scenario="semantic", plan=plan)
+
+
 def test_emit_report_is_byte_stable(tmp_path):
     config = ExperimentConfig(scenario="warmup", warmup_budget=0, horizon=30)
     result = run_experiment(config)

@@ -171,9 +171,9 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
     policy.choose = checked_choose
     forward = getattr(policy, "on_annotation", None)
 
-    def on_annotation(annotation, now_task):
+    def on_annotation(annotation):
         if forward is not None:
-            forward(annotation, now_task)
+            forward(annotation)
         probe.on_annotation(annotation)
 
     policy.on_annotation = on_annotation
@@ -620,7 +620,8 @@ def rescanned_semantic_labels(annotations) -> dict[str, str]:
 
 def test_status_snapshot_labels_equal_a_rescan_at_every_invocation(monkeypatch):
     engine = make_priced("mixed", "e3")
-    snapshot = engine.status_snapshot
+    telemetry = engine.policy.meta.telemetry
+    snapshot = telemetry.system_status
     seen = []
     invoked = []
     policy = metacontrol.scripted_policy
@@ -636,7 +637,7 @@ def test_status_snapshot_labels_equal_a_rescan_at_every_invocation(monkeypatch):
         invoked.append(meta.telemetry.system_status())
         return policy(invocation, meta)
 
-    engine.status_snapshot = checked_snapshot
+    telemetry.system_status = checked_snapshot
     monkeypatch.setattr(metacontrol, "scripted_policy", checked_policy)
     engine.run()
     # The status is read (and checked) once per invocation here, and once per

@@ -102,9 +102,9 @@ def test_different_signatures_do_not_share_cooldowns():
 
 def test_device_leave_is_informational_return_triggers_churn():
     meta = make_controller()
-    meta.on_annotation(EventAnnotation(80, 0.0, "device_leave", 3), 80)
+    meta.on_annotation(EventAnnotation(80, 0.0, "device_leave", 3))
     assert meta.invocations == [] and meta.trigger_state.cooldowns == {}
-    meta.on_annotation(EventAnnotation(160, 0.0, "device_return", 3), 160)
+    meta.on_annotation(EventAnnotation(160, 0.0, "device_return", 3))
     [inv] = meta.invocations
     assert inv is not None and inv.reason == "churn_event"
 
@@ -264,13 +264,13 @@ def test_one_rule_fires_what_the_three_branch_rule_fired(budget, monkeypatch):
         elif rng.random() < 0.2:
             device, type_ = rng.randrange(3), rng.choice(annotation_types)
             label = rng.choice(("game", "video")) if type_.startswith("semantic") else None
-            meta.on_annotation(EventAnnotation(task, 0.0, type_, device, label), task)
+            meta.on_annotation(EventAnnotation(task, 0.0, type_, device, label))
             feed(("annotation", type_, device, label), task)
         else:
             device, model = rng.randrange(3), rng.choice((LLM, SDXL))
             meta.opm.alarm = ratio, count = rng.uniform(0.2, 3.0), rng.randrange(3, 9)
             record = ExecutionRecord(task, device, model, *[0.0] * 6, 1, 1, 0)
-            meta.on_feedback(record, 0.0, task)
+            meta.on_feedback(record, task)
             feed(("alarm", device, model, ratio, count), task)
     got = [
         (i.reason, i.task_index, i.device, i.label, i.model, i.ratio, i.sample_count)
@@ -817,7 +817,7 @@ def adapter_controller(replies):
 
     adapter = AdapterConfig(url="http://x", model="m")
     meta = make_controller(now=1234.0, adapter=adapter, transport=transport)
-    meta.on_annotation(EventAnnotation(60, 1234.0, "semantic_onset", 0, "game"), 60)
+    meta.on_annotation(EventAnnotation(60, 1234.0, "semantic_onset", 0, "game"))
     return meta, payloads
 
 
@@ -882,7 +882,7 @@ def test_controller_uses_scripted_when_adapter_disabled():
     """The adapter is off unless one is configured: the scripted policy answers."""
     meta = make_controller()
     meta.on_annotation(
-        type("Ann", (), {"type": "semantic_onset", "device": 0, "label": "game"})(), 60
+        type("Ann", (), {"at_task": 60, "type": "semantic_onset", "device": 0, "label": "game"})()
     )
     assert meta.llm_calls == 1
     assert meta.overrides.is_risky(0)

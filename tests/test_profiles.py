@@ -301,6 +301,34 @@ def test_device_prior_needs_the_coefficients_of_its_kind(kwargs, message):
         DevicePrior(0, **kwargs)
 
 
+@pytest.mark.parametrize("device_id", [True, False, 0.0, "0", None])
+def test_device_prior_rejects_a_device_id_that_is_not_an_int(device_id):
+    # GroundTruthState once accepted a prior for device True.
+    with pytest.raises(ProfileError, match="device_id must be an int, not a bool, got "):
+        DevicePrior(device_id, LLM, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["foo", "llm", None, ["LLM"]])
+def test_device_prior_rejects_an_unknown_kind(kind):
+    # DevicePrior(0, "foo") once seeded an Opm estimate with gamma_hat=None.
+    with pytest.raises(ProfileError, match=r"kind must be one of \('LLM', 'SDXL'\), got "):
+        DevicePrior(0, kind)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kind": LLM, "alpha0": 1.0, "beta0": 1.0, "gamma0": 5.0}, "LLM prior takes no gamma0, got 5.0"),
+        ({"kind": SDXL, "alpha0": 1.0, "gamma0": 5.0}, "SDXL prior takes no alpha0, got 1.0"),
+        ({"kind": SDXL, "beta0": 2.0, "gamma0": 5.0}, "SDXL prior takes no beta0, got 2.0"),
+    ],
+    ids=["llm_gamma", "sdxl_alpha", "sdxl_beta"],
+)
+def test_device_prior_rejects_a_coefficient_of_the_other_kind(kwargs, message):
+    with pytest.raises(ProfileError, match=message):
+        DevicePrior(0, **kwargs)
+
+
 def test_prior_from_sd_rejects_llm_record():
     rec = RawProfileRecord("d", "llama3.1-8b-edge", "SingleStream", ttft_ms_p99=1024, tpot_ms_p99=50)
     with pytest.raises(ProfileError, match="prior_from_sd needs a diffusion record, got 'llama3.1-8b-edge'"):

@@ -418,10 +418,10 @@ def test_dispatched_ids_are_only_the_queued_and_in_flight_tasks():
     agent.on_first_dispatch = tracking_first_dispatch
     on_completion = agent.on_completion
 
-    def checked_completion(record, now, now_task):
+    def checked_completion(record, now_task):
         nonlocal largest
         outstanding.remove(record.task_id)
-        on_completion(record, now, now_task)
+        on_completion(record, now_task)
         devices = engine.devices.values()
         live = {t.task_id for dev in devices for t in dev.queue}
         live |= {dev.in_flight.task.task_id for dev in devices if dev.in_flight}

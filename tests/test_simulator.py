@@ -7,7 +7,7 @@ import pytest
 from conftest import FixedAssignmentPolicy, TableTruth, brute_force_replay, leak_scan, make_truth
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.router import OraclePolicy, RoundRobinPolicy
-from edgesched.sim.engine import Engine, EngineError, ObservableState, assert_no_ground_truth
+from edgesched.sim.engine import Engine, EngineError, ObservableState, Telemetry, assert_no_ground_truth
 from edgesched.sim.truth import (
     DEGRADED,
     STABLE,
@@ -339,12 +339,13 @@ def test_events_fire_at_their_tasks_arrival_on_an_uneven_stream(fixture_priors):
 def test_records_delivered_exactly_at_completion(fixture_priors):
     deliveries = []
     policy = FixedAssignmentPolicy({i: 0 for i in range(5)})
-    policy.on_completion = lambda record, now, _now_task: deliveries.append(
-        (record.task_id, record.completion_time, now)
+    policy.on_completion = lambda record, _now_task: deliveries.append(
+        (record.task_id, record.completion_time, engine.now)
     )
     truth = make_truth(fixture_priors)
     tasks = [TaskSpec(i, LLM, i * 2000.0, 256, 32) for i in range(5)]
-    Engine(truth, ScenarioPlan(()), tasks, policy).run()
+    engine = Engine(truth, ScenarioPlan(()), tasks, policy)
+    engine.run()
     assert len(deliveries) == 5
     for _task_id, completion, now in deliveries:
         assert now == completion
@@ -391,14 +392,14 @@ def test_observation_log_equals_record_rows(fixture_priors):
     limits = (None, 1, 7, 10**6)
     checked = []
 
-    def on_completion(record, now, _now_task):
+    def on_completion(record, _now_task):
         if record.task_id % 25 == 0:
-            check(now)
+            check(record.completion_time)
 
     def check(now):
         for window_ms in windows:
             for limit in limits:
-                got = engine.observation_log(window_ms, limit)
+                got = Telemetry(engine).observations(window_ms, limit)
                 assert got == reference_observation_rows(engine.records, now, window_ms, limit)
         checked.append(now)
 
@@ -419,15 +420,13 @@ def test_idle_device_availability_shows_at_the_next_decision(fixture_priors):
         name = "probe"
 
         def choose(self, task, obs):
-            seen[task.task_id] = (obs.snapshot_of(1).available, obs.snapshot_of(3))
+            seen[task.task_id] = obs.snapshot_of(1).available
             return 0
 
     plan = ScenarioPlan((DeviceLeave(2, 1), DeviceReturn(4, 1)))
     tasks = llm_tasks([i * 20_000.0 for i in range(6)])
     Engine(make_truth(fixture_priors), plan, tasks, Probe()).run()
-    assert [seen[i][0] for i in range(6)] == [True, True, False, False, True, True]
-    # The untouched SDXL device keeps one snapshot for the whole run.
-    assert len({id(snap) for _available, snap in seen.values()}) == 1
+    assert [seen[i] for i in range(6)] == [True, True, False, False, True, True]
 
 
 # --- plans ------------------------------------------------------------------------
@@ -579,7 +578,7 @@ def test_drift_is_logged_but_never_annotated(fixture_priors):
         def choose(self, task, obs):
             return obs.available_devices(task.kind)[0]
 
-        def on_annotation(self, annotation, at_task):
+        def on_annotation(self, annotation):
             seen.append(annotation.type)
 
     tasks = llm_tasks([0.0, 2000.0, 4000.0, 6000.0])

@@ -87,7 +87,7 @@ def test_value_type_defaults():
 
 
 def test_record_rows_keep_their_keys_and_order():
-    # Engine.observation_log hands tools these rows.
+    # Telemetry.observations hands tools these rows.
     row = RECORD._asdict()
     assert list(row) == list(CASES[1][1])
     assert ExecutionRecord(**row) == RECORD
