@@ -38,8 +38,9 @@ ALLOWLIST: dict[tuple[str, str, str], str] = {
     ("edgesched/router.py", "", "from .metacontrol import MetaController"):
         "annotation-only import under TYPE_CHECKING: metacontrol imports router at run time",
     ("edgesched/cli.py", "", "sys.exit(main())"):
-        "runs only as `python -m edgesched.cli`; tests start that in a subprocess, "
-        "which the trace does not see",
+        "runs only as `python -m edgesched.cli`, which "
+        "tests/test_harness.py::test_cli_module_runs_as_a_program starts in a subprocess "
+        "that the trace does not see",
     ("edgesched/sim/engine.py", "Engine._complete",
      'raise EngineError(f"completion event for idle device {device}")'):
         "the heap holds one completion per started task, and only _complete clears in_flight",

@@ -70,22 +70,23 @@ _FILE_TYPES = (
     ("out", str, "a path string"),
     ("adapter", dict, "an object"),
 )
-# Every key a config file may hold, with the flag (argparse dest) that
-# overrides it; None marks a key only a config file sets.  "adapter" holds
-# AdapterConfig's fields, each overridden by its flag in _ADAPTER_FLAGS.
+# Every key a config file may hold -> (the ExperimentConfig field it sets, the
+# flag (argparse dest) that overrides it, or None when only a file sets it).
+# "adapter" holds AdapterConfig's fields, each overridden by its flag in
+# _ADAPTER_FLAGS.
 _FILE_KEYS = {
-    "adapter": None,
-    "horizon": "horizon",
-    "lambda": "lam",
-    "out": "out",
-    "plan": None,
-    "policies": "policies",
-    "prior_error": None,
-    "profiles": "profiles",
-    "scenario": "scenario",
-    "service_jitter": "jitter",
-    "trace_decisions": "trace_decisions",
-    "warmup": "warmup",
+    "adapter": ("adapter", None),
+    "horizon": ("horizon", "horizon"),
+    "lambda": ("lam", "lam"),
+    "out": ("out_dir", "out"),
+    "plan": ("plan", None),
+    "policies": ("policies", "policies"),
+    "prior_error": ("prior_error", None),
+    "profiles": ("profiles_path", "profiles"),
+    "scenario": ("scenario", "scenario"),
+    "service_jitter": ("service_jitter", "jitter"),
+    "trace_decisions": ("trace_decisions", "trace_decisions"),
+    "warmup": ("warmup_budget", "warmup"),
 }
 _ADAPTER_FLAGS = {
     "url": "adapter_url",
@@ -110,52 +111,39 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
         if file_cfg.get(key) is not None and not isinstance(file_cfg[key], kind):
             raise ExperimentError(f"{key} must be {contract}, got {file_cfg[key]!r}")
 
-    def pick(key, default=None):
-        """The flag's value if given, else the config file's, else ``default``."""
-        flag = _FILE_KEYS[key]
+    # Only what a flag or the file sets is passed on; ExperimentConfig holds the defaults.
+    given = {}
+    for key, (name, flag) in _FILE_KEYS.items():
         flag_value = None if flag is None else getattr(args, flag)
         if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    scenario = pick("scenario")
-    if scenario is None:
+            given[name] = flag_value
+        elif key in file_cfg:
+            given[name] = file_cfg[key]
+    if given.get("scenario") is None:
         raise ExperimentError("a scenario is required (--scenario or config file)")
 
-    policies = pick("policies", ",".join(POLICY_NAMES))
-    if isinstance(policies, str):
-        policies = tuple(p.strip() for p in policies.split(",") if p.strip())
-    elif isinstance(policies, list):
-        policies = tuple(policies)
-    else:
-        raise ExperimentError(f"policies must be a comma-separated string or list, got {policies!r}")
+    if "policies" in given:
+        policies = given["policies"]
+        if isinstance(policies, str):
+            given["policies"] = tuple(p.strip() for p in policies.split(",") if p.strip())
+        elif isinstance(policies, list):
+            given["policies"] = tuple(policies)
+        else:
+            raise ExperimentError(f"policies must be a comma-separated string or list, got {policies!r}")
+    if "plan" in given:
+        given["plan"] = plan_from_dicts(given["plan"])
+    if "prior_error" in given:
+        given["prior_error"] = _parse_prior_error(given["prior_error"])
 
-    plan = None
-    if "plan" in file_cfg:
-        plan = plan_from_dicts(pick("plan"))
-
-    adapter_cfg = dict(pick("adapter") or {})
+    adapter_cfg = dict(given.pop("adapter", None) or {})
     _check_keys(adapter_cfg, _ADAPTER_FLAGS, "adapter")
     for key, flag in _ADAPTER_FLAGS.items():
         if getattr(args, flag) is not None:
             adapter_cfg[key] = getattr(args, flag)
     # Any adapter setting asks for an adapter, so one without a url fails its check.
-    adapter = AdapterConfig(**adapter_cfg) if adapter_cfg else None
-
-    return ExperimentConfig(
-        scenario=scenario,
-        warmup_budget=pick("warmup", 0),
-        horizon=pick("horizon", 300),
-        lam=pick("lambda", 0.5),
-        policies=policies,
-        profiles_path=pick("profiles"),
-        out_dir=pick("out"),
-        prior_error=_parse_prior_error(pick("prior_error")),
-        service_jitter=pick("service_jitter"),
-        plan=plan,
-        adapter=adapter,
-        trace_decisions=pick("trace_decisions", False),
-    )
+    if adapter_cfg:
+        given["adapter"] = AdapterConfig(**adapter_cfg)
+    return ExperimentConfig(**given)
 
 
 def _parse_prior_error(raw: object) -> object:

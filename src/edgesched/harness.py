@@ -123,6 +123,10 @@ class ExperimentConfig:
             raise ExperimentError(f"plan must be a ScenarioPlan or None, got {self.plan!r}")
         if self.adapter is not None and not isinstance(self.adapter, AdapterConfig):
             raise ExperimentError(f"adapter must be an AdapterConfig or None, got {self.adapter!r}")
+        if self.adapter_transport is not None and not callable(self.adapter_transport):
+            raise ExperimentError(
+                f"adapter_transport must be a callable or None, got {self.adapter_transport!r}"
+            )
         if self.prior_error is not None:
             check_prior_error(self.prior_error)
         if self.service_jitter is not None:
@@ -195,10 +199,17 @@ class MetricsReport:
 @dataclass
 class ExperimentResult:
     report: MetricsReport
-    runs: dict[str, SimulationResult]
-    audit: AuditLog | None
+    runs: dict[str, SimulationResult]  # in the order the policies were asked for
     agent: AdaptiveAgentPolicy | None
-    event_log: list[str]
+
+    @property
+    def audit(self) -> AuditLog | None:
+        return self.agent.meta.audit if self.agent is not None else None
+
+    @property
+    def event_log(self) -> list[str]:
+        """The event log of the first policy asked for."""
+        return next(iter(self.runs.values())).event_log if self.runs else []
 
 
 def smooth_ma(series: list[float], window: int = MA_WINDOW) -> list[float]:
@@ -357,7 +368,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.horizon == 0:
         # Nothing runs, but the prior-error factors must still fit the pool.
         GroundTruthState(priors, prior_error=prior_error, service_jitter=jitter)
-        result = ExperimentResult(report, {}, None, None, [])
+        result = ExperimentResult(report, {}, None)
         if config.out_dir is not None:
             emit_report(result, config.out_dir)
         return result
@@ -393,9 +404,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     report.policies = metrics
 
-    event_log = runs[wanted[0]].event_log
-    audit = agent.meta.audit if agent is not None else None
-    result = ExperimentResult(report, {n: runs[n] for n in wanted}, audit, agent, event_log)
+    result = ExperimentResult(report, {n: runs[n] for n in wanted}, agent)
     if config.out_dir is not None:
         emit_report(result, config.out_dir)
     return result

@@ -11,7 +11,7 @@ records in an append-only audit log.  Below the warmup budget it also refits
 the model every :data:`WARMUP_REFIT_PERIOD` tasks.  A deterministic scripted
 policy is the default controller; an optional external chat-completions
 adapter can drive the same tools for at most :data:`MAX_TOOL_ROUNDS` rounds
-and falls back to the scripted policy on any failure.
+and falls back to the scripted policy when its first round fails.
 """
 
 from __future__ import annotations
@@ -100,14 +100,6 @@ TOOLS = {
 }
 
 
-@dataclass
-class TriggerState:
-    """Suppression bookkeeping for the event-driven controller."""
-
-    last_invocation_task: int = -(10**9)
-    cooldowns: dict[tuple, int] = field(default_factory=dict)  # signature -> first task it fires again
-
-
 @dataclass(frozen=True)
 class Invocation:
     """One meta-controller activation: why, at which task, and about what."""
@@ -121,8 +113,17 @@ class Invocation:
     sample_count: int | None = None
 
 
+@dataclass
+class TriggerState:
+    """The trigger rule's record: the invocations it let through and the cooldowns it set."""
+
+    fired: list[Invocation] = field(default_factory=list)  # every candidate let through, in order
+    cooldowns: dict[tuple, int] = field(default_factory=dict)  # signature -> first task it fires again
+
+
 def evaluate_triggers(candidate: Invocation, state: TriggerState) -> Invocation | None:
-    """Return ``candidate`` if it fires now, or None if it is suppressed.
+    """Return ``candidate``, appended to ``state.fired``, if it fires now, or
+    None if it is suppressed.
 
     A residual alarm fires once ``MIN_NONEVENT_GAP`` tasks have passed since
     the last invocation, whatever its device and model, and sets no cooldown.
@@ -131,14 +132,14 @@ def evaluate_triggers(candidate: Invocation, state: TriggerState) -> Invocation 
     """
     now = candidate.task_index
     if candidate.reason == "residual_alarm":
-        if now - state.last_invocation_task < MIN_NONEVENT_GAP:
+        if state.fired and now - state.fired[-1].task_index < MIN_NONEVENT_GAP:
             return None
     else:
         signature = (candidate.reason, candidate.device, candidate.label)
         if now < state.cooldowns.get(signature, -(10**9)):
             return None
         state.cooldowns[signature] = now + ANOMALY_COOLDOWN
-    state.last_invocation_task = now
+    state.fired.append(candidate)
     return candidate
 
 
@@ -219,12 +220,22 @@ class MetaController:
         self.warmup_points = warmup_points(warmup_budget)
         self.trigger_state = TriggerState()
         self.telemetry = None
-        self.invocations: list[Invocation] = []
-        self.tool_calls = 0
+
+    @property
+    def invocations(self) -> list[Invocation]:
+        """Every invocation the trigger rule let through; the last is the one being served."""
+        return self.trigger_state.fired
 
     @property
     def llm_calls(self) -> int:
         return len(self.invocations)
+
+    @property
+    def tool_calls(self) -> int:
+        """Tool calls run or rejected: every audit entry but the adapter's fallback
+        notes, though a rejected call that an adapter named like one counts."""
+        entries = self.audit.entries
+        return sum(e.tool != "adapter_fallback" or e.result.startswith("rejected: ") for e in entries)
 
     def attach_telemetry(self, telemetry) -> None:
         self.telemetry = telemetry
@@ -236,7 +247,6 @@ class MetaController:
             return
         if self.telemetry is None:
             raise RuntimeError("meta-controller has no telemetry attached")
-        self.invocations.append(invocation)
         if self.adapter is not None:
             llm_adapter_invoke(invocation, self.adapter, self, self.transport)
         else:
@@ -259,7 +269,6 @@ class MetaController:
         )
 
     def _reject(self, call: ToolCall, message: str) -> ToolResult:
-        self.tool_calls += 1
         self._audit(call, f"rejected: {message}", {})
         return ToolResult(call.tool, False, {}, message)
 
@@ -290,7 +299,6 @@ class MetaController:
             payload, delta = getattr(self, f"_tool_{call.tool}")(**call.arguments)
         except UnknownDeviceError as exc:  # the OPM knows the device, but not for this model
             return self._reject(call, str(exc))
-        self.tool_calls += 1
         self._audit(call, payload, delta)
         return ToolResult(call.tool, True, payload)
 
@@ -525,12 +533,13 @@ def llm_adapter_invoke(
     """Drive one invocation through an external controller endpoint.
 
     The exchange follows the chat-completions tool protocol: message list
-    plus tool catalog out, an assistant message with tool calls back.  The
-    second round's messages add that assistant message and one ``tool``
+    plus tool catalog out, an assistant message with tool calls back.  Each
+    later round's messages add that assistant message and one ``tool``
     message per call, answering its id.  The loop runs at most
-    :data:`MAX_TOOL_ROUNDS` rounds.  Timeouts, transport errors, or an
-    empty/unparseable first round fall back to the scripted policy; the
-    fallback itself is audited.
+    :data:`MAX_TOOL_ROUNDS` rounds.  A failed (timeout, transport error,
+    unparseable reply) or empty first round falls back to the scripted
+    policy, and the fallback itself is audited; a failed or empty later
+    round ends the loop with the calls already made.
     """
     transport = transport or _default_transport
     user = {**asdict(invocation), "context": meta.telemetry.system_status()}
@@ -544,28 +553,23 @@ def llm_adapter_invoke(
         },
         {"role": "user", "content": json.dumps(user, sort_keys=True)},
     ]
-
-    def ask() -> tuple[dict, list[ToolCall]]:
-        payload = {"model": endpoint.model, "messages": messages, "tools": _tool_catalog()}
-        return _parse_tool_calls(transport(payload, endpoint))
-
-    try:
-        message, calls = ask()
-        error, outcome = "no tool calls returned", "adapter returned no tool calls"
-    except Exception as exc:  # network, schema, or JSON failure
-        logger.warning("adapter failed (%s); falling back to scripted policy", exc)
-        calls, error, outcome = [], str(exc), "adapter failure"
-    if not calls:
-        meta._audit(
-            ToolCall("adapter_fallback", {"error": error}), f"{outcome}; scripted policy used", {}
-        )
-        return scripted_policy(invocation, meta)
-
     made: list[ToolCall] = []
-    for _round in range(MAX_TOOL_ROUNDS):
+    for round_ in range(1, MAX_TOOL_ROUNDS + 1):
+        payload = {"model": endpoint.model, "messages": messages, "tools": _tool_catalog()}
+        try:
+            message, calls = _parse_tool_calls(transport(payload, endpoint))
+            error, outcome = "no tool calls returned", "adapter returned no tool calls"
+        except Exception as exc:  # network, schema, or JSON failure
+            if made:
+                logger.warning("adapter round %d failed (%s); stopping after round %d", round_, exc, round_ - 1)
+            else:
+                logger.warning("adapter failed (%s); falling back to scripted policy", exc)
+            calls, error, outcome = [], str(exc), "adapter failure"
+        if not calls:
+            break
         results = [meta.execute_tool(call) for call in calls]
         made.extend(calls)
-        if _round + 1 >= MAX_TOOL_ROUNDS:
+        if round_ == MAX_TOOL_ROUNDS:
             break
         items = message["tool_calls"]
         messages = [
@@ -580,11 +584,7 @@ def llm_adapter_invoke(
                 for item, r in zip(items, results)
             ),
         ]
-        try:
-            message, calls = ask()
-        except Exception as exc:
-            logger.warning("adapter round 2 failed (%s); stopping after round 1", exc)
-            break
-        if not calls:
-            break
-    return made
+    if made:
+        return made
+    meta._audit(ToolCall("adapter_fallback", {"error": error}), f"{outcome}; scripted policy used", {})
+    return scripted_policy(invocation, meta)

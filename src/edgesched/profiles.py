@@ -220,44 +220,22 @@ def load_profiles(path: str | Path) -> list[RawProfileRecord]:
     return records
 
 
-def prior_from_llm(record: RawProfileRecord, device_id: int = 0) -> DevicePrior:
-    """Convert an LLM measurement to per-token coefficients.
-
-    alpha0 = ttft_ms_p99 / TTFT_REFERENCE_TOKENS, beta0 = tpot_ms_p99.
-    """
-    if record.kind != LLM:
-        raise ProfileError(
-            f"prior_from_llm needs an LLM record, got {record.model_id!r}"
-        )
-    return DevicePrior(
-        device_id=device_id,
-        kind=LLM,
-        alpha0=record.ttft_ms_p99 / TTFT_REFERENCE_TOKENS,
-        beta0=record.tpot_ms_p99,
-    )
-
-
-def prior_from_sd(record: RawProfileRecord, device_id: int = 0) -> DevicePrior:
-    """Extract the flat per-image cost from a diffusion measurement.
-
-    The record must match the profiling configuration (:func:`check_sd_config`).
-    """
-    if record.kind != SDXL:
-        raise ProfileError(
-            f"prior_from_sd needs a diffusion record, got {record.model_id!r}"
-        )
-    check_sd_config(record)
-    return DevicePrior(device_id=device_id, kind=SDXL, gamma0=record.latency_ms_p99)
-
-
 def priors_from_records(records: list[RawProfileRecord]) -> list[DevicePrior]:
-    """Build one prior per record, assigning device ids in file order."""
+    """Build one prior per record, assigning device ids in file order.
+
+    An LLM record gives per-token coefficients, alpha0 = ttft_ms_p99 /
+    TTFT_REFERENCE_TOKENS and beta0 = tpot_ms_p99.  A diffusion record must
+    match the profiling configuration (:func:`check_sd_config`) and gives its
+    flat per-image cost, gamma0 = latency_ms_p99.
+    """
     priors = []
     for device_id, record in enumerate(records):
         if record.kind == LLM:
-            priors.append(prior_from_llm(record, device_id))
+            alpha0 = record.ttft_ms_p99 / TTFT_REFERENCE_TOKENS
+            priors.append(DevicePrior(device_id, LLM, alpha0=alpha0, beta0=record.tpot_ms_p99))
         else:
-            priors.append(prior_from_sd(record, device_id))
+            check_sd_config(record)
+            priors.append(DevicePrior(device_id, SDXL, gamma0=record.latency_ms_p99))
     return priors
 
 

@@ -29,7 +29,7 @@ def result_with(trajectory) -> ExperimentResult:
     report = MetricsReport("semantic", 0, 300, 0.5, 0, "a" * 64, "b" * 64)
     report.policies["e3"] = PolicyMetrics(12.5, 25.0, -0.0, 2**70, 3, trajectory)
     report.policies["oracle"] = PolicyMetrics(10.0, 0.0, 1e-07, 0, 0, [])
-    return ExperimentResult(report, runs={}, audit=None, agent=None, event_log=[])
+    return ExperimentResult(report, runs={}, agent=None)
 
 
 CASES = {

@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import edgesched
 from edgesched.cli import _ADAPTER_FLAGS as cli_adapter_flags
 from edgesched.cli import _FILE_KEYS as cli_file_keys
 from edgesched.cli import _build_parser as cli_parser
@@ -186,6 +191,16 @@ def test_adapter_must_be_an_adapter_config():
         ExperimentConfig(scenario="semantic", adapter={"url": "u"})
 
 
+def test_adapter_transport_must_be_a_callable():
+    # A string once ran, and every invocation logged "adapter failed ('str'
+    # object is not callable)" and fell back to the scripted policy.
+    with pytest.raises(ExperimentError, match="adapter_transport must be a callable or None, got 'x'"):
+        ExperimentConfig(
+            scenario="semantic", horizon=120, policies=("e3",), adapter=AdapterConfig(url="u"),
+            adapter_transport="x",
+        )
+
+
 @pytest.mark.parametrize("plan", ["x", [], ()])
 def test_plan_must_be_a_scenario_plan(plan):
     with pytest.raises(ExperimentError, match="plan must be a ScenarioPlan or None, got "):
@@ -263,6 +278,26 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "oracle" in captured.out
     assert (out / "report.json").exists()
+
+
+def test_cli_module_runs_as_a_program(tmp_path):
+    """`python -m edgesched.cli` in a subprocess: a run writes its report and
+    exits 0; a rate outside the contract exits 1 with one error line."""
+    src = str(Path(edgesched.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*flags):
+        argv = [sys.executable, "-m", "edgesched.cli", "run", "--scenario", "semantic", "--horizon", "40", *flags]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+    out = tmp_path / "out"
+    done = run("--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert json.loads((out / "report.json").read_text())["horizon"] == 40
+    failed = run("--lambda", "nan", "--out", str(tmp_path / "nan"))
+    assert failed.returncode == 1
+    assert failed.stderr.startswith("error: ") and failed.stderr.count("\n") == 1, failed.stderr
+    assert not (tmp_path / "nan").exists()
 
 
 def test_cli_rejects_unknown_policy(tmp_path, capsys):
@@ -644,15 +679,63 @@ def test_adapter_settings_outside_the_contract_are_one_cli_error(tmp_path, capsy
 
 
 def test_every_config_file_key_names_a_real_flag():
-    """pick() reads each file key's overriding flag from the one key table,
-    and each AdapterConfig field has its own flag."""
+    """_merge reads each file key's field and overriding flag from the one key
+    table, and each AdapterConfig field has its own flag."""
     args = cli_parser().parse_args(["run"])
-    for key, flag in cli_file_keys.items():
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for key, (field, flag) in cli_file_keys.items():
+        assert field in config_fields, key
         assert flag is None or hasattr(args, flag), key
     assert args.trace_decisions is None  # unset, so a file's value is used
     assert list(cli_adapter_flags) == [f.name for f in dataclasses.fields(AdapterConfig)]
     for key, flag in cli_adapter_flags.items():
         assert getattr(args, flag) is None, key  # unset, so the file's field is used
+
+
+def test_a_scenario_alone_gives_the_config_defaults(tmp_path):
+    """The CLI repeats no default: a run named by its scenario alone, by flag
+    or by file, is ExperimentConfig's own."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "semantic"}))
+    expected = ExperimentConfig("semantic")
+    for argv in (["run", "--scenario", "semantic"], ["run", "--config", str(cfg)]):
+        merged = cli_merge(cli_parser().parse_args(argv))
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(merged, f.name) == getattr(expected, f.name), (argv, f.name)
+
+
+# config-file key -> the error a null value raises, or None when it keeps the default
+NULL_OUTCOMES = {
+    "adapter": None,
+    "horizon": "horizon must be an int, got None",
+    "lambda": "lambda must be a finite number > 0, got None",
+    "out": None,
+    "plan": "a plan must be a list of event objects, got None",
+    "policies": "policies must be a comma-separated string or list, got None",
+    "prior_error": None,
+    "profiles": None,
+    "scenario": "a scenario is required (--scenario or config file)",
+    "service_jitter": None,
+    "trace_decisions": "trace_decisions must be a bool, got None",
+    "warmup": "warmup_budget must be an int, got None",
+}
+
+
+@pytest.mark.parametrize("key", sorted(NULL_OUTCOMES))
+def test_a_null_config_file_value_is_passed_on_as_written(tmp_path, key):
+    """A file key set to null reaches ExperimentConfig as None: a field that
+    takes None keeps its default, any other is rejected."""
+    assert sorted(NULL_OUTCOMES) == sorted(cli_file_keys)
+    message = NULL_OUTCOMES[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "drift", key: None}))
+    args = cli_parser().parse_args(["run", "--config", str(cfg)])
+    if message is None:
+        assert cli_merge(args) == ExperimentConfig("drift")
+    else:
+        with pytest.raises((ExperimentError, PlanError)) as info:
+            cli_merge(args)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("in_file", [None, False, True])

@@ -110,13 +110,15 @@ def test_device_leave_is_informational_return_triggers_churn():
 
 
 def test_residual_alarm_respects_nonevent_gap():
-    state = TriggerState()
-    state.last_invocation_task = 30
+    earlier = Invocation("semantic_onset", 30, device=0, label="game")
+    state = TriggerState(fired=[earlier])
     alarm = dict(device=1, model=LLM, ratio=2.0, sample_count=5)
     assert evaluate_triggers(Invocation("residual_alarm", 45, **alarm), state) is None  # gap 15 < 20
+    assert state.fired == [earlier]  # a suppressed candidate is not recorded
     inv = evaluate_triggers(Invocation("residual_alarm", 50, **alarm), state)
     assert inv is not None and inv.reason == "residual_alarm"
     assert inv.ratio == 2.0
+    assert state.fired == [earlier, inv]
 
 
 def test_residual_alarm_is_governed_by_the_gap_alone():
@@ -131,7 +133,7 @@ def test_residual_alarm_is_governed_by_the_gap_alone():
     assert alarm(119, 0, LLM) is None and alarm(119, 1, SDXL) is None
     # At the gap the same device and model fire again.
     assert alarm(120, 1, LLM)
-    assert state.last_invocation_task == 120 and state.cooldowns == {}
+    assert [i.task_index for i in state.fired] == [100, 120] and state.cooldowns == {}
 
 
 def test_warmup_tick_fires_once_per_point():
@@ -943,6 +945,73 @@ def test_adapter_second_round_failure_keeps_the_first_rounds_calls(caplog):
     assert len(payloads) == 2
     assert [e.tool for e in meta.audit.entries] == ["get_system_status"]  # no fallback
     assert "adapter round 2 failed (no second answer); stopping after round 1" in caplog.text
+
+
+def onset_fallback_line(error, outcome):
+    return (
+        f'{{"arguments": {{"error": {json.dumps(error)}}}, "reason": "semantic_onset", '
+        f'"result": "{outcome}; scripted policy used", "sim_time_ms": 1234.0, '
+        '"state_delta": {}, "task_index": 60, "tool": "adapter_fallback"}'
+    )
+
+
+# A bad reply: (the reply, the error a round-one fallback records, or None when
+# the reply parses but carries no calls).
+BAD_REPLIES = {
+    "raises": (TimeoutError("no answer"), "no answer"),
+    "no-tool-calls": ({"choices": [{"message": {"role": "assistant", "content": "done"}}]}, None),
+    "no-choices": ({"error": "busy"}, "'choices'"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_REPLIES))
+@pytest.mark.parametrize("bad_round", [1, 2])
+def test_adapter_exchange_when_a_round_fails(caplog, bad_round, bad):
+    """What a failed or empty reply leaves behind, round by round: the audit
+    lines, the requests sent, the second request's messages and the warnings.
+    In round one it falls back to the scripted policy; in round two it stops
+    the loop and keeps round one's calls."""
+    reply, error = BAD_REPLIES[bad]
+    status_call = adapter_response([("get_system_status", {})])
+    replies = [reply] if bad_round == 1 else [status_call, reply]
+    with caplog.at_level(logging.WARNING, logger="edgesched.metacontrol"):
+        meta, payloads = adapter_controller(replies)
+    warnings = [r.getMessage() for r in caplog.records if r.name == "edgesched.metacontrol"]
+    assert replies == []  # every reply was asked for
+    if bad_round == 1:
+        assert len(payloads) == 1
+        if error is None:
+            fallback = onset_fallback_line("no tool calls returned", "adapter returned no tool calls")
+            assert warnings == []
+        else:
+            fallback = onset_fallback_line(error, "adapter failure")
+            assert warnings == [f"adapter failed ({error}); falling back to scripted policy"]
+        assert list(meta.audit.lines()) == [fallback, *ONSET_SCRIPTED_AUDIT]
+        assert meta.tool_calls == 2
+        return
+    first, second = payloads
+    assert second["messages"] == first["messages"] + [
+        {"role": "assistant", "content": None,
+         "tool_calls": status_call["choices"][0]["message"]["tool_calls"]},
+        {"role": "tool", "tool_call_id": "call_0",
+         "content": '{"active_semantic_events": {}, "devices": {}, "sim_time_ms": 1234.0}'},
+    ]
+    assert list(meta.audit.lines()) == ONSET_SCRIPTED_AUDIT[:1]
+    assert meta.tool_calls == 1
+    if error is None:
+        assert warnings == []
+    else:
+        assert warnings == [f"adapter round 2 failed ({error}); stopping after round 1"]
+
+
+def test_an_adapter_call_named_like_the_fallback_is_rejected_and_counted():
+    """The fallback note is no tool, so an adapter that asks for it by name
+    makes a rejected call, which counts as a tool call like any other."""
+    meta, payloads = adapter_controller([adapter_response([("adapter_fallback", {})]), adapter_response([])])
+    assert len(payloads) == 2
+    [entry] = meta.audit.entries
+    assert (entry.tool, entry.result) == ("adapter_fallback", "rejected: unknown tool 'adapter_fallback'")
+    assert meta.tool_calls == 1
 
 
 def test_controller_without_telemetry_cannot_run_an_invocation():

@@ -14,8 +14,6 @@ from edgesched.profiles import (
     RawProfileRecord,
     default_profiles_path,
     load_profiles,
-    prior_from_llm,
-    prior_from_sd,
     priors_from_records,
 )
 
@@ -99,18 +97,8 @@ def test_unreadable_file_fatal(tmp_path):
 )
 def test_prior_from_llm_conversion(ttft, tpot, alpha, beta):
     rec = RawProfileRecord("d", "llama3.1-8b-edge", "SingleStream", ttft_ms_p99=ttft, tpot_ms_p99=tpot)
-    prior = prior_from_llm(rec)
-    assert prior.kind == LLM
-    assert prior.alpha0 == alpha
-    assert prior.beta0 == beta
-
-
-def test_prior_from_llm_rejects_sd_record():
-    rec = RawProfileRecord(
-        "d", "stable-diffusion-xl", "SingleStream", latency_ms_p99=4000, image_size=1024, steps=20
-    )
-    with pytest.raises(ProfileError, match="LLM"):
-        prior_from_llm(rec)
+    [prior] = priors_from_records([rec])
+    assert prior == DevicePrior(0, LLM, alpha0=alpha, beta0=beta)
 
 
 @pytest.mark.parametrize("latency", [4000, 7000])
@@ -118,15 +106,15 @@ def test_prior_from_sd_identity(latency):
     rec = RawProfileRecord(
         "d", "stable-diffusion-xl", "SingleStream", latency_ms_p99=latency, image_size=1024, steps=20
     )
-    assert prior_from_sd(rec).gamma0 == latency
+    assert priors_from_records([rec]) == [DevicePrior(0, SDXL, gamma0=latency)]
 
 
 def test_prior_from_sd_rejects_wrong_config():
     rec = RawProfileRecord(
         "d", "stable-diffusion-xl", "SingleStream", latency_ms_p99=4000, image_size=512, steps=20
     )
-    with pytest.raises(ProfileError, match="image_size"):
-        prior_from_sd(rec)
+    with pytest.raises(ProfileError, match="image_size must be 1024, got 512"):
+        priors_from_records([rec])
 
 
 def test_alpha_times_reference_recovers_ttft_exactly():
@@ -135,12 +123,12 @@ def test_alpha_times_reference_recovers_ttft_exactly():
         rec = RawProfileRecord(
             "d", "llama3.1-8b-edge", "SingleStream", ttft_ms_p99=ttft, tpot_ms_p99=10
         )
-        assert prior_from_llm(rec).alpha0 * 1024 == ttft
+        assert priors_from_records([rec])[0].alpha0 * 1024 == ttft
     for ttft in (1000, 1234.5, 777):
         rec = RawProfileRecord(
             "d", "llama3.1-8b-edge", "SingleStream", ttft_ms_p99=ttft, tpot_ms_p99=10
         )
-        assert abs(prior_from_llm(rec).alpha0 * 1024 - ttft) <= 1e-12 * ttft
+        assert abs(priors_from_records([rec])[0].alpha0 * 1024 - ttft) <= 1e-12 * ttft
 
 
 def test_load_profiles_order_preserving_and_idempotent(tmp_path):
@@ -327,9 +315,3 @@ def test_device_prior_rejects_an_unknown_kind(kind):
 def test_device_prior_rejects_a_coefficient_of_the_other_kind(kwargs, message):
     with pytest.raises(ProfileError, match=message):
         DevicePrior(0, **kwargs)
-
-
-def test_prior_from_sd_rejects_llm_record():
-    rec = RawProfileRecord("d", "llama3.1-8b-edge", "SingleStream", ttft_ms_p99=1024, tpot_ms_p99=50)
-    with pytest.raises(ProfileError, match="prior_from_sd needs a diffusion record, got 'llama3.1-8b-edge'"):
-        prior_from_sd(rec)
