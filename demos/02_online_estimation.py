@@ -15,10 +15,12 @@ from edgesched.sim import ExecutionRecord, TOKEN_BIN_CYCLE, TaskSpec
 
 
 def record(task_id, service, n_in, n_out, completion):
+    # A record stores no service time; whole-millisecond times make
+    # completion_time - start_time read back exactly the service.
     return ExecutionRecord(
         task_id=task_id, device_id=0, kind=LLM, arrival_time=0.0, dispatch_time=0.0,
         start_time=completion - service, completion_time=completion,
-        latency_ms=completion, service_ms=service, n_in=n_in, n_out=n_out, stutter=0,
+        n_in=n_in, n_out=n_out, stutter=0,
     )
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from collections.abc import Iterable
+import os
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -119,6 +121,10 @@ class ExperimentConfig:
         self.lam = float(self.lam)  # an int rate is accepted and reported as a float
         if not isinstance(self.trace_decisions, bool):
             raise ExperimentError(f"trace_decisions must be a bool, got {self.trace_decisions!r}")
+        for name in ("profiles_path", "out_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (str, os.PathLike)):
+                raise ExperimentError(f"{name} must be a str, an os.PathLike or None, got {value!r}")
         if self.plan is not None and not isinstance(self.plan, ScenarioPlan):
             raise ExperimentError(f"plan must be a ScenarioPlan or None, got {self.plan!r}")
         if self.adapter is not None and not isinstance(self.adapter, AdapterConfig):
@@ -212,23 +218,35 @@ class ExperimentResult:
         return next(iter(self.runs.values())).event_log if self.runs else []
 
 
-def smooth_ma(series: list[float], window: int = MA_WINDOW) -> list[float]:
-    """Trailing moving average; output[k] covers the last min(window, k+1) points."""
+def smooth_ma(series: Iterable[float], window: int = MA_WINDOW) -> Iterator[float]:
+    """Trailing moving average, yielded as ``series`` is read: the k-th value
+    covers the last min(window, k+1) points.
+
+    The running sum adds each point, then subtracts the one that left the
+    window, so every value is bit-identical to that of a whole-list pass.
+    """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    out = []
+    return _moving_average(series, window)
+
+
+def _moving_average(series: Iterable[float], window: int) -> Iterator[float]:
+    values = iter(series)
+    recent: deque[float] = deque()
     running = 0.0
-    for k, value in enumerate(series[:window]):
+    for value in islice(values, window):
         running += value
-        out.append(running / (k + 1))
-    for k in range(window, len(series)):
-        running += series[k]
-        running -= series[k - window]
-        out.append(running / window)
-    return out
+        recent.append(value)
+        yield running / len(recent)
+    for value in values:
+        running += value
+        running -= recent.popleft()
+        recent.append(value)
+        yield running / window
 
 
 _task_id = attrgetter("task_id")
+_latency_ms = attrgetter("latency_ms")
 
 
 def compute_metrics(
@@ -241,7 +259,11 @@ def compute_metrics(
 
     Every policy must cover exactly the oracle's task ids (identical
     workloads, at least one task: a run with H=0 never gets here); the
-    oracle block reports a zero gap by definition.
+    oracle block reports a zero gap by definition.  Averages fold the
+    records in completion order.  The trajectory streams: one pass over the
+    task-ordered records feeds the moving average, and only every
+    ``TRAJECTORY_SAMPLE_EVERY``-th ``(k, raw, ma)`` row from ``prefix_end``
+    on is kept.
     """
     meta_counts = meta_counts or {}
     oracle_ids = sorted(r.task_id for r in oracle_records)
@@ -262,11 +284,10 @@ def compute_metrics(
             vs = (avg / oracle_avg - 1.0) * 100.0
         stutter = sum(r.stutter for r in records) / len(records)
         llm_calls, tool_calls = meta_counts.get(name, (0, 0))
-        latencies = [r.latency_ms for r in ordered]
-        ma = smooth_ma(latencies, MA_WINDOW)
+        ma = enumerate(smooth_ma(map(_latency_ms, ordered), MA_WINDOW))
         trajectory = [
-            (k, latencies[k], ma[k])
-            for k in range(prefix_end, len(latencies), TRAJECTORY_SAMPLE_EVERY)
+            (k, ordered[k].latency_ms, smoothed)
+            for k, smoothed in islice(ma, prefix_end, None, TRAJECTORY_SAMPLE_EVERY)
         ]
         metrics[name] = PolicyMetrics(avg, vs, stutter, llm_calls, tool_calls, trajectory)
     return metrics

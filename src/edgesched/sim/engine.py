@@ -28,7 +28,9 @@ a plain tuple of the same values.  The engine builds them with
 the class would run.  It keeps each task once: a device's queue holds the
 queued TaskSpecs themselves, and its in-flight slot holds the InFlightView
 that snapshots hand out.  It prices each task's true service time once, at
-dispatch, and again only when an event changes its device's truth.
+dispatch, and again only when an event changes its device's truth.  A
+completed task's record stores its timestamps once: its latency and service
+are read off them, never stored beside them.
 """
 
 from __future__ import annotations
@@ -49,7 +51,13 @@ class EngineError(RuntimeError):
 
 
 class ExecutionRecord(NamedTuple):
-    """Causal post-completion feedback for one task."""
+    """Causal post-completion feedback for one task.
+
+    It stores ten facts.  ``latency_ms`` and ``service_ms`` are derived from
+    its timestamps on each read, so they are not fields: they are not in
+    ``_fields``, ``_asdict()`` or the ``repr``, and a record is built without
+    them.
+    """
 
     task_id: int
     device_id: int
@@ -58,11 +66,19 @@ class ExecutionRecord(NamedTuple):
     dispatch_time: float
     start_time: float
     completion_time: float
-    latency_ms: float
-    service_ms: float
     n_in: int | None
     n_out: int | None
     stutter: int
+
+    @property
+    def latency_ms(self) -> float:
+        """Arrival to completion."""
+        return self.completion_time - self.arrival_time
+
+    @property
+    def service_ms(self) -> float:
+        """Service start to completion."""
+        return self.completion_time - self.start_time
 
 
 class EventAnnotation(NamedTuple):
@@ -215,6 +231,14 @@ class SimulationResult:
     annotations: tuple[EventAnnotation, ...]
 
 
+# An observation row's keys, in order: the record's stored fields with its
+# derived latency and service between ``completion_time`` and ``n_in``.
+_OBSERVATION_KEYS = (
+    "task_id", "device_id", "kind", "arrival_time", "dispatch_time", "start_time",
+    "completion_time", "latency_ms", "service_ms", "n_in", "n_out", "stutter",
+)
+
+
 class Telemetry:
     """Policy-visible status/observation facade (no ground-truth access)."""
 
@@ -246,7 +270,7 @@ class Telemetry:
         }
 
     def observations(self, window_ms: float | None = None, limit: int | None = None) -> list[dict]:
-        """``_asdict()`` rows of the records completed within ``window_ms``, last ``limit``."""
+        """Rows of the records completed within ``window_ms``, last ``limit``."""
         engine = self._engine
         rows = engine.records
         if window_ms is not None:
@@ -254,7 +278,7 @@ class Telemetry:
             rows = [r for r in rows if r.completion_time >= cutoff]
         if limit is not None:
             rows = rows[-limit:]
-        return [r._asdict() for r in rows]
+        return [{key: getattr(r, key) for key in _OBSERVATION_KEYS} for r in rows]
 
 
 class Engine:
@@ -485,8 +509,6 @@ class Engine:
                 dispatch_time,
                 start_time,
                 self.now,
-                self.now - task.arrival_time,
-                self.now - start_time,
                 task.n_in,
                 task.n_out,
                 stutter,

@@ -114,3 +114,14 @@ def solve_lstsq_oracle(samples: list[tuple[int, int, float]]) -> tuple[float, fl
     y = np.array([s[2] for s in samples], dtype=float)
     coef, *_ = np.linalg.lstsq(x, y, rcond=None)
     return float(coef[0]), float(coef[1])
+
+
+def on_ms_grid(value: float) -> float:
+    """``value`` rounded to a multiple of 2**-10 ms.
+
+    A hand-built record stores no service time: it reads ``completion_time -
+    start_time``.  With a service and a completion time on this grid (below
+    2**40 ms), ``start = completion - service`` is exact, so the record reads
+    back exactly the service it was built for.
+    """
+    return round(value * 1024) / 1024

@@ -66,14 +66,16 @@ def test_criterion_01_opm_exact_recovery():
         bins = rng.sample(TOKEN_BIN_CYCLE, k=4)
         opm = Opm()
         opm.seed([DevicePrior(0, LLM, alpha0=1.0, beta0=1.0)])
-        for i, (n_in, n_out) in enumerate(bins):
-            service = alpha * n_in + beta * n_out
+        # The four tasks start at 0.0 and complete at their service times, so
+        # each record reads its service exactly; they are fed in completion order.
+        services = sorted((alpha * n_in + beta * n_out, n_in, n_out) for n_in, n_out in bins)
+        for i, (service, n_in, n_out) in enumerate(services):
             record = ExecutionRecord(
                 task_id=i, device_id=0, kind=LLM, arrival_time=0.0, dispatch_time=0.0,
-                start_time=0.0, completion_time=float(i), latency_ms=float(i),
-                service_ms=service, n_in=n_in, n_out=n_out, stutter=0,
+                start_time=0.0, completion_time=service, n_in=n_in, n_out=n_out, stutter=0,
             )
-            opm.ingest_feedback(record, now=float(i))
+            assert record.service_ms == service
+            opm.ingest_feedback(record, now=service)
         assert opm.refit(0, LLM, min_samples=4) == "updated"
         est = opm.estimates[(0, LLM)]
         err = max(abs(est.alpha_hat - alpha), abs(est.beta_hat - beta))

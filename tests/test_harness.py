@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,12 +28,13 @@ from edgesched.harness import (
 )
 from edgesched.metacontrol import AdapterConfig
 from edgesched.profiles import LLM, default_profiles_path
-from edgesched.sim.engine import ExecutionRecord
+from edgesched.sim.engine import Engine, ExecutionRecord
 from edgesched.sim.truth import GroundTruthState, PlanError, ScenarioPlan, builtin_plans, plan_from_dicts
 from edgesched.sim.workload import generate_workload
 
 
 def record(task_id, latency, stutter=0, device=0):
+    """Arrival and start at 0.0: the record's latency and service are ``latency``."""
     return ExecutionRecord(
         task_id=task_id,
         device_id=device,
@@ -41,8 +43,6 @@ def record(task_id, latency, stutter=0, device=0):
         dispatch_time=0.0,
         start_time=0.0,
         completion_time=latency,
-        latency_ms=latency,
-        service_ms=latency,
         n_in=256,
         n_out=32,
         stutter=stutter,
@@ -53,22 +53,22 @@ def record(task_id, latency, stutter=0, device=0):
 
 
 def test_ma_constant_series_unchanged():
-    assert smooth_ma([5.0] * 30) == [5.0] * 30
+    assert list(smooth_ma([5.0] * 30)) == [5.0] * 30
 
 
 def test_ma_example_first_two():
-    out = smooth_ma([0.0, 20.0])
+    out = list(smooth_ma([0.0, 20.0]))
     assert out[1] == 10.0
 
 
 def test_ma_window_one_is_identity():
     series = [3.0, 1.0, 4.0, 1.0, 5.0]
-    assert smooth_ma(series, window=1) == series
+    assert list(smooth_ma(series, window=1)) == series
 
 
 def test_ma_window_covers_last_twenty():
     series = [float(i) for i in range(40)]
-    out = smooth_ma(series, window=20)
+    out = list(smooth_ma(series, window=20))
     assert out[39] == pytest.approx(sum(range(20, 40)) / 20)
     assert len(out) == len(series)
 
@@ -199,6 +199,31 @@ def test_adapter_transport_must_be_a_callable():
             scenario="semantic", horizon=120, policies=("e3",), adapter=AdapterConfig(url="u"),
             adapter_transport="x",
         )
+
+
+@pytest.mark.parametrize("value", [5, True, b"p"], ids=["int", "bool", "bytes"])
+@pytest.mark.parametrize("field", ["out_dir", "profiles_path"])
+def test_path_fields_must_be_a_str_or_a_path_like(monkeypatch, field, value):
+    # out_dir=5 once ran every policy and then failed in emit_report with a
+    # bare TypeError; profiles_path=5 failed the same way in load_profiles.
+    runs = []
+    engine_run = Engine.run
+    monkeypatch.setattr(Engine, "run", lambda self: runs.append(self) or engine_run(self))
+    message = f"{field} must be a str, an os.PathLike or None, got {value!r}"
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+        run_experiment(ExperimentConfig(scenario="semantic", horizon=10, **{field: value}))
+    assert runs == []
+
+
+def test_path_fields_take_a_str_or_a_path(tmp_path):
+    profiles = default_profiles_path()
+    for i, (out, profiles_path) in enumerate(
+        [(str(tmp_path / "a"), str(profiles)), (tmp_path / "b", Path(profiles))]
+    ):
+        config = ExperimentConfig(scenario="semantic", horizon=10, out_dir=out, profiles_path=profiles_path)
+        assert config.out_dir == out and config.profiles_path == profiles_path
+        run_experiment(config)
+        assert (Path(out) / "report.json").is_file(), i
 
 
 @pytest.mark.parametrize("plan", ["x", [], ()])

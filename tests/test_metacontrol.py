@@ -160,7 +160,9 @@ def test_the_controller_refits_every_five_tasks_below_the_warmup_budget():
     for k in range(31):
         device, kind, n_in, n_out = (0, LLM, 256, 32) if k % 2 else (2, SDXL, None, None)
         t = 1000.0 * k
-        opm.ingest_feedback(ExecutionRecord(k, device, kind, t, t, t, t, 900.0, 900.0, n_in, n_out, 0), t)
+        # Arrives and starts at t, completes 900 ms later.
+        done = t + 900.0
+        opm.ingest_feedback(ExecutionRecord(k, device, kind, t, t, t, done, n_in, n_out, 0), done)
         before = len(opm.oplog)
         meta.on_task_arrival(k)
         after[k] = len(opm.oplog)
@@ -271,7 +273,7 @@ def test_one_rule_fires_what_the_three_branch_rule_fired(budget, monkeypatch):
         else:
             device, model = rng.randrange(3), rng.choice((LLM, SDXL))
             meta.opm.alarm = ratio, count = rng.uniform(0.2, 3.0), rng.randrange(3, 9)
-            record = ExecutionRecord(task, device, model, *[0.0] * 6, 1, 1, 0)
+            record = ExecutionRecord(task, device, model, *[0.0] * 4, 1, 1, 0)
             meta.on_feedback(record, task)
             feed(("alarm", device, model, ratio, count), task)
     got = [
@@ -561,9 +563,10 @@ def test_scripted_residual_alarm_diagnoses_then_refits():
     from edgesched.sim.engine import ExecutionRecord
 
     for i in range(4):
+        # Each task runs 2 * 1856 ms, twice the seeded prediction, and completes at 1000 * i.
+        start = 1000.0 * i - 2 * 1856.0
         meta.opm.ingest_feedback(
-            ExecutionRecord(i, 0, LLM, 0.0, 0.0, 0.0, 1000.0 * i, 1000.0 * i,
-                            2 * 1856.0, 256, 32, 0),
+            ExecutionRecord(i, 0, LLM, start, start, start, 1000.0 * i, 256, 32, 0),
             now=1e9,
         )
     meta.telemetry._now = 4000.0

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import solve_lstsq_oracle
+from conftest import on_ms_grid, solve_lstsq_oracle
 from edgesched.opm import (
     WINDOW_CAPACITY,
     CausalityError,
@@ -22,17 +22,19 @@ from edgesched.sim.workload import TOKEN_BIN_CYCLE, TaskSpec
 
 
 def make_record(task_id, device, kind, service, n_in=None, n_out=None, completion=None):
+    """A record that arrives at 0.0 and reads ``service`` and a latency equal to its completion."""
     completion = completion if completion is not None else 1000.0 * (task_id + 1)
+    start = completion - service
+    if math.isfinite(completion):
+        assert completion - start == service, "the service must be on_ms_grid"
     return ExecutionRecord(
         task_id=task_id,
         device_id=device,
         kind=kind,
         arrival_time=0.0,
         dispatch_time=0.0,
-        start_time=completion - service,
+        start_time=start,
         completion_time=completion,
-        latency_ms=completion,
-        service_ms=service,
         n_in=n_in,
         n_out=n_out,
         stutter=0,
@@ -216,7 +218,7 @@ def test_refit_resets_calibration():
 def test_exact_recovery_property_random_coefficients():
     rng = random.Random(3)
     for _trial in range(25):
-        alpha, beta = rng.uniform(0, 20), rng.uniform(0, 200)
+        alpha, beta = on_ms_grid(rng.uniform(0, 20)), on_ms_grid(rng.uniform(0, 200))
         # Four distinct grid bins can never be collinear (no ray holds four).
         bins = rng.sample(TOKEN_BIN_CYCLE, k=4)
         opm2 = seeded_opm()
@@ -347,7 +349,7 @@ def test_drift_ratio_equals_full_filter_fold(seed):
         # Whole multiples of 250 ms keep now - (now - t) == t exact; 0 steps make ties.
         t += rng.choice((0.0, 0.0, 250.0, 500.0, 1000.0, 4000.0))
         n_in, n_out = TOKEN_BIN_CYCLE[i % 9]
-        record = make_record(i, 0, LLM, rng.uniform(100.0, 9000.0), n_in, n_out, completion=t)
+        record = make_record(i, 0, LLM, on_ms_grid(rng.uniform(100.0, 9000.0)), n_in, n_out, completion=t)
         predicted = opm.predict(0, record)
         opm.ingest_feedback(record, now=t)
         pairs = (pairs + [(predicted, record.service_ms, t)])[-256:]
@@ -431,12 +433,15 @@ def test_oplog_replay_reproduces_estimate_table_bitwise():
         if rng.random() < 0.7:
             n_in, n_out = TOKEN_BIN_CYCLE[i % 9]
             opm.ingest_feedback(
-                make_record(i, 0, LLM, 3.0 * n_in + 40.0 * n_out + rng.uniform(0, 50), n_in, n_out, completion=now),
+                make_record(
+                    i, 0, LLM, on_ms_grid(3.0 * n_in + 40.0 * n_out + rng.uniform(0, 50)), n_in, n_out,
+                    completion=now,
+                ),
                 now=now,
             )
         else:
             opm.ingest_feedback(
-                make_record(i, 2, SDXL, 4100.0 + rng.uniform(-100, 100), completion=now), now=now
+                make_record(i, 2, SDXL, on_ms_grid(4100.0 + rng.uniform(-100, 100)), completion=now), now=now
             )
         if i % 11 == 0:
             opm.refit_all(min_samples=2, window=40)

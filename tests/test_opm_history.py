@@ -13,6 +13,7 @@ from dataclasses import astuple
 
 import pytest
 
+from conftest import on_ms_grid
 from edgesched.opm import (
     CALIBRATION_SMOOTHING,
     Opm,
@@ -119,10 +120,9 @@ class TwoStoreOpm:
 
 def _record(task_id, device, kind, service, completion, rng):
     n_in, n_out = rng.choice(TOKEN_BIN_CYCLE) if kind == LLM else (None, None)
-    return ExecutionRecord(
-        task_id, device, kind, 0.0, 0.0, completion - service, completion, completion,
-        service, n_in, n_out, 0,
-    )
+    start = completion - service
+    assert completion - start == service, "the service must be on_ms_grid"
+    return ExecutionRecord(task_id, device, kind, 0.0, 0.0, start, completion, n_in, n_out, 0)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -138,7 +138,7 @@ def test_one_history_matches_two_stores(seed):
         # Whole multiples of 250 ms keep window arithmetic exact; 0 steps make ties.
         t += rng.choice((0.0, 0.0, 250.0, 500.0, 1000.0))
         key = rng.choice(keys)
-        record = _record(task_id, *key, rng.uniform(100.0, 9000.0), t, rng)
+        record = _record(task_id, *key, on_ms_grid(rng.uniform(100.0, 9000.0)), t, rng)
         opm.ingest_feedback(record, now=t)
         reference.ingest(record)
         ingests[key] += 1

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import FixedAssignmentPolicy, TableTruth, brute_force_replay, leak_scan, make_truth
+from edgesched.metacontrol import Invocation, MetaController, ToolCall
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.router import OraclePolicy, RoundRobinPolicy
 from edgesched.sim.engine import Engine, EngineError, ObservableState, Telemetry, assert_no_ground_truth
@@ -378,8 +379,17 @@ def test_shuffled_workload_gives_the_same_run(fixture_priors, policy_cls):
     assert mixed.annotations == ordered.annotations
 
 
+# The keys of an observation row, in order, as tools and adapters have always
+# received them: the record's stored facts with its latency and service
+# between the completion time and the token counts.
+OBSERVATION_KEYS = (
+    "task_id", "device_id", "kind", "arrival_time", "dispatch_time", "start_time",
+    "completion_time", "latency_ms", "service_ms", "n_in", "n_out", "stutter",
+)
+
+
 def reference_observation_rows(records, now, window_ms, limit):
-    rows = [r._asdict() for r in records]
+    rows = [{key: getattr(r, key) for key in OBSERVATION_KEYS} for r in records]
     if window_ms is not None:
         rows = [r for r in rows if r["completion_time"] >= now - window_ms]
     if limit is not None:
@@ -410,6 +420,27 @@ def test_observation_log_equals_record_rows(fixture_priors):
     engine.run()
     check(engine.now)
     assert len(checked) > 5
+
+
+def test_observation_rows_and_pulled_observations_keep_their_twelve_keys(fixture_priors):
+    truth = make_truth(fixture_priors, jitter=0.1)
+    engine = Engine(truth, builtin_plans("churn"), generate_workload(120, 2.0), RoundRobinPolicy())
+    engine.run()
+    rows = Telemetry(engine).observations()
+    assert len(rows) == len(engine.records) == 120
+    for row, record in zip(rows, engine.records):
+        assert tuple(row) == OBSERVATION_KEYS
+        assert row["latency_ms"] == record.completion_time - record.arrival_time
+        assert row["service_ms"] == record.completion_time - record.start_time
+        assert [row[key] for key in OBSERVATION_KEYS if key in record._fields] == list(record)
+
+    meta = MetaController(fixture_priors)
+    meta.attach_telemetry(Telemetry(engine))
+    meta.invocations.append(Invocation("semantic_onset", task_index=120, device=0))
+    result = meta.execute_tool(ToolCall("pull_observations", {"limit": 7}))
+    assert result.ok
+    assert [tuple(row) for row in result.payload["observations"]] == [OBSERVATION_KEYS] * 7
+    assert result.payload["observations"] == rows[-7:]
 
 
 def test_idle_device_availability_shows_at_the_next_decision(fixture_priors):

@@ -9,6 +9,8 @@ field names count as keys.
 from __future__ import annotations
 
 import re
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -16,8 +18,11 @@ import pytest
 from conftest import leak_scan
 from edgesched.harness import ExperimentConfig, run_experiment
 from edgesched.opm import replay_oplog
+from edgesched.profiles import default_profiles_path, load_profiles, priors_from_records
+from edgesched.sim import plan_from_dicts
 from edgesched.sim.engine import (
     DeviceSnapshot,
+    Engine,
     EventAnnotation,
     ExecutionRecord,
     InFlightView,
@@ -28,7 +33,8 @@ from edgesched.sim.workload import TaskSpec
 
 TASK = TaskSpec(0, "LLM", 0.0, 256, 32)
 QUEUED = TaskSpec(1, "SDXL", 2000.0)
-RECORD = ExecutionRecord(0, 1, "LLM", 0.0, 0.0, 0.0, 1500.25, 1500.25, 1500.25, 256, 32, 0)
+# Arrival and start at 0.0: latency and service both read 1500.25.
+RECORD = ExecutionRecord(0, 1, "LLM", 0.0, 0.0, 0.0, 1500.25, 256, 32, 0)
 ANNOTATION = EventAnnotation(3, 6000.0, "semantic_onset", 1, "game")
 VIEW = InFlightView(TASK, 12.5)
 SNAPSHOT = DeviceSnapshot(0, "LLM", True, (QUEUED,), VIEW, 7)
@@ -49,11 +55,11 @@ CASES = [
         RECORD,
         (
             "task_id", "device_id", "kind", "arrival_time", "dispatch_time", "start_time",
-            "completion_time", "latency_ms", "service_ms", "n_in", "n_out", "stutter",
+            "completion_time", "n_in", "n_out", "stutter",
         ),
         "ExecutionRecord(task_id=0, device_id=1, kind='LLM', arrival_time=0.0, "
-        "dispatch_time=0.0, start_time=0.0, completion_time=1500.25, latency_ms=1500.25, "
-        "service_ms=1500.25, n_in=256, n_out=32, stutter=0)",
+        "dispatch_time=0.0, start_time=0.0, completion_time=1500.25, n_in=256, n_out=32, "
+        "stutter=0)",
     ),
     (ANNOTATION, ("at_task", "time", "type", "device", "label"), ANNOTATION_REPR),
     (VIEW, ("task", "start_time"), VIEW_REPR),
@@ -87,12 +93,53 @@ def test_value_type_defaults():
 
 
 def test_record_rows_keep_their_keys_and_order():
-    # Telemetry.observations hands tools these rows.
+    # A record's row holds its ten stored facts and rebuilds it; the latency
+    # and service are read off its timestamps (Telemetry.observations adds
+    # them to the rows it hands tools, see test_simulator).
     row = RECORD._asdict()
     assert list(row) == list(CASES[1][1])
     assert ExecutionRecord(**row) == RECORD
+    assert RECORD.latency_ms == 1500.25 and RECORD.service_ms == 1500.25
+    with pytest.raises(AttributeError):
+        RECORD.latency_ms = 0.0
+    with pytest.raises(TypeError):
+        ExecutionRecord(**row, latency_ms=1500.25)
     assert STATE.snapshot_of(0) is SNAPSHOT
     assert STATE.available_devices("LLM") == [0] and STATE.available_devices("SDXL") == []
+
+
+def event_dense_config(seed: int) -> ExperimentConfig:
+    """The benchmark's event_dense experiment: H=10000 under its seeded plan of event windows."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import inputs
+
+    profiles = load_profiles(default_profiles_path())
+    rows = inputs.dense_plan_rows(seed, priors_from_records(profiles), [p.model_id for p in profiles])
+    [spec] = inputs.experiment_specs("event_dense")
+    return ExperimentConfig(**spec, plan=plan_from_dicts(rows))
+
+
+def test_every_record_reads_its_latency_and_service_off_its_timestamps(monkeypatch):
+    handed_back = []
+    redispatch = Engine._redispatch_queue
+
+    def counting(self, device):
+        handed_back.append(len(self.devices[device].queue))
+        redispatch(self, device)
+
+    monkeypatch.setattr(Engine, "_redispatch_queue", counting)
+    with leak_scan():
+        churn = run_experiment(ExperimentConfig("churn", horizon=600, lam=2.0))
+    assert sum(handed_back) > 0  # leaving devices handed queued tasks back
+    dense = run_experiment(event_dense_config(seed=1))
+    runs = [*churn.runs.values(), *dense.runs.values()]
+    assert [len(run.records) for run in runs] == [600] * 4 + [10000] * 4
+    for run in runs:
+        for r in run.records:
+            assert r.latency_ms == r.completion_time - r.arrival_time
+            assert r.service_ms == r.completion_time - r.start_time
 
 
 def test_oplog_holds_the_engines_records_and_replays_bitwise():
