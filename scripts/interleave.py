@@ -1,0 +1,146 @@
+"""Paired in-process CPU comparison of two checkouts on one perfbench workload.
+
+Host speed on a shared machine drifts by a factor of two within seconds, so
+two benchmark processes run minutes apart can disagree by more than a change
+moves.  This script loads both checkouts' ``src/edgesched`` into one process,
+under the distinct package names ``edgesched_parent`` and
+``edgesched_change``, and alternates whole rounds between them (parent
+first in even rounds, change first in odd ones), so each pair of rounds
+sees nearly the same host.  A round is every experiment of the workload,
+built from ``perfbench/inputs.py`` as ``perfbench/run.py`` builds it, with
+each report written through ``emit_report`` to a temporary directory.
+
+It prints each round's raw CPU seconds per side and their ratio, then the
+median of the paired ratios (change over parent; below 1 means the change
+is faster) and how many rounds the change won, and a last line of JSON with
+the same figures.  It also checks that both sides wrote the same
+``report.json`` and ``audit.log`` bytes.  Standard library only::
+
+    python scripts/interleave.py --parent ../parent --change . --workload event_dense --seed 1 --rounds 16
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import importlib
+import importlib.util
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import inputs  # noqa: E402
+
+SIDES = ("parent", "change")
+ARTIFACTS = ("report.json", "audit.log")
+
+
+def load_package(checkout: Path, name: str):
+    """Import ``checkout/src/edgesched`` as the package ``name``."""
+    package_dir = checkout / "src" / "edgesched"
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
+    )
+    if spec is None:
+        raise SystemExit(f"no edgesched package under {checkout / 'src'}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def build_configs(package, workload: str, seed: int, out_dir: Path) -> list:
+    """One round's ExperimentConfigs, built from ``package``'s own types."""
+    profiles = importlib.import_module(f"{package.__name__}.profiles")
+    sim = importlib.import_module(f"{package.__name__}.sim")
+    # default_profiles_path looks the package up as "edgesched", so each side names its own file.
+    profiles_path = Path(package.__file__).parent / "data" / "device_profiles.jsonl"
+    plan = None
+    if workload == "event_dense":
+        records = profiles.load_profiles(profiles_path)
+        rows = inputs.dense_plan_rows(seed, profiles.priors_from_records(records), [r.model_id for r in records])
+        plan = sim.plan_from_dicts(rows)
+    return [
+        package.ExperimentConfig(**spec, plan=plan, profiles_path=profiles_path, out_dir=out_dir / f"exp{i}")
+        for i, spec in enumerate(inputs.experiment_specs(workload))
+    ]
+
+
+def run_round(package, configs: list) -> float:
+    """CPU seconds of one round's experiments, each after a full collection."""
+    total = 0.0
+    for config in configs:
+        gc.collect()
+        start = time.process_time()
+        package.run_experiment(config)
+        total += time.process_time() - start
+    return total
+
+
+def digests(configs: list) -> list[str]:
+    return [
+        hashlib.sha256((Path(config.out_dir) / name).read_bytes()).hexdigest()
+        for config in configs
+        for name in ARTIFACTS
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout to compare against")
+    parser.add_argument("--change", type=Path, required=True, help="checkout under test")
+    parser.add_argument("--workload", required=True, choices=inputs.WORKLOADS)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=16, help="rounds per side, at least 1")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"--rounds must be >= 1, got {args.rounds}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        packages, configs = {}, {}
+        for side in SIDES:
+            packages[side] = load_package(getattr(args, side).resolve(), f"edgesched_{side}")
+            configs[side] = build_configs(packages[side], args.workload, args.seed, Path(tmp) / side)
+        cpu: dict[str, list[float]] = {side: [] for side in SIDES}
+        for r in range(args.rounds):
+            order = SIDES if r % 2 == 0 else SIDES[::-1]
+            for side in order:
+                cpu[side].append(run_round(packages[side], configs[side]))
+            ratio = cpu["change"][-1] / cpu["parent"][-1]
+            print(
+                f"round {r:3d} first={order[0]:6s} parent {cpu['parent'][-1]:.4f} s"
+                f"  change {cpu['change'][-1]:.4f} s  ratio {ratio:.4f}"
+            )
+        identical = digests(configs["parent"]) == digests(configs["change"])
+
+    ratios = [c / p for p, c in zip(cpu["parent"], cpu["change"])]
+    wins = sum(ratio < 1.0 for ratio in ratios)
+    median = statistics.median(ratios)
+    print(f"median paired ratio {median:.4f}; change faster in {wins} of {len(ratios)} rounds")
+    print(f"report.json and audit.log identical: {identical}")
+    print(
+        json.dumps(
+            {
+                "workload": args.workload,
+                "seed": args.seed,
+                "rounds": args.rounds,
+                "parent_cpu_s": cpu["parent"],
+                "change_cpu_s": cpu["change"],
+                "median_ratio": median,
+                "change_faster_rounds": wins,
+                "artifacts_identical": identical,
+            }
+        )
+    )
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

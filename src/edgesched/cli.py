@@ -38,8 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--policies", help=f"comma-separated subset of {','.join(POLICY_NAMES)}"
     )
-    run.add_argument("--profiles", type=Path, help="device profile JSONL path")
-    run.add_argument("--out", type=Path, help="output directory for report artifacts")
+    # Paths stay strings, so ExperimentConfig sees an empty one (Path("") is ".").
+    run.add_argument("--profiles", help="device profile JSONL path")
+    run.add_argument("--out", help="output directory for report artifacts")
     run.add_argument("--horizon", type=int)
     run.add_argument("--lambda", dest="lam", type=float, help="arrival rate, tasks/s")
     run.add_argument("--jitter", type=float, help="service jitter amplitude override")

@@ -16,8 +16,9 @@ import os
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import attrgetter
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, ne
 from pathlib import Path
 
 from .metacontrol import AdapterConfig, AuditLog, MetaController
@@ -125,6 +126,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, (str, os.PathLike)):
                 raise ExperimentError(f"{name} must be a str, an os.PathLike or None, got {value!r}")
+            if value == "":  # Path("") is the current directory
+                raise ExperimentError(f"{name} must be a non-empty str, an os.PathLike or None, got ''")
         if self.plan is not None and not isinstance(self.plan, ScenarioPlan):
             raise ExperimentError(f"plan must be a ScenarioPlan or None, got {self.plan!r}")
         if self.adapter is not None and not isinstance(self.adapter, AdapterConfig):
@@ -218,35 +221,37 @@ class ExperimentResult:
         return next(iter(self.runs.values())).event_log if self.runs else []
 
 
-def smooth_ma(series: Iterable[float], window: int = MA_WINDOW) -> Iterator[float]:
-    """Trailing moving average, yielded as ``series`` is read: the k-th value
+def smooth_ma(
+    series: Iterable[float], window: int = MA_WINDOW, start: int = 0, every: int = 1
+) -> list[tuple[int, float, float]]:
+    """Trailing moving average, sampled: a ``(k, value, mean)`` row for the
+    ``start``-th point and every ``every``-th point after it, where ``mean``
     covers the last min(window, k+1) points.
 
-    The running sum adds each point, then subtracts the one that left the
-    window, so every value is bit-identical to that of a whole-list pass.
+    One plain loop reads ``series`` once.  The running sum adds each point,
+    then subtracts the one that left the ``window``-slot window, so every
+    mean is bit-identical to that of a whole-list pass.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    return _moving_average(series, window)
-
-
-def _moving_average(series: Iterable[float], window: int) -> Iterator[float]:
-    values = iter(series)
-    recent: deque[float] = deque()
+    recent: deque[float] = deque(maxlen=window)
     running = 0.0
-    for value in islice(values, window):
+    rows = []
+    due = start
+    for k, value in enumerate(series):
         running += value
+        if k >= window:
+            running -= recent[0]
         recent.append(value)
-        yield running / len(recent)
-    for value in values:
-        running += value
-        running -= recent.popleft()
-        recent.append(value)
-        yield running / window
+        if k == due:
+            rows.append((k, value, running / (k + 1 if k < window else window)))
+            due += every
+    return rows
 
 
 _task_id = attrgetter("task_id")
 _latency_ms = attrgetter("latency_ms")
+_stutter = attrgetter("stutter")
 
 
 def compute_metrics(
@@ -260,35 +265,33 @@ def compute_metrics(
     Every policy must cover exactly the oracle's task ids (identical
     workloads, at least one task: a run with H=0 never gets here); the
     oracle block reports a zero gap by definition.  Averages fold the
-    records in completion order.  The trajectory streams: one pass over the
-    task-ordered records feeds the moving average, and only every
-    ``TRAJECTORY_SAMPLE_EVERY``-th ``(k, raw, ma)`` row from ``prefix_end``
-    on is kept.
+    records in completion order; the reference's is folded once and reused
+    for a policy whose list is the reference list itself.  The trajectory
+    is one :func:`smooth_ma` pass over the task-ordered records, keeping
+    every ``TRAJECTORY_SAMPLE_EVERY``-th ``(k, raw, ma)`` row from
+    ``prefix_end`` on.
     """
     meta_counts = meta_counts or {}
-    oracle_ids = sorted(r.task_id for r in oracle_records)
-    oracle_avg = left_sum(r.latency_ms for r in oracle_records) / len(oracle_records)
+    oracle_ids = sorted(map(_task_id, oracle_records))
+    oracle_avg = left_sum(map(_latency_ms, oracle_records)) / len(oracle_records)
     metrics: dict[str, PolicyMetrics] = {}
     for name, records in records_by_policy.items():
         ordered = sorted(records, key=_task_id)
-        ids = list(map(_task_id, ordered))
-        if ids != oracle_ids:
+        if len(ordered) != len(oracle_ids) or any(map(ne, map(_task_id, ordered), oracle_ids)):
             raise ExperimentError(
-                f"policy {name!r} covers {len(ids)} task(s) but the reference covers "
+                f"policy {name!r} covers {len(ordered)} task(s) but the reference covers "
                 f"{len(oracle_ids)}; record lists must match"
             )
-        avg = left_sum(r.latency_ms for r in records) / len(records)
-        if name == "oracle":
-            vs = 0.0
+        if records is oracle_records:
+            avg = oracle_avg
         else:
-            vs = (avg / oracle_avg - 1.0) * 100.0
-        stutter = sum(r.stutter for r in records) / len(records)
+            avg = left_sum(map(_latency_ms, records)) / len(records)
+        vs = 0.0 if name == "oracle" else (avg / oracle_avg - 1.0) * 100.0
+        stutter = sum(map(_stutter, records)) / len(records)
         llm_calls, tool_calls = meta_counts.get(name, (0, 0))
-        ma = enumerate(smooth_ma(map(_latency_ms, ordered), MA_WINDOW))
-        trajectory = [
-            (k, ordered[k].latency_ms, smoothed)
-            for k, smoothed in islice(ma, prefix_end, None, TRAJECTORY_SAMPLE_EVERY)
-        ]
+        trajectory = smooth_ma(
+            map(_latency_ms, ordered), MA_WINDOW, prefix_end, TRAJECTORY_SAMPLE_EVERY
+        )
         metrics[name] = PolicyMetrics(avg, vs, stutter, llm_calls, tool_calls, trajectory)
     return metrics
 
@@ -431,6 +434,69 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
+_NUMBERS = frozenset({int, float})
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(value: object) -> str:
+    """A scalar's text as ``json.dumps`` writes it, tested in json's order."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_chunks(value: dict | list | tuple, newline: str) -> Iterator[str]:
+    """``json.dumps(value, sort_keys=True, indent=2)``'s text, in pieces.
+
+    ``value`` is a dict with str keys, a list or a tuple; ``newline`` is a
+    line break plus ``value``'s own indentation.  A list or tuple of plain
+    ints and finite floats one level in is rendered by one ``%r`` format,
+    one piece per such row.
+    """
+    if isinstance(value, dict):
+        brackets = "{}"
+        entries = [(encode_basestring_ascii(key) + ": ", value[key]) for key in sorted(value)]
+    else:
+        brackets = "[]"
+        entries = zip(repeat(""), value)
+    if not value:
+        yield brackets
+        return
+    inner = newline + "  "
+    row_length, row_format = -1, ""
+    sep = brackets[0] + inner
+    for prefix, item in entries:
+        if isinstance(item, (list, tuple)) and item and _NUMBERS.issuperset(map(type, item)):
+            if len(item) != row_length:
+                row_length = len(item)
+                deeper = inner + "  "
+                row_format = "[" + deeper + ("," + deeper).join(["%r"] * row_length) + inner + "]"
+            text = row_format % tuple(item)
+            # A number's repr holds an "n" only as nan, inf or -inf, which json spells otherwise.
+            if "n" not in text:
+                yield sep + prefix + text
+                sep = "," + inner
+                continue
+        if isinstance(item, (list, tuple, dict)):
+            yield sep + prefix
+            yield from _json_chunks(item, inner)
+        else:
+            yield sep + prefix + _json_scalar(item)
+        sep = "," + inner
+    yield newline + brackets[1]
+
+
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     """Write each line followed by a newline."""
     with path.open("w", encoding="utf-8") as fh:
@@ -441,8 +507,12 @@ def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """Write report.json, per-policy trajectory CSVs, events.log, audit.log.
 
     Every file but the few-line OPM snapshot is written piece by piece, never
-    held whole as one string.
-    Re-emitting the same result produces byte-identical files.
+    held whole as one string.  report.json holds the bytes of
+    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, written
+    by a small encoder for the report's value types (dicts with str keys,
+    lists, tuples, str, int, float, bool and None) that renders each
+    trajectory row with one format.  Re-emitting the same result produces
+    byte-identical files.
     """
     out = Path(out_dir)
     try:
@@ -453,8 +523,7 @@ def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     report_path = out / "report.json"
     with report_path.open("w", encoding="utf-8") as fh:
-        # json.dump writes the encoder's chunks as they come, never joining them.
-        json.dump(result.report.to_dict(), fh, sort_keys=True, indent=2)
+        fh.writelines(_json_chunks(result.report.to_dict(), "\n"))
         fh.write("\n")
     written.append(report_path)
 

@@ -19,6 +19,7 @@ import math
 from collections import deque
 from dataclasses import astuple, dataclass
 from itertools import islice
+from operator import itemgetter
 
 from .profiles import LLM, DevicePrior, check_new_device, is_finite_number, is_int
 from .sim.engine import ExecutionRecord
@@ -31,6 +32,9 @@ CALIBRATION_SMOOTHING = 0.3
 WINDOW_CAPACITY = 40
 HISTORY_CAPACITY = 256
 RIDGE_DAMPING = 1e-6
+
+
+_service = itemgetter(2)  # of a history entry
 
 
 class CausalityError(ValueError):
@@ -115,9 +119,9 @@ class Opm:
     Feedback lives in one history per (device, kind): the newest
     :data:`HISTORY_CAPACITY` entries, sorted by completion time.  Each entry
     is a flat ``(predicted, completion_time, service_ms, record)`` tuple:
-    the prediction made at ingest, the two record fields the drift window
-    reads as plain floats, and the record itself.  Refits read the records
-    of its newest :data:`WINDOW_CAPACITY` entries.
+    the prediction made at ingest, the record's completion time and service
+    as plain floats, which the drift window and refits read, and the record
+    itself.  Refits read the newest :data:`WINDOW_CAPACITY` entries.
 
     ``oplog`` lists every mutation in order, one tuple per call: ``("seed",
     priors)``, ``("ingest", record, now)``, ``("refit", device, kind,
@@ -179,7 +183,8 @@ class Opm:
                 f"finite, >= {newest} (newest record) and <= now {now}"
             )
         predicted = self._raw_predict(est, record.n_in, record.n_out)
-        history.append((predicted, completion, record.service_ms, record))
+        # The record's service_ms property, computed once here for refits and drift.
+        history.append((predicted, completion, completion - record.start_time, record))
         est.n += 1
         self.oplog.append(("ingest", record, now))
 
@@ -204,18 +209,18 @@ class Opm:
         self.oplog.append(("refit", device, kind, min_samples, window))
         est = self._estimate(device, kind)
         count = WINDOW_CAPACITY if window is None else window
-        samples = [entry[3] for entry in islice(reversed(self._history[(device, kind)]), count)]
-        samples.reverse()
-        if len(samples) < max(min_samples, 1):
+        entries = list(islice(reversed(self._history[(device, kind)]), count))
+        entries.reverse()
+        if len(entries) < max(min_samples, 1):
             return "insufficient"
         if kind == LLM:
             alpha, beta = solve_token_coefficients(
-                [(r.n_in, r.n_out, r.service_ms) for r in samples]
+                [(r.n_in, r.n_out, service) for _predicted, _completion, service, r in entries]
             )
             est.alpha_hat = alpha
             est.beta_hat = beta
         else:
-            est.gamma_hat = left_sum(r.service_ms for r in samples) / len(samples)
+            est.gamma_hat = left_sum(map(_service, entries)) / len(entries)
         est.calibration_factor = 1.0
         self.version += 1
         return "updated"
@@ -233,9 +238,19 @@ class Opm:
         return est.calibration_factor * est.gamma_hat
 
     def predict(self, device: int, task) -> float:
-        """Calibrated service-time prediction for a task on a device."""
-        est = self._estimate(device, task.kind)
-        return self._raw_predict(est, task.n_in, task.n_out)
+        """Calibrated service-time prediction for a task on a device.
+
+        It runs for every task the fast path prices, so it looks the
+        estimate up and applies :meth:`_raw_predict`'s formula in its own
+        frame.
+        """
+        try:
+            est = self.estimates[(device, task.kind)]
+        except KeyError:
+            raise UnknownDeviceError(f"no estimate for device {device} kind {task.kind}") from None
+        if est.kind == LLM:
+            return est.calibration_factor * (est.alpha_hat * task.n_in + est.beta_hat * task.n_out)
+        return est.calibration_factor * est.gamma_hat
 
     def uncertainty(self, device: int, kind: str) -> float:
         """Epistemic uncertainty in [0, 1]: 1 at cold start, decays as 1/(1+n)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from .opm import Opm, left_sum
+from .opm import Opm
 from .profiles import DevicePrior, is_int
 from .sim.engine import DeviceSnapshot, ObservableState, OracleAccess
 from .sim.workload import TaskSpec
@@ -65,7 +65,8 @@ class RiskOverrideTable:
         return self._ttl.pop(device, None) is not None
 
     def decrement(self) -> None:
-        self._ttl = {device: left - 1 for device, left in self._ttl.items() if left > 1}
+        if self._ttl:  # most tasks find no flag set
+            self._ttl = {device: left - 1 for device, left in self._ttl.items() if left > 1}
 
     def is_risky(self, device: int) -> bool:
         return device in self._ttl
@@ -102,7 +103,9 @@ def backlog_ms(snap: DeviceSnapshot, predict: Predictor, now: float, memo: dict)
     gone = snap.departed - departed
     if gone:
         costs = costs[gone:]
-        total = left_sum(costs)
+        total = 0.0
+        for value in costs:
+            total += value
     for task in snap.queued[len(costs):]:
         value = predict(device, task)
         costs.append(value)
@@ -271,8 +274,9 @@ class AdaptiveAgentPolicy(FastPath):
     """The closed-loop agent: learned predictions, risk gating, meta-control.
 
     Routes on the state its meta-controller acts on (model, router config,
-    risk overrides) and forwards every engine callback to that controller;
-    there is no agent without one.  The controller owns the slow path
+    risk overrides) and passes every engine callback on to that controller:
+    its arrival and annotation hooks are the controller's own bound methods.
+    There is no agent without one.  The controller owns the slow path
     whole, the warmup schedule included; the agent itself only feeds the
     model and counts each task's first dispatch against the risk TTLs.
     """
@@ -282,14 +286,13 @@ class AdaptiveAgentPolicy(FastPath):
     def __init__(self, meta: MetaController, trace: list | None = None) -> None:
         super().__init__(meta.opm, meta.overrides, meta.config, trace)
         self.meta = meta
+        self.on_task_arrival = meta.on_task_arrival
+        self.on_annotation = meta.on_annotation
 
     choose = FastPath.choose
 
     def attach_telemetry(self, telemetry) -> None:
         self.meta.attach_telemetry(telemetry)
-
-    def on_task_arrival(self, task_index: int) -> None:
-        self.meta.on_task_arrival(task_index)
 
     def on_first_dispatch(self, task: TaskSpec) -> None:
         self.overrides.decrement()
@@ -297,6 +300,3 @@ class AdaptiveAgentPolicy(FastPath):
     def on_completion(self, record, now_task: int) -> None:
         self.opm.ingest_feedback(record, record.completion_time)
         self.meta.on_feedback(record, now_task)
-
-    def on_annotation(self, annotation) -> None:
-        self.meta.on_annotation(annotation)

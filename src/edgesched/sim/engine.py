@@ -347,8 +347,12 @@ class Engine:
         return view
 
     def _snapshot(self, dev: _DeviceRuntime) -> DeviceSnapshot:
-        """A device's snapshot as it is now, built afresh on every read."""
-        available = self.truth.is_available(dev.device_id)
+        """A device's snapshot as it is now, built afresh on every read.
+
+        Availability is read from the per-kind index, which is refreshed
+        whenever a device's availability flips.
+        """
+        available = dev.device_id in self._available.get(dev.kind, ())
         fields = (dev.device_id, dev.kind, available, tuple(dev.queue), dev.in_flight, dev.departed)
         return _new_tuple(DeviceSnapshot, fields)
 

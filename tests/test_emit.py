@@ -1,6 +1,7 @@
-"""Report emission: report.json equals ``json.dumps`` byte for byte, the line
-files equal their joined text, emission memory stays below the report's size,
-and the moving average keeps its old formula's bits."""
+"""Report emission: report.json equals ``json.dumps`` byte for byte and
+rejects what json rejects, the line files equal their joined text, emission
+memory stays below the report's size, and the moving average keeps its old
+formula's bits."""
 
 import json
 import random
@@ -25,19 +26,27 @@ def expected(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
-def result_with(trajectory) -> ExperimentResult:
-    report = MetricsReport("semantic", 0, 300, 0.5, 0, "a" * 64, "b" * 64)
-    report.policies["e3"] = PolicyMetrics(12.5, 25.0, -0.0, 2**70, 3, trajectory)
-    report.policies["oracle"] = PolicyMetrics(10.0, 0.0, 1e-07, 0, 0, [])
+def result_with(trajectory, scenario="semantic", llm_calls=2**70) -> ExperimentResult:
+    """A report with an e3 block holding ``trajectory`` and ``llm_calls``;
+    no policies when ``trajectory`` is None."""
+    report = MetricsReport(scenario, 0, 300, 0.5, 0, "a" * 64, "b" * 64)
+    if trajectory is not None:
+        report.policies["e3"] = PolicyMetrics(12.5, 25.0, -0.0, llm_calls, 3, trajectory)
+        report.policies["oracle"] = PolicyMetrics(10.0, 0.0, 1e-07, 0, 0, [])
     return ExperimentResult(report, runs={}, agent=None)
 
 
+# name -> result_with arguments
 CASES = {
-    "empty_trajectory": [],
-    "single_row": [(0, 1.5, 1.5)],
-    "special_floats": [(0, NAN, INF), (5, -INF, -0.0), (10, 1e-07, 1e300)],
-    "large_ints": [(2**70, -(2**63), 10**30)],
-    "lists_not_tuples": [[0, 1.25, 2.5], [5, 3.0, 4.0]],
+    "empty_trajectory": ([],),
+    "single_row": ([(0, 1.5, 1.5)],),
+    "special_floats": ([(0, NAN, INF), (5, -INF, -0.0), (10, 1e-07, 1e300)],),
+    "large_ints": ([(2**70, -(2**63), 10**30)],),
+    "lists_not_tuples": ([[0, 1.25, 2.5], [5, 3.0, 4.0]],),
+    "no_policies": (None,),
+    "escaped_strings": ([(0, 1.5, 1.5)], 'sé"man\\tic\n\t\x00\x7f ☃ \U0001f600'),
+    # Trajectory rows go to the CSVs too, so the nesting sits in another value.
+    "nested_empty_lists": ([], "semantic", [[], [[]], [[], [[], []]], [0, [], True, False, None, "x"]]),
 }
 
 
@@ -45,9 +54,17 @@ CASES = {
 def test_report_json_equals_json_dumps(tmp_path, name):
     """report.json, written chunk by chunk, holds the bytes of one json.dumps
     call over the nested report dict."""
-    result = result_with(CASES[name])
+    result = result_with(*CASES[name])
     emit_report(result, tmp_path)
     assert (tmp_path / "report.json").read_text() == expected(result.report.to_dict())
+
+
+def test_a_value_json_rejects_raises_type_error(tmp_path):
+    result = result_with([(0, 1.5, 1.5), {1, 2}])
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        json.dumps(result.report.to_dict(), sort_keys=True, indent=2)
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        emit_report(result, tmp_path)
 
 
 def test_emitted_files_equal_their_whole_string_forms(tmp_path):
@@ -100,5 +117,8 @@ def old_smooth_ma(series, window):
 def test_smooth_ma_is_bit_exact_with_the_old_formula(length, window):
     rng = random.Random(length * 1000 + window)
     series = [rng.lognormvariate(6.0, 1.5) for _ in range(length)]
-    # A one-shot iterator: smooth_ma reads its input once, as compute_metrics streams it.
-    assert list(smooth_ma(iter(series), window)) == old_smooth_ma(series, window)
+    old = old_smooth_ma(series, window)
+    for start, every in [(0, 1), (0, 5), (3, 5), (50, 7), (length, 1)]:
+        # A one-shot iterator: smooth_ma reads its input once, as compute_metrics streams it.
+        rows = smooth_ma(iter(series), window, start, every)
+        assert rows == [(k, series[k], old[k]) for k in range(start, length, every)]

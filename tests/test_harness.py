@@ -52,23 +52,28 @@ def record(task_id, latency, stutter=0, device=0):
 # --- moving average -------------------------------------------------------------
 
 
+def means(series, window=20):
+    """Every point's moving average: smooth_ma's rows sampled at every point."""
+    return [ma for _k, _raw, ma in smooth_ma(series, window)]
+
+
 def test_ma_constant_series_unchanged():
-    assert list(smooth_ma([5.0] * 30)) == [5.0] * 30
+    assert means([5.0] * 30) == [5.0] * 30
 
 
 def test_ma_example_first_two():
-    out = list(smooth_ma([0.0, 20.0]))
+    out = means([0.0, 20.0])
     assert out[1] == 10.0
 
 
 def test_ma_window_one_is_identity():
     series = [3.0, 1.0, 4.0, 1.0, 5.0]
-    assert list(smooth_ma(series, window=1)) == series
+    assert means(series, window=1) == series
 
 
 def test_ma_window_covers_last_twenty():
     series = [float(i) for i in range(40)]
-    out = list(smooth_ma(series, window=20))
+    out = means(series, window=20)
     assert out[39] == pytest.approx(sum(range(20, 40)) / 20)
     assert len(out) == len(series)
 
@@ -213,6 +218,22 @@ def test_path_fields_must_be_a_str_or_a_path_like(monkeypatch, field, value):
     with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
         run_experiment(ExperimentConfig(scenario="semantic", horizon=10, **{field: value}))
     assert runs == []
+
+
+@pytest.mark.parametrize("field", ["out_dir", "profiles_path"])
+def test_path_fields_must_not_be_empty(monkeypatch, tmp_path, field):
+    # out_dir="" once wrote every artifact into the current directory, and
+    # profiles_path="" silently loaded the shipped profiles.
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    engine_run = Engine.run
+    monkeypatch.setattr(Engine, "run", lambda self: runs.append(self) or engine_run(self))
+    message = f"{field} must be a non-empty str, an os.PathLike or None, got ''"
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
+        run_experiment(ExperimentConfig(scenario="semantic", horizon=10, **{field: ""}))
+    flag = {"out_dir": "--out", "profiles_path": "--profiles"}[field]
+    assert cli_main(["run", "--scenario", "semantic", "--horizon", "10", flag, ""]) == 1
+    assert runs == [] and list(tmp_path.iterdir()) == []
 
 
 def test_path_fields_take_a_str_or_a_path(tmp_path):

@@ -43,6 +43,24 @@ INVALID = {
 }
 
 
+def test_every_valid_value_passes_and_every_invalid_value_fails_the_tool_checker():
+    """Each argument of each tool, at every value of its kind's tables, the
+    other arguments valid: the boundaries (a window of 1, a weight of 0) are
+    accepted, and each value outside its contract is rejected by name."""
+    meta = serving_controller()
+    checked = set()
+    for tool, (_description, kinds) in TOOLS.items():
+        for name, kind in kinds.items():
+            others = {other: VALID[k[0]][0] for other, k in kinds.items() if other != name}
+            for value in VALID[kind[0]]:
+                assert meta._check(ToolCall(tool, {**others, name: value})) is None, (tool, name, value)
+            for value in INVALID[kind[0]]:
+                error = meta._check(ToolCall(tool, {**others, name: value}))
+                assert error == f"{name} must be {kind[0]}, got {value!r}", (tool, name, value)
+            checked.add(kind[0])
+    assert checked == set(VALID) == set(INVALID)
+
+
 def _arguments(tool):
     """Valid calls, calls with one argument off contract, calls with arguments
     missing, and arbitrary JSON."""
