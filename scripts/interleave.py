@@ -10,13 +10,21 @@ sees nearly the same host.  A round is every experiment of the workload,
 built from ``perfbench/inputs.py`` as ``perfbench/run.py`` builds it, with
 each report written through ``emit_report`` to a temporary directory.
 
+``--horizon N`` and ``--lam X`` override every experiment's horizon and
+arrival rate (``event_dense`` builds its plan for that horizon), so one
+workload can be swept over H without changing ``perfbench/``.
+
 It prints each round's raw CPU seconds per side and their ratio, then the
 median of the paired ratios (change over parent; below 1 means the change
 is faster) and how many rounds the change won, and a last line of JSON with
-the same figures.  It also checks that both sides wrote the same
-``report.json`` and ``audit.log`` bytes.  Standard library only::
+the same figures.  It also checks that both sides wrote the same files with
+the same bytes: every file ``emit_report`` writes (``report.json``,
+``audit.log``, ``events.log``, the trajectory CSVs and
+``opm_snapshot.txt``), and names the first that differs.  Standard library
+only::
 
     python scripts/interleave.py --parent ../parent --change . --workload event_dense --seed 1 --rounds 16
+    python scripts/interleave.py --parent ../parent --change . --workload overload --horizon 24000 --lam 2.0 --rounds 4
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402
 
 SIDES = ("parent", "change")
-ARTIFACTS = ("report.json", "audit.log")
 
 
 def load_package(checkout: Path, name: str):
@@ -56,8 +63,19 @@ def load_package(checkout: Path, name: str):
     return module
 
 
-def build_configs(package, workload: str, seed: int, out_dir: Path) -> list:
-    """One round's ExperimentConfigs, built from ``package``'s own types."""
+def build_configs(
+    package, workload: str, seed: int, out_dir: Path, horizon: int | None = None, lam: float | None = None
+) -> list:
+    """One round's ExperimentConfigs, built from ``package``'s own types.
+
+    ``horizon`` and ``lam``, when given, replace every experiment's own.
+    """
+    specs = inputs.experiment_specs(workload)
+    for spec in specs:
+        if horizon is not None:
+            spec["horizon"] = horizon
+        if lam is not None:
+            spec["lam"] = lam
     profiles = importlib.import_module(f"{package.__name__}.profiles")
     sim = importlib.import_module(f"{package.__name__}.sim")
     # default_profiles_path looks the package up as "edgesched", so each side names its own file.
@@ -65,11 +83,13 @@ def build_configs(package, workload: str, seed: int, out_dir: Path) -> list:
     plan = None
     if workload == "event_dense":
         records = profiles.load_profiles(profiles_path)
-        rows = inputs.dense_plan_rows(seed, profiles.priors_from_records(records), [r.model_id for r in records])
+        rows = inputs.dense_plan_rows(
+            seed, profiles.priors_from_records(records), [r.model_id for r in records], specs[0]["horizon"]
+        )
         plan = sim.plan_from_dicts(rows)
     return [
         package.ExperimentConfig(**spec, plan=plan, profiles_path=profiles_path, out_dir=out_dir / f"exp{i}")
-        for i, spec in enumerate(inputs.experiment_specs(workload))
+        for i, spec in enumerate(specs)
     ]
 
 
@@ -84,12 +104,21 @@ def run_round(package, configs: list) -> float:
     return total
 
 
-def digests(configs: list) -> list[str]:
-    return [
-        hashlib.sha256((Path(config.out_dir) / name).read_bytes()).hexdigest()
-        for config in configs
-        for name in ARTIFACTS
-    ]
+def written_files(out_dir: Path) -> dict[str, str]:
+    """The sha256 of every file under ``out_dir``, keyed by its relative path."""
+    return {
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file()
+    }
+
+
+def first_difference(parent: dict[str, str], change: dict[str, str]) -> str | None:
+    """The first file, in path order, that one side lacks or wrote other bytes to."""
+    for name in sorted(parent.keys() | change.keys()):
+        if parent.get(name) != change.get(name):
+            return name
+    return None
 
 
 def main(argv=None) -> int:
@@ -99,6 +128,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=inputs.WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=16, help="rounds per side, at least 1")
+    parser.add_argument("--horizon", type=int, help="every experiment's horizon, instead of the workload's")
+    parser.add_argument("--lam", type=float, help="every experiment's arrival rate, instead of the workload's")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error(f"--rounds must be >= 1, got {args.rounds}")
@@ -107,7 +138,9 @@ def main(argv=None) -> int:
         packages, configs = {}, {}
         for side in SIDES:
             packages[side] = load_package(getattr(args, side).resolve(), f"edgesched_{side}")
-            configs[side] = build_configs(packages[side], args.workload, args.seed, Path(tmp) / side)
+            configs[side] = build_configs(
+                packages[side], args.workload, args.seed, Path(tmp) / side, args.horizon, args.lam
+            )
         cpu: dict[str, list[float]] = {side: [] for side in SIDES}
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
@@ -118,24 +151,33 @@ def main(argv=None) -> int:
                 f"round {r:3d} first={order[0]:6s} parent {cpu['parent'][-1]:.4f} s"
                 f"  change {cpu['change'][-1]:.4f} s  ratio {ratio:.4f}"
             )
-        identical = digests(configs["parent"]) == digests(configs["change"])
+        files = {side: written_files(Path(tmp) / side) for side in SIDES}
+    differs = first_difference(files["parent"], files["change"])
+    identical = differs is None
 
     ratios = [c / p for p, c in zip(cpu["parent"], cpu["change"])]
     wins = sum(ratio < 1.0 for ratio in ratios)
     median = statistics.median(ratios)
     print(f"median paired ratio {median:.4f}; change faster in {wins} of {len(ratios)} rounds")
-    print(f"report.json and audit.log identical: {identical}")
+    if identical:
+        print(f"all {len(files['change'])} written files identical")
+    else:
+        print(f"written files differ, first: {differs}")
     print(
         json.dumps(
             {
                 "workload": args.workload,
                 "seed": args.seed,
+                "horizon": args.horizon,
+                "lam": args.lam,
                 "rounds": args.rounds,
                 "parent_cpu_s": cpu["parent"],
                 "change_cpu_s": cpu["change"],
                 "median_ratio": median,
                 "change_faster_rounds": wins,
                 "artifacts_identical": identical,
+                "compared_files": sorted(files["change"]),
+                "first_difference": differs,
             }
         )
     )

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, ne
+from operator import add, attrgetter, ne
 from pathlib import Path
 
 from .metacontrol import AdapterConfig, AuditLog, MetaController
@@ -297,9 +297,8 @@ def compute_metrics(
 
 
 def _workload_sha(workload: list[TaskSpec]) -> str:
-    text = ";".join(
-        f"{t.task_id},{t.kind},{t.arrival_time},{t.n_in},{t.n_out}" for t in workload
-    )
+    # A TaskSpec is a tuple of its five fields, and %s writes each as an f-string field does.
+    text = ";".join(map("%s,%s,%s,%s,%s".__mod__, workload))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -500,7 +499,7 @@ def _json_chunks(value: dict | list | tuple, newline: str) -> Iterator[str]:
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     """Write each line followed by a newline."""
     with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(map(add, lines, repeat("\n")))
 
 
 def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
@@ -531,7 +530,8 @@ def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
         if not pm.trajectory:
             continue
         path = out / f"trajectory_{name}.csv"
-        rows = (f"{k},{raw:.6f},{ma:.6f}" for k, raw, ma in pm.trajectory)
+        # A row may be a list; %-formatting takes its fields as a tuple.
+        rows = map("%s,%.6f,%.6f".__mod__, map(tuple, pm.trajectory))
         _write_lines(path, chain(("task_index,latency_ms,ma20_ms",), rows))
         written.append(path)
 

@@ -44,6 +44,9 @@ class CausalityError(ValueError):
 class UnknownDeviceError(KeyError):
     """Query for a device-kind the model was never seeded with."""
 
+    def __init__(self, device: int, kind: str) -> None:
+        super().__init__(f"no estimate for device {device} kind {kind}")
+
 
 @dataclass
 class OpmEstimate:
@@ -161,7 +164,7 @@ class Opm:
         try:
             return self.estimates[(device, kind)]
         except KeyError:
-            raise UnknownDeviceError(f"no estimate for device {device} kind {kind}") from None
+            raise UnknownDeviceError(device, kind) from None
 
     # -- feedback path --------------------------------------------------------
 
@@ -174,18 +177,21 @@ class Opm:
         that.
         """
         completion = record.completion_time
-        est = self._estimate(record.device_id, record.kind)
-        history = self._history[(record.device_id, record.kind)]
+        key = (record.device_id, record.kind)
+        history = self._history.get(key)
+        if history is None:
+            raise UnknownDeviceError(*key)
         newest = history[-1][1] if history else -math.inf
         if not (math.isfinite(completion) and newest <= completion <= now):
             raise CausalityError(
                 f"record for task {record.task_id} completes at {completion}; it must be "
                 f"finite, >= {newest} (newest record) and <= now {now}"
             )
-        predicted = self._raw_predict(est, record.n_in, record.n_out)
-        # The record's service_ms property, computed once here for refits and drift.
+        # A record carries its task's kind and token counts, so it prices as
+        # the task did.  Its service_ms property is computed once here.
+        predicted = self.predict(record.device_id, record)
         history.append((predicted, completion, completion - record.start_time, record))
-        est.n += 1
+        self.estimates[key].n += 1
         self.oplog.append(("ingest", record, now))
 
     # -- estimation -----------------------------------------------------------
@@ -232,29 +238,22 @@ class Opm:
             for device, kind in sorted(self.estimates)
         }
 
-    def _raw_predict(self, est: OpmEstimate, n_in: int | None, n_out: int | None) -> float:
-        if est.kind == LLM:
-            return est.calibration_factor * (est.alpha_hat * n_in + est.beta_hat * n_out)
-        return est.calibration_factor * est.gamma_hat
-
     def predict(self, device: int, task) -> float:
-        """Calibrated service-time prediction for a task on a device.
-
-        It runs for every task the fast path prices, so it looks the
-        estimate up and applies :meth:`_raw_predict`'s formula in its own
-        frame.
-        """
+        """Calibrated service-time prediction for a task (or a record of one) on a device."""
         try:
             est = self.estimates[(device, task.kind)]
         except KeyError:
-            raise UnknownDeviceError(f"no estimate for device {device} kind {task.kind}") from None
+            raise UnknownDeviceError(device, task.kind) from None
         if est.kind == LLM:
             return est.calibration_factor * (est.alpha_hat * task.n_in + est.beta_hat * task.n_out)
         return est.calibration_factor * est.gamma_hat
 
     def uncertainty(self, device: int, kind: str) -> float:
         """Epistemic uncertainty in [0, 1]: 1 at cold start, decays as 1/(1+n)."""
-        est = self._estimate(device, kind)
+        try:
+            est = self.estimates[(device, kind)]
+        except KeyError:
+            raise UnknownDeviceError(device, kind) from None
         return 1.0 / (1.0 + est.n)
 
     # -- drift and calibration --------------------------------------------------
@@ -275,10 +274,12 @@ class Opm:
         """
         if not window_ms > 0:
             raise ValueError(f"window_ms must be > 0, got {window_ms}")
-        self._estimate(device, kind)
+        history = self._history.get((device, kind))
+        if history is None:
+            raise UnknownDeviceError(device, kind)
         cutoff = now - window_ms
         window = []  # newest first
-        for entry in reversed(self._history[(device, kind)]):
+        for entry in reversed(history):
             t = entry[1]
             if not t <= now:
                 continue

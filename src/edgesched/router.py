@@ -8,10 +8,11 @@ risk-flagged device is scored only when no safe device is feasible.  The
 adaptive agent routes on its controller's surface; the static baseline is
 the same plain fast path on offline priors that never change.  Round robin
 and the full-information reference policy live here too.  A selection
-scores each candidate at most once.  Its backlogs come from a memo that
-keeps each device's queued costs, drops as many as the snapshot's
-``departed`` count says left the head since the last look, and prices only
-the tasks appended since then.
+reads the risk table once, checks the model's version once and scores its
+pool in one pass.  Its backlogs come from a memo that keeps each device's
+queued costs, drops as many as the snapshot's ``departed`` count says left
+the head since the last look, and prices only the tasks appended since
+then.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class RiskOverrideTable:
         return self._ttl.pop(device, None) is not None
 
     def decrement(self) -> None:
-        if self._ttl:  # most tasks find no flag set
-            self._ttl = {device: left - 1 for device, left in self._ttl.items() if left > 1}
+        self._ttl = {device: left - 1 for device, left in self._ttl.items() if left > 1}
 
     def is_risky(self, device: int) -> bool:
         return device in self._ttl
@@ -123,10 +123,11 @@ class FastPath:
 
     ``opm``, ``overrides`` and ``config`` are the surface the slow path sets
     through tools; ``memo`` keeps the backlog prices of the model's
-    ``version`` between decisions, and ``trace``, when a list, gets each
-    decision's scores.  ``choose`` binds ``obs``, the engine's view of the decision being made,
-    which the engine ends when it moves on: reading the last view between
-    decisions raises instead of answering from a stale state.
+    ``version`` between decisions (each scoring pass checks it once), and
+    ``trace``, when a list, gets each decision's scores.  ``choose`` binds
+    ``obs``, the engine's view of the decision being made, which the engine
+    ends when it moves on: reading the last view between decisions raises
+    instead of answering from a stale state.
     """
 
     def __init__(
@@ -154,19 +155,38 @@ class FastPath:
         return backlog_ms(self.obs.snapshot_of(device), self.opm.predict, self.obs.now, self.memo)
 
 
-def score(device: int, task: TaskSpec, state: FastPath) -> float:
-    """Backlog + prediction - exploration bonus, in ms.
+def scores(task: TaskSpec, pool, state: FastPath) -> list[tuple[float, int]]:
+    """(score, device) for each pool device, in pool order: backlog +
+    prediction - exploration bonus, in ms.
 
     Plain mode disables the exploration term; explore mode weights the
     device's epistemic uncertainty by the configured bonus.  A risk flag adds
     nothing here: :func:`select_e3` scores a pool that is all safe or all
-    risky.  Scores may go negative; only the argmin matters.
+    risky.  Scores may go negative; only the argmin matters.  The backlog
+    memo is cleared first if the model's version moved since the last pass.
     """
+    opm = state.opm
+    if opm.version != state.version:
+        state.version = opm.version
+        state.memo.clear()
+    obs = state.obs
+    now = obs.now
+    memo = state.memo
+    predict = opm.predict
     config = state.config
-    value = state.backlog(device) + state.opm.predict(device, task)
-    if config.policy == EXPLORE_RISK:
-        value -= config.explore_weight_ms * state.opm.uncertainty(device, task.kind)
-    return value
+    explore = config.policy == EXPLORE_RISK
+    scored = []
+    for device in pool:
+        value = backlog_ms(obs.snapshot_of(device), predict, now, memo) + predict(device, task)
+        if explore:
+            value -= config.explore_weight_ms * opm.uncertainty(device, task.kind)
+        scored.append((value, device))
+    return scored
+
+
+def score(device: int, task: TaskSpec, state: FastPath) -> float:
+    """One device's score, as :func:`scores` gives it."""
+    return scores(task, (device,), state)[0][0]
 
 
 def select_e3(task: TaskSpec, state: FastPath) -> int | None:
@@ -174,9 +194,11 @@ def select_e3(task: TaskSpec, state: FastPath) -> int | None:
     candidates = state.candidates(task.kind)
     if not candidates:
         return None
-    safe = [d for d in candidates if not state.overrides.is_risky(d)]
-    pool = safe if safe else candidates
-    scored = [(score(d, task, state), d) for d in pool]
+    pool = candidates
+    flags = state.overrides._ttl  # read once; most decisions find no flag set
+    if flags:
+        pool = [d for d in candidates if d not in flags] or candidates
+    scored = scores(task, pool, state)
     best = min(scored)[1]
     trace = state.trace
     if trace is not None:
@@ -295,7 +317,8 @@ class AdaptiveAgentPolicy(FastPath):
         self.meta.attach_telemetry(telemetry)
 
     def on_first_dispatch(self, task: TaskSpec) -> None:
-        self.overrides.decrement()
+        if self.overrides._ttl:  # most tasks find no flag set
+            self.overrides.decrement()
 
     def on_completion(self, record, now_task: int) -> None:
         self.opm.ingest_feedback(record, record.completion_time)

@@ -260,6 +260,28 @@ def test_predict_unknown_device_errors():
         opm.predict(9, TaskSpec(0, LLM, 0.0, 256, 32))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda opm, d, k: opm.predict(d, TaskSpec(0, k, 0.0, 256, 32)),
+        lambda opm, d, k: opm.uncertainty(d, k),
+        lambda opm, d, k: opm.drift_ratio(d, k, 1000.0, 1e9),
+        lambda opm, d, k: opm.refit(d, k),
+        lambda opm, d, k: opm.apply_calibration(d, k, 1.2),
+        lambda opm, d, k: opm.ingest_feedback(make_record(0, d, k, 100.0, 256, 32), now=1e9),
+    ],
+    ids=["predict", "uncertainty", "drift_ratio", "refit", "apply_calibration", "ingest_feedback"],
+)
+def test_every_estimate_reader_names_an_unknown_device_kind_alike(call):
+    opm = seeded_opm()
+    before = (opm.snapshot_table(), opm.version)
+    for device, kind in ((9, LLM), (0, SDXL)):
+        with pytest.raises(UnknownDeviceError) as info:
+            call(opm, device, kind)
+        assert str(info.value) == repr(f"no estimate for device {device} kind {kind}")
+    assert (opm.snapshot_table(), opm.version) == before
+
+
 def test_uncertainty_decay():
     opm = seeded_opm()
     assert opm.uncertainty(0, LLM) == 1.0

@@ -41,6 +41,7 @@ from edgesched.sim.truth import (
     SemanticOffset,
     SemanticOnset,
     builtin_plans,
+    plan_from_dicts,
 )
 from edgesched.sim.workload import TaskSpec, generate_workload
 
@@ -200,6 +201,84 @@ def test_trace_records_scores_and_choice():
     assert trace[0]["task_id"] == 4
     assert trace[0]["chosen"] == 0
     assert len(trace[0]["scores"]) == 2
+
+
+def per_candidate_scores(task, obs, policy):
+    """Each pool device's score by the per-candidate formula: the risk-gated
+    pool, a backlog priced afresh, the prediction and the exploration bonus."""
+    candidates = obs.available_devices(task.kind)
+    pool = [d for d in candidates if not policy.overrides.is_risky(d)] or candidates
+    config, opm = policy.config, policy.opm
+    rows = []
+    for device in pool:
+        value = backlog_ms(obs.snapshot_of(device), opm.predict, obs.now, {}) + opm.predict(device, task)
+        if config.policy == "explore_risk":
+            value -= config.explore_weight_ms * opm.uncertainty(device, task.kind)
+        rows.append([device, value])
+    return rows
+
+
+# A semantic window that outlives the risk flag's 50-task TTL, so the flag expires.
+LONG_SEMANTIC_WINDOW = [
+    {"at_task": 60, "type": "semantic_onset", "device": 0, "label": "game", "factor": 3.0},
+    {"at_task": 200, "type": "semantic_offset", "device": 0, "label": "game"},
+]
+
+
+@pytest.mark.parametrize("policy_name", ["e3", "fixed_heuristic"])
+@pytest.mark.parametrize(
+    ("scenario", "plan_rows", "warmup"),
+    [("semantic", None, 0), ("semantic", LONG_SEMANTIC_WINDOW, 0), ("warmup", None, 30), ("churn", None, 0)],
+    ids=["semantic", "semantic-long-window", "warmup-W30", "churn"],
+)
+def test_one_scoring_pass_equals_the_per_candidate_formula(scenario, plan_rows, warmup, policy_name):
+    """At every decision of an overloaded run, the scores and the choice
+    select_e3 traced equal (==) the per-candidate formula's: with risk flags
+    set, cleared and expiring (semantic), in explore mode (between the two
+    warmup points of every e3 run) and for handed-back tasks (churn)."""
+    priors = priors_from_records(load_profiles(default_profiles_path()))
+    truth = GroundTruthState(
+        priors, prior_error=PRESETS[scenario]["prior_error"], service_jitter=PRESETS[scenario]["service_jitter"]
+    )
+    if policy_name == "e3":
+        policy = build_agent(priors, warmup if scenario == "warmup" else DYNAMIC_PREFIX_TASKS, trace=[])
+    else:
+        policy = FixedHeuristicPolicy(priors)
+        policy.trace = []
+    seen = {"flagged": 0, "expired": 0, "explore": 0, "handback": 0}
+    decided: set[int] = set()
+    choose, decrement = policy.choose, policy.overrides.decrement
+
+    def counting_decrement():
+        before = set(policy.overrides.devices())
+        decrement()
+        seen["expired"] += len(before - set(policy.overrides.devices()))
+
+    def checked_choose(task, obs):
+        seen["flagged"] += bool(policy.overrides.devices())
+        seen["explore"] += policy.config.policy == "explore_risk"
+        seen["handback"] += task.task_id in decided
+        decided.add(task.task_id)
+        device = choose(task, obs)
+        traced = policy.trace[-1]
+        expected = per_candidate_scores(task, obs, policy)
+        assert traced["task_id"] == task.task_id
+        assert traced["scores"] == expected, task.task_id
+        assert traced["chosen"] == device == min((s, d) for d, s in expected)[1]
+        return device
+
+    policy.choose = checked_choose
+    policy.overrides.decrement = counting_decrement
+    workload = generate_workload(600, 2.0)
+    plan = builtin_plans(scenario) if plan_rows is None else plan_from_dicts(plan_rows)
+    result = Engine(truth, plan, workload, policy).run()
+    assert len(result.records) == len(policy.trace) - seen["handback"] == 600
+    if policy_name == "e3":
+        assert bool(seen["flagged"]) == (scenario == "semantic")
+        assert bool(seen["expired"]) == (plan_rows is not None)
+        assert seen["explore"]
+    if scenario == "churn":
+        assert seen["handback"]
 
 
 def test_backlog_counts_queued_and_clipped_in_flight():

@@ -422,6 +422,30 @@ def test_observation_log_equals_record_rows(fixture_priors):
     assert len(checked) > 5
 
 
+def test_observations_of_a_long_run_equal_record_rows(fixture_priors):
+    """At H=2000, small windows and limits give the reference rows."""
+    checked = []
+
+    def on_completion(record, _now_task):
+        if record.task_id % 97 == 0:
+            check(record.completion_time)
+
+    def check(now):
+        for window_ms in (None, 0.0, 500.0, 5000.0):
+            for limit in (None, 1, 7):
+                got = Telemetry(engine).observations(window_ms, limit)
+                assert got == reference_observation_rows(engine.records, now, window_ms, limit)
+        checked.append(now)
+
+    truth = make_truth(fixture_priors, jitter=0.1)
+    policy = RoundRobinPolicy()
+    policy.on_completion = on_completion
+    engine = Engine(truth, builtin_plans("semantic"), generate_workload(2000, 2.0), policy)
+    engine.run()
+    check(engine.now)
+    assert len(engine.records) == 2000 and len(checked) > 15
+
+
 def test_observation_rows_and_pulled_observations_keep_their_twelve_keys(fixture_priors):
     truth = make_truth(fixture_priors, jitter=0.1)
     engine = Engine(truth, builtin_plans("churn"), generate_workload(120, 2.0), RoundRobinPolicy())

@@ -1,9 +1,12 @@
 """Deterministic workload generation."""
 
+import hashlib
+
 import pytest
 
+from edgesched.harness import _workload_sha
 from edgesched.profiles import LLM, SDXL
-from edgesched.sim.workload import INPUT_BINS, OUTPUT_BINS, TOKEN_BIN_CYCLE, generate_workload
+from edgesched.sim.workload import INPUT_BINS, OUTPUT_BINS, TOKEN_BIN_CYCLE, TaskSpec, generate_workload
 
 
 def test_default_stream_arrivals_and_kinds():
@@ -80,3 +83,44 @@ def test_horizon_must_be_an_int(horizon):
     # A bool is an int to range(), and a float used to fail there with a bare TypeError.
     with pytest.raises(ValueError, match=f"horizon must be an int >= 0, got {horizon!r}"):
         generate_workload(horizon)
+
+
+def class_call_workload(horizon, lam):
+    """The stream built by calling the TaskSpec class for each task."""
+    tasks, llm_ordinal = [], 0
+    for k in range(horizon):
+        if k % 2 == 0:
+            n_in, n_out = TOKEN_BIN_CYCLE[llm_ordinal % len(TOKEN_BIN_CYCLE)]
+            llm_ordinal += 1
+            tasks.append(TaskSpec(k, LLM, k * (1000.0 / lam), n_in, n_out))
+        else:
+            tasks.append(TaskSpec(k, SDXL, k * (1000.0 / lam)))
+    return tasks
+
+
+def f_string_sha(workload):
+    """The workload hash as an f-string per task wrote it."""
+    text = ";".join(f"{t.task_id},{t.kind},{t.arrival_time},{t.n_in},{t.n_out}" for t in workload)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 2, 301])
+@pytest.mark.parametrize("lam", [0.25, 0.5, 2.0, 3.0])
+def test_generated_tasks_equal_class_calls_and_hash_as_before(horizon, lam):
+    tasks = generate_workload(horizon, lam)
+    reference = class_call_workload(horizon, lam)
+    assert all(type(t) is TaskSpec for t in tasks)
+    assert tasks == reference
+    assert [list(map(type, t)) for t in tasks] == [list(map(type, t)) for t in reference]
+    assert _workload_sha(tasks) == f_string_sha(reference)
+
+
+def test_a_hand_built_workload_hashes_as_before():
+    workload = [
+        TaskSpec(0, LLM, 1 / 3, None, None),
+        TaskSpec(1, SDXL, 1e-07, 5, None),
+        TaskSpec(2, LLM, 1e22, None, 7),
+        TaskSpec(3, SDXL, -0.0),
+        TaskSpec(4, "a,b;c%s", 2.5, 2**70, 0),
+    ]
+    assert _workload_sha(workload) == f_string_sha(workload)
