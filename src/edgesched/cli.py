@@ -23,7 +23,7 @@ from .harness import (
     run_experiment,
 )
 from .metacontrol import AdapterConfig
-from .profiles import ProfileError
+from .profiles import ProfileError, check
 from .sim.truth import PlanError, plan_from_dicts
 
 
@@ -65,12 +65,6 @@ def _load_config_file(path: Path) -> dict:
     return payload
 
 
-# Config-file fields passed on unconverted; ExperimentConfig checks the rest.
-_FILE_TYPES = (
-    ("profiles", str, "a path string"),
-    ("out", str, "a path string"),
-    ("adapter", dict, "an object"),
-)
 # Every key a config file may hold -> (the ExperimentConfig field it sets, the
 # flag (argparse dest) that overrides it, or None when only a file sets it).
 # "adapter" holds AdapterConfig's fields, each overridden by its flag in
@@ -108,9 +102,9 @@ def _check_keys(cfg: dict, accepted: Collection[str], where: str) -> None:
 def _merge(args: argparse.Namespace) -> ExperimentConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
     _check_keys(file_cfg, _FILE_KEYS, "config")
-    for key, kind, contract in _FILE_TYPES:
-        if file_cfg.get(key) is not None and not isinstance(file_cfg[key], kind):
-            raise ExperimentError(f"{key} must be {contract}, got {file_cfg[key]!r}")
+    # ExperimentConfig checks every other value as written; the adapter object is unpacked below.
+    check("adapter", file_cfg.get("adapter"), ("an object", lambda v: v is None or isinstance(v, dict)),
+          ExperimentError)
 
     # Only what a flag or the file sets is passed on; ExperimentConfig holds the defaults.
     given = {}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -24,13 +23,17 @@ from pathlib import Path
 from .metacontrol import AdapterConfig, AuditLog, MetaController
 from .opm import left_sum
 from .profiles import (
+    INDEX,
+    INT,
     LLM,
+    PATH,
+    POSITIVE,
     SDXL,
     DevicePrior,
+    check,
     default_profiles_path,
-    is_finite_number,
-    is_int,
     load_profiles,
+    optional,
     priors_from_records,
 )
 from .router import (
@@ -111,44 +114,21 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"unknown scenario {self.scenario!r}; valid: {sorted(SCENARIOS)}"
             )
-        for name in ("horizon", "warmup_budget"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ExperimentError(f"{name} must be an int, got {value!r}")
-        if self.horizon < 0:
-            raise ExperimentError("horizon must be >= 0")
-        if not is_finite_number(self.lam) or self.lam <= 0:
-            raise ExperimentError(f"lambda must be a finite number > 0, got {self.lam!r}")
+        for name, rule in _CONFIG_FIELDS.items():
+            check(name, getattr(self, name), rule, ExperimentError)
+        check("lambda", self.lam, POSITIVE, ExperimentError)
         self.lam = float(self.lam)  # an int rate is accepted and reported as a float
-        if not isinstance(self.trace_decisions, bool):
-            raise ExperimentError(f"trace_decisions must be a bool, got {self.trace_decisions!r}")
-        for name in ("profiles_path", "out_dir"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, (str, os.PathLike)):
-                raise ExperimentError(f"{name} must be a str, an os.PathLike or None, got {value!r}")
-            if value == "":  # Path("") is the current directory
-                raise ExperimentError(f"{name} must be a non-empty str, an os.PathLike or None, got ''")
-        if self.plan is not None and not isinstance(self.plan, ScenarioPlan):
-            raise ExperimentError(f"plan must be a ScenarioPlan or None, got {self.plan!r}")
-        if self.adapter is not None and not isinstance(self.adapter, AdapterConfig):
-            raise ExperimentError(f"adapter must be an AdapterConfig or None, got {self.adapter!r}")
-        if self.adapter_transport is not None and not callable(self.adapter_transport):
-            raise ExperimentError(
-                f"adapter_transport must be a callable or None, got {self.adapter_transport!r}"
-            )
         if self.prior_error is not None:
             check_prior_error(self.prior_error)
         if self.service_jitter is not None:
             check_service_jitter(self.service_jitter)
-        if self.warmup_budget < 0 or self.warmup_budget > self.horizon:
-            raise ExperimentError("warmup budget must be within [0, horizon]")
+        check("warmup_budget", self.warmup_budget,
+              (f"within [0, horizon={self.horizon}]", lambda v: 0 <= v <= self.horizon), ExperimentError)
         if self.scenario != "warmup" and self.warmup_budget != 0:
             raise ExperimentError(
                 f"{self.scenario} takes no warmup budget, got {self.warmup_budget}; "
                 f"its budget is the {DYNAMIC_PREFIX_TASKS}-task settling prefix"
             )
-        if not isinstance(self.policies, (tuple, list)):
-            raise ExperimentError(f"policies must be a tuple or list of policy names, got {self.policies!r}")
         if not self.policies:
             raise ExperimentError(f"policies must name at least one of {sorted(POLICY_NAMES)}")
         for policy in self.policies:
@@ -156,6 +136,20 @@ class ExperimentConfig:
                 raise ExperimentError(
                     f"unknown policy {policy!r}; valid: {sorted(POLICY_NAMES)}"
                 )
+
+
+# ExperimentConfig field -> rule; ``lam`` is checked as "lambda", its config-file key
+_CONFIG_FIELDS = {
+    "horizon": INDEX,
+    "warmup_budget": INT,
+    "trace_decisions": ("a bool", lambda v: isinstance(v, bool)),
+    "profiles_path": optional(PATH),
+    "out_dir": optional(PATH),
+    "plan": optional(("a ScenarioPlan", lambda v: isinstance(v, ScenarioPlan))),
+    "adapter": optional(("an AdapterConfig", lambda v: isinstance(v, AdapterConfig))),
+    "adapter_transport": optional(("a callable", callable)),
+    "policies": ("a tuple or list of policy names", lambda v: isinstance(v, (tuple, list))),
+}
 
 
 @dataclass

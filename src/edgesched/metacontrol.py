@@ -24,8 +24,8 @@ import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 
-from .opm import DRIFT_WINDOW_MS, WINDOW_CAPACITY, Opm, UnknownDeviceError
-from .profiles import DevicePrior, is_finite_number, is_int, model_kind
+from .opm import DRIFT_WINDOW_MS, WINDOW, WINDOW_CAPACITY, Opm, UnknownDeviceError
+from .profiles import COUNT, NAME, NON_NEGATIVE, POSITIVE, STRING, DevicePrior, check, is_int, model_kind
 from .router import (
     DEFAULT_RISK_TTL_TASKS,
     EXPLORE_RISK,
@@ -62,17 +62,11 @@ def _is_model(value: object) -> bool:
 
 
 # --- the tool table ------------------------------------------------------------
-# An argument kind is (contract, check, JSON schema); a rejection reads
-# "<name> must be <contract>, got <value!r>".
-COUNT = ("an int >= 1, not a bool", lambda v: is_int(v) and v >= 1,
-         {"type": "integer", "minimum": 1})
-WINDOW = (f"an int in [1, {WINDOW_CAPACITY}], not a bool",
-          lambda v: is_int(v) and 1 <= v <= WINDOW_CAPACITY,
-          {"type": "integer", "minimum": 1, "maximum": WINDOW_CAPACITY})
-POSITIVE = ("a finite number > 0", lambda v: is_finite_number(v) and v > 0,
-            {"type": "number", "exclusiveMinimum": 0})
-NON_NEGATIVE = ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0,
-                {"type": "number", "minimum": 0})
+# An argument kind is a rule plus its JSON schema: (contract, check, schema).
+COUNT = (*COUNT, {"type": "integer", "minimum": 1})
+WINDOW = (*WINDOW, {"type": "integer", "minimum": 1, "maximum": WINDOW_CAPACITY})
+POSITIVE = (*POSITIVE, {"type": "number", "exclusiveMinimum": 0})
+NON_NEGATIVE = (*NON_NEGATIVE, {"type": "number", "minimum": 0})
 ROUTER = (f"one of {ROUTER_CHOICES}", lambda v: v in ROUTER_CHOICES,
           {"type": "string", "enum": list(ROUTER_CHOICES)})
 # The tool checker also checks that the OPM knows the device.
@@ -282,11 +276,13 @@ class MetaController:
         for name, value in call.arguments.items():
             if name not in kinds:
                 return f"{call.tool} takes no argument {name!r}; it takes {sorted(kinds)}"
-            contract, check, _schema = kinds[name]
-            if not check(value) or (
-                kinds[name] is DEVICE and value not in {d for d, _kind in self.opm.estimates}
-            ):
-                return f"{name} must be {contract}, got {value!r}"
+            rule = kinds[name]
+            if rule is DEVICE:
+                rule = (DEVICE[0], lambda v: is_int(v) and v in {d for d, _kind in self.opm.estimates})
+            try:
+                check(name, value, rule)
+            except ValueError as exc:
+                return str(exc)
         missing = [name for name in _required(call.tool) if name not in call.arguments]
         return f"{call.tool} needs argument {missing[0]!r}" if missing else None
 
@@ -458,19 +454,12 @@ class AdapterConfig:
     timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
-        for name, (contract, check) in _ADAPTER_FIELDS.items():
-            value = getattr(self, name)
-            if not check(value):
-                raise ValueError(f"adapter {name} must be {contract}, got {value!r}")
+        for name, rule in _ADAPTER_FIELDS.items():
+            check(f"adapter {name}", getattr(self, name), rule)
 
 
-# AdapterConfig field -> (contract, check)
-_ADAPTER_FIELDS = {
-    "url": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
-    "model": ("a string", lambda v: isinstance(v, str)),
-    "api_key_env": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
-    "timeout_s": POSITIVE[:2],
-}
+# AdapterConfig field -> rule
+_ADAPTER_FIELDS = {"url": NAME, "model": STRING, "api_key_env": NAME, "timeout_s": POSITIVE}
 
 
 def _tool_catalog() -> list[dict]:

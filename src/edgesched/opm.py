@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass
 from itertools import islice
 from operator import itemgetter
 
-from .profiles import LLM, DevicePrior, check_new_device, is_finite_number, is_int
+from .profiles import COUNT, LLM, POSITIVE, DevicePrior, check, check_new_device, is_int, optional
 from .sim.engine import ExecutionRecord
 
 # Residual mismatch above this observed/predicted ratio counts as drift.
@@ -74,9 +74,9 @@ def left_sum(values) -> float:
     return total
 
 
-def _check_window(window: object) -> None:
-    if window is not None and not (is_int(window) and 1 <= window <= WINDOW_CAPACITY):
-        raise ValueError(f"window must be None or an int in [1, {WINDOW_CAPACITY}], got {window!r}")
+WINDOW = (f"an int in [1, {WINDOW_CAPACITY}], not a bool",
+          lambda v: is_int(v) and 1 <= v <= WINDOW_CAPACITY)
+_WINDOW_OR_NONE = optional(WINDOW)
 
 
 def solve_token_coefficients(samples: list[tuple[int, int, float]]) -> tuple[float, float]:
@@ -205,19 +205,22 @@ class Opm:
     ) -> str:
         """Refit one device-kind from its newest ``window`` records.
 
-        ``window`` is None (40) or an int in [1, 40].  Returns "updated" or
-        "insufficient".  A successful refit supersedes any drift
-        calibration, so the calibration factor resets to 1; a calibration
-        applied just before an updating refit is erased unread, which is why
-        the scripted residual alarm refits without calibrating.
+        ``window`` is None (40) or an int in [1, 40], and ``min_samples`` an
+        int >= 1.  Returns "updated" or "insufficient"; a call rejected for
+        its arguments or an unknown device-kind leaves the oplog unchanged.
+        A successful refit supersedes any drift calibration, so the
+        calibration factor resets to 1; a calibration applied just before an
+        updating refit is erased unread, which is why the scripted residual
+        alarm refits without calibrating.
         """
-        _check_window(window)
-        self.oplog.append(("refit", device, kind, min_samples, window))
+        check("window", window, _WINDOW_OR_NONE)
+        check("min_samples", min_samples, COUNT)
         est = self._estimate(device, kind)
+        self.oplog.append(("refit", device, kind, min_samples, window))
         count = WINDOW_CAPACITY if window is None else window
         entries = list(islice(reversed(self._history[(device, kind)]), count))
         entries.reverse()
-        if len(entries) < max(min_samples, 1):
+        if len(entries) < min_samples:
             return "insufficient"
         if kind == LLM:
             alpha, beta = solve_token_coefficients(
@@ -307,8 +310,7 @@ class Opm:
         self, device: int, kind: str, observed_ratio: float
     ) -> tuple[float, float]:
         """Exponentially smoothed multiplicative correction; returns (old, new)."""
-        if not is_finite_number(observed_ratio) or observed_ratio <= 0:
-            raise ValueError(f"observed_ratio must be a finite number > 0, got {observed_ratio!r}")
+        check("observed_ratio", observed_ratio, POSITIVE)
         est = self._estimate(device, kind)
         old = est.calibration_factor
         new = CALIBRATION_SMOOTHING * observed_ratio + (1 - CALIBRATION_SMOOTHING) * old

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from collections.abc import Container
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -58,9 +59,7 @@ class RawProfileRecord:
 
     def validate(self) -> None:
         for name in ("device_name", "model_id", "scenario"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ProfileError(f"{name} must be a string, got {value!r}")
+            check(name, getattr(self, name), STRING, ProfileError)
         has_llm = self.ttft_ms_p99 is not None or self.tpot_ms_p99 is not None
         has_sd = self.latency_ms_p99 is not None
         if has_llm and has_sd:
@@ -80,12 +79,10 @@ class RawProfileRecord:
             raise ProfileError(
                 f"model_id {self.model_id!r} does not match {fields_name} latency fields"
             )
-        for field_name in ("ttft_ms_p99", "tpot_ms_p99", "latency_ms_p99", "image_size", "steps"):
-            value = getattr(self, field_name)
-            if value is not None and (not is_finite_number(value) or value <= 0):
-                raise ProfileError(
-                    f"field {field_name} must be a finite number > 0, got {value!r}"
-                )
+        for name in ("ttft_ms_p99", "tpot_ms_p99", "latency_ms_p99", "image_size", "steps"):
+            value = getattr(self, name)
+            if value is not None:
+                check(f"field {name}", value, POSITIVE, ProfileError)
 
 
 # kind -> the prior coefficients a device of that kind uses
@@ -107,8 +104,7 @@ class DevicePrior:
     gamma0: float | None = None
 
     def __post_init__(self) -> None:
-        if not is_int(self.device_id):
-            raise ProfileError(f"device_id must be an int, not a bool, got {self.device_id!r}")
+        check("device_id", self.device_id, INT, ProfileError)
         if not isinstance(self.kind, str) or self.kind not in _COEFFICIENTS:
             raise ProfileError(f"kind must be one of {tuple(_COEFFICIENTS)}, got {self.kind!r}")
         uses = _COEFFICIENTS[self.kind]
@@ -118,8 +114,8 @@ class DevicePrior:
             value = getattr(self, name)
             if value is not None and name not in uses:
                 raise ProfileError(f"{self.kind} prior takes no {name}, got {value!r}")
-            if value is not None and (not is_finite_number(value) or value < 0):
-                raise ProfileError(f"{name} must be a finite number >= 0, got {value!r}")
+            if value is not None:
+                check(name, value, NON_NEGATIVE, ProfileError)
 
 
 _RECORD_FIELDS = {f.name for f in fields(RawProfileRecord)}
@@ -139,6 +135,33 @@ def is_finite_number(value: object) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+# A rule is a (contract, check) pair; :func:`check` words a rejection as
+# "<name> must be <contract>, got <value!r>".
+INT = ("an int", is_int)
+INDEX = ("an int >= 0", lambda v: is_int(v) and v >= 0)
+COUNT = ("an int >= 1, not a bool", lambda v: is_int(v) and v >= 1)
+POSITIVE = ("a finite number > 0", lambda v: is_finite_number(v) and v > 0)
+NON_NEGATIVE = ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0)
+STRING = ("a string", lambda v: isinstance(v, str))
+NAME = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+# Path("") is the current directory, so an empty path is rejected.
+PATH = ("a non-empty str or an os.PathLike",
+        lambda v: isinstance(v, os.PathLike) or (isinstance(v, str) and v != ""))
+
+
+def optional(rule: tuple) -> tuple:
+    """``rule`` widened to accept None."""
+    contract, test = rule
+    return f"None or {contract}", lambda v: v is None or test(v)
+
+
+def check(name: str, value: object, rule: tuple, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` passes ``rule``; a tool-argument kind
+    is a rule with a JSON schema after it."""
+    if not rule[1](value):
+        raise error(f"{name} must be {rule[0]}, got {value!r}")
 
 
 def check_new_device(device_id: int, seen: Container[int]) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .opm import Opm
-from .profiles import DevicePrior, is_int
+from .profiles import COUNT, DevicePrior, check
 from .sim.engine import DeviceSnapshot, ObservableState, OracleAccess
 from .sim.workload import TaskSpec
 
@@ -58,8 +58,7 @@ class RiskOverrideTable:
         self._ttl: dict[int, int] = {}
 
     def set(self, device: int, ttl: int) -> None:
-        if not is_int(ttl) or ttl < 1:
-            raise ValueError(f"ttl must be an int >= 1, not a bool, got {ttl!r}")
+        check("ttl", ttl, COUNT)
         self._ttl[device] = ttl
 
     def clear(self, device: int) -> bool:

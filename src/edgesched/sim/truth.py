@@ -13,7 +13,8 @@ from _md5 import md5
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from ..profiles import LLM, SDXL, DevicePrior, check_new_device, is_finite_number, is_int
+from ..profiles import (INDEX, INT, LLM, NAME, POSITIVE, SDXL, DevicePrior, check, check_new_device,
+                        is_finite_number, is_int)
 from .workload import TaskSpec
 
 STABLE = "Stable"
@@ -33,15 +34,8 @@ class PlanError(ValueError):
 # time of the k-th arrival, just before it (see Engine.run).
 
 
-_NAME_RULE = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
-# field -> (contract, check), shared by every event class
-_FIELD_RULES = {
-    "at_task": ("an int >= 0", lambda v: is_int(v) and v >= 0),
-    "device": ("an int", is_int),
-    "label": _NAME_RULE,
-    "model": _NAME_RULE,
-    "factor": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),
-}
+# field -> rule, shared by every event class
+_FIELD_RULES = {"at_task": INDEX, "device": INT, "label": NAME, "model": NAME, "factor": POSITIVE}
 
 
 class ScenarioEvent:
@@ -60,9 +54,7 @@ class ScenarioEvent:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            contract, check = _FIELD_RULES[name]
-            if not check(value):
-                raise PlanError(f"{self.type} {name} must be {contract}, got {value!r}")
+            check(f"{self.type} {name}", value, _FIELD_RULES[name], PlanError)
 
     @property
     def log_label(self) -> str | None:
@@ -260,19 +252,20 @@ def _jitter_unit(device_id: int, task_id: int) -> float:
 
 def check_service_jitter(value: object) -> None:
     """Raise ValueError unless ``value`` is a finite number in [0, 1)."""
-    if not is_finite_number(value) or not 0 <= value < 1:
-        raise ValueError(f"service_jitter must be a finite number in [0, 1), got {value!r}")
+    check("service_jitter", value,
+          ("a finite number in [0, 1)", lambda v: is_finite_number(v) and 0 <= v < 1))
 
 
 def check_prior_error(value: object) -> None:
     """Raise ValueError unless ``value`` maps int device ids to a finite
     number > 0 or a tuple of two of them (LLM alpha and beta factors)."""
-    contract = "prior_error must map device ids to a finite number > 0 or a pair of them"
+    positive, is_positive = POSITIVE
+    contract = f"prior_error must map device ids to {positive} or a pair of them"
     if not isinstance(value, dict):
         raise ValueError(f"{contract}, got {value!r}")
     for device, error in value.items():
         factors = error if isinstance(error, tuple) and len(error) == 2 else (error,)
-        if not is_int(device) or not all(is_finite_number(f) and f > 0 for f in factors):
+        if not is_int(device) or not all(map(is_positive, factors)):
             raise ValueError(f"{contract}, got {device!r}: {error!r}")
 
 

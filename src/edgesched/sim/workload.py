@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..profiles import LLM, SDXL, is_finite_number, is_int
+from ..profiles import INDEX, LLM, POSITIVE, SDXL, check
 
 INPUT_BINS = (256, 512, 1024)
 OUTPUT_BINS = (32, 64, 128)
@@ -40,10 +40,8 @@ def generate_workload(horizon: int, lam: float = 0.5) -> list[TaskSpec]:
     are LLM requests, whose token bins follow :data:`TOKEN_BIN_CYCLE`; odd
     ids are SDXL requests.
     """
-    if not is_int(horizon) or horizon < 0:
-        raise ValueError(f"horizon must be an int >= 0, got {horizon!r}")
-    if not is_finite_number(lam) or lam <= 0:
-        raise ValueError(f"lambda must be a finite number > 0, got {lam!r}")
+    check("horizon", horizon, INDEX)
+    check("lambda", lam, POSITIVE)
     interarrival = 1000.0 / lam
     if not max(horizon - 1, 0) * interarrival < 2.0**53:  # also false for inf and nan
         raise ValueError(

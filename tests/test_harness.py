@@ -192,14 +192,14 @@ def test_policies_must_be_a_tuple_or_list(policies):
 
 def test_adapter_must_be_an_adapter_config():
     # A dict once ran, and every invocation fell back to the scripted policy.
-    with pytest.raises(ExperimentError, match=r"adapter must be an AdapterConfig or None, got \{'url': 'u'\}"):
+    with pytest.raises(ExperimentError, match=r"^adapter must be None or an AdapterConfig, got \{'url': 'u'\}$"):
         ExperimentConfig(scenario="semantic", adapter={"url": "u"})
 
 
 def test_adapter_transport_must_be_a_callable():
     # A string once ran, and every invocation logged "adapter failed ('str'
     # object is not callable)" and fell back to the scripted policy.
-    with pytest.raises(ExperimentError, match="adapter_transport must be a callable or None, got 'x'"):
+    with pytest.raises(ExperimentError, match="^adapter_transport must be None or a callable, got 'x'$"):
         ExperimentConfig(
             scenario="semantic", horizon=120, policies=("e3",), adapter=AdapterConfig(url="u"),
             adapter_transport="x",
@@ -214,7 +214,7 @@ def test_path_fields_must_be_a_str_or_a_path_like(monkeypatch, field, value):
     runs = []
     engine_run = Engine.run
     monkeypatch.setattr(Engine, "run", lambda self: runs.append(self) or engine_run(self))
-    message = f"{field} must be a str, an os.PathLike or None, got {value!r}"
+    message = f"{field} must be None or a non-empty str or an os.PathLike, got {value!r}"
     with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
         run_experiment(ExperimentConfig(scenario="semantic", horizon=10, **{field: value}))
     assert runs == []
@@ -228,7 +228,7 @@ def test_path_fields_must_not_be_empty(monkeypatch, tmp_path, field):
     runs = []
     engine_run = Engine.run
     monkeypatch.setattr(Engine, "run", lambda self: runs.append(self) or engine_run(self))
-    message = f"{field} must be a non-empty str, an os.PathLike or None, got ''"
+    message = f"{field} must be None or a non-empty str or an os.PathLike, got ''"
     with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
         run_experiment(ExperimentConfig(scenario="semantic", horizon=10, **{field: ""}))
     flag = {"out_dir": "--out", "profiles_path": "--profiles"}[field]
@@ -249,7 +249,8 @@ def test_path_fields_take_a_str_or_a_path(tmp_path):
 
 @pytest.mark.parametrize("plan", ["x", [], ()])
 def test_plan_must_be_a_scenario_plan(plan):
-    with pytest.raises(ExperimentError, match="plan must be a ScenarioPlan or None, got "):
+    message = f"plan must be None or a ScenarioPlan, got {plan!r}"
+    with pytest.raises(ExperimentError, match=f"^{re.escape(message)}$"):
         ExperimentConfig(scenario="semantic", plan=plan)
 
 
@@ -423,12 +424,13 @@ HUGE = 10**400  # an int too large for a float
         ({"lam": True}, ExperimentError, "lambda must be a finite number > 0"),
         ({"lam": HUGE}, ExperimentError, "lambda must be a finite number > 0"),
         ({"service_jitter": HUGE}, ValueError, r"service_jitter must be a finite number in \[0, 1\)"),
-        ({"horizon": True}, ExperimentError, "horizon must be an int"),
-        ({"horizon": 30.0}, ExperimentError, "horizon must be an int"),
-        ({"warmup_budget": True}, ExperimentError, "warmup_budget must be an int"),
-        ({"horizon": -1}, ExperimentError, "horizon must be >= 0"),
-        ({"horizon": 10, "warmup_budget": 11}, ExperimentError, r"warmup budget must be within \[0, horizon\]"),
-        ({"warmup_budget": -1}, ExperimentError, r"warmup budget must be within \[0, horizon\]"),
+        ({"horizon": True}, ExperimentError, "horizon must be an int >= 0, got True"),
+        ({"horizon": 30.0}, ExperimentError, "horizon must be an int >= 0, got 30.0"),
+        ({"warmup_budget": True}, ExperimentError, "warmup_budget must be an int, got True"),
+        ({"horizon": -1}, ExperimentError, "horizon must be an int >= 0, got -1"),
+        ({"horizon": 10, "warmup_budget": 11}, ExperimentError,
+         r"warmup_budget must be within \[0, horizon=10\], got 11"),
+        ({"warmup_budget": -1}, ExperimentError, r"warmup_budget must be within \[0, horizon=300\], got -1"),
     ],
     ids=["jitter_nan_h0", "lam_nan", "lam_inf", "lam_bool", "lam_huge_int", "jitter_huge_int",
          "horizon_bool", "horizon_float", "warmup_bool",
@@ -544,9 +546,9 @@ def test_plan_naming_a_missing_device_fails_before_the_run(tmp_path):
 @pytest.mark.parametrize(
     "field, message",
     [
-        ({"horizon": True}, "horizon must be an int, got True"),
-        ({"horizon": 2.5}, "horizon must be an int, got 2.5"),
-        ({"horizon": "10"}, "horizon must be an int, got '10'"),
+        ({"horizon": True}, "horizon must be an int >= 0, got True"),
+        ({"horizon": 2.5}, "horizon must be an int >= 0, got 2.5"),
+        ({"horizon": "10"}, "horizon must be an int >= 0, got '10'"),
         ({"lambda": True}, "lambda must be a finite number > 0, got True"),
         ({"lambda": HUGE}, f"lambda must be a finite number > 0, got {HUGE}"),
         ({"trace_decisions": "no"}, "trace_decisions must be a bool, got 'no'"),
@@ -581,8 +583,8 @@ ADAPTER_URL = "http://127.0.0.1:9/v1"  # never contacted: every row fails before
     [
         ({"plan": 5}, "a plan must be a list of event objects, got 5"),
         ({"plan": [5]}, "a plan row must be an object, got 5"),
-        ({"profiles": 5}, "profiles must be a path string, got 5"),
-        ({"out": 5}, "out must be a path string, got 5"),
+        ({"profiles": 5}, "profiles_path must be None or a non-empty str or an os.PathLike, got 5"),
+        ({"out": 5}, "out_dir must be None or a non-empty str or an os.PathLike, got 5"),
         ({"adapter": 5}, "adapter must be an object, got 5"),
         ({"adapter": {"url": ADAPTER_URL, "timeout_s": "a"}}, "timeout_s must be a finite number > 0, got 'a'"),
         ({"adapter": {"url": ADAPTER_URL, "timeout_s": True}}, "timeout_s must be a finite number > 0, got True"),
@@ -753,7 +755,7 @@ def test_a_scenario_alone_gives_the_config_defaults(tmp_path):
 # config-file key -> the error a null value raises, or None when it keeps the default
 NULL_OUTCOMES = {
     "adapter": None,
-    "horizon": "horizon must be an int, got None",
+    "horizon": "horizon must be an int >= 0, got None",
     "lambda": "lambda must be a finite number > 0, got None",
     "out": None,
     "plan": "a plan must be a list of event objects, got None",

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -188,9 +189,10 @@ def test_refit_rejects_a_window_outside_its_contract(window):
     for i in range(10):
         opm.ingest_feedback(make_record(i, 2, SDXL, 100.0 * (i + 1)), now=1e9)
     table, oplog_len = opm.snapshot_table(), len(opm.oplog)
-    with pytest.raises(ValueError, match=r"window must be None or an int in \[1, 40\]"):
+    message = f"window must be None or an int in [1, 40], not a bool, got {window!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         opm.refit(2, SDXL, window=window)
-    with pytest.raises(ValueError, match=r"window must be None or an int in \[1, 40\]"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         opm.refit_all(window=window)
     assert opm.snapshot_table() == table
     assert len(opm.oplog) == oplog_len
@@ -493,6 +495,37 @@ def test_refit_logs_one_entry_per_device_kind_whatever_the_outcome():
         ("refit", 2, SDXL, 1, 5),
         ("refit", 2, SDXL, 3, None),
     ]
+    assert replay_oplog(opm.oplog).snapshot_table() == opm.snapshot_table()
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((9, LLM), UnknownDeviceError, repr("no estimate for device 9 kind LLM")),
+        ((0, SDXL), UnknownDeviceError, repr("no estimate for device 0 kind SDXL")),
+        ((0, LLM, "x"), ValueError, "min_samples must be an int >= 1, not a bool, got 'x'"),
+        ((0, LLM, 0), ValueError, "min_samples must be an int >= 1, not a bool, got 0"),
+        ((0, LLM, True), ValueError, "min_samples must be an int >= 1, not a bool, got True"),
+        ((0, LLM, 1.5), ValueError, "min_samples must be an int >= 1, not a bool, got 1.5"),
+    ],
+    ids=["unknown_device", "unknown_kind", "min_samples_str", "min_samples_zero", "min_samples_bool",
+         "min_samples_float"],
+)
+def test_a_rejected_refit_leaves_the_oplog_unchanged(args, error, message):
+    # A refit of an unknown device once logged its entry before raising, so
+    # replaying the log raised too; min_samples="x" died on a bare TypeError.
+    opm = Opm()
+    opm.seed([DevicePrior(0, LLM, 1.0, 1.0)])
+    opm.ingest_feedback(make_record(0, 0, LLM, 300.0, 256, 32), now=1e9)
+    oplog, table = list(opm.oplog), opm.snapshot_table()
+    with pytest.raises(error) as info:
+        opm.refit(*args)
+    assert str(info.value) == message
+    if len(args) == 3:
+        with pytest.raises(error):
+            opm.refit_all(args[2])
+    assert opm.oplog == oplog and opm.snapshot_table() == table
+    assert opm.refit(0, LLM) == "updated"
     assert replay_oplog(opm.oplog).snapshot_table() == opm.snapshot_table()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 
 import pytest
 
@@ -292,7 +293,8 @@ def test_device_prior_needs_the_coefficients_of_its_kind(kwargs, message):
 @pytest.mark.parametrize("device_id", [True, False, 0.0, "0", None])
 def test_device_prior_rejects_a_device_id_that_is_not_an_int(device_id):
     # GroundTruthState once accepted a prior for device True.
-    with pytest.raises(ProfileError, match="device_id must be an int, not a bool, got "):
+    message = f"device_id must be an int, got {device_id!r}"
+    with pytest.raises(ProfileError, match=f"^{re.escape(message)}$"):
         DevicePrior(device_id, LLM, 1.0, 1.0)
 
 
