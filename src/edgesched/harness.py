@@ -13,10 +13,9 @@ import hashlib
 import json
 import logging
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from operator import add, attrgetter, ne
 from pathlib import Path
 
@@ -168,10 +167,6 @@ class PolicyMetrics:
             "stutter_rate": self.stutter_rate,
             "llm_calls": self.llm_calls,
             "tool_calls": self.tool_calls,
-            # The (k, raw, ma) tuples serialize as JSON arrays, so only the outer
-            # list is copied: a new list per row made emit_report peak at 1.2x
-            # the size of report.json (semantic, H=2000), the tuples at 0.4x.
-            "trajectory": list(self.trajectory),
         }
 
 
@@ -427,69 +422,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-_NUMBERS = frozenset({int, float})
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_scalar(value: object) -> str:
-    """A scalar's text as ``json.dumps`` writes it, tested in json's order."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_chunks(value: dict | list | tuple, newline: str) -> Iterator[str]:
-    """``json.dumps(value, sort_keys=True, indent=2)``'s text, in pieces.
-
-    ``value`` is a dict with str keys, a list or a tuple; ``newline`` is a
-    line break plus ``value``'s own indentation.  A list or tuple of plain
-    ints and finite floats one level in is rendered by one ``%r`` format,
-    one piece per such row.
-    """
-    if isinstance(value, dict):
-        brackets = "{}"
-        entries = [(encode_basestring_ascii(key) + ": ", value[key]) for key in sorted(value)]
-    else:
-        brackets = "[]"
-        entries = zip(repeat(""), value)
-    if not value:
-        yield brackets
-        return
-    inner = newline + "  "
-    row_length, row_format = -1, ""
-    sep = brackets[0] + inner
-    for prefix, item in entries:
-        if isinstance(item, (list, tuple)) and item and _NUMBERS.issuperset(map(type, item)):
-            if len(item) != row_length:
-                row_length = len(item)
-                deeper = inner + "  "
-                row_format = "[" + deeper + ("," + deeper).join(["%r"] * row_length) + inner + "]"
-            text = row_format % tuple(item)
-            # A number's repr holds an "n" only as nan, inf or -inf, which json spells otherwise.
-            if "n" not in text:
-                yield sep + prefix + text
-                sep = "," + inner
-                continue
-        if isinstance(item, (list, tuple, dict)):
-            yield sep + prefix
-            yield from _json_chunks(item, inner)
-        else:
-            yield sep + prefix + _json_scalar(item)
-        sep = "," + inner
-    yield newline + brackets[1]
-
-
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     """Write each line followed by a newline."""
     with path.open("w", encoding="utf-8") as fh:
@@ -499,12 +431,12 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     """Write report.json, per-policy trajectory CSVs, events.log, audit.log.
 
-    Every file but the few-line OPM snapshot is written piece by piece, never
-    held whole as one string.  report.json holds the bytes of
-    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, written
-    by a small encoder for the report's value types (dicts with str keys,
-    lists, tuples, str, int, float, bool and None) that renders each
-    trajectory row with one format.  Re-emitting the same result produces
+    report.json holds the metrics and input hashes, the bytes of
+    ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.  Each
+    non-empty trajectory is written once, to its CSV, one ``%r`` row per
+    sample, so every float reads back to the same bits.  Every file but
+    report.json and the few-line OPM snapshot is written line by line, never
+    held whole as one string.  Re-emitting the same result produces
     byte-identical files.
     """
     out = Path(out_dir)
@@ -516,7 +448,7 @@ def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     report_path = out / "report.json"
     with report_path.open("w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(result.report.to_dict(), "\n"))
+        json.dump(result.report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     written.append(report_path)
 
@@ -525,7 +457,7 @@ def emit_report(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
             continue
         path = out / f"trajectory_{name}.csv"
         # A row may be a list; %-formatting takes its fields as a tuple.
-        rows = map("%s,%.6f,%.6f".__mod__, map(tuple, pm.trajectory))
+        rows = map("%s,%r,%r".__mod__, map(tuple, pm.trajectory))
         _write_lines(path, chain(("task_index,latency_ms,ma20_ms",), rows))
         written.append(path)
 

@@ -8,6 +8,7 @@ least-squares fit identifiable without randomness.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from ..profiles import INDEX, LLM, POSITIVE, SDXL, check
@@ -43,7 +44,9 @@ def generate_workload(horizon: int, lam: float = 0.5) -> list[TaskSpec]:
     check("horizon", horizon, INDEX)
     check("lambda", lam, POSITIVE)
     interarrival = 1000.0 / lam
-    if not max(horizon - 1, 0) * interarrival < 2.0**53:  # also false for inf and nan
+    last = max(horizon - 1, 0)
+    # Past the largest float the product would raise OverflowError; it is past the bound too.
+    if not (last <= sys.float_info.max and last * interarrival < 2.0**53):  # also false for inf and nan
         raise ValueError(
             f"lambda must put the last arrival, (horizon - 1) * 1000/lambda ms, "
             f"below 2**53 ms, got lambda={lam!r} for horizon {horizon}"

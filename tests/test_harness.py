@@ -525,6 +525,15 @@ def test_cli_rejects_a_rate_too_slow_for_a_float_clock(tmp_path, capsys, lam):
     assert not (out / "report.json").exists()
 
 
+def test_cli_rejects_a_horizon_past_the_largest_float(tmp_path, capsys):
+    # A 400-digit horizon once ended in an OverflowError traceback.
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", "warmup", "--horizon", "1" + "0" * 400, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda must put the last arrival") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lam", [NAN, INF, -INF, True, 0.0])
 def test_generate_workload_rejects_a_rate_outside_its_contract(lam):
     with pytest.raises(ValueError, match="lambda must be a finite number > 0"):

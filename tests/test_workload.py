@@ -1,6 +1,7 @@
 """Deterministic workload generation."""
 
 import hashlib
+import sys
 
 import pytest
 
@@ -76,6 +77,15 @@ def test_a_rate_whose_last_arrival_a_float_cannot_resolve_is_rejected(horizon, l
 
 def test_a_last_arrival_just_below_2_53_ms_is_accepted():
     assert generate_workload(2, 1000.0 / 2.0**52)[-1].arrival_time == 2.0**52
+
+
+@pytest.mark.parametrize(
+    "horizon", [10**400, 2**1024, int(sys.float_info.max) + 2], ids=["10**400", "2**1024", "float_max+2"]
+)
+def test_a_horizon_past_the_largest_float_is_rejected(horizon):
+    # The last-arrival product once raised a bare OverflowError for these.
+    with pytest.raises(ValueError, match=r"lambda must put the last arrival, \(horizon - 1\) \* 1000/lambda ms, below 2\*\*53 ms"):
+        generate_workload(horizon)
 
 
 @pytest.mark.parametrize("horizon", [True, 3.0, "3", None])
