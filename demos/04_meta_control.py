@@ -70,7 +70,7 @@ def main():
     meta.on_annotation(onset_at(60))
     meta.on_annotation(EventAnnotation(100, 120_000.0, "semantic_offset", 0, "game"))
     for entry in meta.audit.entries:
-        print(" ", json.dumps(entry.to_dict(), sort_keys=True))
+        print(" ", json.dumps(entry._asdict(), sort_keys=True))
 
     print("\nexternal adapter with a canned endpoint:")
 

@@ -14,6 +14,11 @@ each report written through ``emit_report`` to a temporary directory.
 arrival rate (``event_dense`` builds its plan for that horizon), so one
 workload can be swept over H without changing ``perfbench/``.
 
+``--setup`` times set-up instead, as ``perfbench/run.py`` measures
+``setup_s``: a round is a fresh import of the side's package, its configs,
+and every experiment up to its first ``Engine.run``.  Set-up writes no
+files, so none are compared.
+
 It prints each round's raw CPU seconds per side and their ratio, then the
 median of the paired ratios (change over parent; below 1 means the change
 is faster) and how many rounds the change won, and a last line of JSON with
@@ -25,6 +30,7 @@ only::
 
     python scripts/interleave.py --parent ../parent --change . --workload event_dense --seed 1 --rounds 16
     python scripts/interleave.py --parent ../parent --change . --workload overload --horizon 24000 --lam 2.0 --rounds 4
+    python scripts/interleave.py --parent ../parent --change . --workload presets --setup --rounds 40
 """
 
 from __future__ import annotations
@@ -104,6 +110,38 @@ def run_round(package, configs: list) -> float:
     return total
 
 
+class _SetupDone(Exception):
+    """Raised from the first ``Engine.run`` to end a set-up round."""
+
+
+def setup_round(checkout: Path, name: str, build) -> float:
+    """CPU seconds of a fresh import of ``checkout``'s package as ``name``, the
+    configs ``build(package)`` makes, and each experiment up to its first
+    ``Engine.run``, after a full collection."""
+    gc.collect()
+    start = time.process_time()
+    for module in [m for m in sys.modules if m == name or m.startswith(f"{name}.")]:
+        del sys.modules[module]
+    package = load_package(checkout, name)
+    configs = build(package)
+    engine = importlib.import_module(f"{name}.sim.engine").Engine
+    original = engine.run
+
+    def stop(self):
+        raise _SetupDone
+
+    engine.run = stop
+    try:
+        for config in configs:
+            try:
+                package.run_experiment(config)
+            except _SetupDone:
+                pass
+    finally:
+        engine.run = original
+    return time.process_time() - start
+
+
 def written_files(out_dir: Path) -> dict[str, str]:
     """The sha256 of every file under ``out_dir``, keyed by its relative path."""
     return {
@@ -130,22 +168,30 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=16, help="rounds per side, at least 1")
     parser.add_argument("--horizon", type=int, help="every experiment's horizon, instead of the workload's")
     parser.add_argument("--lam", type=float, help="every experiment's arrival rate, instead of the workload's")
+    parser.add_argument("--setup", action="store_true", help="time import and set-up, not the experiments")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error(f"--rounds must be >= 1, got {args.rounds}")
 
     with tempfile.TemporaryDirectory() as tmp:
+        checkouts = {side: getattr(args, side).resolve() for side in SIDES}
+
+        def build(package, side):
+            return build_configs(package, args.workload, args.seed, Path(tmp) / side, args.horizon, args.lam)
+
         packages, configs = {}, {}
-        for side in SIDES:
-            packages[side] = load_package(getattr(args, side).resolve(), f"edgesched_{side}")
-            configs[side] = build_configs(
-                packages[side], args.workload, args.seed, Path(tmp) / side, args.horizon, args.lam
-            )
+        if not args.setup:
+            for side in SIDES:
+                packages[side] = load_package(checkouts[side], f"edgesched_{side}")
+                configs[side] = build(packages[side], side)
         cpu: dict[str, list[float]] = {side: [] for side in SIDES}
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             for side in order:
-                cpu[side].append(run_round(packages[side], configs[side]))
+                if args.setup:
+                    cpu[side].append(setup_round(checkouts[side], f"edgesched_{side}", lambda p: build(p, side)))
+                else:
+                    cpu[side].append(run_round(packages[side], configs[side]))
             ratio = cpu["change"][-1] / cpu["parent"][-1]
             print(
                 f"round {r:3d} first={order[0]:6s} parent {cpu['parent'][-1]:.4f} s"
@@ -153,13 +199,15 @@ def main(argv=None) -> int:
             )
         files = {side: written_files(Path(tmp) / side) for side in SIDES}
     differs = first_difference(files["parent"], files["change"])
-    identical = differs is None
+    identical = None if args.setup else differs is None
 
     ratios = [c / p for p, c in zip(cpu["parent"], cpu["change"])]
     wins = sum(ratio < 1.0 for ratio in ratios)
     median = statistics.median(ratios)
     print(f"median paired ratio {median:.4f}; change faster in {wins} of {len(ratios)} rounds")
-    if identical:
+    if args.setup:
+        print("set-up writes no files")
+    elif identical:
         print(f"all {len(files['change'])} written files identical")
     else:
         print(f"written files differ, first: {differs}")
@@ -170,6 +218,7 @@ def main(argv=None) -> int:
                 "seed": args.seed,
                 "horizon": args.horizon,
                 "lam": args.lam,
+                "setup": args.setup,
                 "rounds": args.rounds,
                 "parent_cpu_s": cpu["parent"],
                 "change_cpu_s": cpu["change"],
@@ -181,7 +230,7 @@ def main(argv=None) -> int:
             }
         )
     )
-    return 0 if identical else 1
+    return 1 if identical is False else 0
 
 
 if __name__ == "__main__":

@@ -14,15 +14,14 @@ import json
 import logging
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add, attrgetter, ne
 from pathlib import Path
+from typing import NamedTuple
 
 from .metacontrol import AdapterConfig, AuditLog, MetaController
 from .opm import left_sum
 from .profiles import (
-    INDEX,
     INT,
     LLM,
     PATH,
@@ -49,7 +48,7 @@ from .sim.truth import (
     check_prior_error,
     check_service_jitter,
 )
-from .sim.workload import TaskSpec, generate_workload
+from .sim.workload import TaskSpec, check_horizon, generate_workload
 
 logger = logging.getLogger(__name__)
 
@@ -92,27 +91,38 @@ class ExperimentError(RuntimeError):
     """Fatal configuration or consistency problem in an experiment."""
 
 
-@dataclass
 class ExperimentConfig:
-    scenario: str
-    warmup_budget: int = 0
-    horizon: int = 300
-    lam: float = 0.5
-    policies: tuple[str, ...] = POLICY_NAMES
-    profiles_path: str | Path | None = None
-    out_dir: str | Path | None = None
-    prior_error: dict | None = None
-    service_jitter: float | None = None
-    plan: ScenarioPlan | None = None
-    adapter: AdapterConfig | None = None
-    adapter_transport: object | None = None
-    trace_decisions: bool = False
+    """One experiment's settings, checked when built; its fields are its ``__slots__``."""
 
-    def __post_init__(self) -> None:
+    __slots__ = (
+        "scenario", "warmup_budget", "horizon", "lam", "policies", "profiles_path", "out_dir",
+        "prior_error", "service_jitter", "plan", "adapter", "adapter_transport", "trace_decisions",
+    )
+
+    def __init__(
+        self,
+        scenario: str,
+        warmup_budget: int = 0,
+        horizon: int = 300,
+        lam: float = 0.5,
+        policies: tuple[str, ...] = POLICY_NAMES,
+        profiles_path: str | Path | None = None,
+        out_dir: str | Path | None = None,
+        prior_error: dict | None = None,
+        service_jitter: float | None = None,
+        plan: ScenarioPlan | None = None,
+        adapter: AdapterConfig | None = None,
+        adapter_transport: object | None = None,
+        trace_decisions: bool = False,
+    ) -> None:
+        given = locals()  # each parameter sets the field of its name
+        for name in self.__slots__:
+            setattr(self, name, given[name])
         if self.scenario not in SCENARIOS:
             raise ExperimentError(
                 f"unknown scenario {self.scenario!r}; valid: {sorted(SCENARIOS)}"
             )
+        check_horizon(self.horizon, ExperimentError)
         for name, rule in _CONFIG_FIELDS.items():
             check(name, getattr(self, name), rule, ExperimentError)
         check("lambda", self.lam, POSITIVE, ExperimentError)
@@ -137,9 +147,9 @@ class ExperimentConfig:
                 )
 
 
-# ExperimentConfig field -> rule; ``lam`` is checked as "lambda", its config-file key
+# ExperimentConfig field -> rule; ``horizon`` has its own check and ``lam`` is
+# checked as "lambda", its config-file key
 _CONFIG_FIELDS = {
-    "horizon": INDEX,
     "warmup_budget": INT,
     "trace_decisions": ("a bool", lambda v: isinstance(v, bool)),
     "profiles_path": optional(PATH),
@@ -151,14 +161,13 @@ _CONFIG_FIELDS = {
 }
 
 
-@dataclass
-class PolicyMetrics:
+class PolicyMetrics(NamedTuple):
     avg_latency_ms: float
     vs_oracle_pct: float
     stutter_rate: float
     llm_calls: int
     tool_calls: int
-    trajectory: list[tuple[int, float, float]] = field(default_factory=list)
+    trajectory: list[tuple[int, float, float]]
 
     def to_dict(self) -> dict:
         return {
@@ -170,16 +179,21 @@ class PolicyMetrics:
         }
 
 
-@dataclass
 class MetricsReport:
-    scenario: str
-    warmup_budget: int
-    horizon: int
-    lam: float
-    prefix_end: int
-    workload_sha256: str
-    plan_sha256: str
-    policies: dict[str, PolicyMetrics] = field(default_factory=dict)
+    """One experiment's inputs and, once its policies ran, their metrics."""
+
+    __slots__ = ("scenario", "warmup_budget", "horizon", "lam", "prefix_end", "workload_sha256", "plan_sha256",
+                 "policies")
+
+    def __init__(
+        self, scenario: str, warmup_budget: int, horizon: int, lam: float, prefix_end: int,
+        workload_sha256: str, plan_sha256: str, policies: dict[str, PolicyMetrics] | None = None,
+    ) -> None:
+        given = locals()  # each parameter sets the field of its name
+        for name in self.__slots__:
+            setattr(self, name, given[name])
+        if policies is None:
+            self.policies = {}
 
     def to_dict(self) -> dict:
         return {
@@ -194,8 +208,7 @@ class MetricsReport:
         }
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     report: MetricsReport
     runs: dict[str, SimulationResult]  # in the order the policies were asked for
     agent: AdaptiveAgentPolicy | None

@@ -22,7 +22,7 @@ import json
 import logging
 import os
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 from .opm import DRIFT_WINDOW_MS, WINDOW, WINDOW_CAPACITY, Opm, UnknownDeviceError
 from .profiles import COUNT, NAME, NON_NEGATIVE, POSITIVE, STRING, DevicePrior, check, is_int, model_kind
@@ -94,8 +94,7 @@ TOOLS = {
 }
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(NamedTuple):
     """One meta-controller activation: why, at which task, and about what."""
 
     reason: str
@@ -107,12 +106,14 @@ class Invocation:
     sample_count: int | None = None
 
 
-@dataclass
 class TriggerState:
     """The trigger rule's record: the invocations it let through and the cooldowns it set."""
 
-    fired: list[Invocation] = field(default_factory=list)  # every candidate let through, in order
-    cooldowns: dict[tuple, int] = field(default_factory=dict)  # signature -> first task it fires again
+    __slots__ = ("fired", "cooldowns")
+
+    def __init__(self, fired: list[Invocation] | None = None) -> None:
+        self.fired = [] if fired is None else fired  # every candidate let through, in order
+        self.cooldowns: dict[tuple, int] = {}  # signature -> first task it fires again
 
 
 def evaluate_triggers(candidate: Invocation, state: TriggerState) -> Invocation | None:
@@ -137,22 +138,19 @@ def evaluate_triggers(candidate: Invocation, state: TriggerState) -> Invocation 
     return candidate
 
 
-@dataclass(frozen=True)
-class ToolCall:
+class ToolCall(NamedTuple):
     tool: str
     arguments: dict
 
 
-@dataclass(frozen=True)
-class ToolResult:
+class ToolResult(NamedTuple):
     tool: str
     ok: bool
     payload: dict
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     """One meta-control action: what was asked, what happened, what changed."""
 
     task_index: int
@@ -162,10 +160,6 @@ class AuditEntry:
     arguments: object  # as the caller gave them; a rejected call's may not be a dict
     result: dict | str
     state_delta: dict
-
-    def to_dict(self) -> dict:
-        # Field-wise and shallow: asdict deep-copies (slow), vars() materialises a __dict__.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class AuditLog:
@@ -179,7 +173,7 @@ class AuditLog:
 
     def lines(self) -> Iterator[str]:
         """One JSON line per entry, without newlines; ``audit.log`` is these lines."""
-        return (json.dumps(e.to_dict(), sort_keys=True) for e in self.entries)
+        return (json.dumps(e._asdict(), sort_keys=True) for e in self.entries)
 
 
 class MetaController:
@@ -441,25 +435,25 @@ def scripted_policy(invocation: Invocation, meta: MetaController) -> list[ToolCa
 # --- optional external controller -------------------------------------------
 
 
-@dataclass
+# AdapterConfig field -> rule, in field order
+_ADAPTER_FIELDS = {"url": NAME, "model": STRING, "api_key_env": NAME, "timeout_s": POSITIVE}
+
+
 class AdapterConfig:
     """External chat-completions endpoint settings; ``url`` must be given.
 
     A controller that holds one drives every invocation through the endpoint.
     """
 
-    url: str = ""
-    model: str = ""
-    api_key_env: str = "EDGESCHED_ADAPTER_API_KEY"
-    timeout_s: float = 10.0
+    __slots__ = tuple(_ADAPTER_FIELDS)
 
-    def __post_init__(self) -> None:
-        for name, rule in _ADAPTER_FIELDS.items():
-            check(f"adapter {name}", getattr(self, name), rule)
-
-
-# AdapterConfig field -> rule
-_ADAPTER_FIELDS = {"url": NAME, "model": STRING, "api_key_env": NAME, "timeout_s": POSITIVE}
+    def __init__(
+        self, url: str = "", model: str = "", api_key_env: str = "EDGESCHED_ADAPTER_API_KEY",
+        timeout_s: float = 10.0,
+    ) -> None:
+        for name, value in zip(self.__slots__, (url, model, api_key_env, timeout_s)):
+            check(f"adapter {name}", value, _ADAPTER_FIELDS[name])
+            setattr(self, name, value)
 
 
 def _tool_catalog() -> list[dict]:
@@ -531,7 +525,7 @@ def llm_adapter_invoke(
     round ends the loop with the calls already made.
     """
     transport = transport or _default_transport
-    user = {**asdict(invocation), "context": meta.telemetry.system_status()}
+    user = {**invocation._asdict(), "context": meta.telemetry.system_status()}
     messages = [
         {
             "role": "system",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import astuple, dataclass
 from itertools import islice
 from operator import itemgetter
 
@@ -48,17 +47,17 @@ class UnknownDeviceError(KeyError):
         super().__init__(f"no estimate for device {device} kind {kind}")
 
 
-@dataclass
 class OpmEstimate:
-    """Learned state for one device-kind."""
+    """Learned state for one device-kind; its fields are its ``__slots__``, in order."""
 
-    device_id: int
-    kind: str
-    alpha_hat: float = 0.0
-    beta_hat: float = 0.0
-    gamma_hat: float = 0.0
-    calibration_factor: float = 1.0
-    n: int = 0
+    __slots__ = ("device_id", "kind", "alpha_hat", "beta_hat", "gamma_hat", "calibration_factor", "n")
+
+    def __init__(self, device_id: int, kind: str) -> None:
+        self.device_id = device_id
+        self.kind = kind
+        self.alpha_hat = self.beta_hat = self.gamma_hat = 0.0
+        self.calibration_factor = 1.0
+        self.n = 0
 
 
 def left_sum(values) -> float:
@@ -323,7 +322,8 @@ class Opm:
 
     def snapshot_table(self) -> list[tuple]:
         """Bit-comparable estimate table, one tuple per device-kind."""
-        return [astuple(self.estimates[key]) for key in sorted(self.estimates)]
+        fields = OpmEstimate.__slots__
+        return [tuple(getattr(self.estimates[key], name) for name in fields) for key in sorted(self.estimates)]
 
     def snapshot_text(self) -> str:
         """Human-readable one-line-per-device-kind estimate dump."""

@@ -14,9 +14,10 @@ import logging
 import math
 import os
 from collections.abc import Container
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -37,8 +38,7 @@ class ProfileError(ValueError):
     """Raised for unreadable, malformed, or invariant-violating profile data."""
 
 
-@dataclass(frozen=True)
-class RawProfileRecord:
+class RawProfileRecord(NamedTuple):
     """One benchmark measurement row as read from the JSONL profile file."""
 
     device_name: str
@@ -94,7 +94,8 @@ class DevicePrior:
     """Offline prior for one device: exactly the coefficients its kind uses.
 
     LLM devices carry (alpha0, beta0) in ms/token; diffusion devices carry
-    gamma0 in ms/image.  Values are non-negative by construction.
+    gamma0 in ms/image.  Values are non-negative by construction.  The one
+    dataclass in the package: callers may ``dataclasses.replace`` a prior.
     """
 
     device_id: int
@@ -116,9 +117,6 @@ class DevicePrior:
                 raise ProfileError(f"{self.kind} prior takes no {name}, got {value!r}")
             if value is not None:
                 check(name, value, NON_NEGATIVE, ProfileError)
-
-
-_RECORD_FIELDS = {f.name for f in fields(RawProfileRecord)}
 
 
 def is_int(value: object) -> bool:
@@ -218,7 +216,7 @@ def load_profiles(path: str | Path) -> list[RawProfileRecord]:
             raise ProfileError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ProfileError(f"{path}:{lineno}: expected a JSON object")
-        known = {k: v for k, v in payload.items() if k in _RECORD_FIELDS}
+        known = {k: v for k, v in payload.items() if k in RawProfileRecord._fields}
         try:
             record = RawProfileRecord(**known)
             record.validate()

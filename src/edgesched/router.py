@@ -17,7 +17,6 @@ then.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .opm import Opm
@@ -36,12 +35,14 @@ DEFAULT_EXPLORE_WEIGHT_MS = 2000.0
 DEFAULT_RISK_TTL_TASKS = 50
 
 
-@dataclass
 class RouterConfig:
     """Fast-path settings; only the ``switch_router`` and ``set_router_params`` tools set them."""
 
-    policy: str = field(default=SECT, init=False)
-    explore_weight_ms: float = field(default=DEFAULT_EXPLORE_WEIGHT_MS, init=False)
+    __slots__ = ("policy", "explore_weight_ms")
+
+    def __init__(self) -> None:
+        self.policy = SECT
+        self.explore_weight_ms = DEFAULT_EXPLORE_WEIGHT_MS
 
     def to_dict(self) -> dict:
         return {"policy": self.policy, "explore_weight_ms": self.explore_weight_ms}

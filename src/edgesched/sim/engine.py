@@ -36,7 +36,6 @@ are read off them, never stored beside them.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from collections import deque
 from operator import attrgetter
 from typing import NamedTuple
@@ -205,27 +204,31 @@ _new_tuple = tuple.__new__
 _new_object = object.__new__
 
 
-@dataclass(slots=True)
 class _DeviceRuntime:
-    device_id: int
-    kind: str
-    # The queued tasks in FIFO order; a snapshot copies it at C speed.
-    queue: deque = field(default_factory=deque)
-    # The task in service as snapshots show it; None while the device is idle.
-    in_flight: InFlightView | None = None
-    completion_time: float = 0.0  # of the task in service, or of the last one served
-    busy_ms: float = 0.0
-    # costs[i] is queue[i]'s true service time under the device's current
-    # truth: priced at dispatch, repriced after an event on the device.
-    costs: deque = field(default_factory=deque)
-    # completion_time plus costs, left-folded: when the queue would be served.
-    drain: float = 0.0
-    # Tasks that have left the queue at its head: started or handed back.
-    departed: int = 0
+    """One device's queue, in-flight task and clocks, as the engine keeps them."""
+
+    __slots__ = ("device_id", "kind", "queue", "in_flight", "completion_time", "busy_ms", "costs", "drain",
+                 "departed")
+
+    def __init__(self, device_id: int, kind: str) -> None:
+        self.device_id = device_id
+        self.kind = kind
+        # The queued tasks in FIFO order; a snapshot copies it at C speed.
+        self.queue: deque[TaskSpec] = deque()
+        # The task in service as snapshots show it; None while the device is idle.
+        self.in_flight: InFlightView | None = None
+        self.completion_time = 0.0  # of the task in service, or of the last one served
+        self.busy_ms = 0.0
+        # costs[i] is queue[i]'s true service time under the device's current
+        # truth: priced at dispatch, repriced after an event on the device.
+        self.costs: deque[float] = deque()
+        # completion_time plus costs, left-folded: when the queue would be served.
+        self.drain = 0.0
+        # Tasks that have left the queue at its head: started or handed back.
+        self.departed = 0
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(NamedTuple):
     records: list[ExecutionRecord]
     event_log: list[str]
     annotations: tuple[EventAnnotation, ...]
@@ -565,48 +568,3 @@ class Engine:
             )
         return SimulationResult(self.records, self.event_log, self.annotations)
 
-
-_FORBIDDEN_KEYS = frozenset({"alpha", "beta", "gamma", "z", "active_factors", "factor", "service_jitter"})
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-# NamedTuple class -> its first forbidden field name, or None; each class is read once.
-_FIELD_LEAKS: dict[type, str | None] = {}
-
-
-def assert_no_ground_truth(payload: object) -> None:
-    """Structural non-leakage check: no hidden-state field names in a payload.
-
-    Dict keys and NamedTuple field names count as names.  The walk reads the
-    values as they are, descending into dicts, lists and tuples, and builds a
-    path only for the leak it reports.
-    """
-    leak = _find_leak(payload)
-    if leak is not None:
-        key, steps = leak
-        path = "".join(reversed(steps)).removeprefix(".")
-        raise AssertionError(f"ground-truth field {key!r} leaked at {path or '<root>'}")
-
-
-def _find_leak(value: object) -> tuple[str, list[str]] | None:
-    """The first forbidden name under ``value`` and the path steps to it, innermost first.
-
-    A dict's keys or a NamedTuple's field names are checked before its values.
-    """
-    cls = type(value)
-    if isinstance(value, dict):
-        name = next((key for key in value if isinstance(key, str) and key in _FORBIDDEN_KEYS), None)
-        labels, items = value, value.values()
-    elif isinstance(value, tuple) and hasattr(cls, "_fields"):
-        if cls not in _FIELD_LEAKS:
-            _FIELD_LEAKS[cls] = next((f for f in cls._fields if f in _FORBIDDEN_KEYS), None)
-        name, labels, items = _FIELD_LEAKS[cls], cls._fields, value
-    elif isinstance(value, (list, tuple)):
-        name, labels, items = None, None, value
-    else:
-        return None
-    if name is not None:
-        return name, []
-    for i, item in enumerate(items):
-        if type(item) not in _SCALARS and (leak := _find_leak(item)) is not None:
-            leak[1].append(f"[{i}]" if labels is None else f".{list(labels)[i]}")
-            return leak
-    return None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import struct
 from _md5 import md5
-from dataclasses import dataclass, field
 from typing import ClassVar
 
 from ..profiles import (INDEX, INT, LLM, NAME, POSITIVE, SDXL, DevicePrior, check, check_new_device,
@@ -41,20 +40,29 @@ _FIELD_RULES = {"at_task": INDEX, "device": INT, "label": NAME, "model": NAME, "
 class ScenarioEvent:
     """One timed ground-truth mutation; each subclass defines one event type.
 
-    A subclass is a frozen dataclass that declares its ``type`` name, the
-    pairing window family it ``opens`` or ``closes`` (windows are per
-    device, and per model for drift), whether it is ``hidden`` from
-    policies, and ``apply(device_truth)``, its mutation of one device.
+    A subclass declares its ``type`` name, the pairing window family it
+    ``opens`` or ``closes`` (windows are per device, and per model for
+    drift), whether it is ``hidden`` from policies, and ``apply(device_truth)``,
+    its mutation of one device.  Its fields are its ``__slots__``, in order;
+    its ``__init__`` hands them to :meth:`_set`, which checks each one.  No
+    code writes a field after that.
     """
 
+    __slots__ = ()
     type: ClassVar[str]
     opens: ClassVar[str | None] = None
     closes: ClassVar[str | None] = None
     hidden: ClassVar[bool] = False
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
             check(f"{self.type} {name}", value, _FIELD_RULES[name], PlanError)
+            setattr(self, name, value)
+
+    def __repr__(self) -> str:
+        # The plan's hash in report.json is taken over these strings.
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     @property
     def log_label(self) -> str | None:
@@ -62,27 +70,26 @@ class ScenarioEvent:
         return getattr(self, "label", getattr(self, "model", None))
 
 
-@dataclass(frozen=True)
 class SemanticOnset(ScenarioEvent):
+    __slots__ = ("at_task", "device", "label", "factor")
     type = "semantic_onset"
     opens = "semantic"
-    at_task: int
-    device: int
-    label: str
-    factor: float = DEFAULT_DEGRADATION_FACTOR
+
+    def __init__(self, at_task: int, device: int, label: str, factor: float = DEFAULT_DEGRADATION_FACTOR) -> None:
+        self._set(at_task, device, label, factor)
 
     def apply(self, truth: _DeviceTruth) -> None:
         truth.active_factors[(self.opens, self.label)] = self.factor
         truth.z = DEGRADED
 
 
-@dataclass(frozen=True)
 class SemanticOffset(ScenarioEvent):
+    __slots__ = ("at_task", "device", "label")
     type = "semantic_offset"
     closes = "semantic"
-    at_task: int
-    device: int
-    label: str
+
+    def __init__(self, at_task: int, device: int, label: str) -> None:
+        self._set(at_task, device, label)
 
     def apply(self, truth: _DeviceTruth) -> None:
         # A plan opens at most one semantic window per device at a time.
@@ -90,50 +97,51 @@ class SemanticOffset(ScenarioEvent):
         truth.z = STABLE
 
 
-@dataclass(frozen=True)
 class DeviceLeave(ScenarioEvent):
+    __slots__ = ("at_task", "device")
     type = "device_leave"
     opens = "churn"
-    at_task: int
-    device: int
+
+    def __init__(self, at_task: int, device: int) -> None:
+        self._set(at_task, device)
 
     def apply(self, truth: _DeviceTruth) -> None:
         truth.available = False
 
 
-@dataclass(frozen=True)
 class DeviceReturn(ScenarioEvent):
+    __slots__ = ("at_task", "device")
     type = "device_return"
     closes = "churn"
-    at_task: int
-    device: int
+
+    def __init__(self, at_task: int, device: int) -> None:
+        self._set(at_task, device)
 
     def apply(self, truth: _DeviceTruth) -> None:
         truth.available = True
 
 
-@dataclass(frozen=True)
 class DriftStep(ScenarioEvent):
+    __slots__ = ("at_task", "device", "model", "factor")
     type = "drift_step"
     opens = "drift"
     hidden = True
-    at_task: int
-    device: int
-    model: str
-    factor: float
+
+    def __init__(self, at_task: int, device: int, model: str, factor: float) -> None:
+        self._set(at_task, device, model, factor)
 
     def apply(self, truth: _DeviceTruth) -> None:
         truth.active_factors[(self.opens, self.model)] = self.factor
 
 
-@dataclass(frozen=True)
 class DriftRestore(ScenarioEvent):
+    __slots__ = ("at_task", "device", "model")
     type = "drift_restore"
     closes = "drift"
     hidden = True
-    at_task: int
-    device: int
-    model: str
+
+    def __init__(self, at_task: int, device: int, model: str) -> None:
+        self._set(at_task, device, model)
 
     def apply(self, truth: _DeviceTruth) -> None:
         truth.active_factors.pop((self.closes, self.model), None)
@@ -142,7 +150,6 @@ class DriftRestore(ScenarioEvent):
 _EVENT_TYPES = {cls.type: cls for cls in ScenarioEvent.__subclasses__()}
 
 
-@dataclass(frozen=True)
 class ScenarioPlan:
     """Ordered, validated list of timed ground-truth mutations.
 
@@ -150,9 +157,10 @@ class ScenarioPlan:
     window never opens twice at once.
     """
 
-    events: tuple[ScenarioEvent, ...] = ()
+    __slots__ = ("events",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, events: tuple[ScenarioEvent, ...] = ()) -> None:
+        self.events = events
         indices = [e.at_task for e in self.events]
         if indices != sorted(indices):
             raise PlanError("plan events must be sorted by task index")
@@ -269,18 +277,20 @@ def check_prior_error(value: object) -> None:
             raise ValueError(f"{contract}, got {device!r}: {error!r}")
 
 
-@dataclass
 class _DeviceTruth:
-    device_id: int
-    kind: str
-    alpha: float = 0.0
-    beta: float = 0.0
-    gamma: float = 0.0
-    z: str = STABLE
-    available: bool = True
-    # (window family, label or model) -> service-time multiplier, in opening order
-    active_factors: dict[tuple[str, str], float] = field(default_factory=dict)
-    factor: float = 1.0  # factor_product(), kept by GroundTruthState.apply_event
+    """One device's hidden coefficients, semantic state, availability and factors."""
+
+    __slots__ = ("device_id", "kind", "alpha", "beta", "gamma", "z", "available", "active_factors", "factor")
+
+    def __init__(self, device_id: int, kind: str) -> None:
+        self.device_id = device_id
+        self.kind = kind
+        self.alpha = self.beta = self.gamma = 0.0
+        self.z = STABLE
+        self.available = True
+        # (window family, label or model) -> service-time multiplier, in opening order
+        self.active_factors: dict[tuple[str, str], float] = {}
+        self.factor = 1.0  # factor_product(), kept by GroundTruthState.apply_event
 
     def factor_product(self) -> float:
         product = 1.0

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 import pytest
 
 from edgesched.profiles import LLM, SDXL, DevicePrior
-from edgesched.sim.engine import Engine, ObservableState, assert_no_ground_truth
+from edgesched.sim.engine import Engine, ObservableState
 from edgesched.sim.truth import GroundTruthState
 from edgesched.sim.workload import TaskSpec
 
@@ -21,6 +21,52 @@ def fixture_priors() -> list[DevicePrior]:
         DevicePrior(2, SDXL, gamma0=4000.0),
         DevicePrior(3, SDXL, gamma0=7000.0),
     ]
+
+
+_FORBIDDEN_KEYS = frozenset({"alpha", "beta", "gamma", "z", "active_factors", "factor", "service_jitter"})
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# NamedTuple class -> its first forbidden field name, or None; each class is read once.
+_FIELD_LEAKS: dict[type, str | None] = {}
+
+
+def assert_no_ground_truth(payload: object) -> None:
+    """Structural non-leakage check: no hidden-state field names in a payload.
+
+    Dict keys and NamedTuple field names count as names.  The walk reads the
+    values as they are, descending into dicts, lists and tuples, and builds a
+    path only for the leak it reports.
+    """
+    leak = _find_leak(payload)
+    if leak is not None:
+        key, steps = leak
+        path = "".join(reversed(steps)).removeprefix(".")
+        raise AssertionError(f"ground-truth field {key!r} leaked at {path or '<root>'}")
+
+
+def _find_leak(value: object) -> tuple[str, list[str]] | None:
+    """The first forbidden name under ``value`` and the path steps to it, innermost first.
+
+    A dict's keys or a NamedTuple's field names are checked before its values.
+    """
+    cls = type(value)
+    if isinstance(value, dict):
+        name = next((key for key in value if isinstance(key, str) and key in _FORBIDDEN_KEYS), None)
+        labels, items = value, value.values()
+    elif isinstance(value, tuple) and hasattr(cls, "_fields"):
+        if cls not in _FIELD_LEAKS:
+            _FIELD_LEAKS[cls] = next((f for f in cls._fields if f in _FORBIDDEN_KEYS), None)
+        name, labels, items = _FIELD_LEAKS[cls], cls._fields, value
+    elif isinstance(value, (list, tuple)):
+        name, labels, items = None, None, value
+    else:
+        return None
+    if name is not None:
+        return name, []
+    for i, item in enumerate(items):
+        if type(item) not in _SCALARS and (leak := _find_leak(item)) is not None:
+            leak[1].append(f"[{i}]" if labels is None else f".{list(labels)[i]}")
+            return leak
+    return None
 
 
 @contextmanager
@@ -42,6 +88,12 @@ def leak_scan():
         yield
     finally:
         Engine.observable_state = original
+
+
+def slot_values(obj: object) -> tuple:
+    """A plain class's field values, in the order of its ``__slots__``: what a
+    generated ``__eq__`` would compare."""
+    return tuple(getattr(obj, name) for name in type(obj).__slots__)
 
 
 def reference_predicted_backlog(snap, predict, now):

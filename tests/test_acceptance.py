@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     FixedAssignmentPolicy,
     TableTruth,
+    assert_no_ground_truth,
     brute_force_replay,
     leak_scan,
     solve_lstsq_oracle,
@@ -19,7 +20,7 @@ from conftest import (
 from edgesched.harness import ExperimentConfig, run_experiment
 from edgesched.opm import DRIFT_WINDOW_MS, Opm, replay_oplog
 from edgesched.profiles import LLM, DevicePrior
-from edgesched.sim.engine import Engine, ExecutionRecord, assert_no_ground_truth
+from edgesched.sim.engine import Engine, ExecutionRecord
 from edgesched.sim.truth import ScenarioPlan
 from edgesched.sim.workload import TOKEN_BIN_CYCLE, TaskSpec
 
@@ -242,7 +243,7 @@ def test_criterion_08_non_leakage_and_replay(preset_runs):
     results, _ = preset_runs
     result = results[("semantic", 0)]
     for entry in result.audit.entries:
-        assert_no_ground_truth(entry.to_dict())
+        assert_no_ground_truth(entry)
     ingest_count = 0
     for op in result.agent.opm.oplog:
         if op[0] == "ingest":

@@ -35,7 +35,7 @@ from edgesched.profiles import (
 )
 from edgesched.router import RiskOverrideTable
 from edgesched.sim.truth import PlanError, SemanticOnset, check_prior_error, check_service_jitter
-from edgesched.sim.workload import generate_workload
+from edgesched.sim.workload import MAX_HORIZON, generate_workload
 
 INF, NAN = math.inf, math.nan
 HUGE = 10**400  # an int too large for a float
@@ -122,6 +122,13 @@ SITES = {
     "workload_lambda": (lambda: generate_workload(10, lam=0), ValueError,
                         "lambda must be a finite number > 0, got 0"),
     "workload_horizon": (lambda: generate_workload(-1), ValueError, "horizon must be an int >= 0, got -1"),
+    # Both bound checks run before any task is built.
+    "workload_max_horizon": (lambda: generate_workload(MAX_HORIZON + 1), ValueError,
+                             "horizon must be at most MAX_HORIZON = 10**7 tasks, got 10000001"),
+    "workload_huge_horizon": (lambda: generate_workload(HUGE, lam=1e-300), ValueError,
+                              "horizon must be at most MAX_HORIZON = 10**7 tasks, got about 10**400"),
+    "config_max_horizon": (lambda: ExperimentConfig("warmup", horizon=MAX_HORIZON + 1), ExperimentError,
+                           "horizon must be at most MAX_HORIZON = 10**7 tasks, got 10000001"),
     "risk_ttl": (lambda: RiskOverrideTable().set(0, 0), ValueError, "ttl must be an int >= 1, not a bool, got 0"),
     "calibration": (lambda: _opm().apply_calibration(0, LLM, 0), ValueError,
                     "observed_ratio must be a finite number > 0, got 0"),
@@ -138,6 +145,12 @@ def _opm():
     opm = Opm()
     opm.seed([DevicePrior(0, LLM, 1.0, 1.0)])
     return opm
+
+
+def test_a_horizon_at_the_bound_is_accepted():
+    # A config builds no tasks, so the bound itself is checked here.
+    assert MAX_HORIZON == 10**7
+    assert ExperimentConfig("warmup", horizon=MAX_HORIZON).horizon == MAX_HORIZON
 
 
 @pytest.mark.parametrize("call, error, message", SITES.values(), ids=SITES)

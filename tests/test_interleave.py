@@ -74,3 +74,35 @@ def test_the_first_differing_file_is_named():
     missing = dict(parent)
     del missing["exp0/audit.log"]
     assert script.first_difference(parent, missing) == "exp0/audit.log"
+
+
+def test_setup_mode_times_fresh_imports_and_writes_nothing():
+    lines = run_interleave("--workload", "presets", "--setup")
+    summary = json.loads(lines[-1])
+    assert summary["setup"] is True and summary["rounds"] == 2
+    assert summary["artifacts_identical"] is None and summary["compared_files"] == []
+    assert all(t > 0 for t in summary["parent_cpu_s"] + summary["change_cpu_s"])
+    assert [line.split()[2] for line in lines[:2]] == ["first=parent", "first=change"]
+    assert lines[2].startswith(f"median paired ratio {summary['median_ratio']:.4f}; ")
+    assert lines[3] == "set-up writes no files"
+
+
+def test_a_setup_round_imports_afresh_and_stops_each_experiment_at_its_run(tmp_path):
+    script = load_script()
+    built = []
+
+    def build(package):
+        built.append(package)
+        return script.build_configs(package, "presets", 1, tmp_path)
+
+    try:
+        for _ in range(2):
+            assert script.setup_round(ROOT, "edgesched_setup", build) > 0
+        first, second = built
+        assert first is not second and sys.modules["edgesched_setup"] is second
+        # Engine.run is restored, and no experiment got as far as writing its report.
+        assert second.sim.engine.Engine.run.__name__ == "run"
+        assert not any(tmp_path.iterdir())
+    finally:
+        for name in [n for n in sys.modules if n.startswith("edgesched_setup")]:
+            del sys.modules[name]

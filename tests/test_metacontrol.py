@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from conftest import assert_no_ground_truth
 from edgesched import metacontrol
 from edgesched.metacontrol import (
     TOOLS,
@@ -29,7 +30,7 @@ from edgesched.harness import ExperimentConfig, run_experiment
 from edgesched.opm import DRIFT_WINDOW_MS
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.router import DEFAULT_EXPLORE_WEIGHT_MS
-from edgesched.sim.engine import EventAnnotation, ExecutionRecord, assert_no_ground_truth
+from edgesched.sim.engine import EventAnnotation, ExecutionRecord
 
 
 class FakeTelemetry:
@@ -531,7 +532,7 @@ def test_tool_results_carry_no_ground_truth():
         result = meta.execute_tool(call)
         assert_no_ground_truth(result.payload)
     for entry in meta.audit.entries:
-        assert_no_ground_truth(entry.to_dict())
+        assert_no_ground_truth(entry)
 
 
 # --- scripted policy -----------------------------------------------------------------

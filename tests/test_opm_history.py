@@ -9,7 +9,6 @@ equal drift readings.
 
 import random
 from collections import deque
-from dataclasses import astuple
 
 import pytest
 
@@ -115,7 +114,8 @@ class TwoStoreOpm:
         return mean_obs / mean_pred, len(pairs)
 
     def snapshot_table(self):
-        return [astuple(self.estimates[key]) for key in sorted(self.estimates)]
+        return [tuple(getattr(self.estimates[key], name) for name in OpmEstimate.__slots__)
+                for key in sorted(self.estimates)]
 
 
 def _record(task_id, device, kind, service, completion, rng):

@@ -355,7 +355,7 @@ def test_baselines_have_no_learned_or_risk_inputs():
     # A drift run leaves the static baseline's surface as it was seeded.
     assert [op[0] for op in fh.opm.oplog] == ["seed"] and fh.opm.version == 1
     assert fh.overrides.devices() == []
-    assert fh.config == RouterConfig()
+    assert fh.config.to_dict() == RouterConfig().to_dict()
     rr = RoundRobinPolicy()
     assert not hasattr(rr, "opm")
     assert not hasattr(rr, "overrides")

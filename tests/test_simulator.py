@@ -4,11 +4,18 @@ import random
 
 import pytest
 
-from conftest import FixedAssignmentPolicy, TableTruth, brute_force_replay, leak_scan, make_truth
+from conftest import (
+    FixedAssignmentPolicy,
+    TableTruth,
+    assert_no_ground_truth,
+    brute_force_replay,
+    leak_scan,
+    make_truth,
+)
 from edgesched.metacontrol import Invocation, MetaController, ToolCall
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.router import OraclePolicy, RoundRobinPolicy
-from edgesched.sim.engine import Engine, EngineError, ObservableState, Telemetry, assert_no_ground_truth
+from edgesched.sim.engine import Engine, EngineError, ObservableState, Telemetry
 from edgesched.sim.truth import (
     DEGRADED,
     STABLE,

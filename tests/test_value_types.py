@@ -3,11 +3,16 @@
 The six types are immutable NamedTuples; their field order and ``repr`` text
 are the ones policies, reports and logs were written against, so they are
 pinned here literally.  The leak check reads the types themselves: their
-field names count as keys.
+field names count as keys.  No type in the package is a dataclass but those
+on :data:`DATACLASS_ALLOWLIST`, so an import generates no methods.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -15,11 +20,12 @@ from typing import NamedTuple
 
 import pytest
 
-from conftest import leak_scan
+from conftest import assert_no_ground_truth, leak_scan
 from edgesched.harness import ExperimentConfig, run_experiment
+import edgesched
 from edgesched.opm import replay_oplog
 from edgesched.profiles import default_profiles_path, load_profiles, priors_from_records
-from edgesched.sim import plan_from_dicts
+from edgesched.sim import DeviceLeave, DriftStep, PlanError, SemanticOnset, plan_from_dicts
 from edgesched.sim.engine import (
     DeviceSnapshot,
     Engine,
@@ -27,7 +33,6 @@ from edgesched.sim.engine import (
     ExecutionRecord,
     InFlightView,
     ObservableState,
-    assert_no_ground_truth,
 )
 from edgesched.sim.workload import TaskSpec
 
@@ -178,3 +183,51 @@ def test_leak_check_reads_namedtuple_field_names():
     for payload, report in leaks:
         with pytest.raises(AssertionError, match=f"^{re.escape(f'ground-truth field {report}')}$"):
             assert_no_ground_truth(payload)
+
+
+# "module.Class" -> why it stays a dataclass; every other class is declared without one.
+DATACLASS_ALLOWLIST = {
+    "edgesched.profiles.DevicePrior": "perfbench/test_perfbench.py calls dataclasses.replace on a prior",
+}
+
+
+def package_classes() -> dict[str, type]:
+    """Every class defined in an edgesched module, nested ones too, by qualified name."""
+    found: dict[str, type] = {}
+    modules = [edgesched, *(importlib.import_module(info.name)
+                            for info in pkgutil.walk_packages(edgesched.__path__, "edgesched."))]
+    for module in modules:
+        stack = [v for v in vars(module).values() if inspect.isclass(v) and v.__module__ == module.__name__]
+        while stack:
+            cls = stack.pop()
+            found[f"{cls.__module__}.{cls.__qualname__}"] = cls
+            stack.extend(v for v in vars(cls).values() if inspect.isclass(v) and v.__module__ == cls.__module__)
+    return found
+
+
+def test_no_class_but_the_allowlisted_is_a_dataclass():
+    classes = package_classes()
+    assert len(classes) > 40 and "edgesched.sim.engine._DeviceRuntime" in classes  # the walk reaches them
+    dataclasses_found = sorted(name for name, cls in classes.items() if dataclasses.is_dataclass(cls))
+    assert dataclasses_found == sorted(DATACLASS_ALLOWLIST)
+
+
+def test_scenario_events_keep_their_repr_and_argument_errors():
+    # report.json's plan hash is taken over these reprs, and plan_from_dicts
+    # passes a constructor's TypeError on in its message.
+    assert repr(SemanticOnset(60, 0, "game")) == "SemanticOnset(at_task=60, device=0, label='game', factor=3.0)"
+    assert repr(DriftStep(120, 1, "llama3.1-8b-edge", 2.0)) == (
+        "DriftStep(at_task=120, device=1, model='llama3.1-8b-edge', factor=2.0)"
+    )
+    assert repr(DeviceLeave(at_task=80, device=2)) == "DeviceLeave(at_task=80, device=2)"
+    errors = [
+        ({"at_task": 1}, "DeviceLeave.__init__() missing 1 required positional argument: 'device'"),
+        ({"at_task": 1, "device": 0, "colour": "red"},
+         "DeviceLeave.__init__() got an unexpected keyword argument 'colour'"),
+    ]
+    for row, text in errors:
+        with pytest.raises(PlanError) as info:
+            plan_from_dicts([{"type": "device_leave", **row}])
+        assert str(info.value) == f"bad arguments for device_leave: {text}"
+    with pytest.raises(AttributeError):
+        DeviceLeave(1, 0).colour = "red"  # the fields are the __slots__, no others
