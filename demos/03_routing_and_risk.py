@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Fast-path scoring: backlog + prediction - exploration, behind a risk gate.
 
-Hands a fast path a hand-built two-device view and decomposes the score of
-each candidate, then shows hard avoidance (a risk-flagged device is never
+Hands a fast path a hand-built two-device view and prints each candidate's
+score, then shows hard avoidance (a risk-flagged device is never
 chosen while a safe one exists) and the route-anyway fallback when every
 device is flagged: the flagged devices are then scored as usual.
 """
 
 from edgesched.opm import Opm
 from edgesched.profiles import LLM, DevicePrior
-from edgesched.router import FastPath, RiskOverrideTable, RouterConfig, score
+from edgesched.router import FastPath, RiskOverrideTable, RouterConfig, scores
 from edgesched.sim import DeviceSnapshot, ObservableState, TaskSpec
 
 
@@ -36,9 +36,8 @@ def make_fast_path(policy, overrides):
 
 def show_scores(label, fast, task):
     chosen = fast.choose(task, VIEW)  # binds the view the scores below read
-    parts = []
-    for device in fast.candidates(task.kind):
-        parts.append(f"d{device}={score(device, task, fast):9.1f}")
+    scored = scores(task, fast.candidates(task.kind), fast)
+    parts = [f"d{device}={value:9.1f}" for value, device in scored]
     print(f"  {label:34s} {'  '.join(parts)}   -> device {chosen}")
     return chosen
 

@@ -5,9 +5,11 @@ tier-1 in-process, then the six presets through ``edgesched.cli.main``, each
 at the default settings and again at ``--horizon 600 --lambda 2.0
 --trace-decisions``, with artifacts written to a temporary directory.  It
 prints the ``src/**/*.py`` line count, the ``src/edgesched`` statements that
-none of these runs executes, then those that only tier-1 executes, and exits
-nonzero when tier-1 fails, a never-run statement is not on
-:data:`ALLOWLIST`, or an allowlist entry names no never-run statement.
+none of these runs executes, then those that only tier-1 executes, counted
+by class (a raise's own, or its scope's in :data:`SCOPES`), and exits nonzero
+when tier-1 fails, a never-run statement is not on :data:`ALLOWLIST`, a
+tier-1-only statement has no class, or an entry of either table matches no
+statement.
 
 A statement is counted once, at its first line, and runs when any line of it
 (for a compound statement, of its header) does.  Lines in a subprocess that a
@@ -46,6 +48,83 @@ ALLOWLIST: dict[tuple[str, str, str], str] = {
         "the heap holds one completion per started task, and only _complete clears in_flight",
 }
 
+CONTRACT = "contract rejection"
+INVARIANT = "engine invariant error"
+ADAPTER = "external adapter"
+REFERENCE = "test reference"
+OTHER = "other"
+CLASSES = (CONTRACT, INVARIANT, ADAPTER, REFERENCE, OTHER)
+
+# A raise of one of these is an engine invariant error: an engine fault or a
+# policy or controller never attached to a run (the two helpers build an
+# EngineError).  Any other raise rejects an input.
+INVARIANT_ERRORS = frozenset({"EngineError", "RuntimeError", "_stale_view", "_misrouted"})
+
+# (file under src/, enclosing scope) -> (class, why only tier-1 runs it), for
+# the tier-1-only statements that are no raise and in no block that ends in
+# one.  An "other" entry says why a shipped run needs the scope's
+# tier-1-only lines even though the preset runs do not reach them.
+SCOPES: dict[tuple[str, str], tuple[str, str]] = {
+    ("edgesched/metacontrol.py", "MetaController._check"): (CONTRACT, "the message of a rejected tool call"),
+    ("edgesched/metacontrol.py", "MetaController._reject"): (CONTRACT, "audits and answers a rejected tool call"),
+    ("edgesched/metacontrol.py", "MetaController.execute_tool"): (CONTRACT, "hands a rejected call to _reject"),
+    ("edgesched/opm.py", "UnknownDeviceError.__init__"): (CONTRACT, "the message of an unknown device or kind"),
+    ("edgesched/profiles.py", "is_finite_number"): (CONTRACT, "a rule's answer for a bool or a non-number"),
+    ("edgesched/profiles.py", "model_kind"): (CONTRACT, "an unknown model name, which each caller rejects"),
+    ("edgesched/cli.py", "main"): (CONTRACT, "the one `error:` line and exit status 1 of a rejected input"),
+    ("edgesched/sim/engine.py", "_stale_view"): (INVARIANT, "builds the error of a view read after its decision"),
+    ("edgesched/sim/engine.py", "Engine._misrouted"): (INVARIANT, "builds the error of a choice no device can take"),
+    ("edgesched/metacontrol.py", "llm_adapter_invoke"): (ADAPTER, "the adapter's request loop"),
+    ("edgesched/metacontrol.py", "_default_transport"): (ADAPTER, "the adapter's HTTP request"),
+    ("edgesched/metacontrol.py", "_parse_tool_calls"): (ADAPTER, "reads the adapter's reply"),
+    ("edgesched/metacontrol.py", "_tool_catalog"): (ADAPTER, "the tool list each adapter request carries"),
+    ("edgesched/metacontrol.py", "AdapterConfig.__init__"): (ADAPTER, "an adapter's endpoint"),
+    ("edgesched/metacontrol.py", "MetaController._invoke"): (ADAPTER, "hands an invocation to the adapter"),
+    ("edgesched/metacontrol.py", "MetaController._tool_pull_observations"): (ADAPTER, "a tool only an adapter calls"),
+    ("edgesched/metacontrol.py", "MetaController._tool_update_calibration"): (ADAPTER, "a tool only an adapter calls"),
+    ("edgesched/metacontrol.py", "MetaController._tool_set_router_params"): (ADAPTER, "a tool only an adapter calls"),
+    ("edgesched/sim/engine.py", "Telemetry.observations"): (ADAPTER, "pull_observations' rows"),
+    ("edgesched/sim/engine.py", "ExecutionRecord.service_ms"): (ADAPTER, "a key of pull_observations' rows"),
+    ("edgesched/opm.py", "Opm.apply_calibration"): (ADAPTER, "update_calibration's model change"),
+    ("edgesched/router.py", "RouterConfig.to_dict"): (ADAPTER, "set_router_params' answer"),
+    ("edgesched/opm.py", "replay_oplog"): (REFERENCE, "the bit-exact replay tests compare the model with"),
+    ("edgesched/opm.py", "Opm.snapshot_table"): (REFERENCE, "the table a replay is compared by"),
+    ("edgesched/router.py", "RiskOverrideTable.is_risky"): (REFERENCE, "read by tests and perfbench's risk-gate hook"),
+    ("edgesched/sim/engine.py", "ObservableState.snapshot_of"):
+        (REFERENCE, "a view built by hand (tests, demo 03); a run hands policies a DecisionView"),
+    ("edgesched/sim/engine.py", "ObservableState.available_devices"):
+        (REFERENCE, "a view built by hand (tests, demo 03); a run hands policies a DecisionView"),
+    ("edgesched/cli.py", "_load_config_file"): (OTHER, "the --config path: reads a config file"),
+    ("edgesched/cli.py", "_check_keys"): (OTHER, "the --config path: a config file's keys"),
+    ("edgesched/cli.py", "_merge"):
+        (OTHER, "a config file's fields, --policies and the adapter flags"),
+    ("edgesched/cli.py", "_parse_prior_error"): (OTHER, "a config file's prior_error"),
+    ("edgesched/harness.py", "ExperimentConfig.__init__"):
+        (OTHER, "a prior_error or service_jitter set by the caller (a config file, --jitter)"),
+    ("edgesched/harness.py", "run_experiment"):
+        (OTHER, "a config file's plan, horizon == 0 (the report alone), a policy list without the oracle"),
+    ("edgesched/harness.py", "emit_report"): (OTHER, "a policy with an empty trajectory: no task past the prefix"),
+    ("edgesched/metacontrol.py", "evaluate_triggers"):
+        (OTHER, "cooldown suppression: the same signature again within ANOMALY_COOLDOWN tasks"),
+    ("edgesched/opm.py", "solve_token_coefficients"):
+        (OTHER, "the ridge fallback's second step, for a design still singular after damping"),
+    ("edgesched/opm.py", "Opm.drift_ratio"):
+        (OTHER, "windows only compute_drift can ask for: entries past now, none at all, zero predictions"),
+    ("edgesched/profiles.py", "load_profiles"):
+        (OTHER, "profile files with blank lines or non-SingleStream rows, which are skipped"),
+    ("edgesched/router.py", "select_e3"): (OTHER, "no available device of the task's kind"),
+    ("edgesched/router.py", "select_oracle"): (OTHER, "no available device of the task's kind"),
+    ("edgesched/router.py", "RoundRobinPolicy.choose"): (OTHER, "no available device of the task's kind"),
+    ("edgesched/sim/engine.py", "DecisionView.devices"):
+        (OTHER, "a policy's whole-pool read (README, What a policy sees); the shipped policies read one device"),
+    ("edgesched/sim/engine.py", "Engine._flush_pending"):
+        (OTHER, "the pending buffer: tasks wait while no device of their kind is available"),
+    ("edgesched/sim/engine.py", "Engine._route"):
+        (OTHER, "the pending buffer: tasks wait while no device of their kind is available"),
+    ("edgesched/sim/engine.py", "Engine.run"): (OTHER, "plan events after the last arrival, while the queues drain"),
+    ("edgesched/sim/truth.py", "plan_from_dicts"): (OTHER, "a plan given as rows (a config file, perfbench)"),
+}
+
 PRESETS = (
     ["--scenario", "warmup", "--warmup", "0"],
     ["--scenario", "warmup", "--warmup", "30"],
@@ -81,14 +160,27 @@ def _header_end(node: ast.stmt) -> int:
     return min(child.lineno for body in bodies for child in body) - 1
 
 
-def statements(path: Path) -> dict[int, tuple[int, str]]:
+_SIMPLE = (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Expr)
+
+
+def _raise_class(node: ast.Raise) -> str:
+    """Whether a raise is an engine invariant error or a contract rejection."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+    return INVARIANT if name in INVARIANT_ERRORS else CONTRACT
+
+
+def statements(path: Path) -> dict[int, tuple[int, str, str | None]]:
     """Map each line of a statement that compiles to bytecode to the
-    statement's first line and the qualified name of the scope it is in."""
+    statement's first line, the qualified name of the scope it is in, and
+    its class when it raises or is a simple statement in a block that ends
+    in a raise (it builds that error), else None."""
     text = path.read_text(encoding="utf-8")
     compiled = _bytecode_lines(compile(text, str(path), "exec"))
-    owner: dict[int, tuple[int, str]] = {}
+    owner: dict[int, tuple[int, str, str | None]] = {}
 
     def visit(body: list, scope: str) -> None:
+        block = _raise_class(body[-1]) if body and isinstance(body[-1], ast.Raise) else None
         for index, node in enumerate(body):
             is_docstring = (
                 index == 0
@@ -101,8 +193,12 @@ def statements(path: Path) -> dict[int, tuple[int, str]]:
                 first = min([node.lineno] + [d.lineno for d in decorators])
                 span = range(first, max(_header_end(node), first) + 1)
                 if compiled.intersection(span):
+                    if isinstance(node, ast.Raise):
+                        cls = _raise_class(node)
+                    else:  # a simple statement before the raise builds its error
+                        cls = block if isinstance(node, _SIMPLE) else None
                     for line in span:
-                        owner[line] = (first, scope)
+                        owner[line] = (first, scope, cls)
             inner = scope
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{node.name}" if scope else node.name
@@ -173,7 +269,7 @@ def run_cli(tracer: LineTracer) -> None:
 
 
 def _executed(
-    hits: set[tuple[str, int]], owners: dict[str, dict[int, tuple[int, str]]]
+    hits: set[tuple[str, int]], owners: dict[str, dict[int, tuple[int, str, str | None]]]
 ) -> set[tuple[str, int]]:
     """The (file, first line) of every statement that a hit line belongs to."""
     done = set()
@@ -185,26 +281,20 @@ def _executed(
     return done
 
 
-def main() -> int:
-    sys.path.insert(0, str(SRC))
-    os.chdir(ROOT)
-    os.environ["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
-    )
-    tests, cli = LineTracer(), LineTracer()
-    status = run_tier1(tests)
-    run_cli(cli)
-
-    owners, keys, total_lines = {}, {}, 0
+def report(status: int, test_hits: set[tuple[str, int]], cli_hits: set[tuple[str, int]]) -> int:
+    """Print the counts, the never-run statements and the tier-1-only ones by
+    class; return the exit status."""
+    owners, keys, hints, total_lines = {}, {}, {}, 0
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = _rel(str(path))
         owners[rel] = statements(path)
         text = path.read_text(encoding="utf-8")
         total_lines += text.count("\n")  # as `wc -l` counts them
         source = text.splitlines()
-        for first, scope in owners[rel].values():
+        for first, scope, hint in owners[rel].values():
             keys[(rel, first)] = (rel, scope, source[first - 1].strip())
-    by_tests, by_cli = _executed(tests.hits, owners), _executed(cli.hits, owners)
+            hints[(rel, first)] = hint
+    by_tests, by_cli = _executed(test_hits, owners), _executed(cli_hits, owners)
     never = sorted(set(keys) - by_tests - by_cli)
     only_tests = sorted(by_tests - by_cli)
 
@@ -223,13 +313,52 @@ def main() -> int:
     for rel, scope, text in sorted(set(ALLOWLIST) - set(matched)):
         print(f"  stale allowlist entry: src/{rel} ({scope}): {text}")
         failures += 1
-    print("\nRun only under tier-1:")
-    for rel in sorted({rel for rel, _line in only_tests}):
-        lines = [line for r, line in only_tests if r == rel]
-        print(f"  src/{rel} ({len(lines)}): {', '.join(map(str, lines))}")
+
+    # A raise, or a simple statement in a block that ends in one, takes the
+    # raise's class; any other statement its scope's entry in SCOPES.
+    # class -> (file, scope, reason) -> first lines
+    groups: dict[str, dict[tuple[str, str, str], list[int]]] = {}
+    used = set()
+    for stmt in only_tests:
+        key = keys[stmt]
+        if hints[stmt] is not None:
+            cls, reason = hints[stmt], ""
+        elif (stmt[0], key[1]) in SCOPES:
+            used.add((stmt[0], key[1]))
+            cls, reason = SCOPES[(stmt[0], key[1])]
+        else:
+            print(f"  NO CLASS: src/{stmt[0]}:{stmt[1]} ({key[1]}): {key[2]}")
+            failures += 1
+            continue
+        where = (stmt[0], key[1], reason) if cls == OTHER else (stmt[0], "", "")
+        groups.setdefault(cls, {}).setdefault(where, []).append(stmt[1])
+    for rel, scope in sorted(set(SCOPES) - used):
+        print(f"  stale scope entry: src/{rel} ({scope})")
+        failures += 1
+    print("\nRun only under tier-1, by class:")
+    for cls in CLASSES:
+        places = groups.get(cls, {})
+        print(f"  {cls} ({sum(map(len, places.values()))}):")
+        for (rel, scope, reason), lines in sorted(places.items()):
+            named = f" ({scope})" if scope else ""
+            print(f"    src/{rel}{named} ({len(lines)}): {', '.join(map(str, lines))}")
+            if reason:
+                print(f"        {reason}")
     if status != 0:
         print(f"\ntier-1 failed (pytest exit status {status})")
     return 1 if status or failures else 0
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    os.chdir(ROOT)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
+    tests, cli = LineTracer(), LineTracer()
+    status = run_tier1(tests)
+    run_cli(cli)
+    return report(status, tests.hits, cli.hits)
 
 
 if __name__ == "__main__":

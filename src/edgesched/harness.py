@@ -187,13 +187,12 @@ class MetricsReport:
 
     def __init__(
         self, scenario: str, warmup_budget: int, horizon: int, lam: float, prefix_end: int,
-        workload_sha256: str, plan_sha256: str, policies: dict[str, PolicyMetrics] | None = None,
+        workload_sha256: str, plan_sha256: str,
     ) -> None:
         given = locals()  # each parameter sets the field of its name
-        for name in self.__slots__:
+        for name in self.__slots__[:-1]:
             setattr(self, name, given[name])
-        if policies is None:
-            self.policies = {}
+        self.policies: dict[str, PolicyMetrics] = {}
 
     def to_dict(self) -> dict:
         return {

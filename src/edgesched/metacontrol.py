@@ -111,8 +111,8 @@ class TriggerState:
 
     __slots__ = ("fired", "cooldowns")
 
-    def __init__(self, fired: list[Invocation] | None = None) -> None:
-        self.fired = [] if fired is None else fired  # every candidate let through, in order
+    def __init__(self) -> None:
+        self.fired: list[Invocation] = []  # every candidate let through, in order
         self.cooldowns: dict[tuple, int] = {}  # signature -> first task it fires again
 
 

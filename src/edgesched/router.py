@@ -148,12 +148,6 @@ class FastPath:
     def candidates(self, kind: str) -> list[int]:
         return self.obs.available_devices(kind)
 
-    def backlog(self, device: int) -> float:
-        if self.opm.version != self.version:
-            self.version = self.opm.version
-            self.memo.clear()
-        return backlog_ms(self.obs.snapshot_of(device), self.opm.predict, self.obs.now, self.memo)
-
 
 def scores(task: TaskSpec, pool, state: FastPath) -> list[tuple[float, int]]:
     """(score, device) for each pool device, in pool order: backlog +
@@ -182,11 +176,6 @@ def scores(task: TaskSpec, pool, state: FastPath) -> list[tuple[float, int]]:
             value -= config.explore_weight_ms * opm.uncertainty(device, task.kind)
         scored.append((value, device))
     return scored
-
-
-def score(device: int, task: TaskSpec, state: FastPath) -> float:
-    """One device's score, as :func:`scores` gives it."""
-    return scores(task, (device,), state)[0][0]
 
 
 def select_e3(task: TaskSpec, state: FastPath) -> int | None:

@@ -40,7 +40,7 @@ from collections import deque
 from operator import attrgetter
 from typing import NamedTuple
 
-from ..profiles import model_kind
+from ..profiles import COUNT, POSITIVE, check, model_kind, optional
 from .truth import GroundTruthState, PlanError, ScenarioEvent, ScenarioPlan
 from .workload import TaskSpec
 
@@ -273,7 +273,10 @@ class Telemetry:
         }
 
     def observations(self, window_ms: float | None = None, limit: int | None = None) -> list[dict]:
-        """Rows of the records completed within ``window_ms``, last ``limit``."""
+        """Rows of the records completed within ``window_ms``, last ``limit``
+        (None leaves either open), each checked as ``pull_observations`` checks it."""
+        check("window_ms", window_ms, optional(POSITIVE))
+        check("limit", limit, optional(COUNT))
         engine = self._engine
         rows = engine.records
         if window_ms is not None:

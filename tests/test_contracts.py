@@ -33,8 +33,16 @@ from edgesched.profiles import (
     check,
     optional,
 )
-from edgesched.router import RiskOverrideTable
-from edgesched.sim.truth import PlanError, SemanticOnset, check_prior_error, check_service_jitter
+from edgesched.router import RiskOverrideTable, RoundRobinPolicy
+from edgesched.sim.engine import Engine, Telemetry
+from edgesched.sim.truth import (
+    GroundTruthState,
+    PlanError,
+    ScenarioPlan,
+    SemanticOnset,
+    check_prior_error,
+    check_service_jitter,
+)
 from edgesched.sim.workload import MAX_HORIZON, generate_workload
 
 INF, NAN = math.inf, math.nan
@@ -138,6 +146,11 @@ SITES = {
                        "service_jitter must be a finite number in [0, 1), got 1"),
     "prior_error": (lambda: check_prior_error({0: 0}), ValueError,
                     "prior_error must map device ids to a finite number > 0 or a pair of them, got 0: 0"),
+    # The rules pull_observations applies; a limit of 0 once returned every row.
+    "observations_window": (lambda: _telemetry().observations(0.0), ValueError,
+                            "window_ms must be None or a finite number > 0, got 0.0"),
+    "observations_limit": (lambda: _telemetry().observations(None, 0), ValueError,
+                           "limit must be None or an int >= 1, not a bool, got 0"),
 }
 
 
@@ -145,6 +158,11 @@ def _opm():
     opm = Opm()
     opm.seed([DevicePrior(0, LLM, 1.0, 1.0)])
     return opm
+
+
+def _telemetry():
+    priors = [DevicePrior(0, LLM, 1.0, 1.0)]
+    return Telemetry(Engine(GroundTruthState(priors), ScenarioPlan(()), [], RoundRobinPolicy()))
 
 
 def test_a_horizon_at_the_bound_is_accepted():

@@ -15,7 +15,7 @@ import pytest
 
 from edgesched import harness
 from edgesched.profiles import LLM, SDXL
-from edgesched.router import OraclePolicy, RoundRobinPolicy
+from edgesched.router import OraclePolicy, RoundRobinPolicy, scores
 from edgesched.sim.engine import (
     DecisionView,
     DeviceSnapshot,
@@ -125,7 +125,7 @@ def test_a_view_read_after_its_decision_raises(fixture_priors, read):
     # A fast path keeps its last view between decisions, but never answers from it.
     agent = harness.build_agent(fixture_priors, warmup_budget=0)
     Engine(make_truth(fixture_priors), ScenarioPlan(()), tasks, agent).run()
-    for stale in (lambda: agent.candidates(LLM), lambda: agent.backlog(0)):
+    for stale in (lambda: agent.candidates(LLM), lambda: scores(tasks[0], (0,), agent)):
         with pytest.raises(EngineError, match="read after its decision"):
             stale()
 

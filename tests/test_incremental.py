@@ -122,7 +122,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         opm.apply_calibration = recording_calibration
 
         def cached(snap, obs):
-            return policy.backlog(snap.device_id)  # choose bound obs
+            return backlog_ms(snap, policy.opm.predict, obs.now, policy.memo)  # after choose's scores
 
         def reference(snap, obs):
             return reference_predicted_backlog(snap, opm.predict, obs.now)
@@ -138,7 +138,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         predict = prior_predictor(priors)
 
         def cached(snap, obs):
-            return policy.backlog(snap.device_id)  # choose bound obs
+            return backlog_ms(snap, policy.opm.predict, obs.now, policy.memo)  # after choose's scores
 
         def reference(snap, obs):
             return reference_predicted_backlog(snap, predict, obs.now)

@@ -112,7 +112,8 @@ def test_device_leave_is_informational_return_triggers_churn():
 
 def test_residual_alarm_respects_nonevent_gap():
     earlier = Invocation("semantic_onset", 30, device=0, label="game")
-    state = TriggerState(fired=[earlier])
+    state = TriggerState()
+    state.fired.append(earlier)
     alarm = dict(device=1, model=LLM, ratio=2.0, sample_count=5)
     assert evaluate_triggers(Invocation("residual_alarm", 45, **alarm), state) is None  # gap 15 < 20
     assert state.fired == [earlier]  # a suppressed candidate is not recorded

@@ -1,5 +1,6 @@
 """Discrete-event engine: queue semantics, scenario events, determinism."""
 
+import math
 import random
 
 import pytest
@@ -395,6 +396,9 @@ OBSERVATION_KEYS = (
 )
 
 
+SMALLEST_WINDOW = math.nextafter(0.0, 1.0)
+
+
 def reference_observation_rows(records, now, window_ms, limit):
     rows = [{key: getattr(r, key) for key in OBSERVATION_KEYS} for r in records]
     if window_ms is not None:
@@ -405,7 +409,9 @@ def reference_observation_rows(records, now, window_ms, limit):
 
 
 def test_observation_log_equals_record_rows(fixture_priors):
-    windows = (None, 0.0, 0.5, 5000.0, 60_000.0, float("inf"), float("nan"))
+    # The smallest window keeps only the records completed at ``now``; the
+    # largest keeps them all.  A window of 0, inf or nan is rejected (test_contracts).
+    windows = (None, SMALLEST_WINDOW, 0.5, 5000.0, 60_000.0, 1e300)
     limits = (None, 1, 7, 10**6)
     checked = []
 
@@ -438,7 +444,7 @@ def test_observations_of_a_long_run_equal_record_rows(fixture_priors):
             check(record.completion_time)
 
     def check(now):
-        for window_ms in (None, 0.0, 500.0, 5000.0):
+        for window_ms in (None, SMALLEST_WINDOW, 500.0, 5000.0):
             for limit in (None, 1, 7):
                 got = Telemetry(engine).observations(window_ms, limit)
                 assert got == reference_observation_rows(engine.records, now, window_ms, limit)

@@ -4,11 +4,14 @@ The six types are immutable NamedTuples; their field order and ``repr`` text
 are the ones policies, reports and logs were written against, so they are
 pinned here literally.  The leak check reads the types themselves: their
 field names count as keys.  No type in the package is a dataclass but those
-on :data:`DATACLASS_ALLOWLIST`, so an import generates no methods.
+on :data:`DATACLASS_ALLOWLIST`, so an import generates no methods, and no
+definition in ``src/`` lacks a caller in ``src/`` but those on
+:data:`NO_SRC_CALLER_ALLOWLIST`.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -23,6 +26,7 @@ import pytest
 from conftest import assert_no_ground_truth, leak_scan
 from edgesched.harness import ExperimentConfig, run_experiment
 import edgesched
+from edgesched.metacontrol import TOOLS
 from edgesched.opm import replay_oplog
 from edgesched.profiles import default_profiles_path, load_profiles, priors_from_records
 from edgesched.sim import DeviceLeave, DriftStep, PlanError, SemanticOnset, plan_from_dicts
@@ -231,3 +235,64 @@ def test_scenario_events_keep_their_repr_and_argument_errors():
         assert str(info.value) == f"bad arguments for device_leave: {text}"
     with pytest.raises(AttributeError):
         DeviceLeave(1, 0).colour = "red"  # the fields are the __slots__, no others
+
+
+# Definition name -> why it stays in src/ with no caller there.
+NO_SRC_CALLER_ALLOWLIST = {
+    "replay_oplog": "the bit-exact replay reference: README names replay as an opm feature",
+    "snapshot_table": "the table replay_oplog's result is compared by, the same replay reference",
+    "is_risky": "perfbench's risk-gate hook reads it, and perfbench changes only with the benchmark",
+}
+
+
+def _definitions_and_references(package: Path) -> tuple[list[tuple[str, tuple]], dict[str, list[frozenset]]]:
+    """Every function, method and class defined under ``package``, as its name
+    and its place (module, line, column), and each referenced name with the
+    places of the definitions each of its references sits in.
+
+    A reference is a loaded ``Name``, an ``Attribute``, an imported name or a
+    string constant that is an identifier (``getattr(policy, "on_annotation")``).
+    An ``__init__.py`` only re-exports, so its names are no callers.
+    """
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined, referenced = [], {}
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), frozenset())]
+        while stack:
+            node, inside = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                name, within = None, inside
+                if isinstance(child, kinds):
+                    place = (module, child.lineno, child.col_offset)
+                    defined.append((child.name, place))
+                    within = inside | {place}
+                elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                    name = child.id
+                elif isinstance(child, ast.Attribute):
+                    name = child.attr
+                elif isinstance(child, ast.alias):
+                    name = child.name.rpartition(".")[2]
+                elif isinstance(child, ast.Constant) and isinstance(child.value, str) and child.value.isidentifier():
+                    name = child.value
+                if name is not None and path.name != "__init__.py":
+                    referenced.setdefault(name, []).append(inside)
+                stack.append((child, within))
+    return defined, referenced
+
+
+def test_every_src_definition_has_a_src_caller():
+    # Name-based: a method counts as called when any src/ scope outside its
+    # own body names it.  Dunder methods are called by the interpreter, and a
+    # tool handler _tool_<name> by the tool table's <name>.
+    package = Path(edgesched.__file__).resolve().parent
+    defined, referenced = _definitions_and_references(package)
+    assert len(defined) > 150 and "scores" in referenced  # the walk reaches them
+    uncalled = {}
+    for name, place in defined:
+        dunder = name.startswith("__") and name.endswith("__")
+        if dunder or (name.startswith("_tool_") and name.removeprefix("_tool_") in TOOLS):
+            continue
+        if not any(place not in inside for inside in referenced.get(name, ())):
+            uncalled[name] = "{}:{}".format(*place)
+    assert sorted(uncalled) == sorted(NO_SRC_CALLER_ALLOWLIST), uncalled
