@@ -14,6 +14,11 @@ each report written through ``emit_report`` to a temporary directory.
 arrival rate (``event_dense`` builds its plan for that horizon), so one
 workload can be swept over H without changing ``perfbench/``.
 
+``--trace-decisions`` sets ``trace_decisions`` on every experiment of both
+sides, so each also writes ``decisions.log`` (every fast-path decision's
+scores and choice) and the file check covers the scores as well.  The
+workloads write no decision trace by default.
+
 ``--setup`` times set-up instead, as ``perfbench/run.py`` measures
 ``setup_s``: a round is a fresh import of the side's package, its configs,
 and every experiment up to its first ``Engine.run``.  Set-up writes no
@@ -25,11 +30,12 @@ is faster) and how many rounds the change won, and a last line of JSON with
 the same figures.  It also checks that both sides wrote the same files with
 the same bytes: every file ``emit_report`` writes (``report.json``,
 ``audit.log``, ``events.log``, the trajectory CSVs and
-``opm_snapshot.txt``), and names the first that differs.  Standard library
-only::
+``opm_snapshot.txt``, and ``decisions.log`` under ``--trace-decisions``),
+and names the first that differs.  Standard library only::
 
     python scripts/interleave.py --parent ../parent --change . --workload event_dense --seed 1 --rounds 16
     python scripts/interleave.py --parent ../parent --change . --workload overload --horizon 24000 --lam 2.0 --rounds 4
+    python scripts/interleave.py --parent ../parent --change . --workload overload --trace-decisions --rounds 2
     python scripts/interleave.py --parent ../parent --change . --workload presets --setup --rounds 40
 """
 
@@ -70,11 +76,18 @@ def load_package(checkout: Path, name: str):
 
 
 def build_configs(
-    package, workload: str, seed: int, out_dir: Path, horizon: int | None = None, lam: float | None = None
+    package,
+    workload: str,
+    seed: int,
+    out_dir: Path,
+    horizon: int | None = None,
+    lam: float | None = None,
+    trace_decisions: bool = False,
 ) -> list:
     """One round's ExperimentConfigs, built from ``package``'s own types.
 
-    ``horizon`` and ``lam``, when given, replace every experiment's own.
+    ``horizon`` and ``lam``, when given, replace every experiment's own;
+    ``trace_decisions`` makes every experiment write its decision trace.
     """
     specs = inputs.experiment_specs(workload)
     for spec in specs:
@@ -82,6 +95,8 @@ def build_configs(
             spec["horizon"] = horizon
         if lam is not None:
             spec["lam"] = lam
+        if trace_decisions:
+            spec["trace_decisions"] = True
     profiles = importlib.import_module(f"{package.__name__}.profiles")
     sim = importlib.import_module(f"{package.__name__}.sim")
     # default_profiles_path looks the package up as "edgesched", so each side names its own file.
@@ -168,6 +183,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=16, help="rounds per side, at least 1")
     parser.add_argument("--horizon", type=int, help="every experiment's horizon, instead of the workload's")
     parser.add_argument("--lam", type=float, help="every experiment's arrival rate, instead of the workload's")
+    parser.add_argument("--trace-decisions", action="store_true",
+                        help="write and compare every experiment's decisions.log as well")
     parser.add_argument("--setup", action="store_true", help="time import and set-up, not the experiments")
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -177,7 +194,9 @@ def main(argv=None) -> int:
         checkouts = {side: getattr(args, side).resolve() for side in SIDES}
 
         def build(package, side):
-            return build_configs(package, args.workload, args.seed, Path(tmp) / side, args.horizon, args.lam)
+            return build_configs(
+                package, args.workload, args.seed, Path(tmp) / side, args.horizon, args.lam, args.trace_decisions
+            )
 
         packages, configs = {}, {}
         if not args.setup:
@@ -218,6 +237,7 @@ def main(argv=None) -> int:
                 "seed": args.seed,
                 "horizon": args.horizon,
                 "lam": args.lam,
+                "trace_decisions": args.trace_decisions,
                 "setup": args.setup,
                 "rounds": args.rounds,
                 "parent_cpu_s": cpu["parent"],

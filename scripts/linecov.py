@@ -90,7 +90,7 @@ SCOPES: dict[tuple[str, str], tuple[str, str]] = {
     ("edgesched/opm.py", "replay_oplog"): (REFERENCE, "the bit-exact replay tests compare the model with"),
     ("edgesched/opm.py", "Opm.snapshot_table"): (REFERENCE, "the table a replay is compared by"),
     ("edgesched/router.py", "RiskOverrideTable.is_risky"): (REFERENCE, "read by tests and perfbench's risk-gate hook"),
-    ("edgesched/sim/engine.py", "ObservableState.snapshot_of"):
+    ("edgesched/sim/engine.py", "ObservableState.queue_tail"):
         (REFERENCE, "a view built by hand (tests, demo 03); a run hands policies a DecisionView"),
     ("edgesched/sim/engine.py", "ObservableState.available_devices"):
         (REFERENCE, "a view built by hand (tests, demo 03); a run hands policies a DecisionView"),
@@ -116,7 +116,9 @@ SCOPES: dict[tuple[str, str], tuple[str, str]] = {
     ("edgesched/router.py", "select_oracle"): (OTHER, "no available device of the task's kind"),
     ("edgesched/router.py", "RoundRobinPolicy.choose"): (OTHER, "no available device of the task's kind"),
     ("edgesched/sim/engine.py", "DecisionView.devices"):
-        (OTHER, "a policy's whole-pool read (README, What a policy sees); the shipped policies read one device"),
+        (OTHER, "a policy's whole-pool read (README, What a policy sees); the shipped policies read tails"),
+    ("edgesched/sim/engine.py", "Engine._snapshot"):
+        (OTHER, "builds the snapshots of a whole-pool read (DecisionView.devices); the shipped policies read tails"),
     ("edgesched/sim/engine.py", "Engine._flush_pending"):
         (OTHER, "the pending buffer: tasks wait while no device of their kind is available"),
     ("edgesched/sim/engine.py", "Engine._route"):

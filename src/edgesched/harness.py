@@ -363,7 +363,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             _check_default_pool(priors)
 
     preset = PRESETS[config.scenario]
-    prior_error = config.prior_error if config.prior_error is not None else preset["prior_error"]
+    prior_error = config.prior_error
+    if prior_error is None:
+        # The preset's factors are set for the shipped pool; a warmup run on
+        # another pool takes those of the devices it has.
+        pool = {prior.device_id for prior in priors}
+        prior_error = {device: error for device, error in preset["prior_error"].items() if device in pool}
     jitter = (
         config.service_jitter
         if config.service_jitter is not None

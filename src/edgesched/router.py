@@ -10,9 +10,10 @@ the same plain fast path on offline priors that never change.  Round robin
 and the full-information reference policy live here too.  A selection
 reads the risk table once, checks the model's version once and scores its
 pool in one pass.  Its backlogs come from a memo that keeps each device's
-queued costs, drops as many as the snapshot's ``departed`` count says left
-the head since the last look, and prices only the tasks appended since
-then.
+queued costs, asks the view only for the tasks queued since its last look
+(``queue_tail``), drops as many kept costs as the ``departed`` count says
+left the head since then, and prices only the new tail.  No decision copies
+a whole queue.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .opm import Opm
 from .profiles import COUNT, DevicePrior, check
-from .sim.engine import DeviceSnapshot, ObservableState, OracleAccess
+from .sim.engine import ObservableState, OracleAccess
 from .sim.workload import TaskSpec
 
 if TYPE_CHECKING:  # metacontrol imports this module
@@ -78,7 +79,7 @@ class RiskOverrideTable:
 Predictor = Callable[[int, TaskSpec], float]
 
 
-def backlog_ms(snap: DeviceSnapshot, predict: Predictor, now: float, memo: dict) -> float:
+def backlog_ms(view: ObservableState, device: int, predict: Predictor, now: float, memo: dict) -> float:
     """Backlog in predicted milliseconds: queued work plus in-flight remainder.
 
     Queued predictions are summed in queue order, then the in-flight
@@ -87,32 +88,33 @@ def backlog_ms(snap: DeviceSnapshot, predict: Predictor, now: float, memo: dict)
 
     ``memo`` maps a device to (departed count, in-flight view, queued sum,
     in-flight cost, queued costs) from an earlier decision under the same
-    predictor.  Of the kept queued costs, the first ``snap.departed`` minus
-    the kept count have left the head, and the rest price the new queue's
-    first tasks.  Those are re-folded only when some left, only the new
+    predictor.  The kept costs price the tasks the device queued from its
+    kept ``departed`` count on, so the view is asked only for the tasks
+    queued after those (``view.queue_tail``).  Of the kept costs, the first
+    new ``departed`` minus the kept count have left the head; they are
+    dropped in place and the rest re-folded only when some left, the new
     tail is priced, and the in-flight task is priced again only when it
     changed, so every sum is the same left fold as pricing every task afresh.
     """
-    device = snap.device_id
-    fl = snap.in_flight
     entry = memo.get(device)
     if entry is None:
-        departed, old_fl, total, in_flight, costs = snap.departed, None, 0.0, 0.0, []
+        kept, old_fl, total, in_flight, costs = 0, None, 0.0, 0.0, []
     else:
-        departed, old_fl, total, in_flight, costs = entry
-    gone = snap.departed - departed
+        kept, old_fl, total, in_flight, costs = entry
+    departed, fl, tail = view.queue_tail(device, kept + len(costs))
+    gone = departed - kept
     if gone:
-        costs = costs[gone:]
+        del costs[:gone]
         total = 0.0
         for value in costs:
             total += value
-    for task in snap.queued[len(costs):]:
+    for task in tail:
         value = predict(device, task)
         costs.append(value)
         total += value
     if fl != old_fl:
         in_flight = 0.0 if fl is None else predict(device, fl.task)
-    memo[device] = (snap.departed, fl, total, in_flight, costs)
+    memo[device] = (departed, fl, total, in_flight, costs)
     if fl is not None:
         total += max(0.0, in_flight - (now - fl.start_time))
     return total
@@ -171,7 +173,7 @@ def scores(task: TaskSpec, pool, state: FastPath) -> list[tuple[float, int]]:
     explore = config.policy == EXPLORE_RISK
     scored = []
     for device in pool:
-        value = backlog_ms(obs.snapshot_of(device), predict, now, memo) + predict(device, task)
+        value = backlog_ms(obs, device, predict, now, memo) + predict(device, task)
         if explore:
             value -= config.explore_weight_ms * opm.uncertainty(device, task.kind)
         scored.append((value, device))

@@ -4,9 +4,11 @@ The engine is the only component that touches :class:`GroundTruthState`.
 At each routing decision it calls ``policy.choose(task, view)`` with a
 :class:`DecisionView` (feasible devices, queue contents, exposed event
 annotations) that has the read surface of :class:`ObservableState`.  A view
-builds a device's snapshot each time the policy reads it and keeps none, and
-it is valid only for its decision: once the engine moves on, reading device
-state through it raises :class:`EngineError`.  A policy may also define the
+keeps no device state: ``queue_tail`` hands out only the tasks queued on a
+device since a count the reader names, read off the queue's right end, and
+``devices`` builds every snapshot afresh.  A view is valid only for its
+decision: once the engine moves on, reading device state through it raises
+:class:`EngineError`.  A policy may also define the
 hooks ``on_task_arrival(task_index)``, ``on_annotation(annotation)`` (the
 annotation carries its ``at_task``), ``on_first_dispatch(task)`` (once per
 task, not again when a leaving device hands it back),
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -125,10 +128,12 @@ class ObservableState(NamedTuple):
     devices: tuple[DeviceSnapshot, ...]
     annotations: tuple[EventAnnotation, ...]
 
-    def snapshot_of(self, device: int) -> DeviceSnapshot:
+    def queue_tail(self, device: int, seen: int) -> tuple[int, InFlightView | None, tuple[TaskSpec, ...]]:
+        """The device's ``departed`` count, its in-flight task and the tasks
+        queued after the first ``seen`` it ever queued, as its snapshot shows them."""
         for snap in self.devices:
             if snap.device_id == device:
-                return snap
+                return snap.departed, snap.in_flight, snap.queued[max(seen - snap.departed, 0):]
         raise KeyError(f"unknown device {device}")
 
     def available_devices(self, kind: str) -> list[int]:
@@ -146,10 +151,12 @@ class DecisionView:
     ``annotations`` are plain values fixed when it is made; ``annotations``
     is the engine's own tuple, shared, not copied.  ``available_devices``
     reads per-kind tuples that the engine refreshes only when a device's
-    availability flips.  ``snapshot_of`` builds the snapshot it is asked
-    for, afresh on each read, and nothing keeps it, so a policy that reads
-    no snapshot (round robin, the oracle) pays for none.  ``devices`` builds
-    them all, in id order.
+    availability flips.  ``queue_tail`` copies only the tasks a reader has
+    not seen, walking the queue from its right end, so its cost is the
+    tail's length, not the queue's; the scoring policies read a device
+    through it and nothing else.  ``devices`` builds every snapshot, each
+    with a copy of its queue, afresh and in id order; no shipped policy
+    reads it, so none pays for a copy.
 
     The view is valid only for its decision: after a completion, a scenario
     event or the decision's end, reading device state through it raises
@@ -166,14 +173,26 @@ class DecisionView:
             raise _stale_view()
         return list(engine._available.get(kind, ()))
 
-    def snapshot_of(self, device: int) -> DeviceSnapshot:
+    def queue_tail(self, device: int, seen: int) -> tuple[int, InFlightView | None, tuple[TaskSpec, ...]]:
+        """``(departed, in_flight, tail)`` of a device: its ``departed`` count,
+        its in-flight task, and the tasks queued after the first ``seen`` it
+        ever queued, in queue order.
+
+        The device has queued ``departed + len(queue)`` tasks so far, so the
+        tail is the queue's last ``departed + len(queue) - seen`` tasks, or
+        the whole queue when some of the first ``seen`` never left it.
+        """
         engine = self._engine
         if engine._epoch != self._epoch:
             raise _stale_view()
         dev = engine.devices.get(device)
         if dev is None:
             raise KeyError(f"unknown device {device}")
-        return engine._snapshot(dev)
+        queue = dev.queue
+        departed = dev.departed
+        n = departed + len(queue) - seen
+        tail = tuple(islice(reversed(queue), n))[::-1] if n > 0 else ()
+        return departed, dev.in_flight, tail
 
     @property
     def devices(self) -> tuple[DeviceSnapshot, ...]:
@@ -213,7 +232,7 @@ class _DeviceRuntime:
     def __init__(self, device_id: int, kind: str) -> None:
         self.device_id = device_id
         self.kind = kind
-        # The queued tasks in FIFO order; a snapshot copies it at C speed.
+        # The queued tasks in FIFO order; a view reads a tail off its right end.
         self.queue: deque[TaskSpec] = deque()
         # The task in service as snapshots show it; None while the device is idle.
         self.in_flight: InFlightView | None = None
@@ -353,10 +372,10 @@ class Engine:
         return view
 
     def _snapshot(self, dev: _DeviceRuntime) -> DeviceSnapshot:
-        """A device's snapshot as it is now, built afresh on every read.
+        """A device's snapshot as it is now, built afresh on every read of a view's ``devices``.
 
-        Availability is read from the per-kind index, which is refreshed
-        whenever a device's availability flips.
+        It copies the whole queue.  Availability is read from the per-kind
+        index, which is refreshed whenever a device's availability flips.
         """
         available = dev.device_id in self._available.get(dev.kind, ())
         fields = (dev.device_id, dev.kind, available, tuple(dev.queue), dev.in_flight, dev.departed)

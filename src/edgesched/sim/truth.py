@@ -304,7 +304,8 @@ class GroundTruthState:
 
     Per-device true coefficients are the priors scaled by configurable
     prior-error factors, so the offline profile is wrong by a known, hidden
-    amount that the agent must recover online.  ``service_jitter`` adds a
+    amount that the agent must recover online; a factor for a device not in
+    the pool is rejected, not ignored.  ``service_jitter`` adds a
     bounded deterministic per-task wobble (0 disables it exactly).
 
     :meth:`apply_event` is the only method that changes truth, and it
@@ -340,6 +341,10 @@ class GroundTruthState:
             else:
                 truth.gamma = prior.gamma0 * err_a
             self.devices[prior.device_id] = truth
+        for device in prior_error:
+            if device not in self.devices:
+                raise ValueError(f"prior_error names device {device}, which is not in the pool; "
+                                 f"its devices are {sorted(self.devices)}")
 
     # -- queries used by the engine and the full-information policy --------
 

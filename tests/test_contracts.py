@@ -146,6 +146,9 @@ SITES = {
                        "service_jitter must be a finite number in [0, 1), got 1"),
     "prior_error": (lambda: check_prior_error({0: 0}), ValueError,
                     "prior_error must map device ids to a finite number > 0 or a pair of them, got 0: 0"),
+    # A factor for a device the pool lacks was once ignored without a word.
+    "prior_error_device": (lambda: GroundTruthState([DevicePrior(0, LLM, 1.0, 1.0)], prior_error={7: 2.0}),
+                           ValueError, "prior_error names device 7, which is not in the pool; its devices are [0]"),
     # The rules pull_observations applies; a limit of 0 once returned every row.
     "observations_window": (lambda: _telemetry().observations(0.0), ValueError,
                             "window_ms must be None or a finite number > 0, got 0.0"),

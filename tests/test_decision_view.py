@@ -1,10 +1,11 @@
 """The engine's per-decision view reads like an ObservableState built eagerly.
 
 ``Engine.observable_state`` returns a :class:`DecisionView` that builds a
-device's snapshot only when a policy reads it.  These tests pin that every
-read equals the eager state of the same moment, that a view is valid only
-for its decision, that policies which read no snapshot cause none to be
-built, and that the leak check still scans the whole view.
+device's snapshot only when a policy reads ``devices``, and otherwise hands
+out only a queue's unseen tail.  These tests pin that every read equals the
+eager state of the same moment, that a view is valid only for its decision,
+that no shipped policy causes a snapshot to be built, and that the leak
+check still scans the whole view.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ def check_every_view(monkeypatch) -> list[int]:
         assert view.now == ref.now and view.annotations == ref.annotations
         for kind in (LLM, SDXL):
             assert view.available_devices(kind) == ref.available_devices(kind), kind
-        for device in self.devices:
-            assert view.snapshot_of(device) == ref.snapshot_of(device), device
+        for device, dev in self.devices.items():
+            arrived = dev.departed + len(dev.queue)
+            for seen in {0, dev.departed, arrived - 1, arrived, arrived + 1}:
+                assert view.queue_tail(device, seen) == ref.queue_tail(device, seen), (device, seen)
         assert view.devices == ref.devices
         decisions[0] += 1
         return view
@@ -81,7 +84,7 @@ def test_every_view_equals_the_eager_state(monkeypatch, scenario, warmup, horizo
 
 STALE_READS = {
     "available_devices": lambda view: view.available_devices(LLM),
-    "snapshot_of": lambda view: view.snapshot_of(0),
+    "queue_tail": lambda view: view.queue_tail(0, 0),
     "devices": lambda view: view.devices,
 }
 
@@ -167,9 +170,42 @@ def test_policies_that_read_no_snapshot_build_none(fixture_priors, policy_cls, m
     assert len(result.records) == 600 and decisions[0] >= 600
     assert result.annotations  # the churn plan ran: devices left and came back
     assert built == []
-    # The count is live: one read through a view builds one snapshot.
-    engine.observable_state().snapshot_of(0)
-    assert built == [0]
+    # The count is live: a whole-pool read through a view builds every snapshot.
+    engine.observable_state().devices
+    assert built == [0, 1, 2, 3]
+
+
+# Queued tasks the tail read hands each scoring policy in the overloaded
+# semantic run below: about one per task, plus the queues e3 prices again
+# after its model changes, where queues average about 80 tasks.
+TAIL_TASKS = {"e3": 3191, "fixed_heuristic": 2981}
+
+
+def test_scoring_policies_build_no_snapshot_and_read_only_unseen_tails(monkeypatch):
+    """The queue work of a whole overloaded run, counted: semantic at H=3000,
+    lambda=2.0, where queues grow to hundreds of tasks.  A whole-queue copy
+    back on a scoring decision's path fails here, by name or by count."""
+    built: dict[str, int] = {}
+    handed: dict[str, int] = {}
+    snapshot, queue_tail = Engine._snapshot, DecisionView.queue_tail
+
+    def counted_snapshot(self, dev):
+        built[self.policy.name] = built.get(self.policy.name, 0) + 1
+        return snapshot(self, dev)
+
+    def counted_tail(self, device, seen):
+        read = queue_tail(self, device, seen)
+        name = self._engine.policy.name
+        handed[name] = handed.get(name, 0) + len(read[2])
+        return read
+
+    monkeypatch.setattr(Engine, "_snapshot", counted_snapshot)
+    monkeypatch.setattr(DecisionView, "queue_tail", counted_tail)
+    result = harness.run_experiment(harness.ExperimentConfig("semantic", horizon=3000, lam=2.0))
+    assert sorted(result.runs) == sorted(harness.POLICY_NAMES)
+    assert all(len(run.records) == 3000 for run in result.runs.values())
+    assert built == {}
+    assert handed == TAIL_TASKS
 
 
 class AlphaTask(NamedTuple):
@@ -200,6 +236,6 @@ def test_the_leak_check_scans_the_whole_view(fixture_priors):
 def test_an_unknown_device_is_a_key_error_in_a_hand_built_state(fixture_priors):
     # The engine's view has its own test in test_simulator.py.
     state = eager_state(Engine(make_truth(fixture_priors), ScenarioPlan(()), [], RoundRobinPolicy()))
-    assert state.snapshot_of(3).device_id == 3
+    assert state.queue_tail(3, 0) == (0, None, ())
     with pytest.raises(KeyError, match="unknown device 9"):
-        state.snapshot_of(9)
+        state.queue_tail(9, 0)

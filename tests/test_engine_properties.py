@@ -5,10 +5,11 @@ a valid plan through ``plan_from_dicts`` (some windows reach past the last
 arrival), and a stream whose gaps may be zero, and runs every policy on it
 twice.  At every decision of the two scoring policies, each device's
 snapshot is checked against the last one it showed (its queue moved FIFO
-by exactly ``departed`` tasks), and each available device's backlog against
-a fresh reference loop.  Whether the oracle has the lowest mean latency is
-recorded as a hypothesis event, not asserted: it is a greedy referent, not
-an optimum.
+by exactly ``departed`` tasks), the view's ``queue_tail`` against the
+snapshot of the same moment for several counts of tasks already seen, and
+each available device's backlog against a fresh reference loop.  Whether
+the oracle has the lowest mean latency is recorded as a hypothesis event,
+not asserted: it is a greedy referent, not an optimum.
 """
 
 import json
@@ -111,25 +112,36 @@ def _policy(name, priors, warmup):
     return RoundRobinPolicy() if name == "round_robin" else OraclePolicy()
 
 
+def _reference_tail(snap, seen):
+    """The snapshot's queued tasks that the device queued after its first ``seen``."""
+    return tuple(task for index, task in enumerate(snap.queued, snap.departed) if index >= seen)
+
+
 def _check_decisions(policy):
-    """Wrap a scoring policy's ``choose`` to check snapshots and backlogs after each decision."""
+    """Wrap a scoring policy's ``choose`` to check snapshots, tails and backlogs after each decision."""
     choose, last = policy.choose, {}
 
     def checked(task, obs):
         device = choose(task, obs)
         for snap in obs.devices:
             old = last.get(snap.device_id)
+            arrived = snap.departed + len(snap.queued)
+            seen_counts = [0, snap.departed, arrived]
             if old is not None:
                 gone = snap.departed - old.departed
                 assert gone >= 0
                 kept = old.queued[gone:]
                 assert snap.queued[: len(kept)] == kept
+                seen_counts.append(old.departed + len(old.queued))
             last[snap.device_id] = snap
+            for seen in seen_counts:
+                expected = (snap.departed, snap.in_flight, _reference_tail(snap, seen))
+                assert obs.queue_tail(snap.device_id, seen) == expected, (task.task_id, snap.device_id, seen)
             # A decision with no candidate scores nothing, so its memo may hold an
             # older model's prices until the next scoring pass clears them.
             if snap.available and device is not None:
                 expected = reference_predicted_backlog(snap, policy.opm.predict, obs.now)
-                got = backlog_ms(snap, policy.opm.predict, obs.now, policy.memo)
+                got = backlog_ms(obs, snap.device_id, policy.opm.predict, obs.now, policy.memo)
                 assert got == expected, (task.task_id, snap.device_id)
         return device
 

@@ -483,15 +483,21 @@ def test_prior_error_pair_is_rejected_only_on_a_diffusion_device(fixture_priors)
         GroundTruthState(fixture_priors, prior_error={2: (2.0, 5.0)})
     with pytest.raises(ValueError, match="device 2 is the pair"):  # even when no task runs
         run_experiment(ExperimentConfig(scenario="semantic", horizon=0, prior_error={2: (2.0, 5.0)}))
-    truth = GroundTruthState(fixture_priors, prior_error={0: (2.0, 5.0), 7: (2.0, 5.0)})
+    truth = GroundTruthState(fixture_priors, prior_error={0: (2.0, 5.0)})
     assert (truth.devices[0].alpha, truth.devices[0].beta) == (2.0, 250.0)
 
 
-def test_prior_error_may_name_devices_outside_the_pool():
-    result = run_experiment(
-        ExperimentConfig(scenario="warmup", horizon=10, policies=("oracle",), prior_error={7: 2.0})
-    )
-    assert len(result.runs["oracle"].records) == 10
+def test_prior_error_naming_a_device_outside_the_pool_fails_before_the_run(monkeypatch):
+    # Such a factor was once dropped without a word and the run went on.
+    runs = []
+    engine_run = Engine.run
+    monkeypatch.setattr(Engine, "run", lambda self: runs.append(self) or engine_run(self))
+    message = "prior_error names device 7, which is not in the pool; its devices are [0, 1, 2, 3]"
+    for horizon in (0, 10):  # even when no task runs
+        config = ExperimentConfig("warmup", horizon=horizon, policies=("oracle",), prior_error={0: 2.0, 7: 2.0})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(config)
+    assert runs == []
 
 
 @pytest.mark.parametrize("scenario", ["semantic", "churn", "drift"])
@@ -835,6 +841,33 @@ def _profile_file(tmp_path, rows):
     lines = [json.loads(line) for line in default_profiles_path().read_text().splitlines()]
     path.write_text("".join(json.dumps(dict(lines[i], **extra)) + "\n" for i, extra in rows))
     return path
+
+
+def test_prior_error_for_a_device_not_in_the_pool_is_one_cli_error(tmp_path, capsys):
+    # The factor for device 7 was once dropped without a word and the run went on.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "semantic", "horizon": 30, "prior_error": {"7": 2.0}}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: prior_error names device 7, which is not in the pool; its devices are [0, 1, 2, 3]\n"
+    assert not out.exists()
+
+
+def test_a_warmup_run_on_another_pool_takes_the_preset_factors_of_its_devices(tmp_path, capsys):
+    # The preset names devices 0-3; a pool without device 3 runs with the
+    # factors of 0-2, and a factor the caller names for device 3 is rejected.
+    path = _profile_file(tmp_path, [(0, {}), (1, {}), (2, {})])
+    argv = ["run", "--scenario", "warmup", "--horizon", "10", "--profiles", str(path)]
+    assert cli_main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.json").is_file()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "warmup", "prior_error": {"3": 2.0}}))
+    capsys.readouterr()
+    assert cli_main([*argv, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: prior_error names device 3, which is not in the pool; its devices are [0, 1, 2]\n"
+    )
 
 
 @pytest.mark.parametrize(

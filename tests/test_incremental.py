@@ -36,7 +36,7 @@ from edgesched.profiles import (
     priors_from_records,
 )
 from edgesched.router import FixedHeuristicPolicy, OraclePolicy, RoundRobinPolicy, backlog_ms
-from edgesched.sim.engine import DeviceSnapshot, Engine, InFlightView
+from edgesched.sim.engine import DeviceSnapshot, Engine, InFlightView, ObservableState
 from edgesched.sim.truth import GroundTruthState, _jitter_unit, builtin_plans, plan_from_dicts
 from edgesched.sim.workload import TaskSpec, generate_workload
 
@@ -54,6 +54,11 @@ def memo_size(memo: dict, device: int) -> int:
     """Number of task costs the memo holds for a device."""
     entry = memo.get(device)
     return 0 if entry is None else len(entry[4]) + (entry[1] is not None)
+
+
+def one_device_state(snap: DeviceSnapshot, now: float) -> ObservableState:
+    """A hand-built view of one device, for the memo to read."""
+    return ObservableState(now, (snap,), ())
 
 
 def prior_predictor(priors):
@@ -122,7 +127,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         opm.apply_calibration = recording_calibration
 
         def cached(snap, obs):
-            return backlog_ms(snap, policy.opm.predict, obs.now, policy.memo)  # after choose's scores
+            return backlog_ms(obs, snap.device_id, policy.opm.predict, obs.now, policy.memo)  # after choose's scores
 
         def reference(snap, obs):
             return reference_predicted_backlog(snap, opm.predict, obs.now)
@@ -138,7 +143,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         predict = prior_predictor(priors)
 
         def cached(snap, obs):
-            return backlog_ms(snap, policy.opm.predict, obs.now, policy.memo)  # after choose's scores
+            return backlog_ms(obs, snap.device_id, policy.opm.predict, obs.now, policy.memo)  # after choose's scores
 
         def reference(snap, obs):
             return reference_predicted_backlog(snap, predict, obs.now)
@@ -253,7 +258,9 @@ def test_memo_matches_reference_on_sparsely_observed_queues():
         if rng.random() < 0.5:
             now = step + rng.random()
             snap = DeviceSnapshot(0, LLM, True, tuple(queued), in_flight, departed)
-            assert backlog_ms(snap, counting, now, memo) == reference_predicted_backlog(snap, plain, now)
+            assert backlog_ms(one_device_state(snap, now), 0, counting, now, memo) == reference_predicted_backlog(
+                snap, plain, now
+            )
             assert memo_size(memo, 0) == len(queued) + (in_flight is not None)
             if started:
                 seen_starts[min(started, 2)] += 1
@@ -293,7 +300,8 @@ def test_memo_matches_reference_on_each_kind_of_queue_change(case):
     for step, (queued, in_flight, departed) in enumerate(MEMO_CASES[case]):
         fl = None if in_flight is None else InFlightView(_llm(in_flight), float(step))
         snap = DeviceSnapshot(0, LLM, True, tuple(map(_llm, queued)), fl, departed)
-        assert backlog_ms(snap, predict, float(step), memo) == reference_predicted_backlog(snap, predict, float(step)), step
+        got = backlog_ms(one_device_state(snap, float(step)), 0, predict, float(step), memo)
+        assert got == reference_predicted_backlog(snap, predict, float(step)), step
         assert memo_size(memo, 0) == len(queued) + (in_flight is not None)
 
 
@@ -302,8 +310,9 @@ def reference_prior_choice(task, obs, predict):
     candidates = obs.available_devices(task.kind)
     if not candidates:
         return None
+    snaps = {snap.device_id: snap for snap in obs.devices}
     return min(
-        (reference_predicted_backlog(obs.snapshot_of(d), predict, obs.now) + predict(d, task), d)
+        (reference_predicted_backlog(snaps[d], predict, obs.now) + predict(d, task), d)
         for d in candidates
     )[1]
 

@@ -65,6 +65,23 @@ def test_horizon_and_lam_override_every_experiment(tmp_path):
             del sys.modules[name]
 
 
+def test_trace_decisions_writes_and_compares_every_decision_trace(tmp_path):
+    lines = run_interleave("--workload", "event_dense", "--horizon", "200", "--trace-decisions")
+    summary = json.loads(lines[-1])
+    assert summary["trace_decisions"] is True and summary["artifacts_identical"] is True
+    assert summary["compared_files"] == sorted(f"exp0/{name}" for name in (*EMITTED, "decisions.log"))
+
+    script = load_script()
+    package = script.load_package(ROOT, "edgesched_traced")
+    try:
+        for traced in (False, True):
+            configs = script.build_configs(package, "presets", 1, tmp_path, trace_decisions=traced)
+            assert [config.trace_decisions for config in configs] == [traced] * 6
+    finally:
+        for name in [n for n in sys.modules if n.startswith("edgesched_traced")]:
+            del sys.modules[name]
+
+
 def test_the_first_differing_file_is_named():
     script = load_script()
     parent = {"exp0/audit.log": "a", "exp0/report.json": "b", "exp1/report.json": "c"}

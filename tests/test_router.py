@@ -211,7 +211,7 @@ def per_candidate_scores(task, obs, policy):
     config, opm = policy.config, policy.opm
     rows = []
     for device in pool:
-        value = backlog_ms(obs.snapshot_of(device), opm.predict, obs.now, {}) + opm.predict(device, task)
+        value = backlog_ms(obs, device, opm.predict, obs.now, {}) + opm.predict(device, task)
         if config.policy == "explore_risk":
             value -= config.explore_weight_ms * opm.uncertainty(device, task.kind)
         rows.append([device, value])
@@ -288,9 +288,9 @@ def test_backlog_counts_queued_and_clipped_in_flight():
     in_flight = InFlightView(TaskSpec(0, LLM, 0.0, 100, 0), start_time=0.0)
     snap = llm_snapshot(0, queued=[TaskSpec(1, LLM, 0.0, 50, 0)], in_flight=in_flight)
     # At now=400 the in-flight prediction (1000) has 600 remaining.
-    assert backlog_ms(snap, opm.predict, 400.0, {}) == pytest.approx(500.0 + 600.0)
+    assert backlog_ms(ObservableState(400.0, (snap,), ()), 0, opm.predict, 400.0, {}) == pytest.approx(500.0 + 600.0)
     # Past its predicted end the remainder clips to zero.
-    assert backlog_ms(snap, opm.predict, 5000.0, {}) == pytest.approx(500.0)
+    assert backlog_ms(ObservableState(5000.0, (snap,), ()), 0, opm.predict, 5000.0, {}) == pytest.approx(500.0)
 
 
 # --- baselines ------------------------------------------------------------------------

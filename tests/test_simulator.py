@@ -488,7 +488,7 @@ def test_idle_device_availability_shows_at_the_next_decision(fixture_priors):
         name = "probe"
 
         def choose(self, task, obs):
-            seen[task.task_id] = obs.snapshot_of(1).available
+            seen[task.task_id] = obs.devices[1].available
             return 0
 
     plan = ScenarioPlan((DeviceLeave(2, 1), DeviceReturn(4, 1)))
@@ -738,12 +738,12 @@ def test_task_no_device_can_run_is_stranded_at_the_end(fixture_priors):
         Engine(llm_only, ScenarioPlan(()), tasks, RoundRobinPolicy()).run()
 
 
-def test_snapshot_of_an_unknown_device_is_a_key_error(fixture_priors):
+def test_queue_tail_of_an_unknown_device_is_a_key_error(fixture_priors):
     engine = Engine(make_truth(fixture_priors), ScenarioPlan(()), [], RoundRobinPolicy())
     obs = engine.observable_state()
-    assert obs.snapshot_of(3).device_id == 3
+    assert obs.queue_tail(3, 0) == (0, None, ())
     with pytest.raises(KeyError, match="unknown device 9"):
-        obs.snapshot_of(9)
+        obs.queue_tail(9, 0)
 
 
 @pytest.mark.parametrize(

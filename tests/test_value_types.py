@@ -113,7 +113,7 @@ def test_record_rows_keep_their_keys_and_order():
         RECORD.latency_ms = 0.0
     with pytest.raises(TypeError):
         ExecutionRecord(**row, latency_ms=1500.25)
-    assert STATE.snapshot_of(0) is SNAPSHOT
+    assert STATE.queue_tail(0, 7) == (7, VIEW, (QUEUED,)) and STATE.queue_tail(0, 8) == (7, VIEW, ())
     assert STATE.available_devices("LLM") == [0] and STATE.available_devices("SDXL") == []
 
 
