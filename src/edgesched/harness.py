@@ -63,6 +63,10 @@ TRAJECTORY_SAMPLE_EVERY = 5
 # the prefix end.
 DYNAMIC_PREFIX_TASKS = 50
 
+# Device kinds of the shipped pool, by device id: the built-in plans and the
+# presets' prior-error factors are set for it.
+SHIPPED_KINDS = (LLM, LLM, SDXL, SDXL)
+
 # Per-scenario prior-error factors (true coefficients = prior * factor; LLM
 # devices take an (alpha, beta) pair) and the deterministic per-task service
 # jitter amplitude.  These are repo defaults tuned so every published trend
@@ -310,7 +314,7 @@ def _plan_sha(plan: ScenarioPlan) -> str:
 
 def _check_default_pool(priors: list[DevicePrior]) -> None:
     kinds = [p.kind for p in sorted(priors, key=lambda p: p.device_id)]
-    if kinds != [LLM, LLM, SDXL, SDXL]:
+    if kinds != list(SHIPPED_KINDS):
         raise ExperimentError(
             "built-in scenario plans expect the 4-device pool "
             "(two LLM devices 0-1, two SDXL devices 2-3); "
@@ -366,9 +370,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     prior_error = config.prior_error
     if prior_error is None:
         # The preset's factors are set for the shipped pool; a warmup run on
-        # another pool takes those of the devices it has.
-        pool = {prior.device_id for prior in priors}
-        prior_error = {device: error for device, error in preset["prior_error"].items() if device in pool}
+        # another pool takes those of its devices that have the shipped
+        # device's id and kind.
+        kinds = {prior.device_id: prior.kind for prior in priors}
+        prior_error = {
+            device: error
+            for device, error in preset["prior_error"].items()
+            if kinds.get(device) == SHIPPED_KINDS[device]
+        }
     jitter = (
         config.service_jitter
         if config.service_jitter is not None

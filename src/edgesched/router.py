@@ -13,7 +13,11 @@ pool in one pass.  Its backlogs come from a memo that keeps each device's
 queued costs, asks the view only for the tasks queued since its last look
 (``queue_tail``), drops as many kept costs as the ``departed`` count says
 left the head since then, and prices only the new tail.  No decision copies
-a whole queue.
+a whole queue.  A decision with one device to choose from prices nothing:
+when the risk gate leaves one device, or the oracle's stable filter does,
+that device is the argmin and is returned unscored, unless the fast path
+writes a decision trace.  The memo's totals stay the left fold of its kept
+costs however many decisions skip a device.
 """
 
 from __future__ import annotations
@@ -189,9 +193,11 @@ def select_e3(task: TaskSpec, state: FastPath) -> int | None:
     flags = state.overrides._ttl  # read once; most decisions find no flag set
     if flags:
         pool = [d for d in candidates if d not in flags] or candidates
+    trace = state.trace
+    if trace is None and len(pool) == 1:
+        return pool[0]  # the argmin of one score, unpriced
     scored = scores(task, pool, state)
     best = min(scored)[1]
-    trace = state.trace
     if trace is not None:
         trace.append(
             {
@@ -216,6 +222,8 @@ def select_oracle(
         return None
     stable = [d for d in candidates if not access.is_degraded(d)]
     pool = stable if stable else candidates
+    if len(pool) == 1:
+        return pool[0]
     scored = [
         (access.true_backlog_ms(d, obs.now) + access.true_service(d, task), d)
         for d in pool

@@ -24,7 +24,7 @@ from conftest import leak_scan, reference_predicted_backlog
 from edgesched.harness import POLICY_NAMES, build_agent
 from edgesched.opm import replay_oplog
 from edgesched.profiles import LLM, SDXL, load_profiles, priors_from_records
-from edgesched.router import FixedHeuristicPolicy, OraclePolicy, RoundRobinPolicy, backlog_ms
+from edgesched.router import FixedHeuristicPolicy, OraclePolicy, RoundRobinPolicy, backlog_ms, scores
 from edgesched.sim.engine import Engine
 from edgesched.sim.truth import GroundTruthState, plan_from_dicts
 from edgesched.sim.workload import INPUT_BINS, OUTPUT_BINS, TaskSpec
@@ -137,9 +137,11 @@ def _check_decisions(policy):
             for seen in seen_counts:
                 expected = (snap.departed, snap.in_flight, _reference_tail(snap, seen))
                 assert obs.queue_tail(snap.device_id, seen) == expected, (task.task_id, snap.device_id, seen)
-            # A decision with no candidate scores nothing, so its memo may hold an
-            # older model's prices until the next scoring pass clears them.
-            if snap.available and device is not None:
+            # A decision with no candidate or one device scores nothing, so its memo
+            # may hold an older model's prices until the next scoring pass clears
+            # them: an empty pass applies that pass's version check first.
+            if snap.available:
+                scores(task, (), policy)
                 expected = reference_predicted_backlog(snap, policy.opm.predict, obs.now)
                 got = backlog_ms(obs, snap.device_id, policy.opm.predict, obs.now, policy.memo)
                 assert got == expected, (task.task_id, snap.device_id)

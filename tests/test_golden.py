@@ -7,8 +7,12 @@ redispatches non-empty queues, and one overloaded run of a config-file plan
 that mixes all six event types.  Any change to the simulated numbers, the
 audit trail, the fast path's scores or the event log changes a hash.
 
+Each configuration also runs without the decision trace, the path on which
+the fast path dispatches a one-device pool unscored; every file that run
+writes (all but decisions.log) must have the traced run's pinned hash.
+
 The module needs only the standard library, so interpreters without pytest
-can check the same hashes::
+can check the same hashes, traced and untraced::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -209,25 +213,34 @@ GOLDEN_EXTRA: dict[str, tuple[str, str, str, str, str]] = {
 }
 
 
-def artifact_hashes(name: str, out_dir: Path) -> tuple[str, ...]:
-    """Run one golden configuration and hash its artifacts, then the extra ones."""
-    out = out_dir / name
-    run_experiment(ExperimentConfig(**CONFIGS[name], trace_decisions=True, out_dir=out))
-    return tuple(
-        hashlib.sha256((out / a).read_bytes()).hexdigest()
+def artifact_hashes(name: str, out_dir: Path, traced: bool) -> dict[str, str]:
+    """Run one golden configuration and hash each artifact it writes."""
+    out = out_dir / (name if traced else f"{name}_untraced")
+    run_experiment(ExperimentConfig(**CONFIGS[name], trace_decisions=traced, out_dir=out))
+    return {
+        a: hashlib.sha256((out / a).read_bytes()).hexdigest()
         for a in ARTIFACTS + EXTRA_ARTIFACTS
-    )
+        if (out / a).exists()
+    }
 
 
 def mismatches(out_dir: Path) -> list[str]:
-    """One line per artifact whose hash differs from the pinned one."""
+    """One line per artifact whose hash differs from the pinned one.
+
+    Each configuration runs twice: traced, and untraced, where the fast path
+    skips the scores of a one-device pool.  An untraced run writes no
+    decisions.log, and each file it does write must have the traced hash.
+    """
     lines = []
     for name in CONFIGS:
-        got = artifact_hashes(name, out_dir)
-        pinned = GOLDEN[name] + GOLDEN_EXTRA[name]
-        for artifact, want, have in zip(ARTIFACTS + EXTRA_ARTIFACTS, pinned, got, strict=True):
-            if want != have:
-                lines.append(f"{name}/{artifact}: pinned {want}, got {have}")
+        pinned = dict(zip(ARTIFACTS + EXTRA_ARTIFACTS, GOLDEN[name] + GOLDEN_EXTRA[name], strict=True))
+        for traced in (True, False):
+            want = pinned if traced else {a: h for a, h in pinned.items() if a != "decisions.log"}
+            got = artifact_hashes(name, out_dir, traced)
+            run = name if traced else f"{name} (untraced)"
+            for artifact in ARTIFACTS + EXTRA_ARTIFACTS:
+                if want.get(artifact) != got.get(artifact):
+                    lines.append(f"{run}/{artifact}: pinned {want.get(artifact)}, got {got.get(artifact)}")
     return lines
 
 
@@ -238,5 +251,5 @@ def test_golden_artifacts(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         bad = mismatches(Path(tmp))
-    print("\n".join(bad) if bad else f"{len(CONFIGS)} golden configurations match")
+    print("\n".join(bad) if bad else f"{len(CONFIGS)} golden configurations match, traced and untraced")
     sys.exit(1 if bad else 0)

@@ -870,6 +870,17 @@ def test_a_warmup_run_on_another_pool_takes_the_preset_factors_of_its_devices(tm
     )
 
 
+def test_a_warmup_run_takes_no_preset_factor_of_a_device_of_another_kind(tmp_path, capsys):
+    # The first LLM row and the first SDXL row: device 1 is an SDXL device
+    # here, so the preset's LLM pair for the shipped device 1 does not reach it.
+    path = _profile_file(tmp_path, [(0, {}), (2, {})])
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", "warmup", "--horizon", "10", "--profiles", str(path), "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "report.json").is_file()
+
+
 @pytest.mark.parametrize(
     "scenario, rows, message",
     [

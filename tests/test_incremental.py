@@ -35,7 +35,7 @@ from edgesched.profiles import (
     load_profiles,
     priors_from_records,
 )
-from edgesched.router import FixedHeuristicPolicy, OraclePolicy, RoundRobinPolicy, backlog_ms
+from edgesched.router import FixedHeuristicPolicy, OraclePolicy, RoundRobinPolicy, backlog_ms, scores
 from edgesched.sim.engine import DeviceSnapshot, Engine, InFlightView, ObservableState
 from edgesched.sim.truth import GroundTruthState, _jitter_unit, builtin_plans, plan_from_dicts
 from edgesched.sim.workload import TaskSpec, generate_workload
@@ -54,6 +54,17 @@ def memo_size(memo: dict, device: int) -> int:
     """Number of task costs the memo holds for a device."""
     entry = memo.get(device)
     return 0 if entry is None else len(entry[4]) + (entry[1] is not None)
+
+
+def memo_backlog(policy, snap: DeviceSnapshot, obs) -> float:
+    """A device's backlog from a scoring policy's memo, as its next scoring pass sees it.
+
+    A decision with one device to choose from scores nothing, so the memo may
+    hold an older model's prices; an empty pass applies the version check
+    that clears them.
+    """
+    scores(None, (), policy)
+    return backlog_ms(obs, snap.device_id, policy.opm.predict, obs.now, policy.memo)
 
 
 def one_device_state(snap: DeviceSnapshot, now: float) -> ObservableState:
@@ -127,7 +138,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         opm.apply_calibration = recording_calibration
 
         def cached(snap, obs):
-            return backlog_ms(obs, snap.device_id, policy.opm.predict, obs.now, policy.memo)  # after choose's scores
+            return memo_backlog(policy, snap, obs)
 
         def reference(snap, obs):
             return reference_predicted_backlog(snap, opm.predict, obs.now)
@@ -143,7 +154,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         predict = prior_predictor(priors)
 
         def cached(snap, obs):
-            return backlog_ms(obs, snap.device_id, policy.opm.predict, obs.now, policy.memo)  # after choose's scores
+            return memo_backlog(policy, snap, obs)
 
         def reference(snap, obs):
             return reference_predicted_backlog(snap, predict, obs.now)
@@ -504,7 +515,9 @@ class WaitEngine(PricedEngine):
 
     def _dispatch(self, task, device: int) -> None:
         busy = self.devices[device].in_flight is not None
-        self.dispatched[task.task_id] = (self.read[device], busy, self.events)
+        # The oracle reads no backlog when its pool holds one device.
+        backlog = self.read[device] if device in self.read else self.true_backlog_ms(device, self.now)
+        self.dispatched[task.task_id] = (backlog, busy, self.events)
         super()._dispatch(task, device)
 
     def _start_next(self, device: int) -> None:
