@@ -109,7 +109,7 @@ SCOPES: dict[tuple[str, str], tuple[str, str]] = {
     ("edgesched/opm.py", "solve_token_coefficients"):
         (OTHER, "the ridge fallback's second step, for a design still singular after damping"),
     ("edgesched/opm.py", "Opm.drift_ratio"):
-        (OTHER, "windows only compute_drift can ask for: entries past now, none at all, zero predictions"),
+        (OTHER, "windows only compute_drift can ask for: none at all, zero predictions"),
     ("edgesched/profiles.py", "load_profiles"):
         (OTHER, "profile files with blank lines or non-SingleStream rows, which are skipped"),
     ("edgesched/router.py", "select_e3"): (OTHER, "no available device of the task's kind"),

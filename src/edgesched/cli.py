@@ -143,13 +143,20 @@ def _merge(args: argparse.Namespace) -> ExperimentConfig:
 
 def _parse_prior_error(raw: object) -> object:
     """``{"<device>": factor or [alpha factor, beta factor]}`` as ``{device: factor or
-    (alpha factor, beta factor)}``; ExperimentConfig checks the result."""
+    (alpha factor, beta factor)}``; ExperimentConfig checks the result.
+
+    Only an ASCII-digit key names a device; two keys that name the same one
+    (``"3"`` and ``"03"``) are rejected."""
     if not isinstance(raw, dict):
         return raw
-    return {
-        int(key) if key.isdecimal() else key: tuple(value) if isinstance(value, list) else value
-        for key, value in raw.items()
-    }
+    parsed, named_by = {}, {}
+    for key, value in raw.items():
+        device = int(key) if key.isascii() and key.isdigit() else key
+        if device in named_by:
+            raise ExperimentError(f"prior_error keys {named_by[device]!r} and {key!r} both name device {device}")
+        named_by[device] = key
+        parsed[device] = tuple(value) if isinstance(value, list) else value
+    return parsed
 
 
 def main(argv: list[str] | None = None) -> int:

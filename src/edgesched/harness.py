@@ -42,9 +42,14 @@ from .router import (
 )
 from .sim.engine import Engine, ExecutionRecord, SimulationResult
 from .sim.truth import (
+    DeviceLeave,
+    DeviceReturn,
+    DriftRestore,
+    DriftStep,
     GroundTruthState,
     ScenarioPlan,
-    builtin_plans,
+    SemanticOffset,
+    SemanticOnset,
     check_prior_error,
     check_service_jitter,
 )
@@ -52,7 +57,6 @@ from .sim.workload import TaskSpec, check_horizon, generate_workload
 
 logger = logging.getLogger(__name__)
 
-SCENARIOS = ("warmup", "semantic", "churn", "drift")
 POLICY_NAMES = ("e3", "fixed_heuristic", "round_robin", "oracle")
 
 MA_WINDOW = 20
@@ -63,32 +67,49 @@ TRAJECTORY_SAMPLE_EVERY = 5
 # the prefix end.
 DYNAMIC_PREFIX_TASKS = 50
 
-# Device kinds of the shipped pool, by device id: the built-in plans and the
-# presets' prior-error factors are set for it.
+# Device kinds of the shipped pool, by device id: the presets' plans and
+# prior-error factors are set for it.
 SHIPPED_KINDS = (LLM, LLM, SDXL, SDXL)
 
-# Per-scenario prior-error factors (true coefficients = prior * factor; LLM
-# devices take an (alpha, beta) pair) and the deterministic per-task service
-# jitter amplitude.  These are repo defaults tuned so every published trend
-# reproduces on the shipped fixture pool.
+# One row per scenario: its prior-error factors (true coefficients = prior *
+# factor; LLM devices take an (alpha, beta) pair), its deterministic per-task
+# service jitter amplitude, its settling prefix (in tasks) and its event plan.
+# The plans are set for the shipped pool and the default 300-task horizon,
+# with every event inside [prefix, 300).  These are repo defaults tuned so
+# every published trend reproduces on the shipped fixture pool.
 PRESETS: dict[str, dict] = {
     "warmup": {
         "prior_error": {0: (4.0, 0.4), 1: (0.5, 0.8125), 2: 0.95, 3: 0.12},
         "service_jitter": 0.25,
+        "prefix": 0,
+        "plan": ScenarioPlan(()),
     },
     "semantic": {
         "prior_error": {0: (1.0, 1.0), 1: (0.25, 0.25), 2: 1.05, 3: 0.25},
         "service_jitter": 0.15,
+        "prefix": DYNAMIC_PREFIX_TASKS,
+        "plan": ScenarioPlan((
+            SemanticOnset(60, 0, "game"), SemanticOffset(100, 0, "game"),
+            SemanticOnset(110, 2, "video_call"), SemanticOffset(140, 2, "video_call"),
+            SemanticOnset(150, 1, "low_battery"), SemanticOffset(180, 1, "low_battery"),
+            SemanticOnset(190, 3, "system_update"), SemanticOffset(230, 3, "system_update"),
+            SemanticOnset(240, 0, "overheating"), SemanticOffset(270, 0, "overheating"),
+        )),
     },
     "churn": {
         "prior_error": {0: (2.0, 2.0), 1: (0.25, 0.25), 2: 1.05, 3: 0.25},
         "service_jitter": 0.15,
+        "prefix": DYNAMIC_PREFIX_TASKS,
+        "plan": ScenarioPlan((DeviceLeave(80, 2), DeviceReturn(160, 2), DeviceLeave(200, 0), DeviceReturn(260, 0))),
     },
     "drift": {
         "prior_error": {0: (2.0, 2.0), 1: (0.25, 0.25), 2: 1.05, 3: 0.25},
         "service_jitter": 0.15,
+        "prefix": DYNAMIC_PREFIX_TASKS,
+        "plan": ScenarioPlan((DriftStep(120, 1, "llama3.1-8b-edge", 2.0), DriftRestore(220, 1, "llama3.1-8b-edge"))),
     },
 }
+SCENARIOS = tuple(PRESETS)
 
 
 class ExperimentError(RuntimeError):
@@ -137,10 +158,11 @@ class ExperimentConfig:
             check_service_jitter(self.service_jitter)
         check("warmup_budget", self.warmup_budget,
               (f"within [0, horizon={self.horizon}]", lambda v: 0 <= v <= self.horizon), ExperimentError)
-        if self.scenario != "warmup" and self.warmup_budget != 0:
+        prefix = PRESETS[self.scenario]["prefix"]
+        if prefix and self.warmup_budget != 0:
             raise ExperimentError(
                 f"{self.scenario} takes no warmup budget, got {self.warmup_budget}; "
-                f"its budget is the {DYNAMIC_PREFIX_TASKS}-task settling prefix"
+                f"its budget is the {prefix}-task settling prefix"
             )
         if not self.policies:
             raise ExperimentError(f"policies must name at least one of {sorted(POLICY_NAMES)}")
@@ -359,17 +381,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ExperimentError(f"no usable profiles in {profiles_path}")
     priors = priors_from_records(records)
 
-    if config.plan is not None:
-        plan = config.plan
-    else:
-        plan = builtin_plans(config.scenario)
-        if config.scenario != "warmup":
-            _check_default_pool(priors)
-
     preset = PRESETS[config.scenario]
+    plan = config.plan
+    if plan is None:
+        plan = preset["plan"]
+        if plan.events:
+            _check_default_pool(priors)
     prior_error = config.prior_error
     if prior_error is None:
-        # The preset's factors are set for the shipped pool; a warmup run on
+        # The preset's factors are set for the shipped pool; a run on
         # another pool takes those of its devices that have the shipped
         # device's id and kind.
         kinds = {prior.device_id: prior.kind for prior in priors}
@@ -383,10 +403,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if config.service_jitter is not None
         else preset["service_jitter"]
     )
-    warmup_budget = (
-        config.warmup_budget if config.scenario == "warmup" else DYNAMIC_PREFIX_TASKS
-    )
-    prefix_end = 0 if config.scenario == "warmup" else DYNAMIC_PREFIX_TASKS
+    prefix_end = preset["prefix"]
+    warmup_budget = prefix_end or config.warmup_budget
 
     workload = generate_workload(config.horizon, config.lam)
     missing = {t.kind for t in workload} - {p.kind for p in priors}

@@ -264,28 +264,29 @@ class Opm:
         self, device: int, kind: str, window_ms: float, now: float
     ) -> tuple[float, int]:
         """Observed/predicted ratio over the history entries with
-        ``now - window_ms <= completion_time <= now``.
+        ``now - window_ms <= completion_time``.
 
-        Relies on the ordering contract of :meth:`ingest_feedback`: the walk
-        starts at the newest entry, skips entries later than ``now`` and
-        stops at the first one before the cutoff.  Those tests are the exact
-        negations of the window test, so NaN and infinite bounds select the
-        same entries (a NaN window is rejected).  Both means fold the
-        window's plain floats oldest-first.  An empty window reports
-        (1.0, 0): no evidence means no alarm.
+        ``now`` follows the ordering contract of :meth:`ingest_feedback`: it
+        is not before the newest record of the (device, kind), and a NaN or
+        earlier ``now`` raises :class:`CausalityError`, so every entry is
+        at or before ``now``.  The walk starts at the newest entry and stops
+        at the first one before the cutoff, the exact negation of the window
+        test, so an infinite bound selects the same entries (a NaN window is
+        rejected).  Both means fold the window's plain floats oldest-first.
+        An empty window reports (1.0, 0): no evidence means no alarm.
         """
         if not window_ms > 0:
             raise ValueError(f"window_ms must be > 0, got {window_ms}")
         history = self._history.get((device, kind))
         if history is None:
             raise UnknownDeviceError(device, kind)
+        newest = history[-1][1] if history else -math.inf
+        if not newest <= now:
+            raise CausalityError(f"drift window ends at now {now}; it must be >= {newest} (newest record)")
         cutoff = now - window_ms
         window = []  # newest first
         for entry in reversed(history):
-            t = entry[1]
-            if not t <= now:
-                continue
-            if not cutoff <= t:
+            if not cutoff <= entry[1]:
                 break
             window.append(entry)
         count = len(window)

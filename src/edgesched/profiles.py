@@ -29,6 +29,8 @@ SDXL = "SDXL"
 TTFT_REFERENCE_TOKENS = 1024
 SD_IMAGE_SIZE = 1024
 SD_STEPS = 20
+# The profiling mode the loader keeps; rows measured in any other mode are skipped.
+SINGLE_STREAM = "SingleStream"
 
 _LLM_MODEL_HINTS = ("llama", "llm")
 _SD_MODEL_HINTS = ("diffusion", "sdxl", "sd-")
@@ -220,13 +222,13 @@ def load_profiles(path: str | Path) -> list[RawProfileRecord]:
         try:
             record = RawProfileRecord(**known)
             record.validate()
-            if record.scenario == "SingleStream" and record.kind == SDXL:
+            if record.scenario == SINGLE_STREAM and record.kind == SDXL:
                 check_sd_config(record)
         except ProfileError as exc:
             raise ProfileError(f"{path}:{lineno}: {exc}") from exc
         except TypeError as exc:
             raise ProfileError(f"{path}:{lineno}: missing required field: {exc}") from exc
-        if record.scenario != "SingleStream":
+        if record.scenario != SINGLE_STREAM:
             skipped += 1
             logger.warning(
                 "%s:%d: skipping non-SingleStream record (scenario=%r)",

@@ -204,49 +204,6 @@ def plan_from_dicts(rows: list[dict]) -> ScenarioPlan:
     return ScenarioPlan(tuple(events))
 
 
-def builtin_plans(name: str) -> ScenarioPlan:
-    """Deterministic built-in plans over the default 4-device pool.
-
-    Devices: 0 and 1 run the LLM, 2 and 3 run SDXL.  Event timings assume the
-    default 300-task horizon with a 50-task settling prefix.
-    """
-    if name == "warmup":
-        return ScenarioPlan(())
-    if name == "semantic":
-        f = DEFAULT_DEGRADATION_FACTOR
-        return ScenarioPlan(
-            (
-                SemanticOnset(60, 0, "game", f),
-                SemanticOffset(100, 0, "game"),
-                SemanticOnset(110, 2, "video_call", f),
-                SemanticOffset(140, 2, "video_call"),
-                SemanticOnset(150, 1, "low_battery", f),
-                SemanticOffset(180, 1, "low_battery"),
-                SemanticOnset(190, 3, "system_update", f),
-                SemanticOffset(230, 3, "system_update"),
-                SemanticOnset(240, 0, "overheating", f),
-                SemanticOffset(270, 0, "overheating"),
-            )
-        )
-    if name == "churn":
-        return ScenarioPlan(
-            (
-                DeviceLeave(80, 2),
-                DeviceReturn(160, 2),
-                DeviceLeave(200, 0),
-                DeviceReturn(260, 0),
-            )
-        )
-    if name == "drift":
-        return ScenarioPlan(
-            (
-                DriftStep(120, 1, "llama3.1-8b-edge", 2.0),
-                DriftRestore(220, 1, "llama3.1-8b-edge"),
-            )
-        )
-    raise PlanError(f"unknown plan {name!r}; valid: ['churn', 'drift', 'semantic', 'warmup']")
-
-
 # --- ground truth ----------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from edgesched.sim.engine import (
     EngineError,
     ObservableState,
 )
-from edgesched.sim.truth import ScenarioPlan, builtin_plans
+from edgesched.sim.truth import ScenarioPlan
 from edgesched.sim.workload import TaskSpec, generate_workload
 
 from conftest import leak_scan, make_truth
@@ -134,7 +134,8 @@ def test_a_view_read_after_its_decision_raises(fixture_priors, read):
 
 
 def test_a_view_read_outside_a_run_answers_until_the_engine_moves(fixture_priors):
-    engine = Engine(make_truth(fixture_priors), builtin_plans("churn"), generate_workload(40, 0.5), RoundRobinPolicy())
+    plan = harness.PRESETS["churn"]["plan"]
+    engine = Engine(make_truth(fixture_priors), plan, generate_workload(40, 0.5), RoundRobinPolicy())
     view = engine.observable_state()
     assert [view.available_devices(kind) for kind in (LLM, SDXL)] == [[0, 1], [2, 3]]
     assert view.devices == eager_state(engine).devices
@@ -165,7 +166,7 @@ def test_policies_that_read_no_snapshot_build_none(fixture_priors, policy_cls, m
     monkeypatch.setattr(Engine, "_snapshot", counted)
     policy.choose = checked  # the engine looks its callbacks up once, when built
     tasks = generate_workload(600, 2.0)
-    engine = Engine(make_truth(fixture_priors, jitter=0.15), builtin_plans("churn"), tasks, policy)
+    engine = Engine(make_truth(fixture_priors, jitter=0.15), harness.PRESETS["churn"]["plan"], tasks, policy)
     result = engine.run()
     assert len(result.records) == 600 and decisions[0] >= 600
     assert result.annotations  # the churn plan ran: devices left and came back

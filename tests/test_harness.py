@@ -18,6 +18,7 @@ from edgesched.cli import _build_parser as cli_parser
 from edgesched.cli import _merge as cli_merge
 from edgesched.cli import main as cli_main
 from edgesched.harness import (
+    PRESETS,
     ExperimentConfig,
     ExperimentError,
     PolicyMetrics,
@@ -29,7 +30,7 @@ from edgesched.harness import (
 from edgesched.metacontrol import AdapterConfig
 from edgesched.profiles import LLM, default_profiles_path
 from edgesched.sim.engine import Engine, ExecutionRecord
-from edgesched.sim.truth import GroundTruthState, PlanError, ScenarioPlan, builtin_plans, plan_from_dicts
+from edgesched.sim.truth import GroundTruthState, PlanError, ScenarioPlan, plan_from_dicts
 from edgesched.sim.workload import generate_workload
 
 
@@ -456,7 +457,7 @@ def test_prior_error_is_checked_before_the_run(fixture_priors, prior_error):
         GroundTruthState(fixture_priors, prior_error=prior_error)
 
 
-@pytest.mark.parametrize("key", ["²", "-1", "x"])
+@pytest.mark.parametrize("key", ["²", "٣", "-1", "x"])
 def test_config_file_prior_error_key_must_be_a_device_id(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "drift", "horizon": 30, "prior_error": {key: 2.0}}))
@@ -471,7 +472,7 @@ def test_events_past_the_last_arrival_change_no_record():
         return run_experiment(ExperimentConfig(scenario="semantic", horizon=60, lam=2.0, plan=plan))
 
     planned, empty = run(None), run(ScenarioPlan(()))
-    events = builtin_plans("semantic").events
+    events = PRESETS["semantic"]["plan"].events
     for name, sim in planned.runs.items():
         assert sim.records == empty.runs[name].records, name
         last = max(r.completion_time for r in sim.records)
@@ -851,6 +852,16 @@ def test_prior_error_for_a_device_not_in_the_pool_is_one_cli_error(tmp_path, cap
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == "error: prior_error names device 7, which is not in the pool; its devices are [0, 1, 2, 3]\n"
+    assert not out.exists()
+
+
+def test_two_prior_error_keys_for_one_device_are_one_cli_error(tmp_path, capsys):
+    # "03" once replaced the factor of "3" without a word.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "semantic", "horizon": 30, "prior_error": {"3": 2.0, "03": 0.5}}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: prior_error keys '3' and '03' both name device 3\n"
     assert not out.exists()
 
 

@@ -37,7 +37,7 @@ from edgesched.profiles import (
 )
 from edgesched.router import FixedHeuristicPolicy, OraclePolicy, RoundRobinPolicy, backlog_ms, scores
 from edgesched.sim.engine import DeviceSnapshot, Engine, InFlightView, ObservableState
-from edgesched.sim.truth import GroundTruthState, _jitter_unit, builtin_plans, plan_from_dicts
+from edgesched.sim.truth import GroundTruthState, _jitter_unit, plan_from_dicts
 from edgesched.sim.workload import TaskSpec, generate_workload
 
 HORIZON = 400
@@ -193,7 +193,7 @@ def run_checked(scenario: str, policy_name: str) -> Probe:
         probe.on_annotation(annotation)
 
     policy.on_annotation = on_annotation
-    plan = builtin_plans(scenario)
+    plan = PRESETS[scenario]["plan"]
     workload = generate_workload(HORIZON, LAMBDA)
     probe.engine = Engine(truth, plan, workload, policy)
     result = probe.engine.run()
@@ -345,7 +345,7 @@ def test_fixed_heuristic_matches_the_prior_scorer_at_every_decision(scenario):
 
     policy.choose = checked_choose
     workload = generate_workload(HORIZON, LAMBDA)
-    result = Engine(truth, builtin_plans(scenario), workload, policy).run()
+    result = Engine(truth, PRESETS[scenario]["plan"], workload, policy).run()
     assert len(result.records) == HORIZON
     assert len(decisions) >= HORIZON
 
@@ -463,7 +463,7 @@ def make_priced(
         "round_robin": RoundRobinPolicy,
         "oracle": OraclePolicy,
     }[policy_name]()
-    plan = plan_from_dicts(MIXED_PLAN_ROWS) if plan_name == "mixed" else builtin_plans(plan_name)
+    plan = plan_from_dicts(MIXED_PLAN_ROWS) if plan_name == "mixed" else PRESETS[plan_name]["plan"]
     engine = engine_class(truth, plan, generate_workload(horizon, LAMBDA), policy)
     return engine
 

@@ -391,6 +391,11 @@ def test_drift_ratio_equals_full_filter_fold(seed):
                 # Cutoffs that land exactly on pair times, including on now itself.
                 windows += [now - x for x in times if x < now][-4:]
             for window_ms in windows:
+                if not now >= times[-1]:
+                    # Before the newest record, or NaN: the ordering contract rejects it.
+                    with pytest.raises(CausalityError):
+                        opm.drift_ratio(0, LLM, window_ms, now)
+                    continue
                 got = opm.drift_ratio(0, LLM, window_ms, now)
                 assert got == reference_drift_ratio(pairs, window_ms, now), (i, now, window_ms)
 

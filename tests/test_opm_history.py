@@ -15,6 +15,7 @@ import pytest
 from conftest import on_ms_grid
 from edgesched.opm import (
     CALIBRATION_SMOOTHING,
+    CausalityError,
     Opm,
     OpmEstimate,
     left_sum,
@@ -158,6 +159,11 @@ def test_one_history_matches_two_stores(seed):
             nows = (completions[0] - 250.0, rng.choice(completions), t, t + 250.0)
             for now in nows:
                 for window_ms in (250.0, 5_000.0, 60_000.0, 1e12):
+                    if now < completions[-1]:
+                        # A window that ends before the newest record breaks the ordering contract.
+                        with pytest.raises(CausalityError):
+                            opm.drift_ratio(*key, window_ms, now)
+                        continue
                     assert opm.drift_ratio(*key, window_ms, now) == reference.drift_ratio(
                         *key, window_ms, now
                     )

@@ -40,7 +40,6 @@ from edgesched.sim.truth import (
     ScenarioPlan,
     SemanticOffset,
     SemanticOnset,
-    builtin_plans,
     plan_from_dicts,
 )
 from edgesched.sim.workload import TaskSpec, generate_workload
@@ -241,7 +240,7 @@ def test_one_scoring_pass_equals_the_per_candidate_formula(scenario, plan_rows, 
         priors, prior_error=PRESETS[scenario]["prior_error"], service_jitter=PRESETS[scenario]["service_jitter"]
     )
     if policy_name == "e3":
-        policy = build_agent(priors, warmup if scenario == "warmup" else DYNAMIC_PREFIX_TASKS, trace=[])
+        policy = build_agent(priors, PRESETS[scenario]["prefix"] or warmup, trace=[])
     else:
         policy = FixedHeuristicPolicy(priors)
         policy.trace = []
@@ -270,7 +269,7 @@ def test_one_scoring_pass_equals_the_per_candidate_formula(scenario, plan_rows, 
     policy.choose = checked_choose
     policy.overrides.decrement = counting_decrement
     workload = generate_workload(600, 2.0)
-    plan = builtin_plans(scenario) if plan_rows is None else plan_from_dicts(plan_rows)
+    plan = PRESETS[scenario]["plan"] if plan_rows is None else plan_from_dicts(plan_rows)
     result = Engine(truth, plan, workload, policy).run()
     assert len(result.records) == len(policy.trace) - seen["handback"] == 600
     if policy_name == "e3":
@@ -350,7 +349,7 @@ def test_baselines_have_no_learned_or_risk_inputs():
     priors = priors_from_records(load_profiles(default_profiles_path()))
     truth = GroundTruthState(priors, prior_error=PRESETS["drift"]["prior_error"], service_jitter=0.15)
     fh = FixedHeuristicPolicy(priors)
-    result = Engine(truth, builtin_plans("drift"), generate_workload(300, 0.5), fh).run()
+    result = Engine(truth, PRESETS["drift"]["plan"], generate_workload(300, 0.5), fh).run()
     assert len(result.records) == 300 and result.event_log  # the drift step and its restore fired
     # A drift run leaves the static baseline's surface as it was seeded.
     assert [op[0] for op in fh.opm.oplog] == ["seed"] and fh.opm.version == 1
@@ -462,7 +461,7 @@ def test_agent_decrements_ttl_once_per_unique_task():
 
     agent.on_first_dispatch = counting_first_dispatch
     workload = generate_workload(600, 2.0)
-    engine = Engine(truth, builtin_plans("churn"), workload, agent)
+    engine = Engine(truth, PRESETS["churn"]["plan"], workload, agent)
     seen: set[int] = set()
     redispatched_at: list[int] = []  # first dispatches so far at each redispatch
     dispatch = engine._dispatch
@@ -510,7 +509,7 @@ def test_dispatched_ids_are_only_the_queued_and_in_flight_tasks():
 
     agent.on_completion = checked_completion
     workload = generate_workload(600, 2.0)
-    engine = Engine(truth, builtin_plans("churn"), workload, agent)
+    engine = Engine(truth, PRESETS["churn"]["plan"], workload, agent)
     result = engine.run()
     assert len(result.records) == len(workload)
     assert 0 < largest < len(workload)

@@ -13,8 +13,9 @@ from conftest import (
     leak_scan,
     make_truth,
 )
+from edgesched.harness import PRESETS, SHIPPED_KINDS
 from edgesched.metacontrol import Invocation, MetaController, ToolCall
-from edgesched.profiles import LLM, SDXL, DevicePrior
+from edgesched.profiles import LLM, SDXL, DevicePrior, model_kind
 from edgesched.router import OraclePolicy, RoundRobinPolicy
 from edgesched.sim.engine import Engine, EngineError, ObservableState, Telemetry
 from edgesched.sim.truth import (
@@ -29,7 +30,6 @@ from edgesched.sim.truth import (
     ScenarioPlan,
     SemanticOffset,
     SemanticOnset,
-    builtin_plans,
     plan_from_dicts,
 )
 from edgesched.sim.workload import TaskSpec, generate_workload
@@ -145,7 +145,7 @@ def test_identical_runs_produce_identical_records(fixture_priors):
     def one_run():
         truth = make_truth(fixture_priors, prior_error={0: 1.2, 1: 0.8, 2: 1.1, 3: 0.9}, jitter=0.2)
         tasks = generate_workload(60, 0.5)
-        return Engine(truth, builtin_plans("semantic"), tasks, RoundRobinPolicy()).run()
+        return Engine(truth, PRESETS["semantic"]["plan"], tasks, RoundRobinPolicy()).run()
 
     first, second = one_run(), one_run()
     assert first.records == second.records
@@ -363,7 +363,7 @@ def test_records_delivered_exactly_at_completion(fixture_priors):
 def test_observable_state_contains_no_ground_truth(fixture_priors):
     truth = make_truth(fixture_priors, prior_error={0: 2.0}, jitter=0.1)
     tasks = generate_workload(30, 0.5)
-    engine = Engine(truth, builtin_plans("semantic"), tasks, RoundRobinPolicy())
+    engine = Engine(truth, PRESETS["semantic"]["plan"], tasks, RoundRobinPolicy())
     with leak_scan():
         result = engine.run()
     view = engine.observable_state()
@@ -379,7 +379,7 @@ def test_shuffled_workload_gives_the_same_run(fixture_priors, policy_cls):
 
     def run(workload):
         truth = make_truth(fixture_priors, jitter=0.1)
-        return Engine(truth, builtin_plans("churn"), workload, policy_cls()).run()
+        return Engine(truth, PRESETS["churn"]["plan"], workload, policy_cls()).run()
 
     ordered, mixed = run(tasks), run(shuffled)
     assert mixed.records == ordered.records
@@ -429,7 +429,7 @@ def test_observation_log_equals_record_rows(fixture_priors):
     truth = make_truth(fixture_priors, jitter=0.1)
     policy = RoundRobinPolicy()
     policy.on_completion = on_completion
-    engine = Engine(truth, builtin_plans("semantic"), generate_workload(200, 2.0), policy)
+    engine = Engine(truth, PRESETS["semantic"]["plan"], generate_workload(200, 2.0), policy)
     engine.run()
     check(engine.now)
     assert len(checked) > 5
@@ -453,7 +453,7 @@ def test_observations_of_a_long_run_equal_record_rows(fixture_priors):
     truth = make_truth(fixture_priors, jitter=0.1)
     policy = RoundRobinPolicy()
     policy.on_completion = on_completion
-    engine = Engine(truth, builtin_plans("semantic"), generate_workload(2000, 2.0), policy)
+    engine = Engine(truth, PRESETS["semantic"]["plan"], generate_workload(2000, 2.0), policy)
     engine.run()
     check(engine.now)
     assert len(engine.records) == 2000 and len(checked) > 15
@@ -461,7 +461,7 @@ def test_observations_of_a_long_run_equal_record_rows(fixture_priors):
 
 def test_observation_rows_and_pulled_observations_keep_their_twelve_keys(fixture_priors):
     truth = make_truth(fixture_priors, jitter=0.1)
-    engine = Engine(truth, builtin_plans("churn"), generate_workload(120, 2.0), RoundRobinPolicy())
+    engine = Engine(truth, PRESETS["churn"]["plan"], generate_workload(120, 2.0), RoundRobinPolicy())
     engine.run()
     rows = Telemetry(engine).observations()
     assert len(rows) == len(engine.records) == 120
@@ -501,7 +501,7 @@ def test_idle_device_availability_shows_at_the_next_decision(fixture_priors):
 
 
 def test_builtin_semantic_plan_shape():
-    plan = builtin_plans("semantic")
+    plan = PRESETS["semantic"]["plan"]
     onsets = [e for e in plan.events if isinstance(e, SemanticOnset)]
     offsets = [e for e in plan.events if isinstance(e, SemanticOffset)]
     assert len(onsets) == 5 and len(offsets) == 5
@@ -515,11 +515,11 @@ def test_builtin_semantic_plan_shape():
 
 
 def test_builtin_warmup_plan_empty():
-    assert builtin_plans("warmup").events == ()
+    assert PRESETS["warmup"]["plan"].events == ()
 
 
 def test_builtin_drift_plan_defaults():
-    plan = builtin_plans("drift")
+    plan = PRESETS["drift"]["plan"]
     step, restore = plan.events
     assert isinstance(step, DriftStep) and step.at_task == 120
     assert step.device == 1 and step.factor == 2.0
@@ -527,7 +527,7 @@ def test_builtin_drift_plan_defaults():
 
 
 def test_builtin_churn_plan_pairs():
-    plan = builtin_plans("churn")
+    plan = PRESETS["churn"]["plan"]
     assert [type(e).__name__ for e in plan.events] == [
         "DeviceLeave",
         "DeviceReturn",
@@ -536,9 +536,19 @@ def test_builtin_churn_plan_pairs():
     ]
 
 
-def test_unknown_plan_lists_valid_names():
-    with pytest.raises(PlanError, match="churn.*drift.*semantic.*warmup"):
-        builtin_plans("bogus")
+def test_preset_plans_fit_the_setting_they_assume():
+    """Each preset's events fall in [prefix, 300), the default horizon, and
+    name a device of the shipped pool, a drift's model that device's kind."""
+    models = 0
+    for name, preset in PRESETS.items():
+        for event in preset["plan"].events:
+            assert preset["prefix"] <= event.at_task < 300, (name, event)
+            assert 0 <= event.device < len(SHIPPED_KINDS), (name, event)
+            model = getattr(event, "model", None)
+            if model is not None:
+                models += 1
+                assert model_kind(model) == SHIPPED_KINDS[event.device], (name, event)
+    assert models  # the drift plan names its model
 
 
 def test_plan_validation_rejects_unpaired_events():
