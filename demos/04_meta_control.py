@@ -3,11 +3,12 @@
 
 Shows trigger suppression (cooldowns and the non-event gap), then feeds a
 semantic onset/offset pair to a standalone meta-controller and prints the
-audited actions, and finally drives one invocation through the
-external-adapter path with a canned transport, demonstrating the scripted
+audited actions, and finally hands one invocation to the external adapter,
+a controller bound to a canned transport, demonstrating the scripted
 fallback on timeout.
 """
 
+import functools
 import json
 import logging
 
@@ -17,6 +18,7 @@ from edgesched.metacontrol import (
     MetaController,
     TriggerState,
     evaluate_triggers,
+    llm_adapter_invoke,
 )
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.sim.engine import EventAnnotation
@@ -37,11 +39,14 @@ class StandaloneTelemetry:
 
 
 def make_controller(transport=None):
-    """A controller seeded from two priors, outside any engine; with a transport, an
-    external adapter drives it."""
+    """A meta-controller seeded from two priors, outside any engine; with a
+    transport, the external adapter over it answers each invocation."""
     priors = [DevicePrior(0, LLM, alpha0=1.0, beta0=50.0), DevicePrior(2, SDXL, gamma0=4000.0)]
-    adapter = AdapterConfig(url="http://adapter.local") if transport else None
-    meta = MetaController(priors, adapter=adapter, transport=transport)
+    controller = None
+    if transport:
+        endpoint = AdapterConfig(url="http://adapter.local")
+        controller = functools.partial(llm_adapter_invoke, endpoint=endpoint, transport=transport)
+    meta = MetaController(priors, controller=controller)
     meta.attach_telemetry(StandaloneTelemetry())
     return meta
 

@@ -79,7 +79,7 @@ SCOPES: dict[tuple[str, str], tuple[str, str]] = {
     ("edgesched/metacontrol.py", "_parse_tool_calls"): (ADAPTER, "reads the adapter's reply"),
     ("edgesched/metacontrol.py", "_tool_catalog"): (ADAPTER, "the tool list each adapter request carries"),
     ("edgesched/metacontrol.py", "AdapterConfig.__init__"): (ADAPTER, "an adapter's endpoint"),
-    ("edgesched/metacontrol.py", "MetaController._invoke"): (ADAPTER, "hands an invocation to the adapter"),
+    ("edgesched/harness.py", "_build_policy"): (ADAPTER, "binds an adapter's endpoint and transport into a controller"),
     ("edgesched/metacontrol.py", "MetaController._tool_pull_observations"): (ADAPTER, "a tool only an adapter calls"),
     ("edgesched/metacontrol.py", "MetaController._tool_update_calibration"): (ADAPTER, "a tool only an adapter calls"),
     ("edgesched/metacontrol.py", "MetaController._tool_set_router_params"): (ADAPTER, "a tool only an adapter calls"),

@@ -23,7 +23,7 @@ from .harness import (
     run_experiment,
 )
 from .metacontrol import AdapterConfig
-from .profiles import ProfileError, check
+from .profiles import ProfileError, check, unique_keys
 from .sim.truth import PlanError, plan_from_dicts
 
 
@@ -57,8 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: Path) -> dict:
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, bad JSON or a repeated key
         raise ExperimentError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ExperimentError(f"config {path} must hold a JSON object")

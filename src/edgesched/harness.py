@@ -9,6 +9,7 @@ sampled latency trajectories with a 20-task moving average.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -19,7 +20,7 @@ from operator import add, attrgetter, ne
 from pathlib import Path
 from typing import NamedTuple
 
-from .metacontrol import AdapterConfig, AuditLog, MetaController
+from .metacontrol import AdapterConfig, AuditLog, MetaController, llm_adapter_invoke
 from .opm import left_sum
 from .profiles import (
     INT,
@@ -347,25 +348,24 @@ def _check_default_pool(priors: list[DevicePrior]) -> None:
 def build_agent(
     priors: list[DevicePrior],
     warmup_budget: int,
-    adapter: AdapterConfig | None = None,
-    transport=None,
+    controller=None,
     trace: list | None = None,
 ) -> AdaptiveAgentPolicy:
-    """The e3 agent: routing on a controller that seeds its model from ``priors``."""
-    return AdaptiveAgentPolicy(MetaController(priors, warmup_budget, adapter, transport), trace)
+    """The e3 agent: routing on a meta-controller that seeds its model from
+    ``priors`` and hands each invocation to ``controller`` (None: the scripted one)."""
+    return AdaptiveAgentPolicy(MetaController(priors, warmup_budget, controller), trace)
 
 
 def _build_policy(
     name: str, priors: list[DevicePrior], warmup_budget: int, config: ExperimentConfig
 ):
     if name == "e3":
-        return build_agent(
-            priors,
-            warmup_budget,
-            adapter=config.adapter,
-            transport=config.adapter_transport,
-            trace=[] if config.trace_decisions else None,
-        )
+        controller = None
+        if config.adapter is not None:
+            controller = functools.partial(
+                llm_adapter_invoke, endpoint=config.adapter, transport=config.adapter_transport
+            )
+        return build_agent(priors, warmup_budget, controller, trace=[] if config.trace_decisions else None)
     if name == "fixed_heuristic":
         return FixedHeuristicPolicy(priors)
     if name == "round_robin":
@@ -444,7 +444,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         runs[name] = engine.run()
         if name == "e3":
             agent = policy
-            meta_counts[name] = (policy.meta.llm_calls, policy.meta.tool_calls)
+            meta_counts[name] = (len(policy.meta.invocations), policy.meta.tool_calls)
         logger.info(
             "scenario=%s policy=%s completed %d tasks",
             config.scenario,

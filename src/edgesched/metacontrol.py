@@ -8,10 +8,11 @@ suppressed by its signature's cooldown, a residual alarm by a minimum task gap
 since the last invocation.  Every invocation acts through a closed set of nine
 executable tools, which the controller checks against :data:`TOOLS`, runs and
 records in an append-only audit log.  Below the warmup budget it also refits
-the model every :data:`WARMUP_REFIT_PERIOD` tasks.  A deterministic scripted
-policy is the default controller; an optional external chat-completions
-adapter can drive the same tools for at most :data:`MAX_TOOL_ROUNDS` rounds
-and falls back to the scripted policy when its first round fails.
+the model every :data:`WARMUP_REFIT_PERIOD` tasks.  A controller, any callable
+``(invocation, meta) -> calls``, answers each invocation: :func:`scripted_policy`
+runs one row of :data:`SCRIPT`; the external chat-completions adapter drives
+the same tools for at most :data:`MAX_TOOL_ROUNDS` rounds and falls back to
+the scripted policy when its first round fails.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import inspect
 import json
 import logging
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from operator import attrgetter
 from typing import NamedTuple
 
 from .opm import DRIFT_WINDOW_MS, WINDOW, WINDOW_CAPACITY, Opm, UnknownDeviceError
-from .profiles import COUNT, NAME, NON_NEGATIVE, POSITIVE, STRING, DevicePrior, check, is_int, model_kind
+from .profiles import COUNT, NAME, NON_NEGATIVE, POSITIVE, STRING, DevicePrior, check, is_int, model_kind, unique_keys
 from .router import (
     DEFAULT_RISK_TTL_TASKS,
     EXPLORE_RISK,
@@ -182,9 +184,9 @@ class MetaController:
     It builds and holds the explicit control surface: a model seeded from
     ``priors`` (its calibration and refit entry points), the default router
     config and an empty risk mask.  Its tools are the only way a controller
-    can change that surface; no tool can reach simulator ground truth.  The
-    scripted policy answers each invocation, or the ``adapter`` endpoint
-    does when one is given (over ``transport``, HTTP by default).  Every
+    can change that surface; no tool can reach simulator ground truth.
+    ``controller`` answers each invocation; None means the reference,
+    :func:`scripted_policy`, looked up when the invocation fires.  Every
     tool call, rejected or not, is audited under the invocation being
     served.  Below the warmup budget the model also refits every few tasks,
     so exploration samples become usable estimates quickly.
@@ -194,8 +196,7 @@ class MetaController:
         self,
         priors: list[DevicePrior],
         warmup_budget: int = 0,
-        adapter: AdapterConfig | None = None,
-        transport=None,
+        controller: Callable[[Invocation, MetaController], list[ToolCall]] | None = None,
     ) -> None:
         self.opm = Opm()
         self.opm.seed(priors)
@@ -203,8 +204,7 @@ class MetaController:
         self.overrides = RiskOverrideTable()
         self.warmup_budget = warmup_budget
         self.audit = AuditLog()
-        self.adapter = adapter
-        self.transport = transport
+        self.controller = controller
         self.warmup_points = warmup_points(warmup_budget)
         self.trigger_state = TriggerState()
         self.telemetry = None
@@ -213,10 +213,6 @@ class MetaController:
     def invocations(self) -> list[Invocation]:
         """Every invocation the trigger rule let through; the last is the one being served."""
         return self.trigger_state.fired
-
-    @property
-    def llm_calls(self) -> int:
-        return len(self.invocations)
 
     @property
     def tool_calls(self) -> int:
@@ -235,10 +231,7 @@ class MetaController:
             return
         if self.telemetry is None:
             raise RuntimeError("meta-controller has no telemetry attached")
-        if self.adapter is not None:
-            llm_adapter_invoke(invocation, self.adapter, self, self.transport)
-        else:
-            scripted_policy(invocation, self)
+        (self.controller or scripted_policy)(invocation, self)
 
     # -- tool execution ----------------------------------------------------------
 
@@ -388,45 +381,38 @@ def _required(tool: str) -> tuple[str, ...]:
     return tuple(p.name for p in params if p.default is p.empty and p.name != "self")
 
 
-def scripted_policy(invocation: Invocation, meta: MetaController) -> list[ToolCall]:
-    """Deterministic reference controller: one fixed round of tools per trigger.
+# reason (a warmup point's by label) -> the reference controller's calls, in order,
+# each (tool, {argument: a constant or an attrgetter of an Invocation field}).  An
+# alarm records its drift ratio and refits without calibrating: the refit always
+# updates the alarm's device (it has opm.ALARM_MIN_SAMPLES records), resetting
+# any calibration unread.  Explore mode keeps the configured weight.
+SCRIPT = {
+    "semantic_onset": (
+        ("get_system_status", {}),
+        ("set_device_risky", {"device": attrgetter("device"), "ttl": DEFAULT_RISK_TTL_TASKS}),
+    ),
+    "semantic_offset": (("clear_device_risky", {"device": attrgetter("device")}),),
+    "residual_alarm": (
+        ("compute_drift", {"device": attrgetter("device"), "model": attrgetter("model"), "window_ms": DRIFT_WINDOW_MS}),
+        ("trigger_online_profile_update", {"window": WINDOW_CAPACITY, "min_samples": 3}),
+    ),
+    ("warmup_point", "first"): (("switch_router", {"router": EXPLORE_RISK}),),
+    ("warmup_point", "last"): (
+        ("trigger_online_profile_update", {"window": WINDOW_CAPACITY, "min_samples": 1}),
+        ("switch_router", {"router": SECT}),
+    ),
+    "churn_event": (
+        ("get_system_status", {}),
+        ("trigger_online_profile_update", {"window": WINDOW_CAPACITY, "min_samples": 3}),
+    ),
+}
 
-    A residual alarm records the drift ratio that raised it and refits.  It
-    does not calibrate: the refit always updates the alarm's device, which
-    has at least :data:`opm.ALARM_MIN_SAMPLES` records, and would reset the
-    calibration before any prediction read it.
-    """
-    reason = invocation.reason
-    device = invocation.device
-    calls: list[ToolCall] = []
-    if reason == "semantic_onset":
-        calls = [
-            ToolCall("get_system_status", {}),
-            ToolCall("set_device_risky", {"device": device, "ttl": DEFAULT_RISK_TTL_TASKS}),
-        ]
-    elif reason == "semantic_offset":
-        calls = [ToolCall("clear_device_risky", {"device": device})]
-    elif reason == "residual_alarm":
-        calls = [
-            ToolCall(
-                "compute_drift",
-                {"device": device, "model": invocation.model, "window_ms": DRIFT_WINDOW_MS},
-            ),
-            ToolCall("trigger_online_profile_update", {"window": WINDOW_CAPACITY, "min_samples": 3}),
-        ]
-    elif reason == "warmup_point" and invocation.label == "first":
-        # Explore mode uses the configured weight; the controller sets none.
-        calls = [ToolCall("switch_router", {"router": EXPLORE_RISK})]
-    elif reason == "warmup_point":
-        calls = [
-            ToolCall("trigger_online_profile_update", {"window": WINDOW_CAPACITY, "min_samples": 1}),
-            ToolCall("switch_router", {"router": SECT}),
-        ]
-    elif reason == "churn_event":
-        calls = [
-            ToolCall("get_system_status", {}),
-            ToolCall("trigger_online_profile_update", {"window": WINDOW_CAPACITY, "min_samples": 3}),
-        ]
+
+def scripted_policy(invocation: Invocation, meta: MetaController) -> list[ToolCall]:
+    """Deterministic reference controller: runs the invocation's row of :data:`SCRIPT`."""
+    row = SCRIPT.get((invocation.reason, invocation.label)) or SCRIPT[invocation.reason]
+    calls = [ToolCall(tool, {k: v(invocation) if isinstance(v, attrgetter) else v for k, v in args.items()})
+             for tool, args in row]
     for call in calls:
         meta.execute_tool(call)
     return calls
@@ -442,7 +428,7 @@ _ADAPTER_FIELDS = {"url": NAME, "model": STRING, "api_key_env": NAME, "timeout_s
 class AdapterConfig:
     """External chat-completions endpoint settings; ``url`` must be given.
 
-    A controller that holds one drives every invocation through the endpoint.
+    Bound as :func:`llm_adapter_invoke`'s ``endpoint``, it makes a controller.
     """
 
     __slots__ = tuple(_ADAPTER_FIELDS)
@@ -491,7 +477,7 @@ def _default_transport(payload: dict, config: AdapterConfig) -> dict:
         config.url, data=json.dumps(payload).encode(), headers=headers, method="POST"
     )
     with urllib.request.urlopen(request, timeout=config.timeout_s) as response:
-        return json.load(response)
+        return json.load(response, object_pairs_hook=unique_keys)
 
 
 def _parse_tool_calls(response: dict) -> tuple[dict, list[ToolCall]]:
@@ -502,27 +488,28 @@ def _parse_tool_calls(response: dict) -> tuple[dict, list[ToolCall]]:
         function = item["function"]
         arguments = function.get("arguments", {})
         if isinstance(arguments, str):
-            arguments = json.loads(arguments) if arguments else {}
+            arguments = json.loads(arguments, object_pairs_hook=unique_keys) if arguments else {}
         calls.append(ToolCall(function["name"], arguments))
     return message, calls
 
 
 def llm_adapter_invoke(
     invocation: Invocation,
-    endpoint: AdapterConfig,
     meta: MetaController,
+    endpoint: AdapterConfig,
     transport=None,
 ) -> list[ToolCall]:
-    """Drive one invocation through an external controller endpoint.
+    """Drive one invocation through an external controller endpoint; bound to
+    ``endpoint`` and ``transport`` (HTTP by default), this is a controller.
 
     The exchange follows the chat-completions tool protocol: message list
     plus tool catalog out, an assistant message with tool calls back.  Each
     later round's messages add that assistant message and one ``tool``
     message per call, answering its id.  The loop runs at most
-    :data:`MAX_TOOL_ROUNDS` rounds.  A failed (timeout, transport error,
-    unparseable reply) or empty first round falls back to the scripted
-    policy, and the fallback itself is audited; a failed or empty later
-    round ends the loop with the calls already made.
+    :data:`MAX_TOOL_ROUNDS` rounds.  A failed (timeout, transport error, a
+    reply unparseable or with a repeated key) or empty first round falls back
+    to the scripted policy, and the fallback itself is audited; a failed or
+    empty later round ends the loop with the calls already made.
     """
     transport = transport or _default_transport
     user = {**invocation._asdict(), "context": meta.telemetry.system_status()}

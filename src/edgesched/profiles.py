@@ -164,6 +164,16 @@ def check(name: str, value: object, rule: tuple, error: type[Exception] = ValueE
         raise error(f"{name} must be {rule[0]}, got {value!r}")
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON readers' ``object_pairs_hook``: a repeated key raises, where ``json`` keeps the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def check_new_device(device_id: int, seen: Container[int]) -> None:
     """Raise ValueError if ``device_id`` is in ``seen``: a device has one prior, of one kind."""
     if device_id in seen:
@@ -213,8 +223,8 @@ def load_profiles(path: str | Path) -> list[RawProfileRecord]:
         if not line.strip():
             continue
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(line, object_pairs_hook=unique_keys)
+        except ValueError as exc:  # a JSONDecodeError or a repeated key
             raise ProfileError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ProfileError(f"{path}:{lineno}: expected a JSON object")

@@ -865,6 +865,24 @@ def test_two_prior_error_keys_for_one_device_are_one_cli_error(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"scenario": "semantic", "horizon": 30, "horizon": 20}', "horizon"),
+        ('{"scenario": "semantic", "horizon": 30, "prior_error": {"3": 2.0, "3": 0.5}}', "3"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_a_repeated_config_key_is_one_cli_error(tmp_path, capsys, text, key):
+    # The last of two equal keys once won without a word.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read config {cfg}: repeated key {key!r}\n"
+    assert not out.exists()
+
+
 def test_a_warmup_run_on_another_pool_takes_the_preset_factors_of_its_devices(tmp_path, capsys):
     # The preset names devices 0-3; a pool without device 3 runs with the
     # factors of 0-2, and a factor the caller names for device 3 is rejected.

@@ -640,13 +640,12 @@ def rescanned_semantic_labels(annotations) -> dict[str, str]:
     return {str(d): label for d, label in sorted(active.items())}
 
 
-def test_status_snapshot_labels_equal_a_rescan_at_every_invocation(monkeypatch):
+def test_status_snapshot_labels_equal_a_rescan_at_every_invocation():
     engine = make_priced("mixed", "e3")
     telemetry = engine.policy.meta.telemetry
     snapshot = telemetry.system_status
     seen = []
     invoked = []
-    policy = metacontrol.scripted_policy
 
     def checked_snapshot():
         status = snapshot()
@@ -657,10 +656,10 @@ def test_status_snapshot_labels_equal_a_rescan_at_every_invocation(monkeypatch):
 
     def checked_policy(invocation, meta):
         invoked.append(meta.telemetry.system_status())
-        return policy(invocation, meta)
+        return metacontrol.scripted_policy(invocation, meta)
 
     telemetry.system_status = checked_snapshot
-    monkeypatch.setattr(metacontrol, "scripted_policy", checked_policy)
+    engine.policy.meta.controller = checked_policy
     engine.run()
     # The status is read (and checked) once per invocation here, and once per
     # get_system_status call; some of the reads see a semantic window open.

@@ -1,5 +1,6 @@
 """Triggers, tool execution, scripted policy, external adapter."""
 
+import functools
 import inspect
 import json
 import logging
@@ -10,8 +11,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from conftest import assert_no_ground_truth
-from edgesched import metacontrol
 from edgesched.metacontrol import (
+    ANNOTATION_REASONS,
+    SCRIPT,
     TOOLS,
     AdapterConfig,
     Invocation,
@@ -27,7 +29,6 @@ from edgesched.metacontrol import (
     warmup_points,
 )
 from edgesched.harness import ExperimentConfig, run_experiment
-from edgesched.opm import DRIFT_WINDOW_MS
 from edgesched.profiles import LLM, SDXL, DevicePrior
 from edgesched.router import DEFAULT_EXPLORE_WEIGHT_MS
 from edgesched.sim.engine import EventAnnotation, ExecutionRecord
@@ -243,13 +244,12 @@ class AlarmingOpm:
 
 
 @pytest.mark.parametrize("budget", [0, 5, 30])
-def test_one_rule_fires_what_the_three_branch_rule_fired(budget, monkeypatch):
+def test_one_rule_fires_what_the_three_branch_rule_fired(budget):
     """3,000 seeded events through the three hooks fire, in order and field for
     field, what the three-branch rule fired for the same events."""
     rng = random.Random(budget)
-    meta = make_controller(warmup_budget=budget)
+    meta = make_controller(warmup_budget=budget, controller=lambda invocation, meta: [])
     meta.opm = AlarmingOpm()
-    monkeypatch.setattr(metacontrol, "scripted_policy", lambda invocation, controller: [])
     reference = {"cooldowns": {}, "last": -(10**9), "points": warmup_points(budget)}
     expected = []
 
@@ -583,27 +583,23 @@ def test_scripted_residual_alarm_diagnoses_then_refits():
     assert meta.opm.estimates[(0, LLM)].alpha_hat != 1.0
 
 
-def calibrating_policy(shipped):
-    """The scripted controller with the residual-alarm branch that calibrated
-    before it refit (compute the drift, calibrate by its ratio, refit), kept
-    here as the reference; every other trigger goes to ``shipped``."""
-
-    def policy(invocation, meta):
-        if invocation.reason != "residual_alarm":
-            return shipped(invocation, meta)
-        device, model = invocation.device, invocation.model
-        drift = ToolCall("compute_drift", {"device": device, "model": model, "window_ms": DRIFT_WINDOW_MS})
-        result = meta.execute_tool(drift)
-        second = []
-        if result.ok and 0 < result.payload["ratio"] != float("inf"):
-            ratio = result.payload["ratio"]
-            second.append(ToolCall("update_calibration", {"device": device, "model": model, "ratio": ratio}))
-        second.append(ToolCall("trigger_online_profile_update", {"window": 40, "min_samples": 3}))
-        for call in second:
-            meta.execute_tool(call)
-        return [drift, *second]
-
-    return policy
+def calibrating_transport(payload, config):
+    """An adapter double for the controller whose residual alarm calibrated
+    before it refit, kept here as the reference.  Round one answers the
+    scripted calls, but for an alarm only its compute_drift; round two
+    calibrates an alarm's device by the ratio that call read (unless it is 0
+    or infinite) and then makes the scripted refit."""
+    messages = payload["messages"]
+    fields = json.loads(messages[1]["content"])
+    del fields["context"]
+    drift, *rest = scripted_calls(fields)
+    if fields["reason"] != "residual_alarm":
+        return adapter_response([] if len(messages) > 2 else [drift, *rest])
+    if len(messages) == 2:
+        return adapter_response([drift])
+    ratio = json.loads(messages[-1]["content"]).get("ratio", 0)
+    calibration = ("update_calibration", {"device": fields["device"], "model": fields["model"], "ratio": ratio})
+    return adapter_response(([calibration] if 0 < ratio != float("inf") else []) + rest)
 
 
 # name -> ExperimentConfig arguments; each run raises residual alarms
@@ -616,14 +612,13 @@ ALARM_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", sorted(ALARM_CONFIGS))
-def test_alarm_decides_what_the_calibrating_alarm_decided(name, monkeypatch):
+def test_alarm_decides_what_the_calibrating_alarm_decided(name):
     """e3's records and decision trace equal those of the controller whose alarm
     calibrated first, because each calibration was erased by the refit that
     followed it in the same invocation before any prediction read it."""
     config = {**ALARM_CONFIGS[name], "policies": ("e3",), "trace_decisions": True}
     shipped = run_experiment(ExperimentConfig(**config))
-    monkeypatch.setattr(metacontrol, "scripted_policy", calibrating_policy(scripted_policy))
-    reference = run_experiment(ExperimentConfig(**config))
+    reference = run_experiment(ExperimentConfig(**config, adapter=DOUBLE, adapter_transport=calibrating_transport))
     for result in (shipped, reference):
         assert any(i.reason == "residual_alarm" for i in result.agent.meta.invocations)
     entries = reference.audit.entries
@@ -667,6 +662,26 @@ def test_scripted_churn_event_refreshes_estimates():
     assert calls[1].arguments["min_samples"] == 3
 
 
+def test_script_has_a_row_for_each_reason_an_invocation_fires_for():
+    assert set(SCRIPT) == {
+        *ANNOTATION_REASONS.values(), "residual_alarm", ("warmup_point", "first"), ("warmup_point", "last")
+    }
+
+
+def test_script_rows_name_tools_their_arguments_and_invocation_fields():
+    """Every template names a tool in TOOLS and only arguments that tool
+    takes; an argument read off the invocation names one of its fields."""
+    invocation = Invocation(*Invocation._fields)  # each field holds its own name
+    for key, row in SCRIPT.items():
+        assert row, key
+        for tool, arguments in row:
+            assert tool in TOOLS, key
+            assert set(arguments) <= set(TOOLS[tool][1]), (key, tool)
+            for name, value in arguments.items():
+                if callable(value):
+                    assert value(invocation) in Invocation._fields, (key, tool, name)
+
+
 # --- external adapter ------------------------------------------------------------------
 
 
@@ -704,7 +719,7 @@ def test_adapter_executes_returned_calls():
 
     inv = Invocation("semantic_onset", 60, device=1, label="game")
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, meta, AdapterConfig(url="http://x"), transport)
     assert [c.tool for c in calls] == ["set_device_risky"]
     assert meta.overrides.is_risky(1)
 
@@ -723,7 +738,7 @@ def test_adapter_rejects_out_of_bounds_but_continues():
 
     inv = Invocation("semantic_onset", 60, device=1)
     meta.invocations.append(inv)
-    llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
+    llm_adapter_invoke(inv, meta, AdapterConfig(url="http://x"), transport)
     assert not meta.overrides.is_risky(1)
     tools_audited = [e.tool for e in meta.audit.entries]
     assert "set_device_risky" in tools_audited
@@ -745,7 +760,7 @@ def test_adapter_survives_non_object_arguments_and_a_bad_model():
 
     inv = Invocation("residual_alarm", 60, device=0, model=LLM, ratio=2.0, sample_count=4)
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, meta, AdapterConfig(url="http://x"), transport)
     assert [c.tool for c in calls] == ["get_system_status", "compute_drift"]
     assert [(e.tool, e.arguments, e.result) for e in meta.audit.entries] == [
         ("get_system_status", [1], "rejected: arguments must be a JSON object, got [1]"),
@@ -771,7 +786,7 @@ def test_adapter_int_too_large_for_a_float_is_rejected_and_audited():
     weight = meta.config.explore_weight_ms
     inv = Invocation("semantic_onset", 60, device=1, label="game")
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, meta, AdapterConfig(url="http://x"), transport)
     assert [c.tool for c in calls] == ["set_router_params", "get_system_status"]
     rejected, status = meta.audit.entries
     assert rejected.result == f"rejected: explore_weight_ms must be a finite number >= 0, got {huge!r}"
@@ -788,7 +803,7 @@ def test_adapter_failure_falls_back_to_scripted():
 
     inv = Invocation("semantic_onset", 60, device=0, label="game")
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, meta, AdapterConfig(url="http://x"), transport)
     # Identical tool sequence to the scripted policy for the same invocation.
     assert [c.tool for c in calls] == ["get_system_status", "set_device_risky"]
     assert any(e.tool == "adapter_fallback" for e in meta.audit.entries)
@@ -823,7 +838,8 @@ def adapter_controller(replies):
         return reply
 
     adapter = AdapterConfig(url="http://x", model="m")
-    meta = make_controller(now=1234.0, adapter=adapter, transport=transport)
+    controller = functools.partial(llm_adapter_invoke, endpoint=adapter, transport=transport)
+    meta = make_controller(now=1234.0, controller=controller)
     meta.on_annotation(EventAnnotation(60, 1234.0, "semantic_onset", 0, "game"))
     return meta, payloads
 
@@ -881,7 +897,7 @@ def test_adapter_round_cap_is_enforced():
 
     inv = Invocation("churn_event", 160, device=3)
     meta.invocations.append(inv)
-    calls = llm_adapter_invoke(inv, AdapterConfig(url="http://x"), meta, transport)
+    calls = llm_adapter_invoke(inv, meta, AdapterConfig(url="http://x"), transport)
     assert len(calls) == 2  # two rounds maximum, despite endless responses
 
 
@@ -891,7 +907,7 @@ def test_controller_uses_scripted_when_adapter_disabled():
     meta.on_annotation(
         type("Ann", (), {"at_task": 60, "type": "semantic_onset", "device": 0, "label": "game"})()
     )
-    assert meta.llm_calls == 1
+    assert len(meta.invocations) == 1
     assert meta.overrides.is_risky(0)
     assert [e.tool for e in meta.audit.entries] == ["get_system_status", "set_device_risky"]
 
@@ -899,6 +915,7 @@ def test_controller_uses_scripted_when_adapter_disabled():
 def test_default_transport_posts_json_over_http(monkeypatch):
     requests_seen = []
     status = [200]
+    bodies = []  # raw replies to send before the default one
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -906,7 +923,7 @@ def test_default_transport_posts_json_over_http(monkeypatch):
             requests_seen.append(
                 (json.loads(body), self.headers["Authorization"], self.headers["Content-Type"])
             )
-            reply = json.dumps(adapter_response([])).encode()
+            reply = bodies.pop() if bodies else json.dumps(adapter_response([])).encode()
             self.send_response(status[0])
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(reply)))
@@ -927,13 +944,16 @@ def test_default_transport_posts_json_over_http(monkeypatch):
         payload = {"model": "m", "messages": [{"role": "user", "content": "x"}]}
         assert _default_transport(payload, config) == adapter_response([])
         assert requests_seen == [(payload, "Bearer key-123", "application/json")]
+        bodies.append(b'{"choices": [], "choices": []}')
+        with pytest.raises(ValueError, match="^repeated key 'choices'$"):
+            _default_transport(payload, config)
 
         status[0] = 500
         meta = serving_controller()
         inv = Invocation("semantic_onset", 60, device=0, label="game")
         meta.invocations.append(inv)
-        calls = llm_adapter_invoke(inv, config, meta)
-        assert len(requests_seen) == 2
+        calls = llm_adapter_invoke(inv, meta, config)
+        assert len(requests_seen) == 3
         assert [c.tool for c in calls] == ["get_system_status", "set_device_risky"]
         assert any(e.tool == "adapter_fallback" for e in meta.audit.entries)
     finally:
@@ -966,6 +986,10 @@ BAD_REPLIES = {
     "raises": (TimeoutError("no answer"), "no answer"),
     "no-tool-calls": ({"choices": [{"message": {"role": "assistant", "content": "done"}}]}, None),
     "no-choices": ({"error": "busy"}, "'choices'"),
+    # Plain json would read this as device 0 without a word.
+    "repeated-key": ({"choices": [{"message": {"tool_calls": [
+        {"id": "call_0", "function": {"name": "set_device_risky", "arguments": '{"device": 3, "device": 0}'}},
+    ]}}]}, "repeated key 'device'"),
 }
 
 

@@ -73,6 +73,16 @@ def test_malformed_line_names_line_number(tmp_path):
         load_profiles(path)
 
 
+def test_repeated_key_names_line_and_key(tmp_path):
+    # json keeps the last of two equal keys; a profile row may not hold two.
+    path = tmp_path / "p.jsonl"
+    row = json.dumps(LLM_LINE)
+    path.write_text(f"{row}\n{row[:-1]}, \"tpot_ms_p99\": 1.0}}\n", encoding="utf-8")
+    with pytest.raises(ProfileError) as info:
+        load_profiles(path)
+    assert str(info.value) == f"{path}:2: malformed JSON: repeated key 'tpot_ms_p99'"
+
+
 def test_invariant_violation_names_field(tmp_path):
     bad = dict(LLM_LINE, tpot_ms_p99=-3)
     path = write_jsonl(tmp_path / "p.jsonl", [bad])

@@ -32,10 +32,13 @@ def test_traced_layers_are_called_and_restored():
     layers.after_experiment(tracer, result, 0)
     assert patched
     for name in (
-        "meta.evaluate_triggers", "meta.invoke", "meta.on_feedback", "harness.build_agent",
+        "meta.evaluate_triggers", "meta.on_feedback", "harness.build_agent",
         "router.select_e3", "router.backlog_ms",
     ):
         assert tracer.stats[name][0] >= 1, name
+    # The reference controller is looked up when an invocation fires, so the
+    # wrapper sees each one; a default bound when the module loaded sees none.
+    assert tracer.stats["meta.invoke"][0] == len(result.agent.meta.invocations) > 0
     # The counters read from the result: a hook reading a renamed attribute
     # would count 0 here while the traced run still reports "correct".
     tool_entries = [e for e in result.audit.entries if e.tool != "adapter_fallback"]
